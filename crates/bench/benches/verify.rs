@@ -7,8 +7,8 @@ use ssjoin_bench::criterion::{black_box, criterion_group, criterion_main, Benchm
 use ssjoin_bench::evaluation_corpus;
 use ssjoin_core::kernel::verify_overlap;
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, OverlapKernel, OverlapPredicate, SignatureWidth, SsJoinConfig,
-    SsJoinInputBuilder, SsJoinStats, WeightScheme,
+    ssjoin, Algorithm, ElementOrder, OverlapPredicate, SsJoinConfig, SsJoinInputBuilder,
+    SsJoinStats, WeightScheme,
 };
 use ssjoin_text::{Tokenizer, WordTokenizer};
 
@@ -72,39 +72,46 @@ fn bench_kernels(c: &mut Criterion) {
     let collection = b.build().unwrap().collection(h).clone();
     let pred = OverlapPredicate::two_sided(0.85);
 
+    // The linear-merge oracle (`SetRef::overlap`, then the threshold
+    // comparison) against the production kernel on the same pairs.
     let mut g = c.benchmark_group("kernels");
     g.sample_size(10);
-    for kernel in [
-        OverlapKernel::Linear,
-        OverlapKernel::EarlyExit,
-        OverlapKernel::Adaptive,
-    ] {
-        g.bench_function(kernel.name(), |bench| {
-            bench.iter(|| {
-                let mut stats = SsJoinStats::default();
-                let mut accepted = 0u64;
-                for a in collection.iter() {
-                    for other in collection.iter() {
-                        let required = pred.required_overlap(a.norm(), other.norm());
-                        if verify_overlap(kernel, a, other, required, &mut stats).is_some() {
-                            accepted += 1;
-                        }
+    g.bench_function("oracle", |bench| {
+        bench.iter(|| {
+            let mut accepted = 0u64;
+            for a in collection.iter() {
+                for other in collection.iter() {
+                    let required = pred.required_overlap(a.norm(), other.norm());
+                    accepted += u64::from(a.overlap(other) >= required);
+                }
+            }
+            black_box(accepted)
+        })
+    });
+    g.bench_function("adaptive", |bench| {
+        bench.iter(|| {
+            let mut stats = SsJoinStats::default();
+            let mut accepted = 0u64;
+            for a in collection.iter() {
+                for other in collection.iter() {
+                    let required = pred.required_overlap(a.norm(), other.norm());
+                    if verify_overlap(a, other, required, &mut stats).is_some() {
+                        accepted += 1;
                     }
                 }
-                black_box((accepted, stats.merge_steps))
-            })
-        });
-    }
+            }
+            black_box((accepted, stats.merge_steps))
+        })
+    });
     g.finish();
 }
 
 fn bench_signature(c: &mut Criterion) {
     // The signature bound in isolation: every ordered pair of the seeded
-    // PRNG evaluation corpus, folded to 1/2/4/8-word views of the stored
-    // 8×u64 signature. What this measures is the cost of the fold +
-    // AND-NOT + popcount sweep itself — the work a candidate pays *before*
-    // any merge — and how it scales with the view width; pruning power at
-    // each width is the experiments harness's `ablation-bitmap` panel.
+    // PRNG evaluation corpus against the stored 8×u64 signatures. What this
+    // measures is the cost of the AND-NOT + popcount sweep itself — the work
+    // a candidate pays *before* any merge; pruning power is the experiments
+    // harness's `ablation-bitmap` panel.
     let corpus = evaluation_corpus(0.04);
     let tok = WordTokenizer::new().lowercased();
     let groups: Vec<Vec<String>> = corpus.records.iter().map(|s| tok.tokenize(s)).collect();
@@ -115,21 +122,18 @@ fn bench_signature(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("kernels/signature");
     g.sample_size(10);
-    for width in SignatureWidth::ALL {
-        g.bench_function(width.name(), |bench| {
-            bench.iter(|| {
-                let mut pruned = 0u64;
-                for a in collection.iter() {
-                    for other in collection.iter() {
-                        let required = pred.required_overlap(a.norm(), other.norm());
-                        let bound = a.wide_overlap_bound(other, width);
-                        pruned += u64::from(bound < required);
-                    }
+    g.bench_function("w8", |bench| {
+        bench.iter(|| {
+            let mut pruned = 0u64;
+            for a in collection.iter() {
+                for other in collection.iter() {
+                    let required = pred.required_overlap(a.norm(), other.norm());
+                    pruned += u64::from(a.wide_overlap_bound(other) < required);
                 }
-                black_box(pruned)
-            })
-        });
-    }
+            }
+            black_box(pruned)
+        })
+    });
     g.finish();
 }
 

@@ -6,8 +6,8 @@
 //!
 //! Experiments: `table1 fig10 fig11 fig12 fig13 table2 naive ablation-order
 //! ablation-cost ablation-auto ablation-positional ablation-shard
-//! ablation-workspace ablation-kernel ablation-bitmap ablation-budget
-//! ablation-index ablation-spill ablation-approx`
+//! ablation-workspace ablation-bitmap ablation-budget ablation-index
+//! ablation-spill ablation-approx`
 //! (default: all; `--all` forces the full set even when experiments are also
 //! named). `--scale 1.0` is the paper's 25,000-row corpus; smaller
 //! values shrink every dataset proportionally for quick runs. `--json`
@@ -26,8 +26,7 @@ use ssjoin_bench::{
 };
 use ssjoin_core::{
     estimate_costs, estimate_memory_bytes, plan_spill, ssjoin, Algorithm, BudgetCause,
-    ElementOrder, ExecBudget, ExecContext, OverlapKernel, Phase, ShardPolicy, SignatureWidth,
-    SsJoinError,
+    ElementOrder, ExecBudget, ExecContext, Phase, SsJoinError,
 };
 use ssjoin_joins::{
     dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join, EditJoinConfig, GesJoinConfig,
@@ -68,7 +67,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [table1|fig10|fig11|fig12|fig13|table2|naive|ablation-order|ablation-cost|ablation-auto|ablation-positional|ablation-shard|ablation-workspace|ablation-kernel|ablation-bitmap|ablation-budget|ablation-index|ablation-spill|ablation-approx|all]...\n\
+                    "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [table1|fig10|fig11|fig12|fig13|table2|naive|ablation-order|ablation-cost|ablation-auto|ablation-positional|ablation-shard|ablation-workspace|ablation-bitmap|ablation-budget|ablation-index|ablation-spill|ablation-approx|all]...\n\
                      --all (or the bare word `all`) regenerates every panel in one invocation;\n\
                      --json additionally writes the run as BENCH_<N>.json (--pr N, default 10),\n\
                      or to an explicit --out PATH"
@@ -97,7 +96,6 @@ fn main() {
             "ablation-positional",
             "ablation-shard",
             "ablation-workspace",
-            "ablation-kernel",
             "ablation-bitmap",
             "ablation-budget",
             "ablation-index",
@@ -128,7 +126,6 @@ fn main() {
             "ablation-positional" => ablation_positional(scale, &mut report),
             "ablation-shard" => ablation_shard(scale, &mut report),
             "ablation-workspace" => ablation_workspace(scale, &mut report),
-            "ablation-kernel" => ablation_kernel(scale, &mut report),
             "ablation-bitmap" => ablation_bitmap(scale, &mut report),
             "ablation-budget" => ablation_budget(scale, &mut report),
             "ablation-index" => ablation_index(scale, &mut report),
@@ -530,8 +527,8 @@ fn ablation_cost(scale: f64, report: &mut Report) {
 }
 
 /// Ablation (tentpole): the statistics-backed full-configuration planner.
-/// `Algorithm::Auto` is timed against a grid of fixed configurations
-/// (executor × overlap kernel × signature width × thread count) on the same
+/// `Algorithm::Auto` is timed against the grid of fixed configurations it
+/// chooses from (executor × bitmap filter × thread count) on the same
 /// collection. Regret is Auto's slowdown relative to the best fixed
 /// configuration; every configuration — forced or planned — must reproduce
 /// the same output pair-for-pair. Timings take the minimum over several
@@ -559,12 +556,6 @@ fn ablation_auto(scale: f64, report: &mut Report) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let reps = if scale <= 0.1 { 7 } else { 3 };
     let thread_levels: &[usize] = if cores > 1 { &[1, 8] } else { &[1] };
-    let kernels = [
-        OverlapKernel::Linear,
-        OverlapKernel::EarlyExit,
-        OverlapKernel::Adaptive,
-    ];
-    let widths = [None, Some(SignatureWidth::W2), Some(SignatureWidth::W8)];
 
     let mut t = Table::new(
         format!(
@@ -588,21 +579,15 @@ fn ablation_auto(scale: f64, report: &mut Report) {
 
         // Enumerate every timed configuration up front: Auto at each
         // resource level (the planner owns the remaining knobs), then the
-        // fixed grid — every executor the planner chooses between, over the
-        // kernel/width/thread domains each one supports.
+        // fixed grid the planner chooses between — every executor with the
+        // filter off and on (basic accumulates instead of verifying, so it
+        // runs unfiltered only), at each thread level.
         let mut configs: Vec<(String, bool, SsJoinConfig)> = Vec::new();
         for &threads in thread_levels {
-            let mut exec = ExecContext::new().with_threads(threads);
-            if threads > 1 {
-                exec = exec.with_shard_policy(ShardPolicy::token_shards());
-            }
             configs.push((
                 format!("auto/{threads}t"),
                 true,
-                SsJoinConfig {
-                    algorithm: Algorithm::Auto,
-                    exec,
-                },
+                SsJoinConfig::new(Algorithm::Auto).with_threads(threads),
             ));
         }
         for &threads in thread_levels {
@@ -611,39 +596,21 @@ fn ablation_auto(scale: f64, report: &mut Report) {
                 Algorithm::PrefixFiltered,
                 Algorithm::Inline,
                 Algorithm::PositionalInline,
-                Algorithm::Partition,
             ] {
-                if alg == Algorithm::Partition && threads == 1 {
-                    continue; // degenerates to inline; skip the duplicate
-                }
-                let (kernel_opts, width_opts): (&[OverlapKernel], &[Option<SignatureWidth>]) =
-                    match alg {
-                        Algorithm::Basic => (&kernels[..1], &widths[..1]),
-                        Algorithm::PrefixFiltered => (&kernels[..1], &widths[..]),
-                        _ => (&kernels[..], &widths[..]),
-                    };
-                for &kernel in kernel_opts {
-                    for &width in width_opts {
-                        let mut exec = ExecContext::new().with_threads(threads).with_kernel(kernel);
-                        if alg == Algorithm::Partition {
-                            exec = exec.with_shard_policy(ShardPolicy::token_shards());
-                        }
-                        if let Some(w) = width {
-                            exec = exec.with_bitmap_filter(true).with_signature_width(w);
-                        }
-                        configs.push((
-                            format!(
-                                "{alg:?}/{}/{}/{threads}t",
-                                kernel.name(),
-                                width.map_or_else(|| "off".into(), |w| w.name().to_string()),
-                            ),
-                            false,
-                            SsJoinConfig {
-                                algorithm: alg,
-                                exec,
-                            },
-                        ));
+                for filter in [false, true] {
+                    if alg == Algorithm::Basic && filter {
+                        continue;
                     }
+                    configs.push((
+                        format!(
+                            "{alg:?}/{}/{threads}t",
+                            if filter { "bitmap" } else { "off" }
+                        ),
+                        false,
+                        SsJoinConfig::new(alg)
+                            .with_threads(threads)
+                            .with_bitmap_filter(filter),
+                    ));
                 }
             }
         }
@@ -775,7 +742,6 @@ fn ablation_shard(scale: f64, report: &mut Report) {
     for (threads, bitmap) in [(2usize, false), (8, false), (8, true)] {
         let exec = ExecContext::new()
             .with_threads(threads)
-            .with_shard_policy(ShardPolicy::token_shards())
             .with_bitmap_filter(bitmap);
         let (out, elapsed) = run_with(exec);
         let equal = out.keys() == seq_keys;
@@ -948,403 +914,111 @@ fn ablation_workspace(scale: f64, report: &mut Report) {
     );
 }
 
-/// Ablation (tentpole): the threshold-aware verification kernels on the
-/// inline Jaccard join over the Zipf-weighted evaluation corpus. The
-/// early-exit merge abandons a candidate as soon as the remaining suffix
-/// weight cannot reach the required overlap; the adaptive kernel
-/// additionally gallops when the candidate sets differ wildly in length.
-/// All kernels must produce identical output — only `merge_steps` (and the
-/// wall clock) may move.
-fn ablation_kernel(scale: f64, report: &mut Report) {
-    let data = evaluation_corpus(scale).records;
-    let theta = 0.85;
-
-    let run_with = |kernel: OverlapKernel| {
-        let cfg = JaccardConfig::resemblance(theta)
-            .with_algorithm(Algorithm::Inline)
-            .with_exec(ExecContext::new().with_kernel(kernel));
-        let start = Instant::now();
-        let out = jaccard_join(&data, &data, &cfg).expect("jaccard join");
-        (out, start.elapsed())
-    };
-
-    let mut t = Table::new(
-        format!("Ablation — overlap kernel (Jaccard {theta}, inline)"),
-        &[
-            "Kernel",
-            "Total ms",
-            "Verified",
-            "Merge steps",
-            "Early exits",
-            "Gallop probes",
-            "Pairs",
-            "Output equal",
-        ],
-    );
-
-    let (linear, linear_t) = run_with(OverlapKernel::Linear);
-    let linear_keys = linear.keys();
-    let mut all_equal = true;
-    let mut linear_steps = 0u64;
-    let mut adaptive_steps = 0u64;
-    let mut adaptive_ms = f64::NAN;
-    for kernel in [
-        OverlapKernel::Linear,
-        OverlapKernel::EarlyExit,
-        OverlapKernel::Adaptive,
-    ] {
-        let (out, elapsed) = if kernel == OverlapKernel::Linear {
-            (linear.clone(), linear_t)
-        } else {
-            run_with(kernel)
-        };
-        let equal = out.keys() == linear_keys;
-        all_equal &= equal;
-        match kernel {
-            OverlapKernel::Linear => linear_steps = out.stats.merge_steps,
-            OverlapKernel::Adaptive => {
-                adaptive_steps = out.stats.merge_steps;
-                adaptive_ms = elapsed.as_secs_f64() * 1e3;
-            }
-            _ => {}
-        }
-        t.row(vec![
-            kernel.name().into(),
-            ms(elapsed),
-            count(out.stats.verified_pairs),
-            count(out.stats.merge_steps),
-            count(out.stats.early_exits),
-            count(out.stats.gallop_probes),
-            count(dedupe_self_pairs(&out.pairs).len() as u64),
-            if equal { "yes".into() } else { "NO".into() },
-        ]);
-        report.metric_u64(
-            format!("ablation_kernel.{}.merge_steps", kernel.name()),
-            out.stats.merge_steps,
-        );
-        report.metric_u64(
-            format!("ablation_kernel.{}.early_exits", kernel.name()),
-            out.stats.early_exits,
-        );
-        report.metric_u64(
-            format!("ablation_kernel.{}.gallop_probes", kernel.name()),
-            out.stats.gallop_probes,
-        );
-        report.metric_f64(
-            format!("ablation_kernel.{}.total_ms", kernel.name()),
-            elapsed.as_secs_f64() * 1e3,
-        );
-    }
-    report.table(t);
-    assert!(all_equal, "kernel choice must not change the join output");
-
-    report.metric_f64("ablation_kernel.linear_ms", linear_t.as_secs_f64() * 1e3);
-    report.metric_f64("ablation_kernel.adaptive_ms", adaptive_ms);
-    report.metric_f64(
-        "ablation_kernel.merge_step_reduction",
-        1.0 - adaptive_steps as f64 / linear_steps.max(1) as f64,
-    );
-    report.metric_str(
-        "ablation_kernel.output_equal",
-        if all_equal { "true" } else { "false" },
-    );
-
-    // Second panel: a skewed containment workload. Two-sided resemblance
-    // bounds the length ratio of surviving candidates, so the galloping path
-    // never fires above; a containment join of short probe sets against long
-    // reference sets produces candidates with ~16× length skew — the regime
-    // the adaptive kernel's galloping targets.
-    let n_long = ((200.0 * scale).round() as usize).max(8);
-    let n_short = ((600.0 * scale).round() as usize).max(24);
-    let long_recs: Vec<String> = (0..n_long)
-        .map(|i| {
-            (0..64)
-                .map(|j| format!("z{:03}", (i * 7 + j) % 200))
-                .collect::<Vec<_>>()
-                .join(" ")
-        })
-        .collect();
-    let short_recs: Vec<String> = (0..n_short)
-        .map(|k| {
-            (0..4)
-                .map(|j| format!("z{:03}", (k * 7 + j) % 200))
-                .collect::<Vec<_>>()
-                .join(" ")
-        })
-        .collect();
-
-    let run_skew = |kernel: OverlapKernel| {
-        let cfg = JaccardConfig::containment(0.9)
-            .with_algorithm(Algorithm::Inline)
-            .with_exec(ExecContext::new().with_kernel(kernel));
-        let start = Instant::now();
-        let out = jaccard_join(&short_recs, &long_recs, &cfg).expect("containment join");
-        (out, start.elapsed())
-    };
-
-    let mut skew_t = Table::new(
-        format!("Ablation — overlap kernel, skewed containment (4 vs 64 tokens, {n_short}×{n_long} sets)"),
-        &[
-            "Kernel",
-            "Total ms",
-            "Merge steps",
-            "Early exits",
-            "Gallop probes",
-            "Pairs",
-            "Output equal",
-        ],
-    );
-    let (skew_linear, _) = run_skew(OverlapKernel::Linear);
-    let skew_keys = skew_linear.keys();
-    let mut skew_equal = true;
-    for kernel in [
-        OverlapKernel::Linear,
-        OverlapKernel::EarlyExit,
-        OverlapKernel::Adaptive,
-    ] {
-        let (out, elapsed) = run_skew(kernel);
-        let equal = out.keys() == skew_keys;
-        skew_equal &= equal;
-        skew_t.row(vec![
-            kernel.name().into(),
-            ms(elapsed),
-            count(out.stats.merge_steps),
-            count(out.stats.early_exits),
-            count(out.stats.gallop_probes),
-            count(out.pairs.len() as u64),
-            if equal { "yes".into() } else { "NO".into() },
-        ]);
-        report.metric_u64(
-            format!("ablation_kernel.skew.{}.merge_steps", kernel.name()),
-            out.stats.merge_steps,
-        );
-        report.metric_u64(
-            format!("ablation_kernel.skew.{}.gallop_probes", kernel.name()),
-            out.stats.gallop_probes,
-        );
-    }
-    report.table(skew_t);
-    assert!(skew_equal, "kernel choice must not change the join output");
-    report.metric_str(
-        "ablation_kernel.skew.output_equal",
-        if skew_equal { "true" } else { "false" },
-    );
-}
-
-/// Ablation (tentpole, PR 7): wide bitmap signatures. The baseline is the
-/// strongest prior configuration — the adaptive kernel with the signature
-/// filter off — then the filter switches on at every width k ∈ {1, 2, 4, 8}
-/// (a k-word view is folded losslessly out of the stored 8×u64 signature).
-/// Wider signatures collide less, so the popcount bound prunes more
-/// candidates before any merge: verified pairs and merge steps must fall
-/// monotonically-ish with k while the output stays bit-identical.
+/// Ablation: the 8-word bitmap signature filter, off vs on, on the inline
+/// Jaccard join. The filter pays an ANDNOT + popcount probe per candidate
+/// and prunes the candidates whose signature bound cannot reach the
+/// required overlap before any merge; the output must stay bit-identical.
+/// Two panels: the clean Zipf-weighted corpus and the "dirty"
+/// near-threshold corpus, where heavy token-level errors on a
+/// duplicate-rich input leave many candidates whose similarity lands just
+/// around θ — the regime where the probe earns (or fails to earn) its cost.
+/// Half the paper's row count keeps the dirty candidate blow-up affordable
+/// in CI.
 fn ablation_bitmap(scale: f64, report: &mut Report) {
-    let data = evaluation_corpus(scale).records;
-    let theta = 0.85;
-
-    // Median of 3 per variant: the probe-side saving is a single-digit
-    // percentage of verification, well inside one-shot timer noise on a
-    // small host.
-    let run_with = |exec: ExecContext| {
-        let cfg = JaccardConfig::resemblance(theta)
-            .with_algorithm(Algorithm::Inline)
-            .with_exec(exec.with_kernel(OverlapKernel::Adaptive));
-        let mut times = Vec::new();
-        let mut out = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            out = Some(jaccard_join(&data, &data, &cfg).expect("jaccard join"));
-            times.push(start.elapsed());
-        }
-        times.sort();
-        (out.expect("three runs"), times[1])
-    };
-
-    let mut t = Table::new(
-        format!(
-            "Ablation — signature width (Jaccard {theta}, inline, adaptive kernel, median of 3)"
-        ),
-        &[
-            "Signature",
-            "Total ms",
-            "Probes",
-            "Pruned",
-            "Verified",
-            "Merge steps",
-            "Pairs",
-            "Output equal",
-        ],
-    );
-
-    let (base, base_t) = run_with(ExecContext::new());
-    let base_keys = base.keys();
-    t.row(vec![
-        "off".into(),
-        ms(base_t),
-        "-".into(),
-        "-".into(),
-        count(base.stats.verified_pairs),
-        count(base.stats.merge_steps),
-        count(dedupe_self_pairs(&base.pairs).len() as u64),
-        "baseline".into(),
-    ]);
-    report.metric_f64("ablation_bitmap.off.total_ms", base_t.as_secs_f64() * 1e3);
-    report.metric_u64(
-        "ablation_bitmap.off.verified_pairs",
-        base.stats.verified_pairs,
-    );
-    report.metric_u64("ablation_bitmap.off.merge_steps", base.stats.merge_steps);
-
-    let mut all_equal = true;
-    for width in SignatureWidth::ALL {
-        let (out, elapsed) = run_with(
-            ExecContext::new()
-                .with_bitmap_filter(true)
-                .with_signature_width(width),
-        );
-        let equal = out.keys() == base_keys;
-        all_equal &= equal;
-        t.row(vec![
-            width.to_string(),
-            ms(elapsed),
-            count(out.stats.bitmap_probes),
-            count(out.stats.bitmap_prunes),
-            count(out.stats.verified_pairs),
-            count(out.stats.merge_steps),
-            count(dedupe_self_pairs(&out.pairs).len() as u64),
-            if equal { "yes".into() } else { "NO".into() },
-        ]);
-        let name = width.name();
-        report.metric_f64(
-            format!("ablation_bitmap.{name}.total_ms"),
-            elapsed.as_secs_f64() * 1e3,
-        );
-        report.metric_u64(
-            format!("ablation_bitmap.{name}.bitmap_probes"),
-            out.stats.bitmap_probes,
-        );
-        report.metric_u64(
-            format!("ablation_bitmap.{name}.bitmap_prunes"),
-            out.stats.bitmap_prunes,
-        );
-        report.metric_u64(
-            format!("ablation_bitmap.{name}.verified_pairs"),
-            out.stats.verified_pairs,
-        );
-        report.metric_u64(
-            format!("ablation_bitmap.{name}.merge_steps"),
-            out.stats.merge_steps,
-        );
-    }
-    report.table(t);
-    assert!(
-        all_equal,
-        "the signature filter must not change the join output at any width"
-    );
-    report.metric_str(
-        "ablation_bitmap.output_equal",
-        if all_equal { "true" } else { "false" },
-    );
-
-    // Second panel: the "dirty" near-threshold corpus. Heavy token-level
-    // errors on a duplicate-rich input produce many candidates whose
-    // similarity lands just around θ, so far fewer prune on the cheap
-    // weight bounds — the regime where the signature filter's popcount
-    // bound earns (or fails to earn) its probe cost. Half the paper's row
-    // count keeps the candidate blow-up affordable in CI.
+    let clean = evaluation_corpus(scale).records;
     let dirty_rows = ((PAPER_ROWS as f64 * scale * 0.5).round() as usize).max(10);
     let dirty = dirty_corpus(dirty_rows).records;
-    let run_dirty = |exec: ExecContext| {
+    report.metric_u64("ablation_bitmap.dirty.rows", dirty_rows as u64);
+    for (data, label, prefix) in [
+        (&clean, "clean corpus".to_string(), "ablation_bitmap"),
+        (
+            &dirty,
+            format!("dirty near-threshold corpus, {dirty_rows} rows"),
+            "ablation_bitmap.dirty",
+        ),
+    ] {
+        bitmap_panel(data, &label, prefix, report);
+    }
+}
+
+/// One panel of [`ablation_bitmap`]: the filter off and on, timed
+/// round-robin as the median of 5 so host drift hits both sides equally.
+fn bitmap_panel(data: &[String], label: &str, prefix: &str, report: &mut Report) {
+    let theta = 0.85;
+    let run_with = |filter: bool| {
         let cfg = JaccardConfig::resemblance(theta)
             .with_algorithm(Algorithm::Inline)
-            .with_exec(exec.with_kernel(OverlapKernel::Adaptive));
-        let mut times = Vec::new();
-        let mut out = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            out = Some(jaccard_join(&dirty, &dirty, &cfg).expect("dirty jaccard join"));
-            times.push(start.elapsed());
-        }
-        times.sort();
-        (out.expect("three runs"), times[1])
+            .with_exec(ExecContext::new().with_bitmap_filter(filter));
+        let start = Instant::now();
+        let out = jaccard_join(data, data, &cfg).expect("jaccard join");
+        (out, start.elapsed())
     };
+    let mut times = [Vec::new(), Vec::new()];
+    let mut outs = Vec::new();
+    for round in 0..5 {
+        for (i, filter) in [false, true].into_iter().enumerate() {
+            let (out, elapsed) = run_with(filter);
+            times[i].push(elapsed);
+            if round == 0 {
+                outs.push(out);
+            }
+        }
+    }
+    let (off, on) = (&outs[0], &outs[1]);
+    let median = |t: &mut Vec<Duration>| {
+        t.sort();
+        t[t.len() / 2]
+    };
+    let (off_t, on_t) = (median(&mut times[0]), median(&mut times[1]));
+    let equal = on.keys() == off.keys();
 
-    let mut dt = Table::new(
-        format!(
-            "Ablation — signature width, dirty near-threshold corpus \
-             (Jaccard {theta}, {dirty_rows} rows, heavy errors, median of 3)"
-        ),
+    let mut t = Table::new(
+        format!("Ablation — bitmap filter (Jaccard {theta}, inline, {label}, median of 5)"),
         &[
-            "Signature",
+            "Filter",
             "Total ms",
             "Probes",
             "Pruned",
             "Verified",
+            "Merge steps",
             "Pairs",
             "Output equal",
         ],
     );
-    let (dirty_base, dirty_base_t) = run_dirty(ExecContext::new());
-    let dirty_keys = dirty_base.keys();
-    dt.row(vec![
-        "off".into(),
-        ms(dirty_base_t),
-        "-".into(),
-        "-".into(),
-        count(dirty_base.stats.verified_pairs),
-        count(dedupe_self_pairs(&dirty_base.pairs).len() as u64),
-        "baseline".into(),
-    ]);
-    report.metric_f64(
-        "ablation_bitmap.dirty.off.total_ms",
-        dirty_base_t.as_secs_f64() * 1e3,
-    );
-    report.metric_u64(
-        "ablation_bitmap.dirty.off.verified_pairs",
-        dirty_base.stats.verified_pairs,
-    );
-
-    let mut dirty_equal = true;
-    for width in SignatureWidth::ALL {
-        let (out, elapsed) = run_dirty(
-            ExecContext::new()
-                .with_bitmap_filter(true)
-                .with_signature_width(width),
-        );
-        let equal = out.keys() == dirty_keys;
-        dirty_equal &= equal;
-        dt.row(vec![
-            width.to_string(),
+    for (name, out, elapsed) in [("off", off, off_t), ("on", on, on_t)] {
+        let st = &out.stats;
+        t.row(vec![
+            name.into(),
             ms(elapsed),
-            count(out.stats.bitmap_probes),
-            count(out.stats.bitmap_prunes),
-            count(out.stats.verified_pairs),
+            count(st.bitmap_probes),
+            count(st.bitmap_prunes),
+            count(st.verified_pairs),
+            count(st.merge_steps),
             count(dedupe_self_pairs(&out.pairs).len() as u64),
-            if equal { "yes".into() } else { "NO".into() },
+            if name == "off" {
+                "baseline".into()
+            } else if equal {
+                "yes".into()
+            } else {
+                "NO".into()
+            },
         ]);
-        let name = width.name();
         report.metric_f64(
-            format!("ablation_bitmap.dirty.{name}.total_ms"),
+            format!("{prefix}.{name}.total_ms"),
             elapsed.as_secs_f64() * 1e3,
         );
-        report.metric_u64(
-            format!("ablation_bitmap.dirty.{name}.bitmap_prunes"),
-            out.stats.bitmap_prunes,
-        );
-        report.metric_u64(
-            format!("ablation_bitmap.dirty.{name}.verified_pairs"),
-            out.stats.verified_pairs,
-        );
+        report.metric_u64(format!("{prefix}.{name}.bitmap_prunes"), st.bitmap_prunes);
+        report.metric_u64(format!("{prefix}.{name}.verified_pairs"), st.verified_pairs);
+        report.metric_u64(format!("{prefix}.{name}.merge_steps"), st.merge_steps);
     }
-    report.table(dt);
+    report.table(t);
     assert!(
-        dirty_equal,
-        "the signature filter must not change the join output on the dirty corpus"
+        equal,
+        "the signature filter must not change the join output ({label})"
     );
-    report.metric_u64("ablation_bitmap.dirty.rows", dirty_rows as u64);
     report.metric_str(
-        "ablation_bitmap.dirty.output_equal",
-        if dirty_equal { "true" } else { "false" },
+        format!("{prefix}.output_equal"),
+        if equal { "true" } else { "false" },
     );
 }
 
@@ -1426,9 +1100,7 @@ fn ablation_budget(scale: f64, report: &mut Report) {
     let c = built.collection(h);
     let pred = ssjoin_core::OverlapPredicate::two_sided(theta);
 
-    let shards = ExecContext::new()
-        .with_threads(4)
-        .with_shard_policy(ShardPolicy::token_shards());
+    let shards = ExecContext::new().with_threads(4);
     let configs: [(&str, Algorithm, ExecContext); 5] = [
         ("basic", Algorithm::Basic, ExecContext::new()),
         ("prefix", Algorithm::PrefixFiltered, ExecContext::new()),

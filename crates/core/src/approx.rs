@@ -7,7 +7,7 @@
 //! deadline: it replaces *candidate generation* with a seeded LSH structure
 //! in the style of CPSJoin ("Scalable and Robust Set Similarity Join",
 //! arXiv 1707.06814) while keeping verification bit-identical — candidates
-//! still flow through [`verify_overlap`] under the caller's kernel and
+//! still flow through [`verify_overlap`] under the caller's
 //! bitmap filter, so approximate mode changes *which pairs are considered*,
 //! never how a pair is scored. Every emitted pair is therefore a true
 //! qualifying pair (no false positives); the approximation only loses a
@@ -587,14 +587,13 @@ fn candidate_phase(
                 let required = pred.required_overlap(rset.norm(), sset.norm());
                 if ctx.bitmap_filter {
                     stats.bitmap_probes += 1;
-                    if rset.wide_overlap_bound(sset, ctx.signature_width) < required {
+                    if rset.wide_overlap_bound(sset) < required {
                         stats.bitmap_prunes += 1;
                         continue; // signature proves the merge can't reach the threshold
                     }
                 }
                 stats.verified_pairs += 1;
-                if let Some(overlap) = verify_overlap(ctx.kernel, rset, sset, required, &mut stats)
-                {
+                if let Some(overlap) = verify_overlap(rset, sset, required, &mut stats) {
                     pairs.push(JoinPair {
                         r: rid as u32,
                         s: sid,
@@ -618,9 +617,7 @@ fn candidate_phase(
 fn approx_plan(algorithm: Algorithm, ctx: &ExecContext, spec: &ApproxSpec) -> PlanChoice {
     PlanChoice {
         algorithm,
-        kernel: ctx.kernel,
         bitmap_filter: ctx.bitmap_filter,
-        signature_width: ctx.signature_width,
         threads: ctx.threads,
         cost: 0,
         partitions: 0,

@@ -1,7 +1,6 @@
 //! Error type for SSJoin operations.
 
 use crate::budget::BudgetCause;
-use crate::set::SignatureWidth;
 use crate::stats::SsJoinStats;
 use std::fmt;
 
@@ -35,16 +34,6 @@ pub enum SsJoinError {
     },
     /// An I/O failure while persisting or loading built inputs.
     Io(String),
-    /// A [`crate::CorpusIndex`] probe requested a different signature width
-    /// than the one the index was built with. The index's prefix tables and
-    /// pruning guarantees are tied to the build-time width; probe with a
-    /// matching [`crate::ExecContext::signature_width`] or rebuild.
-    SignatureWidthMismatch {
-        /// Width the index was built with.
-        built: SignatureWidth,
-        /// Width the probe's execution context requested.
-        probe: SignatureWidth,
-    },
     /// The execution exceeded a resource limit of its
     /// [`crate::ExecBudget`], or its [`crate::CancelToken`] was cancelled.
     /// Carries the statistics accumulated up to the abort, so callers can
@@ -76,11 +65,6 @@ impl fmt::Display for SsJoinError {
                 "{elements} elements exceed the u32 id/offset space"
             ),
             SsJoinError::Io(m) => write!(f, "i/o error: {m}"),
-            SsJoinError::SignatureWidthMismatch { built, probe } => write!(
-                f,
-                "index was built with a {built} signature but the probe requested {probe}; \
-                 probe with the build-time width or rebuild the index"
-            ),
             SsJoinError::BudgetExceeded { which, .. } => {
                 write!(f, "execution budget exceeded: {which}")
             }

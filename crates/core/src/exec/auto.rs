@@ -4,8 +4,9 @@
 //! basic and prefix-filtered implementations", motivating "a cost-based
 //! decision for choosing the appropriate implementation" — left as future
 //! work there (§7). This module implements that decision over the *whole*
-//! execution space the system has grown since: five executors × three
-//! overlap kernels × bitmap-signature widths × the effective thread count.
+//! execution space the system has grown since: four executors × the bitmap
+//! filter on/off × the effective thread count — 14 configurations at a
+//! multi-thread budget, 7 at one thread.
 //!
 //! The model's inputs come from two places:
 //!
@@ -18,25 +19,24 @@
 //!   merge length and the probability a candidate pair is skewed enough for
 //!   the galloping kernel; the sample estimates prefix selectivity under
 //!   the concrete predicate without scanning a large S side.
-//! * **Per-kernel cost shapes** from [`crate::kernel`]
+//! * **The verification kernel's cost shape** from [`crate::kernel`]
 //!   (`verify_cost_model`), so the planner's view of early exit and
-//!   galloping stays tied to the kernels' actual crossover constants.
+//!   galloping stays tied to the kernel's actual crossover constant.
 //!
-//! [`CostEstimate::plan`] enumerates every candidate configuration (a few
-//! hundred pure-arithmetic evaluations, no allocation) and returns the
-//! cheapest as a [`PlanChoice`], which [`Algorithm::Auto`] runs and records
-//! in [`SsJoinStats::plan`] so every auto run is explainable after the
-//! fact. [`CorpusIndex`](crate::CorpusIndex) freezes the S-side statistics
-//! at build time, so probe-time planning touches only the probe batch.
+//! [`CostEstimate::plan`] enumerates every candidate configuration (pure
+//! arithmetic, no allocation) and returns the cheapest as a [`PlanChoice`],
+//! which [`Algorithm::Auto`] runs and records in
+//! [`SsJoinStats::plan`](crate::SsJoinStats::plan) so every auto run is
+//! explainable after the fact. [`CorpusIndex`](crate::CorpusIndex) freezes
+//! the S-side statistics at build time, so probe-time planning touches only
+//! the probe batch.
 
 use super::prefix::{prefix_lengths_into, Side};
 use super::workspace::JoinWorkspace;
-use super::{inline, Algorithm, ExecContext, ShardPolicy};
-use crate::budget::BudgetState;
-use crate::kernel::{verify_cost_model, OverlapKernel, GALLOP_CROSSOVER};
+use super::{Algorithm, ExecContext};
+use crate::kernel::{verify_cost_model, GALLOP_CROSSOVER};
 use crate::predicate::{Interval, OverlapPredicate};
-use crate::set::{SetCollection, SignatureWidth, LEN_HIST_BUCKETS};
-use crate::stats::SsJoinStats;
+use crate::set::{SetCollection, LEN_HIST_BUCKETS, SIG_WORDS};
 use std::fmt;
 
 /// Per-side size above which the one-shot estimator stops making exact
@@ -62,7 +62,7 @@ const CHUNK_IMBALANCE_BASE: f64 = 1.15;
 /// that worker, which work stealing over token shards avoids.
 const CHUNK_IMBALANCE_SKEW: f64 = 0.75;
 
-/// Overhead factor of the token-sharded partition executor: shard planning,
+/// Overhead factor of parallel inline's token shards: shard planning,
 /// first-shared-rank dedup, and the k-way output merge — much flatter than
 /// chunk imbalance because work stealing rebalances the shards.
 const SHARD_OVERHEAD: f64 = 1.08;
@@ -85,7 +85,7 @@ const POSITIONAL_JOIN_FACTOR: f64 = 1.75;
 const POSITIONAL_VERIFY_DISCOUNT: f64 = 0.85;
 
 /// Ceiling on the fraction of candidates the bitmap filter can prune for a
-/// maximally selective predicate at infinite width.
+/// maximally selective predicate at infinite signature width.
 const BITMAP_PRUNE_CEILING: f64 = 0.6;
 
 /// Cost estimates for one `R SSJoin S` input under one predicate: the
@@ -121,48 +121,16 @@ pub struct CostEstimate {
     pub gallop_skew_milli: u32,
 }
 
-/// The constraints a planner invocation runs under — what the caller's
-/// execution context permits, not what the model prefers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanRequest {
-    /// Thread budget (already clamped to the host): parallel plans may use
-    /// up to this many workers, never more.
-    pub threads: usize,
-    /// Whether the token-sharded partition executor is permitted (the
-    /// context's shard policy allows token shards).
-    pub token_shards: bool,
-    /// Signature width the plan must use if it enables the bitmap filter;
-    /// `None` leaves the width free. [`crate::CorpusIndex`] pins this to
-    /// its build-time width.
-    pub width: Option<SignatureWidth>,
-}
-
-impl PlanRequest {
-    /// The request implied by an execution context (width free).
-    pub fn from_ctx(ctx: &ExecContext) -> Self {
-        Self {
-            threads: ctx.threads,
-            token_shards: matches!(ctx.shard, ShardPolicy::TokenShards { .. }),
-            width: None,
-        }
-    }
-}
-
 /// One fully specified execution configuration chosen by the planner:
-/// executor, overlap kernel, bitmap filter (and width), and thread count,
-/// plus the modeled cost that won. Recorded in [`SsJoinStats::plan`] on
+/// executor, bitmap filter, and thread count, plus the modeled cost that
+/// won. Recorded in [`SsJoinStats::plan`](crate::SsJoinStats::plan) on
 /// every [`Algorithm::Auto`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanChoice {
     /// The physical executor to run (never [`Algorithm::Auto`]).
     pub algorithm: Algorithm,
-    /// Overlap kernel for verification merges.
-    pub kernel: OverlapKernel,
     /// Whether the bitmap-signature filter is enabled.
     pub bitmap_filter: bool,
-    /// Signature width the filter folds to (meaningful only when
-    /// `bitmap_filter` is set).
-    pub signature_width: SignatureWidth,
     /// Worker threads the plan uses (≤ the requested thread budget).
     pub threads: usize,
     /// Modeled cost of this configuration, in abstract element touches.
@@ -187,14 +155,9 @@ impl fmt::Display for PlanChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:?}/{}/{}/{}t cost={}",
+            "{:?}/{}/{}t cost={}",
             self.algorithm,
-            self.kernel.name(),
-            if self.bitmap_filter {
-                self.signature_width.name()
-            } else {
-                "off"
-            },
+            if self.bitmap_filter { "bitmap" } else { "off" },
             self.threads,
             self.cost
         )?;
@@ -230,12 +193,12 @@ impl CostEstimate {
         }
     }
 
-    /// Pick the cheapest full configuration — executor × kernel × bitmap
-    /// width × thread count — permitted by `req`. Pure arithmetic over the
-    /// estimate; no allocation, deterministic, ties broken toward the
-    /// simpler configuration (sequential before parallel, filter off before
-    /// on, narrower widths first).
-    pub fn plan(&self, req: &PlanRequest) -> PlanChoice {
+    /// Pick the cheapest configuration — executor × bitmap filter × thread
+    /// count — at a budget of `threads` workers (already clamped to the
+    /// host). Pure arithmetic over the estimate; no allocation,
+    /// deterministic, ties broken toward the simpler configuration
+    /// (sequential before parallel, filter off before on).
+    pub fn plan(&self, threads: usize) -> PlanChoice {
         let b = self.basic_join_tuples as f64;
         let p = self.prefix_join_tuples as f64;
         let cand = p;
@@ -244,138 +207,95 @@ impl CostEstimate {
         let sigma = f64::from(self.gallop_skew_milli) / 1000.0;
         let full_build = self.s_index_tuples as f64;
         let prefix_build = self.s_prefix_tuples as f64;
+        let merge = verify_cost_model(l, rho, sigma);
 
         // Candidate verification cost after an optional bitmap filter: the
-        // filter pays `words + 2` touches per candidate (fold + ANDNOT +
-        // popcount) and prunes a width- and selectivity-dependent fraction
-        // before the merge.
-        let filtered_verify = |width: Option<SignatureWidth>, verify: f64| -> f64 {
-            match width {
-                None => cand * verify,
-                Some(w) => {
-                    let words = w.words() as f64;
-                    let prune =
-                        (1.0 - rho).max(0.0) * BITMAP_PRUNE_CEILING * (1.0 - 0.5f64.powf(words));
-                    cand * (words + 2.0) + cand * (1.0 - prune) * verify
-                }
+        // filter pays `SIG_WORDS + 2` touches per candidate (ANDNOT +
+        // popcount over the stored words) and prunes a selectivity-dependent
+        // fraction before the merge.
+        let filtered_verify = |filter: bool, verify: f64| -> f64 {
+            if filter {
+                let words = SIG_WORDS as f64;
+                let prune =
+                    (1.0 - rho).max(0.0) * BITMAP_PRUNE_CEILING * (1.0 - 0.5f64.powf(words));
+                cand * (words + 2.0) + cand * (1.0 - prune) * verify
+            } else {
+                cand * verify
             }
         };
-
-        let seq_cost = |alg: Algorithm, kernel: OverlapKernel, width: Option<SignatureWidth>| {
-            match alg {
-                Algorithm::Basic => full_build + b,
-                Algorithm::PrefixFiltered => {
-                    prefix_build + p + filtered_verify(width, JOIN_BACK_FACTOR * l)
-                }
-                Algorithm::Inline | Algorithm::Partition => {
-                    prefix_build
-                        + p
-                        + filtered_verify(width, verify_cost_model(kernel, l, rho, sigma))
-                }
-                Algorithm::PositionalInline => {
-                    prefix_build
-                        + p * POSITIONAL_JOIN_FACTOR
-                        + filtered_verify(
-                            width,
-                            POSITIONAL_VERIFY_DISCOUNT * verify_cost_model(kernel, l, rho, sigma),
-                        )
-                }
-                // Auto never appears in the candidate enumeration below.
-                Algorithm::Auto => f64::INFINITY,
+        let seq_cost = |alg: Algorithm, filter: bool| match alg {
+            Algorithm::Basic => full_build + b,
+            Algorithm::PrefixFiltered => {
+                prefix_build + p + filtered_verify(filter, JOIN_BACK_FACTOR * l)
             }
-        };
-
-        let threads_hi = req.threads.max(1);
-        let thread_domain: [Option<usize>; 2] = if threads_hi > 1 {
-            [Some(1), Some(threads_hi)]
-        } else {
-            [Some(1), None]
-        };
-        let width_domain: [Option<Option<SignatureWidth>>; 5] = match req.width {
-            Some(w) => [Some(None), Some(Some(w)), None, None, None],
-            None => [
-                Some(None),
-                Some(Some(SignatureWidth::W1)),
-                Some(Some(SignatureWidth::W2)),
-                Some(Some(SignatureWidth::W4)),
-                Some(Some(SignatureWidth::W8)),
-            ],
+            Algorithm::PositionalInline => {
+                prefix_build
+                    + p * POSITIONAL_JOIN_FACTOR
+                    + filtered_verify(filter, POSITIONAL_VERIFY_DISCOUNT * merge)
+            }
+            Algorithm::Inline | Algorithm::Auto => {
+                prefix_build + p + filtered_verify(filter, merge)
+            }
         };
 
         let mut best = PlanChoice {
             algorithm: Algorithm::Basic,
-            kernel: OverlapKernel::Linear,
             bitmap_filter: false,
-            signature_width: req.width.unwrap_or_default(),
             threads: 1,
             cost: u64::MAX,
             partitions: 0,
             approx_recall_milli: None,
         };
         let mut best_cost = f64::INFINITY;
-        for &t in thread_domain.iter().flatten() {
-            for alg in [
-                Algorithm::Basic,
-                Algorithm::PrefixFiltered,
-                Algorithm::Inline,
-                Algorithm::PositionalInline,
-                Algorithm::Partition,
-            ] {
-                // The partition executor is only a candidate where it can
-                // actually run parallel token shards; at one thread it is
-                // the inline plan with extra steps.
-                if alg == Algorithm::Partition && (t == 1 || !req.token_shards) {
-                    continue;
-                }
-                // The basic plan computes overlaps by accumulation, not by
-                // per-candidate merges, so kernels and the bitmap filter
-                // cannot save it work; likewise the join-back verification
-                // of PrefixFiltered never runs a merge kernel.
-                let kernels: &[OverlapKernel] =
-                    if matches!(alg, Algorithm::Basic | Algorithm::PrefixFiltered) {
-                        &[OverlapKernel::Linear]
-                    } else {
-                        &[
-                            OverlapKernel::Linear,
-                            OverlapKernel::EarlyExit,
-                            OverlapKernel::Adaptive,
-                        ]
-                    };
-                let widths: &[Option<Option<SignatureWidth>>] = if alg == Algorithm::Basic {
-                    &[Some(None)]
-                } else {
-                    &width_domain
+        for (alg, filter, t) in configurations(threads) {
+            let seq = seq_cost(alg, filter);
+            let cost = if t <= 1 {
+                seq
+            } else if alg == Algorithm::Inline {
+                // Parallel inline runs token shards with work stealing.
+                seq / t as f64 * SHARD_OVERHEAD + SPAWN_COST * t as f64
+            } else {
+                let imbalance = CHUNK_IMBALANCE_BASE + CHUNK_IMBALANCE_SKEW * sigma;
+                seq / t as f64 * imbalance + SPAWN_COST * t as f64
+            };
+            if cost < best_cost {
+                best_cost = cost;
+                best = PlanChoice {
+                    algorithm: alg,
+                    bitmap_filter: filter,
+                    threads: t,
+                    cost: cost.min(u64::MAX as f64) as u64,
+                    partitions: 0,
+                    approx_recall_milli: None,
                 };
-                for &kernel in kernels {
-                    for &width in widths.iter().flatten() {
-                        let seq = seq_cost(alg, kernel, width);
-                        let cost = if t <= 1 {
-                            seq
-                        } else if alg == Algorithm::Partition {
-                            seq / t as f64 * SHARD_OVERHEAD + SPAWN_COST * t as f64
-                        } else {
-                            let imbalance = CHUNK_IMBALANCE_BASE + CHUNK_IMBALANCE_SKEW * sigma;
-                            seq / t as f64 * imbalance + SPAWN_COST * t as f64
-                        };
-                        if cost < best_cost {
-                            best_cost = cost;
-                            best = PlanChoice {
-                                algorithm: alg,
-                                kernel,
-                                bitmap_filter: width.is_some(),
-                                signature_width: width.or(req.width).unwrap_or_default(),
-                                threads: t,
-                                cost: cost.min(u64::MAX as f64) as u64,
-                                partitions: 0,
-                                approx_recall_milli: None,
-                            };
-                        }
-                    }
-                }
             }
         }
         best
     }
+}
+
+/// Every configuration the planner prices at a budget of `threads` workers:
+/// each executor with the bitmap filter off and on, at one thread and (when
+/// the budget allows) at the whole budget. The basic plan accumulates
+/// overlaps instead of verifying candidates, so the filter cannot save it
+/// work and it is priced unfiltered only — 7 configurations per thread
+/// level.
+fn configurations(threads: usize) -> impl Iterator<Item = (Algorithm, bool, usize)> {
+    let hi = threads.max(1);
+    let levels = if hi > 1 { 2 } else { 1 };
+    [1, hi].into_iter().take(levels).flat_map(|t| {
+        [
+            (Algorithm::Basic, false),
+            (Algorithm::PrefixFiltered, false),
+            (Algorithm::PrefixFiltered, true),
+            (Algorithm::Inline, false),
+            (Algorithm::Inline, true),
+            (Algorithm::PositionalInline, false),
+            (Algorithm::PositionalInline, true),
+        ]
+        .into_iter()
+        .map(move |(alg, filter)| (alg, filter, t))
+    })
 }
 
 /// Clamp a requested worker count to what the host can actually run in
@@ -665,55 +585,19 @@ pub fn estimate_costs(
 }
 
 /// Materialize a plan choice onto a base context: the planner's knobs
-/// (kernel, bitmap filter, signature width, threads, shard policy) override
-/// the caller's; operational settings (stats level, budget, cancellation)
-/// are preserved.
+/// (bitmap filter, threads) override the caller's; operational settings
+/// (stats level, budget, cancellation, approximation) are preserved.
 pub(crate) fn apply_plan(ctx: &ExecContext, choice: &PlanChoice) -> ExecContext {
     let mut out = ctx.clone();
-    out.kernel = choice.kernel;
     out.bitmap_filter = choice.bitmap_filter;
-    out.signature_width = choice.signature_width;
     out.threads = choice.threads;
-    out.shard = match (choice.algorithm, ctx.shard) {
-        // The partition plan runs token shards; keep the caller's
-        // oversubscription when they configured one.
-        (Algorithm::Partition, ShardPolicy::TokenShards { oversubscribe }) => {
-            ShardPolicy::TokenShards { oversubscribe }
-        }
-        (Algorithm::Partition, _) => ShardPolicy::token_shards(),
-        // Chunked plans must not re-route into the partition executor
-        // behind the planner's back.
-        _ => ShardPolicy::GroupChunks,
-    };
     out
-}
-
-pub(super) fn run(
-    r: &SetCollection,
-    s: &SetCollection,
-    pred: &OverlapPredicate,
-    ctx: &ExecContext,
-    budget: &BudgetState,
-    ws: &mut JoinWorkspace,
-) -> (SsJoinStats, Algorithm) {
-    let est = estimate_costs_into(r, s, pred, ws);
-    let choice = est.plan(&PlanRequest::from_ctx(ctx));
-    let pctx = apply_plan(ctx, &choice);
-    let mut stats = match choice.algorithm {
-        Algorithm::Basic => super::basic::run(r, s, pred, &pctx, budget, ws),
-        Algorithm::PrefixFiltered => super::prefix::run(r, s, pred, &pctx, budget, ws),
-        Algorithm::PositionalInline => super::positional::run(r, s, pred, &pctx, budget, ws),
-        Algorithm::Partition => super::partition::run(r, s, pred, &pctx, budget, ws),
-        // Inline — and, defensively, anything the planner never emits.
-        _ => inline::run(r, s, pred, &pctx, budget, ws),
-    };
-    stats.plan = Some(choice);
-    (stats, choice.algorithm)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::BudgetState;
     use crate::builder::{SsJoinInputBuilder, WeightScheme};
     use crate::exec::workspace::collect;
     use crate::order::ElementOrder;
@@ -838,7 +722,8 @@ mod tests {
         let c = build(groups, WeightScheme::Idf);
         let pred = OverlapPredicate::two_sided(0.6);
         let (mut auto_pairs, auto_stats) = collect(|ws| {
-            run(
+            super::super::run_algorithm(
+                Algorithm::Auto,
                 &c,
                 &c,
                 &pred,
@@ -863,13 +748,29 @@ mod tests {
         assert_eq!(auto_pairs, basic_pairs);
     }
 
+    #[test]
+    fn planner_prices_fourteen_configurations_at_multiple_threads() {
+        assert_eq!(configurations(8).count(), 14);
+        assert_eq!(configurations(2).count(), 14);
+        assert_eq!(configurations(1).count(), 7);
+        assert_eq!(configurations(0).count(), 7);
+        // Every configuration is a concrete executor, and each thread level
+        // appears with each executor × filter pair exactly once.
+        let mut seen: Vec<_> = configurations(8).collect();
+        assert!(seen.iter().all(|&(alg, _, _)| alg != Algorithm::Auto));
+        seen.sort_by_key(|&(alg, filter, t)| (format!("{alg:?}"), filter, t));
+        seen.dedup();
+        assert_eq!(seen.len(), 14);
+    }
+
     /// A large, skewed synthetic estimate where parallel execution clearly
     /// pays: the planner must spend the whole thread budget, and under heavy
     /// length skew (chunked workers serialize on heavy sets) it must prefer
-    /// the work-stealing partition executor when token shards are allowed.
-    /// Pure model — runs the same on any host, including single-core CI.
+    /// the inline executor, whose parallel form is work-stealing token
+    /// shards. Pure model — runs the same on any host, including
+    /// single-core CI.
     #[test]
-    fn plan_picks_partition_for_large_parallel_work() {
+    fn plan_picks_sharded_inline_for_large_parallel_work() {
         let est = CostEstimate {
             basic_join_tuples: 50_000_000,
             prefix_join_tuples: 1_000_000,
@@ -880,22 +781,11 @@ mod tests {
             prefix_fraction_milli: 300,
             gallop_skew_milli: 500,
         };
-        let choice = est.plan(&PlanRequest {
-            threads: 8,
-            token_shards: true,
-            width: None,
-        });
-        assert_eq!(choice.algorithm, Algorithm::Partition, "{choice:?}");
+        let choice = est.plan(8);
+        assert_eq!(choice.algorithm, Algorithm::Inline, "{choice:?}");
         assert_eq!(choice.threads, 8, "{choice:?}");
-        // Without token shards the plan must still use the thread budget —
-        // on the chunked path.
-        let chunked = est.plan(&PlanRequest {
-            threads: 8,
-            token_shards: false,
-            width: None,
-        });
-        assert_ne!(chunked.algorithm, Algorithm::Partition);
-        assert_eq!(chunked.threads, 8, "{chunked:?}");
+        // At one thread the same estimate stays sequential.
+        assert_eq!(est.plan(1).threads, 1);
     }
 
     #[test]
@@ -910,17 +800,13 @@ mod tests {
             prefix_fraction_milli: 400,
             gallop_skew_milli: 0,
         };
-        let choice = est.plan(&PlanRequest {
-            threads: 8,
-            token_shards: true,
-            width: None,
-        });
+        let choice = est.plan(8);
         assert_eq!(choice.threads, 1, "{choice:?}");
         assert_ne!(choice.algorithm, Algorithm::Auto);
     }
 
     #[test]
-    fn plan_respects_pinned_width() {
+    fn plan_enables_filter_for_long_selective_merges() {
         let est = CostEstimate {
             basic_join_tuples: u64::MAX / 4,
             prefix_join_tuples: 2_000_000,
@@ -931,15 +817,18 @@ mod tests {
             prefix_fraction_milli: 50,
             gallop_skew_milli: 0,
         };
-        let pinned = est.plan(&PlanRequest {
-            threads: 1,
-            token_shards: true,
-            width: Some(SignatureWidth::W4),
-        });
         // Long merges and a highly selective predicate: the filter pays for
-        // itself, and the pinned width is the only one on offer.
-        assert!(pinned.bitmap_filter, "{pinned:?}");
-        assert_eq!(pinned.signature_width, SignatureWidth::W4);
+        // itself.
+        let choice = est.plan(1);
+        assert!(choice.bitmap_filter, "{choice:?}");
+        // Short merges under a loose predicate: the probe costs more than
+        // the merges it saves, so the filter stays off.
+        let short = CostEstimate {
+            avg_len: 4,
+            prefix_fraction_milli: 900,
+            ..est
+        };
+        assert!(!short.plan(1).bitmap_filter, "{:?}", short.plan(1));
     }
 
     #[test]
@@ -965,16 +854,14 @@ mod tests {
     #[test]
     fn plan_displays_compactly() {
         let choice = PlanChoice {
-            algorithm: Algorithm::Partition,
-            kernel: OverlapKernel::Adaptive,
+            algorithm: Algorithm::Inline,
             bitmap_filter: true,
-            signature_width: SignatureWidth::W4,
             threads: 8,
             cost: 12345,
             partitions: 0,
             approx_recall_milli: None,
         };
-        assert_eq!(choice.to_string(), "Partition/adaptive/w4/8t cost=12345");
+        assert_eq!(choice.to_string(), "Inline/bitmap/8t cost=12345");
         let off = PlanChoice {
             bitmap_filter: false,
             ..choice
@@ -984,17 +871,14 @@ mod tests {
             partitions: 4,
             ..choice
         };
-        assert_eq!(
-            spilled.to_string(),
-            "Partition/adaptive/w4/8t cost=12345 spill=4p"
-        );
+        assert_eq!(spilled.to_string(), "Inline/bitmap/8t cost=12345 spill=4p");
         let approx = PlanChoice {
             approx_recall_milli: Some(900),
             ..choice
         };
         assert_eq!(
             approx.to_string(),
-            "Partition/adaptive/w4/8t cost=12345 approx=0.90"
+            "Inline/bitmap/8t cost=12345 approx=0.90"
         );
     }
 }

@@ -101,7 +101,7 @@ fn candidate_phase(
                         // losslessness: bound ≥ exact overlap, so a pruned
                         // pair could never pass the predicate) uniform
                         // across all executors.
-                        if rset.wide_overlap_bound(sset, ctx.signature_width) < required {
+                        if rset.wide_overlap_bound(sset) < required {
                             stats.bitmap_prunes += 1;
                             continue;
                         }

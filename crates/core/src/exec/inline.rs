@@ -6,6 +6,10 @@
 //! arrays — no joins back to the base relations, no per-candidate hash table.
 //! The paper finds this variant uniformly faster than the standard
 //! prefix-filtered implementation and usually the best of the three.
+//!
+//! At `threads > 1` the same join runs through the token-sharded executor
+//! ([`super::partition`]), which splits Zipf-heavy prefix tokens across
+//! workers instead of handing each worker a contiguous chunk of R groups.
 
 use super::prefix::run_prefix_family;
 use super::workspace::JoinWorkspace;
@@ -23,7 +27,7 @@ pub(super) fn run(
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
-    if ctx.use_token_shards() {
+    if ctx.threads > 1 {
         return super::partition::run(r, s, pred, ctx, budget, ws);
     }
     run_prefix_family(r, s, pred, ctx, true, budget, ws)

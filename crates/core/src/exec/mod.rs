@@ -15,7 +15,7 @@ mod positional;
 mod prefix;
 mod workspace;
 
-pub use auto::{estimate_costs, CostEstimate, PlanChoice, PlanRequest};
+pub use auto::{estimate_costs, CostEstimate, PlanChoice};
 pub use workspace::JoinWorkspace;
 
 pub(crate) use auto::{apply_plan, effective_threads, estimate_probe_costs_into};
@@ -27,9 +27,8 @@ pub(crate) use workspace::{build_csr_parallel, vec_bytes, CsrIndex, WorkerScratc
 
 use crate::budget::{estimate_memory_bytes, BudgetState, CancelToken, ExecBudget};
 use crate::error::{SsJoinError, SsJoinResult};
-use crate::kernel::OverlapKernel;
 use crate::predicate::OverlapPredicate;
-use crate::set::{SetCollection, SignatureWidth};
+use crate::set::SetCollection;
 use crate::stats::SsJoinStats;
 use crate::weight::Weight;
 
@@ -66,7 +65,9 @@ pub enum Algorithm {
     /// relations to regroup and verify.
     PrefixFiltered,
     /// Figure 9: prefix filter with the inline set representation —
-    /// verification merges the carried sets directly.
+    /// verification merges the carried sets directly. At `threads > 1` it
+    /// runs over token-range shards with work stealing, so Zipf-heavy
+    /// tokens are split across workers instead of serializing one.
     #[default]
     Inline,
     /// The inline algorithm plus the positional filter: candidates whose
@@ -75,80 +76,32 @@ pub enum Algorithm {
     /// the paper's prefix filter in the direction later taken by PPJoin
     /// (Xiao et al., WWW 2008).
     PositionalInline,
-    /// The inline algorithm executed over token-range shards with work
-    /// stealing — the skew-robust parallel executor. Requires `threads > 1`
-    /// to differ from `Inline`; at one thread it degenerates to the inline
-    /// plan.
-    Partition,
     /// Cost-based choice over the whole configuration space — executor ×
-    /// overlap kernel × bitmap-signature width × thread count — from
-    /// catalog statistics (§7's future work). The winning [`PlanChoice`] is
-    /// recorded in [`SsJoinStats::plan`].
+    /// bitmap filter × thread count — from catalog statistics (§7's future
+    /// work). The winning [`PlanChoice`] is recorded in
+    /// [`SsJoinStats::plan`].
     Auto,
-}
-
-/// How parallel executors carve the candidate space into units of work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPolicy {
-    /// Contiguous chunks of R group ids, one per worker — the legacy
-    /// strategy. Simple, but a few heavy probe groups can serialize one
-    /// worker.
-    GroupChunks,
-    /// Shards are contiguous ranges of element *ranks*, sized by the
-    /// posting-list product they induce, executed with work stealing. Each
-    /// shard owns a disjoint slice of the inverted index, so Zipf-heavy
-    /// tokens are split instead of landing on one worker. Only the
-    /// prefix-family executors support this; others fall back to
-    /// [`ShardPolicy::GroupChunks`].
-    TokenShards {
-        /// Shards planned per worker thread (more shards → finer stealing
-        /// granularity; clamped to at least 1).
-        oversubscribe: usize,
-    },
-}
-
-impl ShardPolicy {
-    /// The default token-sharded policy.
-    pub const fn token_shards() -> Self {
-        ShardPolicy::TokenShards { oversubscribe: 8 }
-    }
-}
-
-impl Default for ShardPolicy {
-    fn default() -> Self {
-        Self::token_shards()
-    }
 }
 
 pub use crate::stats::StatsLevel;
 
-/// Execution context shared by every physical executor: thread count, shard
-/// policy, candidate filters, and instrumentation level. Executors take it
-/// by reference; [`SsJoinConfig`] is a builder over it plus the algorithm
-/// choice.
+/// Execution context shared by every physical executor: thread count, the
+/// candidate filter, instrumentation level, and resource limits. Executors
+/// take it by reference; [`SsJoinConfig`] is a builder over it plus the
+/// algorithm choice.
 ///
 /// The default context (one thread, bitmap filter off) reproduces the
 /// sequential executors' behaviour — output *and* counters — bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecContext {
     /// Worker threads for the probe/verify loops (1 = sequential).
+    /// [`Algorithm::Inline`] shards the candidate space by token range
+    /// when this is above 1; the other executors split R into chunks.
     pub threads: usize,
-    /// Work-partitioning strategy used when `threads > 1`.
-    pub shard: ShardPolicy,
-    /// Reject candidates whose bitmap-signature overlap bound cannot reach
-    /// the required overlap, before the verification merge. Lossless;
+    /// Reject candidates whose 8-word bitmap-signature overlap bound cannot
+    /// reach the required overlap, before the verification merge. Lossless;
     /// changes counters but never output.
     pub bitmap_filter: bool,
-    /// Width of the bitmap-signature view the filter folds the stored
-    /// maximum-width signatures down to (see
-    /// [`SignatureWidth`]). Wider views collide less and
-    /// prune more; the bound stays lossless at every width, so this knob
-    /// changes counters but never output. Ignored while `bitmap_filter` is
-    /// off.
-    pub signature_width: SignatureWidth,
-    /// Overlap kernel used by verification merges. All kernels produce
-    /// identical output; they differ in how much work rejection costs.
-    pub kernel: OverlapKernel,
     /// Instrumentation level.
     pub stats: StatsLevel,
     /// Resource limits (candidate pairs, output pairs, deadline, memory).
@@ -173,10 +126,7 @@ impl ExecContext {
     pub fn new() -> Self {
         Self {
             threads: 1,
-            shard: ShardPolicy::default(),
             bitmap_filter: false,
-            signature_width: SignatureWidth::default(),
-            kernel: OverlapKernel::default(),
             stats: StatsLevel::default(),
             budget: ExecBudget::default(),
             cancel: None,
@@ -190,27 +140,9 @@ impl ExecContext {
         self
     }
 
-    /// Set the shard policy.
-    pub fn with_shard_policy(mut self, shard: ShardPolicy) -> Self {
-        self.shard = shard;
-        self
-    }
-
     /// Enable or disable the bitmap signature filter.
     pub fn with_bitmap_filter(mut self, on: bool) -> Self {
         self.bitmap_filter = on;
-        self
-    }
-
-    /// Set the bitmap signature width used by the filter.
-    pub fn with_signature_width(mut self, width: SignatureWidth) -> Self {
-        self.signature_width = width;
-        self
-    }
-
-    /// Set the overlap kernel used by verification merges.
-    pub fn with_kernel(mut self, kernel: OverlapKernel) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -250,11 +182,6 @@ impl ExecContext {
     pub(crate) fn active_approx(&self) -> Option<crate::approx::ApproxSpec> {
         self.approx.filter(crate::approx::ApproxSpec::is_active)
     }
-
-    /// True when the token-sharded partition executor should run.
-    pub(crate) fn use_token_shards(&self) -> bool {
-        self.threads > 1 && matches!(self.shard, ShardPolicy::TokenShards { .. })
-    }
 }
 
 impl Default for ExecContext {
@@ -269,7 +196,7 @@ impl Default for ExecContext {
 pub struct SsJoinConfig {
     /// Which physical algorithm to run.
     pub algorithm: Algorithm,
-    /// Threads, shard policy, filters, instrumentation.
+    /// Threads, filter, instrumentation, limits.
     pub exec: ExecContext,
 }
 
@@ -294,27 +221,9 @@ impl SsJoinConfig {
         self
     }
 
-    /// Set the shard policy.
-    pub fn with_shard_policy(mut self, shard: ShardPolicy) -> Self {
-        self.exec.shard = shard;
-        self
-    }
-
     /// Enable or disable the bitmap signature filter.
     pub fn with_bitmap_filter(mut self, on: bool) -> Self {
         self.exec.bitmap_filter = on;
-        self
-    }
-
-    /// Set the bitmap signature width used by the filter.
-    pub fn with_signature_width(mut self, width: SignatureWidth) -> Self {
-        self.exec.signature_width = width;
-        self
-    }
-
-    /// Set the overlap kernel used by verification merges.
-    pub fn with_kernel(mut self, kernel: OverlapKernel) -> Self {
-        self.exec.kernel = kernel;
         self
     }
 
@@ -511,8 +420,10 @@ fn ssjoin_into(
 }
 
 /// Dispatch to the physical executor for `algorithm`, returning its stats
-/// and the algorithm that actually ran (the planner's pick under
-/// [`Algorithm::Auto`]). Shared by the resident path of [`ssjoin_into`] and
+/// and the algorithm that actually ran. [`Algorithm::Auto`] is first
+/// resolved to a [`PlanChoice`] whose knobs override the context, so every
+/// configuration — forced or planned — reaches the executors through the
+/// one `match` below. Shared by the resident path of [`ssjoin_into`] and
 /// the per-partition joins of the out-of-core driver (`crate::spill`),
 /// which is exactly the "partition-driver layer over unmodified executors"
 /// seam: the driver calls this once per partition with sub-collections.
@@ -525,23 +436,23 @@ pub(crate) fn run_algorithm(
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> (SsJoinStats, Algorithm) {
-    match algorithm {
-        Algorithm::Basic => (basic::run(r, s, pred, ctx, budget, ws), Algorithm::Basic),
-        Algorithm::PrefixFiltered => (
-            prefix::run(r, s, pred, ctx, budget, ws),
-            Algorithm::PrefixFiltered,
-        ),
-        Algorithm::Inline => (inline::run(r, s, pred, ctx, budget, ws), Algorithm::Inline),
-        Algorithm::PositionalInline => (
-            positional::run(r, s, pred, ctx, budget, ws),
-            Algorithm::PositionalInline,
-        ),
-        Algorithm::Partition => (
-            partition::run(r, s, pred, ctx, budget, ws),
-            Algorithm::Partition,
-        ),
-        Algorithm::Auto => auto::run(r, s, pred, ctx, budget, ws),
-    }
+    let planned;
+    let (algorithm, ctx, plan) = if algorithm == Algorithm::Auto {
+        let choice = auto::estimate_costs_into(r, s, pred, ws).plan(ctx.threads);
+        planned = apply_plan(ctx, &choice);
+        (choice.algorithm, &planned, Some(choice))
+    } else {
+        (algorithm, ctx, None)
+    };
+    let mut stats = match algorithm {
+        Algorithm::Basic => basic::run(r, s, pred, ctx, budget, ws),
+        Algorithm::PrefixFiltered => prefix::run(r, s, pred, ctx, budget, ws),
+        Algorithm::PositionalInline => positional::run(r, s, pred, ctx, budget, ws),
+        // Auto was resolved to a concrete executor above.
+        Algorithm::Inline | Algorithm::Auto => inline::run(r, s, pred, ctx, budget, ws),
+    };
+    stats.plan = plan;
+    (stats, algorithm)
 }
 
 /// Split `0..n` into at most `threads` contiguous chunks.
@@ -672,7 +583,6 @@ mod tests {
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
             Algorithm::PositionalInline,
-            Algorithm::Partition,
         ] {
             let out = ssjoin(
                 built.collection(r),

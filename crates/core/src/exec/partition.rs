@@ -1,10 +1,12 @@
-//! Token-sharded parallel executor for the inline algorithm.
+//! Token-sharded parallel executor for the inline algorithm, which
+//! [`super::inline`] runs whenever `threads > 1`.
 //!
-//! The legacy parallel strategy ([`super::run_chunked`]) splits the R
-//! collection into contiguous group-id chunks. Under Zipfian element
-//! frequencies that is a poor unit of work: a chunk holding groups whose
-//! prefixes contain frequent tokens scans posting lists orders of magnitude
-//! longer than its neighbours, and one worker serializes the join.
+//! The chunked parallel strategy ([`super::run_chunked`]) the other
+//! executors use splits the R collection into contiguous group-id chunks.
+//! Under Zipfian element frequencies that is a poor unit of work: a chunk
+//! holding groups whose prefixes contain frequent tokens scans posting
+//! lists orders of magnitude longer than its neighbours, and one worker
+//! serializes the join.
 //!
 //! This executor shards the *candidate space* by prefix token instead. Both
 //! sides get a prefix inverted index (built in parallel from per-worker
@@ -31,12 +33,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use super::prefix::{prefix_lengths_into, Side};
 use super::workspace::{build_csr_parallel, CsrIndex, JoinWorkspace, WorkerScratch};
-use super::{ExecContext, JoinPair, ShardPolicy};
+use super::{ExecContext, JoinPair};
 use crate::budget::BudgetState;
 use crate::kernel::verify_overlap;
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
 use crate::stats::{timed_phase, Phase, SsJoinStats};
+
+/// Shards planned per worker thread: more shards mean finer stealing
+/// granularity at the price of more per-shard bookkeeping.
+const SHARDS_PER_THREAD: usize = 8;
 
 /// One unit of parallel work: a contiguous range of element ranks, plus an
 /// optional sub-range of the R posting list when a single heavy rank was
@@ -51,7 +57,7 @@ pub(crate) struct Shard {
     cost: u64,
 }
 
-/// Pack ranks into at most `threads · oversubscribe` shards of near-equal
+/// Pack ranks into at most `threads · per_thread` shards of near-equal
 /// planned cost, splitting individual ranks whose posting product exceeds
 /// twice the target. Writes the plan into the reusable `shards` buffer and
 /// returns `(cost_total, cost_max)`.
@@ -60,7 +66,7 @@ fn plan_shards_into(
     s_index: &CsrIndex,
     universe: usize,
     threads: usize,
-    oversubscribe: usize,
+    per_thread: usize,
     shards: &mut Vec<Shard>,
 ) -> (u64, u64) {
     shards.clear();
@@ -70,7 +76,7 @@ fn plan_shards_into(
         rp * sp
     };
     let total: u64 = (0..universe).map(rank_cost).sum();
-    let target_shards = (threads * oversubscribe.max(1)).max(1) as u64;
+    let target_shards = (threads * per_thread.max(1)).max(1) as u64;
     let target = (total / target_shards).max(1);
 
     let mut cost_max = 0u64;
@@ -193,7 +199,7 @@ fn run_shard(
                 let required = pred.required_overlap(rset.norm(), sset.norm());
                 if ctx.bitmap_filter {
                     stats.bitmap_probes += 1;
-                    if rset.wide_overlap_bound(sset, ctx.signature_width) < required {
+                    if rset.wide_overlap_bound(sset) < required {
                         stats.bitmap_prunes += 1;
                         continue;
                     }
@@ -201,7 +207,7 @@ fn run_shard(
                 stats.verified_pairs += 1;
                 // Same fused kernel as the sequential inline executor, so
                 // counters stay schedule-independent.
-                if let Some(overlap) = verify_overlap(ctx.kernel, rset, sset, required, stats) {
+                if let Some(overlap) = verify_overlap(rset, sset, required, stats) {
                     pairs.push(JoinPair {
                         r: rid,
                         s: sid,
@@ -232,10 +238,6 @@ pub(super) fn run(
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let threads = ctx.threads.max(1);
-    let oversubscribe = match ctx.shard {
-        ShardPolicy::TokenShards { oversubscribe } => oversubscribe.max(1),
-        ShardPolicy::GroupChunks => 1,
-    };
     let mut stats = SsJoinStats::default();
     if !budget.proceed() {
         return stats;
@@ -277,19 +279,7 @@ pub(super) fn run(
             ..
         } = &mut *ws;
         shard_phase(
-            r,
-            s,
-            pred,
-            ctx,
-            budget,
-            r_index,
-            s_index,
-            r_lens,
-            s_lens,
-            workers,
-            shards,
-            threads,
-            oversubscribe,
+            r, s, pred, ctx, budget, r_index, s_index, r_lens, s_lens, workers, shards, threads,
         )
     });
     stats.merge(&inner);
@@ -321,7 +311,6 @@ fn shard_phase(
     workers: &mut [WorkerScratch],
     shards: &mut Vec<Shard>,
     threads: usize,
-    oversubscribe: usize,
 ) -> SsJoinStats {
     {
         let (total, cost_max) = plan_shards_into(
@@ -329,7 +318,7 @@ fn shard_phase(
             s_index,
             r.universe_size(),
             threads,
-            oversubscribe,
+            SHARDS_PER_THREAD,
             shards,
         );
         let mut agg = SsJoinStats::default();
@@ -429,10 +418,6 @@ pub(crate) fn probe_partition(
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let threads = ctx.threads.max(1);
-    let oversubscribe = match ctx.shard {
-        ShardPolicy::TokenShards { oversubscribe } => oversubscribe.max(1),
-        ShardPolicy::GroupChunks => 1,
-    };
     let mut stats = SsJoinStats::default();
     if !budget.proceed() {
         return stats;
@@ -464,19 +449,7 @@ pub(crate) fn probe_partition(
             ..
         } = &mut *ws;
         shard_phase(
-            r,
-            s,
-            pred,
-            ctx,
-            budget,
-            r_index,
-            s_index,
-            r_lens,
-            s_lens,
-            workers,
-            shards,
-            threads,
-            oversubscribe,
+            r, s, pred, ctx, budget, r_index, s_index, r_lens, s_lens, workers, shards, threads,
         )
     });
     stats.merge(&inner);
@@ -571,9 +544,7 @@ mod tests {
     fn zipf_heavy_token_is_split() {
         let c = build(zipf_groups(200), WeightScheme::Unweighted);
         let pred = OverlapPredicate::absolute(4.0);
-        let ctx = ExecContext::new()
-            .with_threads(4)
-            .with_shard_policy(ShardPolicy::TokenShards { oversubscribe: 4 });
+        let ctx = ExecContext::new().with_threads(4);
         let (pairs, stats) = collect(|ws| run(&c, &c, &pred, &ctx, &BudgetState::unlimited(), ws));
         let (seq_pairs, _) = collect(|ws| {
             inline::run(

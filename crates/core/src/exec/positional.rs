@@ -172,7 +172,7 @@ fn candidate_phase(
                     }
                     if ctx.bitmap_filter {
                         stats.bitmap_probes += 1;
-                        if rset.wide_overlap_bound(sset, ctx.signature_width) < required {
+                        if rset.wide_overlap_bound(sset) < required {
                             stats.bitmap_prunes += 1;
                             continue; // signature prune: skip the merge
                         }
@@ -180,9 +180,7 @@ fn candidate_phase(
                     stats.verified_pairs += 1;
                     // HAVING fused into the kernel: Some exactly when the
                     // overlap reaches `required`.
-                    if let Some(overlap) =
-                        verify_overlap(ctx.kernel, rset, sset, required, &mut stats)
-                    {
+                    if let Some(overlap) = verify_overlap(rset, sset, required, &mut stats) {
                         pairs.push(JoinPair {
                             r: rid as u32,
                             s: sid,

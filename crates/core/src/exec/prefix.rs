@@ -208,7 +208,7 @@ fn candidate_phase(
                         let required = pred.required_overlap(rset.norm(), sset.norm());
                         if ctx.bitmap_filter {
                             stats.bitmap_probes += 1;
-                            if rset.wide_overlap_bound(sset, ctx.signature_width) < required {
+                            if rset.wide_overlap_bound(sset) < required {
                                 stats.bitmap_prunes += 1;
                                 continue; // signature proves the merge can't reach the threshold
                             }
@@ -216,9 +216,7 @@ fn candidate_phase(
                         stats.verified_pairs += 1;
                         // The HAVING check is fused into the kernel: Some
                         // exactly when overlap >= required.
-                        if let Some(overlap) =
-                            verify_overlap(ctx.kernel, rset, sset, required, &mut stats)
-                        {
+                        if let Some(overlap) = verify_overlap(rset, sset, required, &mut stats) {
                             pairs.push(JoinPair {
                                 r: rid as u32,
                                 s: sid,
@@ -240,7 +238,7 @@ fn candidate_phase(
                         if ctx.bitmap_filter {
                             stats.bitmap_probes += 1;
                             let required = pred.required_overlap(rset.norm(), sset.norm());
-                            if rset.wide_overlap_bound(sset, ctx.signature_width) < required {
+                            if rset.wide_overlap_bound(sset) < required {
                                 stats.bitmap_prunes += 1;
                                 continue; // skip the per-candidate table rebuild
                             }

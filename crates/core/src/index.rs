@@ -42,11 +42,10 @@ use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
     apply_plan, build_csr_parallel, effective_threads, estimate_probe_costs_into,
     prefix_lengths_into, probe_basic, probe_partition, probe_positional, probe_prefix_family,
-    vec_bytes, Algorithm, CsrIndex, JoinWorkspace, PlanRequest, ShardPolicy, Side, SsJoinConfig,
-    SsJoinRun, WorkerScratch,
+    vec_bytes, Algorithm, CsrIndex, JoinWorkspace, Side, SsJoinConfig, SsJoinRun, WorkerScratch,
 };
 use crate::predicate::OverlapPredicate;
-use crate::set::{SetCollection, SignatureWidth};
+use crate::set::SetCollection;
 use crate::stats::SsJoinStats;
 use crate::weight::Weight;
 
@@ -65,13 +64,6 @@ pub struct CorpusIndexOptions {
     /// Epoch-tail size that triggers an automatic merge on insert. Defaults
     /// to `max(64, indexed/8)`.
     pub epoch_limit: Option<usize>,
-    /// Bitmap-signature width the index commits to at build time. Probes
-    /// whose execution context requests a different
-    /// [`crate::ExecContext::signature_width`] are rejected with
-    /// [`SsJoinError::SignatureWidthMismatch`] — a persisted index must not
-    /// silently serve a filter configuration it was not built (and
-    /// benchmarked) for. Defaults to [`SignatureWidth::W1`].
-    pub signature_width: SignatureWidth,
     /// Default resident-memory budget in bytes for probes. A probe whose
     /// working-set estimate exceeds the budget is served *out of core*
     /// through the token-range spill driver (bit-identical pairs, see
@@ -85,9 +77,8 @@ pub struct CorpusIndexOptions {
     /// (and active), the seeded LSH sketch of [`crate::ApproxSpec`] is built
     /// once per (re)build, so warm approximate probes run the candidate
     /// loop only. Probes must then pass the *same* spec on their execution
-    /// context — mirroring the signature-width pinning, a persisted sketch
-    /// must not silently serve a recall target or seed it was not built
-    /// for. Exact probes of an approx-enabled index remain available and
+    /// context — a persisted sketch must not silently serve a recall target
+    /// or seed it was not built for. Exact probes of an approx-enabled index remain available and
     /// unchanged. Defaults to `None` (exact-only index).
     pub approx: Option<crate::ApproxSpec>,
 }
@@ -98,7 +89,6 @@ impl Default for CorpusIndexOptions {
             partner_norms: None,
             build_threads: 1,
             epoch_limit: None,
-            signature_width: SignatureWidth::default(),
             memory_budget: None,
             approx: None,
         }
@@ -117,8 +107,6 @@ pub struct CorpusIndex {
     partner_norms: (f64, f64),
     epoch_limit: Option<usize>,
     build_threads: usize,
-    /// Signature width fixed at build time; probes must request the same.
-    signature_width: SignatureWidth,
     /// Default resident budget for probes without their own.
     memory_budget: Option<u64>,
     /// Approximate spec fixed at build time (`None` = exact-only index).
@@ -191,7 +179,6 @@ impl CorpusIndex {
             partner_norms,
             epoch_limit: options.epoch_limit,
             build_threads: options.build_threads,
-            signature_width: options.signature_width,
             memory_budget: options.memory_budget,
             approx_spec: options.approx.filter(crate::approx::ApproxSpec::is_active),
             approx: None,
@@ -320,12 +307,6 @@ impl CorpusIndex {
         if ctx.threads == 0 {
             return Err(SsJoinError::Config("threads must be at least 1".into()));
         }
-        if ctx.signature_width != self.signature_width {
-            return Err(SsJoinError::SignatureWidthMismatch {
-                built: self.signature_width,
-                probe: ctx.signature_width,
-            });
-        }
         if let Some((lo, hi)) = batch.norm_range() {
             if lo < self.partner_norms.0 || hi > self.partner_norms.1 {
                 return Err(SsJoinError::Config(format!(
@@ -336,8 +317,8 @@ impl CorpusIndex {
             }
         }
         // Approximate probes must match the sketch this index was built
-        // with — same pinning discipline as the signature width: a persisted
-        // sketch serves exactly the recall target and seed it was built for.
+        // with: a persisted sketch serves exactly the recall target and seed
+        // it was built for.
         let approx = match &ctx.approx {
             Some(spec) => {
                 spec.validate()?;
@@ -436,115 +417,7 @@ impl CorpusIndex {
                 ws,
             )
         } else {
-            match config.algorithm {
-                Algorithm::Basic => (
-                    probe_basic(r, s, &self.full_index, &self.pred, ctx, &budget, ws),
-                    Algorithm::Basic,
-                ),
-                Algorithm::PrefixFiltered => (
-                    probe_prefix_family(
-                        r,
-                        s,
-                        &self.prefix_index,
-                        self.prefix_tuples,
-                        &self.pred,
-                        ctx,
-                        false,
-                        &budget,
-                        ws,
-                    ),
-                    Algorithm::PrefixFiltered,
-                ),
-                Algorithm::Inline => (self.probe_inline(r, ctx, &budget, ws), Algorithm::Inline),
-                Algorithm::PositionalInline => (
-                    probe_positional(
-                        r,
-                        s,
-                        &self.prefix_index,
-                        self.prefix_tuples,
-                        &self.pred,
-                        ctx,
-                        &budget,
-                        ws,
-                    ),
-                    Algorithm::PositionalInline,
-                ),
-                Algorithm::Partition => (
-                    probe_partition(
-                        r,
-                        s,
-                        &self.prefix_index,
-                        &self.prefix_lens,
-                        self.prefix_tuples,
-                        &self.pred,
-                        ctx,
-                        &budget,
-                        ws,
-                    ),
-                    Algorithm::Partition,
-                ),
-                Algorithm::Auto => {
-                    // Probe-time planning from statistics frozen at (re)build
-                    // time — the corpus token- and prefix-frequency histograms —
-                    // so the estimate costs O(probe batch), never a corpus scan.
-                    // The signature width is pinned to the one this index was
-                    // built with.
-                    let est = estimate_probe_costs_into(
-                        r,
-                        s,
-                        &self.prefix_freq,
-                        self.prefix_tuples,
-                        &self.pred,
-                        ws,
-                    );
-                    let choice = est.plan(&PlanRequest {
-                        threads: ctx.threads,
-                        token_shards: matches!(ctx.shard, ShardPolicy::TokenShards { .. }),
-                        width: Some(self.signature_width),
-                    });
-                    let pctx = apply_plan(ctx, &choice);
-                    let mut stats = match choice.algorithm {
-                        Algorithm::Basic => {
-                            probe_basic(r, s, &self.full_index, &self.pred, &pctx, &budget, ws)
-                        }
-                        Algorithm::PrefixFiltered => probe_prefix_family(
-                            r,
-                            s,
-                            &self.prefix_index,
-                            self.prefix_tuples,
-                            &self.pred,
-                            &pctx,
-                            false,
-                            &budget,
-                            ws,
-                        ),
-                        Algorithm::PositionalInline => probe_positional(
-                            r,
-                            s,
-                            &self.prefix_index,
-                            self.prefix_tuples,
-                            &self.pred,
-                            &pctx,
-                            &budget,
-                            ws,
-                        ),
-                        Algorithm::Partition => probe_partition(
-                            r,
-                            s,
-                            &self.prefix_index,
-                            &self.prefix_lens,
-                            self.prefix_tuples,
-                            &self.pred,
-                            &pctx,
-                            &budget,
-                            ws,
-                        ),
-                        _ => self.probe_inline(r, &pctx, &budget, ws),
-                    };
-                    stats.plan = Some(choice);
-                    (stats, choice.algorithm)
-                }
-            }
+            self.probe_resident(r, config.algorithm, ctx, &budget, ws)
         };
         if from_spill {
             // The spilled join covered the whole arena — epoch tail
@@ -596,39 +469,65 @@ impl CorpusIndex {
         Ok((stats, used))
     }
 
-    /// Inline-family dispatch, mirroring the one-shot executor's routing to
-    /// the token-sharded partition executor when parallel.
-    fn probe_inline(
+    /// Resident probe through the persistent indexes. [`Algorithm::Auto`]
+    /// is first resolved to a [`crate::PlanChoice`] from statistics frozen
+    /// at (re)build time — the corpus token- and prefix-frequency
+    /// histograms — so the estimate costs O(probe batch), never a corpus
+    /// scan; every configuration then reaches the executors through the one
+    /// `match` below, which mirrors the one-shot dispatch (inline at
+    /// `threads > 1` runs token shards).
+    fn probe_resident(
         &self,
         r: &SetCollection,
+        algorithm: Algorithm,
         ctx: &crate::exec::ExecContext,
         budget: &BudgetState,
         ws: &mut JoinWorkspace,
-    ) -> SsJoinStats {
-        if ctx.use_token_shards() {
-            return probe_partition(
+    ) -> (SsJoinStats, Algorithm) {
+        let s = &self.corpus;
+        let planned;
+        let (algorithm, ctx, plan) = if algorithm == Algorithm::Auto {
+            let est = estimate_probe_costs_into(
                 r,
-                &self.corpus,
-                &self.prefix_index,
-                &self.prefix_lens,
+                s,
+                &self.prefix_freq,
                 self.prefix_tuples,
                 &self.pred,
+                ws,
+            );
+            let choice = est.plan(ctx.threads);
+            planned = apply_plan(ctx, &choice);
+            (choice.algorithm, &planned, Some(choice))
+        } else {
+            (algorithm, ctx, None)
+        };
+        let (index, tuples, pred) = (&self.prefix_index, self.prefix_tuples, &self.pred);
+        let mut stats = match algorithm {
+            Algorithm::Basic => probe_basic(r, s, &self.full_index, pred, ctx, budget, ws),
+            Algorithm::PrefixFiltered => {
+                probe_prefix_family(r, s, index, tuples, pred, ctx, false, budget, ws)
+            }
+            Algorithm::PositionalInline => {
+                probe_positional(r, s, index, tuples, pred, ctx, budget, ws)
+            }
+            // Auto was resolved to a concrete executor above.
+            Algorithm::Inline | Algorithm::Auto if ctx.threads > 1 => probe_partition(
+                r,
+                s,
+                index,
+                &self.prefix_lens,
+                tuples,
+                pred,
                 ctx,
                 budget,
                 ws,
-            );
-        }
-        probe_prefix_family(
-            r,
-            &self.corpus,
-            &self.prefix_index,
-            self.prefix_tuples,
-            &self.pred,
-            ctx,
-            true,
-            budget,
-            ws,
-        )
+            ),
+            Algorithm::Inline | Algorithm::Auto => {
+                probe_prefix_family(r, s, index, tuples, pred, ctx, true, budget, ws)
+            }
+        };
+        stats.plan = plan;
+        (stats, algorithm)
     }
 
     /// Brute-force join of the batch against the un-indexed epoch tail.
@@ -764,12 +663,6 @@ impl CorpusIndex {
     /// The predicate probes run under.
     pub fn predicate(&self) -> &OverlapPredicate {
         &self.pred
-    }
-
-    /// The bitmap-signature width this index was built with. Probes must
-    /// request the same width on their execution context.
-    pub fn signature_width(&self) -> SignatureWidth {
-        self.signature_width
     }
 
     /// The default resident-memory budget applied to probes that do not set

@@ -17,57 +17,23 @@
 //! remaining elements. The exit fires only on rejection; an accepted pair is
 //! merged to completion so the reported overlap is exact.
 //!
-//! Three kernels are offered via [`OverlapKernel`]:
-//! - [`OverlapKernel::Linear`] — full two-pointer merge, then the threshold
-//!   comparison. The correctness oracle.
-//! - [`OverlapKernel::EarlyExit`] — two-pointer merge with the suffix-weight
-//!   bound checked each step.
-//! - [`OverlapKernel::Adaptive`] (default) — early-exit merge, switching to a
-//!   galloping probe of the longer side when the length ratio exceeds
-//!   [`GALLOP_CROSSOVER`], for the skewed candidate pairs the
-//!   frequency-ascending order `O` produces.
-//!
-//! All three agree bit-for-bit on acceptance and on the returned overlap;
-//! they differ only in how much work rejection costs. The counters
-//! `merge_steps`, `early_exits`, and `gallop_probes` in
-//! [`crate::SsJoinStats`] make the difference observable.
+//! [`verify_overlap`] is the one production kernel: the early-exit merge,
+//! switching to a galloping probe of the longer side when the length ratio
+//! reaches [`GALLOP_CROSSOVER`] — the skewed candidate pairs the
+//! frequency-ascending order `O` produces. Its two paths are public as
+//! [`overlap_at_least`] and [`overlap_gallop`], and the full linear merge
+//! behind [`crate::SetRef::overlap`] is the correctness oracle the property
+//! tests pit them against. All agree bit-for-bit on acceptance and on the
+//! returned overlap; the counters `merge_steps`, `early_exits`, and
+//! `gallop_probes` in [`crate::SsJoinStats`] show how much work rejection
+//! cost.
 
 use crate::set::SetRef;
 use crate::stats::SsJoinStats;
 use crate::weight::Weight;
 
-/// Overlap kernel used for candidate verification, selected via
-/// [`crate::ExecContext::with_kernel`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum OverlapKernel {
-    /// Full linear merge followed by the threshold comparison; never exits
-    /// early. The correctness oracle and the paper's literal `Overlap`
-    /// aggregate.
-    Linear,
-    /// Linear merge that abandons a pair as soon as the suffix-weight bound
-    /// proves it cannot reach the required overlap.
-    EarlyExit,
-    /// Early-exit merge that switches to galloping (exponential probe plus
-    /// binary search) on the longer side when the candidate pair's length
-    /// ratio is at least [`GALLOP_CROSSOVER`].
-    #[default]
-    Adaptive,
-}
-
-impl OverlapKernel {
-    /// Kernel name as used by the experiments harness (`linear`,
-    /// `early-exit`, `adaptive`).
-    pub fn name(self) -> &'static str {
-        match self {
-            OverlapKernel::Linear => "linear",
-            OverlapKernel::EarlyExit => "early-exit",
-            OverlapKernel::Adaptive => "adaptive",
-        }
-    }
-}
-
-/// Length ratio (longer / shorter) at which [`OverlapKernel::Adaptive`]
-/// switches from stepwise merging to galloping the longer side.
+/// Length ratio (longer / shorter) at which [`verify_overlap`] switches
+/// from stepwise merging to galloping the longer side.
 pub const GALLOP_CROSSOVER: usize = 8;
 
 /// Modeled cost of galloping a pair with mean merged length `avg_len`, in
@@ -80,73 +46,50 @@ pub(crate) fn gallop_cost_model(avg_len: f64) -> f64 {
     short * (avg_len.max(2.0).log2() + 1.0) * 2.0
 }
 
-/// Modeled per-candidate verification cost of each kernel, in abstract
-/// element touches — the same unit as the planner's join-tuple counts.
+/// Modeled per-candidate cost of [`verify_overlap`], in abstract element
+/// touches — the same unit as the planner's join-tuple counts.
 ///
 /// * `avg_len` — mean merged length of a candidate pair;
 /// * `prefix_fraction` — estimated prefix selectivity in `[0, 1]`. Small
 ///   prefixes mean a selective predicate whose suffix-weight bound fires
-///   early, so the early-exit kernels approach a fraction of the full merge;
+///   early, so the early-exit merge approaches a fraction of the full merge;
 ///   a fraction near 1 means most merges run (nearly) to completion;
 /// * `gallop_skew` — estimated probability (in `[0, 1]`) that a candidate
 ///   pair's length ratio reaches [`GALLOP_CROSSOVER`], taken from the
 ///   collections' length histograms.
 ///
-/// The shapes mirror the kernels above: [`OverlapKernel::Linear`] always
-/// walks the full merge; [`OverlapKernel::EarlyExit`] pays a floor (the
-/// bound must accumulate before it can fire) plus the fraction the predicate
-/// lets through; [`OverlapKernel::Adaptive`] behaves like early-exit on
-/// balanced pairs and like [`gallop_cost_model`] on skewed ones.
-pub(crate) fn verify_cost_model(
-    kernel: OverlapKernel,
-    avg_len: f64,
-    prefix_fraction: f64,
-    gallop_skew: f64,
-) -> f64 {
-    let linear = avg_len.max(1.0);
+/// Balanced pairs pay the early-exit shape — a floor (the bound must
+/// accumulate before it can fire) plus the fraction the predicate lets
+/// through; skewed pairs pay [`gallop_cost_model`] when that is cheaper.
+pub(crate) fn verify_cost_model(avg_len: f64, prefix_fraction: f64, gallop_skew: f64) -> f64 {
     let rho = prefix_fraction.clamp(0.0, 1.0);
-    let early = linear * (0.25 + 0.75 * rho);
-    match kernel {
-        OverlapKernel::Linear => linear,
-        OverlapKernel::EarlyExit => early,
-        OverlapKernel::Adaptive => {
-            let sigma = gallop_skew.clamp(0.0, 1.0);
-            let gallop = gallop_cost_model(avg_len);
-            (1.0 - sigma) * early + sigma * gallop.min(early)
-        }
-    }
+    let early = avg_len.max(1.0) * (0.25 + 0.75 * rho);
+    let sigma = gallop_skew.clamp(0.0, 1.0);
+    let gallop = gallop_cost_model(avg_len);
+    (1.0 - sigma) * early + sigma * gallop.min(early)
 }
 
-/// Verify one candidate pair with the selected kernel: returns
-/// `Some(wt(a ∩ b))` iff the overlap reaches `required`, updating the
-/// kernel counters in `stats`.
+/// Verify one candidate pair: returns `Some(wt(a ∩ b))` iff the overlap
+/// reaches `required`, updating the kernel counters in `stats`. Gallops the
+/// longer side when the length ratio reaches [`GALLOP_CROSSOVER`]; merges
+/// with the suffix-weight early exit otherwise.
 #[inline]
 pub fn verify_overlap(
-    kernel: OverlapKernel,
     a: SetRef<'_>,
     b: SetRef<'_>,
     required: Weight,
     stats: &mut SsJoinStats,
 ) -> Option<Weight> {
-    match kernel {
-        OverlapKernel::Linear => {
-            let ov = merge_full(a, b, &mut stats.merge_steps);
-            (ov >= required).then_some(ov)
-        }
-        OverlapKernel::EarlyExit => overlap_at_least(a, b, required, stats),
-        OverlapKernel::Adaptive => {
-            let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-            if !short.is_empty() && long.len() / short.len() >= GALLOP_CROSSOVER {
-                overlap_gallop(short, long, required, stats)
-            } else {
-                overlap_at_least(a, b, required, stats)
-            }
-        }
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if !short.is_empty() && long.len() / short.len() >= GALLOP_CROSSOVER {
+        overlap_gallop(short, long, required, stats)
+    } else {
+        overlap_at_least(a, b, required, stats)
     }
 }
 
 /// Full two-pointer merge of two rank-sorted sets, counting each advance in
-/// `steps`. Backing for [`SetRef::overlap`] and [`OverlapKernel::Linear`].
+/// `steps`. Backing for [`SetRef::overlap`], the kernels' oracle.
 ///
 /// Split into two branch-light passes over the CSR pools:
 ///
@@ -334,28 +277,24 @@ mod tests {
         .unwrap()
     }
 
-    /// All three kernels must agree on acceptance and overlap value.
+    /// The kernel and both of its paths must agree with the linear oracle
+    /// on acceptance and overlap value, in either argument order.
     fn check_all(c: &SetCollection, required: Weight) {
         let (a, b) = (c.set(0), c.set(1));
         let exact = a.overlap(b);
         let oracle = (exact >= required).then_some(exact);
-        for kernel in [
-            OverlapKernel::Linear,
-            OverlapKernel::EarlyExit,
-            OverlapKernel::Adaptive,
-        ] {
+        let mut st = SsJoinStats::default();
+        let lin = merge_full(a, b, &mut st.merge_steps);
+        assert_eq!((lin >= required).then_some(lin), oracle);
+        for (x, y) in [(a, b), (b, a)] {
             let mut st = SsJoinStats::default();
             assert_eq!(
-                verify_overlap(kernel, a, b, required, &mut st),
+                verify_overlap(x, y, required, &mut st),
                 oracle,
-                "{kernel:?} disagrees with oracle at required={required}"
+                "verify_overlap disagrees with oracle at required={required}"
             );
-            let mut st = SsJoinStats::default();
-            assert_eq!(
-                verify_overlap(kernel, b, a, required, &mut st),
-                oracle,
-                "{kernel:?} (swapped) disagrees with oracle at required={required}"
-            );
+            assert_eq!(overlap_at_least(x, y, required, &mut st), oracle);
+            assert_eq!(overlap_gallop(x, y, required, &mut st), oracle);
         }
     }
 
@@ -396,22 +335,15 @@ mod tests {
         let b: Vec<(u32, f64)> = (0..64).map(|i| (i * 2 + 1, 1.0)).collect();
         let c = pair(&a, &b);
         let mut st = SsJoinStats::default();
-        let out = verify_overlap(
-            OverlapKernel::EarlyExit,
-            c.set(0),
-            c.set(1),
-            w(10.0),
-            &mut st,
-        );
+        let out = verify_overlap(c.set(0), c.set(1), w(10.0), &mut st);
         assert_eq!(out, None);
         assert_eq!(st.early_exits, 1);
-        let mut lin = SsJoinStats::default();
-        let _ = verify_overlap(OverlapKernel::Linear, c.set(0), c.set(1), w(10.0), &mut lin);
+        let mut linear_steps = 0u64;
+        let _ = merge_full(c.set(0), c.set(1), &mut linear_steps);
         assert!(
-            st.merge_steps < lin.merge_steps,
-            "early exit did not save merge steps ({} vs {})",
+            st.merge_steps < linear_steps,
+            "early exit did not save merge steps ({} vs {linear_steps})",
             st.merge_steps,
-            lin.merge_steps
         );
     }
 
@@ -424,35 +356,24 @@ mod tests {
             &[(0, 5.0), (1, 5.0), (2, 1.0)],
         );
         let mut st = SsJoinStats::default();
-        let out = verify_overlap(
-            OverlapKernel::EarlyExit,
-            c.set(0),
-            c.set(1),
-            w(6.0),
-            &mut st,
-        );
+        let out = verify_overlap(c.set(0), c.set(1), w(6.0), &mut st);
         assert_eq!(out, Some(w(11.0)));
     }
 
     #[test]
-    fn adaptive_gallops_on_skew() {
+    fn gallops_on_skew() {
         let short: Vec<(u32, f64)> = vec![(100, 1.0), (500, 1.0)];
         let long: Vec<(u32, f64)> = (0..1000).map(|i| (i, 1.0)).collect();
         let c = pair(&short, &long);
         let mut st = SsJoinStats::default();
-        let out = verify_overlap(
-            OverlapKernel::Adaptive,
-            c.set(0),
-            c.set(1),
-            Weight::ZERO,
-            &mut st,
-        );
+        let out = verify_overlap(c.set(0), c.set(1), Weight::ZERO, &mut st);
         assert_eq!(out, Some(w(2.0)));
         assert!(st.gallop_probes > 0, "skewed pair did not gallop");
         assert!(
             st.gallop_probes < 1000,
             "galloping should probe far fewer than a linear walk"
         );
+        assert_eq!(st.merge_steps, 0, "a galloped pair takes no merge steps");
     }
 
     #[test]
@@ -472,16 +393,24 @@ mod tests {
     #[test]
     fn required_zero_always_accepts() {
         let c = pair(&[(1, 1.0)], &[(2, 1.0)]);
-        for kernel in [
-            OverlapKernel::Linear,
-            OverlapKernel::EarlyExit,
-            OverlapKernel::Adaptive,
-        ] {
-            let mut st = SsJoinStats::default();
-            assert_eq!(
-                verify_overlap(kernel, c.set(0), c.set(1), Weight::ZERO, &mut st),
-                Some(Weight::ZERO)
-            );
+        let mut st = SsJoinStats::default();
+        assert_eq!(
+            verify_overlap(c.set(0), c.set(1), Weight::ZERO, &mut st),
+            Some(Weight::ZERO)
+        );
+    }
+
+    #[test]
+    fn cost_model_prices_the_cheaper_path_on_skew() {
+        // Balanced pairs price the early-exit merge; fully skewed pairs
+        // price whichever of galloping and merging is cheaper.
+        for len in [2.0, 16.0, 256.0] {
+            for rho in [0.0, 0.5, 1.0] {
+                let balanced = verify_cost_model(len, rho, 0.0);
+                assert!((balanced - len * (0.25 + 0.75 * rho)).abs() < 1e-9);
+                let skewed = verify_cost_model(len, rho, 1.0);
+                assert_eq!(skewed, gallop_cost_model(len).min(balanced));
+            }
         }
     }
 }

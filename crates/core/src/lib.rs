@@ -88,14 +88,13 @@ pub use builder::{
 pub use error::{SsJoinError, SsJoinResult};
 pub use exec::{
     estimate_costs, ssjoin, ssjoin_with, Algorithm, CostEstimate, ExecContext, JoinPair,
-    JoinWorkspace, PlanChoice, PlanRequest, ShardPolicy, SsJoinConfig, SsJoinOutput, SsJoinRun,
+    JoinWorkspace, PlanChoice, SsJoinConfig, SsJoinOutput, SsJoinRun,
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use index::{CorpusIndex, CorpusIndexOptions};
-pub use kernel::OverlapKernel;
 pub use order::ElementOrder;
 pub use predicate::{Interval, NormExpr, OverlapPredicate};
-pub use set::{CollectionStats, SetCollection, SetRef, SignatureWidth, SIG_WORDS};
+pub use set::{CollectionStats, SetCollection, SetRef, SIG_WORDS};
 pub use spill::{plan_spill, SpillPlan};
 pub use stats::{Phase, SsJoinStats, StatsLevel};
 pub use weight::Weight;

@@ -10,7 +10,7 @@
 //! **compressed-sparse-row arena**: one `ranks` array, one parallel
 //! `weights` array, one parallel `suffix` array of cumulative suffix
 //! weights, and an `offsets` array delimiting each set's slice. Per-set
-//! derived state (total weight, norm, wide bitmap signature, minimum
+//! derived state (total weight, norm, bitmap signature, minimum
 //! element weight) lives in parallel per-set arrays. Index builds and
 //! verification merges therefore stream cache-friendly structure-of-arrays
 //! memory with no pointer chasing.
@@ -23,129 +23,23 @@ use crate::error::{SsJoinError, SsJoinResult};
 use crate::weight::Weight;
 use ssjoin_prng::{Rng, StdRng};
 
-/// Number of 64-bit words in a *stored* bitmap signature. Signatures are
-/// always materialized at this maximum width in the arena; narrower views
-/// (see [`SignatureWidth`]) are derived losslessly at probe time by OR-folding
-/// word `j` into word `j mod k`, which is exactly the signature that hashing
-/// positions modulo `64·k` would have produced.
+/// Number of 64-bit words in a set's bitmap signature: `64 · SIG_WORDS =
+/// 512` hashed bit positions per set, stored contiguously in the arena and
+/// compared whole by the bitmap filter.
 pub const SIG_WORDS: usize = 8;
 
-/// Hashed bit position for an element rank inside the maximum-width
-/// signature: a multiplicative hash spreads nearby ranks across the
+/// Hashed bit position for an element rank inside the signature: a multiplicative hash spreads nearby ranks across the
 /// `64 · SIG_WORDS = 512` positions so dense rank ranges don't collide.
 #[inline]
 fn signature_position(rank: u32) -> usize {
     ((rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 55) as usize
 }
 
-/// Set the hashed bit for `rank` in a maximum-width signature.
+/// Set the hashed bit for `rank` in a signature.
 #[inline]
 fn set_signature_bit(sig: &mut [u64; SIG_WORDS], rank: u32) {
     let p = signature_position(rank);
     sig[p >> 6] |= 1u64 << (p & 63);
-}
-
-/// Width of the bitmap signature view used for candidate pruning, in 64-bit
-/// words. Wider signatures have more bit positions, so fewer hash collisions
-/// and a tighter overlap bound, at the cost of more AND/ANDNOT + popcount
-/// work per candidate. The arena always stores [`SIG_WORDS`] words per set;
-/// the width only selects how far probes fold that storage down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SignatureWidth {
-    /// One word — 64 bit positions (the PR 1 baseline filter).
-    #[default]
-    W1,
-    /// Two words — 128 bit positions.
-    W2,
-    /// Four words — 256 bit positions.
-    W4,
-    /// Eight words — 512 bit positions, the stored maximum.
-    W8,
-}
-
-impl SignatureWidth {
-    /// All supported widths, narrowest first.
-    pub const ALL: [SignatureWidth; 4] = [
-        SignatureWidth::W1,
-        SignatureWidth::W2,
-        SignatureWidth::W4,
-        SignatureWidth::W8,
-    ];
-
-    /// Number of 64-bit words in this signature view.
-    #[inline]
-    pub fn words(self) -> usize {
-        match self {
-            SignatureWidth::W1 => 1,
-            SignatureWidth::W2 => 2,
-            SignatureWidth::W4 => 4,
-            SignatureWidth::W8 => 8,
-        }
-    }
-
-    /// Number of bit positions in this signature view.
-    #[inline]
-    pub fn bits(self) -> usize {
-        self.words() * 64
-    }
-
-    /// Short lowercase label (`"w1"` … `"w8"`), used in metrics and CLI
-    /// flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            SignatureWidth::W1 => "w1",
-            SignatureWidth::W2 => "w2",
-            SignatureWidth::W4 => "w4",
-            SignatureWidth::W8 => "w8",
-        }
-    }
-
-    /// The width with the given word count, if supported (1, 2, 4, or 8).
-    pub fn from_words(words: usize) -> Option<SignatureWidth> {
-        match words {
-            1 => Some(SignatureWidth::W1),
-            2 => Some(SignatureWidth::W2),
-            4 => Some(SignatureWidth::W4),
-            8 => Some(SignatureWidth::W8),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SignatureWidth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}x64-bit", self.words())
-    }
-}
-
-/// Fold a stored maximum-width signature down to `K` words by OR-ing word
-/// `j` into word `j mod K`. For `K` dividing [`SIG_WORDS`] this equals the
-/// signature produced by hashing every element position modulo `64·K`, so
-/// the fold is itself a valid (coarser) signature. `K` is a compile-time
-/// constant, so the loop fully unrolls into straight-line OR instructions
-/// over a stack array — no allocation, no branches.
-#[inline]
-fn fold_signature<const K: usize>(sig: &[u64]) -> [u64; K] {
-    let mut out = [0u64; K];
-    for (j, &w) in sig.iter().enumerate() {
-        out[j % K] |= w;
-    }
-    out
-}
-
-/// Count the bits set only in `a` and only in `b` after folding both
-/// signatures to `K` words: one unrolled AND/ANDNOT + popcount pass.
-#[inline]
-fn fold_only_counts<const K: usize>(a: &[u64], b: &[u64]) -> (u32, u32) {
-    let fa = fold_signature::<K>(a);
-    let fb = fold_signature::<K>(b);
-    let mut only_a = 0u32;
-    let mut only_b = 0u32;
-    for (&x, &y) in fa.iter().zip(fb.iter()) {
-        only_a += (x & !y).count_ones();
-        only_b += (y & !x).count_ones();
-    }
-    (only_a, only_b)
 }
 
 /// A borrowed view of one weighted set inside a [`SetCollection`] arena.
@@ -163,8 +57,8 @@ pub struct SetRef<'a> {
     suffix: &'a [Weight],
     norm: f64,
     total: Weight,
-    /// Maximum-width bitmap signature: a `SIG_WORDS`-word slice of the
-    /// collection's contiguous signature pool.
+    /// Bitmap signature: a `SIG_WORDS`-word slice of the collection's
+    /// contiguous signature pool.
     sig: &'a [u64],
     min_weight: Weight,
 }
@@ -227,15 +121,8 @@ impl<'a> SetRef<'a> {
         self.norm
     }
 
-    /// The set's 64-bit bitmap signature: the stored maximum-width signature
-    /// folded down to one word (bitwise OR of one hashed bit per element,
-    /// positions taken modulo 64).
-    pub fn signature(self) -> u64 {
-        self.sig.iter().fold(0u64, |acc, &w| acc | w)
-    }
-
-    /// The stored maximum-width bitmap signature: [`SIG_WORDS`] words,
-    /// contiguous in the collection's signature pool.
+    /// The bitmap signature: [`SIG_WORDS`] words, contiguous in the
+    /// collection's signature pool.
     pub fn signature_words(self) -> &'a [u64] {
         self.sig
     }
@@ -245,38 +132,24 @@ impl<'a> SetRef<'a> {
         self.min_weight
     }
 
-    /// Upper bound on `wt(self ∩ other)` from the two 64-bit (one-word)
-    /// signature views — equivalent to
-    /// [`SetRef::wide_overlap_bound`] at [`SignatureWidth::W1`].
-    pub fn bitmap_overlap_bound(self, other: SetRef<'_>) -> Weight {
-        self.wide_overlap_bound(other, SignatureWidth::W1)
-    }
-
-    /// Upper bound on `wt(self ∩ other)` from the two bitmap signatures
-    /// folded to `width` words.
+    /// Upper bound on `wt(self ∩ other)` from the two bitmap signatures.
     ///
-    /// Every folded bit set for `r` but not for `s` certifies at least one
-    /// element of `r` absent from `s`: an element of `s` hashing to *any*
-    /// stored position that folds onto that bit would have set it in `s`'s
-    /// fold, so no element of `s` hashes there, while some element of `r`
-    /// does. Distinct folded bits certify distinct elements; hence
-    /// `wt(r \ s) ≥ popcount(fold(sig_r) & !fold(sig_s)) · min_weight(r)` and
-    /// `overlap ≤ wt(r) − popcount(fold(sig_r) & !fold(sig_s)) · min_weight(r)`.
+    /// Every bit set for `r` but not for `s` certifies at least one element
+    /// of `r` absent from `s`: an element of `s` hashing to that position
+    /// would have set it in `s`'s signature, while some element of `r` does.
+    /// Distinct bits certify distinct elements; hence
+    /// `wt(r \ s) ≥ popcount(sig_r & !sig_s) · min_weight(r)` and
+    /// `overlap ≤ wt(r) − popcount(sig_r & !sig_s) · min_weight(r)`.
     /// The symmetric bound holds for `s`; the minimum of the two is returned.
     /// Exact-overlap computation never exceeds this, so pruning candidates
     /// whose bound falls *strictly below* the required overlap is lossless —
     /// a bound exactly at the threshold is kept and verified.
-    ///
-    /// Wider views fold fewer stored words together, so they keep more
-    /// distinct positions and the bound is monotonically no looser as the
-    /// width grows.
-    pub fn wide_overlap_bound(self, other: SetRef<'_>, width: SignatureWidth) -> Weight {
-        let (only_r, only_s) = match width {
-            SignatureWidth::W1 => fold_only_counts::<1>(self.sig, other.sig),
-            SignatureWidth::W2 => fold_only_counts::<2>(self.sig, other.sig),
-            SignatureWidth::W4 => fold_only_counts::<4>(self.sig, other.sig),
-            SignatureWidth::W8 => fold_only_counts::<8>(self.sig, other.sig),
-        };
+    pub fn wide_overlap_bound(self, other: SetRef<'_>) -> Weight {
+        let (mut only_r, mut only_s) = (0u32, 0u32);
+        for (&x, &y) in self.sig.iter().zip(other.sig) {
+            only_r += (x & !y).count_ones();
+            only_s += (y & !x).count_ones();
+        }
         let bound_r = self.total.saturating_sub(Weight::from_raw(
             self.min_weight.raw().saturating_mul(u64::from(only_r)),
         ));
@@ -305,8 +178,8 @@ impl<'a> SetRef<'a> {
     }
 
     /// Weighted overlap `wt(self ∩ other)` by a full merge of the two
-    /// rank-sorted element lists — the [`crate::kernel::OverlapKernel::Linear`]
-    /// correctness oracle, without threshold awareness or counters.
+    /// rank-sorted element lists — the correctness oracle of the
+    /// threshold-aware [`crate::kernel::verify_overlap`], without counters.
     pub fn overlap(self, other: SetRef<'_>) -> Weight {
         crate::kernel::merge_full(self, other, &mut 0)
     }
@@ -456,9 +329,8 @@ pub struct SetCollection {
     norms: Vec<f64>,
     /// Per-set total weights.
     totals: Vec<Weight>,
-    /// Per-set maximum-width bitmap signatures, stored contiguously:
-    /// set `i` owns words `i*SIG_WORDS..(i+1)*SIG_WORDS`. Probes fold these
-    /// down to the configured [`SignatureWidth`] on the fly.
+    /// Per-set bitmap signatures, stored contiguously: set `i` owns words
+    /// `i*SIG_WORDS..(i+1)*SIG_WORDS`.
     sig_words: Vec<u64>,
     /// Per-set minimum element weights.
     min_weights: Vec<Weight>,
@@ -909,11 +781,12 @@ mod tests {
     fn signature_and_min_weight_cached() {
         let c = collection(&[&[(1, 2.0), (7, 0.5), (40, 1.0)], &[]]);
         let s = c.set(0);
-        assert_ne!(s.signature(), 0);
-        assert!(s.signature().count_ones() as usize <= s.len());
+        assert_eq!(s.signature_words().len(), SIG_WORDS);
+        let bits: u32 = s.signature_words().iter().map(|w| w.count_ones()).sum();
+        assert!(bits > 0 && bits as usize <= s.len());
         assert_eq!(s.min_element_weight(), w(0.5));
         let e = c.set(1);
-        assert_eq!(e.signature(), 0);
+        assert!(e.signature_words().iter().all(|&w| w == 0));
         assert_eq!(e.min_element_weight(), Weight::ZERO);
     }
 
@@ -944,150 +817,61 @@ mod tests {
                 .unwrap();
                 let (a, b) = (c.set(0), c.set(1));
                 let exact = a.overlap(b);
-                let bound = a.bitmap_overlap_bound(b);
+                let bound = a.wide_overlap_bound(b);
                 assert!(
                     bound >= exact,
                     "bound {bound} < exact {exact} (seeds {a_seed},{b_seed})"
                 );
+                assert_eq!(bound, b.wide_overlap_bound(a), "bound is symmetric");
             }
         }
     }
 
     #[test]
-    fn bitmap_bound_prunes_disjoint_sets() {
-        // Fully disjoint signatures with unit weights: the bound collapses
-        // toward zero, far below the sets' totals.
-        let c = collection(&[
-            &[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)],
-            &[(60, 1.0), (61, 1.0), (62, 1.0), (63, 1.0)],
-        ]);
-        let (a, b) = (c.set(0), c.set(1));
-        let bound = a.bitmap_overlap_bound(b);
-        assert!(bound < a.total_weight());
-        assert!(bound >= a.overlap(b));
+    fn bitmap_bound_empty_sets_is_zero() {
+        // An empty side has total weight zero, so the bound collapses to
+        // zero — empty sets can never survive a positive threshold.
+        let c = collection(&[&[], &[(1, 2.0), (5, 1.0)]]);
+        let (e, a) = (c.set(0), c.set(1));
+        assert_eq!(e.wide_overlap_bound(e), Weight::ZERO);
+        assert_eq!(e.wide_overlap_bound(a), Weight::ZERO);
+        assert_eq!(a.wide_overlap_bound(e), Weight::ZERO);
+    }
+
+    #[test]
+    fn bitmap_bound_single_token_universe() {
+        // One rank in the whole universe: every non-empty set is {0}, all
+        // signatures coincide, and the bound is exactly the shared weight.
+        let c = SetCollection::from_sets(
+            vec![
+                (vec![(0, w(1.5))], 0.0),
+                (vec![(0, w(1.5))], 0.0),
+                (vec![], 0.0),
+            ],
+            1,
+            0,
+        )
+        .unwrap();
+        let (a, b, e) = (c.set(0), c.set(1), c.set(2));
+        assert_eq!(a.wide_overlap_bound(b), w(1.5));
+        assert_eq!(a.wide_overlap_bound(b), a.overlap(b));
+        assert_eq!(a.wide_overlap_bound(e), Weight::ZERO);
     }
 
     #[test]
     fn bitmap_bound_identical_sets_is_total() {
-        let c = collection(&[&[(3, 1.5), (9, 2.0)]]);
-        let a = c.set(0);
-        assert_eq!(a.bitmap_overlap_bound(a), a.total_weight());
-    }
-
-    #[test]
-    fn signature_width_accessors() {
-        for width in SignatureWidth::ALL {
-            assert_eq!(width.bits(), width.words() * 64);
-            assert_eq!(SignatureWidth::from_words(width.words()), Some(width));
-            assert!(
-                SIG_WORDS.is_multiple_of(width.words()),
-                "width must divide storage"
-            );
-        }
-        assert_eq!(SignatureWidth::from_words(3), None);
-        assert_eq!(SignatureWidth::default(), SignatureWidth::W1);
-        assert_eq!(SignatureWidth::W4.name(), "w4");
-        assert_eq!(SignatureWidth::W2.to_string(), "2x64-bit");
-    }
-
-    #[test]
-    fn wide_bound_never_below_overlap_at_any_width() {
-        // The folded bound must dominate the exact overlap for arbitrary
-        // set pairs at every supported width.
-        let mk = |seed: u32, n: u32| -> Vec<(u32, Weight)> {
-            (0..n)
-                .map(|i| {
-                    let rank = (seed.wrapping_mul(31).wrapping_add(i * 17)) % 97;
-                    (rank, 0.5 + f64::from((rank * 7) % 5))
-                })
-                .collect::<std::collections::HashMap<u32, f64>>()
-                .into_iter()
-                .map(|(r, x)| (r, w(x)))
-                .collect()
-        };
-        for a_seed in 0..12u32 {
-            for b_seed in 0..12u32 {
-                let c = SetCollection::from_sets(
-                    vec![
-                        (mk(a_seed, 3 + a_seed % 9), 0.0),
-                        (mk(b_seed, 3 + b_seed % 9), 0.0),
-                    ],
-                    97,
-                    0,
-                )
-                .unwrap();
-                let (a, b) = (c.set(0), c.set(1));
-                let exact = a.overlap(b);
-                for width in SignatureWidth::ALL {
-                    let bound = a.wide_overlap_bound(b, width);
-                    assert!(
-                        bound >= exact,
-                        "{width} bound {bound} < exact {exact} (seeds {a_seed},{b_seed})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_bound_tightens_monotonically_with_width() {
-        // Folding fewer words keeps more distinct positions: every "only in
-        // r" bit at width k maps to a distinct "only in r" bit at width 2k,
-        // so the bound can only shrink (or stay) as the width grows.
-        let mk = |seed: u32| -> Vec<(u32, Weight)> {
-            (0..10u32)
-                .map(|i| ((seed.wrapping_mul(13).wrapping_add(i * 29)) % 211, w(1.0)))
-                .collect::<std::collections::HashMap<u32, Weight>>()
-                .into_iter()
-                .collect()
-        };
-        for seed in 0..20u32 {
-            let c = SetCollection::from_sets(vec![(mk(seed), 0.0), (mk(seed + 7), 0.0)], 211, 0)
-                .unwrap();
-            let (a, b) = (c.set(0), c.set(1));
-            let bounds: Vec<Weight> = SignatureWidth::ALL
-                .iter()
-                .map(|&k| a.wide_overlap_bound(b, k))
-                .collect();
-            for pair in bounds.windows(2) {
-                assert!(
-                    pair[1] <= pair[0],
-                    "widening loosened the bound: {bounds:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn wide_bound_empty_sets_is_zero() {
-        // An empty side has total weight zero, so the bound collapses to
-        // zero at every width — empty sets can never survive a positive
-        // threshold.
-        let c = collection(&[&[], &[(1, 2.0), (5, 1.0)]]);
-        let (e, a) = (c.set(0), c.set(1));
-        for width in SignatureWidth::ALL {
-            assert_eq!(e.wide_overlap_bound(e, width), Weight::ZERO);
-            assert_eq!(e.wide_overlap_bound(a, width), Weight::ZERO);
-            assert_eq!(a.wide_overlap_bound(e, width), Weight::ZERO);
-        }
-    }
-
-    #[test]
-    fn wide_bound_identical_signatures_is_total() {
-        // Identical sets have identical signatures at every width, so no
-        // "only" bits survive and the bound is the full total — the filter
-        // never prunes an exact duplicate.
+        // Identical sets have identical signatures, so no "only" bits
+        // survive and the bound is the full total — the filter never prunes
+        // an exact duplicate.
         let c = collection(&[&[(3, 1.5), (9, 2.0), (77, 0.25)]]);
         let a = c.set(0);
-        for width in SignatureWidth::ALL {
-            assert_eq!(a.wide_overlap_bound(a, width), a.total_weight());
-        }
+        assert_eq!(a.wide_overlap_bound(a), a.total_weight());
     }
 
     #[test]
-    fn wide_bound_fully_disjoint_signatures_collapses() {
+    fn bitmap_bound_disjoint_signatures_collapses() {
         // Unit weights and signature-disjoint sets: every element certifies
-        // one absence, so the bound drops to zero at the stored width.
+        // one absence, so the bound drops to zero.
         let c = collection(&[
             &[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)],
             &[(60, 1.0), (61, 1.0), (62, 1.0), (63, 1.0)],
@@ -1105,15 +889,12 @@ mod tests {
             .map(|w| w.count_ones())
             .sum::<u32>() as usize;
         assert_eq!(per_bit, a.len(), "no intra-set collisions expected");
-        assert_eq!(a.wide_overlap_bound(b, SignatureWidth::W8), Weight::ZERO);
-        // Every width still dominates the (zero) exact overlap.
-        for width in SignatureWidth::ALL {
-            assert!(a.wide_overlap_bound(b, width) >= a.overlap(b));
-        }
+        assert_eq!(a.wide_overlap_bound(b), Weight::ZERO);
+        assert_eq!(a.overlap(b), Weight::ZERO);
     }
 
     #[test]
-    fn wide_bound_exactly_at_threshold_is_kept() {
+    fn bitmap_bound_exactly_at_threshold_is_kept() {
         // Executors prune on `bound < required` (strictly below): a bound
         // exactly at the limit must survive the filter, because the exact
         // overlap may equal it. Identical sets make this sharp: bound ==
@@ -1122,19 +903,17 @@ mod tests {
         let c = collection(&[&[(2, 0.75), (11, 1.25), (40, 3.0)]]);
         let a = c.set(0);
         let required = a.total_weight();
-        for width in SignatureWidth::ALL {
-            let bound = a.wide_overlap_bound(a, width);
-            assert_eq!(bound, required, "{width}");
-            // Written as the executors' prune test: `bound < required`
-            // must be false for the at-limit pair.
-            let prunes = bound < required;
-            assert!(!prunes, "at-limit bound must not be pruned");
-            // One raw tick above the total, the prune fires — and is sound,
-            // because the exact overlap (== total) also fails the predicate.
-            let above = Weight::from_raw(required.raw() + 1);
-            assert!(bound < above);
-            assert!(a.overlap(a) < above);
-        }
+        let bound = a.wide_overlap_bound(a);
+        assert_eq!(bound, required);
+        // Written as the executors' prune test: `bound < required` must be
+        // false for the at-limit pair.
+        let prunes = bound < required;
+        assert!(!prunes, "at-limit bound must not be pruned");
+        // One raw tick above the total, the prune fires — and is sound,
+        // because the exact overlap (== total) also fails the predicate.
+        let above = Weight::from_raw(required.raw() + 1);
+        assert!(bound < above);
+        assert!(a.overlap(a) < above);
     }
 
     #[test]

@@ -37,9 +37,8 @@
 //! global id order). The per-partition outputs are pair-disjoint sorted
 //! runs; the k-way run merge ([`JoinWorkspace::merge_shard_runs`]) produces
 //! their unique sorted interleaving — bit for bit the output of an
-//! unbudgeted in-memory run. The bitmap-signature filter is lossless at
-//! every width, so recomputed local signatures change counters, never
-//! output.
+//! unbudgeted in-memory run. The bitmap-signature filter is lossless, so
+//! recomputed local signatures change counters, never output.
 //!
 //! # Pricing spilled vs resident plans
 //!

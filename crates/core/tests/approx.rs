@@ -15,12 +15,11 @@ use ssjoin_core::{
 };
 use ssjoin_prng::{Rng, StdRng};
 
-const ALGORITHMS: [Algorithm; 6] = [
+const ALGORITHMS: [Algorithm; 5] = [
     Algorithm::Basic,
     Algorithm::PrefixFiltered,
     Algorithm::Inline,
     Algorithm::PositionalInline,
-    Algorithm::Partition,
     Algorithm::Auto,
 ];
 

@@ -11,8 +11,7 @@
 
 use ssjoin_core::{
     ssjoin, Algorithm, BudgetCause, CancelToken, ElementOrder, ExecBudget, JoinPair,
-    OverlapPredicate, SetCollection, ShardPolicy, SsJoinConfig, SsJoinError, SsJoinInputBuilder,
-    WeightScheme,
+    OverlapPredicate, SetCollection, SsJoinConfig, SsJoinError, SsJoinInputBuilder, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 use std::time::Duration;
@@ -105,10 +104,7 @@ fn adversarial_inputs_never_panic() {
         let pred = random_predicate(&mut rng);
         for alg in ALGORITHMS {
             for threads in [1usize, 3] {
-                let mut config = SsJoinConfig::new(alg).with_threads(threads);
-                if threads > 1 {
-                    config = config.with_shard_policy(ShardPolicy::token_shards());
-                }
+                let config = SsJoinConfig::new(alg).with_threads(threads);
                 // Unbudgeted: must succeed (nothing to trip).
                 let out = ssjoin(&r, &s, &pred, &config)
                     .unwrap_or_else(|e| panic!("seed {seed} alg {alg:?} threads {threads}: {e}"));
@@ -320,7 +316,6 @@ fn cross_thread_cancel_aborts_parallel_run() {
     };
     let config = SsJoinConfig::new(Algorithm::Inline)
         .with_threads(4)
-        .with_shard_policy(ShardPolicy::token_shards())
         .with_cancel_token(token);
     let result = ssjoin(&r, &s, &pred, &config);
     canceller.join().unwrap();

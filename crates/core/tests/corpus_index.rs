@@ -6,17 +6,16 @@
 
 use ssjoin_core::{
     ssjoin, Algorithm, CancelToken, CorpusIndex, CorpusIndexOptions, ElementOrder, ExecBudget,
-    JoinPair, JoinWorkspace, NormKind, OverlapPredicate, SetCollection, SignatureWidth,
-    SsJoinConfig, SsJoinError, SsJoinInputBuilder, Weight, WeightScheme,
+    JoinPair, JoinWorkspace, NormKind, OverlapPredicate, SetCollection, SsJoinConfig, SsJoinError,
+    SsJoinInputBuilder, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 
-const ALGORITHMS: [Algorithm; 6] = [
+const ALGORITHMS: [Algorithm; 5] = [
     Algorithm::Basic,
     Algorithm::PrefixFiltered,
     Algorithm::Inline,
     Algorithm::PositionalInline,
-    Algorithm::Partition,
     Algorithm::Auto,
 ];
 
@@ -318,83 +317,52 @@ fn partner_norm_interval_is_validated_and_tightenable() {
     ));
 }
 
-/// Probes must request the signature width the index was built with; a
-/// mismatch is the typed `SignatureWidthMismatch` error, not a silently
-/// different filter. Matching widths — including non-default ones, with the
-/// filter on — answer identically to a fresh join at every width, and keep
-/// doing so through insert/delete churn and compaction.
+/// With the bitmap filter on, probes answer identically to a fresh join for
+/// every executor, and keep matching the live-set oracle through
+/// insert/delete churn and compaction.
 #[test]
-fn signature_width_is_enforced_and_output_invariant() {
+fn bitmap_filter_probe_output_invariant() {
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(0x51D8_u64.wrapping_add(seed));
         let pred = random_predicate(&mut rng);
         let (batch, pool) = build_two(random_groups(&mut rng), random_groups(&mut rng));
         let mut ws = JoinWorkspace::new();
-        for width in SignatureWidth::ALL {
-            let options = CorpusIndexOptions {
-                signature_width: width,
-                epoch_limit: Some(3),
-                ..CorpusIndexOptions::default()
-            };
-            let mut index = CorpusIndex::build_with(pool.clone(), pred.clone(), &options).unwrap();
-            assert_eq!(index.signature_width(), width);
-
-            // A probe with any *other* width is a typed error.
-            for other in SignatureWidth::ALL {
-                if other == width {
-                    continue;
-                }
-                let config = SsJoinConfig::new(Algorithm::Inline).with_signature_width(other);
-                match index.probe(&batch, &config, &mut ws) {
-                    Err(SsJoinError::SignatureWidthMismatch { built, probe }) => {
-                        assert_eq!(built, width);
-                        assert_eq!(probe, other);
-                    }
-                    other_result => panic!(
-                        "expected SignatureWidthMismatch, got {other_result:?} \
-                         (seed {seed}, built {width}, probe {other})"
-                    ),
-                }
-            }
-
-            // Matching width, filter on: identical to the fresh join.
-            for alg in ALGORITHMS {
-                let config = SsJoinConfig::new(alg)
-                    .with_bitmap_filter(true)
-                    .with_signature_width(width);
-                let fresh = ssjoin(&batch, &pool, &pred, &config).unwrap();
-                let probed = index.probe(&batch, &config, &mut ws).unwrap();
-                assert_eq!(
-                    probed.pairs,
-                    fresh.pairs.as_slice(),
-                    "seed {seed}, width {width}, alg {alg:?}"
-                );
-            }
-
-            // Churn: inserts (forcing epoch merges), deletes, then compact —
-            // probes at the build width keep matching the live-set oracle.
-            let config = SsJoinConfig::new(Algorithm::Inline)
-                .with_bitmap_filter(true)
-                .with_signature_width(width);
-            for _ in 0..6 {
-                let (elems, norm) = elements_of(&pool, rng.gen_range(0..pool.len() as u32));
-                index.insert(&elems, norm).unwrap();
-            }
-            index.delete(rng.gen_range(0..index.len() as u32)).unwrap();
+        let options = CorpusIndexOptions {
+            epoch_limit: Some(3),
+            ..CorpusIndexOptions::default()
+        };
+        let mut index = CorpusIndex::build_with(pool.clone(), pred.clone(), &options).unwrap();
+        for alg in ALGORITHMS {
+            let config = SsJoinConfig::new(alg).with_bitmap_filter(true);
+            let fresh = ssjoin(&batch, &pool, &pred, &config).unwrap();
             let probed = index.probe(&batch, &config, &mut ws).unwrap();
             assert_eq!(
-                keys(probed.pairs),
-                oracle_live(&batch, &index, &pred),
-                "seed {seed}, width {width}, after churn"
-            );
-            index.compact().unwrap();
-            let probed = index.probe(&batch, &config, &mut ws).unwrap();
-            assert_eq!(
-                keys(probed.pairs),
-                oracle_live(&batch, &index, &pred),
-                "seed {seed}, width {width}, after compact"
+                probed.pairs,
+                fresh.pairs.as_slice(),
+                "seed {seed}, alg {alg:?}"
             );
         }
+
+        // Churn: inserts (forcing epoch merges), deletes, then compact.
+        let config = SsJoinConfig::new(Algorithm::Inline).with_bitmap_filter(true);
+        for _ in 0..6 {
+            let (elems, norm) = elements_of(&pool, rng.gen_range(0..pool.len() as u32));
+            index.insert(&elems, norm).unwrap();
+        }
+        index.delete(rng.gen_range(0..index.len() as u32)).unwrap();
+        let probed = index.probe(&batch, &config, &mut ws).unwrap();
+        assert_eq!(
+            keys(probed.pairs),
+            oracle_live(&batch, &index, &pred),
+            "seed {seed}, after churn"
+        );
+        index.compact().unwrap();
+        let probed = index.probe(&batch, &config, &mut ws).unwrap();
+        assert_eq!(
+            keys(probed.pairs),
+            oracle_live(&batch, &index, &pred),
+            "seed {seed}, after compact"
+        );
     }
 }
 

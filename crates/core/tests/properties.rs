@@ -6,9 +6,9 @@
 use ssjoin_core::kernel::{overlap_at_least, overlap_gallop, verify_overlap};
 use ssjoin_core::plan::{basic_plan, collection_to_relation, inline_plan, prefix_plan, run_plan};
 use ssjoin_core::{
-    ssjoin, Algorithm, CorpusIndex, CorpusIndexOptions, ElementOrder, ExecContext, JoinPair,
-    JoinWorkspace, OverlapKernel, OverlapPredicate, SetCollection, ShardPolicy, SignatureWidth,
-    SsJoinConfig, SsJoinInputBuilder, SsJoinStats, Weight, WeightScheme,
+    ssjoin, Algorithm, CorpusIndex, ElementOrder, ExecContext, JoinPair, JoinWorkspace,
+    OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder, SsJoinStats, Weight,
+    WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 use std::sync::Arc;
@@ -80,8 +80,8 @@ fn build_two(
     (built.collection(rh).clone(), built.collection(sh).clone())
 }
 
-/// All five fast-path algorithms agree with the oracle, for every weighting
-/// scheme and global order.
+/// The four fast-path executors and the planner agree with the oracle, for
+/// every weighting scheme and global order.
 #[test]
 fn executors_match_oracle() {
     for seed in 0..64u64 {
@@ -105,7 +105,6 @@ fn executors_match_oracle() {
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
             Algorithm::PositionalInline,
-            Algorithm::Partition,
             Algorithm::Auto,
         ] {
             let out = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg)).unwrap();
@@ -178,9 +177,9 @@ fn relational_plans_match_fast_path() {
     }
 }
 
-/// Parallel execution — under both shard policies and with the bitmap
-/// signature filter on or off — is exactly equivalent to sequential: same
-/// pairs, same overlaps, for every algorithm.
+/// Parallel execution — with the bitmap signature filter on or off — is
+/// exactly equivalent to sequential: same pairs, same overlaps, for every
+/// algorithm.
 #[test]
 fn parallel_equals_sequential() {
     for seed in 0..24u64 {
@@ -194,26 +193,19 @@ fn parallel_equals_sequential() {
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
             Algorithm::PositionalInline,
-            Algorithm::Partition,
             Algorithm::Auto,
         ] {
             let seq = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg)).unwrap();
             for threads in [2usize, 8] {
-                for (shard, bitmap) in [
-                    (ShardPolicy::GroupChunks, false),
-                    (ShardPolicy::token_shards(), false),
-                    (ShardPolicy::token_shards(), true),
-                ] {
+                for bitmap in [false, true] {
                     let ctx = ExecContext::new()
                         .with_threads(threads)
-                        .with_shard_policy(shard)
                         .with_bitmap_filter(bitmap);
                     let par =
                         ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg).with_exec(ctx)).unwrap();
                     assert_eq!(
                         seq.pairs, par.pairs,
-                        "seed {seed}, alg {alg:?}, threads {threads}, \
-                         shard {shard:?}, bitmap {bitmap}"
+                        "seed {seed}, alg {alg:?}, threads {threads}, bitmap {bitmap}"
                     );
                 }
             }
@@ -221,10 +213,11 @@ fn parallel_equals_sequential() {
     }
 }
 
-/// The threshold-aware kernels (early-exit and galloping) agree with the
-/// full linear merge on random weighted sets — including empty, singleton,
-/// disjoint, identical, and heavily skewed-length pairs — at thresholds
-/// below, at, and above the exact overlap.
+/// The verification kernel and both of its paths (early-exit merge and
+/// galloping) agree with the full linear merge on random weighted sets —
+/// including empty, singleton, disjoint, identical, and heavily
+/// skewed-length pairs — at thresholds below, at, and above the exact
+/// overlap.
 #[test]
 fn kernels_agree_with_linear_oracle() {
     for seed in 0..24u64 {
@@ -271,61 +264,10 @@ fn kernels_agree_with_linear_oracle() {
                         want,
                         "gallop: seed {seed} pair ({i},{j}) required {required}"
                     );
-                    for kernel in [
-                        OverlapKernel::Linear,
-                        OverlapKernel::EarlyExit,
-                        OverlapKernel::Adaptive,
-                    ] {
-                        assert_eq!(
-                            verify_overlap(kernel, a, b, required, &mut st),
-                            want,
-                            "{kernel:?}: seed {seed} pair ({i},{j}) required {required}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Kernel choice never changes the join output: every algorithm produces
-/// bit-for-bit identical pairs under Linear, EarlyExit, and Adaptive, at
-/// thread counts 1, 2, and 8.
-#[test]
-fn kernel_choice_never_changes_output() {
-    for seed in 0..12u64 {
-        let mut rng = StdRng::seed_from_u64(0xBEEF + seed);
-        let pred = random_predicate(&mut rng);
-        let order = random_order(&mut rng);
-        let groups = random_groups(&mut rng);
-        let (r, s) = build_two(groups.clone(), groups, WeightScheme::Idf, order);
-        for alg in [
-            Algorithm::Basic,
-            Algorithm::PrefixFiltered,
-            Algorithm::Inline,
-            Algorithm::PositionalInline,
-            Algorithm::Partition,
-            Algorithm::Auto,
-        ] {
-            let baseline = ssjoin(
-                &r,
-                &s,
-                &pred,
-                &SsJoinConfig::new(alg).with_kernel(OverlapKernel::Linear),
-            )
-            .unwrap();
-            for kernel in [
-                OverlapKernel::Linear,
-                OverlapKernel::EarlyExit,
-                OverlapKernel::Adaptive,
-            ] {
-                for threads in [1usize, 2, 8] {
-                    let ctx = ExecContext::new().with_threads(threads).with_kernel(kernel);
-                    let out =
-                        ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg).with_exec(ctx)).unwrap();
                     assert_eq!(
-                        baseline.pairs, out.pairs,
-                        "seed {seed}, alg {alg:?}, kernel {kernel:?}, threads {threads}"
+                        verify_overlap(a, b, required, &mut st),
+                        want,
+                        "verify_overlap: seed {seed} pair ({i},{j}) required {required}"
                     );
                 }
             }
@@ -333,16 +275,15 @@ fn kernel_choice_never_changes_output() {
     }
 }
 
-/// Signature width never changes the join output: for every width × kernel
-/// × executor × thread count, with the bitmap filter on and off, the emitted
-/// pairs (ids *and* overlaps) are bit-identical to the sequential
-/// linear-kernel unfiltered baseline. This is the losslessness proof for
-/// the wide-signature filter: the folded bound always dominates the exact
-/// overlap, so pruning below the required overlap removes only pairs the
-/// predicate would reject anyway.
+/// The bitmap filter never changes the join output: for every executor ×
+/// thread count, with the filter on and off, the emitted pairs (ids *and*
+/// overlaps) are bit-identical to the sequential unfiltered baseline. This
+/// is the losslessness proof for the signature filter: the 8-word bound
+/// always dominates the exact overlap, so pruning below the required
+/// overlap removes only pairs the predicate would reject anyway.
 #[test]
-fn signature_width_never_changes_output() {
-    for seed in 0..6u64 {
+fn bitmap_filter_never_changes_output() {
+    for seed in 0..12u64 {
         let mut rng = StdRng::seed_from_u64(0x51D7 + seed);
         let pred = random_predicate(&mut rng);
         let order = random_order(&mut rng);
@@ -353,52 +294,91 @@ fn signature_width_never_changes_output() {
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
             Algorithm::PositionalInline,
-            Algorithm::Partition,
             Algorithm::Auto,
         ] {
-            let baseline = ssjoin(
-                &r,
-                &s,
-                &pred,
-                &SsJoinConfig::new(alg).with_kernel(OverlapKernel::Linear),
-            )
-            .unwrap();
-            for width in SignatureWidth::ALL {
-                for kernel in [
-                    OverlapKernel::Linear,
-                    OverlapKernel::EarlyExit,
-                    OverlapKernel::Adaptive,
-                ] {
-                    for threads in [1usize, 2, 8] {
-                        for filter in [false, true] {
-                            let ctx = ExecContext::new()
-                                .with_threads(threads)
-                                .with_kernel(kernel)
-                                .with_bitmap_filter(filter)
-                                .with_signature_width(width);
-                            let out = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg).with_exec(ctx))
-                                .unwrap();
-                            assert_eq!(
-                                baseline.pairs, out.pairs,
-                                "seed {seed}, alg {alg:?}, width {width}, kernel {kernel:?}, \
-                                 threads {threads}, filter {filter}"
-                            );
-                        }
-                    }
+            let baseline = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg)).unwrap();
+            for threads in [1usize, 2, 8] {
+                for filter in [false, true] {
+                    let ctx = ExecContext::new()
+                        .with_threads(threads)
+                        .with_bitmap_filter(filter);
+                    let out =
+                        ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg).with_exec(ctx)).unwrap();
+                    assert_eq!(
+                        baseline.pairs, out.pairs,
+                        "seed {seed}, alg {alg:?}, threads {threads}, filter {filter}"
+                    );
                 }
             }
         }
     }
 }
 
-/// The full-configuration planner's contract: whatever `Algorithm::Auto`
-/// picks, its output is bit-identical (ids *and* overlaps) to every forced
-/// configuration — executor × kernel × signature width × thread count ×
-/// filter — on both the one-shot path and the [`CorpusIndex::probe`] path
-/// (where the width is pinned at build time).
+/// Parallel inline on a Zipf-head corpus — every set carries one stop-word
+/// token, so a single rank's posting list spans the whole collection and
+/// the token-sharded executor must split it across workers — emits exactly
+/// the sequential pairs at every thread count, with or without the filter.
+#[test]
+fn parallel_inline_matches_sequential_on_zipf_head() {
+    for seed in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(0x21FF + seed);
+        let groups: Vec<Vec<String>> = (0..rng.gen_range(40usize..120))
+            .map(|i| {
+                let mut g = vec!["the".to_string()];
+                if rng.gen_bool(0.7) {
+                    g.push("of".to_string());
+                }
+                g.push(format!("mid{}", i % 9));
+                for _ in 0..rng.gen_range(1usize..5) {
+                    g.push(format!("r{}", rng.gen_range(0u32..60)));
+                }
+                g
+            })
+            .collect();
+        let pred = random_predicate(&mut rng);
+        let (r, s) = build_two(
+            groups.clone(),
+            groups,
+            WeightScheme::Idf,
+            ElementOrder::FrequencyAsc,
+        );
+        let seq = ssjoin(&r, &s, &pred, &SsJoinConfig::new(Algorithm::Inline)).unwrap();
+        for threads in [2usize, 4, 8] {
+            for filter in [false, true] {
+                let ctx = ExecContext::new()
+                    .with_threads(threads)
+                    .with_bitmap_filter(filter);
+                let par = ssjoin(
+                    &r,
+                    &s,
+                    &pred,
+                    &SsJoinConfig::new(Algorithm::Inline).with_exec(ctx),
+                )
+                .unwrap();
+                assert_eq!(
+                    seq.pairs, par.pairs,
+                    "seed {seed}, threads {threads}, filter {filter}"
+                );
+                assert_eq!(par.algorithm_used, Algorithm::Inline);
+                assert_eq!(seq.stats.candidate_pairs, par.stats.candidate_pairs);
+            }
+        }
+    }
+}
+
+/// The planner's contract: whatever `Algorithm::Auto` picks, its output is
+/// bit-identical (ids *and* overlaps) to every forced configuration —
+/// executor × thread count × filter — on both the one-shot path and the
+/// [`CorpusIndex::probe`] path.
 #[test]
 fn auto_matches_every_forced_configuration() {
-    for seed in 0..4u64 {
+    const EXECUTORS: [Algorithm; 4] = [
+        Algorithm::Basic,
+        Algorithm::PrefixFiltered,
+        Algorithm::Inline,
+        Algorithm::PositionalInline,
+    ];
+    for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(0xA070 + seed);
         let pred = random_predicate(&mut rng);
         let order = random_order(&mut rng);
@@ -406,70 +386,35 @@ fn auto_matches_every_forced_configuration() {
         let (r, s) = build_two(groups.clone(), groups, WeightScheme::Idf, order);
         let auto = ssjoin(&r, &s, &pred, &SsJoinConfig::new(Algorithm::Auto)).unwrap();
         assert!(auto.stats.plan.is_some(), "seed {seed}: no plan recorded");
-        for alg in [
-            Algorithm::Basic,
-            Algorithm::PrefixFiltered,
-            Algorithm::Inline,
-            Algorithm::PositionalInline,
-            Algorithm::Partition,
-        ] {
-            for kernel in [
-                OverlapKernel::Linear,
-                OverlapKernel::EarlyExit,
-                OverlapKernel::Adaptive,
-            ] {
-                for width in SignatureWidth::ALL {
-                    for threads in [1usize, 4] {
-                        for filter in [false, true] {
-                            let ctx = ExecContext::new()
-                                .with_threads(threads)
-                                .with_kernel(kernel)
-                                .with_bitmap_filter(filter)
-                                .with_signature_width(width);
-                            let forced =
-                                ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg).with_exec(ctx))
-                                    .unwrap();
-                            assert_eq!(
-                                auto.pairs, forced.pairs,
-                                "seed {seed}: auto differs from {alg:?}/{kernel:?}/{width}/\
-                                 {threads}t/filter={filter}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        // Probe path: an index per width; the auto probe must match every
-        // forced probe at that width.
+        let index = CorpusIndex::build(s.clone(), pred.clone()).unwrap();
         let mut ws = JoinWorkspace::new();
-        for width in SignatureWidth::ALL {
-            let options = CorpusIndexOptions {
-                signature_width: width,
-                ..CorpusIndexOptions::default()
-            };
-            let index = CorpusIndex::build_with(s.clone(), pred.clone(), &options).unwrap();
-            let auto_cfg = SsJoinConfig::new(Algorithm::Auto).with_signature_width(width);
-            let auto_probe = index.probe(&r, &auto_cfg, &mut ws).unwrap();
+        for threads in [1usize, 4] {
+            let auto_probe = index
+                .probe(
+                    &r,
+                    &SsJoinConfig::new(Algorithm::Auto).with_threads(threads),
+                    &mut ws,
+                )
+                .unwrap();
             assert!(
                 auto_probe.stats.plan.is_some(),
-                "seed {seed}, width {width}: no probe plan recorded"
+                "seed {seed}, {threads}t: no probe plan recorded"
             );
-            let auto_pairs = auto_probe.pairs.to_vec();
-            for alg in [
-                Algorithm::Basic,
-                Algorithm::PrefixFiltered,
-                Algorithm::Inline,
-                Algorithm::PositionalInline,
-                Algorithm::Partition,
-            ] {
-                for threads in [1usize, 4] {
+            assert_eq!(auto.pairs, auto_probe.pairs, "seed {seed}, {threads}t");
+            for alg in EXECUTORS {
+                for filter in [false, true] {
                     let cfg = SsJoinConfig::new(alg)
                         .with_threads(threads)
-                        .with_signature_width(width);
-                    let forced = index.probe(&r, &cfg, &mut ws).unwrap();
+                        .with_bitmap_filter(filter);
+                    let forced = ssjoin(&r, &s, &pred, &cfg).unwrap();
                     assert_eq!(
-                        auto_pairs, forced.pairs,
-                        "seed {seed}: auto probe differs from {alg:?}/{width}/{threads}t"
+                        auto.pairs, forced.pairs,
+                        "seed {seed}: auto differs from {alg:?}/{threads}t/filter={filter}"
+                    );
+                    let probed = index.probe(&r, &cfg, &mut ws).unwrap();
+                    assert_eq!(
+                        auto.pairs, probed.pairs,
+                        "seed {seed}: probe differs from {alg:?}/{threads}t/filter={filter}"
                     );
                 }
             }

@@ -2,15 +2,14 @@
 //! [`ExecBudget::max_resident_bytes`] set below the memory estimate must
 //! complete via token-range spill with output **bit-identical** to the
 //! unbudgeted in-memory run — across partition counts (driven by the
-//! budget), executors, kernels, signature widths, and thread counts — and
+//! budget), executors, bitmap filter settings, and thread counts — and
 //! budget interruptions (deadline, cancel) mid-spill must abort with the
 //! typed `BudgetExceeded` error, never a stray temp file.
 
 use ssjoin_core::{
     estimate_memory_bytes, plan_spill, ssjoin, Algorithm, CancelToken, CorpusIndex,
-    CorpusIndexOptions, ElementOrder, ExecBudget, JoinPair, JoinWorkspace, OverlapKernel,
-    OverlapPredicate, SetCollection, SignatureWidth, SsJoinConfig, SsJoinError, SsJoinInputBuilder,
-    Weight, WeightScheme,
+    CorpusIndexOptions, ElementOrder, ExecBudget, JoinPair, JoinWorkspace, OverlapPredicate,
+    SetCollection, SsJoinConfig, SsJoinError, SsJoinInputBuilder, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 use std::sync::Mutex;
@@ -72,7 +71,7 @@ fn partition_forcing_budgets(c: &SetCollection) -> Vec<(usize, u64)> {
 }
 
 /// The tentpole property: spilled ≡ resident, bit for bit, across
-/// partition counts × executors × kernels × widths × threads.
+/// partition counts × executors × bitmap filter × threads.
 #[test]
 fn spilled_output_bit_identical_to_resident() {
     let _guard = SPILL_DIR.lock().unwrap();
@@ -88,21 +87,13 @@ fn spilled_output_bit_identical_to_resident() {
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
         Algorithm::PositionalInline,
-        Algorithm::Partition,
         Algorithm::Auto,
     ] {
         for threads in [1usize, 3] {
-            for (kernel, width) in [
-                (OverlapKernel::Linear, None),
-                (OverlapKernel::EarlyExit, Some(SignatureWidth::W1)),
-                (OverlapKernel::Adaptive, Some(SignatureWidth::W8)),
-            ] {
-                let mut cfg = SsJoinConfig::new(alg)
+            for filter in [false, true] {
+                let cfg = SsJoinConfig::new(alg)
                     .with_threads(threads)
-                    .with_kernel(kernel);
-                if let Some(w) = width {
-                    cfg = cfg.with_bitmap_filter(true).with_signature_width(w);
-                }
+                    .with_bitmap_filter(filter);
                 let base = ssjoin(&c, &c, &pred, &cfg).unwrap();
                 assert_eq!(base.stats.spill_partitions, 0, "unbudgeted run spilled");
                 for &(partitions, budget) in &budgets {
@@ -113,7 +104,7 @@ fn spilled_output_bit_identical_to_resident() {
                     assert_eq!(
                         keyed(&base.pairs),
                         keyed(&out.pairs),
-                        "alg {alg:?} threads {threads} kernel {kernel:?} width {width:?} \
+                        "alg {alg:?} threads {threads} filter {filter} \
                          partitions {partitions}: spilled output diverged"
                     );
                     assert_eq!(

@@ -1,13 +1,12 @@
 //! Workspace-reuse correctness: a single [`JoinWorkspace`] serving many
-//! runs — across predicates, collections, kernels, executors, and thread
+//! runs — across predicates, collections, filter settings, executors, and thread
 //! counts — must produce output bit-for-bit identical to fresh-workspace
 //! runs, and no state (stamps, candidate buffers, accumulators, shard
 //! plans) may leak from one run into the next.
 
-use ssjoin_core::kernel::OverlapKernel;
 use ssjoin_core::{
     ssjoin, ssjoin_with, Algorithm, ElementOrder, JoinPair, JoinWorkspace, OverlapPredicate,
-    SetCollection, ShardPolicy, SsJoinConfig, SsJoinInputBuilder, WeightScheme,
+    SetCollection, SsJoinConfig, SsJoinInputBuilder, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 
@@ -41,7 +40,7 @@ fn build_self(groups: Vec<Vec<String>>, scheme: WeightScheme) -> SetCollection {
     b.build().unwrap().collection(h).clone()
 }
 
-/// Every (kernel × algorithm × threads) combination, on a stream of varying
+/// Every (bitmap filter × algorithm × threads) combination, on a stream of varying
 /// collections and predicates sharing ONE workspace, must match a
 /// fresh-workspace run of the same query bit-for-bit (pairs including
 /// overlap weights, and the schedule-independent counters).
@@ -54,13 +53,8 @@ fn reused_workspace_matches_fresh_matrix() {
         Algorithm::PositionalInline,
         Algorithm::Auto,
     ];
-    let kernels = [
-        OverlapKernel::Linear,
-        OverlapKernel::EarlyExit,
-        OverlapKernel::Adaptive,
-    ];
     for (a, &algorithm) in algorithms.iter().enumerate() {
-        for (k, &kernel) in kernels.iter().enumerate() {
+        for (k, filter) in [false, true].into_iter().enumerate() {
             for (t, &threads) in [1usize, 4].iter().enumerate() {
                 // One workspace per combination, reused across every
                 // iteration's (collection, predicate) pair.
@@ -75,15 +69,14 @@ fn reused_workspace_matches_fresh_matrix() {
                     let c = build_self(random_groups(&mut rng, 30), scheme);
                     let pred = random_predicate(&mut rng);
                     let config = SsJoinConfig::new(algorithm)
-                        .with_kernel(kernel)
-                        .with_threads(threads)
-                        .with_shard_policy(ShardPolicy::token_shards());
+                        .with_bitmap_filter(filter)
+                        .with_threads(threads);
                     let fresh = ssjoin(&c, &c, &pred, &config).unwrap();
                     let reused = ssjoin_with(&c, &c, &pred, &config, &mut ws).unwrap();
                     assert_eq!(
                         fresh.pairs,
                         reused.pairs.to_vec(),
-                        "alg {algorithm:?} kernel {kernel:?} threads {threads} round {round}"
+                        "alg {algorithm:?} filter {filter} threads {threads} round {round}"
                     );
                     assert_eq!(fresh.stats.join_tuples, reused.stats.join_tuples);
                     assert_eq!(fresh.stats.candidate_pairs, reused.stats.candidate_pairs);

@@ -11,7 +11,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use ssjoin_core::kernel::OverlapKernel;
 use ssjoin_core::{
     ssjoin_with, Algorithm, CorpusIndex, ElementOrder, JoinWorkspace, OverlapPredicate,
     SetCollection, SsJoinConfig, SsJoinInputBuilder, WeightScheme,
@@ -91,16 +90,12 @@ fn warm_workspace_runs_allocation_free() {
         Algorithm::PositionalInline,
         Algorithm::Auto,
     ] {
-        for kernel in [
-            OverlapKernel::Linear,
-            OverlapKernel::EarlyExit,
-            OverlapKernel::Adaptive,
-        ] {
+        for filter in [false, true] {
             // The strict zero-allocation contract covers the sequential hot
             // path: spawning scoped threads inherently allocates stacks, so
             // parallel runs are exercised for reuse-correctness elsewhere.
             let config = SsJoinConfig::new(algorithm)
-                .with_kernel(kernel)
+                .with_bitmap_filter(filter)
                 .with_threads(1);
             let mut ws = JoinWorkspace::new();
             // Warm the pools: one cold run per predicate.
@@ -120,9 +115,9 @@ fn warm_workspace_runs_allocation_free() {
                 });
                 assert_eq!(
                     allocs, 0,
-                    "warm run allocated: alg {algorithm:?} kernel {kernel:?} pred {pred:?}"
+                    "warm run allocated: alg {algorithm:?} filter {filter} pred {pred:?}"
                 );
-                assert_eq!(got, expect.len(), "alg {algorithm:?} kernel {kernel:?}");
+                assert_eq!(got, expect.len(), "alg {algorithm:?} filter {filter}");
             }
         }
 

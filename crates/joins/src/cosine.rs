@@ -32,7 +32,7 @@ pub struct CosineConfig {
     pub threshold: f64,
     /// SSJoin physical algorithm.
     pub algorithm: Algorithm,
-    /// Execution context (threads, shard policy, bitmap filter).
+    /// Execution context (threads, bitmap filter, budget).
     pub exec: ExecContext,
 }
 

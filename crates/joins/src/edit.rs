@@ -39,8 +39,8 @@ pub struct EditJoinConfig {
     pub threshold: f64,
     /// SSJoin physical algorithm.
     pub algorithm: Algorithm,
-    /// Execution context for the SSJoin (threads, shard policy, bitmap
-    /// filter).
+    /// Execution context for the SSJoin (threads, bitmap
+    /// filter, budget).
     pub exec: ExecContext,
     /// Global element order (ablation hook; the default is the paper's).
     pub order: ElementOrder,
@@ -68,8 +68,8 @@ impl EditJoinConfig {
         self
     }
 
-    /// Override the execution context (threads, shard policy, bitmap
-    /// filter and its signature width).
+    /// Override the execution context (threads, bitmap
+    /// filter, budget).
     pub fn with_exec(mut self, exec: ExecContext) -> Self {
         self.exec = exec;
         self

@@ -40,8 +40,8 @@ pub struct GesJoinConfig {
     pub beta: f64,
     /// SSJoin physical algorithm for the candidate join.
     pub algorithm: Algorithm,
-    /// Execution context for the candidate SSJoin (threads, shard policy,
-    /// bitmap filter).
+    /// Execution context for the candidate SSJoin (threads,
+    /// bitmap filter, budget).
     pub exec: ExecContext,
     /// Brute-force mode: skip candidate generation and verify every pair
     /// (exact reference, used for recall measurement).
@@ -77,8 +77,8 @@ impl GesJoinConfig {
         self
     }
 
-    /// Override the execution context (threads, shard policy, bitmap
-    /// filter and its signature width).
+    /// Override the execution context (threads, bitmap
+    /// filter, budget).
     pub fn with_exec(mut self, exec: ExecContext) -> Self {
         self.exec = exec;
         self

@@ -35,7 +35,7 @@ pub struct JaccardConfig {
     pub weights: WeightScheme,
     /// SSJoin physical algorithm.
     pub algorithm: Algorithm,
-    /// Execution context (threads, shard policy, bitmap filter).
+    /// Execution context (threads, bitmap filter, budget).
     pub exec: ExecContext,
     /// Global element order.
     pub order: ElementOrder,

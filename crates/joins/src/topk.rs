@@ -172,10 +172,11 @@ pub struct TopKIndex {
     index: CorpusIndex,
     ss_config: SsJoinConfig,
     ws: JoinWorkspace,
-    /// Reference ids below the q-gram cutoff (exact pool for short queries).
+    /// Live reference ids below the q-gram cutoff (exact pool for short
+    /// queries), ascending.
     short_ids: Vec<u32>,
-    /// Inserted ids whose encoding dropped out-of-universe q-grams; checked
-    /// against every query.
+    /// Live inserted ids whose encoding dropped out-of-universe q-grams;
+    /// checked against every query. Ascending.
     brute_ids: Vec<u32>,
     short_cutoff: usize,
     /// Stats of the most recent probe (see [`TopKIndex::last_stats`]).
@@ -394,12 +395,19 @@ impl TopKIndex {
     }
 
     /// Tombstone a reference: it stops appearing in match results
-    /// immediately. Idempotent.
+    /// immediately, and leaves the exact brute-force pools, so later
+    /// lookups never walk it again. Idempotent.
     ///
     /// # Errors
     /// Returns [`SsJoinError::InvalidInput`] when `id` was never inserted.
     pub fn delete(&mut self, id: u32) -> SsJoinResult<()> {
-        self.index.delete(id)
+        self.index.delete(id)?;
+        for pool in [&mut self.short_ids, &mut self.brute_ids] {
+            if let Ok(pos) = pool.binary_search(&id) {
+                pool.remove(pos);
+            }
+        }
+        Ok(())
     }
 
     /// The text of reference `id`, or `None` when out of range or deleted.
@@ -627,6 +635,83 @@ mod tests {
         assert_eq!(index.live_len(), refs.len() - 2);
         assert_eq!(index.reference_text(1), None);
         assert_eq!(index.reference_text(0), Some("microsoft corporation"));
+    }
+
+    #[test]
+    fn delete_shrinks_brute_pools_and_matches_fresh_index() {
+        // At floor 0.8 and q = 3 the q-gram cutoff is 8 characters.
+        let config = TopKConfig::new(10, 0.8).unwrap();
+        let mut refs = reference();
+        refs.push("ab".into()); // id 5: short
+        let mut index = TopKIndex::build(&refs, config.clone()).unwrap();
+        // Short inserts, and inserts whose q-grams fall outside the frozen
+        // universe (under-encoded, so brute-forced against every query).
+        for added in [
+            "abc",
+            "xyz",
+            "qqq www zzz",
+            "jjj kkk vvv",
+            "microsoft corpp",
+        ] {
+            index.insert(added).unwrap();
+            refs.push(added.to_string());
+        }
+        // Pool memberships of `id` (a short under-encoded row is in both).
+        let memberships = |index: &TopKIndex, id: u32| {
+            usize::from(index.short_ids.contains(&id)) + usize::from(index.brute_ids.contains(&id))
+        };
+        let pooled = index.short_ids.len() + index.brute_ids.len();
+        let deleted = [5u32, 6, 8]; // "ab", "abc", "qqq www zzz"
+        let removed: usize = deleted.iter().map(|&id| memberships(&index, id)).sum();
+        assert!(deleted.iter().all(|&id| memberships(&index, id) > 0));
+        for id in deleted {
+            index.delete(id).unwrap();
+        }
+        index.delete(8).unwrap(); // idempotent
+        assert!(deleted.iter().all(|&id| memberships(&index, id) == 0));
+        assert_eq!(
+            index.short_ids.len() + index.brute_ids.len(),
+            pooled - removed
+        );
+
+        // A fresh index over the live rows answers identically, ids remapped.
+        let live: Vec<u32> = (0..refs.len() as u32)
+            .filter(|id| !deleted.contains(id))
+            .collect();
+        let live_refs: Vec<String> = live.iter().map(|&i| refs[i as usize].clone()).collect();
+        let mut fresh = TopKIndex::build(&live_refs, config).unwrap();
+        for query in [
+            "ab",
+            "abc",
+            "xyz",
+            "qqq www zzz",
+            "jjj kkk vvv",
+            "microsoft corp",
+        ] {
+            let want: Vec<TopKMatch> = fresh
+                .matches(query)
+                .unwrap()
+                .into_iter()
+                .map(|m| TopKMatch {
+                    index: live[m.index as usize],
+                    similarity: m.similarity,
+                })
+                .collect();
+            assert_eq!(index.matches(query).unwrap(), want, "query={query:?}");
+        }
+        let remap = |pairs: Vec<MatchPair>| -> Vec<(u32, u32)> {
+            pairs
+                .iter()
+                .map(|p| (live[p.r as usize], live[p.s as usize]))
+                .collect()
+        };
+        let got: Vec<(u32, u32)> = index
+            .self_pairs(0.8)
+            .unwrap()
+            .iter()
+            .map(|p| (p.r, p.s))
+            .collect();
+        assert_eq!(got, remap(fresh.self_pairs(0.8).unwrap()));
     }
 
     #[test]

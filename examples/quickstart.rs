@@ -35,7 +35,7 @@ fn main() {
 
     // "At least 60% of the R group's cities must co-occur" — the 1-sided
     // normalized predicate of Example 2. `SsJoin` is the unified entry
-    // point: algorithm, threads, shard policy, and candidate filters hang
+    // point: algorithm, threads, the bitmap filter, and budgets hang
     // off one builder.
     let out = SsJoin::between(built.collection(rh), built.collection(sh))
         .predicate(OverlapPredicate::r_normalized(0.6))

@@ -1,7 +1,7 @@
 //! `ssjoin` — command-line similarity joins for data cleaning.
 //!
 //! ```text
-//! ssjoin join   --kind jaccard --threshold 0.85 [--algorithm inline] [--signature-width 4] [--memory-budget 64m] [--approx 0.9] [--self-dedupe] R.tsv [S.tsv]
+//! ssjoin join   --kind jaccard --threshold 0.85 [--algorithm inline] [--bitmap-filter] [--memory-budget 64m] [--approx 0.9] [--self-dedupe] R.tsv [S.tsv]
 //! ssjoin match  --reference R.tsv --query "some string" [--k 3] [--min-sim 0.6]
 //! ssjoin serve  --reference R.tsv [--k 3] [--min-sim 0.6] [--q 3] [--memory-budget 64m] [--approx 0.9]
 //! ssjoin dedup  --threshold 0.85 [--kind edit] FILE.tsv
@@ -25,6 +25,13 @@
 //!
 //! Failed requests answer `err <message>` and the server keeps reading.
 //!
+//! Each subcommand accepts only its own options (see the usage text); any
+//! other `--option` is an error naming it, never silently ignored.
+//!
+//! `--bitmap-filter` turns on the lossless 8-word signature filter, which
+//! prunes candidates before verification: counters change, output never
+//! does.
+//!
 //! `--memory-budget` (plain bytes, or with a `k`/`m`/`g` suffix) bounds the
 //! resident working set: joins and serve-mode probe batches whose memory
 //! estimate exceeds the budget run out of core via token-range spill
@@ -38,7 +45,7 @@
 //! print the winning execution plan (and the approx setting) to stderr;
 //! serve mode surfaces it in the `stats` response.
 
-use ssjoin::core::{Algorithm, ExecBudget, ExecContext, SignatureWidth};
+use ssjoin::core::{Algorithm, ExecBudget, ExecContext};
 use ssjoin::datagen::{read_tsv, write_tsv, AddressCorpus, AddressCorpusConfig};
 use ssjoin::joins::{
     cluster_pairs, cosine_join, dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join,
@@ -64,8 +71,8 @@ enum Command {
         kind: JoinKind,
         threshold: f64,
         algorithm: Algorithm,
-        /// `Some(w)` turns the bitmap signature filter on at view width `w`.
-        signature_width: Option<SignatureWidth>,
+        /// Turns the bitmap signature filter on.
+        bitmap_filter: bool,
         /// Resident budget in bytes; oversized joins spill to disk.
         memory_budget: Option<u64>,
         /// `Some(recall)` opts in to approximate candidate generation.
@@ -106,8 +113,8 @@ enum Command {
 
 const USAGE: &str = "usage:
   ssjoin join  --kind <edit|jaccard|cosine|ges> --threshold F \\
-               [--algorithm <basic|prefix|inline|positional|partition|auto>] \\
-               [--signature-width <1|2|4|8>] [--memory-budget BYTES[k|m|g]] \\
+               [--algorithm <basic|prefix|inline|positional|auto>] \\
+               [--bitmap-filter] [--memory-budget BYTES[k|m|g]] \\
                [--approx RECALL] [--self-dedupe] [--out OUT.tsv] R.tsv [S.tsv]
   ssjoin match --reference R.tsv --query STRING [--k N] [--min-sim F]
   ssjoin serve --reference R.tsv [--k N] [--min-sim F] [--q N] \\
@@ -153,10 +160,42 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
         "prefix" => Ok(Algorithm::PrefixFiltered),
         "inline" => Ok(Algorithm::Inline),
         "positional" => Ok(Algorithm::PositionalInline),
-        "partition" => Ok(Algorithm::Partition),
         "auto" => Ok(Algorithm::Auto),
         other => Err(format!("unknown algorithm {other:?}")),
     }
+}
+
+/// The options one subcommand accepts: `--key value` options and bare
+/// `--flag`s, both without the leading dashes.
+struct OptionSpec {
+    options: &'static [&'static str],
+    flags: &'static [&'static str],
+}
+
+/// The option set of each subcommand; `None` for an unknown command.
+fn option_spec(cmd: &str) -> Option<OptionSpec> {
+    let (options, flags): (&[&str], &[&str]) = match cmd {
+        "join" => (
+            &[
+                "kind",
+                "threshold",
+                "algorithm",
+                "memory-budget",
+                "approx",
+                "out",
+            ],
+            &["bitmap-filter", "self-dedupe"],
+        ),
+        "match" => (&["reference", "query", "k", "min-sim"], &[]),
+        "serve" => (
+            &["reference", "k", "min-sim", "q", "memory-budget", "approx"],
+            &[],
+        ),
+        "dedup" => (&["threshold", "kind"], &[]),
+        "gen" => (&["rows", "out", "seed"], &[]),
+        _ => return None,
+    };
+    Some(OptionSpec { options, flags })
 }
 
 /// Parse the argument vector (without the program name).
@@ -164,20 +203,28 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    let mut opts: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    let mut flags: Vec<String> = Vec::new();
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") || rest.iter().any(|a| a == "--help") {
+        return Ok(Command::Help);
+    }
+    let spec = option_spec(cmd).ok_or_else(|| format!("unknown command {cmd:?}\n{USAGE}"))?;
+    let mut opts: std::collections::HashMap<&str, String> = std::collections::HashMap::new();
+    let mut flags: Vec<&str> = Vec::new();
     let mut positional: Vec<String> = Vec::new();
     let mut i = 0;
     while i < rest.len() {
         let a = &rest[i];
-        if a == "--self-dedupe" || a == "--help" {
-            flags.push(a.clone());
-        } else if let Some(key) = a.strip_prefix("--") {
-            i += 1;
-            let value = rest
-                .get(i)
-                .ok_or_else(|| format!("option --{key} needs a value"))?;
-            opts.insert(key.to_string(), value.clone());
+        if let Some(key) = a.strip_prefix("--") {
+            if let Some(&flag) = spec.flags.iter().find(|&&f| f == key) {
+                flags.push(flag);
+            } else if let Some(&key) = spec.options.iter().find(|&&o| o == key) {
+                i += 1;
+                let value = rest
+                    .get(i)
+                    .ok_or_else(|| format!("option --{key} needs a value"))?;
+                opts.insert(key, value.clone());
+            } else {
+                return Err(format!("unknown option --{key} for {cmd}\n{USAGE}"));
+            }
         } else {
             positional.push(a.clone());
         }
@@ -195,7 +242,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     };
 
     match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
         "join" => {
             let kind = parse_kind(opts.get("kind").map(String::as_str).unwrap_or("jaccard"))?;
             let threshold = get_f64("threshold")?.ok_or("join requires --threshold".to_string())?;
@@ -204,12 +250,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                     .map(String::as_str)
                     .unwrap_or("inline"),
             )?;
-            let signature_width = get_usize("signature-width")?
-                .map(|w| {
-                    SignatureWidth::from_words(w)
-                        .ok_or_else(|| format!("--signature-width must be 1, 2, 4 or 8, got {w}"))
-                })
-                .transpose()?;
             let memory_budget = opts
                 .get("memory-budget")
                 .map(|v| parse_bytes(v))
@@ -222,10 +262,10 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 kind,
                 threshold,
                 algorithm,
-                signature_width,
+                bitmap_filter: flags.contains(&"bitmap-filter"),
                 memory_budget,
                 approx: get_f64("approx")?,
-                self_dedupe: flags.iter().any(|f| f == "--self-dedupe"),
+                self_dedupe: flags.contains(&"self-dedupe"),
                 r_path,
                 s_path: paths.next(),
                 out: opts.get("out").cloned(),
@@ -297,20 +337,13 @@ fn run_join(
     kind: JoinKind,
     threshold: f64,
     algorithm: Algorithm,
-    signature_width: Option<SignatureWidth>,
+    bitmap_filter: bool,
     memory_budget: Option<u64>,
     approx: Option<f64>,
     r: &[String],
     s: &[String],
 ) -> Result<SimilarityJoinOutput, String> {
-    // `--signature-width` implies the bitmap filter: a view width without
-    // the filter would be a silent no-op.
-    let mut exec = match signature_width {
-        Some(width) => ExecContext::new()
-            .with_bitmap_filter(true)
-            .with_signature_width(width),
-        None => ExecContext::new(),
-    };
+    let mut exec = ExecContext::new().with_bitmap_filter(bitmap_filter);
     if let Some(bytes) = memory_budget {
         exec = exec.with_budget(ExecBudget::new().with_max_resident_bytes(bytes));
     }
@@ -443,7 +476,7 @@ fn execute(cmd: Command) -> Result<(), String> {
             kind,
             threshold,
             algorithm,
-            signature_width,
+            bitmap_filter,
             memory_budget,
             approx,
             self_dedupe,
@@ -460,7 +493,7 @@ fn execute(cmd: Command) -> Result<(), String> {
                 kind,
                 threshold,
                 algorithm,
-                signature_width,
+                bitmap_filter,
                 memory_budget,
                 approx,
                 &r,
@@ -551,7 +584,7 @@ fn execute(cmd: Command) -> Result<(), String> {
                 kind,
                 threshold,
                 Algorithm::Inline,
-                None,
+                false,
                 None,
                 None,
                 &data,
@@ -622,7 +655,7 @@ mod tests {
                 kind: JoinKind::Edit,
                 threshold: 0.9,
                 algorithm: Algorithm::Basic,
-                signature_width: None,
+                bitmap_filter: false,
                 memory_budget: None,
                 approx: None,
                 self_dedupe: true,
@@ -668,7 +701,6 @@ mod tests {
             ("prefix", Algorithm::PrefixFiltered),
             ("inline", Algorithm::Inline),
             ("positional", Algorithm::PositionalInline),
-            ("partition", Algorithm::Partition),
             ("auto", Algorithm::Auto),
         ] {
             let cmd = parse_args(&sv(&[
@@ -696,53 +728,165 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("unknown algorithm"), "got {err}");
         // Every algorithm the parser accepts is advertised in the usage.
-        for name in [
-            "basic",
-            "prefix",
-            "inline",
-            "positional",
-            "partition",
-            "auto",
-        ] {
+        for name in ["basic", "prefix", "inline", "positional", "auto"] {
             assert!(USAGE.contains(name), "usage is missing {name}");
+        }
+        // The removed token-sharded executor name is now an unknown
+        // algorithm: `--algorithm inline` runs token shards when parallel.
+        assert!(parse_args(&sv(&[
+            "join",
+            "--threshold",
+            "0.8",
+            "--algorithm",
+            "partition",
+            "r.tsv"
+        ]))
+        .is_err());
+    }
+
+    #[test]
+    fn parses_bitmap_filter() {
+        let parse = |extra: &[&str]| {
+            let mut args = vec!["join", "--threshold", "0.8"];
+            args.extend_from_slice(extra);
+            args.push("r.tsv");
+            match parse_args(&sv(&args)).unwrap() {
+                Command::Join { bitmap_filter, .. } => bitmap_filter,
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        // A bare flag: two states, off by default.
+        assert!(!parse(&[]));
+        assert!(parse(&["--bitmap-filter"]));
+        assert!(USAGE.contains("[--bitmap-filter]"));
+    }
+
+    #[test]
+    fn rejects_unknown_options_by_name() {
+        for (args, option) in [
+            // A typo of an advertised option.
+            (&["join", "--treshold", "0.9", "r.tsv"][..], "--treshold"),
+            // Never supported by the CLI (it always runs one worker).
+            (
+                &["join", "--threshold", "0.9", "--threads", "4", "r.tsv"][..],
+                "--threads",
+            ),
+            // Removed: the filter is on/off, at one signature width.
+            (
+                &[
+                    "join",
+                    "--threshold",
+                    "0.9",
+                    "--signature-width",
+                    "4",
+                    "r.tsv",
+                ][..],
+                "--signature-width",
+            ),
+            // Valid for another subcommand only.
+            (
+                &["serve", "--reference", "r.tsv", "--threshold", "0.9"][..],
+                "--threshold",
+            ),
+            (
+                &[
+                    "match",
+                    "--reference",
+                    "r.tsv",
+                    "--query",
+                    "q",
+                    "--bitmap-filter",
+                ][..],
+                "--bitmap-filter",
+            ),
+            (
+                &["gen", "--rows", "10", "--out", "x.tsv", "--k", "3"][..],
+                "--k",
+            ),
+            (
+                &["dedup", "--threshold", "0.9", "--out", "x.tsv", "f.tsv"][..],
+                "--out",
+            ),
+        ] {
+            let err = parse_args(&sv(args)).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown option {option} for {}", args[0])),
+                "{args:?}: got {err}"
+            );
+            assert!(err.contains(USAGE), "{args:?}: error lacks the usage");
         }
     }
 
     #[test]
-    fn parses_signature_width() {
-        for (arg, width) in [
-            ("1", SignatureWidth::W1),
-            ("2", SignatureWidth::W2),
-            ("4", SignatureWidth::W4),
-            ("8", SignatureWidth::W8),
+    fn accepts_every_advertised_option() {
+        // Every option a subcommand accepts is advertised in the usage, and
+        // parses when given alongside the subcommand's required ones.
+        for (cmd, required) in [
+            ("join", &["--threshold", "0.8"][..]),
+            ("match", &["--reference", "r.tsv", "--query", "q"][..]),
+            ("serve", &["--reference", "r.tsv"][..]),
+            ("dedup", &["--threshold", "0.8"][..]),
+            ("gen", &["--rows", "10", "--out", "x.tsv"][..]),
         ] {
-            let cmd = parse_args(&sv(&[
-                "join",
-                "--threshold",
-                "0.8",
-                "--signature-width",
-                arg,
-                "r.tsv",
-            ]))
-            .unwrap();
-            match cmd {
-                Command::Join {
-                    signature_width, ..
-                } => assert_eq!(signature_width, Some(width)),
-                other => panic!("unexpected {other:?}"),
+            let spec = option_spec(cmd).unwrap();
+            let value = |opt: &str| match opt {
+                "kind" => "jaccard",
+                "algorithm" => "auto",
+                "memory-budget" => "64m",
+                "approx" => "0.9",
+                "out" | "reference" => "x.tsv",
+                "query" => "q",
+                _ => "3",
+            };
+            let with = |extra: &[String]| {
+                let mut args = sv(&[cmd]);
+                args.extend(sv(required));
+                args.extend_from_slice(extra);
+                args.push("f.tsv".into());
+                args
+            };
+            for opt in spec.options {
+                assert!(USAGE.contains(&format!("--{opt} ")), "usage lacks --{opt}");
+                let args = with(&[format!("--{opt}"), value(opt).into()]);
+                assert!(parse_args(&args).is_ok(), "{args:?}");
+            }
+            for flag in spec.flags {
+                let advertised = format!("[--{flag}]");
+                assert!(USAGE.contains(&advertised), "usage lacks {advertised}");
+                let args = with(&[format!("--{flag}")]);
+                assert!(parse_args(&args).is_ok(), "{args:?}");
             }
         }
-        // Anything but 1/2/4/8 is rejected with a helpful message.
-        let err = parse_args(&sv(&[
+        assert!(option_spec("frobnicate").is_none());
+    }
+
+    #[test]
+    fn parses_the_benchmark_invocations() {
+        // The end-to-end benchmark drives the CLI with exactly these.
+        let join = parse_args(&sv(&[
             "join",
+            "--kind",
+            "edit",
             "--threshold",
-            "0.8",
-            "--signature-width",
-            "3",
-            "r.tsv",
+            "0.85",
+            "--memory-budget",
+            "20971520",
+            "--out",
+            "o.tsv",
+            "a.tsv",
         ]))
-        .unwrap_err();
-        assert!(err.contains("1, 2, 4 or 8"), "got {err}");
+        .unwrap();
+        assert!(matches!(
+            join,
+            Command::Join {
+                memory_budget: Some(20_971_520),
+                bitmap_filter: false,
+                ..
+            }
+        ));
+        let serve =
+            parse_args(&sv(&["serve", "--reference", "r.tsv", "--min-sim", "0.8"])).unwrap();
+        assert!(matches!(serve, Command::Serve { min_sim, .. } if min_sim == 0.8));
     }
 
     #[test]
@@ -981,7 +1125,7 @@ mod tests {
             kind: JoinKind::Jaccard,
             threshold: 0.8,
             algorithm: Algorithm::Inline,
-            signature_width: Some(SignatureWidth::W4),
+            bitmap_filter: true,
             memory_budget: None,
             approx: None,
             self_dedupe: true,
@@ -1003,7 +1147,7 @@ mod tests {
             kind: JoinKind::Jaccard,
             threshold: 0.8,
             algorithm: Algorithm::Inline,
-            signature_width: Some(SignatureWidth::W4),
+            bitmap_filter: true,
             memory_budget: Some(64 << 10),
             approx: None,
             self_dedupe: true,
@@ -1025,7 +1169,7 @@ mod tests {
             kind: JoinKind::Jaccard,
             threshold: 0.8,
             algorithm: Algorithm::Inline,
-            signature_width: None,
+            bitmap_filter: false,
             memory_budget: None,
             approx: Some(0.9),
             self_dedupe: true,

@@ -25,10 +25,10 @@
 //!
 //! The [`SsJoin`] builder is the unified entry point — it drives both the
 //! fused fast-path executors and the relational-plan fidelity path, with
-//! threads, shard policy, and the bitmap signature filter as knobs:
+//! threads and the bitmap signature filter as knobs:
 //!
 //! ```
-//! use ssjoin::{Algorithm, OverlapPredicate, SignatureWidth, SsJoin, SsJoinInputBuilder};
+//! use ssjoin::{Algorithm, OverlapPredicate, SsJoin, SsJoinInputBuilder};
 //! use ssjoin::{ElementOrder, WeightScheme};
 //!
 //! let mut b = SsJoinInputBuilder::new(WeightScheme::Idf, ElementOrder::FrequencyAsc);
@@ -42,7 +42,6 @@
 //!     .algorithm(Algorithm::Inline)
 //!     .threads(2)
 //!     .bitmap_filter(true)
-//!     .signature_width(SignatureWidth::W4)
 //!     .run()
 //!     .unwrap();
 //! assert!(out.pairs.iter().any(|p| (p.r, p.s) == (0, 1)));
@@ -77,8 +76,8 @@ pub use ssjoin_text as text;
 pub use ssjoin_core::{
     ssjoin, ssjoin_with, Algorithm, ApproxSpec, BudgetCause, CancelToken, CorpusIndex,
     CorpusIndexOptions, ElementOrder, ExecBudget, ExecContext, JoinWorkspace, NormKind,
-    OverlapPredicate, QueryEncoder, ShardPolicy, SignatureWidth, SsJoinConfig, SsJoinInputBuilder,
-    SsJoinRun, StatsLevel, WeightScheme,
+    OverlapPredicate, QueryEncoder, SsJoinConfig, SsJoinInputBuilder, SsJoinRun, StatsLevel,
+    WeightScheme,
 };
 pub use ssjoin_joins::{
     cluster_pairs, cooccurrence_join, cosine_join, edit_similarity_join, ges_join, jaccard_join,
@@ -96,13 +95,13 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The fused in-memory executors (`ssjoin_core::exec`) — the fast path.
-    /// Honors every [`ExecContext`] knob: threads, shard policy, bitmap
-    /// filter, instrumentation level.
+    /// Honors every [`ExecContext`] knob: threads, bitmap filter,
+    /// instrumentation level, budget.
     #[default]
     Fast,
     /// The literal relational operator trees of `ssjoin_core::plan`
     /// (Figures 7–9 of the paper) — the fidelity path. Runs sequentially;
-    /// thread, shard, and bitmap settings are ignored.
+    /// thread and bitmap settings are ignored.
     RelationalPlan,
 }
 
@@ -186,24 +185,12 @@ impl<'a> SsJoin<'a> {
         self
     }
 
-    /// Set the parallel work-partitioning strategy (fast path only).
-    pub fn shard_policy(mut self, shard: ShardPolicy) -> Self {
-        self.config.exec.shard = shard;
-        self
-    }
-
-    /// Enable or disable the bitmap signature filter (fast path only).
+    /// Enable or disable the bitmap signature filter (fast path only). Every
+    /// set stores an 8×u64 signature; the filter prunes candidates whose
+    /// signature bound cannot reach the required overlap before verifying
+    /// them. Lossless: it changes counters, never output.
     pub fn bitmap_filter(mut self, on: bool) -> Self {
         self.config.exec.bitmap_filter = on;
-        self
-    }
-
-    /// Signature view width for the bitmap filter (fast path only). Every
-    /// set stores an 8×u64 signature; the filter folds it to this many
-    /// words per probe — wider views collide less and prune more. Ignored
-    /// while [`Self::bitmap_filter`] is off.
-    pub fn signature_width(mut self, width: SignatureWidth) -> Self {
-        self.config.exec.signature_width = width;
         self
     }
 
@@ -429,7 +416,7 @@ fn run_relational(
             s.norm_range(),
         ),
         Algorithm::Inline => inline_plan(r, s, pred),
-        Algorithm::PositionalInline | Algorithm::Partition => {
+        Algorithm::PositionalInline => {
             return Err(SsJoinError::Config(format!(
                 "{algorithm:?} has no relational-plan formulation; use Engine::Fast"
             )))
@@ -517,17 +504,16 @@ mod tests {
             .algorithm(Algorithm::Inline)
             .run()
             .unwrap();
-        for width in SignatureWidth::ALL {
+        for threads in [2, 4] {
             let par = SsJoin::new(&input)
                 .predicate(pred.clone())
                 .algorithm(Algorithm::Inline)
-                .threads(4)
-                .shard_policy(ShardPolicy::token_shards())
+                .threads(threads)
                 .bitmap_filter(true)
-                .signature_width(width)
                 .run()
                 .unwrap();
-            assert_eq!(seq.pairs, par.pairs, "width {width}");
+            assert_eq!(seq.pairs, par.pairs, "threads {threads}");
+            assert!(par.stats.bitmap_probes > 0, "threads {threads}");
         }
     }
 
@@ -607,7 +593,6 @@ mod tests {
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
             Algorithm::PositionalInline,
-            Algorithm::Partition,
             Algorithm::Auto,
         ] {
             let join = SsJoin::new(&input).predicate(pred.clone()).algorithm(alg);
