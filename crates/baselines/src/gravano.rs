@@ -20,7 +20,7 @@
 //! filter stack; the SSJoin paper's measured comparison counts (Table 1)
 //! correspond to the filter set it describes, without the count filter.
 
-use ssjoin_sim::{edit_similarity, levenshtein_within};
+use ssjoin_sim::{edit_distance_budget, edit_similarity, levenshtein_within};
 use ssjoin_text::{QGramTokenizer, Tokenizer};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -170,7 +170,9 @@ impl GravanoJoin {
                     stats.join_tuples += 1;
                     let slen = ps.lens[sid as usize];
                     let max_len = rlen.max(slen);
-                    let eps = ((1.0 - alpha) * max_len as f64).floor() as usize;
+                    let Some(eps) = edit_distance_budget(max_len, alpha) else {
+                        continue;
+                    };
                     // Length filter.
                     if rlen.abs_diff(slen) > eps {
                         continue;
@@ -191,7 +193,10 @@ impl GravanoJoin {
                 if self.config.count_filter {
                     let slen = ps.lens[sid as usize];
                     let max_len = rlen.max(slen);
-                    let eps = ((1.0 - alpha) * max_len as f64).floor() as i64;
+                    let Some(eps) = edit_distance_budget(max_len, alpha) else {
+                        continue;
+                    };
+                    let eps = eps as i64;
                     let bound = max_len as i64 - q as i64 + 1 - eps * q as i64;
                     if (count as i64) < bound {
                         continue;
@@ -220,7 +225,9 @@ impl GravanoJoin {
                 });
                 continue;
             }
-            let budget = ((1.0 - alpha) * max_len as f64).floor() as usize;
+            let Some(budget) = edit_distance_budget(max_len, alpha) else {
+                continue;
+            };
             if let Some(d) = levenshtein_within(a, b, budget) {
                 out.push(GravanoPair {
                     r: rid,

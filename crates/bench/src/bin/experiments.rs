@@ -30,7 +30,7 @@ use ssjoin_core::{
 };
 use ssjoin_joins::{
     dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join, EditJoinConfig, GesJoinConfig,
-    JaccardConfig,
+    JaccardConfig, SimilarityJoinOutput,
 };
 use ssjoin_sim::edit_similarity;
 use std::time::{Duration, Instant};
@@ -690,10 +690,10 @@ fn ablation_auto(scale: f64, report: &mut Report) {
     );
 }
 
-/// Ablation (tentpole): the token-sharded partition executor and the bitmap
-/// signature filter on the inline Jaccard join at θ = 0.85 — parallel runs
-/// must reproduce the sequential output exactly while splitting Zipf-heavy
-/// tokens across workers.
+/// Ablation: the parallel inline Jaccard join at θ = 0.85 — each worker
+/// takes a contiguous chunk of R groups, and every parallel run must
+/// reproduce the sequential output exactly, with the bitmap filter on (the
+/// default) and off.
 fn ablation_shard(scale: f64, report: &mut Report) {
     let data = evaluation_corpus(scale).records;
     let theta = 0.85;
@@ -712,13 +712,10 @@ fn ablation_shard(scale: f64, report: &mut Report) {
     let seq_keys = seq.keys();
 
     let mut t = Table::new(
-        format!("Ablation — token-sharded parallel inline (Jaccard {theta}, cores={cores})"),
+        format!("Ablation — parallel inline (Jaccard {theta}, cores={cores})"),
         &[
             "Config",
             "Total ms",
-            "Shards",
-            "Steals",
-            "Imbalance",
             "Bitmap probes",
             "Bitmap prunes",
             "Output equal",
@@ -727,11 +724,8 @@ fn ablation_shard(scale: f64, report: &mut Report) {
     t.row(vec![
         "1 thread".into(),
         ms(seq_t),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
+        count(seq.stats.bitmap_probes),
+        count(seq.stats.bitmap_prunes),
         "baseline".into(),
     ]);
 
@@ -739,31 +733,24 @@ fn ablation_shard(scale: f64, report: &mut Report) {
     let mut prunes_8t = 0u64;
     let mut effective_8t = 0u64;
     let mut all_equal = true;
-    for (threads, bitmap) in [(2usize, false), (8, false), (8, true)] {
+    for (threads, bitmap) in [(2usize, true), (8, true), (8, false)] {
         let exec = ExecContext::new()
             .with_threads(threads)
             .with_bitmap_filter(bitmap);
         let (out, elapsed) = run_with(exec);
         let equal = out.keys() == seq_keys;
         all_equal &= equal;
-        if threads == 8 {
+        if threads == 8 && bitmap {
             speedup_8t = seq_t.as_secs_f64() / elapsed.as_secs_f64().max(1e-9);
             effective_8t = out.stats.effective_threads;
-        }
-        if bitmap {
             prunes_8t = out.stats.bitmap_prunes;
         }
         t.row(vec![
             format!(
-                "{threads} threads, shards{}",
-                if bitmap { " + bitmap" } else { "" }
+                "{threads} threads{}",
+                if bitmap { "" } else { ", filter off" }
             ),
             ms(elapsed),
-            count(out.stats.shards),
-            count(out.stats.shard_steals),
-            out.stats
-                .shard_imbalance()
-                .map_or("-".into(), |x| format!("{x:.2}")),
             count(out.stats.bitmap_probes),
             count(out.stats.bitmap_prunes),
             if equal { "yes".into() } else { "NO".into() },
@@ -915,42 +902,63 @@ fn ablation_workspace(scale: f64, report: &mut Report) {
 }
 
 /// Ablation: the 8-word bitmap signature filter, off vs on, on the inline
-/// Jaccard join. The filter pays an ANDNOT + popcount probe per candidate
-/// and prunes the candidates whose signature bound cannot reach the
-/// required overlap before any merge; the output must stay bit-identical.
-/// Two panels: the clean Zipf-weighted corpus and the "dirty"
-/// near-threshold corpus, where heavy token-level errors on a
-/// duplicate-rich input leave many candidates whose similarity lands just
-/// around θ — the regime where the probe earns (or fails to earn) its cost.
-/// Half the paper's row count keeps the dirty candidate blow-up affordable
-/// in CI.
+/// join at θ = 0.85. The filter pays an ANDNOT + popcount probe per
+/// candidate and prunes the candidates whose signature bound cannot reach
+/// the required overlap before any merge; the output must stay
+/// bit-identical. Three panels: the Jaccard join on the clean Zipf-weighted
+/// corpus and on the "dirty" near-threshold corpus (heavy token-level errors
+/// on a duplicate-rich input leave many candidates whose similarity lands
+/// just around θ; half the paper's row count keeps that blow-up affordable
+/// in CI), and the paper's edit join over q-gram sets on the clean corpus,
+/// where the Property-4 bound lets through many candidates that share a few
+/// common q-grams and little else.
 fn ablation_bitmap(scale: f64, report: &mut Report) {
+    let theta = 0.85;
     let clean = evaluation_corpus(scale).records;
     let dirty_rows = ((PAPER_ROWS as f64 * scale * 0.5).round() as usize).max(10);
     let dirty = dirty_corpus(dirty_rows).records;
     report.metric_u64("ablation_bitmap.dirty.rows", dirty_rows as u64);
-    for (data, label, prefix) in [
-        (&clean, "clean corpus".to_string(), "ablation_bitmap"),
-        (
-            &dirty,
-            format!("dirty near-threshold corpus, {dirty_rows} rows"),
-            "ablation_bitmap.dirty",
-        ),
-    ] {
-        bitmap_panel(data, &label, prefix, report);
-    }
-}
-
-/// One panel of [`ablation_bitmap`]: the filter off and on, timed
-/// round-robin as the median of 5 so host drift hits both sides equally.
-fn bitmap_panel(data: &[String], label: &str, prefix: &str, report: &mut Report) {
-    let theta = 0.85;
-    let run_with = |filter: bool| {
+    let jaccard = |data: &[String], filter: bool| {
         let cfg = JaccardConfig::resemblance(theta)
             .with_algorithm(Algorithm::Inline)
             .with_exec(ExecContext::new().with_bitmap_filter(filter));
+        jaccard_join(data, data, &cfg).expect("jaccard join")
+    };
+    bitmap_panel(
+        &format!("Jaccard {theta}, clean corpus"),
+        "ablation_bitmap",
+        report,
+        |filter| jaccard(&clean, filter),
+    );
+    bitmap_panel(
+        &format!("Jaccard {theta}, dirty near-threshold corpus, {dirty_rows} rows"),
+        "ablation_bitmap.dirty",
+        report,
+        |filter| jaccard(&dirty, filter),
+    );
+    bitmap_panel(
+        &format!("edit {theta} on q-grams, clean corpus"),
+        "ablation_bitmap.edit",
+        report,
+        |filter| {
+            let cfg =
+                EditJoinConfig::new(theta).with_exec(ExecContext::new().with_bitmap_filter(filter));
+            edit_similarity_join(&clean, &clean, &cfg).expect("edit join")
+        },
+    );
+}
+
+/// One panel of [`ablation_bitmap`]: `join(filter)` off and on, timed
+/// round-robin as the median of 5 so host drift hits both sides equally.
+fn bitmap_panel(
+    label: &str,
+    prefix: &str,
+    report: &mut Report,
+    join: impl Fn(bool) -> SimilarityJoinOutput,
+) {
+    let run_with = |filter: bool| {
         let start = Instant::now();
-        let out = jaccard_join(data, data, &cfg).expect("jaccard join");
+        let out = join(filter);
         (out, start.elapsed())
     };
     let mut times = [Vec::new(), Vec::new()];
@@ -973,7 +981,7 @@ fn bitmap_panel(data: &[String], label: &str, prefix: &str, report: &mut Report)
     let equal = on.keys() == off.keys();
 
     let mut t = Table::new(
-        format!("Ablation — bitmap filter (Jaccard {theta}, inline, {label}, median of 5)"),
+        format!("Ablation — bitmap filter ({label}, inline, median of 5)"),
         &[
             "Filter",
             "Total ms",
@@ -1012,6 +1020,10 @@ fn bitmap_panel(data: &[String], label: &str, prefix: &str, report: &mut Report)
         report.metric_u64(format!("{prefix}.{name}.merge_steps"), st.merge_steps);
     }
     report.table(t);
+    report.metric_f64(
+        format!("{prefix}.prune_rate"),
+        on.stats.bitmap_prunes as f64 / on.stats.bitmap_probes.max(1) as f64,
+    );
     assert!(
         equal,
         "the signature filter must not change the join output ({label})"
@@ -1026,8 +1038,8 @@ fn bitmap_panel(data: &[String], label: &str, prefix: &str, report: &mut Report)
 /// the checkpoint instrumentation is effectively free: attaching a budget
 /// whose limits can never trip costs <2% over the unbudgeted run on the
 /// Zipf-weighted panel. Second, a `Duration::ZERO` deadline aborts every
-/// executor — basic, prefix, inline, positional, and the token-sharded
-/// partition — in a small fraction of the unbounded runtime, returning the
+/// executor — basic, prefix, inline, positional, and parallel inline — in a
+/// small fraction of the unbounded runtime, returning the
 /// typed `BudgetExceeded(Deadline)` error instead of panicking.
 fn ablation_budget(scale: f64, report: &mut Report) {
     let data = evaluation_corpus(scale).records;
@@ -1100,7 +1112,7 @@ fn ablation_budget(scale: f64, report: &mut Report) {
     let c = built.collection(h);
     let pred = ssjoin_core::OverlapPredicate::two_sided(theta);
 
-    let shards = ExecContext::new().with_threads(4);
+    let parallel = ExecContext::new().with_threads(4);
     let configs: [(&str, Algorithm, ExecContext); 5] = [
         ("basic", Algorithm::Basic, ExecContext::new()),
         ("prefix", Algorithm::PrefixFiltered, ExecContext::new()),
@@ -1110,7 +1122,7 @@ fn ablation_budget(scale: f64, report: &mut Report) {
             Algorithm::PositionalInline,
             ExecContext::new(),
         ),
-        ("partition (4 threads)", Algorithm::Inline, shards),
+        ("inline (4 threads)", Algorithm::Inline, parallel),
     ];
     let mut d = Table::new(
         "Ablation — Duration::ZERO deadline abort, per executor (core join only)",

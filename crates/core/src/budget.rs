@@ -10,10 +10,9 @@
 //!
 //! The contract, shared by all five executors:
 //!
-//! * Limits are checked at **chunk/shard granularity** — once per probe
-//!   group (group-chunked executors) or once per rank of a token shard
-//!   (partitioned executor), plus once at every phase boundary. A join never
-//!   overshoots a limit by more than one unit of work.
+//! * Limits are checked at **probe-group granularity** — once per probe
+//!   group of each worker's chunk, plus once at every phase boundary. A
+//!   join never overshoots a limit by more than one unit of work.
 //! * The first worker to observe a violation trips a shared flag; every
 //!   other worker aborts at its next checkpoint. No thread is killed, no
 //!   panic is raised, and no partially-written state escapes: the run
@@ -336,7 +335,7 @@ impl BudgetState {
 pub fn estimate_memory_bytes(r: &SetCollection, s: &SetCollection) -> u64 {
     let universe = r.universe_size().max(s.universe_size()) as u64;
     let tuples = (r.tuple_count() + s.tuple_count()) as u64;
-    // Two CSR indexes in the worst case (partitioned executor): offsets
+    // Two CSR indexes, a conservative charge (a run builds one): offsets
     // (universe + 1) + cursors (universe) of 4 bytes each per side, plus the
     // shared posting arenas.
     let postings = 2 * (2 * universe + 1) * 4 + tuples * 4;

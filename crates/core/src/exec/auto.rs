@@ -59,13 +59,8 @@ const CHUNK_IMBALANCE_BASE: f64 = 1.15;
 
 /// How strongly length skew inflates chunk imbalance: a heavy set (or a
 /// heavy token's posting list) lands wholly inside one chunk and serializes
-/// that worker, which work stealing over token shards avoids.
+/// that worker.
 const CHUNK_IMBALANCE_SKEW: f64 = 0.75;
-
-/// Overhead factor of parallel inline's token shards: shard planning,
-/// first-shared-rank dedup, and the k-way output merge — much flatter than
-/// chunk imbalance because work stealing rebalances the shards.
-const SHARD_OVERHEAD: f64 = 1.08;
 
 /// Per-candidate-tuple factor of the prefix-filtered join-back verification
 /// (rebuilding and probing a per-candidate hash table), relative to one
@@ -251,9 +246,6 @@ impl CostEstimate {
             let seq = seq_cost(alg, filter);
             let cost = if t <= 1 {
                 seq
-            } else if alg == Algorithm::Inline {
-                // Parallel inline runs token shards with work stealing.
-                seq / t as f64 * SHARD_OVERHEAD + SPAWN_COST * t as f64
             } else {
                 let imbalance = CHUNK_IMBALANCE_BASE + CHUNK_IMBALANCE_SKEW * sigma;
                 seq / t as f64 * imbalance + SPAWN_COST * t as f64
@@ -764,13 +756,12 @@ mod tests {
     }
 
     /// A large, skewed synthetic estimate where parallel execution clearly
-    /// pays: the planner must spend the whole thread budget, and under heavy
-    /// length skew (chunked workers serialize on heavy sets) it must prefer
-    /// the inline executor, whose parallel form is work-stealing token
-    /// shards. Pure model — runs the same on any host, including
-    /// single-core CI.
+    /// pays: the planner must spend the whole thread budget, on the executor
+    /// it would pick sequentially (every executor parallelizes the same way,
+    /// so threads rescale all their costs alike). Pure model — runs the same
+    /// on any host, including single-core CI.
     #[test]
-    fn plan_picks_sharded_inline_for_large_parallel_work() {
+    fn plan_spends_thread_budget_on_large_parallel_work() {
         let est = CostEstimate {
             basic_join_tuples: 50_000_000,
             prefix_join_tuples: 1_000_000,
@@ -781,11 +772,14 @@ mod tests {
             prefix_fraction_milli: 300,
             gallop_skew_milli: 500,
         };
-        let choice = est.plan(8);
-        assert_eq!(choice.algorithm, Algorithm::Inline, "{choice:?}");
-        assert_eq!(choice.threads, 8, "{choice:?}");
-        // At one thread the same estimate stays sequential.
-        assert_eq!(est.plan(1).threads, 1);
+        let (par, seq) = (est.plan(8), est.plan(1));
+        assert_eq!(par.threads, 8, "{par:?}");
+        assert_eq!(seq.threads, 1, "{seq:?}");
+        assert_ne!(par.algorithm, Algorithm::Basic, "{par:?}");
+        assert_eq!(
+            (par.algorithm, par.bitmap_filter),
+            (seq.algorithm, seq.bitmap_filter)
+        );
     }
 
     #[test]

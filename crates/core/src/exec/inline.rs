@@ -7,9 +7,8 @@
 //! The paper finds this variant uniformly faster than the standard
 //! prefix-filtered implementation and usually the best of the three.
 //!
-//! At `threads > 1` the same join runs through the token-sharded executor
-//! ([`super::partition`]), which splits Zipf-heavy prefix tokens across
-//! workers instead of handing each worker a contiguous chunk of R groups.
+//! At `threads > 1` each worker takes a contiguous chunk of R groups and
+//! dedups its candidates with its own stamp array, as the other executors do.
 
 use super::prefix::run_prefix_family;
 use super::workspace::JoinWorkspace;
@@ -27,9 +26,6 @@ pub(super) fn run(
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
-    if ctx.threads > 1 {
-        return super::partition::run(r, s, pred, ctx, budget, ws);
-    }
     run_prefix_family(r, s, pred, ctx, true, budget, ws)
 }
 
@@ -107,18 +103,20 @@ mod tests {
     fn verification_work_equals_candidates() {
         let c = build(random_groups(40, 19), WeightScheme::Unweighted);
         let pred = OverlapPredicate::two_sided(0.5);
-        let (_, stats) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
-        assert_eq!(stats.candidate_pairs, stats.verified_pairs);
-        assert!(stats.candidate_pairs > 0);
+        for filter in [false, true] {
+            let ctx = ExecContext::new().with_bitmap_filter(filter);
+            let (_, stats) = collect(|ws| run(&c, &c, &pred, &ctx, &BudgetState::unlimited(), ws));
+            // Every candidate is either pruned by its signature or merged.
+            assert_eq!(
+                stats.verified_pairs + stats.bitmap_prunes,
+                stats.candidate_pairs,
+                "filter {filter}"
+            );
+            assert!(stats.candidate_pairs > 0);
+            if !filter {
+                assert_eq!(stats.bitmap_probes, 0);
+            }
+        }
     }
 
     #[test]

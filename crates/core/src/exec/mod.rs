@@ -10,7 +10,6 @@
 mod auto;
 mod basic;
 mod inline;
-mod partition;
 mod positional;
 mod prefix;
 mod workspace;
@@ -20,7 +19,6 @@ pub use workspace::JoinWorkspace;
 
 pub(crate) use auto::{apply_plan, effective_threads, estimate_probe_costs_into};
 pub(crate) use basic::probe_basic;
-pub(crate) use partition::probe_partition;
 pub(crate) use positional::probe_positional;
 pub(crate) use prefix::{prefix_lengths_into, probe_prefix_family, Side};
 pub(crate) use workspace::{build_csr_parallel, vec_bytes, CsrIndex, WorkerScratch};
@@ -65,9 +63,7 @@ pub enum Algorithm {
     /// relations to regroup and verify.
     PrefixFiltered,
     /// Figure 9: prefix filter with the inline set representation —
-    /// verification merges the carried sets directly. At `threads > 1` it
-    /// runs over token-range shards with work stealing, so Zipf-heavy
-    /// tokens are split across workers instead of serializing one.
+    /// verification merges the carried sets directly.
     #[default]
     Inline,
     /// The inline algorithm plus the positional filter: candidates whose
@@ -90,17 +86,18 @@ pub use crate::stats::StatsLevel;
 /// take it by reference; [`SsJoinConfig`] is a builder over it plus the
 /// algorithm choice.
 ///
-/// The default context (one thread, bitmap filter off) reproduces the
-/// sequential executors' behaviour — output *and* counters — bit for bit.
+/// The default context runs one thread with the bitmap filter on. Output
+/// never depends on either knob; counters are identical at every thread
+/// count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecContext {
-    /// Worker threads for the probe/verify loops (1 = sequential).
-    /// [`Algorithm::Inline`] shards the candidate space by token range
-    /// when this is above 1; the other executors split R into chunks.
+    /// Worker threads for the probe/verify loops (1 = sequential). Every
+    /// executor splits R into contiguous chunks, one per worker.
     pub threads: usize,
     /// Reject candidates whose 8-word bitmap-signature overlap bound cannot
     /// reach the required overlap, before the verification merge. Lossless;
-    /// changes counters but never output.
+    /// changes counters but never output. On by default;
+    /// `with_bitmap_filter(false)` is the ablation and test oracle.
     pub bitmap_filter: bool,
     /// Instrumentation level.
     pub stats: StatsLevel,
@@ -126,7 +123,7 @@ impl ExecContext {
     pub fn new() -> Self {
         Self {
             threads: 1,
-            bitmap_filter: false,
+            bitmap_filter: true,
             stats: StatsLevel::default(),
             budget: ExecBudget::default(),
             cancel: None,
@@ -279,7 +276,7 @@ pub struct SsJoinRun<'w> {
 /// # Budgets and cancellation
 ///
 /// When the context carries an [`ExecBudget`] limit or a [`CancelToken`],
-/// every executor checks it cooperatively at chunk/shard granularity.
+/// every executor checks it cooperatively at chunk granularity.
 /// Exceeding a limit (or a cancel) aborts cleanly across all worker threads
 /// and returns [`SsJoinError::BudgetExceeded`] with the statistics gathered
 /// so far — a run either completes with correct, complete results or fails
@@ -303,7 +300,7 @@ pub fn ssjoin(
 ///
 /// Identical semantics to [`ssjoin`] — same output, same stats, same budget
 /// behaviour — but every transient buffer (inverted indexes, prefix tables,
-/// stamp arrays, candidate and output buffers, shard plans) comes from the
+/// stamp arrays, candidate and output buffers) comes from the
 /// workspace's pools. After the workspace has warmed on a first run of
 /// comparable scale, subsequent sequential runs perform zero heap
 /// allocations on the hot path.
@@ -376,7 +373,7 @@ fn ssjoin_into(
     }
     // Entry checkpoint: an already-passed deadline (e.g. `Duration::ZERO`)
     // or a pre-cancelled token aborts before any phase runs. Executors
-    // re-check at their own phase boundaries and per chunk/shard.
+    // re-check at their own phase boundaries and per probe group.
     let _ = budget.proceed();
     ws.begin_run();
     let spilled = if spilling && budget.cause().is_none() {
@@ -407,8 +404,8 @@ fn ssjoin_into(
         });
     }
     // Executors emit in `(r, s)` order by construction — chunked workers
-    // concatenate in ascending-rid chunk order, and the partitioned executor
-    // k-way merges its sorted shard runs — so no global sort runs here.
+    // concatenate in ascending-rid chunk order, and the spill driver k-way
+    // merges its sorted partition runs — so no global sort runs here.
     debug_assert!(
         ws.out
             .windows(2)

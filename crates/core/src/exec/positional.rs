@@ -321,26 +321,14 @@ mod tests {
         let c = b.build().unwrap().collection(h).clone();
         let pred = OverlapPredicate::two_sided(0.9);
 
+        // The signature filter would prune these candidates too; switch it
+        // off to isolate the positional bound.
+        let ctx = ExecContext::new().with_bitmap_filter(false);
         let (mut inline_pairs, inline_stats) = collect(|ws| {
-            super::super::inline::run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
+            super::super::inline::run(&c, &c, &pred, &ctx, &BudgetState::unlimited(), ws)
         });
-        let (mut pairs, pos_stats) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
+        let (mut pairs, pos_stats) =
+            collect(|ws| run(&c, &c, &pred, &ctx, &BudgetState::unlimited(), ws));
         assert_eq!(pos_stats.candidate_pairs, inline_stats.candidate_pairs);
         assert!(
             pos_stats.verified_pairs < inline_stats.verified_pairs,

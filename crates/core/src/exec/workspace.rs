@@ -18,7 +18,6 @@
 //! representation (one heap allocation *per universe rank*) that earlier
 //! revisions rebuilt on every run.
 
-use super::partition::Shard;
 use super::JoinPair;
 use crate::hash::FxHashMap;
 use crate::set::SetCollection;
@@ -242,8 +241,8 @@ pub(crate) struct WorkerScratch {
     pub(crate) r_table: FxHashMap<u32, Weight>,
     /// Output pairs produced by this worker.
     pub(crate) pairs: Vec<JoinPair>,
-    /// Per-shard `(start, end)` ranges into `pairs`, each range sorted by
-    /// `(r, s)` — the sorted runs the partition merge consumes.
+    /// `(start, end)` ranges into `pairs`, each range sorted by `(r, s)` —
+    /// the per-partition runs the spill driver's k-way merge consumes.
     pub(crate) runs: Vec<(usize, usize)>,
     /// Counters accumulated by this worker during the current run.
     pub(crate) stats: SsJoinStats,
@@ -281,19 +280,18 @@ impl WorkerScratch {
     }
 }
 
-/// One sorted, pair-disjoint output run inside a worker's pair buffer.
+/// One sorted, pair-disjoint output run inside worker 0's pair buffer.
 #[derive(Debug, Clone, Copy)]
 struct MergeRun {
-    worker: usize,
     cur: usize,
     end: usize,
 }
 
 /// Reusable buffer pool for [`crate::ssjoin_with`].
 ///
-/// Holds every transient structure an execution needs — CSR inverted-index
-/// arenas for both sides, prefix-length tables, per-worker stamp/candidate/
-/// output buffers, the shard plan, and the final output vector. All state is
+/// Holds every transient structure an execution needs — the CSR inverted
+/// index, prefix-length tables, per-worker stamp/candidate/output buffers,
+/// and the final output vector. All state is
 /// reset at the start of each run; capacity is retained, so repeated joins
 /// over same-scale inputs stop allocating entirely.
 ///
@@ -319,7 +317,6 @@ struct MergeRun {
 /// ```
 #[derive(Debug, Default)]
 pub struct JoinWorkspace {
-    pub(crate) r_index: CsrIndex,
     pub(crate) s_index: CsrIndex,
     pub(crate) r_lens: Vec<usize>,
     pub(crate) s_lens: Vec<usize>,
@@ -328,7 +325,6 @@ pub struct JoinWorkspace {
     /// pathological universe cannot wrap it in release builds.
     pub(crate) pfreq_s: Vec<u32>,
     pub(crate) workers: Vec<WorkerScratch>,
-    pub(crate) shards: Vec<Shard>,
     merge_runs: Vec<MergeRun>,
     merge_heap: Vec<u32>,
     pub(crate) out: Vec<JoinPair>,
@@ -361,12 +357,10 @@ impl JoinWorkspace {
 
     /// Total heap bytes currently reserved across all pooled buffers.
     pub fn bytes_reserved(&self) -> u64 {
-        self.r_index.bytes_reserved()
-            + self.s_index.bytes_reserved()
+        self.s_index.bytes_reserved()
             + vec_bytes(&self.r_lens)
             + vec_bytes(&self.s_lens)
             + vec_bytes(&self.pfreq_s)
-            + vec_bytes(&self.shards)
             + vec_bytes(&self.merge_runs)
             + vec_bytes(&self.merge_heap)
             + vec_bytes(&self.out)
@@ -393,34 +387,28 @@ impl JoinWorkspace {
         }
     }
 
-    /// K-way merge of the sorted, pair-disjoint shard runs sitting in the
-    /// first `threads` workers' pair buffers into `self.out`, ordered by
-    /// `(r, s)`. Because every qualifying pair is emitted by exactly one
-    /// shard (the smallest-shared-prefix-rank dedup rule) and each run is
-    /// sorted, the merge is the unique `(r, s)`-sorted interleaving — bit
-    /// for bit the output the old global sort produced, without touching
-    /// pairs more than once.
-    pub(crate) fn merge_shard_runs(&mut self, threads: usize) {
-        let workers = &self.workers[..threads.min(self.workers.len())];
+    /// K-way merge of the sorted, pair-disjoint runs listed in worker 0's
+    /// `runs` into `self.out`, ordered by `(r, s)`. Because every qualifying
+    /// pair lies in exactly one run and each run is sorted, the merge is the
+    /// unique `(r, s)`-sorted interleaving — bit for bit what a global sort
+    /// would produce, without touching pairs more than once.
+    pub(crate) fn merge_sorted_runs(&mut self) {
+        let Some(scratch) = self.workers.first() else {
+            return;
+        };
+        let pairs = &scratch.pairs;
         let runs = &mut self.merge_runs;
         runs.clear();
         let mut total = 0usize;
-        for (w, scratch) in workers.iter().enumerate() {
-            for &(start, end) in &scratch.runs {
-                if start < end {
-                    runs.push(MergeRun {
-                        worker: w,
-                        cur: start,
-                        end,
-                    });
-                    total += end - start;
-                }
+        for &(start, end) in &scratch.runs {
+            if start < end {
+                runs.push(MergeRun { cur: start, end });
+                total += end - start;
             }
         }
         self.out.reserve(total);
         let key = |runs: &[MergeRun], i: u32| -> (u32, u32) {
-            let run = runs[i as usize];
-            let p = workers[run.worker].pairs[run.cur];
+            let p = pairs[runs[i as usize].cur];
             (p.r, p.s)
         };
         // Binary min-heap over run indices, keyed by each run's head pair.
@@ -440,7 +428,7 @@ impl JoinWorkspace {
         }
         while let Some(&top) = heap.first() {
             let run = &mut runs[top as usize];
-            self.out.push(workers[run.worker].pairs[run.cur]);
+            self.out.push(pairs[run.cur]);
             run.cur += 1;
             let exhausted = run.cur == run.end;
             if exhausted {
@@ -581,19 +569,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_shard_runs_sorts_disjoint_runs() {
+    fn merge_sorted_runs_sorts_disjoint_runs() {
         let mut ws = JoinWorkspace::new();
-        ws.ensure_workers(2);
+        ws.ensure_workers(1);
         let mk = |r: u32, s: u32| JoinPair {
             r,
             s,
             overlap: Weight::ONE,
         };
-        ws.workers[0].pairs = vec![mk(0, 1), mk(2, 0), mk(5, 5), mk(1, 1)];
-        ws.workers[0].runs = vec![(0, 3), (3, 4)];
-        ws.workers[1].pairs = vec![mk(0, 0), mk(3, 3)];
-        ws.workers[1].runs = vec![(0, 2)];
-        ws.merge_shard_runs(2);
+        ws.workers[0].pairs = vec![mk(0, 1), mk(2, 0), mk(5, 5), mk(1, 1), mk(0, 0), mk(3, 3)];
+        ws.workers[0].runs = vec![(0, 3), (3, 4), (4, 6)];
+        ws.merge_sorted_runs();
         let keys: Vec<(u32, u32)> = ws.out.iter().map(|p| (p.r, p.s)).collect();
         assert_eq!(keys, vec![(0, 0), (0, 1), (1, 1), (2, 0), (3, 3), (5, 5)]);
     }

@@ -41,8 +41,8 @@ use crate::budget::{estimate_memory_bytes, BudgetState};
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
     apply_plan, build_csr_parallel, effective_threads, estimate_probe_costs_into,
-    prefix_lengths_into, probe_basic, probe_partition, probe_positional, probe_prefix_family,
-    vec_bytes, Algorithm, CsrIndex, JoinWorkspace, Side, SsJoinConfig, SsJoinRun, WorkerScratch,
+    prefix_lengths_into, probe_basic, probe_positional, probe_prefix_family, vec_bytes, Algorithm,
+    CsrIndex, JoinWorkspace, Side, SsJoinConfig, SsJoinRun, WorkerScratch,
 };
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
@@ -474,8 +474,7 @@ impl CorpusIndex {
     /// at (re)build time — the corpus token- and prefix-frequency
     /// histograms — so the estimate costs O(probe batch), never a corpus
     /// scan; every configuration then reaches the executors through the one
-    /// `match` below, which mirrors the one-shot dispatch (inline at
-    /// `threads > 1` runs token shards).
+    /// `match` below, which mirrors the one-shot dispatch.
     fn probe_resident(
         &self,
         r: &SetCollection,
@@ -511,17 +510,6 @@ impl CorpusIndex {
                 probe_positional(r, s, index, tuples, pred, ctx, budget, ws)
             }
             // Auto was resolved to a concrete executor above.
-            Algorithm::Inline | Algorithm::Auto if ctx.threads > 1 => probe_partition(
-                r,
-                s,
-                index,
-                &self.prefix_lens,
-                tuples,
-                pred,
-                ctx,
-                budget,
-                ws,
-            ),
             Algorithm::Inline | Algorithm::Auto => {
                 probe_prefix_family(r, s, index, tuples, pred, ctx, true, budget, ws)
             }

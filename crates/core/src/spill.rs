@@ -22,9 +22,8 @@
 //! total weights, and suffix bounds are exact and the executors run
 //! unmodified). Each partition therefore finds every qualifying pair whose
 //! two sets both touch its range; a pair is *emitted* only by the partition
-//! whose range contains the pair's first (smallest) shared rank — the same
-//! exactly-once ownership rule the token-sharded partition executor uses —
-//! so the union over partitions is exactly the in-memory result.
+//! whose range contains the pair's first (smallest) shared rank — an
+//! exactly-once ownership rule — so the union over partitions is exactly the in-memory result.
 //!
 //! # Determinism
 //!
@@ -35,7 +34,7 @@
 //! exact pairs-with-overlaps restricted to that partition, sorted by
 //! `(r, s)` in *global* id order (local ids are assigned in ascending
 //! global id order). The per-partition outputs are pair-disjoint sorted
-//! runs; the k-way run merge ([`JoinWorkspace::merge_shard_runs`]) produces
+//! runs; the k-way run merge ([`JoinWorkspace::merge_sorted_runs`]) produces
 //! their unique sorted interleaving — bit for bit the output of an
 //! unbudgeted in-memory run. The bitmap-signature filter is lossless, so
 //! recomputed local signatures change counters, never output.
@@ -736,9 +735,9 @@ fn run_inner(
     drop(reader);
     drop(guard);
 
-    // Deterministic k-way merge of the pair-disjoint per-partition runs —
-    // the same sort-free merge the token-sharded executor uses.
-    ws.merge_shard_runs(1);
+    // Deterministic, sort-free k-way merge of the pair-disjoint
+    // per-partition runs.
+    ws.merge_sorted_runs();
     // Run-level spill facts survive the per-partition merges (which carry
     // zeros for them); restate them on the final record and stamp the plan.
     stats.spill_partitions = partitions as u64;

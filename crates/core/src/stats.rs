@@ -78,16 +78,6 @@ pub struct SsJoinStats {
     /// Candidate pairs rejected by the bitmap signature filter (no
     /// verification merge performed).
     pub bitmap_prunes: u64,
-    /// Token shards planned by the partitioned executor (0 when it did not
-    /// run).
-    pub shards: u64,
-    /// Shards executed by a worker other than their assigned owner
-    /// (work-stealing events; scheduling-dependent, advisory only).
-    pub shard_steals: u64,
-    /// Planned cost (posting-product units) of the heaviest shard.
-    pub shard_cost_max: u64,
-    /// Planned cost summed over all shards.
-    pub shard_cost_total: u64,
     /// Element-comparison steps taken by verification merge kernels
     /// (two-pointer advances; galloping lookups count probes instead).
     pub merge_steps: u64,
@@ -168,10 +158,6 @@ impl SsJoinStats {
         self.output_pairs += other.output_pairs;
         self.bitmap_probes += other.bitmap_probes;
         self.bitmap_prunes += other.bitmap_prunes;
-        self.shards += other.shards;
-        self.shard_steals += other.shard_steals;
-        self.shard_cost_max = self.shard_cost_max.max(other.shard_cost_max);
-        self.shard_cost_total += other.shard_cost_total;
         self.merge_steps += other.merge_steps;
         self.early_exits += other.early_exits;
         self.gallop_probes += other.gallop_probes;
@@ -189,17 +175,6 @@ impl SsJoinStats {
         self.approx_reps = self.approx_reps.max(other.approx_reps);
         // The plan is chosen once per run, never per worker: keep the first.
         self.plan = self.plan.or(other.plan);
-    }
-
-    /// Shard load imbalance: heaviest shard cost over the ideal per-shard
-    /// cost (`total / shards`). `1.0` is perfect balance; `None` when the
-    /// partitioned executor did not run or planned no work.
-    pub fn shard_imbalance(&self) -> Option<f64> {
-        if self.shards == 0 || self.shard_cost_total == 0 {
-            return None;
-        }
-        let ideal = self.shard_cost_total as f64 / self.shards as f64;
-        Some(self.shard_cost_max as f64 / ideal)
     }
 }
 
@@ -224,15 +199,6 @@ impl fmt::Display for SsJoinStats {
                 " bitmap_probes={} bitmap_prunes={}",
                 self.bitmap_probes, self.bitmap_prunes
             )?;
-        }
-        if self.shards > 0 {
-            write!(f, " shards={} steals={}", self.shards, self.shard_steals)?;
-            // Shards planned but zero total cost (no work at all) has no
-            // meaningful imbalance ratio — print n/a, not a fabricated 1.00.
-            match self.shard_imbalance() {
-                Some(imb) => write!(f, " imbalance={imb:.2}")?,
-                None => f.write_str(" imbalance=n/a")?,
-            }
         }
         if self.merge_steps > 0 || self.early_exits > 0 || self.gallop_probes > 0 {
             write!(
@@ -305,68 +271,38 @@ mod tests {
         a.join_tuples = 5;
         a.output_pairs = 1;
         a.add_time(Phase::Filter, Duration::from_millis(1));
-        a.shard_cost_max = 40;
-        a.shard_cost_total = 60;
+        a.effective_threads = 4;
         a.budget_checks = 2;
         let mut b = SsJoinStats::default();
         b.join_tuples = 7;
         b.output_pairs = 2;
         b.add_time(Phase::Filter, Duration::from_millis(4));
-        b.shard_cost_max = 25;
-        b.shard_cost_total = 30;
+        b.effective_threads = 2;
         b.budget_checks = 3;
         a.merge(&b);
         assert_eq!(a.join_tuples, 12);
         assert_eq!(a.output_pairs, 3);
         assert_eq!(a.time(Phase::Filter), Duration::from_millis(5));
-        // shard_cost_max takes the max across workers — every other counter
-        // sums. Merging the other way around must agree.
-        assert_eq!(a.shard_cost_max, 40);
-        assert_eq!(a.shard_cost_total, 90);
+        // Run-level facts take the max — every counter sums. Merging the
+        // other way around must agree.
+        assert_eq!(a.effective_threads, 4);
         assert_eq!(a.budget_checks, 5);
         let mut c = SsJoinStats::default();
-        c.shard_cost_max = 25;
+        c.effective_threads = 2;
         let mut d = SsJoinStats::default();
-        d.shard_cost_max = 40;
+        d.effective_threads = 4;
         c.merge(&d);
-        assert_eq!(c.shard_cost_max, 40, "max is order-independent");
+        assert_eq!(c.effective_threads, 4, "max is order-independent");
     }
 
     #[test]
     #[allow(clippy::field_reassign_with_default)]
-    fn display_imbalance_na_when_shards_planned_but_no_work() {
-        let mut s = SsJoinStats::default();
-        s.shards = 4; // planned, but every shard had zero posting product
-        s.shard_cost_total = 0;
-        let rendered = s.to_string();
-        assert!(
-            rendered.contains("imbalance=n/a"),
-            "expected n/a in {rendered:?}"
-        );
-        s.shard_cost_total = 80;
-        s.shard_cost_max = 40;
-        let rendered = s.to_string();
-        assert!(
-            rendered.contains("imbalance=2.00"),
-            "expected ratio in {rendered:?}"
-        );
-    }
-
-    #[test]
-    #[allow(clippy::field_reassign_with_default)]
-    fn merge_partition_counters() {
+    fn merge_filter_and_kernel_counters() {
         let mut a = SsJoinStats::default();
         a.bitmap_probes = 10;
         a.bitmap_prunes = 4;
-        a.shards = 3;
-        a.shard_cost_max = 50;
-        a.shard_cost_total = 90;
         let mut b = SsJoinStats::default();
         b.bitmap_probes = 5;
-        b.shards = 1;
-        b.shard_steals = 2;
-        b.shard_cost_max = 70;
-        b.shard_cost_total = 70;
         b.merge_steps = 11;
         b.early_exits = 3;
         b.gallop_probes = 7;
@@ -376,17 +312,6 @@ mod tests {
         assert_eq!(a.early_exits, 3);
         assert_eq!(a.gallop_probes, 7);
         assert_eq!(a.bitmap_prunes, 4);
-        assert_eq!(a.shards, 4);
-        assert_eq!(a.shard_steals, 2);
-        assert_eq!(a.shard_cost_max, 70); // max, not sum
-        assert_eq!(a.shard_cost_total, 160);
-        let imb = a.shard_imbalance().unwrap();
-        assert!((imb - 70.0 / 40.0).abs() < 1e-9, "{imb}");
-    }
-
-    #[test]
-    fn imbalance_none_without_shards() {
-        assert_eq!(SsJoinStats::default().shard_imbalance(), None);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Bitmap-filter invariance across every executor and the persistent-index
-//! probe path: turning the 8-word signature filter on must never change the
-//! emitted pairs, only the counters — and the counters must balance
-//! exactly: the filter probes every pair the unfiltered run verified, and
-//! each of those is either verified or bitmap-pruned by the filtered run.
+//! probe path: the 8-word signature filter (on by default) must never change
+//! the emitted pairs relative to `with_bitmap_filter(false)`, only the
+//! counters — and the counters must balance exactly: the filter probes every
+//! pair the unfiltered run verified, and each of those is either verified or
+//! bitmap-pruned by the filtered run.
 
 use ssjoin_core::{
-    ssjoin, Algorithm, CorpusIndex, ElementOrder, JoinWorkspace, OverlapPredicate, SetCollection,
-    SsJoinConfig, SsJoinInputBuilder, Weight, WeightScheme,
+    ssjoin, Algorithm, CorpusIndex, ElementOrder, JoinWorkspace, NormExpr, NormKind,
+    OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 
@@ -19,8 +20,7 @@ const ALGORITHMS: [Algorithm; 5] = [
 ];
 
 /// A collision-heavy Idf corpus: 120 groups of 3–7 tokens from a 61-token
-/// vocabulary, the same shape as the token-sharded executor's
-/// `bitmap_filter_prunes_without_changing_output` unit workload.
+/// vocabulary.
 fn corpus() -> SetCollection {
     let mut rng = StdRng::seed_from_u64(0xB17F);
     let groups: Vec<Vec<String>> = (0..120)
@@ -84,9 +84,9 @@ fn bitmap_filter_prunes_without_changing_output_all_executors() {
     let pred = OverlapPredicate::two_sided(0.8);
     for alg in ALGORITHMS {
         for threads in [1usize, 2, 4] {
-            let plain_cfg = SsJoinConfig::new(alg).with_threads(threads);
+            let cfg = SsJoinConfig::new(alg).with_threads(threads);
+            let plain_cfg = cfg.clone().with_bitmap_filter(false);
             let base = ssjoin(&c, &c, &pred, &plain_cfg).unwrap();
-            let cfg = plain_cfg.with_bitmap_filter(true);
             let out = ssjoin(&c, &c, &pred, &cfg).unwrap();
             let prunes = check_balance(
                 &format!("alg {alg:?}, threads {threads}"),
@@ -114,11 +114,11 @@ fn bitmap_filter_prunes_without_changing_probe_output() {
     let mut check_all = |index: &CorpusIndex, stage: &str| {
         for alg in ALGORITHMS {
             for threads in [1usize, 2, 4] {
-                let plain_cfg = SsJoinConfig::new(alg).with_threads(threads);
+                let cfg = SsJoinConfig::new(alg).with_threads(threads);
+                let plain_cfg = cfg.clone().with_bitmap_filter(false);
                 let base = index.probe(&c, &plain_cfg, &mut ws).unwrap();
                 let base_pairs = base.pairs.to_vec();
                 let base_verified = base.stats.verified_pairs;
-                let cfg = plain_cfg.with_bitmap_filter(true);
                 let out = index.probe(&c, &cfg, &mut ws).unwrap();
                 let prunes = check_balance(
                     &format!("{stage}: alg {alg:?}, threads {threads}"),
@@ -161,4 +161,69 @@ fn bitmap_filter_prunes_without_changing_probe_output() {
     check_all(&index, "after merge/delete");
     index.compact().unwrap();
     check_all(&index, "after compact");
+}
+
+/// The edit join's shape: q-gram sets of address-like strings, string-length
+/// norms, and the Property-4 predicate at θ = 0.85
+/// (`Overlap ≥ max(|r|, |s|)·(1 − 0.15·3) − 2`). Most candidates share only a
+/// few frequent q-grams, so the default context's filter must prune, and it
+/// must emit exactly the pairs of the unfiltered run.
+#[test]
+fn default_filter_prunes_qgram_edit_candidates() {
+    let mut rng = StdRng::seed_from_u64(0x9A3);
+    let streets = ["main st", "oak ave", "elm street", "park road", "lake dr"];
+    let mut strings: Vec<String> = (0..300)
+        .map(|_| {
+            format!(
+                "{} {} apt {}",
+                rng.gen_range(1u32..400),
+                streets[rng.gen_range(0..streets.len())],
+                rng.gen_range(1u32..40)
+            )
+        })
+        .collect();
+    // Near-duplicates: one substituted character each.
+    for i in 0..60 {
+        let mut chars: Vec<char> = strings[i].chars().collect();
+        let at = rng.gen_range(0..chars.len());
+        chars[at] = 'x';
+        strings.push(chars.into_iter().collect());
+    }
+    let qgrams = |s: &str| -> Vec<String> {
+        let padded: Vec<char> = format!("##{s}$$").chars().collect();
+        padded.windows(3).map(|w| w.iter().collect()).collect()
+    };
+    let norms: Vec<f64> = strings.iter().map(|s| s.chars().count() as f64).collect();
+    let mut b = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+    let h = b.add_relation_with_norm(
+        strings.iter().map(|s| qgrams(s)).collect(),
+        NormKind::Custom(norms),
+    );
+    let c = b.build().unwrap().collection(h).clone();
+    let (q, alpha) = (3.0, 0.85);
+    let pred = OverlapPredicate::new(vec![NormExpr::Sub(
+        Box::new(NormExpr::Mul(
+            Box::new(NormExpr::Max(
+                Box::new(NormExpr::RNorm),
+                Box::new(NormExpr::SNorm),
+            )),
+            Box::new(NormExpr::Const(1.0 - (1.0 - alpha) * q)),
+        )),
+        Box::new(NormExpr::Const(q - 1.0)),
+    )]);
+    for threads in [1usize, 2, 4] {
+        let cfg = SsJoinConfig::new(Algorithm::Inline).with_threads(threads);
+        assert!(cfg.exec.bitmap_filter, "the filter is on by default");
+        let out = ssjoin(&c, &c, &pred, &cfg).unwrap();
+        let base = ssjoin(&c, &c, &pred, &cfg.clone().with_bitmap_filter(false)).unwrap();
+        let prunes = check_balance(
+            &format!("q-gram edit, threads {threads}"),
+            Algorithm::Inline,
+            false,
+            (&base.pairs, base.stats.verified_pairs),
+            (&out.pairs, &out.stats),
+        );
+        assert!(prunes > 0, "threads {threads}: the filter never pruned");
+        assert!(base.pairs.len() > strings.len(), "the join found no pairs");
+    }
 }

@@ -314,10 +314,79 @@ fn bitmap_filter_never_changes_output() {
     }
 }
 
+/// The counters a run's schedule cannot change: every one of them must be
+/// identical at any thread count.
+fn work_counters(st: &SsJoinStats) -> [u64; 8] {
+    [
+        st.join_tuples,
+        st.candidate_pairs,
+        st.verified_pairs,
+        st.bitmap_probes,
+        st.bitmap_prunes,
+        st.merge_steps,
+        st.early_exits,
+        st.gallop_probes,
+    ]
+}
+
+/// Parallel inline through the public API at 2, 4 and 8 threads, on
+/// deterministic unweighted and Idf corpora under absolute, one-sided and
+/// two-sided predicates (and on an empty input): the pairs arrive in the
+/// sequential `(r, s)` order with no caller-side sort, and every
+/// schedule-independent counter equals the sequential run's.
+#[test]
+fn parallel_inline_counters_equal_sequential() {
+    let groups: Vec<Vec<String>> = (0..90)
+        .map(|i| {
+            (0..(2 + i % 7))
+                .map(|j| format!("v{}", (i * 13 + j * 17) % 41))
+                .collect()
+        })
+        .collect();
+    let cases = [groups.clone(), groups, Vec::new()];
+    for (case, (groups, scheme)) in cases
+        .into_iter()
+        .zip([
+            WeightScheme::Unweighted,
+            WeightScheme::Idf,
+            WeightScheme::Idf,
+        ])
+        .enumerate()
+    {
+        let (r, s) = build_two(groups.clone(), groups, scheme, ElementOrder::FrequencyAsc);
+        for pred in [
+            OverlapPredicate::absolute(2.0),
+            OverlapPredicate::r_normalized(0.7),
+            OverlapPredicate::two_sided(0.5),
+        ] {
+            for filter in [false, true] {
+                let ctx = ExecContext::new().with_bitmap_filter(filter);
+                let run = |threads: usize| {
+                    let cfg = SsJoinConfig::new(Algorithm::Inline)
+                        .with_exec(ctx.clone().with_threads(threads));
+                    ssjoin(&r, &s, &pred, &cfg).unwrap()
+                };
+                let seq = run(1);
+                for threads in [2usize, 4, 8] {
+                    let par = run(threads);
+                    let what = format!("case {case}, {pred:?}, filter {filter}, threads {threads}");
+                    assert_eq!(seq.pairs, par.pairs, "{what}");
+                    assert_eq!(
+                        work_counters(&seq.stats),
+                        work_counters(&par.stats),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Parallel inline on a Zipf-head corpus — every set carries one stop-word
-/// token, so a single rank's posting list spans the whole collection and
-/// the token-sharded executor must split it across workers — emits exactly
-/// the sequential pairs at every thread count, with or without the filter.
+/// token, so a single rank's posting list spans the whole collection and one
+/// worker's chunk may hold most of the verification work — emits exactly the
+/// sequential pairs at every thread count, with or without the filter, and
+/// does exactly the sequential work.
 #[test]
 fn parallel_inline_matches_sequential_on_zipf_head() {
     for seed in 0..8u64 {
@@ -342,25 +411,24 @@ fn parallel_inline_matches_sequential_on_zipf_head() {
             WeightScheme::Idf,
             ElementOrder::FrequencyAsc,
         );
-        let seq = ssjoin(&r, &s, &pred, &SsJoinConfig::new(Algorithm::Inline)).unwrap();
-        for threads in [2usize, 4, 8] {
-            for filter in [false, true] {
-                let ctx = ExecContext::new()
-                    .with_threads(threads)
-                    .with_bitmap_filter(filter);
-                let par = ssjoin(
-                    &r,
-                    &s,
-                    &pred,
-                    &SsJoinConfig::new(Algorithm::Inline).with_exec(ctx),
-                )
-                .unwrap();
-                assert_eq!(
-                    seq.pairs, par.pairs,
-                    "seed {seed}, threads {threads}, filter {filter}"
-                );
+        for filter in [false, true] {
+            let ctx = ExecContext::new().with_bitmap_filter(filter);
+            let run = |threads: usize| {
+                let cfg = SsJoinConfig::new(Algorithm::Inline)
+                    .with_exec(ctx.clone().with_threads(threads));
+                ssjoin(&r, &s, &pred, &cfg).unwrap()
+            };
+            let seq = run(1);
+            for threads in [2usize, 4, 8] {
+                let par = run(threads);
+                let what = format!("seed {seed}, threads {threads}, filter {filter}");
+                assert_eq!(seq.pairs, par.pairs, "{what}");
                 assert_eq!(par.algorithm_used, Algorithm::Inline);
-                assert_eq!(seq.stats.candidate_pairs, par.stats.candidate_pairs);
+                assert_eq!(
+                    work_counters(&seq.stats),
+                    work_counters(&par.stats),
+                    "{what}"
+                );
             }
         }
     }

@@ -11,7 +11,7 @@
 //!
 //! which is exactly a [`NormExpr`] over the two string-length norms. The
 //! SSJoin result is a superset of the answer; each candidate is then
-//! verified with the banded edit-distance UDF.
+//! verified with the banded edit-distance UDF, on `exec.threads` workers.
 //!
 //! **Short strings.** When both strings are shorter than `q / (1 − (1−α)q)`
 //! the bound above is below 1 and the q-gram filter can miss qualifying
@@ -22,12 +22,11 @@
 
 use crate::common::{MatchPair, SimilarityJoinOutput};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, ExecContext, NormExpr, NormKind, OverlapPredicate, Phase,
-    SsJoinConfig, SsJoinInputBuilder, SsJoinResult, WeightScheme,
+    ssjoin, Algorithm, ElementOrder, ExecContext, JoinPair, NormExpr, NormKind, OverlapPredicate,
+    Phase, SsJoinConfig, SsJoinInputBuilder, SsJoinResult, WeightScheme,
 };
-use ssjoin_sim::edit_similarity_at_least;
+use ssjoin_sim::edit_similarity_within;
 use ssjoin_text::{QGramTokenizer, Tokenizer};
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// Configuration for [`edit_similarity_join`].
@@ -40,7 +39,8 @@ pub struct EditJoinConfig {
     /// SSJoin physical algorithm.
     pub algorithm: Algorithm,
     /// Execution context for the SSJoin (threads, bitmap
-    /// filter, budget).
+    /// filter, budget). Its thread count also sets the workers of the
+    /// edit-distance verification loop.
     pub exec: ExecContext,
     /// Global element order (ablation hook; the default is the paper's).
     pub order: ElementOrder,
@@ -164,23 +164,12 @@ pub fn edit_similarity_join(
     let mut stats = out.stats;
     stats.add_time(Phase::Prep, prep);
 
-    // Filter: verify candidates with the banded edit-distance UDF.
+    // Filter: verify candidates with the banded edit-distance UDF. The
+    // candidates arrive (r, s)-sorted and so do the verified pairs.
     let filter_start = Instant::now();
-    let mut pairs = Vec::new();
-    let mut udf_verifications = 0u64;
-    let mut emitted: HashSet<(u32, u32)> = HashSet::new();
-    for p in &out.pairs {
-        udf_verifications += 1;
-        let (a, b) = (&r[p.r as usize], &s[p.s as usize]);
-        if edit_similarity_at_least(a, b, alpha) {
-            emitted.insert((p.r, p.s));
-            pairs.push(MatchPair {
-                r: p.r,
-                s: p.s,
-                similarity: ssjoin_sim::edit_similarity(a, b),
-            });
-        }
-    }
+    let mut pairs = verify_candidates(&out.pairs, r, s, alpha, config.exec.threads);
+    let mut udf_verifications = out.pairs.len() as u64;
+    let verified = pairs.len();
 
     // Exact handling of pairs outside the q-gram bound's reach: both strings
     // shorter than the cutoff.
@@ -193,16 +182,19 @@ pub fn edit_similarity_join(
         .collect();
     for &i in &short_r {
         for &j in &short_s {
-            if emitted.contains(&(i, j)) {
+            let emitted = pairs[..verified]
+                .binary_search_by_key(&(i, j), |p| (p.r, p.s))
+                .is_ok();
+            if emitted {
                 continue;
             }
             udf_verifications += 1;
-            let (a, b) = (&r[i as usize], &s[j as usize]);
-            if edit_similarity_at_least(a, b, alpha) {
+            if let Some(similarity) = edit_similarity_within(&r[i as usize], &s[j as usize], alpha)
+            {
                 pairs.push(MatchPair {
                     r: i,
                     s: j,
-                    similarity: ssjoin_sim::edit_similarity(a, b),
+                    similarity,
                 });
             }
         }
@@ -216,6 +208,51 @@ pub fn edit_similarity_join(
         stats,
         algorithm_used: out.algorithm_used,
         udf_verifications,
+    })
+}
+
+/// Verify `candidates` with the edit-similarity UDF on up to `threads`
+/// workers, each taking one contiguous chunk. Chunk results are concatenated
+/// in order, so the output is the same at any thread count.
+fn verify_candidates(
+    candidates: &[JoinPair],
+    r: &[String],
+    s: &[String],
+    alpha: f64,
+    threads: usize,
+) -> Vec<MatchPair> {
+    let verify = |chunk: &[JoinPair]| -> Vec<MatchPair> {
+        chunk
+            .iter()
+            .filter_map(|p| {
+                edit_similarity_within(&r[p.r as usize], &s[p.s as usize], alpha).map(
+                    |similarity| MatchPair {
+                        r: p.r,
+                        s: p.s,
+                        similarity,
+                    },
+                )
+            })
+            .collect()
+    };
+    let threads = threads.clamp(1, candidates.len().max(1));
+    if threads == 1 {
+        return verify(candidates);
+    }
+    let chunk_len = candidates.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = candidates
+            .chunks(chunk_len)
+            .map(|chunk| scope.spawn(move || verify(chunk)))
+            .collect();
+        let mut pairs = Vec::new();
+        for h in handles {
+            match h.join() {
+                Ok(chunk) => pairs.extend(chunk),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        pairs
     })
 }
 
@@ -414,6 +451,25 @@ mod tests {
         let s = strings(&["hello world!", "completely different"]);
         let out = edit_similarity_join(&r, &s, &EditJoinConfig::new(0.9)).unwrap();
         assert_eq!(out.keys(), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn verification_threads_do_not_change_output() {
+        let data: Vec<String> = (0..80)
+            .map(|i| format!("{} maple street apt {}", i % 9, i % 4))
+            .chain(["ab".to_string(), "ax".to_string()])
+            .collect();
+        let run = |threads: usize| {
+            let cfg = EditJoinConfig::new(0.8).with_exec(ExecContext::new().with_threads(threads));
+            edit_similarity_join(&data, &data, &cfg).unwrap()
+        };
+        let one = run(1);
+        assert!(one.pairs.len() > data.len(), "{}", one.pairs.len());
+        for threads in [2, 4] {
+            let out = run(threads);
+            assert_eq!(out.pairs, one.pairs, "threads {threads}");
+            assert_eq!(out.udf_verifications, one.udf_verifications);
+        }
     }
 
     #[test]

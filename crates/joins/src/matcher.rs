@@ -15,7 +15,7 @@
 //! the matcher is exact for every input.
 
 use crate::topk::TopKMatch;
-use ssjoin_sim::levenshtein_within;
+use ssjoin_sim::{edit_distance_budget, levenshtein_within};
 use ssjoin_text::{QGramTokenizer, Tokenizer};
 use std::collections::HashMap;
 
@@ -109,7 +109,9 @@ impl EditMatcher {
                 });
                 return;
             }
-            let budget = ((1.0 - min_similarity) * max_len as f64).floor() as usize;
+            let Some(budget) = edit_distance_budget(max_len, min_similarity) else {
+                return;
+            };
             if qlen.abs_diff(rlen) > budget {
                 return;
             }
@@ -162,7 +164,9 @@ impl EditMatcher {
                 }
                 // Length filter relative to the query.
                 let max_len = qlen.max(len);
-                let budget = ((1.0 - min_similarity) * max_len as f64).floor() as usize;
+                let Some(budget) = edit_distance_budget(max_len, min_similarity) else {
+                    continue;
+                };
                 if qlen.abs_diff(len) > budget {
                     continue;
                 }

@@ -26,7 +26,7 @@ use ssjoin_core::{
     OverlapPredicate, QueryEncoder, SsJoinConfig, SsJoinError, SsJoinInputBuilder, SsJoinResult,
     SsJoinStats, WeightScheme,
 };
-use ssjoin_sim::{edit_similarity, edit_similarity_at_least};
+use ssjoin_sim::edit_similarity_within;
 use ssjoin_text::{QGramTokenizer, Tokenizer};
 use std::collections::HashSet;
 
@@ -261,10 +261,12 @@ impl TopKIndex {
             self.last_stats = run.stats.clone();
             for p in run.pairs {
                 seen.insert(p.s);
-                if edit_similarity_at_least(query, &self.reference[p.s as usize], alpha) {
+                if let Some(similarity) =
+                    edit_similarity_within(query, &self.reference[p.s as usize], alpha)
+                {
                     out.push(TopKMatch {
                         index: p.s,
-                        similarity: edit_similarity(query, &self.reference[p.s as usize]),
+                        similarity,
                     });
                 }
             }
@@ -276,10 +278,12 @@ impl TopKIndex {
             if !seen.insert(rid) || !self.index.is_alive(rid) {
                 return;
             }
-            if edit_similarity_at_least(query, &self.reference[rid as usize], alpha) {
+            if let Some(similarity) =
+                edit_similarity_within(query, &self.reference[rid as usize], alpha)
+            {
                 out.push(TopKMatch {
                     index: rid,
-                    similarity: edit_similarity(query, &self.reference[rid as usize]),
+                    similarity,
                 });
             }
         };
@@ -331,12 +335,8 @@ impl TopKIndex {
                     continue;
                 }
                 let (a, b) = (&self.reference[r as usize], &self.reference[s as usize]);
-                if edit_similarity_at_least(a, b, theta) {
-                    out.push(MatchPair {
-                        r,
-                        s,
-                        similarity: edit_similarity(a, b),
-                    });
+                if let Some(similarity) = edit_similarity_within(a, b, theta) {
+                    out.push(MatchPair { r, s, similarity });
                 }
             }
         }
@@ -350,12 +350,8 @@ impl TopKIndex {
                 return;
             }
             let (a, b) = (&self.reference[r as usize], &self.reference[s as usize]);
-            if edit_similarity_at_least(a, b, theta) {
-                out.push(MatchPair {
-                    r,
-                    s,
-                    similarity: edit_similarity(a, b),
-                });
+            if let Some(similarity) = edit_similarity_within(a, b, theta) {
+                out.push(MatchPair { r, s, similarity });
             }
         };
         for i in 0..self.short_ids.len() {

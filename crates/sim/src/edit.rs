@@ -122,23 +122,53 @@ pub fn edit_similarity(a: &str, b: &str) -> f64 {
 }
 
 /// Threshold check `ES(a, b) ≥ alpha`, evaluated with the banded verifier so
-/// the common (dissimilar) case costs O(k·n) rather than O(n²).
+/// the common (dissimilar) case costs O(k·n) rather than O(n²). Agrees with
+/// [`edit_similarity_within`] (and so with comparing [`edit_similarity`]
+/// against `alpha`) on every input.
 pub fn edit_similarity_at_least(a: &str, b: &str, alpha: f64) -> bool {
-    if alpha <= 0.0 {
-        return true;
+    edit_similarity_within(a, b, alpha).is_some()
+}
+
+/// The largest edit distance `d` whose similarity `1 − d / max_len`, as
+/// [`edit_similarity`] computes it, still reaches `alpha`; `None` when even
+/// `d = 0` falls short (`alpha > 1`). This is the band of the threshold
+/// check. `⌊(1 − alpha)·max_len⌋` alone is not: at `alpha = 0.8` and
+/// `max_len = 10` it rounds to 1, although distance 2 gives similarity 0.8.
+pub fn edit_distance_budget(max_len: usize, alpha: f64) -> Option<usize> {
+    // Start from the exact-arithmetic budget and correct it for float
+    // rounding in either direction; similarity is monotone in the distance.
+    let mut budget = ((1.0 - alpha) * max_len as f64)
+        .floor()
+        .clamp(-1.0, max_len as f64) as i64;
+    while budget < max_len as i64 && similarity_at((budget + 1) as usize, max_len) >= alpha {
+        budget += 1;
     }
-    let alen = a.chars().count();
-    let blen = b.chars().count();
-    let max = alen.max(blen);
-    if max == 0 {
-        return true; // both empty: similarity 1
+    while budget >= 0 && similarity_at(budget as usize, max_len) < alpha {
+        budget -= 1;
     }
-    // ES >= alpha  <=>  ED <= (1 - alpha) * max.
-    let budget = ((1.0 - alpha) * max as f64).floor();
-    if budget < 0.0 {
-        return false;
+    usize::try_from(budget).ok()
+}
+
+/// `1 − d / max_len`, the expression [`edit_similarity`] evaluates; two empty
+/// strings (`max_len = 0`) are maximally similar.
+fn similarity_at(d: usize, max_len: usize) -> f64 {
+    if max_len == 0 {
+        1.0
+    } else {
+        1.0 - d as f64 / max_len as f64
     }
-    levenshtein_within(a, b, budget as usize).is_some()
+}
+
+/// `Some(ES(a, b))` when `ES(a, b) ≥ alpha`, `None` otherwise: the threshold
+/// check and the similarity from one banded [`levenshtein_within`] pass. The
+/// value is bit for bit [`edit_similarity`]'s, so a caller keeping passing
+/// pairs needs no second, unbanded O(|a|·|b|) dynamic program.
+pub fn edit_similarity_within(a: &str, b: &str, alpha: f64) -> Option<f64> {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    let max = a.len().max(b.len());
+    let budget = edit_distance_budget(max, alpha)?;
+    levenshtein_within_chars(&a, &b, budget).map(|d| similarity_at(d, max))
 }
 
 #[cfg(test)]
@@ -237,6 +267,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn within_keeps_pairs_exactly_at_the_threshold() {
+        // (1 − 0.8)·10 rounds to 1.9999999999999996, so a floored distance
+        // budget would be 1 and drop this pair although ES = 0.8 exactly.
+        let (a, b) = ("abcdefghij", "abcdefghXY");
+        assert_eq!(edit_similarity(a, b), 0.8);
+        assert_eq!(edit_similarity_within(a, b, 0.8), Some(0.8));
+        assert!(edit_similarity_at_least(a, b, 0.8));
+        assert_eq!(edit_similarity_within("abcde", "abcdX", 0.8), Some(0.8));
+        assert_eq!(edit_similarity_within(a, b, 0.81), None);
+        assert_eq!(edit_similarity_within("", "", 1.0), Some(1.0));
+        assert_eq!(edit_similarity_within("", "", 1.5), None);
+        assert_eq!(edit_similarity_within("abc", "", 0.0), Some(0.0));
+        assert_eq!(edit_distance_budget(10, 0.8), Some(2));
+        assert_eq!(edit_distance_budget(10, 0.0), Some(10));
+        assert_eq!(edit_distance_budget(0, 1.0), Some(0));
+        assert_eq!(edit_distance_budget(7, 1.01), None);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! * [`levenshtein`] / [`edit_similarity`] — plain edit distance and its
 //!   normalized form (Definition 2), with a banded
-//!   [`levenshtein_within`] verifier used as the post-SSJoin filter UDF,
+//!   [`levenshtein_within`] verifier behind the post-SSJoin filter UDF
+//!   [`edit_similarity_within`],
 //! * [`jaccard_resemblance`] / [`jaccard_containment`] — weighted Jaccard
 //!   (Definition 5),
 //! * [`overlap`], [`dice`], [`cosine`] — further set-overlap measures,
@@ -28,8 +29,8 @@ mod monge_elkan;
 mod setsim;
 
 pub use edit::{
-    edit_similarity, edit_similarity_at_least, levenshtein, levenshtein_within,
-    normalized_edit_distance,
+    edit_distance_budget, edit_similarity, edit_similarity_at_least, edit_similarity_within,
+    levenshtein, levenshtein_within, normalized_edit_distance,
 };
 pub use ges::{ges, ges_symmetric, GesConfig};
 pub use hamming::{hamming_distance, hamming_similarity};

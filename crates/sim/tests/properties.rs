@@ -233,3 +233,48 @@ fn threshold_udf_agrees() {
         );
     }
 }
+
+/// edit_similarity_within is `Some(edit_similarity)` bit for bit at or above
+/// the threshold and `None` below it — on empty, unicode and random strings,
+/// at thresholds exactly on, just above and just below the similarity.
+#[test]
+fn similarity_within_equals_full_similarity() {
+    let fixed = [
+        ("", ""),
+        ("", "abc"),
+        ("café münchen", "cafe münchen"),
+        ("日本語テキスト", "日本語テクスト"),
+        ("abcdefghij", "abcdefghXY"),
+        ("abcde", "abcdX"),
+    ];
+    let mut pairs: Vec<(String, String)> = fixed
+        .iter()
+        .map(|&(a, b)| (a.to_string(), b.to_string()))
+        .collect();
+    for seed in 0..256u64 {
+        let mut rng = StdRng::seed_from_u64(0xE51 + seed);
+        pairs.push((
+            random_lower(&mut rng, 3, 0, 20),
+            random_lower(&mut rng, 3, 0, 20),
+        ));
+    }
+    for (i, (a, b)) in pairs.iter().enumerate() {
+        let es = edit_similarity(a, b);
+        let mut alphas = vec![0.0, 0.5, 0.8, 0.85, 0.9, 1.0, es];
+        // The neighbouring doubles of `es` (it lies in [0, 1]).
+        alphas.push(f64::from_bits(es.to_bits() + 1));
+        if es > 0.0 {
+            alphas.push(f64::from_bits(es.to_bits() - 1));
+        }
+        for alpha in alphas {
+            let got = edit_similarity_within(a, b, alpha);
+            let expect = (es >= alpha).then_some(es);
+            assert_eq!(
+                got.map(f64::to_bits),
+                expect.map(f64::to_bits),
+                "pair {i} {a:?} {b:?} alpha {alpha}"
+            );
+            assert_eq!(edit_similarity_at_least(a, b, alpha), expect.is_some());
+        }
+    }
+}

@@ -1,7 +1,7 @@
 //! `ssjoin` — command-line similarity joins for data cleaning.
 //!
 //! ```text
-//! ssjoin join   --kind jaccard --threshold 0.85 [--algorithm inline] [--bitmap-filter] [--memory-budget 64m] [--approx 0.9] [--self-dedupe] R.tsv [S.tsv]
+//! ssjoin join   --kind jaccard --threshold 0.85 [--algorithm inline] [--memory-budget 64m] [--approx 0.9] [--self-dedupe] R.tsv [S.tsv]
 //! ssjoin match  --reference R.tsv --query "some string" [--k 3] [--min-sim 0.6]
 //! ssjoin serve  --reference R.tsv [--k 3] [--min-sim 0.6] [--q 3] [--memory-budget 64m] [--approx 0.9]
 //! ssjoin dedup  --threshold 0.85 [--kind edit] FILE.tsv
@@ -28,9 +28,11 @@
 //! Each subcommand accepts only its own options (see the usage text); any
 //! other `--option` is an error naming it, never silently ignored.
 //!
-//! `--bitmap-filter` turns on the lossless 8-word signature filter, which
-//! prunes candidates before verification: counters change, output never
-//! does.
+//! `join` and `dedup` run on every core the host reports
+//! (`std::thread::available_parallelism`) with the lossless 8-word
+//! signature filter on, which prunes candidates before verification. Output
+//! is the same at any worker count and with the filter off; there is no
+//! option for either.
 //!
 //! `--memory-budget` (plain bytes, or with a `k`/`m`/`g` suffix) bounds the
 //! resident working set: joins and serve-mode probe batches whose memory
@@ -71,8 +73,6 @@ enum Command {
         kind: JoinKind,
         threshold: f64,
         algorithm: Algorithm,
-        /// Turns the bitmap signature filter on.
-        bitmap_filter: bool,
         /// Resident budget in bytes; oversized joins spill to disk.
         memory_budget: Option<u64>,
         /// `Some(recall)` opts in to approximate candidate generation.
@@ -114,8 +114,8 @@ enum Command {
 const USAGE: &str = "usage:
   ssjoin join  --kind <edit|jaccard|cosine|ges> --threshold F \\
                [--algorithm <basic|prefix|inline|positional|auto>] \\
-               [--bitmap-filter] [--memory-budget BYTES[k|m|g]] \\
-               [--approx RECALL] [--self-dedupe] [--out OUT.tsv] R.tsv [S.tsv]
+               [--memory-budget BYTES[k|m|g]] [--approx RECALL] \\
+               [--self-dedupe] [--out OUT.tsv] R.tsv [S.tsv]
   ssjoin match --reference R.tsv --query STRING [--k N] [--min-sim F]
   ssjoin serve --reference R.tsv [--k N] [--min-sim F] [--q N] \\
                [--memory-budget BYTES[k|m|g]] [--approx RECALL]
@@ -184,7 +184,7 @@ fn option_spec(cmd: &str) -> Option<OptionSpec> {
                 "approx",
                 "out",
             ],
-            &["bitmap-filter", "self-dedupe"],
+            &["self-dedupe"],
         ),
         "match" => (&["reference", "query", "k", "min-sim"], &[]),
         "serve" => (
@@ -262,7 +262,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 kind,
                 threshold,
                 algorithm,
-                bitmap_filter: flags.contains(&"bitmap-filter"),
                 memory_budget,
                 approx: get_f64("approx")?,
                 self_dedupe: flags.contains(&"self-dedupe"),
@@ -332,24 +331,30 @@ fn first_column<P: AsRef<std::path::Path>>(path: P) -> Result<Vec<String>, Strin
         .collect())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_join(
-    kind: JoinKind,
-    threshold: f64,
-    algorithm: Algorithm,
-    bitmap_filter: bool,
-    memory_budget: Option<u64>,
-    approx: Option<f64>,
-    r: &[String],
-    s: &[String],
-) -> Result<SimilarityJoinOutput, String> {
-    let mut exec = ExecContext::new().with_bitmap_filter(bitmap_filter);
+/// The execution context of `join` and `dedup`: the library default (bitmap
+/// filter on) on one worker per core the host reports.
+fn join_exec(memory_budget: Option<u64>, approx: Option<f64>) -> ExecContext {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut exec = ExecContext::new().with_threads(threads);
     if let Some(bytes) = memory_budget {
         exec = exec.with_budget(ExecBudget::new().with_max_resident_bytes(bytes));
     }
     if let Some(recall) = approx {
         exec = exec.with_approximate(recall);
     }
+    exec
+}
+
+fn run_join(
+    kind: JoinKind,
+    threshold: f64,
+    algorithm: Algorithm,
+    memory_budget: Option<u64>,
+    approx: Option<f64>,
+    r: &[String],
+    s: &[String],
+) -> Result<SimilarityJoinOutput, String> {
+    let exec = join_exec(memory_budget, approx);
     let out = match kind {
         JoinKind::Edit => edit_similarity_join(
             r,
@@ -476,7 +481,6 @@ fn execute(cmd: Command) -> Result<(), String> {
             kind,
             threshold,
             algorithm,
-            bitmap_filter,
             memory_budget,
             approx,
             self_dedupe,
@@ -489,16 +493,7 @@ fn execute(cmd: Command) -> Result<(), String> {
                 Some(p) => first_column(p)?,
                 None => r.clone(),
             };
-            let output = run_join(
-                kind,
-                threshold,
-                algorithm,
-                bitmap_filter,
-                memory_budget,
-                approx,
-                &r,
-                &s,
-            )?;
+            let output = run_join(kind, threshold, algorithm, memory_budget, approx, &r, &s)?;
             // The winning execution plan (auto-planned or approximate) goes
             // to stderr so piped TSV output stays clean.
             if let Some(plan) = &output.stats.plan {
@@ -580,17 +575,8 @@ fn execute(cmd: Command) -> Result<(), String> {
             path,
         } => {
             let data = first_column(&path)?;
-            let pairs = run_join(
-                kind,
-                threshold,
-                Algorithm::Inline,
-                false,
-                None,
-                None,
-                &data,
-                &data,
-            )?
-            .pairs;
+            let pairs =
+                run_join(kind, threshold, Algorithm::Inline, None, None, &data, &data)?.pairs;
             let groups = cluster_pairs(data.len(), &pairs);
             for (gi, group) in groups.iter().enumerate() {
                 for &member in group {
@@ -655,7 +641,6 @@ mod tests {
                 kind: JoinKind::Edit,
                 threshold: 0.9,
                 algorithm: Algorithm::Basic,
-                bitmap_filter: false,
                 memory_budget: None,
                 approx: None,
                 self_dedupe: true,
@@ -731,8 +716,8 @@ mod tests {
         for name in ["basic", "prefix", "inline", "positional", "auto"] {
             assert!(USAGE.contains(name), "usage is missing {name}");
         }
-        // The removed token-sharded executor name is now an unknown
-        // algorithm: `--algorithm inline` runs token shards when parallel.
+        // The removed token-sharded executor's name is an unknown
+        // algorithm.
         assert!(parse_args(&sv(&[
             "join",
             "--threshold",
@@ -746,19 +731,36 @@ mod tests {
 
     #[test]
     fn parses_bitmap_filter() {
-        let parse = |extra: &[&str]| {
-            let mut args = vec!["join", "--threshold", "0.8"];
-            args.extend_from_slice(extra);
-            args.push("r.tsv");
-            match parse_args(&sv(&args)).unwrap() {
-                Command::Join { bitmap_filter, .. } => bitmap_filter,
-                other => panic!("unexpected {other:?}"),
-            }
-        };
-        // A bare flag: two states, off by default.
-        assert!(!parse(&[]));
-        assert!(parse(&["--bitmap-filter"]));
-        assert!(USAGE.contains("[--bitmap-filter]"));
+        // Removed: the filter is always on, so the flag is an unknown option.
+        let err = parse_args(&sv(&[
+            "join",
+            "--threshold",
+            "0.8",
+            "--bitmap-filter",
+            "r.tsv",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("unknown option --bitmap-filter for join"),
+            "got {err}"
+        );
+        assert!(!USAGE.contains("bitmap"));
+    }
+
+    #[test]
+    fn join_runs_filtered_on_every_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let exec = join_exec(None, None);
+        assert!(exec.bitmap_filter);
+        assert_eq!(exec.threads, cores);
+        assert!(exec.approx.is_none());
+        assert_eq!(exec.budget, ExecBudget::default());
+        // The budget and approx options ride on the same context.
+        let exec = join_exec(Some(64 << 10), Some(0.9));
+        assert!(exec.bitmap_filter);
+        assert_eq!(exec.threads, cores);
+        assert_eq!(exec.budget.max_resident_bytes, Some(64 << 10));
+        assert!(exec.approx.is_some());
     }
 
     #[test]
@@ -766,7 +768,7 @@ mod tests {
         for (args, option) in [
             // A typo of an advertised option.
             (&["join", "--treshold", "0.9", "r.tsv"][..], "--treshold"),
-            // Never supported by the CLI (it always runs one worker).
+            // Never supported by the CLI (it runs one worker per core).
             (
                 &["join", "--threshold", "0.9", "--threads", "4", "r.tsv"][..],
                 "--threads",
@@ -880,7 +882,6 @@ mod tests {
             join,
             Command::Join {
                 memory_budget: Some(20_971_520),
-                bitmap_filter: false,
                 ..
             }
         ));
@@ -1125,7 +1126,6 @@ mod tests {
             kind: JoinKind::Jaccard,
             threshold: 0.8,
             algorithm: Algorithm::Inline,
-            bitmap_filter: true,
             memory_budget: None,
             approx: None,
             self_dedupe: true,
@@ -1147,7 +1147,6 @@ mod tests {
             kind: JoinKind::Jaccard,
             threshold: 0.8,
             algorithm: Algorithm::Inline,
-            bitmap_filter: true,
             memory_budget: Some(64 << 10),
             approx: None,
             self_dedupe: true,
@@ -1169,7 +1168,6 @@ mod tests {
             kind: JoinKind::Jaccard,
             threshold: 0.8,
             algorithm: Algorithm::Inline,
-            bitmap_filter: false,
             memory_budget: None,
             approx: Some(0.9),
             self_dedupe: true,

@@ -188,7 +188,7 @@ impl<'a> SsJoin<'a> {
     /// Enable or disable the bitmap signature filter (fast path only). Every
     /// set stores an 8×u64 signature; the filter prunes candidates whose
     /// signature bound cannot reach the required overlap before verifying
-    /// them. Lossless: it changes counters, never output.
+    /// them. Lossless: it changes counters, never output. On by default.
     pub fn bitmap_filter(mut self, on: bool) -> Self {
         self.config.exec.bitmap_filter = on;
         self
