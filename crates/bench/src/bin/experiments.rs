@@ -587,7 +587,8 @@ fn ablation_auto(scale: f64, report: &mut Report) {
             configs.push((
                 format!("auto/{threads}t"),
                 true,
-                SsJoinConfig::new(Algorithm::Auto).with_threads(threads),
+                SsJoinConfig::new(Algorithm::Auto)
+                    .with_exec(ExecContext::new().with_threads(threads)),
             ));
         }
         for &threads in thread_levels {
@@ -607,9 +608,11 @@ fn ablation_auto(scale: f64, report: &mut Report) {
                             if filter { "bitmap" } else { "off" }
                         ),
                         false,
-                        SsJoinConfig::new(alg)
-                            .with_threads(threads)
-                            .with_bitmap_filter(filter),
+                        SsJoinConfig::new(alg).with_exec(
+                            ExecContext::new()
+                                .with_threads(threads)
+                                .with_bitmap_filter(filter),
+                        ),
                     ));
                 }
             }
@@ -1034,6 +1037,19 @@ fn bitmap_panel(
     );
 }
 
+/// Run `f` three times and return the median-time result with its time —
+/// one figure kept out of scheduler noise without a full round-robin.
+fn median_of_3<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
+    let mut runs: Vec<(T, Duration)> = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            (f(), start.elapsed())
+        })
+        .collect();
+    runs.sort_by_key(|(_, t)| *t);
+    runs.swap_remove(1)
+}
+
 /// Ablation (tentpole): the budgeted-execution machinery. Two claims. First,
 /// the checkpoint instrumentation is effectively free: attaching a budget
 /// whose limits can never trip costs <2% over the unbudgeted run on the
@@ -1045,19 +1061,11 @@ fn ablation_budget(scale: f64, report: &mut Report) {
     let data = evaluation_corpus(scale).records;
     let theta = 0.85;
 
-    let time_join = |alg: Algorithm, exec: ExecContext| {
+    let median3 = |exec: ExecContext| {
         let cfg = JaccardConfig::resemblance(theta)
-            .with_algorithm(alg)
+            .with_algorithm(Algorithm::Inline)
             .with_exec(exec);
-        let start = Instant::now();
-        let out = jaccard_join(&data, &data, &cfg).expect("jaccard join");
-        (out, start.elapsed())
-    };
-    // Median of three to keep the overhead figure out of scheduler noise.
-    let median3 = |alg: Algorithm, exec: &ExecContext| {
-        let mut runs: Vec<_> = (0..3).map(|_| time_join(alg, exec.clone())).collect();
-        runs.sort_by_key(|(_, t)| *t);
-        runs.swap_remove(1)
+        median_of_3(|| jaccard_join(&data, &data, &cfg).expect("jaccard join"))
     };
 
     let generous = ExecContext::new().with_budget(
@@ -1066,8 +1074,8 @@ fn ablation_budget(scale: f64, report: &mut Report) {
             .with_max_output_pairs(u64::MAX)
             .with_deadline(Duration::from_secs(3_600)),
     );
-    let (base_out, base_t) = median3(Algorithm::Inline, &ExecContext::new());
-    let (budget_out, budget_t) = median3(Algorithm::Inline, &generous);
+    let (base_out, base_t) = median3(ExecContext::new());
+    let (budget_out, budget_t) = median3(generous);
     assert_eq!(
         base_out.keys(),
         budget_out.keys(),
@@ -1404,15 +1412,7 @@ fn ablation_spill(scale: f64, report: &mut Report) {
             algorithm: Algorithm::Inline,
             exec,
         };
-        let mut runs: Vec<_> = (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                let out = ssjoin(c, c, &pred, &cfg).expect("ssjoin");
-                (out, start.elapsed())
-            })
-            .collect();
-        runs.sort_by_key(|(_, t)| *t);
-        runs.swap_remove(1)
+        median_of_3(|| ssjoin(c, c, &pred, &cfg).expect("ssjoin"))
     };
 
     let (base, base_t) = median3(ExecContext::new());
@@ -1558,17 +1558,7 @@ fn approx_panel(
     // Median of 3 per configuration — the sketch is rebuilt inside every
     // timed run (one-shot `ssjoin`), so the speedup figure honestly charges
     // approximate mode for its own preprocessing.
-    let median3 = |cfg: &SsJoinConfig| {
-        let mut runs: Vec<_> = (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                let out = ssjoin(c, c, &pred, cfg).expect("ssjoin");
-                (out, start.elapsed())
-            })
-            .collect();
-        runs.sort_by_key(|(_, t)| *t);
-        runs.swap_remove(1)
-    };
+    let median3 = |cfg: &SsJoinConfig| median_of_3(|| ssjoin(c, c, &pred, cfg).expect("ssjoin"));
 
     let (exact, exact_t) = median3(&SsJoinConfig::new(Algorithm::Auto));
     let truth: std::collections::HashMap<(u32, u32), _> = exact

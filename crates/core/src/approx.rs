@@ -626,10 +626,10 @@ fn approx_plan(algorithm: Algorithm, ctx: &ExecContext, spec: &ApproxSpec) -> Pl
 }
 
 /// Execute an approximate join: build (or rebuild) the sketch over `s` into
-/// the workspace pool, generate candidates by tree descent, verify exactly.
-/// `algorithm` is the caller's configured algorithm — approximation bypasses
-/// the executor choice, so it is echoed back (with [`Algorithm::Auto`]
-/// resolving to the inline verification shape this loop actually is).
+/// the workspace pool, then [`probe_built`] it. `algorithm` is the caller's
+/// configured algorithm — approximation bypasses the executor choice, so it
+/// is echoed back (with [`Algorithm::Auto`] resolving to the inline
+/// verification shape this loop actually is).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     r: &SetCollection,
@@ -641,31 +641,25 @@ pub(crate) fn run(
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> (SsJoinStats, Algorithm) {
-    let mut stats = SsJoinStats::default();
+    let mut build = SsJoinStats::default();
     let mut sketch = ws.approx.take().unwrap_or_default();
     if budget.proceed() {
         // Sketch + tree construction is the prefix-filter analog of this
         // pipeline, and is timed as such.
-        timed_phase(&mut stats, ctx.stats, Phase::PrefixFilter, |_| {
+        timed_phase(&mut build, Phase::PrefixFilter, |_| {
             sketch.build(s, pred, spec, budget);
         });
     }
-    let inner = run_built(r, s, &sketch, pred, ctx, budget, ws);
-    stats.merge(&inner);
-    stats.approx_reps = sketch.reps as u64;
+    let (mut stats, used) = probe_built(r, s, &sketch, pred, algorithm, ctx, spec, budget, ws);
+    stats.merge(&build);
     ws.approx = Some(sketch);
-    let used = if algorithm == Algorithm::Auto {
-        Algorithm::Inline
-    } else {
-        algorithm
-    };
-    stats.plan = Some(approx_plan(used, ctx, spec));
     (stats, used)
 }
 
-/// Probe an already-built sketch (the [`crate::CorpusIndex`] path: the
-/// sketch was built once at index (re)build time, so warm probes run the
-/// candidate loop only — allocation-free on a warmed workspace).
+/// Generate candidates from an already-built sketch by tree descent and
+/// verify them exactly (the [`crate::CorpusIndex`] path: the sketch was
+/// built once at index (re)build time, so warm probes run the candidate
+/// loop only — allocation-free on a warmed workspace).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_built(
     r: &SetCollection,
@@ -678,7 +672,14 @@ pub(crate) fn probe_built(
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> (SsJoinStats, Algorithm) {
-    let mut stats = run_built(r, s, sketch, pred, ctx, budget, ws);
+    let mut stats = SsJoinStats::default();
+    if budget.proceed() {
+        let JoinWorkspace { workers, out, .. } = ws;
+        let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
+            candidate_phase(r, s, sketch, pred, ctx, budget, workers, out)
+        });
+        stats.merge(&inner);
+    }
     stats.approx_reps = sketch.reps as u64;
     let used = if algorithm == Algorithm::Auto {
         Algorithm::Inline
@@ -687,28 +688,6 @@ pub(crate) fn probe_built(
     };
     stats.plan = Some(approx_plan(used, ctx, spec));
     (stats, used)
-}
-
-/// The timed candidate loop over a finished sketch.
-fn run_built(
-    r: &SetCollection,
-    s: &SetCollection,
-    sketch: &ApproxSketch,
-    pred: &OverlapPredicate,
-    ctx: &ExecContext,
-    budget: &BudgetState,
-    ws: &mut JoinWorkspace,
-) -> SsJoinStats {
-    let mut stats = SsJoinStats::default();
-    if !budget.proceed() {
-        return stats;
-    }
-    let JoinWorkspace { workers, out, .. } = ws;
-    let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
-        candidate_phase(r, s, sketch, pred, ctx, budget, workers, out)
-    });
-    stats.merge(&inner);
-    stats
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ use super::{Algorithm, ExecContext};
 use crate::kernel::{verify_cost_model, GALLOP_CROSSOVER};
 use crate::predicate::{Interval, OverlapPredicate};
 use crate::set::{SetCollection, LEN_HIST_BUCKETS, SIG_WORDS};
+use crate::stats::SsJoinStats;
 use std::fmt;
 
 /// Per-side size above which the one-shot estimator stops making exact
@@ -576,14 +577,29 @@ pub fn estimate_costs(
     estimate_costs_into(r, s, pred, &mut ws)
 }
 
-/// Materialize a plan choice onto a base context: the planner's knobs
-/// (bitmap filter, threads) override the caller's; operational settings
-/// (stats level, budget, cancellation, approximation) are preserved.
-pub(crate) fn apply_plan(ctx: &ExecContext, choice: &PlanChoice) -> ExecContext {
-    let mut out = ctx.clone();
-    out.bitmap_filter = choice.bitmap_filter;
-    out.threads = choice.threads;
-    out
+/// Run `dispatch` on `algorithm`, first resolving [`Algorithm::Auto`] to the
+/// cheapest [`PlanChoice`] under `estimate`, whose knobs (bitmap filter,
+/// threads) override the caller's context while the operational settings
+/// (budget, cancellation, approximation) are kept; the plan is stamped into
+/// the stats. Shared by one-shot joins and index probes, which differ only
+/// in how they estimate.
+pub(crate) fn run_planned(
+    algorithm: Algorithm,
+    ctx: &ExecContext,
+    ws: &mut JoinWorkspace,
+    estimate: impl FnOnce(&mut JoinWorkspace) -> CostEstimate,
+    dispatch: impl FnOnce(Algorithm, &ExecContext, &mut JoinWorkspace) -> SsJoinStats,
+) -> (SsJoinStats, Algorithm) {
+    if algorithm != Algorithm::Auto {
+        return (dispatch(algorithm, ctx, ws), algorithm);
+    }
+    let choice = estimate(ws).plan(ctx.threads);
+    let mut planned = ctx.clone();
+    planned.bitmap_filter = choice.bitmap_filter;
+    planned.threads = choice.threads;
+    let mut stats = dispatch(choice.algorithm, &planned, ws);
+    stats.plan = Some(choice);
+    (stats, choice.algorithm)
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ pub(super) fn run(
         out,
         ..
     } = ws;
-    timed_phase(&mut stats, ctx.stats, Phase::Prep, |_| {
+    timed_phase(&mut stats, Phase::Prep, |_| {
         s_index.build(s, None);
     });
     if !budget.proceed() {
@@ -41,7 +41,7 @@ pub(super) fn run(
     }
     let index = &*s_index;
 
-    let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
+    let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(r, s, index, pred, ctx, budget, workers, out)
     });
     stats.merge(&inner);
@@ -145,7 +145,7 @@ pub(crate) fn probe_basic(
         return stats;
     }
     let JoinWorkspace { workers, out, .. } = ws;
-    let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
+    let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(r, s, index, pred, ctx, budget, workers, out)
     });
     stats.merge(&inner);

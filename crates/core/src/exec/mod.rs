@@ -17,18 +17,20 @@ mod workspace;
 pub use auto::{estimate_costs, CostEstimate, PlanChoice};
 pub use workspace::JoinWorkspace;
 
-pub(crate) use auto::{apply_plan, effective_threads, estimate_probe_costs_into};
+pub(crate) use auto::{effective_threads, estimate_probe_costs_into, run_planned};
 pub(crate) use basic::probe_basic;
 pub(crate) use positional::probe_positional;
 pub(crate) use prefix::{prefix_lengths_into, probe_prefix_family, Side};
 pub(crate) use workspace::{build_csr_parallel, vec_bytes, CsrIndex, WorkerScratch};
 
+use crate::approx::ApproxSpec;
 use crate::budget::{estimate_memory_bytes, BudgetState, CancelToken, ExecBudget};
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
 use crate::stats::SsJoinStats;
 use crate::weight::Weight;
+use std::borrow::Cow;
 
 /// One result pair: group ids on each side plus their weighted overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,12 +81,11 @@ pub enum Algorithm {
     Auto,
 }
 
-pub use crate::stats::StatsLevel;
-
 /// Execution context shared by every physical executor: thread count, the
-/// candidate filter, instrumentation level, and resource limits. Executors
-/// take it by reference; [`SsJoinConfig`] is a builder over it plus the
-/// algorithm choice.
+/// candidate filter, resource limits, cancellation and approximate mode. It
+/// is the one place an execution value is set: [`SsJoinConfig`] pairs it
+/// with the algorithm choice, and the facade, the packaged joins and index
+/// probes pass it through whole.
 ///
 /// The default context runs one thread with the bitmap filter on. Output
 /// never depends on either knob; counters are identical at every thread
@@ -99,11 +100,10 @@ pub struct ExecContext {
     /// changes counters but never output. On by default;
     /// `with_bitmap_filter(false)` is the ablation and test oracle.
     pub bitmap_filter: bool,
-    /// Instrumentation level.
-    pub stats: StatsLevel,
     /// Resource limits (candidate pairs, output pairs, deadline, memory).
     /// Unlimited by default; exceeding any limit aborts the run with
-    /// [`SsJoinError::BudgetExceeded`].
+    /// [`SsJoinError::BudgetExceeded`]. A `max_resident_bytes` below the
+    /// run's estimate routes it out of core instead.
     pub budget: ExecBudget,
     /// Cooperative cancellation token. `None` by default; when set, calling
     /// [`CancelToken::cancel`] on any clone aborts the run at the next
@@ -114,8 +114,9 @@ pub struct ExecContext {
     /// the seeded LSH generator of [`crate::ApproxSpec`]; verification is
     /// unchanged, so every emitted pair is exact but a measured fraction of
     /// true pairs may be missed. A spec with `target_recall == 1.0`
-    /// degenerates to the exact pipeline.
-    pub approx: Option<crate::approx::ApproxSpec>,
+    /// degenerates to the exact pipeline. Set the field directly to choose a
+    /// seed other than the default.
+    pub approx: Option<ApproxSpec>,
 }
 
 impl ExecContext {
@@ -124,7 +125,6 @@ impl ExecContext {
         Self {
             threads: 1,
             bitmap_filter: true,
-            stats: StatsLevel::default(),
             budget: ExecBudget::default(),
             cancel: None,
             approx: None,
@@ -140,12 +140,6 @@ impl ExecContext {
     /// Enable or disable the bitmap signature filter.
     pub fn with_bitmap_filter(mut self, on: bool) -> Self {
         self.bitmap_filter = on;
-        self
-    }
-
-    /// Set the instrumentation level.
-    pub fn with_stats(mut self, stats: StatsLevel) -> Self {
-        self.stats = stats;
         self
     }
 
@@ -165,19 +159,13 @@ impl ExecContext {
     /// default seed (see [`crate::ApproxSpec`]); exactly `1.0` keeps the
     /// exact pipeline.
     pub fn with_approximate(mut self, target_recall: f64) -> Self {
-        self.approx = Some(crate::approx::ApproxSpec::new(target_recall));
-        self
-    }
-
-    /// Set or clear the full approximate-mode spec (recall target + seed).
-    pub fn with_approx_spec(mut self, spec: Option<crate::approx::ApproxSpec>) -> Self {
-        self.approx = spec;
+        self.approx = Some(ApproxSpec::new(target_recall));
         self
     }
 
     /// The approximate spec, if one is set *and* active (`target_recall < 1`).
-    pub(crate) fn active_approx(&self) -> Option<crate::approx::ApproxSpec> {
-        self.approx.filter(crate::approx::ApproxSpec::is_active)
+    pub(crate) fn active_approx(&self) -> Option<ApproxSpec> {
+        self.approx.filter(ApproxSpec::is_active)
     }
 }
 
@@ -193,7 +181,7 @@ impl Default for ExecContext {
 pub struct SsJoinConfig {
     /// Which physical algorithm to run.
     pub algorithm: Algorithm,
-    /// Threads, filter, instrumentation, limits.
+    /// Threads, filter, limits, cancellation, approximate mode.
     pub exec: ExecContext,
 }
 
@@ -210,42 +198,6 @@ impl SsJoinConfig {
     pub fn with_exec(mut self, exec: ExecContext) -> Self {
         self.exec = exec;
         self
-    }
-
-    /// Set the worker thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.exec.threads = threads;
-        self
-    }
-
-    /// Enable or disable the bitmap signature filter.
-    pub fn with_bitmap_filter(mut self, on: bool) -> Self {
-        self.exec.bitmap_filter = on;
-        self
-    }
-
-    /// Set the execution budget.
-    pub fn with_budget(mut self, budget: ExecBudget) -> Self {
-        self.exec.budget = budget;
-        self
-    }
-
-    /// Attach a cooperative cancellation token.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.exec.cancel = Some(token);
-        self
-    }
-
-    /// Enable approximate candidate generation targeting `recall` (see
-    /// [`crate::ApproxSpec`]); exactly `1.0` keeps the exact pipeline.
-    pub fn with_approximate(mut self, target_recall: f64) -> Self {
-        self.exec = self.exec.with_approximate(target_recall);
-        self
-    }
-
-    /// The configured worker thread count.
-    pub fn threads(&self) -> usize {
-        self.exec.threads
     }
 }
 
@@ -329,6 +281,54 @@ fn ssjoin_into(
     if r.universe_tag() != s.universe_tag() {
         return Err(SsJoinError::UniverseMismatch);
     }
+    let run = begin(r, s, config, ws)?;
+    let ctx = &*run.ctx;
+    let spilled = if run.spill {
+        crate::spill::run(r, s, pred, config.algorithm, ctx, &run.budget, ws)?
+    } else {
+        None
+    };
+    let (stats, used) = match (spilled, run.approx) {
+        (Some(result), _) => result,
+        // Approximate candidate generation replaces the executor choice
+        // wholesale — one deterministic pipeline regardless of the
+        // configured algorithm, so output is identical across executors.
+        (None, Some(spec)) => {
+            crate::approx::run(r, s, pred, config.algorithm, ctx, &spec, &run.budget, ws)
+        }
+        // Resident path — also the fallback when the spill planner found
+        // nothing to split (empty side, single-rank mass).
+        (None, None) => run_algorithm(config.algorithm, r, s, pred, ctx, &run.budget, ws),
+    };
+    finish(run, stats, used, 0, ws)
+}
+
+/// One run's envelope, opened by [`begin`] and closed by [`finish`]: the
+/// context the executors see, the shared budget state, and the route the
+/// run takes. One-shot joins and [`crate::CorpusIndex`] probes share it, so
+/// validation, the thread clamp, spill routing and the budget-error
+/// conversion exist once.
+pub(crate) struct RunEnvelope<'c> {
+    /// The caller's context with its worker count clamped to the host.
+    pub(crate) ctx: Cow<'c, ExecContext>,
+    /// Limits and cancellation, shared by every worker of the run.
+    pub(crate) budget: BudgetState,
+    /// Route the run through the out-of-core spill driver.
+    pub(crate) spill: bool,
+    /// The active approximate spec; never set together with `spill`.
+    pub(crate) approx: Option<ApproxSpec>,
+}
+
+/// Open a run of `config` over `r × s`: reject zero threads and invalid
+/// approximate specs, clamp the worker count, decide whether the resident
+/// budget routes the run out of core (refusing approximate mode there),
+/// apply the memory preflight, take the entry checkpoint and reset `ws`.
+pub(crate) fn begin<'c>(
+    r: &SetCollection,
+    s: &SetCollection,
+    config: &'c SsJoinConfig,
+    ws: &mut JoinWorkspace,
+) -> SsJoinResult<RunEnvelope<'c>> {
     let ctx = &config.exec;
     if ctx.threads == 0 {
         return Err(SsJoinError::Config("threads must be at least 1".into()));
@@ -341,12 +341,10 @@ fn ssjoin_into(
     // cores only adds scheduling overhead, and benchmarks on small hosts
     // would otherwise report fictitious "8-thread" numbers.
     let effective = auto::effective_threads(ctx.threads);
-    let clamped;
     let ctx = if effective == ctx.threads {
-        ctx
+        Cow::Borrowed(ctx)
     } else {
-        clamped = ctx.clone().with_threads(effective);
-        &clamped
+        Cow::Owned(ctx.clone().with_threads(effective))
     };
     let budget = BudgetState::new(&ctx.budget, ctx.cancel.as_ref());
     // Out-of-core decision: a resident-budget knob below the estimate routes
@@ -376,28 +374,30 @@ fn ssjoin_into(
     // re-check at their own phase boundaries and per probe group.
     let _ = budget.proceed();
     ws.begin_run();
-    let spilled = if spilling && budget.cause().is_none() {
-        crate::spill::run(r, s, pred, config.algorithm, ctx, &budget, ws)?
-    } else {
-        None
-    };
-    let (mut stats, used) = match (spilled, approx) {
-        (Some(result), _) => result,
-        // Approximate candidate generation replaces the executor choice
-        // wholesale — one deterministic pipeline regardless of the
-        // configured algorithm, so output is identical across executors.
-        (None, Some(spec)) => {
-            crate::approx::run(r, s, pred, config.algorithm, ctx, &spec, &budget, ws)
-        }
-        // Resident path — also the fallback when the spill planner found
-        // nothing to split (empty side, single-rank mass).
-        (None, None) => run_algorithm(config.algorithm, r, s, pred, ctx, &budget, ws),
-    };
-    stats.budget_checks = budget.checks();
-    stats.effective_threads = effective as u64;
+    Ok(RunEnvelope {
+        spill: spilling && budget.cause().is_none(),
+        approx,
+        budget,
+        ctx,
+    })
+}
+
+/// Close a run opened by [`begin`]: stamp the run-level counters
+/// (`extra_bytes` counts structures held outside `ws`, such as a persistent
+/// index), turn a tripped limit into [`SsJoinError::BudgetExceeded`] with
+/// the partial statistics, and count the `(r, s)`-sorted output.
+pub(crate) fn finish(
+    run: RunEnvelope<'_>,
+    mut stats: SsJoinStats,
+    used: Algorithm,
+    extra_bytes: u64,
+    ws: &JoinWorkspace,
+) -> SsJoinResult<(SsJoinStats, Algorithm)> {
+    stats.budget_checks = run.budget.checks();
+    stats.effective_threads = run.ctx.threads as u64;
     stats.workspace_reuses = ws.reuses();
-    stats.bytes_reserved = ws.bytes_reserved();
-    if let Some(which) = budget.cause() {
+    stats.bytes_reserved = ws.bytes_reserved() + extra_bytes;
+    if let Some(which) = run.budget.cause() {
         return Err(SsJoinError::BudgetExceeded {
             which,
             partial_stats: Box::new(stats),
@@ -433,23 +433,19 @@ pub(crate) fn run_algorithm(
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> (SsJoinStats, Algorithm) {
-    let planned;
-    let (algorithm, ctx, plan) = if algorithm == Algorithm::Auto {
-        let choice = auto::estimate_costs_into(r, s, pred, ws).plan(ctx.threads);
-        planned = apply_plan(ctx, &choice);
-        (choice.algorithm, &planned, Some(choice))
-    } else {
-        (algorithm, ctx, None)
-    };
-    let mut stats = match algorithm {
-        Algorithm::Basic => basic::run(r, s, pred, ctx, budget, ws),
-        Algorithm::PrefixFiltered => prefix::run(r, s, pred, ctx, budget, ws),
-        Algorithm::PositionalInline => positional::run(r, s, pred, ctx, budget, ws),
-        // Auto was resolved to a concrete executor above.
-        Algorithm::Inline | Algorithm::Auto => inline::run(r, s, pred, ctx, budget, ws),
-    };
-    stats.plan = plan;
-    (stats, algorithm)
+    auto::run_planned(
+        algorithm,
+        ctx,
+        ws,
+        |ws| auto::estimate_costs_into(r, s, pred, ws),
+        |algorithm, ctx, ws| match algorithm {
+            Algorithm::Basic => basic::run(r, s, pred, ctx, budget, ws),
+            Algorithm::PrefixFiltered => prefix::run(r, s, pred, ctx, budget, ws),
+            Algorithm::PositionalInline => positional::run(r, s, pred, ctx, budget, ws),
+            // `run_planned` resolved Auto to a concrete executor.
+            Algorithm::Inline | Algorithm::Auto => inline::run(r, s, pred, ctx, budget, ws),
+        },
+    )
 }
 
 /// Split `0..n` into at most `threads` contiguous chunks.
@@ -557,7 +553,7 @@ mod tests {
         let h = b.add_relation(vec![vec!["a".to_string()]]);
         let built = b.build().unwrap();
         let c = built.collection(h);
-        let cfg = SsJoinConfig::new(Algorithm::Basic).with_threads(0);
+        let cfg = SsJoinConfig::new(Algorithm::Basic).with_exec(ExecContext::new().with_threads(0));
         let err = ssjoin(c, c, &OverlapPredicate::absolute(1.0), &cfg);
         assert!(matches!(err, Err(SsJoinError::Config(_))));
     }

@@ -51,7 +51,7 @@ pub(super) fn run(
         ..
     } = ws;
 
-    timed_phase(&mut stats, ctx.stats, Phase::PrefixFilter, |stats| {
+    timed_phase(&mut stats, Phase::PrefixFilter, |stats| {
         prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
         prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
         stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
@@ -64,7 +64,7 @@ pub(super) fn run(
     let s_index = &*s_index;
     let r_lens = &*r_lens;
 
-    let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
+    let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(r, s, s_index, r_lens, pred, ctx, budget, workers, out)
     });
     stats.merge(&inner);
@@ -223,7 +223,7 @@ pub(crate) fn probe_positional(
         out,
         ..
     } = ws;
-    timed_phase(&mut stats, ctx.stats, Phase::PrefixFilter, |stats| {
+    timed_phase(&mut stats, Phase::PrefixFilter, |stats| {
         prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
         stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
         stats.prefix_tuples_s = s_prefix_tuples;
@@ -232,7 +232,7 @@ pub(crate) fn probe_positional(
         return stats;
     }
     let r_lens = &*r_lens;
-    let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
+    let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(r, s, s_index, r_lens, pred, ctx, budget, workers, out)
     });
     stats.merge(&inner);

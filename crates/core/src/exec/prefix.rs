@@ -105,7 +105,7 @@ pub(crate) fn run_prefix_family(
     // Phase: prefix-filter (computing prefixes and the prefix index). Only
     // the R-side lengths and the S-side prefix index escape the phase; the
     // S-side lengths are consumed by the index build.
-    timed_phase(&mut stats, ctx.stats, Phase::PrefixFilter, |stats| {
+    timed_phase(&mut stats, Phase::PrefixFilter, |stats| {
         prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
         prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
         stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
@@ -120,7 +120,7 @@ pub(crate) fn run_prefix_family(
 
     // Phase: the SSJoin proper — prefix equi-join producing candidates, then
     // overlap recomputation per candidate.
-    let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
+    let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(
             r, s, s_index, r_lens, pred, ctx, inline, budget, workers, out,
         )
@@ -302,7 +302,7 @@ pub(crate) fn probe_prefix_family(
         ..
     } = ws;
 
-    timed_phase(&mut stats, ctx.stats, Phase::PrefixFilter, |stats| {
+    timed_phase(&mut stats, Phase::PrefixFilter, |stats| {
         prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
         stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
         stats.prefix_tuples_s = s_prefix_tuples;
@@ -311,7 +311,7 @@ pub(crate) fn probe_prefix_family(
         return stats;
     }
     let r_lens = &*r_lens;
-    let inner = timed_phase(&mut stats, ctx.stats, Phase::SsJoin, |_| {
+    let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(
             r, s, s_index, r_lens, pred, ctx, inline, budget, workers, out,
         )

@@ -37,12 +37,14 @@
 //! live sets — the tests prove any insert/delete sequence is equivalent to a
 //! fresh rebuild of the surviving collection.
 
-use crate::budget::{estimate_memory_bytes, BudgetState};
+use crate::approx::ApproxSketch;
+use crate::budget::BudgetState;
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
-    apply_plan, build_csr_parallel, effective_threads, estimate_probe_costs_into,
-    prefix_lengths_into, probe_basic, probe_positional, probe_prefix_family, vec_bytes, Algorithm,
-    CsrIndex, JoinWorkspace, Side, SsJoinConfig, SsJoinRun, WorkerScratch,
+    begin, build_csr_parallel, effective_threads, estimate_probe_costs_into, finish,
+    prefix_lengths_into, probe_basic, probe_positional, probe_prefix_family, run_planned,
+    vec_bytes, Algorithm, CsrIndex, ExecContext, JoinWorkspace, Side, SsJoinConfig, SsJoinRun,
+    WorkerScratch,
 };
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
@@ -64,15 +66,6 @@ pub struct CorpusIndexOptions {
     /// Epoch-tail size that triggers an automatic merge on insert. Defaults
     /// to `max(64, indexed/8)`.
     pub epoch_limit: Option<usize>,
-    /// Default resident-memory budget in bytes for probes. A probe whose
-    /// working-set estimate exceeds the budget is served *out of core*
-    /// through the token-range spill driver (bit-identical pairs, see
-    /// [`crate::ExecBudget::max_resident_bytes`]) instead of resident
-    /// through the persistent index — the knob that lets a long-lived
-    /// service hold batches larger than RAM. A `max_resident_bytes` set on
-    /// the probe's own config takes precedence per call. `None` (the
-    /// default) never spills.
-    pub memory_budget: Option<u64>,
     /// Approximate-mode spec the index commits to at build time. When set
     /// (and active), the seeded LSH sketch of [`crate::ApproxSpec`] is built
     /// once per (re)build, so warm approximate probes run the candidate
@@ -89,7 +82,6 @@ impl Default for CorpusIndexOptions {
             partner_norms: None,
             build_threads: 1,
             epoch_limit: None,
-            memory_budget: None,
             approx: None,
         }
     }
@@ -107,8 +99,6 @@ pub struct CorpusIndex {
     partner_norms: (f64, f64),
     epoch_limit: Option<usize>,
     build_threads: usize,
-    /// Default resident budget for probes without their own.
-    memory_budget: Option<u64>,
     /// Approximate spec fixed at build time (`None` = exact-only index).
     approx_spec: Option<crate::approx::ApproxSpec>,
     /// The LSH sketch backing approximate probes, rebuilt with the indexes.
@@ -179,7 +169,6 @@ impl CorpusIndex {
             partner_norms,
             epoch_limit: options.epoch_limit,
             build_threads: options.build_threads,
-            memory_budget: options.memory_budget,
             approx_spec: options.approx.filter(crate::approx::ApproxSpec::is_active),
             approx: None,
             prefix_index: CsrIndex::default(),
@@ -303,10 +292,6 @@ impl CorpusIndex {
         if !batch.shares_universe(&self.corpus) {
             return Err(SsJoinError::UniverseMismatch);
         }
-        let ctx = &config.exec;
-        if ctx.threads == 0 {
-            return Err(SsJoinError::Config("threads must be at least 1".into()));
-        }
         if let Some((lo, hi)) = batch.norm_range() {
             if lo < self.partner_norms.0 || hi > self.partner_norms.1 {
                 return Err(SsJoinError::Config(format!(
@@ -316,96 +301,23 @@ impl CorpusIndex {
                 )));
             }
         }
-        // Approximate probes must match the sketch this index was built
-        // with: a persisted sketch serves exactly the recall target and seed
-        // it was built for.
-        let approx = match &ctx.approx {
-            Some(spec) => {
-                spec.validate()?;
-                match (ctx.active_approx(), self.approx.as_deref()) {
-                    (None, _) => None,
-                    (Some(_), None) => {
-                        return Err(SsJoinError::Config(
-                            "approximate probe against an index built without an approximate \
-                             spec; set CorpusIndexOptions::approx at build time"
-                                .into(),
-                        ));
-                    }
-                    (Some(spec), Some(sketch)) => {
-                        if sketch.seed != spec.seed || sketch.recall_milli != spec.recall_milli() {
-                            return Err(SsJoinError::Config(format!(
-                                "approximate spec (recall {:.3}, seed {:#x}) does not match the \
-                                 sketch this index was built with (recall {:.3}, seed {:#x})",
-                                spec.target_recall,
-                                spec.seed,
-                                f64::from(sketch.recall_milli) / 1000.0,
-                                sketch.seed
-                            )));
-                        }
-                        Some((sketch, spec))
-                    }
-                }
-            }
-            None => None,
-        };
-        let effective = effective_threads(ctx.threads);
-        let clamped;
-        let ctx = if effective == ctx.threads {
-            ctx
-        } else {
-            clamped = ctx.clone().with_threads(effective);
-            &clamped
-        };
-        let budget = BudgetState::new(&ctx.budget, ctx.cancel.as_ref());
-        // Out-of-core routing: when the probe's working-set estimate exceeds
-        // the resident budget (per-probe `max_resident_bytes`, else the
-        // index-level default), the probe is served through the token-range
-        // spill driver as a budgeted full join against the corpus arena —
-        // the persistent index cannot be consulted one partition at a time,
-        // but the spilled join holds only one partition's sub-index resident
-        // and emits bit-identical pairs. The hard memory cap is then priced
-        // against the per-partition peak inside the driver, not the full
-        // estimate.
-        let spill_limit = ctx.budget.max_resident_bytes.or(self.memory_budget);
-        let spilling =
-            spill_limit.is_some_and(|limit| estimate_memory_bytes(batch, &self.corpus) > limit);
-        if approx.is_some() && spilling {
-            return Err(SsJoinError::Config(
-                "approximate mode cannot run out of core: raise the resident budget or drop \
-                 the approximate spec"
-                    .into(),
-            ));
-        }
-        if !spilling {
-            if let Some(limit) = ctx.budget.max_memory_bytes {
-                if estimate_memory_bytes(batch, &self.corpus) > limit {
-                    budget.trip_memory();
-                }
-            }
-        }
-        let _ = budget.proceed();
-        ws.begin_run();
-        let (r, s) = (batch, &self.corpus);
-        let spilled = if spilling && budget.cause().is_none() {
-            let sctx;
-            let sctx = if ctx.budget.max_resident_bytes.is_some() {
-                ctx
-            } else {
-                let mut c = ctx.clone();
-                c.budget.max_resident_bytes = spill_limit;
-                sctx = c;
-                &sctx
-            };
-            crate::spill::run(r, s, &self.pred, config.algorithm, sctx, &budget, ws)?
+        let sketch = self.sketch_for(&config.exec)?;
+        // A probe whose working-set estimate exceeds its resident budget is
+        // routed through the token-range spill driver as a budgeted full
+        // join against the corpus arena: the persistent index cannot be
+        // consulted one partition at a time, but the spilled join holds only
+        // one partition's sub-index resident and emits bit-identical pairs.
+        let run = begin(batch, &self.corpus, config, ws)?;
+        let (r, s, ctx) = (batch, &self.corpus, &*run.ctx);
+        let spilled = if run.spill {
+            crate::spill::run(r, s, &self.pred, config.algorithm, ctx, &run.budget, ws)?
         } else {
             None
         };
         let from_spill = spilled.is_some();
-        let from_approx = !from_spill && approx.is_some();
-        let (mut stats, used) = if let Some(result) = spilled {
-            result
-        } else if let Some((sketch, spec)) = approx {
-            crate::approx::probe_built(
+        let (mut stats, used) = match (spilled, sketch.zip(run.approx)) {
+            (Some(result), _) => result,
+            (None, Some((sketch, spec))) => crate::approx::probe_built(
                 r,
                 s,
                 sketch,
@@ -413,11 +325,10 @@ impl CorpusIndex {
                 config.algorithm,
                 ctx,
                 &spec,
-                &budget,
+                &run.budget,
                 ws,
-            )
-        } else {
-            self.probe_resident(r, config.algorithm, ctx, &budget, ws)
+            ),
+            (None, None) => self.probe_resident(r, config.algorithm, ctx, &run.budget, ws),
         };
         if from_spill {
             // The spilled join covered the whole arena — epoch tail
@@ -436,7 +347,7 @@ impl CorpusIndex {
             // (tombstones are not zeroed out the way CSR posting lengths
             // are), so approximate probes must filter every tombstone, not
             // only the post-rebuild ones.
-            let dead_emitted = if from_approx {
+            let dead_emitted = if run.approx.is_some() {
                 self.dead
             } else {
                 self.dead_in_index
@@ -444,29 +355,39 @@ impl CorpusIndex {
             if dead_emitted > 0 {
                 ws.out.retain(|p| self.alive[p.s as usize]);
             }
-            let epoch_added = self.probe_epoch_tail(r, &budget, ws, &mut stats);
+            let epoch_added = self.probe_epoch_tail(r, &run.budget, ws, &mut stats);
             if epoch_added {
                 ws.out.sort_unstable_by_key(|p| (p.r, p.s));
             }
         }
-        stats.budget_checks = budget.checks();
-        stats.effective_threads = effective as u64;
-        stats.workspace_reuses = ws.reuses();
-        stats.bytes_reserved = ws.bytes_reserved() + self.bytes_reserved();
-        if let Some(which) = budget.cause() {
-            return Err(SsJoinError::BudgetExceeded {
-                which,
-                partial_stats: Box::new(stats),
-            });
+        finish(run, stats, used, self.bytes_reserved(), ws)
+    }
+
+    /// The sketch an approximate probe under `ctx` runs against (`None` for
+    /// an exact probe). A persisted sketch serves exactly the recall target
+    /// and seed it was built for, so any other active spec is refused.
+    fn sketch_for(&self, ctx: &ExecContext) -> SsJoinResult<Option<&ApproxSketch>> {
+        let Some(spec) = ctx.active_approx() else {
+            return Ok(None);
+        };
+        let Some(sketch) = self.approx.as_deref() else {
+            return Err(SsJoinError::Config(
+                "approximate probe against an index built without an approximate spec; set \
+                 CorpusIndexOptions::approx at build time"
+                    .into(),
+            ));
+        };
+        if sketch.seed != spec.seed || sketch.recall_milli != spec.recall_milli() {
+            return Err(SsJoinError::Config(format!(
+                "approximate spec (recall {:.3}, seed {:#x}) does not match the sketch this \
+                 index was built with (recall {:.3}, seed {:#x})",
+                spec.target_recall,
+                spec.seed,
+                f64::from(sketch.recall_milli) / 1000.0,
+                sketch.seed
+            )));
         }
-        debug_assert!(
-            ws.out
-                .windows(2)
-                .all(|w| (w[0].r, w[0].s) < (w[1].r, w[1].s)),
-            "probe output must arrive (r, s)-sorted and duplicate-free"
-        );
-        stats.output_pairs = ws.out.len() as u64;
-        Ok((stats, used))
+        Ok(Some(sketch))
     }
 
     /// Resident probe through the persistent indexes. [`Algorithm::Auto`]
@@ -479,43 +400,35 @@ impl CorpusIndex {
         &self,
         r: &SetCollection,
         algorithm: Algorithm,
-        ctx: &crate::exec::ExecContext,
+        ctx: &ExecContext,
         budget: &BudgetState,
         ws: &mut JoinWorkspace,
     ) -> (SsJoinStats, Algorithm) {
-        let s = &self.corpus;
-        let planned;
-        let (algorithm, ctx, plan) = if algorithm == Algorithm::Auto {
-            let est = estimate_probe_costs_into(
-                r,
-                s,
-                &self.prefix_freq,
-                self.prefix_tuples,
-                &self.pred,
-                ws,
-            );
-            let choice = est.plan(ctx.threads);
-            planned = apply_plan(ctx, &choice);
-            (choice.algorithm, &planned, Some(choice))
-        } else {
-            (algorithm, ctx, None)
-        };
-        let (index, tuples, pred) = (&self.prefix_index, self.prefix_tuples, &self.pred);
-        let mut stats = match algorithm {
-            Algorithm::Basic => probe_basic(r, s, &self.full_index, pred, ctx, budget, ws),
-            Algorithm::PrefixFiltered => {
-                probe_prefix_family(r, s, index, tuples, pred, ctx, false, budget, ws)
-            }
-            Algorithm::PositionalInline => {
-                probe_positional(r, s, index, tuples, pred, ctx, budget, ws)
-            }
-            // Auto was resolved to a concrete executor above.
-            Algorithm::Inline | Algorithm::Auto => {
-                probe_prefix_family(r, s, index, tuples, pred, ctx, true, budget, ws)
-            }
-        };
-        stats.plan = plan;
-        (stats, algorithm)
+        let (s, index, tuples, pred) = (
+            &self.corpus,
+            &self.prefix_index,
+            self.prefix_tuples,
+            &self.pred,
+        );
+        run_planned(
+            algorithm,
+            ctx,
+            ws,
+            |ws| estimate_probe_costs_into(r, s, &self.prefix_freq, tuples, pred, ws),
+            |algorithm, ctx, ws| match algorithm {
+                Algorithm::Basic => probe_basic(r, s, &self.full_index, pred, ctx, budget, ws),
+                Algorithm::PrefixFiltered => {
+                    probe_prefix_family(r, s, index, tuples, pred, ctx, false, budget, ws)
+                }
+                Algorithm::PositionalInline => {
+                    probe_positional(r, s, index, tuples, pred, ctx, budget, ws)
+                }
+                // `run_planned` resolved Auto to a concrete executor.
+                Algorithm::Inline | Algorithm::Auto => {
+                    probe_prefix_family(r, s, index, tuples, pred, ctx, true, budget, ws)
+                }
+            },
+        )
     }
 
     /// Brute-force join of the batch against the un-indexed epoch tail.
@@ -651,19 +564,6 @@ impl CorpusIndex {
     /// The predicate probes run under.
     pub fn predicate(&self) -> &OverlapPredicate {
         &self.pred
-    }
-
-    /// The default resident-memory budget applied to probes that do not set
-    /// [`crate::ExecBudget::max_resident_bytes`] themselves.
-    pub fn memory_budget(&self) -> Option<u64> {
-        self.memory_budget
-    }
-
-    /// Set or clear the default resident-memory budget for future probes
-    /// (see [`CorpusIndexOptions::memory_budget`]). Takes effect on the next
-    /// probe; never changes emitted pairs, only the execution strategy.
-    pub fn set_memory_budget(&mut self, bytes: Option<u64>) {
-        self.memory_budget = bytes;
     }
 
     /// Total arena slots (live + tombstoned).

@@ -96,5 +96,5 @@ pub use order::ElementOrder;
 pub use predicate::{Interval, NormExpr, OverlapPredicate};
 pub use set::{CollectionStats, SetCollection, SetRef, SIG_WORDS};
 pub use spill::{plan_spill, SpillPlan};
-pub use stats::{Phase, SsJoinStats, StatsLevel};
+pub use stats::{Phase, SsJoinStats};
 pub use weight::Weight;

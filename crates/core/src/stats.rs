@@ -41,17 +41,6 @@ impl Phase {
     }
 }
 
-/// How much instrumentation executors record into [`SsJoinStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StatsLevel {
-    /// Counters and per-phase wall times.
-    #[default]
-    Timed,
-    /// Counters only — phase clock reads are skipped and phase times stay
-    /// zero.
-    CountersOnly,
-}
-
 /// Statistics of one SSJoin execution.
 ///
 /// `PartialEq`/`Eq` compare every field (all counters and durations), so a
@@ -231,17 +220,14 @@ impl fmt::Display for SsJoinStats {
     }
 }
 
-/// Time a closure, attributing its duration to `phase`. Under
-/// [`StatsLevel::CountersOnly`] the clock reads are skipped.
+/// Time a closure, attributing its duration to `phase`. Executors call it
+/// once per phase per worker, never per pair, so the clock reads stay off
+/// the hot path.
 pub(crate) fn timed_phase<T>(
     stats: &mut SsJoinStats,
-    level: StatsLevel,
     phase: Phase,
     f: impl FnOnce(&mut SsJoinStats) -> T,
 ) -> T {
-    if level == StatsLevel::CountersOnly {
-        return f(stats);
-    }
     let start = std::time::Instant::now();
     let out = f(stats);
     stats.add_time(phase, start.elapsed());
@@ -317,20 +303,11 @@ mod tests {
     #[test]
     fn timed_phase_records() {
         let mut s = SsJoinStats::default();
-        let out = timed_phase(&mut s, StatsLevel::Timed, Phase::Prep, |_| 42);
+        let out = timed_phase(&mut s, Phase::Prep, |_| 42);
         assert_eq!(out, 42);
         // Duration may round to zero on coarse clocks; just ensure no panic
         // and display renders.
         let _ = s.to_string();
-    }
-
-    #[test]
-    fn counters_only_skips_timing() {
-        let mut s = SsJoinStats::default();
-        timed_phase(&mut s, StatsLevel::CountersOnly, Phase::Prep, |_| {
-            std::thread::sleep(Duration::from_millis(2));
-        });
-        assert_eq!(s.total_time(), Duration::ZERO);
     }
 
     #[test]

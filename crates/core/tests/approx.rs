@@ -77,7 +77,8 @@ fn approx_output_is_subset_with_exact_scores() {
             .iter()
             .map(|p| ((p.r, p.s), p.overlap))
             .collect();
-        let cfg = SsJoinConfig::new(Algorithm::Auto).with_approximate(target);
+        let cfg = SsJoinConfig::new(Algorithm::Auto)
+            .with_exec(ExecContext::new().with_approximate(target));
         let out = ssjoin(&c, &c, &pred, &cfg).unwrap();
         assert!(out.stats.approx_reps >= 1, "seed {seed}: no repetitions");
         for p in &out.pairs {
@@ -111,15 +112,18 @@ fn approx_is_deterministic_across_executors_and_threads() {
             &c,
             &c,
             &pred,
-            &SsJoinConfig::new(Algorithm::Auto)
-                .with_exec(ExecContext::new().with_approx_spec(Some(spec))),
+            &SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext {
+                approx: Some(spec),
+                ..ExecContext::new()
+            }),
         )
         .unwrap();
         for alg in ALGORITHMS {
             for threads in [1usize, 2, 8] {
-                let ctx = ExecContext::new()
-                    .with_threads(threads)
-                    .with_approx_spec(Some(spec));
+                let ctx = ExecContext {
+                    approx: Some(spec),
+                    ..ExecContext::new().with_threads(threads)
+                };
                 let out = ssjoin(&c, &c, &pred, &SsJoinConfig::new(alg).with_exec(ctx)).unwrap();
                 assert_eq!(
                     baseline.pairs, out.pairs,
@@ -144,7 +148,7 @@ fn recall_one_degenerates_to_exact() {
             &c,
             &c,
             &pred,
-            &SsJoinConfig::new(Algorithm::Auto).with_approximate(1.0),
+            &SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext::new().with_approximate(1.0)),
         )
         .unwrap();
         assert_eq!(exact.pairs, degenerate.pairs, "seed {seed}");
@@ -164,7 +168,8 @@ fn invalid_targets_are_config_errors() {
     );
     let pred = OverlapPredicate::two_sided(0.5);
     for bad in [0.0, -0.25, 1.5, f64::NAN] {
-        let cfg = SsJoinConfig::new(Algorithm::Auto).with_approximate(bad);
+        let cfg =
+            SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext::new().with_approximate(bad));
         match ssjoin(&c, &c, &pred, &cfg) {
             Err(SsJoinError::Config(msg)) => {
                 assert!(msg.contains("recall"), "target {bad}: {msg}")
@@ -182,9 +187,11 @@ fn approx_plus_spill_is_a_config_error() {
     let mut rng = StdRng::seed_from_u64(0x5B1A);
     let c = build_self(clustered_groups(&mut rng), ElementOrder::FrequencyAsc);
     let pred = OverlapPredicate::two_sided(0.5);
-    let cfg = SsJoinConfig::new(Algorithm::Auto)
-        .with_approximate(0.9)
-        .with_budget(ExecBudget::new().with_max_resident_bytes(1));
+    let cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(
+        ExecContext::new()
+            .with_approximate(0.9)
+            .with_budget(ExecBudget::new().with_max_resident_bytes(1)),
+    );
     match ssjoin(&c, &c, &pred, &cfg) {
         Err(SsJoinError::Config(msg)) => {
             assert!(msg.contains("out of core"), "{msg}")
@@ -204,9 +211,11 @@ fn approx_honors_budget_and_cancellation() {
 
     let token = CancelToken::new();
     token.cancel();
-    let cfg = SsJoinConfig::new(Algorithm::Auto)
-        .with_approximate(0.9)
-        .with_cancel_token(token);
+    let cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(
+        ExecContext::new()
+            .with_approximate(0.9)
+            .with_cancel_token(token),
+    );
     match ssjoin(&c, &c, &pred, &cfg) {
         Err(SsJoinError::BudgetExceeded { which, .. }) => {
             assert_eq!(which, BudgetCause::Cancelled)
@@ -214,9 +223,11 @@ fn approx_honors_budget_and_cancellation() {
         other => panic!("expected cancellation, got {other:?}"),
     }
 
-    let cfg = SsJoinConfig::new(Algorithm::Auto)
-        .with_approximate(0.9)
-        .with_budget(ExecBudget::new().with_max_candidate_pairs(1));
+    let cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(
+        ExecContext::new()
+            .with_approximate(0.9)
+            .with_budget(ExecBudget::new().with_max_candidate_pairs(1)),
+    );
     match ssjoin(&c, &c, &pred, &cfg) {
         Err(SsJoinError::BudgetExceeded { which, .. }) => {
             assert_eq!(which, BudgetCause::CandidatePairs)
@@ -241,8 +252,10 @@ fn index_pins_the_approx_spec_and_survives_churn() {
     // Exact-built index rejects approximate probes.
     let exact_index =
         CorpusIndex::build_with(c.clone(), pred.clone(), &CorpusIndexOptions::default()).unwrap();
-    let approx_cfg = SsJoinConfig::new(Algorithm::Auto)
-        .with_exec(ExecContext::new().with_approx_spec(Some(spec)));
+    let approx_cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext {
+        approx: Some(spec),
+        ..ExecContext::new()
+    });
     match exact_index.probe(&c, &approx_cfg, &mut ws) {
         Err(SsJoinError::Config(msg)) => assert!(msg.contains("built without"), "{msg}"),
         other => panic!(
@@ -258,8 +271,10 @@ fn index_pins_the_approx_spec_and_survives_churn() {
     };
     let mut index = CorpusIndex::build_with(c.clone(), pred.clone(), &options).unwrap();
     for wrong in [spec.with_seed(123), ApproxSpec::new(0.8)] {
-        let cfg = SsJoinConfig::new(Algorithm::Auto)
-            .with_exec(ExecContext::new().with_approx_spec(Some(wrong)));
+        let cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext {
+            approx: Some(wrong),
+            ..ExecContext::new()
+        });
         match index.probe(&c, &cfg, &mut ws) {
             Err(SsJoinError::Config(msg)) => assert!(msg.contains("does not match"), "{msg}"),
             other => panic!(

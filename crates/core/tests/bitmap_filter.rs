@@ -6,7 +6,7 @@
 //! bitmap-pruned by the filtered run.
 
 use ssjoin_core::{
-    ssjoin, Algorithm, CorpusIndex, ElementOrder, JoinWorkspace, NormExpr, NormKind,
+    ssjoin, Algorithm, CorpusIndex, ElementOrder, ExecContext, JoinWorkspace, NormExpr, NormKind,
     OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
@@ -84,8 +84,10 @@ fn bitmap_filter_prunes_without_changing_output_all_executors() {
     let pred = OverlapPredicate::two_sided(0.8);
     for alg in ALGORITHMS {
         for threads in [1usize, 2, 4] {
-            let cfg = SsJoinConfig::new(alg).with_threads(threads);
-            let plain_cfg = cfg.clone().with_bitmap_filter(false);
+            let cfg = SsJoinConfig::new(alg).with_exec(ExecContext::new().with_threads(threads));
+            let plain_cfg = cfg
+                .clone()
+                .with_exec(cfg.exec.clone().with_bitmap_filter(false));
             let base = ssjoin(&c, &c, &pred, &plain_cfg).unwrap();
             let out = ssjoin(&c, &c, &pred, &cfg).unwrap();
             let prunes = check_balance(
@@ -114,8 +116,11 @@ fn bitmap_filter_prunes_without_changing_probe_output() {
     let mut check_all = |index: &CorpusIndex, stage: &str| {
         for alg in ALGORITHMS {
             for threads in [1usize, 2, 4] {
-                let cfg = SsJoinConfig::new(alg).with_threads(threads);
-                let plain_cfg = cfg.clone().with_bitmap_filter(false);
+                let cfg =
+                    SsJoinConfig::new(alg).with_exec(ExecContext::new().with_threads(threads));
+                let plain_cfg = cfg
+                    .clone()
+                    .with_exec(cfg.exec.clone().with_bitmap_filter(false));
                 let base = index.probe(&c, &plain_cfg, &mut ws).unwrap();
                 let base_pairs = base.pairs.to_vec();
                 let base_verified = base.stats.verified_pairs;
@@ -212,10 +217,18 @@ fn default_filter_prunes_qgram_edit_candidates() {
         Box::new(NormExpr::Const(q - 1.0)),
     )]);
     for threads in [1usize, 2, 4] {
-        let cfg = SsJoinConfig::new(Algorithm::Inline).with_threads(threads);
+        let cfg = SsJoinConfig::new(Algorithm::Inline)
+            .with_exec(ExecContext::new().with_threads(threads));
         assert!(cfg.exec.bitmap_filter, "the filter is on by default");
         let out = ssjoin(&c, &c, &pred, &cfg).unwrap();
-        let base = ssjoin(&c, &c, &pred, &cfg.clone().with_bitmap_filter(false)).unwrap();
+        let base = ssjoin(
+            &c,
+            &c,
+            &pred,
+            &cfg.clone()
+                .with_exec(cfg.exec.clone().with_bitmap_filter(false)),
+        )
+        .unwrap();
         let prunes = check_balance(
             &format!("q-gram edit, threads {threads}"),
             Algorithm::Inline,

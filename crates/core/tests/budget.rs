@@ -10,7 +10,7 @@
 //! 3. a `Duration::ZERO` deadline aborts before any join work happens.
 
 use ssjoin_core::{
-    ssjoin, Algorithm, BudgetCause, CancelToken, ElementOrder, ExecBudget, JoinPair,
+    ssjoin, Algorithm, BudgetCause, CancelToken, ElementOrder, ExecBudget, ExecContext, JoinPair,
     OverlapPredicate, SetCollection, SsJoinConfig, SsJoinError, SsJoinInputBuilder, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
@@ -104,14 +104,18 @@ fn adversarial_inputs_never_panic() {
         let pred = random_predicate(&mut rng);
         for alg in ALGORITHMS {
             for threads in [1usize, 3] {
-                let config = SsJoinConfig::new(alg).with_threads(threads);
+                let config =
+                    SsJoinConfig::new(alg).with_exec(ExecContext::new().with_threads(threads));
                 // Unbudgeted: must succeed (nothing to trip).
                 let out = ssjoin(&r, &s, &pred, &config)
                     .unwrap_or_else(|e| panic!("seed {seed} alg {alg:?} threads {threads}: {e}"));
                 // Budgeted with a tiny limit: must not panic either way.
-                let tight = config
-                    .clone()
-                    .with_budget(ExecBudget::default().with_max_candidate_pairs(1));
+                let tight = config.clone().with_exec(
+                    config
+                        .exec
+                        .clone()
+                        .with_budget(ExecBudget::default().with_max_candidate_pairs(1)),
+                );
                 match ssjoin(&r, &s, &pred, &tight) {
                     Ok(tight_out) => assert_eq!(
                         pairs_to_keys(&tight_out.pairs),
@@ -159,9 +163,11 @@ fn any_budget_is_complete_or_typed_error() {
 
         for alg in ALGORITHMS {
             let threads = if rng.gen_bool(0.5) { 1 } else { 4 };
-            let config = SsJoinConfig::new(alg).with_threads(threads);
+            let config = SsJoinConfig::new(alg).with_exec(ExecContext::new().with_threads(threads));
             let full = ssjoin(&r, &s, &pred, &config).unwrap();
-            let budgeted = config.clone().with_budget(budget.clone());
+            let budgeted = config
+                .clone()
+                .with_exec(config.exec.clone().with_budget(budget.clone()));
             match ssjoin(&r, &s, &pred, &budgeted) {
                 Ok(out) => {
                     assert_eq!(
@@ -206,8 +212,9 @@ fn zero_deadline_and_cancel_abort_immediately() {
     let (r, s) = build_two(groups.clone(), groups, WeightScheme::Idf);
     let pred = OverlapPredicate::absolute(2.0);
     for alg in ALGORITHMS {
-        let config =
-            SsJoinConfig::new(alg).with_budget(ExecBudget::default().with_deadline(Duration::ZERO));
+        let config = SsJoinConfig::new(alg).with_exec(
+            ExecContext::new().with_budget(ExecBudget::default().with_deadline(Duration::ZERO)),
+        );
         let err = ssjoin(&r, &s, &pred, &config).unwrap_err();
         match err {
             SsJoinError::BudgetExceeded {
@@ -225,7 +232,7 @@ fn zero_deadline_and_cancel_abort_immediately() {
 
         let token = CancelToken::new();
         token.cancel();
-        let config = SsJoinConfig::new(alg).with_cancel_token(token);
+        let config = SsJoinConfig::new(alg).with_exec(ExecContext::new().with_cancel_token(token));
         let err = ssjoin(&r, &s, &pred, &config).unwrap_err();
         assert!(
             matches!(
@@ -250,8 +257,9 @@ fn memory_preflight_gates_runs() {
     let (r, s) = build_two(groups.clone(), groups, WeightScheme::Unweighted);
     let pred = OverlapPredicate::absolute(2.0);
     for alg in ALGORITHMS {
-        let config =
-            SsJoinConfig::new(alg).with_budget(ExecBudget::default().with_max_memory_bytes(16));
+        let config = SsJoinConfig::new(alg).with_exec(
+            ExecContext::new().with_budget(ExecBudget::default().with_max_memory_bytes(16)),
+        );
         let err = ssjoin(&r, &s, &pred, &config).unwrap_err();
         assert!(
             matches!(
@@ -263,8 +271,9 @@ fn memory_preflight_gates_runs() {
             ),
             "alg {alg:?}: {err:?}"
         );
-        let config = SsJoinConfig::new(alg)
-            .with_budget(ExecBudget::default().with_max_memory_bytes(u64::MAX));
+        let config = SsJoinConfig::new(alg).with_exec(
+            ExecContext::new().with_budget(ExecBudget::default().with_max_memory_bytes(u64::MAX)),
+        );
         ssjoin(&r, &s, &pred, &config).unwrap();
     }
 }
@@ -280,10 +289,12 @@ fn at_limit_runs_complete() {
     for alg in ALGORITHMS {
         let config = SsJoinConfig::new(alg);
         let full = ssjoin(&r, &s, &pred, &config).unwrap();
-        let exact = config.clone().with_budget(
-            ExecBudget::default()
-                .with_max_candidate_pairs(full.stats.candidate_pairs)
-                .with_max_output_pairs(full.stats.output_pairs),
+        let exact = config.clone().with_exec(
+            ExecContext::new().with_budget(
+                ExecBudget::default()
+                    .with_max_candidate_pairs(full.stats.candidate_pairs)
+                    .with_max_output_pairs(full.stats.output_pairs),
+            ),
         );
         let out = ssjoin(&r, &s, &pred, &exact)
             .unwrap_or_else(|e| panic!("alg {alg:?}: exactly-at-limit must pass: {e}"));
@@ -315,8 +326,7 @@ fn cross_thread_cancel_aborts_parallel_run() {
         })
     };
     let config = SsJoinConfig::new(Algorithm::Inline)
-        .with_threads(4)
-        .with_cancel_token(token);
+        .with_exec(ExecContext::new().with_threads(4).with_cancel_token(token));
     let result = ssjoin(&r, &s, &pred, &config);
     canceller.join().unwrap();
     match result {

@@ -6,8 +6,8 @@
 
 use ssjoin_core::{
     ssjoin, Algorithm, CancelToken, CorpusIndex, CorpusIndexOptions, ElementOrder, ExecBudget,
-    JoinPair, JoinWorkspace, NormKind, OverlapPredicate, SetCollection, SsJoinConfig, SsJoinError,
-    SsJoinInputBuilder, Weight, WeightScheme,
+    ExecContext, JoinPair, JoinWorkspace, NormKind, OverlapPredicate, SetCollection, SsJoinConfig,
+    SsJoinError, SsJoinInputBuilder, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 
@@ -108,7 +108,8 @@ fn probe_equals_fresh_ssjoin_across_executors_and_threads() {
         let mut ws = JoinWorkspace::new();
         for alg in ALGORITHMS {
             for threads in [1usize, 4] {
-                let config = SsJoinConfig::new(alg).with_threads(threads);
+                let config =
+                    SsJoinConfig::new(alg).with_exec(ExecContext::new().with_threads(threads));
                 let fresh = ssjoin(&r, &s, &pred, &config).unwrap();
                 let probed = index.probe(&r, &config, &mut ws).unwrap();
                 assert_eq!(
@@ -181,7 +182,8 @@ fn insert_delete_sequences_equal_fresh_rebuild() {
                 _ => {
                     let alg = ALGORITHMS[rng.gen_range(0..ALGORITHMS.len())];
                     let threads = if rng.gen_bool(0.5) { 1 } else { 4 };
-                    let config = SsJoinConfig::new(alg).with_threads(threads);
+                    let config =
+                        SsJoinConfig::new(alg).with_exec(ExecContext::new().with_threads(threads));
                     let probed = index.probe(&batch, &config, &mut ws).unwrap();
                     assert_eq!(
                         keys(probed.pairs),
@@ -233,14 +235,15 @@ fn probe_honors_budget_and_cancellation() {
 
     let cancelled = CancelToken::new();
     cancelled.cancel();
-    let config = SsJoinConfig::new(Algorithm::Inline).with_cancel_token(cancelled);
+    let config = SsJoinConfig::new(Algorithm::Inline)
+        .with_exec(ExecContext::new().with_cancel_token(cancelled));
     assert!(matches!(
         index.probe(&batch, &config, &mut ws),
         Err(SsJoinError::BudgetExceeded { .. })
     ));
 
     let config = SsJoinConfig::new(Algorithm::Inline)
-        .with_budget(ExecBudget::new().with_max_memory_bytes(1));
+        .with_exec(ExecContext::new().with_budget(ExecBudget::new().with_max_memory_bytes(1)));
     assert!(matches!(
         index.probe(&batch, &config, &mut ws),
         Err(SsJoinError::BudgetExceeded { .. })
@@ -256,7 +259,8 @@ fn probe_honors_budget_and_cancellation() {
     // Cancellation is also checked inside the brute-force epoch scan.
     let cancelled = CancelToken::new();
     cancelled.cancel();
-    let config = SsJoinConfig::new(Algorithm::Inline).with_cancel_token(cancelled);
+    let config = SsJoinConfig::new(Algorithm::Inline)
+        .with_exec(ExecContext::new().with_cancel_token(cancelled));
     assert!(matches!(
         index.probe(&batch, &config, &mut ws),
         Err(SsJoinError::BudgetExceeded { .. })
@@ -333,7 +337,8 @@ fn bitmap_filter_probe_output_invariant() {
         };
         let mut index = CorpusIndex::build_with(pool.clone(), pred.clone(), &options).unwrap();
         for alg in ALGORITHMS {
-            let config = SsJoinConfig::new(alg).with_bitmap_filter(true);
+            let config =
+                SsJoinConfig::new(alg).with_exec(ExecContext::new().with_bitmap_filter(true));
             let fresh = ssjoin(&batch, &pool, &pred, &config).unwrap();
             let probed = index.probe(&batch, &config, &mut ws).unwrap();
             assert_eq!(
@@ -344,7 +349,8 @@ fn bitmap_filter_probe_output_invariant() {
         }
 
         // Churn: inserts (forcing epoch merges), deletes, then compact.
-        let config = SsJoinConfig::new(Algorithm::Inline).with_bitmap_filter(true);
+        let config = SsJoinConfig::new(Algorithm::Inline)
+            .with_exec(ExecContext::new().with_bitmap_filter(true));
         for _ in 0..6 {
             let (elems, norm) = elements_of(&pool, rng.gen_range(0..pool.len() as u32));
             index.insert(&elems, norm).unwrap();

@@ -460,7 +460,8 @@ fn auto_matches_every_forced_configuration() {
             let auto_probe = index
                 .probe(
                     &r,
-                    &SsJoinConfig::new(Algorithm::Auto).with_threads(threads),
+                    &SsJoinConfig::new(Algorithm::Auto)
+                        .with_exec(ExecContext::new().with_threads(threads)),
                     &mut ws,
                 )
                 .unwrap();
@@ -471,9 +472,11 @@ fn auto_matches_every_forced_configuration() {
             assert_eq!(auto.pairs, auto_probe.pairs, "seed {seed}, {threads}t");
             for alg in EXECUTORS {
                 for filter in [false, true] {
-                    let cfg = SsJoinConfig::new(alg)
-                        .with_threads(threads)
-                        .with_bitmap_filter(filter);
+                    let cfg = SsJoinConfig::new(alg).with_exec(
+                        ExecContext::new()
+                            .with_threads(threads)
+                            .with_bitmap_filter(filter),
+                    );
                     let forced = ssjoin(&r, &s, &pred, &cfg).unwrap();
                     assert_eq!(
                         auto.pairs, forced.pairs,
@@ -523,7 +526,7 @@ fn auto_plan_uses_requested_parallelism() {
         ElementOrder::FrequencyAsc,
     );
     let pred = OverlapPredicate::two_sided(0.7);
-    let cfg = SsJoinConfig::new(Algorithm::Auto).with_threads(cores);
+    let cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext::new().with_threads(cores));
     let out = ssjoin(&r, &s, &pred, &cfg).unwrap();
     let plan = out.stats.plan.expect("auto records a plan");
     assert!(

@@ -7,9 +7,9 @@
 //! typed `BudgetExceeded` error, never a stray temp file.
 
 use ssjoin_core::{
-    estimate_memory_bytes, plan_spill, ssjoin, Algorithm, CancelToken, CorpusIndex,
-    CorpusIndexOptions, ElementOrder, ExecBudget, JoinPair, JoinWorkspace, OverlapPredicate,
-    SetCollection, SsJoinConfig, SsJoinError, SsJoinInputBuilder, Weight, WeightScheme,
+    estimate_memory_bytes, plan_spill, ssjoin, Algorithm, CancelToken, CorpusIndex, ElementOrder,
+    ExecBudget, ExecContext, JoinPair, JoinWorkspace, OverlapPredicate, SetCollection,
+    SsJoinConfig, SsJoinError, SsJoinInputBuilder, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 use std::sync::Mutex;
@@ -91,15 +91,19 @@ fn spilled_output_bit_identical_to_resident() {
     ] {
         for threads in [1usize, 3] {
             for filter in [false, true] {
-                let cfg = SsJoinConfig::new(alg)
-                    .with_threads(threads)
-                    .with_bitmap_filter(filter);
+                let cfg = SsJoinConfig::new(alg).with_exec(
+                    ExecContext::new()
+                        .with_threads(threads)
+                        .with_bitmap_filter(filter),
+                );
                 let base = ssjoin(&c, &c, &pred, &cfg).unwrap();
                 assert_eq!(base.stats.spill_partitions, 0, "unbudgeted run spilled");
                 for &(partitions, budget) in &budgets {
-                    let bcfg = cfg
-                        .clone()
-                        .with_budget(ExecBudget::new().with_max_resident_bytes(budget));
+                    let bcfg = cfg.clone().with_exec(
+                        cfg.exec
+                            .clone()
+                            .with_budget(ExecBudget::new().with_max_resident_bytes(budget)),
+                    );
                     let out = ssjoin(&c, &c, &pred, &bcfg).unwrap();
                     assert_eq!(
                         keyed(&base.pairs),
@@ -138,7 +142,7 @@ fn generous_resident_budget_stays_in_memory() {
     let pred = OverlapPredicate::two_sided(0.75);
     let est = estimate_memory_bytes(&c, &c);
     let cfg = SsJoinConfig::new(Algorithm::Inline)
-        .with_budget(ExecBudget::new().with_max_resident_bytes(est));
+        .with_exec(ExecContext::new().with_budget(ExecBudget::new().with_max_resident_bytes(est)));
     let out = ssjoin(&c, &c, &pred, &cfg).unwrap();
     assert_eq!(out.stats.spill_partitions, 0);
     assert_eq!(out.stats.spill_bytes, 0);
@@ -171,8 +175,10 @@ fn asymmetric_spilled_join_matches_resident() {
     let base = ssjoin(r, s, &pred, &SsJoinConfig::default()).unwrap();
     let est = estimate_memory_bytes(r, s);
     for div in [3u64, 10] {
-        let cfg = SsJoinConfig::default()
-            .with_budget(ExecBudget::new().with_max_resident_bytes((est / div).max(1)));
+        let cfg = SsJoinConfig::default().with_exec(
+            ExecContext::new()
+                .with_budget(ExecBudget::new().with_max_resident_bytes((est / div).max(1))),
+        );
         let out = ssjoin(r, s, &pred, &cfg).unwrap();
         assert_eq!(keyed(&base.pairs), keyed(&out.pairs), "div {div}");
         assert!(out.stats.spill_partitions >= 2, "div {div} did not spill");
@@ -188,10 +194,12 @@ fn zero_deadline_aborts_spilled_run_cleanly() {
     let c = corpus(0x59114, 200, 127);
     let pred = OverlapPredicate::two_sided(0.7);
     let est = estimate_memory_bytes(&c, &c);
-    let cfg = SsJoinConfig::new(Algorithm::Inline).with_budget(
-        ExecBudget::new()
-            .with_max_resident_bytes(est / 4)
-            .with_deadline(std::time::Duration::ZERO),
+    let cfg = SsJoinConfig::new(Algorithm::Inline).with_exec(
+        ExecContext::new().with_budget(
+            ExecBudget::new()
+                .with_max_resident_bytes(est / 4)
+                .with_deadline(std::time::Duration::ZERO),
+        ),
     );
     match ssjoin(&c, &c, &pred, &cfg) {
         Err(SsJoinError::BudgetExceeded { which, .. }) => {
@@ -214,9 +222,11 @@ fn cancelled_spilled_run_aborts_cleanly() {
     let est = estimate_memory_bytes(&c, &c);
     let token = CancelToken::new();
     token.cancel();
-    let cfg = SsJoinConfig::new(Algorithm::Inline)
-        .with_budget(ExecBudget::new().with_max_resident_bytes(est / 4))
-        .with_cancel_token(token);
+    let cfg = SsJoinConfig::new(Algorithm::Inline).with_exec(
+        ExecContext::new()
+            .with_budget(ExecBudget::new().with_max_resident_bytes(est / 4))
+            .with_cancel_token(token),
+    );
     match ssjoin(&c, &c, &pred, &cfg) {
         Err(SsJoinError::BudgetExceeded { which, .. }) => {
             assert_eq!(which.name(), "cancelled");
@@ -245,18 +255,22 @@ fn memory_cap_prices_the_partition_peak_when_spilling() {
     assert!(peak < est, "partitioning should shrink the resident peak");
     // Cap between peak and full estimate: resident would be rejected, the
     // spilled run fits.
-    let ok_cfg = SsJoinConfig::default().with_budget(
-        ExecBudget::new()
-            .with_max_resident_bytes(resident_budget)
-            .with_max_memory_bytes(peak),
+    let ok_cfg = SsJoinConfig::default().with_exec(
+        ExecContext::new().with_budget(
+            ExecBudget::new()
+                .with_max_resident_bytes(resident_budget)
+                .with_max_memory_bytes(peak),
+        ),
     );
     let out = ssjoin(&c, &c, &pred, &ok_cfg).unwrap();
     assert!(out.stats.spill_partitions >= 2);
     // Cap below the peak: even the spilled run is over the hard cap.
-    let reject_cfg = SsJoinConfig::default().with_budget(
-        ExecBudget::new()
-            .with_max_resident_bytes(resident_budget)
-            .with_max_memory_bytes(peak - 1),
+    let reject_cfg = SsJoinConfig::default().with_exec(
+        ExecContext::new().with_budget(
+            ExecBudget::new()
+                .with_max_resident_bytes(resident_budget)
+                .with_max_memory_bytes(peak - 1),
+        ),
     );
     match ssjoin(&c, &c, &pred, &reject_cfg) {
         Err(SsJoinError::BudgetExceeded { which, .. }) => {
@@ -277,8 +291,9 @@ fn workspace_survives_spilled_and_resident_interleaving() {
     let est = estimate_memory_bytes(&c, &c);
     let mut ws = ssjoin_core::JoinWorkspace::new();
     let resident_cfg = SsJoinConfig::default();
-    let spill_cfg =
-        SsJoinConfig::default().with_budget(ExecBudget::new().with_max_resident_bytes(est / 4));
+    let spill_cfg = SsJoinConfig::default().with_exec(
+        ExecContext::new().with_budget(ExecBudget::new().with_max_resident_bytes(est / 4)),
+    );
     let base = keyed(
         ssjoin_core::ssjoin_with(&c, &c, &pred, &resident_cfg, &mut ws)
             .unwrap()
@@ -301,41 +316,37 @@ fn workspace_survives_spilled_and_resident_interleaving() {
     assert!(spill_files_for_this_process().is_empty());
 }
 
-/// An index built with a `memory_budget` serves oversized probes out of
-/// core — bit-identical pairs, tombstones filtered, epoch-tail inserts
-/// visible — and a generous per-probe budget overrides it back to the
-/// resident index path.
+/// A probe whose own context carries a resident budget below its estimate
+/// is served out of core, exactly as a one-shot join spills — bit-identical
+/// pairs, tombstones filtered, epoch-tail inserts visible.
 #[test]
 fn index_probe_spills_under_memory_budget() {
     let _guard = SPILL_DIR.lock().unwrap();
     let c = corpus(0x59118, 200, 127);
     let pred = OverlapPredicate::two_sided(0.7);
     let est = estimate_memory_bytes(&c, &c);
-    let mut resident = CorpusIndex::build(c.clone(), pred.clone()).unwrap();
-    let opts = CorpusIndexOptions {
-        memory_budget: Some(est / 4),
-        ..CorpusIndexOptions::default()
-    };
-    let mut budgeted = CorpusIndex::build_with(c.clone(), pred, &opts).unwrap();
-    let mut ws_r = JoinWorkspace::new();
-    let mut ws_b = JoinWorkspace::new();
-    let cfg = SsJoinConfig::default();
-    let base = {
-        let run = resident.probe(&c, &cfg, &mut ws_r).unwrap();
-        assert_eq!(run.stats.spill_partitions, 0);
-        keyed(run.pairs)
-    };
-    let out = {
-        let run = budgeted.probe(&c, &cfg, &mut ws_b).unwrap();
+    let mut index = CorpusIndex::build(c.clone(), pred).unwrap();
+    let mut ws = JoinWorkspace::new();
+    let resident = SsJoinConfig::default();
+    let budgeted = SsJoinConfig::default().with_exec(
+        ExecContext::new().with_budget(ExecBudget::new().with_max_resident_bytes(est / 4)),
+    );
+    let mut check = |index: &CorpusIndex, what: &str| {
+        let base = {
+            let run = index.probe(&c, &resident, &mut ws).unwrap();
+            assert_eq!(run.stats.spill_partitions, 0, "{what}");
+            keyed(run.pairs)
+        };
+        let run = index.probe(&c, &budgeted, &mut ws).unwrap();
         assert!(
             run.stats.spill_partitions >= 2,
-            "budgeted probe stayed resident"
+            "{what}: budgeted probe stayed resident"
         );
-        keyed(run.pairs)
+        assert_eq!(base, keyed(run.pairs), "{what}: spilled probe diverged");
     };
-    assert_eq!(base, out, "spilled probe diverged from resident probe");
-    // Mutate both indexes identically: tombstones plus an epoch-tail insert
-    // (a copy of set 0, which certainly matches itself).
+    check(&index, "fresh");
+    // Tombstones plus an epoch-tail insert (a copy of set 0, which certainly
+    // matches itself).
     let elems: Vec<(u32, Weight)> = {
         let src = c.set(0);
         src.ranks()
@@ -344,23 +355,14 @@ fn index_probe_spills_under_memory_budget() {
             .zip(src.weights().iter().copied())
             .collect()
     };
-    let norm = c.set(0).norm();
     for idx in [3u32, 17, 42] {
-        resident.delete(idx).unwrap();
-        budgeted.delete(idx).unwrap();
+        index.delete(idx).unwrap();
     }
-    assert_eq!(
-        resident.insert(&elems, norm).unwrap(),
-        budgeted.insert(&elems, norm).unwrap()
+    index.insert(&elems, c.set(0).norm()).unwrap();
+    assert!(
+        index.pending() > 0,
+        "the insert must stay in the epoch tail"
     );
-    let base = keyed(resident.probe(&c, &cfg, &mut ws_r).unwrap().pairs);
-    let out = keyed(budgeted.probe(&c, &cfg, &mut ws_b).unwrap().pairs);
-    assert_eq!(base, out, "mutated spilled probe diverged");
-    // A per-probe budget takes precedence over the index default.
-    let cfg_resident =
-        SsJoinConfig::default().with_budget(ExecBudget::new().with_max_resident_bytes(u64::MAX));
-    let run = budgeted.probe(&c, &cfg_resident, &mut ws_b).unwrap();
-    assert_eq!(run.stats.spill_partitions, 0, "per-probe override ignored");
-    assert_eq!(base, keyed(run.pairs));
+    check(&index, "mutated");
     assert!(spill_files_for_this_process().is_empty());
 }

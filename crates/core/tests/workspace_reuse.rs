@@ -5,8 +5,8 @@
 //! plans) may leak from one run into the next.
 
 use ssjoin_core::{
-    ssjoin, ssjoin_with, Algorithm, ElementOrder, JoinPair, JoinWorkspace, OverlapPredicate,
-    SetCollection, SsJoinConfig, SsJoinInputBuilder, WeightScheme,
+    ssjoin, ssjoin_with, Algorithm, ElementOrder, ExecContext, JoinPair, JoinWorkspace,
+    OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 
@@ -68,9 +68,11 @@ fn reused_workspace_matches_fresh_matrix() {
                     };
                     let c = build_self(random_groups(&mut rng, 30), scheme);
                     let pred = random_predicate(&mut rng);
-                    let config = SsJoinConfig::new(algorithm)
-                        .with_bitmap_filter(filter)
-                        .with_threads(threads);
+                    let config = SsJoinConfig::new(algorithm).with_exec(
+                        ExecContext::new()
+                            .with_bitmap_filter(filter)
+                            .with_threads(threads),
+                    );
                     let fresh = ssjoin(&c, &c, &pred, &config).unwrap();
                     let reused = ssjoin_with(&c, &c, &pred, &config, &mut ws).unwrap();
                     assert_eq!(
@@ -118,7 +120,8 @@ fn no_stale_state_leaks_across_runs() {
     ] {
         for threads in [1usize, 4] {
             let mut ws = JoinWorkspace::new();
-            let config = SsJoinConfig::new(algorithm).with_threads(threads);
+            let config =
+                SsJoinConfig::new(algorithm).with_exec(ExecContext::new().with_threads(threads));
             let big_c = build_self(big.clone(), WeightScheme::Unweighted);
             let many = ssjoin_with(
                 &big_c,
@@ -176,7 +179,8 @@ fn outputs_sorted_without_global_sort() {
                 Algorithm::Inline,
                 Algorithm::PositionalInline,
             ] {
-                let config = SsJoinConfig::new(algorithm).with_threads(threads);
+                let config = SsJoinConfig::new(algorithm)
+                    .with_exec(ExecContext::new().with_threads(threads));
                 let run = ssjoin_with(&c, &c, &pred, &config, &mut ws).unwrap();
                 let sorted = run
                     .pairs

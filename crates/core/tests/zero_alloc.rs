@@ -12,8 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use ssjoin_core::{
-    ssjoin_with, Algorithm, CorpusIndex, ElementOrder, JoinWorkspace, OverlapPredicate,
-    SetCollection, SsJoinConfig, SsJoinInputBuilder, WeightScheme,
+    ssjoin_with, Algorithm, CorpusIndex, ElementOrder, ExecContext, JoinWorkspace,
+    OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder, WeightScheme,
 };
 
 struct CountingAlloc;
@@ -94,9 +94,11 @@ fn warm_workspace_runs_allocation_free() {
             // The strict zero-allocation contract covers the sequential hot
             // path: spawning scoped threads inherently allocates stacks, so
             // parallel runs are exercised for reuse-correctness elsewhere.
-            let config = SsJoinConfig::new(algorithm)
-                .with_bitmap_filter(filter)
-                .with_threads(1);
+            let config = SsJoinConfig::new(algorithm).with_exec(
+                ExecContext::new()
+                    .with_bitmap_filter(filter)
+                    .with_threads(1),
+            );
             let mut ws = JoinWorkspace::new();
             // Warm the pools: one cold run per predicate.
             let mut expected = Vec::new();
@@ -126,7 +128,7 @@ fn warm_workspace_runs_allocation_free() {
         // nothing — the index side was paid for at build time.
         for pred in &preds {
             let index = CorpusIndex::build(c.clone(), pred.clone()).unwrap();
-            let config = SsJoinConfig::new(algorithm).with_threads(1);
+            let config = SsJoinConfig::new(algorithm).with_exec(ExecContext::new().with_threads(1));
             let mut ws = JoinWorkspace::new();
             let expect = index.probe(&c, &config, &mut ws).unwrap().pairs.len();
             let mut got = usize::MAX;

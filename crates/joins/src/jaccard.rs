@@ -35,7 +35,7 @@ pub struct JaccardConfig {
     pub weights: WeightScheme,
     /// SSJoin physical algorithm.
     pub algorithm: Algorithm,
-    /// Execution context (threads, bitmap filter, budget).
+    /// Execution context (threads, bitmap filter, budget, approximate mode).
     pub exec: ExecContext,
     /// Global element order.
     pub order: ElementOrder,
@@ -82,12 +82,6 @@ impl JaccardConfig {
     /// Override the element order.
     pub fn with_order(mut self, order: ElementOrder) -> Self {
         self.order = order;
-        self
-    }
-
-    /// Override the worker thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.exec.threads = threads;
         self
     }
 

@@ -22,9 +22,9 @@
 use crate::common::MatchPair;
 use crate::edit::{edit_similarity_join, EditJoinConfig};
 use ssjoin_core::{
-    Algorithm, CorpusIndex, CorpusIndexOptions, ElementOrder, JoinWorkspace, NormExpr, NormKind,
-    OverlapPredicate, QueryEncoder, SsJoinConfig, SsJoinError, SsJoinInputBuilder, SsJoinResult,
-    SsJoinStats, WeightScheme,
+    Algorithm, ApproxSpec, CorpusIndex, CorpusIndexOptions, ElementOrder, ExecContext,
+    JoinWorkspace, NormExpr, NormKind, OverlapPredicate, QueryEncoder, SsJoinConfig, SsJoinError,
+    SsJoinInputBuilder, SsJoinResult, SsJoinStats, WeightScheme,
 };
 use ssjoin_sim::edit_similarity_within;
 use ssjoin_text::{QGramTokenizer, Tokenizer};
@@ -41,11 +41,12 @@ pub struct TopKConfig {
     /// q-gram length for the underlying edit join.
     pub q: usize,
     /// Resident-memory budget in bytes for probes against the underlying
-    /// [`CorpusIndex`]. Probe batches whose working-set estimate exceeds the
-    /// budget run out of core through the token-range spill driver with
-    /// bit-identical matches — the knob that lets a long-lived matching
-    /// service hold reference tables larger than RAM. `None` (the default)
-    /// never spills.
+    /// [`CorpusIndex`], carried into the probe context's
+    /// [`ExecBudget::max_resident_bytes`](ssjoin_core::ExecBudget::max_resident_bytes).
+    /// Probe batches whose working-set estimate exceeds the budget run out
+    /// of core through the token-range spill driver with bit-identical
+    /// matches — the knob that lets a long-lived matching service hold
+    /// reference tables larger than RAM. `None` (the default) never spills.
     pub memory_budget: Option<u64>,
     /// Opt-in approximate candidate generation for indexed probes: `Some(r)`
     /// with `r < 1` builds the underlying [`CorpusIndex`] with a seeded LSH
@@ -207,9 +208,9 @@ impl TopKIndex {
             .pop()
             .unwrap_or_else(|| unreachable!("one relation was added"));
         let pred = property4_predicate(config.min_similarity, config.q);
+        let approx = config.approx.map(ApproxSpec::new);
         let options = CorpusIndexOptions {
-            memory_budget: config.memory_budget,
-            approx: config.approx.map(ssjoin_core::ApproxSpec::new),
+            approx,
             ..CorpusIndexOptions::default()
         };
         let index = CorpusIndex::build_with(corpus, pred, &options)?;
@@ -217,10 +218,10 @@ impl TopKIndex {
         let short_ids = (0..reference.len() as u32)
             .filter(|&i| ref_lens[i as usize] < cutoff)
             .collect();
-        let mut ss_config = SsJoinConfig::new(Algorithm::Inline);
-        if let Some(recall) = config.approx {
-            ss_config = ss_config.with_approximate(recall);
-        }
+        let mut exec = ExecContext::new();
+        exec.budget.max_resident_bytes = config.memory_budget;
+        exec.approx = approx;
+        let ss_config = SsJoinConfig::new(Algorithm::Inline).with_exec(exec);
         Ok(Self {
             ss_config,
             config,
@@ -567,6 +568,28 @@ mod tests {
                 let indexed = top_k_matches_indexed(query, &mut index).unwrap();
                 assert_eq!(indexed, fresh, "k={k} alpha={alpha} query={query:?}");
             }
+        }
+    }
+
+    #[test]
+    fn memory_budget_spills_probes_with_identical_matches() {
+        let refs = reference();
+        let plain = TopKConfig::new(5, 0.5).unwrap();
+        // One byte is below any probe's estimate: every probe spills.
+        let budgeted = TopKConfig {
+            memory_budget: Some(1),
+            ..plain.clone()
+        };
+        let mut resident = TopKIndex::build(&refs, plain).unwrap();
+        let mut spilled = TopKIndex::build(&refs, budgeted).unwrap();
+        for query in ["microsoft corp", "oracle corpp", "machines"] {
+            let expect = resident.matches(query).unwrap();
+            assert_eq!(resident.last_stats().spill_partitions, 0);
+            assert_eq!(spilled.matches(query).unwrap(), expect, "query={query:?}");
+            assert!(
+                spilled.last_stats().spill_partitions >= 2,
+                "query={query:?}: budgeted probe stayed resident"
+            );
         }
     }
 

@@ -3,7 +3,10 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use ssjoin::joins::{jaccard_join, JaccardConfig};
-use ssjoin::{Algorithm, ElementOrder, OverlapPredicate, SsJoin, SsJoinInputBuilder, WeightScheme};
+use ssjoin::{
+    Algorithm, ElementOrder, ExecContext, OverlapPredicate, SsJoin, SsJoinInputBuilder,
+    WeightScheme,
+};
 
 fn main() {
     // ── 1. The raw operator ────────────────────────────────────────────
@@ -35,11 +38,12 @@ fn main() {
 
     // "At least 60% of the R group's cities must co-occur" — the 1-sided
     // normalized predicate of Example 2. `SsJoin` is the unified entry
-    // point: algorithm, threads, the bitmap filter, and budgets hang
-    // off one builder.
+    // point; threads, the bitmap filter, budgets and approximate mode all
+    // live on the one `ExecContext` it is handed.
     let out = SsJoin::between(built.collection(rh), built.collection(sh))
         .predicate(OverlapPredicate::r_normalized(0.6))
         .algorithm(Algorithm::Inline)
+        .exec(ExecContext::new().with_threads(2))
         .run()
         .expect("collections share a universe");
 

@@ -47,7 +47,7 @@
 //! print the winning execution plan (and the approx setting) to stderr;
 //! serve mode surfaces it in the `stats` response.
 
-use ssjoin::core::{Algorithm, ExecBudget, ExecContext};
+use ssjoin::core::{Algorithm, ApproxSpec, ExecContext};
 use ssjoin::datagen::{read_tsv, write_tsv, AddressCorpus, AddressCorpusConfig};
 use ssjoin::joins::{
     cluster_pairs, cosine_join, dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join,
@@ -336,12 +336,8 @@ fn first_column<P: AsRef<std::path::Path>>(path: P) -> Result<Vec<String>, Strin
 fn join_exec(memory_budget: Option<u64>, approx: Option<f64>) -> ExecContext {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut exec = ExecContext::new().with_threads(threads);
-    if let Some(bytes) = memory_budget {
-        exec = exec.with_budget(ExecBudget::new().with_max_resident_bytes(bytes));
-    }
-    if let Some(recall) = approx {
-        exec = exec.with_approximate(recall);
-    }
+    exec.budget.max_resident_bytes = memory_budget;
+    exec.approx = approx.map(ApproxSpec::new);
     exec
 }
 
@@ -754,7 +750,7 @@ mod tests {
         assert!(exec.bitmap_filter);
         assert_eq!(exec.threads, cores);
         assert!(exec.approx.is_none());
-        assert_eq!(exec.budget, ExecBudget::default());
+        assert_eq!(exec.budget, ssjoin::core::ExecBudget::default());
         // The budget and approx options ride on the same context.
         let exec = join_exec(Some(64 << 10), Some(0.9));
         assert!(exec.bitmap_filter);

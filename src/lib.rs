@@ -24,11 +24,12 @@
 //! ## Quickstart
 //!
 //! The [`SsJoin`] builder is the unified entry point — it drives both the
-//! fused fast-path executors and the relational-plan fidelity path, with
-//! threads and the bitmap signature filter as knobs:
+//! fused fast-path executors and the relational-plan fidelity path. Every
+//! execution setting (threads, the bitmap signature filter, budgets,
+//! cancellation, approximate mode) lives on one [`ExecContext`]:
 //!
 //! ```
-//! use ssjoin::{Algorithm, OverlapPredicate, SsJoin, SsJoinInputBuilder};
+//! use ssjoin::{Algorithm, ExecContext, OverlapPredicate, SsJoin, SsJoinInputBuilder};
 //! use ssjoin::{ElementOrder, WeightScheme};
 //!
 //! let mut b = SsJoinInputBuilder::new(WeightScheme::Idf, ElementOrder::FrequencyAsc);
@@ -40,8 +41,7 @@
 //! let out = SsJoin::new(&input)
 //!     .predicate(OverlapPredicate::two_sided(0.5))
 //!     .algorithm(Algorithm::Inline)
-//!     .threads(2)
-//!     .bitmap_filter(true)
+//!     .exec(ExecContext::new().with_threads(2))
 //!     .run()
 //!     .unwrap();
 //! assert!(out.pairs.iter().any(|p| (p.r, p.s) == (0, 1)));
@@ -76,8 +76,7 @@ pub use ssjoin_text as text;
 pub use ssjoin_core::{
     ssjoin, ssjoin_with, Algorithm, ApproxSpec, BudgetCause, CancelToken, CorpusIndex,
     CorpusIndexOptions, ElementOrder, ExecBudget, ExecContext, JoinWorkspace, NormKind,
-    OverlapPredicate, QueryEncoder, SsJoinConfig, SsJoinInputBuilder, SsJoinRun, StatsLevel,
-    WeightScheme,
+    OverlapPredicate, QueryEncoder, SsJoinConfig, SsJoinInputBuilder, SsJoinRun, WeightScheme,
 };
 pub use ssjoin_joins::{
     cluster_pairs, cooccurrence_join, cosine_join, edit_similarity_join, ges_join, jaccard_join,
@@ -95,8 +94,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The fused in-memory executors (`ssjoin_core::exec`) — the fast path.
-    /// Honors every [`ExecContext`] knob: threads, bitmap filter,
-    /// instrumentation level, budget.
+    /// Honors every [`ExecContext`] setting: threads, bitmap filter, budget
+    /// (including out-of-core spill), cancellation, approximate mode.
     #[default]
     Fast,
     /// The literal relational operator trees of `ssjoin_core::plan`
@@ -118,7 +117,7 @@ enum JoinInput<'a> {
 /// [`SsJoin::between`] for explicit collections).
 ///
 /// ```
-/// use ssjoin::{Algorithm, OverlapPredicate, SsJoin, SsJoinInputBuilder};
+/// use ssjoin::{Algorithm, ExecContext, OverlapPredicate, SsJoin, SsJoinInputBuilder};
 /// use ssjoin::{ElementOrder, WeightScheme};
 ///
 /// let mut b = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
@@ -131,7 +130,7 @@ enum JoinInput<'a> {
 /// let out = SsJoin::new(&input)
 ///     .predicate(OverlapPredicate::absolute(2.0))
 ///     .algorithm(Algorithm::Inline)
-///     .threads(2)
+///     .exec(ExecContext::new().with_threads(2))
 ///     .run()
 ///     .unwrap();
 /// assert!(out.pairs.iter().any(|p| (p.r, p.s) == (0, 1)));
@@ -179,70 +178,11 @@ impl<'a> SsJoin<'a> {
         self
     }
 
-    /// Set the worker thread count (fast path only).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.exec.threads = threads;
-        self
-    }
-
-    /// Enable or disable the bitmap signature filter (fast path only). Every
-    /// set stores an 8×u64 signature; the filter prunes candidates whose
-    /// signature bound cannot reach the required overlap before verifying
-    /// them. Lossless: it changes counters, never output. On by default.
-    pub fn bitmap_filter(mut self, on: bool) -> Self {
-        self.config.exec.bitmap_filter = on;
-        self
-    }
-
-    /// Set the instrumentation level (fast path only).
-    pub fn stats_level(mut self, level: StatsLevel) -> Self {
-        self.config.exec.stats = level;
-        self
-    }
-
-    /// Set the execution budget (fast path only): candidate/output/deadline/
-    /// memory limits that abort the run with
-    /// [`SsJoinError::BudgetExceeded`] instead of running unbounded.
-    pub fn budget(mut self, budget: ExecBudget) -> Self {
-        self.config.exec.budget = budget;
-        self
-    }
-
-    /// Bound the resident working set in bytes (fast path only). A join
-    /// whose memory estimate exceeds the budget runs *out of core*: it is
-    /// split into token-range partitions spilled to a checksummed temp file
-    /// and joined one partition at a time, with output bit-identical to the
-    /// unbudgeted run. Shorthand for setting
-    /// [`ExecBudget::max_resident_bytes`] on [`Self::budget`]; also adopted
-    /// as the default [`CorpusIndexOptions::memory_budget`] by
-    /// [`Self::index`].
-    pub fn memory_budget(mut self, bytes: u64) -> Self {
-        self.config.exec.budget.max_resident_bytes = Some(bytes);
-        self
-    }
-
-    /// Attach a cooperative cancellation token (fast path only). Calling
-    /// [`CancelToken::cancel`] on any clone aborts the run at the next
-    /// checkpoint.
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.config.exec.cancel = Some(token);
-        self
-    }
-
-    /// Opt into approximate candidate generation targeting `recall` in
-    /// `(0, 1]` (fast path only; see [`ApproxSpec`]). Candidates come from a
-    /// deterministic seeded LSH structure instead of the exact prefix
-    /// filter; verification is unchanged, so every emitted pair truly
-    /// satisfies the predicate, but up to `1 − recall` of the true pairs may
-    /// be missed. A target of exactly `1.0` keeps the exact pipeline. Also
-    /// adopted by [`Self::index`] so the built index carries the matching
-    /// sketch.
-    pub fn approximate(mut self, target_recall: f64) -> Self {
-        self.config.exec.approx = Some(ApproxSpec::new(target_recall));
-        self
-    }
-
-    /// Replace the whole execution context in one call.
+    /// Set the execution context (fast path only): threads, the bitmap
+    /// signature filter, the [`ExecBudget`] (including the resident budget
+    /// that routes oversized joins out of core), a [`CancelToken`] and the
+    /// approximate [`ApproxSpec`]. [`Self::index`] also adopts its thread
+    /// count and approximate spec for the build.
     pub fn exec(mut self, exec: ExecContext) -> Self {
         self.config.exec = exec;
         self
@@ -359,7 +299,6 @@ impl<'a> SsJoin<'a> {
         })?;
         let options = CorpusIndexOptions {
             build_threads: self.config.exec.threads.max(1),
-            memory_budget: self.config.exec.budget.max_resident_bytes,
             approx: self.config.exec.approx,
             ..CorpusIndexOptions::default()
         };
@@ -508,8 +447,7 @@ mod tests {
             let par = SsJoin::new(&input)
                 .predicate(pred.clone())
                 .algorithm(Algorithm::Inline)
-                .threads(threads)
-                .bitmap_filter(true)
+                .exec(ExecContext::new().with_threads(threads))
                 .run()
                 .unwrap();
             assert_eq!(seq.pairs, par.pairs, "threads {threads}");
@@ -525,7 +463,7 @@ mod tests {
         let err = SsJoin::new(&input)
             .predicate(pred.clone())
             .algorithm(Algorithm::Inline)
-            .budget(ExecBudget::default().with_max_candidate_pairs(1))
+            .exec(ExecContext::new().with_budget(ExecBudget::new().with_max_candidate_pairs(1)))
             .run()
             .unwrap_err();
         assert!(
@@ -542,7 +480,7 @@ mod tests {
         let err = SsJoin::new(&input)
             .predicate(pred)
             .algorithm(Algorithm::Inline)
-            .cancel_token(token)
+            .exec(ExecContext::new().with_cancel_token(token))
             .run()
             .unwrap_err();
         assert!(
@@ -637,25 +575,25 @@ mod tests {
         assert_eq!(base.stats.spill_partitions, 0);
         let c = &input.collections()[0];
         let est = ssjoin_core::estimate_memory_bytes(c, c);
-        let spilled = SsJoin::new(&input)
-            .predicate(pred.clone())
+        let budgeted =
+            ExecContext::new().with_budget(ExecBudget::new().with_max_resident_bytes(est / 4));
+        let join = SsJoin::new(&input)
+            .predicate(pred)
             .algorithm(Algorithm::Inline)
-            .memory_budget(est / 4)
-            .run()
-            .unwrap();
-        assert_eq!(base.pairs, spilled.pairs);
+            .exec(budgeted);
+        let mut ws = JoinWorkspace::new();
+        let spilled = join.run_with(&mut ws).unwrap();
+        assert_eq!(spilled.pairs, base.pairs.as_slice());
         assert!(
             spilled.stats.spill_partitions >= 2,
             "budgeted run stayed resident"
         );
         assert!(spilled.stats.spill_bytes > 0);
-        // The same budget flows into the built index as its probe default.
-        let join = SsJoin::new(&input)
-            .predicate(pred)
-            .algorithm(Algorithm::Inline)
-            .memory_budget(est / 4);
+        // A probe of the built index spills under the same context budget.
         let index = join.index().unwrap();
-        assert_eq!(index.memory_budget(), Some(est / 4));
+        let probed = join.probe_with(&index, &mut ws).unwrap();
+        assert!(probed.stats.spill_partitions >= 2, "probe stayed resident");
+        assert_eq!(probed.pairs, base.pairs.as_slice());
     }
 
     #[test]
@@ -665,7 +603,7 @@ mod tests {
         let exact = SsJoin::new(&input).predicate(pred.clone()).run().unwrap();
         let approx = SsJoin::new(&input)
             .predicate(pred.clone())
-            .approximate(0.9)
+            .exec(ExecContext::new().with_approximate(0.9))
             .run()
             .unwrap();
         // Every approximate pair appears in the exact output with an
@@ -685,14 +623,16 @@ mod tests {
         // recall target 1.0 is exact, bit for bit.
         let one = SsJoin::new(&input)
             .predicate(pred.clone())
-            .approximate(1.0)
+            .exec(ExecContext::new().with_approximate(1.0))
             .run()
             .unwrap();
         assert_eq!(one.pairs, exact.pairs);
         assert_eq!(one.stats.approx_reps, 0);
         // The approximate spec flows into the built index; probes under the
         // same spec reproduce the one-shot approximate output.
-        let join = SsJoin::new(&input).predicate(pred.clone()).approximate(0.9);
+        let join = SsJoin::new(&input)
+            .predicate(pred.clone())
+            .exec(ExecContext::new().with_approximate(0.9));
         let index = join.index().unwrap();
         let mut ws = JoinWorkspace::new();
         let probed = join.probe_with(&index, &mut ws).unwrap();
@@ -700,7 +640,7 @@ mod tests {
         // The relational-plan engine has no approximate mode.
         let err = SsJoin::new(&input)
             .predicate(pred)
-            .approximate(0.9)
+            .exec(ExecContext::new().with_approximate(0.9))
             .engine(Engine::RelationalPlan)
             .run();
         assert!(matches!(err, Err(SsJoinError::Config(_))));

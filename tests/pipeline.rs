@@ -2,7 +2,7 @@
 //! with cross-algorithm and baseline agreement at realistic (small) scale.
 
 use ssjoin::baselines::{GravanoConfig, GravanoJoin};
-use ssjoin::core::Algorithm;
+use ssjoin::core::{Algorithm, ExecContext};
 use ssjoin::datagen::{AddressCorpus, AddressCorpusConfig};
 use ssjoin::joins::{
     dedupe_self_pairs, edit_similarity_join, jaccard_join, EditJoinConfig, JaccardConfig,
@@ -80,7 +80,12 @@ fn multithreaded_join_matches_single_threaded() {
     let data = corpus(600).records;
     let base = JaccardConfig::resemblance(0.7);
     let seq = jaccard_join(&data, &data, &base).unwrap();
-    let par = jaccard_join(&data, &data, &base.clone().with_threads(4)).unwrap();
+    let par = jaccard_join(
+        &data,
+        &data,
+        &base.clone().with_exec(ExecContext::new().with_threads(4)),
+    )
+    .unwrap();
     assert_eq!(seq.keys(), par.keys());
 }
 
