@@ -5,7 +5,7 @@ use ssjoin_bench::criterion::{criterion_group, criterion_main, Criterion};
 use ssjoin_bench::evaluation_corpus;
 use ssjoin_joins::{
     cosine_join, edit_similarity_join, ges_join, jaccard_join, CosineConfig, EditJoinConfig,
-    EditMatcher, GesJoinConfig, JaccardConfig,
+    GesJoinConfig, JaccardConfig, TopKConfig, TopKIndex,
 };
 
 fn bench_joins(c: &mut Criterion) {
@@ -30,10 +30,11 @@ fn bench_joins(c: &mut Criterion) {
     });
 
     // Per-query fuzzy matching over a prebuilt index.
-    let matcher = EditMatcher::build(data.clone(), 3);
+    let config = TopKConfig::new(3, 0.8).expect("config");
+    let mut index = TopKIndex::build(&data, config).expect("index");
     let query = &data[data.len() / 2];
-    g.bench_function("matcher_top3_0.8", |b| {
-        b.iter(|| matcher.top_k(query, 3, 0.8))
+    g.bench_function("topk_index_top3_0.8", |b| {
+        b.iter(|| index.top_k(query).expect("lookup"))
     });
     g.finish();
 }

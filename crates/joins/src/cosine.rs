@@ -17,13 +17,12 @@
 //! element, which matches treating repeated tokens as set members with
 //! occurrence tags rather than term frequencies.
 
-use crate::common::{MatchPair, SimilarityJoinOutput};
+use crate::common::{run_join, JoinSpec, MatchPair, SimilarityJoinOutput};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, ExecContext, NormExpr, NormKind, OverlapPredicate, Phase,
-    SsJoinConfig, SsJoinInputBuilder, SsJoinResult, WeightScheme,
+    Algorithm, ElementOrder, ExecContext, JoinPair, NormExpr, NormKind, OverlapPredicate,
+    SetCollection, SsJoinConfig, SsJoinResult, WeightScheme,
 };
 use ssjoin_text::{Tokenizer, WordTokenizer};
-use std::time::Instant;
 
 /// Configuration for [`cosine_join`].
 #[derive(Debug, Clone)]
@@ -37,12 +36,8 @@ pub struct CosineConfig {
 }
 
 impl CosineConfig {
-    /// Cosine join at the given threshold.
+    /// Cosine join at the given threshold (checked when the join runs).
     pub fn new(threshold: f64) -> Self {
-        assert!(
-            threshold > 0.0 && threshold <= 1.0,
-            "threshold must be in (0, 1], got {threshold}"
-        );
         Self {
             threshold,
             algorithm: Algorithm::Inline,
@@ -64,62 +59,60 @@ impl CosineConfig {
 }
 
 /// Cosine join over pre-tokenized groups.
+///
+/// # Errors
+/// Returns [`ssjoin_core::SsJoinError::Config`] when the threshold is
+/// outside `(0, 1]`, and any error of the underlying SSJoin.
 pub fn cosine_join_tokens(
     r_groups: Vec<Vec<String>>,
     s_groups: Vec<Vec<String>>,
     config: &CosineConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
-    let prep_start = Instant::now();
-    let mut builder = SsJoinInputBuilder::new(WeightScheme::IdfSquared, ElementOrder::FrequencyAsc);
-    let rh = builder.add_relation_with_norm(r_groups, NormKind::SqrtTotalWeight);
-    let sh = builder.add_relation_with_norm(s_groups, NormKind::SqrtTotalWeight);
-    let built = builder.build()?;
-    let prep = prep_start.elapsed();
-
-    // Overlap ≥ α·‖r‖·‖s‖.
-    let pred = OverlapPredicate::new(vec![NormExpr::Mul(
-        Box::new(NormExpr::Const(config.threshold)),
-        Box::new(NormExpr::Mul(
-            Box::new(NormExpr::RNorm),
-            Box::new(NormExpr::SNorm),
-        )),
-    )]);
-    let ss_config = SsJoinConfig {
-        algorithm: config.algorithm,
-        exec: config.exec.clone(),
+    let spec = JoinSpec {
+        thresholds: &[("threshold", config.threshold)],
+        weights: WeightScheme::IdfSquared,
+        order: ElementOrder::FrequencyAsc,
+        // Overlap ≥ α·‖r‖·‖s‖.
+        predicate: OverlapPredicate::new(vec![NormExpr::Mul(
+            Box::new(NormExpr::Const(config.threshold)),
+            Box::new(NormExpr::Mul(
+                Box::new(NormExpr::RNorm),
+                Box::new(NormExpr::SNorm),
+            )),
+        )]),
+        config: SsJoinConfig {
+            algorithm: config.algorithm,
+            exec: config.exec.clone(),
+        },
     };
-    let r_col = built.collection(rh);
-    let s_col = built.collection(sh);
-    let out = ssjoin(r_col, s_col, &pred, &ss_config)?;
-    let mut stats = out.stats;
-    stats.add_time(Phase::Prep, prep);
-
-    let filter_start = Instant::now();
-    let pairs: Vec<MatchPair> = out
-        .pairs
-        .iter()
-        .map(|p| {
-            let denom = r_col.set(p.r).norm() * s_col.set(p.s).norm();
-            let similarity = if denom == 0.0 {
-                1.0
-            } else {
-                p.overlap.to_f64() / denom
-            };
-            MatchPair {
-                r: p.r,
-                s: p.s,
-                similarity,
-            }
-        })
-        .collect();
-    stats.add_time(Phase::Filter, filter_start.elapsed());
-    stats.output_pairs = pairs.len() as u64;
-    Ok(SimilarityJoinOutput {
-        pairs,
-        stats,
-        algorithm_used: out.algorithm_used,
-        udf_verifications: 0,
-    })
+    let prep = || {
+        Ok([
+            (r_groups, NormKind::SqrtTotalWeight),
+            (s_groups, NormKind::SqrtTotalWeight),
+        ])
+    };
+    // The predicate is exact: every candidate qualifies, so scoring is all
+    // the filter does (no UDF call).
+    let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
+        let pairs = candidates
+            .iter()
+            .map(|p| {
+                let denom = r_col.set(p.r).norm() * s_col.set(p.s).norm();
+                let similarity = if denom == 0.0 {
+                    1.0
+                } else {
+                    p.overlap.to_f64() / denom
+                };
+                MatchPair {
+                    r: p.r,
+                    s: p.s,
+                    similarity,
+                }
+            })
+            .collect();
+        (pairs, 0)
+    };
+    run_join(spec, prep, verify)
 }
 
 /// Cosine join over strings, tokenized into lowercased words.

@@ -20,14 +20,15 @@
 //! it *exactly* by routing the short strings of both sides through a
 //! brute-force check, so the join is correct for every input.
 
-use crate::common::{MatchPair, SimilarityJoinOutput};
+use crate::common::{
+    run_join, verify_candidates, verify_uncovered, JoinSpec, SimilarityJoinOutput,
+};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, ExecContext, JoinPair, NormExpr, NormKind, OverlapPredicate,
-    Phase, SsJoinConfig, SsJoinInputBuilder, SsJoinResult, WeightScheme,
+    Algorithm, ElementOrder, ExecContext, JoinPair, NormExpr, NormKind, OverlapPredicate,
+    SetCollection, SsJoinConfig, SsJoinError, SsJoinResult, WeightScheme,
 };
 use ssjoin_sim::edit_similarity_within;
 use ssjoin_text::{QGramTokenizer, Tokenizer};
-use std::time::Instant;
 
 /// Configuration for [`edit_similarity_join`].
 #[derive(Debug, Clone)]
@@ -47,12 +48,9 @@ pub struct EditJoinConfig {
 }
 
 impl EditJoinConfig {
-    /// Defaults: the paper's q = 3 and the inline algorithm.
+    /// Defaults: the paper's q = 3 and the inline algorithm. The threshold
+    /// is checked when the join runs.
     pub fn new(threshold: f64) -> Self {
-        assert!(
-            threshold > 0.0 && threshold <= 1.0,
-            "threshold must be in (0, 1], got {threshold}"
-        );
         Self {
             q: 3,
             threshold,
@@ -75,9 +73,8 @@ impl EditJoinConfig {
         self
     }
 
-    /// Override q.
+    /// Override q (checked when the join runs).
     pub fn with_q(mut self, q: usize) -> Self {
-        assert!(q >= 1);
         self.q = q;
         self
     }
@@ -87,30 +84,49 @@ impl EditJoinConfig {
         self.order = order;
         self
     }
+}
 
-    /// Coefficient `1 − (1 − α)·q` of the overlap bound.
-    fn coefficient(&self) -> f64 {
-        1.0 - (1.0 - self.threshold) * self.q as f64
-    }
+/// Coefficient `1 − (1 − α)·q` of the Property-4 overlap bound.
+fn coefficient(alpha: f64, q: usize) -> f64 {
+    1.0 - (1.0 - alpha) * q as f64
+}
 
-    /// Strings strictly shorter than this cannot rely on the q-gram bound
-    /// (the bound is < 1 when both partners are shorter). `usize::MAX` when
-    /// the coefficient is non-positive (then *no* length is safe and the
-    /// whole join degenerates to brute force).
-    fn short_cutoff(&self) -> usize {
-        let c = self.coefficient();
-        if c <= 0.0 {
-            usize::MAX
-        } else {
-            // Smallest L with L·c − q + 1 ≥ 1.
-            (self.q as f64 / c).ceil() as usize
-        }
+/// Strings strictly shorter than this cannot rely on the q-gram bound (the
+/// bound is < 1 when both partners are shorter). `usize::MAX` when the
+/// coefficient is non-positive: then *no* length is safe and matching
+/// degenerates to brute force.
+pub(crate) fn short_cutoff(alpha: f64, q: usize) -> usize {
+    let c = coefficient(alpha, q);
+    if c <= 0.0 {
+        usize::MAX
+    } else {
+        // Smallest L with L·c − q + 1 ≥ 1.
+        (q as f64 / c).ceil() as usize
     }
+}
+
+/// The Property-4 predicate at threshold `alpha` over string-length norms:
+/// `Overlap ≥ max(R.norm, S.norm)·(1 − (1−α)q) − (q − 1)`.
+pub(crate) fn property4_predicate(alpha: f64, q: usize) -> OverlapPredicate {
+    OverlapPredicate::new(vec![NormExpr::Sub(
+        Box::new(NormExpr::Mul(
+            Box::new(NormExpr::Max(
+                Box::new(NormExpr::RNorm),
+                Box::new(NormExpr::SNorm),
+            )),
+            Box::new(NormExpr::Const(coefficient(alpha, q))),
+        )),
+        Box::new(NormExpr::Const(q as f64 - 1.0)),
+    )])
 }
 
 /// Edit-similarity join: all pairs `(i, j)` with
 /// `edit_similarity(r[i], s[j]) ≥ threshold`. Pass the same slice twice for
 /// a self-join.
+///
+/// # Errors
+/// Returns [`SsJoinError::Config`] when the threshold is outside `(0, 1]`
+/// or `q` is zero, and any error of the underlying SSJoin.
 ///
 /// ```
 /// use ssjoin_joins::{edit_similarity_join, EditJoinConfig};
@@ -124,136 +140,50 @@ pub fn edit_similarity_join(
     s: &[String],
     config: &EditJoinConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
-    let alpha = config.threshold;
-
+    let (alpha, q) = (config.threshold, config.q);
+    if q == 0 {
+        return Err(SsJoinError::Config("q must be at least 1".into()));
+    }
+    let spec = JoinSpec {
+        thresholds: &[("threshold", alpha)],
+        weights: WeightScheme::Unweighted,
+        order: config.order,
+        predicate: property4_predicate(alpha, q),
+        config: SsJoinConfig {
+            algorithm: config.algorithm,
+            exec: config.exec.clone(),
+        },
+    };
     // Prep: q-gram sets with string-length norms.
-    let prep_start = Instant::now();
-    let tok = QGramTokenizer::new(config.q);
-    let r_lens: Vec<f64> = r.iter().map(|x| x.chars().count() as f64).collect();
-    let s_lens: Vec<f64> = s.iter().map(|x| x.chars().count() as f64).collect();
-    let r_groups: Vec<Vec<String>> = r.iter().map(|x| tok.tokenize(x)).collect();
-    let s_groups: Vec<Vec<String>> = s.iter().map(|x| tok.tokenize(x)).collect();
-    let mut builder = SsJoinInputBuilder::new(WeightScheme::Unweighted, config.order);
-    let rh = builder.add_relation_with_norm(r_groups, NormKind::Custom(r_lens.clone()));
-    let sh = builder.add_relation_with_norm(s_groups, NormKind::Custom(s_lens.clone()));
-    let built = builder.build()?;
-    let prep = prep_start.elapsed();
-
-    // SSJoin with the Property-4 predicate:
-    // Overlap ≥ max(R.norm, S.norm)·(1 − (1−α)q) − (q − 1).
-    let pred = OverlapPredicate::new(vec![NormExpr::Sub(
-        Box::new(NormExpr::Mul(
-            Box::new(NormExpr::Max(
-                Box::new(NormExpr::RNorm),
-                Box::new(NormExpr::SNorm),
-            )),
-            Box::new(NormExpr::Const(config.coefficient())),
-        )),
-        Box::new(NormExpr::Const(config.q as f64 - 1.0)),
-    )]);
-    let ss_config = SsJoinConfig {
-        algorithm: config.algorithm,
-        exec: config.exec.clone(),
+    let prep = || {
+        let tok = QGramTokenizer::new(q);
+        let side = |xs: &[String]| {
+            let lens = xs.iter().map(|x| x.chars().count() as f64).collect();
+            let groups = xs.iter().map(|x| tok.tokenize(x)).collect();
+            (groups, NormKind::Custom(lens))
+        };
+        Ok([side(r), side(s)])
     };
-    let out = ssjoin(
-        built.collection(rh),
-        built.collection(sh),
-        &pred,
-        &ss_config,
-    )?;
-    let mut stats = out.stats;
-    stats.add_time(Phase::Prep, prep);
-
-    // Filter: verify candidates with the banded edit-distance UDF. The
-    // candidates arrive (r, s)-sorted and so do the verified pairs.
-    let filter_start = Instant::now();
-    let mut pairs = verify_candidates(&out.pairs, r, s, alpha, config.exec.threads);
-    let mut udf_verifications = out.pairs.len() as u64;
-    let verified = pairs.len();
-
-    // Exact handling of pairs outside the q-gram bound's reach: both strings
-    // shorter than the cutoff.
-    let cutoff = config.short_cutoff();
-    let short_r: Vec<u32> = (0..r.len() as u32)
-        .filter(|&i| (r_lens[i as usize] as usize) < cutoff)
-        .collect();
-    let short_s: Vec<u32> = (0..s.len() as u32)
-        .filter(|&j| (s_lens[j as usize] as usize) < cutoff)
-        .collect();
-    for &i in &short_r {
-        for &j in &short_s {
-            let emitted = pairs[..verified]
-                .binary_search_by_key(&(i, j), |p| (p.r, p.s))
-                .is_ok();
-            if emitted {
-                continue;
-            }
-            udf_verifications += 1;
-            if let Some(similarity) = edit_similarity_within(&r[i as usize], &s[j as usize], alpha)
-            {
-                pairs.push(MatchPair {
-                    r: i,
-                    s: j,
-                    similarity,
-                });
-            }
-        }
-    }
-    stats.add_time(Phase::Filter, filter_start.elapsed());
-
-    pairs.sort_unstable_by_key(|p| (p.r, p.s));
-    stats.output_pairs = pairs.len() as u64;
-    Ok(SimilarityJoinOutput {
-        pairs,
-        stats,
-        algorithm_used: out.algorithm_used,
-        udf_verifications,
-    })
-}
-
-/// Verify `candidates` with the edit-similarity UDF on up to `threads`
-/// workers, each taking one contiguous chunk. Chunk results are concatenated
-/// in order, so the output is the same at any thread count.
-fn verify_candidates(
-    candidates: &[JoinPair],
-    r: &[String],
-    s: &[String],
-    alpha: f64,
-    threads: usize,
-) -> Vec<MatchPair> {
-    let verify = |chunk: &[JoinPair]| -> Vec<MatchPair> {
-        chunk
-            .iter()
-            .filter_map(|p| {
-                edit_similarity_within(&r[p.r as usize], &s[p.s as usize], alpha).map(
-                    |similarity| MatchPair {
-                        r: p.r,
-                        s: p.s,
-                        similarity,
-                    },
-                )
-            })
-            .collect()
+    // Filter: verify candidates with the banded edit-distance UDF, then the
+    // pairs outside the q-gram bound's reach — both strings shorter than
+    // the cutoff (the norms are the lengths).
+    let udf = |i: u32, j: u32| edit_similarity_within(&r[i as usize], &s[j as usize], alpha);
+    let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
+        let mut verified = verify_candidates(candidates, config.exec.threads, &udf);
+        let cutoff = short_cutoff(alpha, q);
+        let short = |col: &SetCollection| -> Vec<u32> {
+            (0..col.len() as u32)
+                .filter(|&i| (col.set(i).norm() as usize) < cutoff)
+                .collect()
+        };
+        let short_s = short(s_col);
+        let uncovered = short(r_col)
+            .into_iter()
+            .flat_map(|i| short_s.iter().map(move |&j| (i, j)));
+        verify_uncovered(&mut verified, uncovered, udf);
+        verified
     };
-    let threads = threads.clamp(1, candidates.len().max(1));
-    if threads == 1 {
-        return verify(candidates);
-    }
-    let chunk_len = candidates.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || verify(chunk)))
-            .collect();
-        let mut pairs = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(chunk) => pairs.extend(chunk),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        pairs
-    })
+    run_join(spec, prep, verify)
 }
 
 #[cfg(test)]
@@ -353,7 +283,7 @@ mod tests {
         // safe and the cutoff is usize::MAX, so the whole join must fall
         // back to the exact brute-force route and still be correct.
         let cfg = EditJoinConfig::new(0.5);
-        assert_eq!(cfg.short_cutoff(), usize::MAX);
+        assert_eq!(short_cutoff(0.5, 3), usize::MAX);
         let data = strings(&["hello world", "hello worlds", "abcd", "abce", "zzz"]);
         let expect = brute_force(&data, &data, 0.5);
         let out = edit_similarity_join(&data, &data, &cfg).unwrap();

@@ -19,29 +19,32 @@
 //! always correct; an [`GesJoinConfig::exhaustive`] mode provides the
 //! brute-force reference for recall evaluation.
 
-use crate::common::{MatchPair, SimilarityJoinOutput};
+use crate::common::{
+    check_threshold, finish, run_join, timed, verify_candidates, JoinSpec, MatchPair,
+    SimilarityJoinOutput,
+};
 use crate::edit::{edit_similarity_join, EditJoinConfig};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, ExecContext, OverlapPredicate, Phase, SsJoinConfig,
-    SsJoinInputBuilder, SsJoinResult, SsJoinStats, WeightScheme,
+    Algorithm, ElementOrder, ExecContext, NormKind, OverlapPredicate, Phase, SsJoinConfig,
+    SsJoinResult, SsJoinStats, WeightScheme,
 };
 use ssjoin_sim::{ges, GesConfig};
 use ssjoin_text::{Tokenizer, WordTokenizer};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Configuration for [`ges_join`].
 #[derive(Debug, Clone)]
 pub struct GesJoinConfig {
     /// GES threshold α in (0, 1].
     pub threshold: f64,
-    /// Token-expansion edit-similarity threshold β in (0, 1); must exceed α
-    /// for the candidate bound `α − (1 − β)` to be useful.
+    /// Token-expansion edit-similarity threshold β in (0, 1]; must exceed
+    /// α for the candidate bound `α − (1 − β)` to be useful.
     pub beta: f64,
     /// SSJoin physical algorithm for the candidate join.
     pub algorithm: Algorithm,
     /// Execution context for the candidate SSJoin (threads,
-    /// bitmap filter, budget).
+    /// bitmap filter, budget). Its thread count also sets the workers of
+    /// the GES verification loop.
     pub exec: ExecContext,
     /// Brute-force mode: skip candidate generation and verify every pair
     /// (exact reference, used for recall measurement).
@@ -49,12 +52,9 @@ pub struct GesJoinConfig {
 }
 
 impl GesJoinConfig {
-    /// Defaults: β = 0.85 token expansion, inline SSJoin.
+    /// Defaults: β = 0.85 token expansion, inline SSJoin. The threshold is
+    /// checked when the join runs.
     pub fn new(threshold: f64) -> Self {
-        assert!(
-            threshold > 0.0 && threshold <= 1.0,
-            "threshold must be in (0, 1], got {threshold}"
-        );
         Self {
             threshold,
             beta: 0.85,
@@ -64,9 +64,8 @@ impl GesJoinConfig {
         }
     }
 
-    /// Override the expansion threshold β.
+    /// Override the expansion threshold β (checked when the join runs).
     pub fn with_beta(mut self, beta: f64) -> Self {
-        assert!(beta > 0.0 && beta < 1.0);
         self.beta = beta;
         self
     }
@@ -93,11 +92,16 @@ impl GesJoinConfig {
 
 /// GES join: pairs with `GES(r[i] → s[j]) ≥ threshold` (note GES's
 /// asymmetric normalization by the R side, per Definition 6).
+///
+/// # Errors
+/// Returns [`ssjoin_core::SsJoinError::Config`] when the threshold or β is
+/// outside `(0, 1]`, and any error of the underlying SSJoin.
 pub fn ges_join(
     r: &[String],
     s: &[String],
     config: &GesJoinConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
+    let thresholds = [("threshold", config.threshold), ("beta", config.beta)];
     let tok = WordTokenizer::new().lowercased();
     let r_tokens: Vec<Vec<String>> = r.iter().map(|x| tok.tokenize(x)).collect();
     let s_tokens: Vec<Vec<String>> = s.iter().map(|x| tok.tokenize(x)).collect();
@@ -120,23 +124,59 @@ pub fn ges_join(
         .collect();
     let weight_fn = |t: &str| -> f64 { weights.get(t).copied().unwrap_or(1.0) };
 
-    let mut stats = SsJoinStats::default();
+    // Verification with the exact GES UDF.
     let ges_cfg = GesConfig::default();
+    let udf = |i: u32, j: u32| {
+        let (a, b) = (&r_tokens[i as usize], &s_tokens[j as usize]);
+        let g = ges(a, b, &weight_fn, ges_cfg);
+        (g >= config.threshold - 1e-9).then_some(g)
+    };
 
-    let candidate_keys: Vec<(u32, u32)> = if config.exhaustive {
-        (0..r.len() as u32)
-            .flat_map(|i| (0..s.len() as u32).map(move |j| (i, j)))
-            .collect()
-    } else {
-        // Prefix-expansion: token dictionary self-join at threshold β.
-        //
-        // Only tokens containing an alphabetic character are expanded:
-        // numeric tokens (street numbers, zip codes) are matched exactly.
-        // §1 of the paper motivates exactly this — "even small differences
-        // in the street numbers such as '148th Ave' and '147th Ave' are
-        // crucial" — and it keeps the dictionary join from degenerating on
-        // dense numeric vocabularies.
-        let prep_start = Instant::now();
+    if config.exhaustive {
+        // No SSJoin: every pair is a candidate.
+        for (name, value) in thresholds {
+            check_threshold(name, value)?;
+        }
+        let (pairs, filter_time) = timed(|| {
+            (0..r.len() as u32)
+                .flat_map(|i| (0..s.len() as u32).map(move |j| (i, j)))
+                .filter_map(|(i, j)| {
+                    let similarity = udf(i, j)?;
+                    Some(MatchPair {
+                        r: i,
+                        s: j,
+                        similarity,
+                    })
+                })
+                .collect()
+        });
+        let mut stats = SsJoinStats::default();
+        stats.add_time(Phase::Filter, filter_time);
+        let udf_calls = (r.len() * s.len()) as u64;
+        return Ok(finish((pairs, udf_calls), stats, Algorithm::Basic));
+    }
+
+    let spec = JoinSpec {
+        thresholds: &thresholds,
+        weights: WeightScheme::Idf,
+        order: ElementOrder::FrequencyAsc,
+        predicate: OverlapPredicate::r_normalized(
+            (config.threshold - (1.0 - config.beta)).max(0.05),
+        ),
+        config: SsJoinConfig {
+            algorithm: config.algorithm,
+            exec: config.exec.clone(),
+        },
+    };
+    // Prefix-expansion: token dictionary self-join at threshold β.
+    //
+    // Only tokens containing an alphabetic character are expanded: numeric
+    // tokens (street numbers, zip codes) are matched exactly. §1 of the
+    // paper motivates exactly this — "even small differences in the street
+    // numbers such as '148th Ave' and '147th Ave' are crucial" — and it
+    // keeps the dictionary join from degenerating on dense numeric
+    // vocabularies.
+    let prep = || {
         let mut dict: Vec<String> = weights
             .keys()
             .filter(|t| t.chars().any(char::is_alphabetic))
@@ -152,8 +192,8 @@ pub fn ges_join(
                 .or_default()
                 .push(dict[p.s as usize].as_str());
         }
-        let expand = |groups: &[Vec<String>]| -> Vec<Vec<String>> {
-            groups
+        let expand = |groups: &[Vec<String>]| -> (Vec<Vec<String>>, NormKind) {
+            let expanded = groups
                 .iter()
                 .map(|g| {
                     let mut out: Vec<String> = Vec::with_capacity(g.len() * 2);
@@ -169,64 +209,13 @@ pub fn ges_join(
                     out.dedup();
                     out
                 })
-                .collect()
+                .collect();
+            (expanded, NormKind::TotalWeight)
         };
-        let r_expanded = expand(&r_tokens);
-        let s_expanded = expand(&s_tokens);
-        let mut builder = SsJoinInputBuilder::new(WeightScheme::Idf, ElementOrder::FrequencyAsc);
-        let rh = builder.add_relation(r_expanded);
-        let sh = builder.add_relation(s_expanded);
-        let built = builder.build()?;
-        stats.add_time(Phase::Prep, prep_start.elapsed());
-
-        let margin = (config.threshold - (1.0 - config.beta)).max(0.05);
-        let pred = OverlapPredicate::r_normalized(margin);
-        let ss_config = SsJoinConfig {
-            algorithm: config.algorithm,
-            exec: config.exec.clone(),
-        };
-        let out = ssjoin(
-            built.collection(rh),
-            built.collection(sh),
-            &pred,
-            &ss_config,
-        )?;
-        stats.merge(&out.stats);
-        out.pairs.iter().map(|p| (p.r, p.s)).collect()
+        Ok([expand(&r_tokens), expand(&s_tokens)])
     };
-
-    // Verification with the exact GES UDF.
-    let filter_start = Instant::now();
-    let mut pairs = Vec::new();
-    let mut udf_verifications = 0u64;
-    for (i, j) in candidate_keys {
-        udf_verifications += 1;
-        let g = ges(
-            &r_tokens[i as usize],
-            &s_tokens[j as usize],
-            &weight_fn,
-            ges_cfg,
-        );
-        if g >= config.threshold - 1e-9 {
-            pairs.push(MatchPair {
-                r: i,
-                s: j,
-                similarity: g,
-            });
-        }
-    }
-    stats.add_time(Phase::Filter, filter_start.elapsed());
-    pairs.sort_unstable_by_key(|p| (p.r, p.s));
-    stats.output_pairs = pairs.len() as u64;
-    Ok(SimilarityJoinOutput {
-        pairs,
-        stats,
-        algorithm_used: if config.exhaustive {
-            Algorithm::Basic
-        } else {
-            config.algorithm
-        },
-        udf_verifications,
+    run_join(spec, prep, |candidates, _, _| {
+        verify_candidates(candidates, config.exec.threads, &udf)
     })
 }
 
@@ -294,6 +283,22 @@ mod tests {
         // …and with a lower β the transposed pair is recovered.
         let looser = ges_join(&data, &data, &GesJoinConfig::new(0.8).with_beta(0.6)).unwrap();
         assert!(looser.keys().contains(&(3, 4)), "{:?}", looser.keys());
+    }
+
+    #[test]
+    fn verification_threads_do_not_change_output() {
+        let data = sample();
+        let run = |threads: usize| {
+            let cfg = GesJoinConfig::new(0.8).with_exec(ExecContext::new().with_threads(threads));
+            ges_join(&data, &data, &cfg).unwrap()
+        };
+        let one = run(1);
+        assert!(one.pairs.len() > data.len(), "{}", one.pairs.len());
+        for threads in [2, 4] {
+            let out = run(threads);
+            assert_eq!(out.pairs, one.pairs, "threads {threads}");
+            assert_eq!(out.udf_verifications, one.udf_verifications);
+        }
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! a superset filter — pairs of different lengths that slip through are
 //! removed by the exact hamming check.
 
-use crate::common::{MatchPair, SimilarityJoinOutput};
+use crate::common::{
+    run_join, verify_candidates, verify_uncovered, JoinSpec, SimilarityJoinOutput,
+};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, NormExpr, NormKind, OverlapPredicate, Phase, SsJoinConfig,
-    SsJoinInputBuilder, SsJoinResult, WeightScheme,
+    Algorithm, ElementOrder, JoinPair, NormExpr, NormKind, OverlapPredicate, SetCollection,
+    SsJoinConfig, SsJoinResult, WeightScheme,
 };
 use ssjoin_sim::hamming_distance;
-use std::time::Instant;
 
 /// Configuration for [`hamming_join`].
 #[derive(Debug, Clone)]
@@ -47,6 +48,15 @@ fn positional_elements(s: &str) -> Vec<String> {
         .collect()
 }
 
+/// `1 − d/len`, with two empty strings maximally similar.
+fn similarity(d: usize, len: usize) -> f64 {
+    if len == 0 {
+        1.0
+    } else {
+        1.0 - d as f64 / len as f64
+    }
+}
+
 /// Hamming join: pairs of equal-length strings differing in at most
 /// `max_distance` positions, with `similarity = 1 − d/len`.
 pub fn hamming_join(
@@ -54,102 +64,57 @@ pub fn hamming_join(
     s: &[String],
     config: &HammingJoinConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
-    let prep_start = Instant::now();
-    let r_groups: Vec<Vec<String>> = r.iter().map(|x| positional_elements(x)).collect();
-    let s_groups: Vec<Vec<String>> = s.iter().map(|x| positional_elements(x)).collect();
-    let r_norms: Vec<f64> = r.iter().map(|x| x.chars().count() as f64).collect();
-    let s_norms: Vec<f64> = s.iter().map(|x| x.chars().count() as f64).collect();
-    let mut builder = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
-    let rh = builder.add_relation_with_norm(r_groups, NormKind::Custom(r_norms));
-    let sh = builder.add_relation_with_norm(s_groups, NormKind::Custom(s_norms));
-    let built = builder.build()?;
-    let prep = prep_start.elapsed();
-
-    // Overlap ≥ max(L_r, L_s) − k.
-    let pred = OverlapPredicate::new(vec![NormExpr::Sub(
-        Box::new(NormExpr::Max(
-            Box::new(NormExpr::RNorm),
-            Box::new(NormExpr::SNorm),
-        )),
-        Box::new(NormExpr::Const(config.max_distance as f64)),
-    )]);
-    let out = ssjoin(
-        built.collection(rh),
-        built.collection(sh),
-        &pred,
-        &SsJoinConfig::new(config.algorithm),
-    )?;
-    let mut stats = out.stats;
-    stats.add_time(Phase::Prep, prep);
-
-    let filter_start = Instant::now();
-    let mut pairs = Vec::new();
-    let mut udf_verifications = 0u64;
-    let mut emitted: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-    for p in &out.pairs {
-        udf_verifications += 1;
-        let (a, b) = (&r[p.r as usize], &s[p.s as usize]);
-        if let Some(d) = hamming_distance(a, b) {
-            if d <= config.max_distance {
-                let len = a.chars().count();
-                let similarity = if len == 0 {
-                    1.0
-                } else {
-                    1.0 - d as f64 / len as f64
-                };
-                emitted.insert((p.r, p.s));
-                pairs.push(MatchPair {
-                    r: p.r,
-                    s: p.s,
-                    similarity,
-                });
-            }
-        }
-    }
-    // Exactness for degenerate lengths: when `len ≤ max_distance`, every
-    // equal-length pair is within distance (hamming ≤ len ≤ k) even if the
-    // strings share no (position, char) element — which the positive
-    // threshold of the SSJoin predicate cannot see. Enumerate those length
-    // groups directly.
-    let mut r_by_len: std::collections::HashMap<usize, Vec<u32>> = std::collections::HashMap::new();
-    for (i, x) in r.iter().enumerate() {
-        let len = x.chars().count();
-        if len <= config.max_distance {
-            r_by_len.entry(len).or_default().push(i as u32);
-        }
-    }
-    for (j, y) in s.iter().enumerate() {
-        let len = y.chars().count();
-        let Some(r_ids) = r_by_len.get(&len) else {
-            continue;
+    let k = config.max_distance;
+    let spec = JoinSpec {
+        thresholds: &[],
+        weights: WeightScheme::Unweighted,
+        order: ElementOrder::FrequencyAsc,
+        // Overlap ≥ max(L_r, L_s) − k.
+        predicate: OverlapPredicate::new(vec![NormExpr::Sub(
+            Box::new(NormExpr::Max(
+                Box::new(NormExpr::RNorm),
+                Box::new(NormExpr::SNorm),
+            )),
+            Box::new(NormExpr::Const(k as f64)),
+        )]),
+        config: SsJoinConfig::new(config.algorithm),
+    };
+    let prep = || {
+        let side = |xs: &[String]| {
+            let lens = xs.iter().map(|x| x.chars().count() as f64).collect();
+            let groups = xs.iter().map(|x| positional_elements(x)).collect();
+            (groups, NormKind::Custom(lens))
         };
-        for &i in r_ids {
-            if emitted.contains(&(i, j as u32)) {
-                continue;
-            }
-            udf_verifications += 1;
-            let d = hamming_distance(&r[i as usize], y).expect("equal lengths");
-            let similarity = if len == 0 {
-                1.0
-            } else {
-                1.0 - d as f64 / len as f64
-            };
-            pairs.push(MatchPair {
-                r: i,
-                s: j as u32,
-                similarity,
-            });
-        }
-    }
-    stats.add_time(Phase::Filter, filter_start.elapsed());
-    pairs.sort_unstable_by_key(|p| (p.r, p.s));
-    stats.output_pairs = pairs.len() as u64;
-    Ok(SimilarityJoinOutput {
-        pairs,
-        stats,
-        algorithm_used: out.algorithm_used,
-        udf_verifications,
-    })
+        Ok([side(r), side(s)])
+    };
+    // Verify with the exact hamming check (the norms are the lengths).
+    let udf = |i: u32, j: u32| {
+        let d = hamming_distance(&r[i as usize], &s[j as usize]).filter(|&d| d <= k)?;
+        Some(similarity(d, r[i as usize].chars().count()))
+    };
+    let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
+        let mut verified = verify_candidates(candidates, 1, &udf);
+        // Exactness for degenerate lengths: when `len ≤ max_distance`, every
+        // equal-length pair is within distance (hamming ≤ len ≤ k) even if
+        // the strings share no (position, char) element — which the positive
+        // threshold of the SSJoin predicate cannot see.
+        let len = |col: &SetCollection, i: u32| col.set(i).norm() as usize;
+        let short = |col: &SetCollection| -> Vec<u32> {
+            (0..col.len() as u32)
+                .filter(|&i| len(col, i) <= k)
+                .collect()
+        };
+        let short_s = short(s_col);
+        let uncovered = short(r_col).into_iter().flat_map(|i| {
+            let same_len = short_s
+                .iter()
+                .filter(move |&&j| len(r_col, i) == len(s_col, j));
+            same_len.map(move |&j| (i, j))
+        });
+        verify_uncovered(&mut verified, uncovered, udf);
+        verified
+    };
+    run_join(spec, prep, verify)
 }
 
 #[cfg(test)]

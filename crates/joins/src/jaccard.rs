@@ -7,13 +7,12 @@
 //! (computable from the overlap and the two set weights, no re-tokenization)
 //! filters them.
 
-use crate::common::{MatchPair, SimilarityJoinOutput};
+use crate::common::{run_join, JoinSpec, MatchPair, SimilarityJoinOutput};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, ExecContext, OverlapPredicate, Phase, SsJoinConfig,
-    SsJoinInputBuilder, SsJoinResult, WeightScheme,
+    Algorithm, ElementOrder, ExecContext, JoinPair, NormKind, OverlapPredicate, SetCollection,
+    SsJoinConfig, SsJoinResult, WeightScheme,
 };
 use ssjoin_text::{Tokenizer, WordTokenizer};
-use std::time::Instant;
 
 /// Which Jaccard variant to join on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,10 +52,6 @@ impl JaccardConfig {
     }
 
     fn new(threshold: f64, kind: JaccardKind) -> Self {
-        assert!(
-            threshold > 0.0 && threshold <= 1.0,
-            "threshold must be in (0, 1], got {threshold}"
-        );
         Self {
             threshold,
             kind,
@@ -94,77 +89,63 @@ impl JaccardConfig {
 
 /// Jaccard join over pre-tokenized groups. Norms are the sets' total
 /// weights, as Definition 5 requires.
+///
+/// # Errors
+/// Returns [`ssjoin_core::SsJoinError::Config`] when the threshold is
+/// outside `(0, 1]`, and any error of the underlying SSJoin.
 pub fn jaccard_join_tokens(
     r_groups: Vec<Vec<String>>,
     s_groups: Vec<Vec<String>>,
     config: &JaccardConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
-    let alpha = config.threshold;
-
-    let prep_start = Instant::now();
-    let mut builder = SsJoinInputBuilder::new(config.weights, config.order);
-    let rh = builder.add_relation(r_groups);
-    let sh = builder.add_relation(s_groups);
-    let built = builder.build()?;
-    let prep = prep_start.elapsed();
-
-    let pred = match config.kind {
-        JaccardKind::Containment => OverlapPredicate::r_normalized(alpha),
-        JaccardKind::Resemblance => OverlapPredicate::two_sided(alpha),
+    let (alpha, kind) = (config.threshold, config.kind);
+    let spec = JoinSpec {
+        thresholds: &[("threshold", alpha)],
+        weights: config.weights,
+        order: config.order,
+        predicate: match kind {
+            JaccardKind::Containment => OverlapPredicate::r_normalized(alpha),
+            JaccardKind::Resemblance => OverlapPredicate::two_sided(alpha),
+        },
+        config: SsJoinConfig {
+            algorithm: config.algorithm,
+            exec: config.exec.clone(),
+        },
     };
-    let ss_config = SsJoinConfig {
-        algorithm: config.algorithm,
-        exec: config.exec.clone(),
+    let prep = || {
+        Ok([
+            (r_groups, NormKind::TotalWeight),
+            (s_groups, NormKind::TotalWeight),
+        ])
     };
-    let r_col = built.collection(rh);
-    let s_col = built.collection(sh);
-    let out = ssjoin(r_col, s_col, &pred, &ss_config)?;
-    let mut stats = out.stats;
-    stats.add_time(Phase::Prep, prep);
-
-    let filter_start = Instant::now();
-    let mut udf_verifications = 0u64;
-    let mut pairs = Vec::with_capacity(out.pairs.len());
-    for p in &out.pairs {
-        let wr = r_col.set(p.r).total_weight().to_f64();
-        let ws = s_col.set(p.s).total_weight().to_f64();
-        let ov = p.overlap.to_f64();
-        let similarity = match config.kind {
-            JaccardKind::Containment => {
-                if wr == 0.0 {
-                    1.0
-                } else {
-                    ov / wr
-                }
+    // Containment is the predicate itself; resemblance is checked exactly
+    // from the overlap and the two set weights (no re-tokenization).
+    let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
+        let mut pairs = Vec::with_capacity(candidates.len());
+        for p in candidates {
+            let wr = r_col.set(p.r).total_weight().to_f64();
+            let ws = s_col.set(p.s).total_weight().to_f64();
+            let ov = p.overlap.to_f64();
+            let denom = match kind {
+                JaccardKind::Containment => wr,
+                JaccardKind::Resemblance => wr + ws - ov,
+            };
+            let similarity = if denom == 0.0 { 1.0 } else { ov / denom };
+            if similarity >= alpha - 1e-9 {
+                pairs.push(MatchPair {
+                    r: p.r,
+                    s: p.s,
+                    similarity,
+                });
             }
-            JaccardKind::Resemblance => {
-                let union = wr + ws - ov;
-                if union == 0.0 {
-                    1.0
-                } else {
-                    ov / union
-                }
-            }
+        }
+        let udf_calls = match kind {
+            JaccardKind::Containment => 0,
+            JaccardKind::Resemblance => candidates.len() as u64,
         };
-        if similarity >= alpha - 1e-9 {
-            pairs.push(MatchPair {
-                r: p.r,
-                s: p.s,
-                similarity,
-            });
-        }
-        if config.kind == JaccardKind::Resemblance {
-            udf_verifications += 1;
-        }
-    }
-    stats.add_time(Phase::Filter, filter_start.elapsed());
-    stats.output_pairs = pairs.len() as u64;
-    Ok(SimilarityJoinOutput {
-        pairs,
-        stats,
-        algorithm_used: out.algorithm_used,
-        udf_verifications,
-    })
+        (pairs, udf_calls)
+    };
+    run_join(spec, prep, verify)
 }
 
 /// Jaccard join over strings, tokenized into lowercased words (the standard
@@ -326,8 +307,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "threshold must be in (0, 1]")]
     fn zero_threshold_rejected() {
-        JaccardConfig::resemblance(0.0);
+        let data = sample();
+        let out = jaccard_join(&data, &data, &JaccardConfig::resemblance(0.0));
+        assert!(
+            matches!(out, Err(ssjoin_core::SsJoinError::Config(ref m)) if m.contains("threshold")),
+            "{out:?}"
+        );
     }
 }

@@ -36,7 +36,6 @@ pub mod edit;
 pub mod ges;
 pub mod hamming;
 pub mod jaccard;
-pub mod matcher;
 pub mod soft_fd;
 pub mod soundex;
 pub mod topk;
@@ -50,7 +49,6 @@ pub use edit::{edit_similarity_join, EditJoinConfig};
 pub use ges::{ges_join, GesJoinConfig};
 pub use hamming::{hamming_join, HammingJoinConfig};
 pub use jaccard::{jaccard_join, JaccardConfig, JaccardKind};
-pub use matcher::EditMatcher;
 pub use soft_fd::{soft_fd_join, SoftFdConfig};
 pub use soundex::{soundex_join, SoundexConfig};
-pub use topk::{top_k_matches, top_k_matches_indexed, TopKConfig, TopKIndex, TopKMatch};
+pub use topk::{top_k_matches, TopKConfig, TopKIndex, TopKMatch};

@@ -7,12 +7,11 @@
 //! an absolute-overlap SSJoin with threshold `k` — the reduction of
 //! Figure 6.
 
-use crate::common::{MatchPair, SimilarityJoinOutput};
+use crate::common::{run_join, JoinSpec, MatchPair, SimilarityJoinOutput};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, OverlapPredicate, Phase, SsJoinConfig, SsJoinInputBuilder,
-    SsJoinResult, WeightScheme,
+    Algorithm, ElementOrder, JoinPair, NormKind, OverlapPredicate, SetCollection, SsJoinConfig,
+    SsJoinError, SsJoinResult, WeightScheme,
 };
-use std::time::Instant;
 
 /// Configuration for [`soft_fd_join`].
 #[derive(Debug, Clone)]
@@ -24,9 +23,9 @@ pub struct SoftFdConfig {
 }
 
 impl SoftFdConfig {
-    /// Require agreement on at least `k` attributes.
+    /// Require agreement on at least `k` attributes (checked when the join
+    /// runs).
     pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "k must be at least 1");
         Self {
             k,
             algorithm: Algorithm::Inline,
@@ -56,6 +55,11 @@ fn tuple_elements(attrs: &[String]) -> Vec<String> {
 /// tuples must have the same arity `h`); returns pairs agreeing on ≥ `k`
 /// attributes, with `similarity = agreements / h`.
 ///
+/// # Errors
+/// Returns [`SsJoinError::InvalidInput`] for tuples of unequal arity,
+/// [`SsJoinError::Config`] when `k` is zero or exceeds the arity, and any
+/// error of the underlying SSJoin.
+///
 /// ```
 /// use ssjoin_joins::{soft_fd_join, SoftFdConfig};
 ///
@@ -73,54 +77,45 @@ pub fn soft_fd_join(
     config: &SoftFdConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
     let h = r.first().or_else(|| s.first()).map(Vec::len).unwrap_or(0);
-    for row in r.iter().chain(s) {
-        assert_eq!(
-            row.len(),
-            h,
-            "all tuples must have the same attribute arity"
-        );
+    if r.iter().chain(s).any(|row| row.len() != h) {
+        return Err(SsJoinError::InvalidInput(
+            "all tuples must have the same attribute arity".into(),
+        ));
     }
-    assert!(
-        config.k <= h.max(1),
-        "k = {} exceeds attribute count {h}",
-        config.k
-    );
-
-    let prep_start = Instant::now();
-    let r_groups: Vec<Vec<String>> = r.iter().map(|row| tuple_elements(row)).collect();
-    let s_groups: Vec<Vec<String>> = s.iter().map(|row| tuple_elements(row)).collect();
-    let mut builder = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
-    let rh = builder.add_relation(r_groups);
-    let sh = builder.add_relation(s_groups);
-    let built = builder.build()?;
-    let prep = prep_start.elapsed();
-
-    let pred = OverlapPredicate::absolute(config.k as f64);
-    let out = ssjoin(
-        built.collection(rh),
-        built.collection(sh),
-        &pred,
-        &SsJoinConfig::new(config.algorithm),
-    )?;
-    let mut stats = out.stats;
-    stats.add_time(Phase::Prep, prep);
-
-    let pairs: Vec<MatchPair> = out
-        .pairs
-        .iter()
-        .map(|p| MatchPair {
-            r: p.r,
-            s: p.s,
-            similarity: p.overlap.to_f64() / h.max(1) as f64,
-        })
-        .collect();
-    stats.output_pairs = pairs.len() as u64;
-    Ok(SimilarityJoinOutput {
-        pairs,
-        stats,
-        algorithm_used: out.algorithm_used,
-        udf_verifications: 0,
-    })
+    if config.k == 0 || config.k > h.max(1) {
+        return Err(SsJoinError::Config(format!(
+            "k must be in [1, {}] (the attribute count), got {}",
+            h.max(1),
+            config.k
+        )));
+    }
+    let spec = JoinSpec {
+        thresholds: &[],
+        weights: WeightScheme::Unweighted,
+        order: ElementOrder::FrequencyAsc,
+        predicate: OverlapPredicate::absolute(config.k as f64),
+        config: SsJoinConfig::new(config.algorithm),
+    };
+    let prep = || {
+        let side = |rows: &[Vec<String>]| {
+            let groups = rows.iter().map(|row| tuple_elements(row)).collect();
+            (groups, NormKind::TotalWeight)
+        };
+        Ok([side(r), side(s)])
+    };
+    // The absolute-overlap predicate is exact: agreements are the overlap.
+    let verify = |candidates: &[JoinPair], _: &SetCollection, _: &SetCollection| {
+        let pairs = candidates
+            .iter()
+            .map(|p| MatchPair {
+                r: p.r,
+                s: p.s,
+                similarity: p.overlap.to_f64() / h.max(1) as f64,
+            })
+            .collect();
+        (pairs, 0)
+    };
+    run_join(spec, prep, verify)
 }
 
 #[cfg(test)]
@@ -206,19 +201,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "same attribute arity")]
     fn ragged_tuples_rejected() {
         let r = vec![
             vec!["a".to_string()],
             vec!["a".to_string(), "b".to_string()],
         ];
-        let _ = soft_fd_join(&r, &r, &SoftFdConfig::new(1));
+        let out = soft_fd_join(&r, &r, &SoftFdConfig::new(1));
+        assert!(
+            matches!(out, Err(SsJoinError::InvalidInput(ref m)) if m.contains("same attribute arity")),
+            "{out:?}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "exceeds attribute count")]
     fn k_too_large_rejected() {
         let r = tuples(&[["a", "b", "c"]]);
-        let _ = soft_fd_join(&r, &r, &SoftFdConfig::new(4));
+        let out = soft_fd_join(&r, &r, &SoftFdConfig::new(4));
+        assert!(
+            matches!(out, Err(SsJoinError::Config(ref m)) if m.contains("attribute count")),
+            "{out:?}"
+        );
     }
 }

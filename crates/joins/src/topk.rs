@@ -12,19 +12,19 @@
 //! * [`top_k_matches`] — one-shot: tokenizes the reference table, builds the
 //!   q-gram index, and answers a single lookup. Simple, but the build cost
 //!   is paid on every call.
-//! * [`TopKIndex`] / [`top_k_matches_indexed`] — persistent: the reference
-//!   table is encoded once into a [`CorpusIndex`] and any number of lookups
-//!   probe it, which is how an online cleaning pipeline actually runs. The
-//!   index also supports incremental [`TopKIndex::insert`] /
-//!   [`TopKIndex::delete`] and threshold-floor self-joins
-//!   ([`TopKIndex::self_pairs`]) for duplicate grouping.
+//! * [`TopKIndex`] — persistent: the reference table is encoded once into a
+//!   [`CorpusIndex`] and any number of lookups probe it, which is how an
+//!   online cleaning pipeline actually runs. The index also supports
+//!   incremental [`TopKIndex::insert`] / [`TopKIndex::delete`] and
+//!   threshold-floor self-joins ([`TopKIndex::self_pairs`]) for duplicate
+//!   grouping.
 
-use crate::common::MatchPair;
-use crate::edit::{edit_similarity_join, EditJoinConfig};
+use crate::common::{check_threshold, MatchPair};
+use crate::edit::{edit_similarity_join, property4_predicate, short_cutoff, EditJoinConfig};
 use ssjoin_core::{
     Algorithm, ApproxSpec, CorpusIndex, CorpusIndexOptions, ElementOrder, ExecContext,
-    JoinWorkspace, NormExpr, NormKind, OverlapPredicate, QueryEncoder, SsJoinConfig, SsJoinError,
-    SsJoinInputBuilder, SsJoinResult, SsJoinStats, WeightScheme,
+    JoinWorkspace, NormKind, QueryEncoder, SsJoinConfig, SsJoinError, SsJoinInputBuilder,
+    SsJoinResult, SsJoinStats, WeightScheme,
 };
 use ssjoin_sim::edit_similarity_within;
 use ssjoin_text::{QGramTokenizer, Tokenizer};
@@ -67,11 +67,7 @@ impl TopKConfig {
         if k < 1 {
             return Err(SsJoinError::Config("k must be at least 1".into()));
         }
-        if !(min_similarity > 0.0 && min_similarity <= 1.0) {
-            return Err(SsJoinError::Config(format!(
-                "min_similarity must be in (0, 1], got {min_similarity}"
-            )));
-        }
+        check_threshold("min_similarity", min_similarity)?;
         Ok(Self {
             k,
             min_similarity,
@@ -97,39 +93,6 @@ pub struct TopKMatch {
     pub index: u32,
     /// Edit similarity to the query.
     pub similarity: f64,
-}
-
-/// Coefficient `1 − (1 − α)·q` of the Property-4 overlap bound.
-fn coefficient(alpha: f64, q: usize) -> f64 {
-    1.0 - (1.0 - alpha) * q as f64
-}
-
-/// Strings strictly shorter than this cannot rely on the q-gram bound (the
-/// bound is < 1 when both partners are shorter). `usize::MAX` when the
-/// coefficient is non-positive — then no length is safe and matching
-/// degenerates to brute force.
-fn short_cutoff(alpha: f64, q: usize) -> usize {
-    let c = coefficient(alpha, q);
-    if c <= 0.0 {
-        usize::MAX
-    } else {
-        (q as f64 / c).ceil() as usize
-    }
-}
-
-/// The Property-4 predicate at threshold `alpha`:
-/// `Overlap ≥ max(R.norm, S.norm)·(1 − (1−α)q) − (q − 1)`.
-fn property4_predicate(alpha: f64, q: usize) -> OverlapPredicate {
-    OverlapPredicate::new(vec![NormExpr::Sub(
-        Box::new(NormExpr::Mul(
-            Box::new(NormExpr::Max(
-                Box::new(NormExpr::RNorm),
-                Box::new(NormExpr::SNorm),
-            )),
-            Box::new(NormExpr::Const(coefficient(alpha, q))),
-        )),
-        Box::new(NormExpr::Const(q as f64 - 1.0)),
-    )])
 }
 
 fn rank_matches(out: &mut [TopKMatch]) {
@@ -188,12 +151,14 @@ impl TopKIndex {
     /// Build the index over `reference` once.
     ///
     /// # Errors
-    /// Returns [`SsJoinError::Config`] when `config.q` is zero, or any error
-    /// of the underlying input build / index construction.
+    /// Returns [`SsJoinError::Config`] when `config.q` is zero or
+    /// `config.min_similarity` is outside `(0, 1]`, or any error of the
+    /// underlying input build / index construction.
     pub fn build(reference: &[String], config: TopKConfig) -> SsJoinResult<Self> {
         if config.q == 0 {
             return Err(SsJoinError::Config("q must be at least 1".into()));
         }
+        check_threshold("min_similarity", config.min_similarity)?;
         let tok = QGramTokenizer::new(config.q);
         let ref_lens: Vec<usize> = reference.iter().map(|x| x.chars().count()).collect();
         let norms: Vec<f64> = ref_lens.iter().map(|&l| l as f64).collect();
@@ -255,48 +220,30 @@ impl TopKIndex {
             .encoder
             .encode(&[tok.tokenize(query)], NormKind::Custom(vec![qlen as f64]))?;
 
-        let mut out: Vec<TopKMatch> = Vec::new();
+        let run = self.index.probe(&batch, &self.ss_config, &mut self.ws)?;
+        self.last_stats = run.stats.clone();
+        // Probe candidates, then the exact route for pairs the q-gram bound
+        // cannot cover: short query × short reference, plus under-encoded
+        // inserts against every query.
+        let short: &[u32] = if qlen < self.short_cutoff {
+            &self.short_ids
+        } else {
+            &[]
+        };
+        let candidates = run.pairs.iter().map(|p| p.s);
+        let candidates = candidates.chain(short.iter().chain(&self.brute_ids).copied());
         let mut seen: HashSet<u32> = HashSet::new();
-        {
-            let run = self.index.probe(&batch, &self.ss_config, &mut self.ws)?;
-            self.last_stats = run.stats.clone();
-            for p in run.pairs {
-                seen.insert(p.s);
-                if let Some(similarity) =
-                    edit_similarity_within(query, &self.reference[p.s as usize], alpha)
-                {
-                    out.push(TopKMatch {
-                        index: p.s,
-                        similarity,
-                    });
-                }
-            }
-        }
-
-        // Exact route for pairs the q-gram bound cannot cover: short query ×
-        // short reference, plus under-encoded inserts against every query.
-        let brute = |rid: u32, out: &mut Vec<TopKMatch>, seen: &mut HashSet<u32>| {
-            if !seen.insert(rid) || !self.index.is_alive(rid) {
-                return;
-            }
-            if let Some(similarity) =
-                edit_similarity_within(query, &self.reference[rid as usize], alpha)
-            {
-                out.push(TopKMatch {
+        let mut out: Vec<TopKMatch> = candidates
+            .filter(|&rid| self.index.is_alive(rid) && seen.insert(rid))
+            .filter_map(|rid| {
+                let similarity =
+                    edit_similarity_within(query, &self.reference[rid as usize], alpha)?;
+                Some(TopKMatch {
                     index: rid,
                     similarity,
-                });
-            }
-        };
-        if qlen < self.short_cutoff {
-            for &rid in &self.short_ids {
-                brute(rid, &mut out, &mut seen);
-            }
-        }
-        for &rid in &self.brute_ids {
-            brute(rid, &mut out, &mut seen);
-        }
-
+                })
+            })
+            .collect();
         rank_matches(&mut out);
         Ok(out)
     }
@@ -316,56 +263,36 @@ impl TopKIndex {
                 self.config.min_similarity
             )));
         }
-        let mut out: Vec<MatchPair> = Vec::new();
+        // The batch side is the corpus arena itself, dead rows included:
+        // the probe drops dead S rows, the alive check below dead R rows.
+        let run = self
+            .index
+            .probe(self.index.corpus(), &self.ss_config, &mut self.ws)?;
+        self.last_stats = run.stats.clone();
+        // Probe candidates, then the exact supplements mirroring `matches`:
+        // short × short, and under-encoded inserts against every reference.
+        let (short, n) = (&self.short_ids, self.reference.len() as u32);
+        let short_pairs =
+            (0..short.len()).flat_map(|i| (i + 1..short.len()).map(move |j| (short[i], short[j])));
+        let brute_pairs = self
+            .brute_ids
+            .iter()
+            .flat_map(|&b| (0..n).map(move |o| (b, o)));
+        let candidates = run.pairs.iter().map(|p| (p.r, p.s));
         let mut seen: HashSet<(u32, u32)> = HashSet::new();
-        {
-            // The batch side is the corpus arena itself, dead rows included;
-            // the probe filters dead S rows, the retain below dead R rows.
-            let run = self
-                .index
-                .probe(self.index.corpus(), &self.ss_config, &mut self.ws)?;
-            self.last_stats = run.stats.clone();
-            for p in run.pairs {
-                // The probe filters dead S rows, but the batch side carries
-                // the whole arena — dead R rows must be dropped here.
-                if !self.index.is_alive(p.r) {
-                    continue;
-                }
-                let (r, s) = (p.r.min(p.s), p.r.max(p.s));
-                if r == s || !seen.insert((r, s)) {
-                    continue;
-                }
+        let mut out: Vec<MatchPair> = candidates
+            .chain(short_pairs)
+            .chain(brute_pairs)
+            .map(|(r, s)| (r.min(s), r.max(s)))
+            .filter(|&(r, s)| {
+                r != s && self.index.is_alive(r) && self.index.is_alive(s) && seen.insert((r, s))
+            })
+            .filter_map(|(r, s)| {
                 let (a, b) = (&self.reference[r as usize], &self.reference[s as usize]);
-                if let Some(similarity) = edit_similarity_within(a, b, theta) {
-                    out.push(MatchPair { r, s, similarity });
-                }
-            }
-        }
-
-        // Exact supplements, mirroring `matches`: short × short, and
-        // under-encoded inserts against every live reference.
-        let brute = |r: u32, s: u32, out: &mut Vec<MatchPair>, seen: &mut HashSet<(u32, u32)>| {
-            let (r, s) = (r.min(s), s.max(r));
-            if r == s || !self.index.is_alive(r) || !self.index.is_alive(s) || !seen.insert((r, s))
-            {
-                return;
-            }
-            let (a, b) = (&self.reference[r as usize], &self.reference[s as usize]);
-            if let Some(similarity) = edit_similarity_within(a, b, theta) {
-                out.push(MatchPair { r, s, similarity });
-            }
-        };
-        for i in 0..self.short_ids.len() {
-            for j in (i + 1)..self.short_ids.len() {
-                brute(self.short_ids[i], self.short_ids[j], &mut out, &mut seen);
-            }
-        }
-        for &bid in &self.brute_ids {
-            for other in 0..self.reference.len() as u32 {
-                brute(bid, other, &mut out, &mut seen);
-            }
-        }
-
+                let similarity = edit_similarity_within(a, b, theta)?;
+                Some(MatchPair { r, s, similarity })
+            })
+            .collect();
         out.sort_unstable_by_key(|p| (p.r, p.s));
         Ok(out)
     }
@@ -448,21 +375,24 @@ impl TopKIndex {
 /// `min_similarity`, ordered by descending similarity (ties by index).
 ///
 /// Builds the q-gram input on every call; for repeated lookups against one
-/// reference table build a [`TopKIndex`] and use [`top_k_matches_indexed`].
+/// reference table build a [`TopKIndex`] and call [`TopKIndex::top_k`].
+///
+/// # Errors
+/// Returns [`SsJoinError::Config`] when `config.min_similarity` is outside
+/// `(0, 1]` or `config.q` is zero, and any error of the underlying join.
 pub fn top_k_matches(
     query: &str,
     reference: &[String],
     config: &TopKConfig,
 ) -> SsJoinResult<Vec<TopKMatch>> {
+    check_threshold("min_similarity", config.min_similarity)?;
     let queries = vec![query.to_string()];
-    let join_cfg = EditJoinConfig::new(config.min_similarity)
-        .with_q(config.q)
-        .with_algorithm(Algorithm::Inline);
+    let join_cfg = EditJoinConfig::new(config.min_similarity).with_q(config.q);
     let out = edit_similarity_join(&queries, reference, &join_cfg)?;
     let mut matches: Vec<TopKMatch> = out
         .pairs
         .iter()
-        .map(|p: &MatchPair| TopKMatch {
+        .map(|p| TopKMatch {
             index: p.s,
             similarity: p.similarity,
         })
@@ -470,12 +400,6 @@ pub fn top_k_matches(
     rank_matches(&mut matches);
     matches.truncate(config.k);
     Ok(matches)
-}
-
-/// [`top_k_matches`] against a prebuilt [`TopKIndex`]: identical results,
-/// but the reference table is encoded and indexed once instead of per call.
-pub fn top_k_matches_indexed(query: &str, index: &mut TopKIndex) -> SsJoinResult<Vec<TopKMatch>> {
-    index.top_k(query)
 }
 
 #[cfg(test)]
@@ -559,14 +483,39 @@ mod tests {
 
     #[test]
     fn indexed_matches_one_shot() {
-        let refs = reference();
-        for (k, alpha) in [(2, 0.5), (5, 0.95), (3, 0.8), (1, 0.6)] {
-            let config = TopKConfig::new(k, alpha).unwrap();
-            let mut index = TopKIndex::build(&refs, config.clone()).unwrap();
-            for query in ["microsoft corp", "oracle corpp", "zzzzzz", "", "machines"] {
-                let fresh = top_k_matches(query, &refs, &config).unwrap();
-                let indexed = top_k_matches_indexed(query, &mut index).unwrap();
-                assert_eq!(indexed, fresh, "k={k} alpha={alpha} query={query:?}");
+        // Long references, plus 1–2-char ones below the q-gram cutoff,
+        // repeated q-grams (a multiset count must not credit "aaaa" with
+        // more of "aaaaaaaa"'s grams than it has), and the empty table.
+        let strings = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        let mut with_short = reference();
+        with_short.extend(strings(&["ab", "ac", "x"]));
+        let tables = [
+            reference(),
+            with_short,
+            strings(&["aaaa", "aaaaaaaa"]),
+            Vec::new(),
+        ];
+        for refs in &tables {
+            for (k, alpha) in [(2, 0.5), (5, 0.95), (3, 0.8), (1, 0.6), (8, 0.75), (8, 0.9)] {
+                let config = TopKConfig::new(k, alpha).unwrap();
+                let mut index = TopKIndex::build(refs, config.clone()).unwrap();
+                for query in [
+                    "microsoft corp",
+                    "oracle corpp",
+                    "zzzzzz",
+                    "",
+                    "machines",
+                    "ab",
+                    "a",
+                    "aaaa",
+                ] {
+                    let fresh = top_k_matches(query, refs, &config).unwrap();
+                    let indexed = index.top_k(query).unwrap();
+                    assert_eq!(
+                        indexed, fresh,
+                        "refs={refs:?} k={k} alpha={alpha} query={query:?}"
+                    );
+                }
             }
         }
     }
@@ -603,7 +552,7 @@ mod tests {
             .collect();
         let config = TopKConfig::new(4, 0.5).unwrap();
         let mut index = TopKIndex::build(&refs, config.clone()).unwrap();
-        for query in ["ab", "ax", "abcdefgx", "q"] {
+        for query in ["ab", "ax", "abcdefgx", "q", ""] {
             let fresh = top_k_matches(query, &refs, &config).unwrap();
             let indexed = index.top_k(query).unwrap();
             assert_eq!(indexed, fresh, "query={query:?}");

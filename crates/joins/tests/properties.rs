@@ -6,11 +6,11 @@
 
 use ssjoin_core::{Algorithm, WeightScheme};
 use ssjoin_joins::{
-    edit_similarity_join, hamming_join, jaccard_join, soft_fd_join, EditJoinConfig, EditMatcher,
-    HammingJoinConfig, JaccardConfig, SoftFdConfig,
+    edit_similarity_join, hamming_join, jaccard_join, soft_fd_join, EditJoinConfig,
+    HammingJoinConfig, JaccardConfig, SoftFdConfig, TopKConfig, TopKIndex,
 };
 use ssjoin_prng::{Rng, StdRng};
-use ssjoin_sim::{edit_similarity, hamming_distance, jaccard_resemblance};
+use ssjoin_sim::{edit_distance_budget, edit_similarity, hamming_distance, jaccard_resemblance};
 use ssjoin_text::{Tokenizer, WordTokenizer};
 
 /// A random string over `pool` with length in `0..=max_len`.
@@ -59,35 +59,82 @@ fn edit_join_exact() {
     }
 }
 
-/// The prebuilt matcher returns exactly the brute-force matches, in
-/// similarity order.
+/// `s` after `edits` random single-character substitutions, insertions or
+/// deletions over `pool`.
+fn perturb(rng: &mut StdRng, s: &str, pool: &[char], edits: usize) -> String {
+    let mut chars: Vec<char> = s.chars().collect();
+    for _ in 0..edits {
+        let at = rng.gen_index(chars.len() + 1);
+        let c = pool[rng.gen_index(pool.len())];
+        match rng.gen_index(3) {
+            0 if at < chars.len() => chars[at] = c,
+            1 if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ => chars.insert(at, c),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// `s` with up to `edits` characters replaced by `#` (absent from `s`),
+/// spaced `q` apart so each replacement destroys `q` q-grams of its own:
+/// when `edits` is the threshold's distance budget, the pair shares exactly
+/// the Property-4 minimum of q-grams (or, for short strings, none at all).
+fn spaced_substitutions(s: &str, edits: usize, q: usize) -> String {
+    let mut chars: Vec<char> = s.chars().collect();
+    for e in 0..edits {
+        if let Some(c) = chars.get_mut(q - 1 + e * q) {
+            *c = '#';
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// A `TopKIndex` built at θ returns exactly the brute-force matches — the
+/// same references, in similarity order (ties by index), with the same
+/// similarity values. The oracle shares no code with the index's Property-4
+/// bound or its short-string pool, so a wrong bound fails here: besides the
+/// random corpus, the references hold random 1–4-edit variants of each
+/// query — one of up to 24 characters, and one of every length 2–12, which
+/// sweeps the short-string cutoff — and, per query, one variant sitting
+/// exactly on the bound.
 #[test]
-fn matcher_exact() {
+fn topk_index_exact() {
+    let letters: Vec<char> = ('a'..='z').chain([' ']).collect();
     for seed in 0..48u64 {
         let mut rng = StdRng::seed_from_u64(0x3A7C + seed);
-        let refs = random_corpus(&mut rng);
-        let query = random_string(&mut rng, &['a', 'b', 'c', ' '], 14);
+        let mut refs = random_corpus(&mut rng);
         let theta = 0.3 + 0.65 * rng.gen_f64();
-        let matcher = EditMatcher::build(refs.clone(), 3);
-        let got: Vec<u32> = matcher
-            .matches(&query, theta)
-            .into_iter()
-            .map(|m| m.index)
-            .collect();
-        let mut expect: Vec<(u32, f64)> = refs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                let s = edit_similarity(&query, r);
-                (s >= theta - 1e-9).then_some((i as u32, s))
-            })
-            .collect();
-        expect.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        assert_eq!(
-            got,
-            expect.into_iter().map(|(i, _)| i).collect::<Vec<_>>(),
-            "seed {seed}"
-        );
+        let mut queries = vec![random_string(&mut rng, &letters, 24)];
+        for len in 2..=12 {
+            queries.push((0..len).map(|_| letters[rng.gen_index(26)]).collect());
+        }
+        for query in &queries {
+            for edits in 1..=4 {
+                refs.push(perturb(&mut rng, query, &letters, edits));
+            }
+            let budget = edit_distance_budget(query.chars().count(), theta).unwrap_or(0);
+            refs.push(spaced_substitutions(query, budget, 3));
+        }
+        let config = TopKConfig::new(refs.len(), theta).unwrap();
+        let mut index = TopKIndex::build(&refs, config).unwrap();
+        for query in &queries {
+            let got: Vec<(u32, f64)> = index
+                .matches(query)
+                .unwrap()
+                .into_iter()
+                .map(|m| (m.index, m.similarity))
+                .collect();
+            let mut expect: Vec<(u32, f64)> = refs
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (i as u32, edit_similarity(query, r)))
+                .filter(|&(_, s)| s >= theta)
+                .collect();
+            expect.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            assert_eq!(got, expect, "seed {seed} theta {theta} query {query:?}");
+        }
     }
 }
 

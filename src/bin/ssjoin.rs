@@ -12,6 +12,11 @@
 //! on. Join output rows are `r_index  s_index  similarity  r_string
 //! s_string`.
 //!
+//! `match` answers one lookup with [`top_k_matches`]: the edit-similarity
+//! join (q = 3) of the query against the reference table at `--min-sim`,
+//! ranked by similarity (ties by row index), cut to `--k`; output rows are
+//! `similarity  index  reference_string`.
+//!
 //! `serve` loads the reference table once, builds a persistent
 //! [`TopKIndex`], and answers tab-separated requests from stdin until EOF:
 //!
@@ -51,8 +56,8 @@ use ssjoin::core::{Algorithm, ApproxSpec, ExecContext};
 use ssjoin::datagen::{read_tsv, write_tsv, AddressCorpus, AddressCorpusConfig};
 use ssjoin::joins::{
     cluster_pairs, cosine_join, dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join,
-    CosineConfig, EditJoinConfig, EditMatcher, GesJoinConfig, JaccardConfig, SimilarityJoinOutput,
-    TopKConfig, TopKIndex,
+    top_k_matches, CosineConfig, EditJoinConfig, GesJoinConfig, JaccardConfig,
+    SimilarityJoinOutput, TopKConfig, TopKIndex,
 };
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
@@ -331,6 +336,13 @@ fn first_column<P: AsRef<std::path::Path>>(path: P) -> Result<Vec<String>, Strin
         .collect())
 }
 
+/// The `match`/`serve` lookup configuration, its errors named by the option
+/// at fault.
+fn topk_config(k: usize, min_sim: f64) -> Result<TopKConfig, String> {
+    let option = if k == 0 { "--k" } else { "--min-sim" };
+    TopKConfig::new(k, min_sim).map_err(|e| format!("{option}: {e}"))
+}
+
 /// The execution context of `join` and `dedup`: the library default (bitmap
 /// filter on) on one worker per core the host reports.
 fn join_exec(memory_budget: Option<u64>, approx: Option<f64>) -> ExecContext {
@@ -399,7 +411,7 @@ fn run_serve<R: BufRead, W: Write>(
     input: R,
     mut out: W,
 ) -> Result<(), String> {
-    let mut config = TopKConfig::new(k, min_sim).map_err(|e| e.to_string())?;
+    let mut config = topk_config(k, min_sim)?;
     config.q = q;
     config.memory_budget = memory_budget;
     config.approx = approx;
@@ -530,14 +542,13 @@ fn execute(cmd: Command) -> Result<(), String> {
             k,
             min_sim,
         } => {
+            let config = topk_config(k, min_sim)?;
             let refs = first_column(&reference)?;
-            let matcher = EditMatcher::build(refs, 3);
-            for m in matcher.top_k(&query, k, min_sim) {
+            let matches = top_k_matches(&query, &refs, &config).map_err(|e| e.to_string())?;
+            for m in matches {
                 println!(
                     "{:.6}\t{}\t{}",
-                    m.similarity,
-                    m.index,
-                    matcher.references()[m.index as usize]
+                    m.similarity, m.index, refs[m.index as usize]
                 );
             }
             Ok(())

@@ -80,8 +80,8 @@ pub use ssjoin_core::{
 };
 pub use ssjoin_joins::{
     cluster_pairs, cooccurrence_join, cosine_join, edit_similarity_join, ges_join, jaccard_join,
-    soft_fd_join, top_k_matches, top_k_matches_indexed, CosineConfig, EditJoinConfig,
-    GesJoinConfig, JaccardConfig, SoftFdConfig, TopKConfig, TopKIndex,
+    soft_fd_join, top_k_matches, CosineConfig, EditJoinConfig, GesJoinConfig, JaccardConfig,
+    SoftFdConfig, TopKConfig, TopKIndex,
 };
 
 use ssjoin_core::plan::{basic_plan, collection_to_relation, inline_plan, prefix_plan, run_plan};

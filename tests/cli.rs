@@ -148,3 +148,99 @@ fn missing_input_file_reports_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
+
+/// Out-of-range options exit 1 with an error naming the option — never a
+/// panic (exit 101).
+#[test]
+fn invalid_options_are_errors_not_panics() {
+    let dir = temp_dir("invalid_options");
+    let data = dir.join("data.tsv");
+    std::fs::write(&data, "100 Main Street\n100 Main Stret\n").unwrap();
+    let path = data.to_str().unwrap();
+    let mut rows: Vec<(Vec<&str>, &str)> = Vec::new();
+    for kind in ["jaccard", "edit"] {
+        for t in ["0", "1.5", "nan"] {
+            rows.push((
+                vec!["join", "--kind", kind, "--threshold", t, path],
+                "threshold",
+            ));
+        }
+    }
+    rows.push((vec!["dedup", "--threshold", "0", path], "threshold"));
+    for m in ["0", "1.5"] {
+        rows.push((
+            vec!["match", "--reference", path, "--query", "x", "--min-sim", m],
+            "--min-sim",
+        ));
+    }
+    rows.push((
+        vec!["match", "--reference", path, "--query", "x", "--k", "0"],
+        "--k",
+    ));
+    for (args, option) in rows {
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(option), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `match` prints exactly the brute-force ranking: every reference with
+/// edit similarity ≥ `--min-sim`, by similarity descending then row index
+/// ascending, cut to `--k`.
+#[test]
+fn match_equals_brute_force_ranking() {
+    let dir = temp_dir("match_parity");
+    let data = dir.join("data.tsv");
+    let path = data.to_str().unwrap();
+    let out = bin()
+        .args(["gen", "--rows", "300", "--out", path, "--seed", "11"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let refs: Vec<String> = ssjoin::datagen::read_tsv(&data)
+        .unwrap()
+        .into_iter()
+        .map(|mut row| row.remove(0))
+        .collect();
+    // Rows verbatim and with one character dropped.
+    let mut queries: Vec<String> = [0, 17, 150, 299].map(|i| refs[i].clone()).to_vec();
+    queries.extend([3, 42, 201].map(|i| {
+        let mut q = refs[i].clone();
+        q.remove(q.len() / 2);
+        q
+    }));
+    for min_sim in [0.6, 0.8, 0.9] {
+        for k in [1, 3, 10] {
+            for query in &queries {
+                let mut ranked: Vec<(f64, usize)> = refs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| (ssjoin::sim::edit_similarity(query, r), i))
+                    .filter(|&(sim, _)| sim >= min_sim)
+                    .collect();
+                ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                let expect: String = ranked
+                    .iter()
+                    .take(k)
+                    .map(|&(sim, i)| format!("{sim:.6}\t{i}\t{}\n", refs[i]))
+                    .collect();
+                let (m, kk) = (min_sim.to_string(), k.to_string());
+                let out = bin()
+                    .args(["match", "--reference", path, "--query", query])
+                    .args(["--k", &kk, "--min-sim", &m])
+                    .output()
+                    .unwrap();
+                assert!(out.status.success());
+                assert_eq!(
+                    String::from_utf8_lossy(&out.stdout),
+                    expect,
+                    "query {query:?} min-sim {min_sim} k {k}"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
