@@ -25,8 +25,8 @@ use ssjoin_bench::{
     corpus_with_rows, dirty_corpus, evaluation_corpus, PAPER_ROWS, PAPER_THRESHOLDS, TABLE2_ROWS,
 };
 use ssjoin_core::{
-    estimate_costs, estimate_memory_bytes, plan_spill, ssjoin, Algorithm, BudgetCause,
-    ElementOrder, ExecBudget, ExecContext, Phase, SsJoinError,
+    estimate_memory_bytes, plan_spill, ssjoin, Algorithm, BudgetCause, ElementOrder, ExecBudget,
+    ExecContext, Phase, SsJoinError,
 };
 use ssjoin_joins::{
     dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join, EditJoinConfig, GesJoinConfig,
@@ -35,48 +35,84 @@ use ssjoin_joins::{
 use ssjoin_sim::edit_similarity;
 use std::time::{Duration, Instant};
 
+const USAGE: &str = "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [table1|fig10|fig11|fig12|fig13|table2|naive|ablation-order|ablation-cost|ablation-auto|ablation-positional|ablation-shard|ablation-workspace|ablation-bitmap|ablation-budget|ablation-index|ablation-spill|ablation-approx|all]...
+--all (or the bare word `all`) regenerates every panel in one invocation;
+--json additionally writes the run as BENCH_<N>.json (--pr N, default 10),
+or to an explicit --out PATH";
+
+/// The parsed command line.
+#[derive(Debug)]
+struct Options {
+    scale: f64,
+    emit_json: bool,
+    pr: u32,
+    out: Option<String>,
+    experiments: Vec<String>,
+    help: bool,
+}
+
+/// Parse the arguments after the program name. A missing or unparsable
+/// value for `--scale`, `--pr` or `--out` is an error naming the option.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut opts = Options {
+        scale: 1.0,
+        emit_json: false,
+        pr: 10,
+        out: None,
+        experiments: Vec::new(),
+        help: false,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = |name: &str| {
+            args.next()
+                .ok_or_else(|| format!("{name} needs a value"))
+                .cloned()
+        };
+        match arg.as_str() {
+            "--scale" => {
+                let v = value("--scale")?;
+                opts.scale = v
+                    .parse()
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| format!("--scale needs a positive number, got {v:?}"))?;
+            }
+            "--pr" => {
+                let v = value("--pr")?;
+                opts.pr = v
+                    .parse()
+                    .map_err(|_| format!("--pr needs an integer, got {v:?}"))?;
+            }
+            "--out" => opts.out = Some(value("--out")?),
+            "--json" => opts.emit_json = true,
+            "--all" => opts.experiments.push("all".to_string()),
+            "--help" | "-h" => opts.help = true,
+            exp => opts.experiments.push(exp.to_string()),
+        }
+    }
+    Ok(opts)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = 1.0f64;
-    let mut emit_json = false;
-    let mut pr = 10u32;
-    let mut out: Option<String> = None;
-    let mut experiments: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--scale needs a float argument");
-            }
-            "--json" => emit_json = true,
-            "--all" => experiments.push("all".to_string()),
-            "--pr" => {
-                i += 1;
-                pr = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--pr needs an integer argument");
-            }
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).expect("--out needs a path argument").clone());
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [table1|fig10|fig11|fig12|fig13|table2|naive|ablation-order|ablation-cost|ablation-auto|ablation-positional|ablation-shard|ablation-workspace|ablation-bitmap|ablation-budget|ablation-index|ablation-spill|ablation-approx|all]...\n\
-                     --all (or the bare word `all`) regenerates every panel in one invocation;\n\
-                     --json additionally writes the run as BENCH_<N>.json (--pr N, default 10),\n\
-                     or to an explicit --out PATH"
-                );
-                return;
-            }
-            exp => experiments.push(exp.to_string()),
+    let Options {
+        scale,
+        emit_json,
+        pr,
+        out,
+        mut experiments,
+        help,
+    } = match parse_args(&args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("experiments: {e}\n{USAGE}");
+            std::process::exit(2);
         }
-        i += 1;
+    };
+    if help {
+        eprintln!("{USAGE}");
+        return;
     }
     let out_path = out.unwrap_or_else(|| format!("BENCH_{pr}.json"));
     let mut report = Report::new(emit_json);
@@ -464,21 +500,24 @@ fn ablation_positional(scale: f64, report: &mut Report) {
     report.table(t);
 }
 
-/// Ablation (§7): the cost-based Auto choice versus always-basic /
-/// always-inline across thresholds.
+/// Ablation (§5, §7): the paper sees "no clear winner" between the basic
+/// and prefix-filtered plans and leaves a cost-based choice to future work.
+/// Forced Basic and Inline are timed against `Auto` (which resolves to
+/// Inline) across thresholds, next to each executor's element equi-join
+/// size — the quantity a cost model would have to estimate.
 fn ablation_cost(scale: f64, report: &mut Report) {
     let corpus = evaluation_corpus((scale * 0.4).max(0.004));
     let data = corpus.records;
     let mut t = Table::new(
-        "Ablation — cost-based algorithm choice (Jaccard resemblance)",
+        "Ablation — Auto's rule vs forced Basic / Inline (Jaccard resemblance)",
         &[
             "Threshold",
             "Basic ms",
             "Inline ms",
             "Auto ms",
-            "Auto chose",
-            "Est basic",
-            "Est prefix",
+            "Auto ran",
+            "Basic join tuples",
+            "Inline join tuples",
         ],
     );
     for theta in [0.5, 0.6, 0.7, 0.8, 0.9, 0.95] {
@@ -492,54 +531,35 @@ fn ablation_cost(scale: f64, report: &mut Report) {
             .expect("jaccard join");
             (start.elapsed(), out)
         };
-        let (basic_t, _) = time_with(Algorithm::Basic);
-        let (inline_t, _) = time_with(Algorithm::Inline);
+        let (basic_t, basic_out) = time_with(Algorithm::Basic);
+        let (inline_t, inline_out) = time_with(Algorithm::Inline);
         let (auto_t, auto_out) = time_with(Algorithm::Auto);
-
-        // Recompute the estimate for reporting.
-        let groups: Vec<Vec<String>> = data
-            .iter()
-            .map(|s| {
-                use ssjoin_text::Tokenizer;
-                ssjoin_text::WordTokenizer::new().lowercased().tokenize(s)
-            })
-            .collect();
-        let mut b = ssjoin_core::SsJoinInputBuilder::new(
-            ssjoin_core::WeightScheme::Idf,
-            ElementOrder::FrequencyAsc,
-        );
-        let h = b.add_relation(groups);
-        let built = b.build().expect("build collection");
-        let c = built.collection(h);
-        let est = estimate_costs(c, c, &ssjoin_core::OverlapPredicate::two_sided(theta));
-
         t.row(vec![
             format!("{theta:.2}"),
             ms(basic_t),
             ms(inline_t),
             ms(auto_t),
             format!("{:?}", auto_out.algorithm_used),
-            count(est.basic_cost()),
-            count(est.prefix_cost()),
+            count(basic_out.stats.join_tuples),
+            count(inline_out.stats.join_tuples),
         ]);
     }
     report.table(t);
 }
 
-/// Ablation (tentpole): the statistics-backed full-configuration planner.
-/// `Algorithm::Auto` is timed against the grid of fixed configurations it
-/// chooses from (executor × bitmap filter × thread count) on the same
-/// collection. Regret is Auto's slowdown relative to the best fixed
-/// configuration; every configuration — forced or planned — must reproduce
-/// the same output pair-for-pair. Timings take the minimum over several
-/// repetitions so the regret figure survives small-scale CI runs.
+/// Ablation: `Algorithm::Auto` (Inline on the caller's context, bitmap
+/// filter on by default) is timed against the grid of fixed configurations
+/// (executor × bitmap filter × thread count) on the same collection. Regret
+/// is Auto's slowdown relative to the best fixed configuration; every
+/// configuration must reproduce the same output pair-for-pair. Timings take
+/// the minimum over several repetitions so the regret figure survives
+/// small-scale CI runs.
 fn ablation_auto(scale: f64, report: &mut Report) {
     use ssjoin_core::{OverlapPredicate, SsJoinConfig};
     use ssjoin_text::Tokenizer;
 
-    // Floored at 5,000 rows: above the estimator's exact-pass threshold, so
-    // the timed Auto runs exercise the sampled (production-sized) planning
-    // path, and large enough that per-join noise does not swamp the regret.
+    // Floored at 5,000 rows, large enough that per-join noise does not
+    // swamp the regret.
     let records = evaluation_corpus((scale * 0.2).max(0.2)).records;
     let groups: Vec<Vec<String>> = records
         .iter()
@@ -558,9 +578,7 @@ fn ablation_auto(scale: f64, report: &mut Report) {
     let thread_levels: &[usize] = if cores > 1 { &[1, 8] } else { &[1] };
 
     let mut t = Table::new(
-        format!(
-            "Ablation — full-configuration planner regret (Jaccard resemblance, cores={cores})"
-        ),
+        format!("Ablation — Auto's regret vs every fixed configuration (Jaccard resemblance, cores={cores})"),
         &[
             "Threshold",
             "Auto ms",
@@ -577,11 +595,10 @@ fn ablation_auto(scale: f64, report: &mut Report) {
     for theta in [0.6, 0.8] {
         let pred = OverlapPredicate::two_sided(theta);
 
-        // Enumerate every timed configuration up front: Auto at each
-        // resource level (the planner owns the remaining knobs), then the
-        // fixed grid the planner chooses between — every executor with the
-        // filter off and on (basic accumulates instead of verifying, so it
-        // runs unfiltered only), at each thread level.
+        // Enumerate every timed configuration up front: Auto at each thread
+        // level under the default context, then the fixed grid — every
+        // executor with the filter off and on (basic accumulates instead of
+        // verifying, so it runs unfiltered only), at each thread level.
         let mut configs: Vec<(String, bool, SsJoinConfig)> = Vec::new();
         for &threads in thread_levels {
             configs.push((
@@ -639,7 +656,15 @@ fn ablation_auto(scale: f64, report: &mut Report) {
                 }
                 if rep == 0 {
                     if *is_auto {
-                        plans[i] = out.stats.plan.map_or_else(|| "-".into(), |p| p.to_string());
+                        let filter = if cfg.exec.bitmap_filter {
+                            "bitmap"
+                        } else {
+                            "off"
+                        };
+                        plans[i] = format!(
+                            "{:?}/{filter}/{}t",
+                            out.algorithm_used, out.stats.effective_threads
+                        );
                     }
                     if let Some(prev) = &auto_pairs {
                         all_equal &= *prev == out.pairs;
@@ -1729,4 +1754,54 @@ fn ablation_approx(scale: f64, report: &mut Report) {
         "ablation_approx.dirty.subset_sound",
         if d_sound { "true" } else { "false" },
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn parses_every_option() {
+        let opts = parse(&[
+            "--scale",
+            "0.02",
+            "--json",
+            "--pr",
+            "16",
+            "--out",
+            "x.json",
+            "ablation-auto",
+            "--all",
+        ])
+        .unwrap();
+        assert_eq!(opts.scale, 0.02);
+        assert!(opts.emit_json && !opts.help);
+        assert_eq!(opts.pr, 16);
+        assert_eq!(opts.out.as_deref(), Some("x.json"));
+        assert_eq!(opts.experiments, ["ablation-auto", "all"]);
+        let defaults = parse(&[]).unwrap();
+        assert_eq!((defaults.scale, defaults.pr, defaults.out), (1.0, 10, None));
+    }
+
+    #[test]
+    fn missing_or_bad_values_are_errors_naming_the_option() {
+        for (args, option) in [
+            (&["--scale"][..], "--scale"),
+            (&["--scale", "big"][..], "--scale"),
+            (&["--scale", "-1"][..], "--scale"),
+            (&["--scale", "NaN"][..], "--scale"),
+            (&["--pr"][..], "--pr"),
+            (&["--pr", "1.5"][..], "--pr"),
+            (&["--json", "--pr", "-3"][..], "--pr"),
+            (&["--out"][..], "--out"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(option), "{args:?}: {err}");
+        }
+    }
 }

@@ -80,10 +80,7 @@ use ssjoin_prng::{Rng, StdRng};
 
 use crate::budget::BudgetState;
 use crate::error::{SsJoinError, SsJoinResult};
-use crate::exec::{
-    run_chunked, vec_bytes, Algorithm, ExecContext, JoinPair, JoinWorkspace, PlanChoice,
-    WorkerScratch,
-};
+use crate::exec::{run_chunked, vec_bytes, ExecContext, JoinPair, JoinWorkspace, WorkerScratch};
 use crate::hash::FxHashMap;
 use crate::kernel::verify_overlap;
 use crate::predicate::OverlapPredicate;
@@ -159,8 +156,8 @@ impl ApproxSpec {
         self.target_recall < 1.0
     }
 
-    /// Target recall in thousandths — the `Eq`-friendly form recorded in
-    /// [`PlanChoice::approx_recall_milli`].
+    /// Target recall in thousandths — the `Eq`-friendly form a persisted
+    /// sketch records to match later probes against.
     pub fn recall_milli(&self) -> u16 {
         (self.target_recall.clamp(0.0, 1.0) * 1000.0).round() as u16
     }
@@ -609,38 +606,18 @@ fn candidate_phase(
     })
 }
 
-/// The [`PlanChoice`] record of an approximate run: the verification-side
-/// knobs come from the context verbatim (approximation replaces candidate
-/// generation only), `cost` is 0 because the cost model never priced the
-/// run, and the recall target is stamped so the plan is distinguishable
-/// from any exact configuration.
-fn approx_plan(algorithm: Algorithm, ctx: &ExecContext, spec: &ApproxSpec) -> PlanChoice {
-    PlanChoice {
-        algorithm,
-        bitmap_filter: ctx.bitmap_filter,
-        threads: ctx.threads,
-        cost: 0,
-        partitions: 0,
-        approx_recall_milli: Some(spec.recall_milli()),
-    }
-}
-
 /// Execute an approximate join: build (or rebuild) the sketch over `s` into
-/// the workspace pool, then [`probe_built`] it. `algorithm` is the caller's
-/// configured algorithm — approximation bypasses the executor choice, so it
-/// is echoed back (with [`Algorithm::Auto`] resolving to the inline
-/// verification shape this loop actually is).
-#[allow(clippy::too_many_arguments)]
+/// the workspace pool, then [`probe_built`] it. Approximation bypasses the
+/// executor choice, so the configured algorithm plays no part here.
 pub(crate) fn run(
     r: &SetCollection,
     s: &SetCollection,
     pred: &OverlapPredicate,
-    algorithm: Algorithm,
     ctx: &ExecContext,
     spec: &ApproxSpec,
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
-) -> (SsJoinStats, Algorithm) {
+) -> SsJoinStats {
     let mut build = SsJoinStats::default();
     let mut sketch = ws.approx.take().unwrap_or_default();
     if budget.proceed() {
@@ -650,28 +627,25 @@ pub(crate) fn run(
             sketch.build(s, pred, spec, budget);
         });
     }
-    let (mut stats, used) = probe_built(r, s, &sketch, pred, algorithm, ctx, spec, budget, ws);
+    let mut stats = probe_built(r, s, &sketch, pred, ctx, budget, ws);
     stats.merge(&build);
     ws.approx = Some(sketch);
-    (stats, used)
+    stats
 }
 
 /// Generate candidates from an already-built sketch by tree descent and
 /// verify them exactly (the [`crate::CorpusIndex`] path: the sketch was
 /// built once at index (re)build time, so warm probes run the candidate
 /// loop only — allocation-free on a warmed workspace).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_built(
     r: &SetCollection,
     s: &SetCollection,
     sketch: &ApproxSketch,
     pred: &OverlapPredicate,
-    algorithm: Algorithm,
     ctx: &ExecContext,
-    spec: &ApproxSpec,
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
-) -> (SsJoinStats, Algorithm) {
+) -> SsJoinStats {
     let mut stats = SsJoinStats::default();
     if budget.proceed() {
         let JoinWorkspace { workers, out, .. } = ws;
@@ -681,13 +655,7 @@ pub(crate) fn probe_built(
         stats.merge(&inner);
     }
     stats.approx_reps = sketch.reps as u64;
-    let used = if algorithm == Algorithm::Auto {
-        Algorithm::Inline
-    } else {
-        algorithm
-    };
-    stats.plan = Some(approx_plan(used, ctx, spec));
-    (stats, used)
+    stats
 }
 
 #[cfg(test)]

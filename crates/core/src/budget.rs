@@ -345,13 +345,10 @@ pub fn estimate_memory_bytes(r: &SetCollection, s: &SetCollection) -> u64 {
     let scratch = s.len() as u64 * 16;
     let prefix_tables = (r.len() + s.len()) as u64 * 8;
     // Arena blocks added after the original model: the 8×u64 bitmap
-    // signature per set (PR 7) and the CollectionStats histograms (PR 8) —
-    // a dense u32 token-frequency array per side plus the fixed-size length
-    // histogram and reservoir sample.
+    // signature per set and the dense u32 token-frequency array per side.
     let signatures = (r.len() + s.len()) as u64 * (crate::set::SIG_WORDS as u64 * 8);
-    let stats = (r.universe_size() + s.universe_size()) as u64 * 4
-        + 2 * (crate::set::LEN_HIST_BUCKETS as u64 * 8 + crate::set::STATS_SAMPLE_CAP as u64 * 4);
-    postings + scratch + prefix_tables + signatures + stats
+    let token_freq = (r.universe_size() + s.universe_size()) as u64 * 4;
+    postings + scratch + prefix_tables + signatures + token_freq
 }
 
 #[cfg(test)]

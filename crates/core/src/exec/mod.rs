@@ -7,17 +7,14 @@
 //! Output pairs are sorted by `(r, s)` — executors are interchangeable and
 //! the test suite diffs them pairwise.
 
-mod auto;
 mod basic;
 mod inline;
 mod positional;
 mod prefix;
 mod workspace;
 
-pub use auto::{estimate_costs, CostEstimate, PlanChoice};
 pub use workspace::JoinWorkspace;
 
-pub(crate) use auto::{effective_threads, estimate_probe_costs_into, run_planned};
 pub(crate) use basic::probe_basic;
 pub(crate) use positional::probe_positional;
 pub(crate) use prefix::{prefix_lengths_into, probe_prefix_family, Side};
@@ -50,8 +47,8 @@ pub struct SsJoinOutput {
     pub pairs: Vec<JoinPair>,
     /// Phase timings and counters.
     pub stats: SsJoinStats,
-    /// The algorithm that actually ran (differs from the configured one only
-    /// under [`Algorithm::Auto`]).
+    /// The algorithm that actually ran: the configured one after
+    /// [`Algorithm::resolve`], so it differs only under [`Algorithm::Auto`].
     pub algorithm_used: Algorithm,
 }
 
@@ -74,11 +71,23 @@ pub enum Algorithm {
     /// the paper's prefix filter in the direction later taken by PPJoin
     /// (Xiao et al., WWW 2008).
     PositionalInline,
-    /// Cost-based choice over the whole configuration space — executor ×
-    /// bitmap filter × thread count — from catalog statistics (§7's future
-    /// work). The winning [`PlanChoice`] is recorded in
-    /// [`SsJoinStats::plan`].
+    /// Let the system choose: resolves to [`Algorithm::Inline`] on the
+    /// caller's context unchanged (see [`Algorithm::resolve`]).
     Auto,
+}
+
+impl Algorithm {
+    /// The executor a run of `self` uses. [`Algorithm::Auto`] is a rule, not
+    /// a planner: it resolves to [`Algorithm::Inline`] — the executor the
+    /// former cost model picked at every threshold of the `ablation-cost`
+    /// and `ablation-auto` panels (DESIGN §12). Every other algorithm
+    /// resolves to itself.
+    pub fn resolve(self) -> Algorithm {
+        match self {
+            Algorithm::Auto => Algorithm::Inline,
+            forced => forced,
+        }
+    }
 }
 
 /// Execution context shared by every physical executor: thread count, the
@@ -210,8 +219,8 @@ pub struct SsJoinRun<'w> {
     pub pairs: &'w [JoinPair],
     /// Phase timings and counters.
     pub stats: SsJoinStats,
-    /// The algorithm that actually ran (differs from the configured one only
-    /// under [`Algorithm::Auto`]).
+    /// The algorithm that actually ran: the configured one after
+    /// [`Algorithm::resolve`], so it differs only under [`Algorithm::Auto`].
     pub algorithm_used: Algorithm,
 }
 
@@ -282,33 +291,35 @@ fn ssjoin_into(
         return Err(SsJoinError::UniverseMismatch);
     }
     let run = begin(r, s, config, ws)?;
-    let ctx = &*run.ctx;
+    let (algorithm, ctx) = (run.algorithm, &*run.ctx);
     let spilled = if run.spill {
-        crate::spill::run(r, s, pred, config.algorithm, ctx, &run.budget, ws)?
+        crate::spill::run(r, s, pred, algorithm, ctx, &run.budget, ws)?
     } else {
         None
     };
-    let (stats, used) = match (spilled, run.approx) {
-        (Some(result), _) => result,
+    let stats = match (spilled, run.approx) {
+        (Some(stats), _) => stats,
         // Approximate candidate generation replaces the executor choice
         // wholesale — one deterministic pipeline regardless of the
         // configured algorithm, so output is identical across executors.
-        (None, Some(spec)) => {
-            crate::approx::run(r, s, pred, config.algorithm, ctx, &spec, &run.budget, ws)
-        }
+        (None, Some(spec)) => crate::approx::run(r, s, pred, ctx, &spec, &run.budget, ws),
         // Resident path — also the fallback when the spill planner found
         // nothing to split (empty side, single-rank mass).
-        (None, None) => run_algorithm(config.algorithm, r, s, pred, ctx, &run.budget, ws),
+        (None, None) => run_algorithm(algorithm, r, s, pred, ctx, &run.budget, ws),
     };
-    finish(run, stats, used, 0, ws)
+    finish(run, stats, 0, ws)
 }
 
 /// One run's envelope, opened by [`begin`] and closed by [`finish`]: the
-/// context the executors see, the shared budget state, and the route the
-/// run takes. One-shot joins and [`crate::CorpusIndex`] probes share it, so
-/// validation, the thread clamp, spill routing and the budget-error
-/// conversion exist once.
+/// resolved algorithm, the context the executors see, the shared budget
+/// state, and the route the run takes. One-shot joins and
+/// [`crate::CorpusIndex`] probes share it, so validation, the
+/// [`Algorithm::Auto`] rule, the thread clamp, spill routing and the
+/// budget-error conversion exist once.
 pub(crate) struct RunEnvelope<'c> {
+    /// The configured algorithm after [`Algorithm::resolve`] — never
+    /// [`Algorithm::Auto`]; reported as the run's `algorithm_used`.
+    pub(crate) algorithm: Algorithm,
     /// The caller's context with its worker count clamped to the host.
     pub(crate) ctx: Cow<'c, ExecContext>,
     /// Limits and cancellation, shared by every worker of the run.
@@ -320,9 +331,10 @@ pub(crate) struct RunEnvelope<'c> {
 }
 
 /// Open a run of `config` over `r × s`: reject zero threads and invalid
-/// approximate specs, clamp the worker count, decide whether the resident
-/// budget routes the run out of core (refusing approximate mode there),
-/// apply the memory preflight, take the entry checkpoint and reset `ws`.
+/// approximate specs, resolve the algorithm, clamp the worker count, decide
+/// whether the resident budget routes the run out of core (refusing
+/// approximate mode there), apply the memory preflight, take the entry
+/// checkpoint and reset `ws`.
 pub(crate) fn begin<'c>(
     r: &SetCollection,
     s: &SetCollection,
@@ -340,7 +352,7 @@ pub(crate) fn begin<'c>(
     // Clamp the worker count to the host's parallelism: more workers than
     // cores only adds scheduling overhead, and benchmarks on small hosts
     // would otherwise report fictitious "8-thread" numbers.
-    let effective = auto::effective_threads(ctx.threads);
+    let effective = effective_threads(ctx.threads);
     let ctx = if effective == ctx.threads {
         Cow::Borrowed(ctx)
     } else {
@@ -375,6 +387,7 @@ pub(crate) fn begin<'c>(
     let _ = budget.proceed();
     ws.begin_run();
     Ok(RunEnvelope {
+        algorithm: config.algorithm.resolve(),
         spill: spilling && budget.cause().is_none(),
         approx,
         budget,
@@ -389,7 +402,6 @@ pub(crate) fn begin<'c>(
 pub(crate) fn finish(
     run: RunEnvelope<'_>,
     mut stats: SsJoinStats,
-    used: Algorithm,
     extra_bytes: u64,
     ws: &JoinWorkspace,
 ) -> SsJoinResult<(SsJoinStats, Algorithm)> {
@@ -413,17 +425,31 @@ pub(crate) fn finish(
         "executor output must arrive (r, s)-sorted and duplicate-free"
     );
     stats.output_pairs = ws.out.len() as u64;
-    Ok((stats, used))
+    Ok((stats, run.algorithm))
 }
 
-/// Dispatch to the physical executor for `algorithm`, returning its stats
-/// and the algorithm that actually ran. [`Algorithm::Auto`] is first
-/// resolved to a [`PlanChoice`] whose knobs override the context, so every
-/// configuration — forced or planned — reaches the executors through the
-/// one `match` below. Shared by the resident path of [`ssjoin_into`] and
-/// the per-partition joins of the out-of-core driver (`crate::spill`),
-/// which is exactly the "partition-driver layer over unmodified executors"
-/// seam: the driver calls this once per partition with sub-collections.
+/// Clamp a requested worker count to what the host can actually run in
+/// parallel. A request above `available_parallelism` cannot speed anything
+/// up — it only adds scheduling noise and makes "speedup" claims on small
+/// hosts dishonest — so the effective count is recorded in
+/// [`SsJoinStats::effective_threads`].
+pub(crate) fn effective_threads(requested: usize) -> usize {
+    // `available_parallelism` probes cgroup files on Linux (and allocates
+    // doing so); cache it once so the per-run clamp stays allocation-free.
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
+    requested.min(cores).max(1)
+}
+
+/// Dispatch to the physical executor for `algorithm`. Shared by the
+/// resident path of [`ssjoin_into`] and the per-partition joins of the
+/// out-of-core driver (`crate::spill`), which is exactly the
+/// "partition-driver layer over unmodified executors" seam: the driver
+/// calls this once per partition with sub-collections.
 pub(crate) fn run_algorithm(
     algorithm: Algorithm,
     r: &SetCollection,
@@ -432,20 +458,14 @@ pub(crate) fn run_algorithm(
     ctx: &ExecContext,
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
-) -> (SsJoinStats, Algorithm) {
-    auto::run_planned(
-        algorithm,
-        ctx,
-        ws,
-        |ws| auto::estimate_costs_into(r, s, pred, ws),
-        |algorithm, ctx, ws| match algorithm {
-            Algorithm::Basic => basic::run(r, s, pred, ctx, budget, ws),
-            Algorithm::PrefixFiltered => prefix::run(r, s, pred, ctx, budget, ws),
-            Algorithm::PositionalInline => positional::run(r, s, pred, ctx, budget, ws),
-            // `run_planned` resolved Auto to a concrete executor.
-            Algorithm::Inline | Algorithm::Auto => inline::run(r, s, pred, ctx, budget, ws),
-        },
-    )
+) -> SsJoinStats {
+    match algorithm {
+        Algorithm::Basic => basic::run(r, s, pred, ctx, budget, ws),
+        Algorithm::PrefixFiltered => prefix::run(r, s, pred, ctx, budget, ws),
+        Algorithm::PositionalInline => positional::run(r, s, pred, ctx, budget, ws),
+        // Auto is Inline (`Algorithm::resolve`).
+        Algorithm::Inline | Algorithm::Auto => inline::run(r, s, pred, ctx, budget, ws),
+    }
 }
 
 /// Split `0..n` into at most `threads` contiguous chunks.
@@ -545,6 +565,29 @@ mod tests {
             &SsJoinConfig::default(),
         );
         assert!(matches!(err, Err(SsJoinError::UniverseMismatch)));
+    }
+
+    #[test]
+    fn effective_threads_clamps_to_host() {
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        assert_eq!(effective_threads(1), 1);
+        assert_eq!(effective_threads(usize::MAX), cores);
+        assert_eq!(effective_threads(0), 1);
+    }
+
+    #[test]
+    fn auto_resolves_to_inline_and_forced_algorithms_to_themselves() {
+        assert_eq!(Algorithm::Auto.resolve(), Algorithm::Inline);
+        for alg in [
+            Algorithm::Basic,
+            Algorithm::PrefixFiltered,
+            Algorithm::Inline,
+            Algorithm::PositionalInline,
+        ] {
+            assert_eq!(alg.resolve(), alg);
+        }
     }
 
     #[test]

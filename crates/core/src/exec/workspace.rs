@@ -320,10 +320,6 @@ pub struct JoinWorkspace {
     pub(crate) s_index: CsrIndex,
     pub(crate) r_lens: Vec<usize>,
     pub(crate) s_lens: Vec<usize>,
-    /// S-side prefix-frequency histogram for the cost model
-    /// (`Algorithm::Auto`); filled with saturating increments so a
-    /// pathological universe cannot wrap it in release builds.
-    pub(crate) pfreq_s: Vec<u32>,
     pub(crate) workers: Vec<WorkerScratch>,
     merge_runs: Vec<MergeRun>,
     merge_heap: Vec<u32>,
@@ -360,7 +356,6 @@ impl JoinWorkspace {
         self.s_index.bytes_reserved()
             + vec_bytes(&self.r_lens)
             + vec_bytes(&self.s_lens)
-            + vec_bytes(&self.pfreq_s)
             + vec_bytes(&self.merge_runs)
             + vec_bytes(&self.merge_heap)
             + vec_bytes(&self.out)

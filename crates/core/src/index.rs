@@ -41,10 +41,9 @@ use crate::approx::ApproxSketch;
 use crate::budget::BudgetState;
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
-    begin, build_csr_parallel, effective_threads, estimate_probe_costs_into, finish,
-    prefix_lengths_into, probe_basic, probe_positional, probe_prefix_family, run_planned,
-    vec_bytes, Algorithm, CsrIndex, ExecContext, JoinWorkspace, Side, SsJoinConfig, SsJoinRun,
-    WorkerScratch,
+    begin, build_csr_parallel, effective_threads, finish, prefix_lengths_into, probe_basic,
+    probe_positional, probe_prefix_family, vec_bytes, Algorithm, CsrIndex, ExecContext,
+    JoinWorkspace, Side, SsJoinConfig, SsJoinRun, WorkerScratch,
 };
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
@@ -109,11 +108,6 @@ pub struct CorpusIndex {
     prefix_lens: Vec<usize>,
     /// Cached `Σ prefix_lens`, reported into probe stats.
     prefix_tuples: u64,
-    /// Per-rank prefix-frequency histogram over the live indexed sets,
-    /// frozen at (re)build time — the statistic that lets probe-time
-    /// planning estimate the prefix join size in O(probe batch) without
-    /// rescanning the corpus. Saturating, like every planner histogram.
-    prefix_freq: Vec<u32>,
     /// Full-set inverted index over sets `0..indexed` (basic probes).
     full_index: CsrIndex,
     full_lens: Vec<usize>,
@@ -174,7 +168,6 @@ impl CorpusIndex {
             prefix_index: CsrIndex::default(),
             prefix_lens: Vec::new(),
             prefix_tuples: 0,
-            prefix_freq: Vec::new(),
             full_index: CsrIndex::default(),
             full_lens: Vec::new(),
             indexed: 0,
@@ -205,15 +198,6 @@ impl CorpusIndex {
             }
         }
         self.prefix_tuples = self.prefix_lens.iter().map(|&l| l as u64).sum();
-        self.prefix_freq.clear();
-        self.prefix_freq.resize(self.corpus.universe_size(), 0);
-        for (id, &len) in self.prefix_lens.iter().enumerate() {
-            let set = self.corpus.set(id as u32);
-            for &rank in &set.ranks()[..len] {
-                let slot = &mut self.prefix_freq[rank as usize];
-                *slot = slot.saturating_add(1);
-            }
-        }
         self.full_lens.clear();
         self.full_lens.extend((0..n).map(|i| {
             if self.alive[i] {
@@ -308,27 +292,19 @@ impl CorpusIndex {
         // consulted one partition at a time, but the spilled join holds only
         // one partition's sub-index resident and emits bit-identical pairs.
         let run = begin(batch, &self.corpus, config, ws)?;
-        let (r, s, ctx) = (batch, &self.corpus, &*run.ctx);
+        let (r, s, algorithm, ctx) = (batch, &self.corpus, run.algorithm, &*run.ctx);
         let spilled = if run.spill {
-            crate::spill::run(r, s, &self.pred, config.algorithm, ctx, &run.budget, ws)?
+            crate::spill::run(r, s, &self.pred, algorithm, ctx, &run.budget, ws)?
         } else {
             None
         };
         let from_spill = spilled.is_some();
-        let (mut stats, used) = match (spilled, sketch.zip(run.approx)) {
-            (Some(result), _) => result,
-            (None, Some((sketch, spec))) => crate::approx::probe_built(
-                r,
-                s,
-                sketch,
-                &self.pred,
-                config.algorithm,
-                ctx,
-                &spec,
-                &run.budget,
-                ws,
-            ),
-            (None, None) => self.probe_resident(r, config.algorithm, ctx, &run.budget, ws),
+        let mut stats = match (spilled, sketch) {
+            (Some(stats), _) => stats,
+            (None, Some(sketch)) => {
+                crate::approx::probe_built(r, s, sketch, &self.pred, ctx, &run.budget, ws)
+            }
+            (None, None) => self.probe_resident(r, algorithm, ctx, &run.budget, ws),
         };
         if from_spill {
             // The spilled join covered the whole arena — epoch tail
@@ -360,7 +336,7 @@ impl CorpusIndex {
                 ws.out.sort_unstable_by_key(|p| (p.r, p.s));
             }
         }
-        finish(run, stats, used, self.bytes_reserved(), ws)
+        finish(run, stats, self.bytes_reserved(), ws)
     }
 
     /// The sketch an approximate probe under `ctx` runs against (`None` for
@@ -390,12 +366,9 @@ impl CorpusIndex {
         Ok(Some(sketch))
     }
 
-    /// Resident probe through the persistent indexes. [`Algorithm::Auto`]
-    /// is first resolved to a [`crate::PlanChoice`] from statistics frozen
-    /// at (re)build time — the corpus token- and prefix-frequency
-    /// histograms — so the estimate costs O(probe batch), never a corpus
-    /// scan; every configuration then reaches the executors through the one
-    /// `match` below, which mirrors the one-shot dispatch.
+    /// Resident probe through the persistent indexes: the one `match` that
+    /// mirrors the one-shot dispatch (`exec::run_algorithm`) over prebuilt
+    /// S-side indexes.
     fn probe_resident(
         &self,
         r: &SetCollection,
@@ -403,32 +376,26 @@ impl CorpusIndex {
         ctx: &ExecContext,
         budget: &BudgetState,
         ws: &mut JoinWorkspace,
-    ) -> (SsJoinStats, Algorithm) {
+    ) -> SsJoinStats {
         let (s, index, tuples, pred) = (
             &self.corpus,
             &self.prefix_index,
             self.prefix_tuples,
             &self.pred,
         );
-        run_planned(
-            algorithm,
-            ctx,
-            ws,
-            |ws| estimate_probe_costs_into(r, s, &self.prefix_freq, tuples, pred, ws),
-            |algorithm, ctx, ws| match algorithm {
-                Algorithm::Basic => probe_basic(r, s, &self.full_index, pred, ctx, budget, ws),
-                Algorithm::PrefixFiltered => {
-                    probe_prefix_family(r, s, index, tuples, pred, ctx, false, budget, ws)
-                }
-                Algorithm::PositionalInline => {
-                    probe_positional(r, s, index, tuples, pred, ctx, budget, ws)
-                }
-                // `run_planned` resolved Auto to a concrete executor.
-                Algorithm::Inline | Algorithm::Auto => {
-                    probe_prefix_family(r, s, index, tuples, pred, ctx, true, budget, ws)
-                }
-            },
-        )
+        match algorithm {
+            Algorithm::Basic => probe_basic(r, s, &self.full_index, pred, ctx, budget, ws),
+            Algorithm::PrefixFiltered => {
+                probe_prefix_family(r, s, index, tuples, pred, ctx, false, budget, ws)
+            }
+            Algorithm::PositionalInline => {
+                probe_positional(r, s, index, tuples, pred, ctx, budget, ws)
+            }
+            // Auto is Inline (`Algorithm::resolve`).
+            Algorithm::Inline | Algorithm::Auto => {
+                probe_prefix_family(r, s, index, tuples, pred, ctx, true, budget, ws)
+            }
+        }
     }
 
     /// Brute-force join of the batch against the un-indexed epoch tail.
@@ -598,7 +565,6 @@ impl CorpusIndex {
         self.prefix_index.bytes_reserved()
             + self.full_index.bytes_reserved()
             + vec_bytes(&self.prefix_lens)
-            + vec_bytes(&self.prefix_freq)
             + vec_bytes(&self.full_lens)
             + vec_bytes(&self.alive)
             + self.approx.as_ref().map_or(0, |a| a.bytes_reserved())

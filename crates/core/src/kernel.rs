@@ -36,39 +36,6 @@ use crate::weight::Weight;
 /// from stepwise merging to galloping the longer side.
 pub const GALLOP_CROSSOVER: usize = 8;
 
-/// Modeled cost of galloping a pair with mean merged length `avg_len`, in
-/// abstract element touches: the short side is at most `avg_len /`
-/// [`GALLOP_CROSSOVER`] elements (galloping only runs past that skew), and
-/// each probe pays an exponential search plus a binary search over the long
-/// side — about `2·(log₂ long + 1)` rank comparisons.
-pub(crate) fn gallop_cost_model(avg_len: f64) -> f64 {
-    let short = (avg_len / GALLOP_CROSSOVER as f64).max(1.0);
-    short * (avg_len.max(2.0).log2() + 1.0) * 2.0
-}
-
-/// Modeled per-candidate cost of [`verify_overlap`], in abstract element
-/// touches — the same unit as the planner's join-tuple counts.
-///
-/// * `avg_len` — mean merged length of a candidate pair;
-/// * `prefix_fraction` — estimated prefix selectivity in `[0, 1]`. Small
-///   prefixes mean a selective predicate whose suffix-weight bound fires
-///   early, so the early-exit merge approaches a fraction of the full merge;
-///   a fraction near 1 means most merges run (nearly) to completion;
-/// * `gallop_skew` — estimated probability (in `[0, 1]`) that a candidate
-///   pair's length ratio reaches [`GALLOP_CROSSOVER`], taken from the
-///   collections' length histograms.
-///
-/// Balanced pairs pay the early-exit shape — a floor (the bound must
-/// accumulate before it can fire) plus the fraction the predicate lets
-/// through; skewed pairs pay [`gallop_cost_model`] when that is cheaper.
-pub(crate) fn verify_cost_model(avg_len: f64, prefix_fraction: f64, gallop_skew: f64) -> f64 {
-    let rho = prefix_fraction.clamp(0.0, 1.0);
-    let early = avg_len.max(1.0) * (0.25 + 0.75 * rho);
-    let sigma = gallop_skew.clamp(0.0, 1.0);
-    let gallop = gallop_cost_model(avg_len);
-    (1.0 - sigma) * early + sigma * gallop.min(early)
-}
-
 /// Verify one candidate pair: returns `Some(wt(a ∩ b))` iff the overlap
 /// reaches `required`, updating the kernel counters in `stats`. Gallops the
 /// longer side when the length ratio reaches [`GALLOP_CROSSOVER`]; merges
@@ -398,19 +365,5 @@ mod tests {
             verify_overlap(c.set(0), c.set(1), Weight::ZERO, &mut st),
             Some(Weight::ZERO)
         );
-    }
-
-    #[test]
-    fn cost_model_prices_the_cheaper_path_on_skew() {
-        // Balanced pairs price the early-exit merge; fully skewed pairs
-        // price whichever of galloping and merging is cheaper.
-        for len in [2.0, 16.0, 256.0] {
-            for rho in [0.0, 0.5, 1.0] {
-                let balanced = verify_cost_model(len, rho, 0.0);
-                assert!((balanced - len * (0.25 + 0.75 * rho)).abs() < 1e-9);
-                let skewed = verify_cost_model(len, rho, 1.0);
-                assert_eq!(skewed, gallop_cost_model(len).min(balanced));
-            }
-        }
     }
 }

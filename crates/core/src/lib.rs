@@ -20,8 +20,9 @@
 //!   carries its full set inline, so verification is a sorted-array merge
 //!   and the joins back to base relations disappear (Figure 9);
 //!
-//! plus [`Algorithm::Auto`], the cost-based choice the paper's conclusion
-//! calls for.
+//! plus [`Algorithm::Auto`], which resolves to the inline algorithm (the
+//! choice a cost model made on every measured panel; see
+//! [`Algorithm::resolve`]).
 //!
 //! The [`plan`] module additionally composes the *same* three
 //! implementations as literal relational operator trees over the
@@ -87,14 +88,14 @@ pub use builder::{
 };
 pub use error::{SsJoinError, SsJoinResult};
 pub use exec::{
-    estimate_costs, ssjoin, ssjoin_with, Algorithm, CostEstimate, ExecContext, JoinPair,
-    JoinWorkspace, PlanChoice, SsJoinConfig, SsJoinOutput, SsJoinRun,
+    ssjoin, ssjoin_with, Algorithm, ExecContext, JoinPair, JoinWorkspace, SsJoinConfig,
+    SsJoinOutput, SsJoinRun,
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use index::{CorpusIndex, CorpusIndexOptions};
 pub use order::ElementOrder;
 pub use predicate::{Interval, NormExpr, OverlapPredicate};
-pub use set::{CollectionStats, SetCollection, SetRef, SIG_WORDS};
+pub use set::{SetCollection, SetRef, SIG_WORDS};
 pub use spill::{plan_spill, SpillPlan};
 pub use stats::{Phase, SsJoinStats};
 pub use weight::Weight;

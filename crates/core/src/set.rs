@@ -21,7 +21,6 @@
 
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::weight::Weight;
-use ssjoin_prng::{Rng, StdRng};
 
 /// Number of 64-bit words in a set's bitmap signature: `64 · SIG_WORDS =
 /// 512` hashed bit positions per set, stored contiguously in the arena and
@@ -185,129 +184,13 @@ impl<'a> SetRef<'a> {
     }
 }
 
-/// Number of log₂ buckets in the set-length histogram: bucket 0 holds empty
-/// sets, bucket `b ≥ 1` holds lengths in `[2^(b-1), 2^b)`. 34 buckets cover
-/// every length representable by the `u32` arena offsets.
-pub const LEN_HIST_BUCKETS: usize = 34;
-
-/// Maximum number of set ids retained by the seeded selectivity sample.
-pub(crate) const STATS_SAMPLE_CAP: usize = 64;
-
-/// Histogram bucket for a set length (see [`LEN_HIST_BUCKETS`]).
-#[inline]
-fn len_bucket(len: usize) -> usize {
-    if len == 0 {
-        0
-    } else {
-        (len.ilog2() as usize + 1).min(LEN_HIST_BUCKETS - 1)
-    }
-}
-
-/// Catalog-style statistics a [`SetCollection`] maintains as sets are added,
-/// consumed by the cost-based planner (`exec::auto`):
-///
-/// * a dense **token-frequency histogram** over the element universe —
-///   `Σ_{(set, e)} 1` per rank, with saturating increments so extreme
-///   corpora degrade the estimate instead of wrapping it;
-/// * a log₂ **set-length histogram** plus the maximum length, from which the
-///   planner derives average merge lengths and the probability a candidate
-///   pair is skewed enough for the galloping kernel;
-/// * a seeded **reservoir sample** of set ids (≤ 64, deterministic per
-///   builder run via the universe tag) used to estimate prefix selectivity
-///   under a concrete predicate without scanning the whole collection.
-///
-/// Maintenance is incremental and O(set length) per added set, so every
-/// construction path through [`crate::SsJoinInputBuilder`] keeps the
-/// statistics current; they are never invalidated by reads. Statistics
-/// describe every set ever added (deletions happen above this layer, via
-/// tombstones), so planners treat them as estimates, not exact catalogs.
-#[derive(Debug, Clone)]
-pub struct CollectionStats {
-    /// Dense per-rank occurrence counts, length `universe_size`.
-    token_freq: Vec<u32>,
-    /// Log₂ set-length histogram (see [`len_bucket`]).
-    len_hist: [u64; LEN_HIST_BUCKETS],
-    /// Largest set length seen.
-    max_len: usize,
-    /// Reservoir-sampled set ids, seeded from the universe tag.
-    sample: Vec<u32>,
-    /// Reservoir RNG state (kept so incremental appends stay a valid
-    /// uniform sample).
-    rng: StdRng,
-    /// Sets offered to the reservoir so far.
-    seen: u64,
-}
-
-impl CollectionStats {
-    fn new(universe_size: usize, universe_tag: u64) -> Self {
-        Self {
-            token_freq: vec![0; universe_size],
-            len_hist: [0; LEN_HIST_BUCKETS],
-            max_len: 0,
-            sample: Vec::new(),
-            // Mix the tag so distinct builder runs sample differently but
-            // any rebuild of the same run reproduces the same sample.
-            rng: StdRng::seed_from_u64(universe_tag ^ 0x5357_4a4e_5354_4154),
-            seen: 0,
+/// Fold one set's ranks into a dense token-frequency histogram, with
+/// saturating increments so extreme corpora cannot wrap a count.
+fn count_tokens(token_freq: &mut [u32], ranks: &[u32]) {
+    for &rank in ranks {
+        if let Some(slot) = token_freq.get_mut(rank as usize) {
+            *slot = slot.saturating_add(1);
         }
-    }
-
-    /// Fold one appended set (id `id`, elements `ranks`) into every
-    /// statistic. Called exactly once per set, in id order.
-    fn record(&mut self, id: u32, ranks: &[u32]) {
-        for &rank in ranks {
-            if let Some(slot) = self.token_freq.get_mut(rank as usize) {
-                *slot = slot.saturating_add(1);
-            }
-        }
-        self.len_hist[len_bucket(ranks.len())] += 1;
-        self.max_len = self.max_len.max(ranks.len());
-        // Algorithm R reservoir sampling: uniform over all sets ever added.
-        if self.sample.len() < STATS_SAMPLE_CAP {
-            self.sample.push(id);
-        } else {
-            let j = self.rng.gen_range(0..self.seen + 1) as usize;
-            if j < STATS_SAMPLE_CAP {
-                self.sample[j] = id;
-            }
-        }
-        self.seen += 1;
-    }
-
-    /// Reset to the empty statistics of a fresh collection over
-    /// `universe_size`, keeping the token-frequency buffer's capacity.
-    /// Used by the spill path to recycle one statistics block across
-    /// partition sub-collections.
-    pub(crate) fn reset(&mut self, universe_size: usize, universe_tag: u64) {
-        self.token_freq.clear();
-        self.token_freq.resize(universe_size, 0);
-        self.len_hist = [0; LEN_HIST_BUCKETS];
-        self.max_len = 0;
-        self.sample.clear();
-        self.rng = StdRng::seed_from_u64(universe_tag ^ 0x5357_4a4e_5354_4154);
-        self.seen = 0;
-    }
-
-    /// Dense per-rank occurrence counts over the universe. Saturating: a
-    /// count of `u32::MAX` means "at least that many".
-    pub fn token_freq(&self) -> &[u32] {
-        &self.token_freq
-    }
-
-    /// Log₂ set-length histogram: bucket 0 counts empty sets, bucket `b ≥ 1`
-    /// counts lengths in `[2^(b-1), 2^b)`.
-    pub fn len_histogram(&self) -> &[u64; LEN_HIST_BUCKETS] {
-        &self.len_hist
-    }
-
-    /// Largest set length seen.
-    pub fn max_len(&self) -> usize {
-        self.max_len
-    }
-
-    /// The seeded uniform sample of set ids (at most 64).
-    pub fn sample_ids(&self) -> &[u32] {
-        &self.sample
     }
 }
 
@@ -341,8 +224,9 @@ pub struct SetCollection {
     universe_tag: u64,
     /// Cached smallest/largest norm across groups (`None` when empty).
     norm_range: Option<(f64, f64)>,
-    /// Planner statistics, maintained incrementally as sets are added.
-    stats: CollectionStats,
+    /// Dense per-rank occurrence counts over the universe, maintained
+    /// incrementally as sets are added (see [`Self::token_freq`]).
+    token_freq: Vec<u32>,
 }
 
 impl SetCollection {
@@ -379,7 +263,7 @@ impl SetCollection {
         let mut sig_words = Vec::with_capacity(n * SIG_WORDS);
         let mut min_weights = Vec::with_capacity(n);
         let mut norm_range: Option<(f64, f64)> = None;
-        let mut stats = CollectionStats::new(universe_size, universe_tag);
+        let mut token_freq = vec![0; universe_size];
 
         for (mut elems, norm) in sets {
             elems.sort_unstable_by_key(|&(rank, _)| rank);
@@ -407,7 +291,7 @@ impl SetCollection {
                 acc += weights[k];
                 suffix[k] = acc;
             }
-            stats.record((norms.len()) as u32, &ranks[start..]);
+            count_tokens(&mut token_freq, &ranks[start..]);
             offsets.push(ranks.len() as u32);
             norms.push(norm);
             totals.push(acc);
@@ -431,7 +315,7 @@ impl SetCollection {
             universe_size,
             universe_tag,
             norm_range,
-            stats,
+            token_freq,
         })
     }
 
@@ -497,7 +381,7 @@ impl SetCollection {
             self.suffix[k] = acc;
         }
         let id = self.len() as u32;
-        self.stats.record(id, &self.ranks[start..]);
+        count_tokens(&mut self.token_freq, &self.ranks[start..]);
         self.offsets.push(self.ranks.len() as u32);
         self.norms.push(norm);
         self.totals.push(acc);
@@ -545,7 +429,7 @@ impl SetCollection {
             self.suffix[k] = acc;
         }
         let id = self.len() as u32;
-        self.stats.record(id, &self.ranks[start..]);
+        count_tokens(&mut self.token_freq, &self.ranks[start..]);
         self.offsets.push(self.ranks.len() as u32);
         self.norms.push(norm);
         self.totals.push(acc);
@@ -576,7 +460,8 @@ impl SetCollection {
         self.universe_size = universe_size;
         self.universe_tag = universe_tag;
         self.norm_range = None;
-        self.stats.reset(universe_size, universe_tag);
+        self.token_freq.clear();
+        self.token_freq.resize(universe_size, 0);
     }
 
     /// An empty collection sharing this one's element universe (size and
@@ -595,7 +480,7 @@ impl SetCollection {
             universe_size: self.universe_size,
             universe_tag: self.universe_tag,
             norm_range: None,
-            stats: CollectionStats::new(self.universe_size, self.universe_tag),
+            token_freq: vec![0; self.universe_size],
         }
     }
 
@@ -655,11 +540,13 @@ impl SetCollection {
         self.universe_tag
     }
 
-    /// Catalog statistics for the cost-based planner: token-frequency
-    /// histogram, set-length distribution, and the seeded selectivity
-    /// sample. Maintained incrementally — O(1) to read at plan time.
-    pub fn stats(&self) -> &CollectionStats {
-        &self.stats
+    /// Dense per-rank occurrence counts over the universe — the token mass
+    /// the out-of-core driver balances its partition cut points on.
+    /// Saturating: a count of `u32::MAX` means "at least that many". Counts
+    /// every set ever added (deletions happen above this layer, via
+    /// tombstones).
+    pub fn token_freq(&self) -> &[u32] {
+        &self.token_freq
     }
 
     /// True when both collections come from the same builder run and thus

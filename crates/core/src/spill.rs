@@ -39,17 +39,15 @@
 //! unbudgeted in-memory run. The bitmap-signature filter is lossless, so
 //! recomputed local signatures change counters, never output.
 //!
-//! # Pricing spilled vs resident plans
+//! # Choosing the partition count
 //!
-//! The planner's rule is cost-based but constraint-driven: a resident plan
-//! costs no extra I/O and no replication, so it wins whenever the estimate
-//! fits the budget. Past that, every added partition costs another slice of
-//! set replication (a set with ranks in `k` ranges is serialized and
-//! re-joined `k` times) plus its share of the two I/O passes, so the spill
-//! planner picks the **smallest** partition count (doubling from 2) whose
-//! peak per-partition resident estimate fits. The choice is recorded in
-//! [`crate::PlanChoice::partitions`] and
-//! [`SsJoinStats::spill_partitions`].
+//! A resident run costs no extra I/O and no replication, so it is taken
+//! whenever the estimate fits the budget. Past that, every added partition
+//! costs another slice of set replication (a set with ranks in `k` ranges
+//! is serialized and re-joined `k` times) plus its share of the two I/O
+//! passes, so the spill planner picks the **smallest** partition count
+//! (doubling from 2) whose peak per-partition resident estimate fits. The
+//! choice is recorded in [`SsJoinStats::spill_partitions`].
 
 use crate::budget::BudgetState;
 use crate::error::SsJoinResult;
@@ -58,7 +56,7 @@ use crate::io::{
     bad, read_spill_frame, read_spill_header, write_spill_frame, write_spill_header, TempSpillFile,
 };
 use crate::predicate::OverlapPredicate;
-use crate::set::{SetCollection, LEN_HIST_BUCKETS, SIG_WORDS, STATS_SAMPLE_CAP};
+use crate::set::{SetCollection, SIG_WORDS};
 use crate::stats::SsJoinStats;
 use crate::weight::Weight;
 use std::io::{BufReader, BufWriter, Seek, SeekFrom, Write};
@@ -198,12 +196,11 @@ fn partition_estimate(
     let scratch = s_sets * 16;
     let prefix_tables = sets * 8;
     let signatures = sets * (SIG_WORDS as u64 * 8);
-    let stats =
-        2 * local_universe * 4 + 2 * (LEN_HIST_BUCKETS as u64 * 8 + STATS_SAMPLE_CAP as u64 * 4);
+    let token_freq = 2 * local_universe * 4;
     // Frame buffer: 12 bytes per element (rank + weight) + 16 per set
     // header, held while the partition is decoded and joined.
     let frame = tuples * 12 + sets * 16;
-    postings + scratch + prefix_tables + signatures + stats + frame
+    postings + scratch + prefix_tables + signatures + token_freq + frame
 }
 
 /// Token mass of rank `t` across both sides — the quantity the cut points
@@ -219,8 +216,8 @@ fn mass(r_freq: &[u32], s_freq: &[u32], t: usize) -> u64 {
 /// partitions can result when mass is concentrated on few ranks).
 fn balanced_cuts(r: &SetCollection, s: &SetCollection, target: usize, cuts: &mut Vec<u32>) {
     let universe = r.universe_size().max(s.universe_size());
-    let r_freq = r.stats().token_freq();
-    let s_freq = s.stats().token_freq();
+    let r_freq = r.token_freq();
+    let s_freq = s.token_freq();
     let mut total = 0u64;
     for t in 0..universe {
         total = total.saturating_add(mass(r_freq, s_freq, t));
@@ -500,8 +497,8 @@ fn decode_side(
 /// checksummed temp spill file, then read partitions back one at a time,
 /// join each through the ordinary executor for `algorithm`, keep only the
 /// pairs each partition owns, and k-way merge the per-partition sorted runs
-/// into `ws.out`. Returns the merged stats and the algorithm that ran (the
-/// first partition's choice under [`Algorithm::Auto`]).
+/// into `ws.out`. Returns the merged stats; every partition runs the same
+/// executor, `algorithm` after [`Algorithm::resolve`].
 ///
 /// The shared [`BudgetState`] spans the whole run: a deadline or cancel
 /// tripping mid-partition aborts between (or inside) partitions, the
@@ -515,7 +512,7 @@ pub(crate) fn run(
     ctx: &ExecContext,
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
-) -> SsJoinResult<Option<(SsJoinStats, Algorithm)>> {
+) -> SsJoinResult<Option<SsJoinStats>> {
     let limit = ctx.budget.max_resident_bytes.unwrap_or(u64::MAX);
     let mut scratch = match ws.spill.take() {
         Some(s) => s,
@@ -537,7 +534,7 @@ fn run_inner(
     ws: &mut JoinWorkspace,
     scratch: &mut SpillScratch,
     limit: u64,
-) -> SsJoinResult<Option<(SsJoinStats, Algorithm)>> {
+) -> SsJoinResult<Option<SsJoinStats>> {
     // Plan. An unsplittable input falls back to the resident path.
     let Some(peak) = plan_spill_into(r, s, limit, &mut scratch.cuts, &mut scratch.tally) else {
         return Ok(None);
@@ -555,7 +552,7 @@ fn run_inner(
         }
     }
     if !budget.proceed() {
-        return Ok(Some((stats, algorithm)));
+        return Ok(Some(stats));
     }
 
     let universe = r.universe_size().max(s.universe_size());
@@ -574,7 +571,7 @@ fn run_inner(
             if !budget.proceed() {
                 drop(writer);
                 drop(guard);
-                return Ok(Some((stats, algorithm)));
+                return Ok(Some(stats));
             }
             let (lo, hi) = (scratch.cuts[p], scratch.cuts[p + 1]);
             // One pass per side: collect member ids and mark every rank they
@@ -652,8 +649,7 @@ fn run_inner(
         w0.pairs.clear();
         w0.runs.clear();
     }
-    let mut used = algorithm;
-    for p in 0..partitions {
+    for _ in 0..partitions {
         if !budget.proceed() {
             break;
         }
@@ -696,7 +692,7 @@ fn run_inner(
             &scratch.s_gids
         };
         scratch.inner.begin_run();
-        let (pstats, palg) = run_algorithm(
+        let pstats = run_algorithm(
             algorithm,
             sub_r,
             sub_s,
@@ -705,9 +701,6 @@ fn run_inner(
             budget,
             &mut scratch.inner,
         );
-        if p == 0 {
-            used = palg;
-        }
         stats.merge(&pstats);
         // Ownership filter + global-id remap. Local ids ascend with global
         // ids (encode order), so the surviving pairs stay `(r, s)`-sorted
@@ -739,14 +732,11 @@ fn run_inner(
     // per-partition runs.
     ws.merge_sorted_runs();
     // Run-level spill facts survive the per-partition merges (which carry
-    // zeros for them); restate them on the final record and stamp the plan.
+    // zeros for them); restate them on the final record.
     stats.spill_partitions = partitions as u64;
     stats.spill_bytes = spill_bytes;
     stats.spill_peak_resident_bytes = peak;
-    if let Some(plan) = &mut stats.plan {
-        plan.partitions = partitions as u32;
-    }
-    Ok(Some((stats, used)))
+    Ok(Some(stats))
 }
 
 #[cfg(test)]

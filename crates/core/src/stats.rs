@@ -103,10 +103,6 @@ pub struct SsJoinStats {
     /// generator — 0 on every exact run. A run-level fact like
     /// `effective_threads`, not per-worker work.
     pub approx_reps: u64,
-    /// The full configuration the cost-based planner chose, set only when
-    /// the run was configured with [`crate::Algorithm::Auto`] — the
-    /// explainability record for auto runs.
-    pub plan: Option<crate::exec::PlanChoice>,
 }
 
 impl SsJoinStats {
@@ -162,8 +158,6 @@ impl SsJoinStats {
             .spill_peak_resident_bytes
             .max(other.spill_peak_resident_bytes);
         self.approx_reps = self.approx_reps.max(other.approx_reps);
-        // The plan is chosen once per run, never per worker: keep the first.
-        self.plan = self.plan.or(other.plan);
     }
 }
 
@@ -212,9 +206,6 @@ impl fmt::Display for SsJoinStats {
         }
         if self.approx_reps > 0 {
             write!(f, " approx_reps={}", self.approx_reps)?;
-        }
-        if let Some(plan) = &self.plan {
-            write!(f, " plan={plan}")?;
         }
         Ok(())
     }

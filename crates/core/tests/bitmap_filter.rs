@@ -37,14 +37,13 @@ fn corpus() -> SetCollection {
 }
 
 /// Check one filtered run against its unfiltered twin: identical pairs and
-/// balancing counters. `Auto` plans its own filter configuration (possibly
-/// overriding the forced one), so for it only output invariance and the
-/// recorded plan are asserted. A probe with a pending epoch tail verifies
+/// balancing counters. `Auto` runs on the caller's context like every
+/// forced executor, so it is held to the same balance. A probe with a
+/// pending epoch tail verifies
 /// the tail brute-force, outside the filter, so `tail` relaxes the probe
 /// count to an upper bound. Returns the filtered run's prunes.
 fn check_balance(
     what: &str,
-    alg: Algorithm,
     tail: bool,
     base: (&[ssjoin_core::JoinPair], u64),
     out: (&[ssjoin_core::JoinPair], &ssjoin_core::SsJoinStats),
@@ -52,10 +51,6 @@ fn check_balance(
     let (base_pairs, base_verified) = base;
     let (pairs, st) = out;
     assert_eq!(base_pairs, pairs, "{what}: filter changed output");
-    if alg == Algorithm::Auto {
-        assert!(st.plan.is_some(), "{what}: auto run without a plan");
-        return 0;
-    }
     if tail {
         assert!(
             st.bitmap_probes <= base_verified,
@@ -92,13 +87,12 @@ fn bitmap_filter_prunes_without_changing_output_all_executors() {
             let out = ssjoin(&c, &c, &pred, &cfg).unwrap();
             let prunes = check_balance(
                 &format!("alg {alg:?}, threads {threads}"),
-                alg,
                 false,
                 (&base.pairs, base.stats.verified_pairs),
                 (&out.pairs, &out.stats),
             );
             assert!(
-                alg == Algorithm::Auto || prunes > 0,
+                prunes > 0,
                 "alg {alg:?}, threads {threads}: the filter never pruned"
             );
         }
@@ -127,13 +121,12 @@ fn bitmap_filter_prunes_without_changing_probe_output() {
                 let out = index.probe(&c, &cfg, &mut ws).unwrap();
                 let prunes = check_balance(
                     &format!("{stage}: alg {alg:?}, threads {threads}"),
-                    alg,
                     index.pending() > 0,
                     (&base_pairs, base_verified),
                     (out.pairs, &out.stats),
                 );
                 assert!(
-                    alg == Algorithm::Auto || prunes > 0,
+                    prunes > 0,
                     "{stage}: alg {alg:?}, threads {threads}: probe never pruned"
                 );
             }
@@ -231,7 +224,6 @@ fn default_filter_prunes_qgram_edit_candidates() {
         .unwrap();
         let prunes = check_balance(
             &format!("q-gram edit, threads {threads}"),
-            Algorithm::Inline,
             false,
             (&base.pairs, base.stats.verified_pairs),
             (&out.pairs, &out.stats),

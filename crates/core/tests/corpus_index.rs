@@ -117,27 +117,12 @@ fn probe_equals_fresh_ssjoin_across_executors_and_threads() {
                     fresh.pairs.as_slice(),
                     "seed {seed}, alg {alg:?}, threads {threads}"
                 );
-                if alg == Algorithm::Auto {
-                    // The probe-side planner sees different costs than the
-                    // fresh-join planner (prebuilt indexes cost nothing to
-                    // build), so the chosen executor may legitimately
-                    // differ; it must still be a concrete one, and the
-                    // output above already matched bit for bit.
-                    assert_ne!(
-                        probed.algorithm_used,
-                        Algorithm::Auto,
-                        "seed {seed}, threads {threads}"
-                    );
-                    assert!(
-                        probed.stats.plan.is_some(),
-                        "seed {seed}, threads {threads}: auto probe without a plan"
-                    );
-                } else {
-                    assert_eq!(
-                        probed.algorithm_used, fresh.algorithm_used,
-                        "seed {seed}, alg {alg:?}, threads {threads}"
-                    );
-                }
+                assert_eq!(
+                    probed.algorithm_used,
+                    alg.resolve(),
+                    "seed {seed}, alg {alg:?}, threads {threads}"
+                );
+                assert_eq!(probed.algorithm_used, fresh.algorithm_used);
             }
         }
     }

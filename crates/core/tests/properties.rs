@@ -80,7 +80,7 @@ fn build_two(
     (built.collection(rh).clone(), built.collection(sh).clone())
 }
 
-/// The four fast-path executors and the planner agree with the oracle, for
+/// The four fast-path executors and `Auto` agree with the oracle, for
 /// every weighting scheme and global order.
 #[test]
 fn executors_match_oracle() {
@@ -434,10 +434,9 @@ fn parallel_inline_matches_sequential_on_zipf_head() {
     }
 }
 
-/// The planner's contract: whatever `Algorithm::Auto` picks, its output is
-/// bit-identical (ids *and* overlaps) to every forced configuration —
-/// executor × thread count × filter — on both the one-shot path and the
-/// [`CorpusIndex::probe`] path.
+/// `Algorithm::Auto`'s output is bit-identical (ids *and* overlaps) to
+/// every forced configuration — executor × thread count × filter — on both
+/// the one-shot path and the [`CorpusIndex::probe`] path.
 #[test]
 fn auto_matches_every_forced_configuration() {
     const EXECUTORS: [Algorithm; 4] = [
@@ -453,7 +452,7 @@ fn auto_matches_every_forced_configuration() {
         let groups = random_groups(&mut rng);
         let (r, s) = build_two(groups.clone(), groups, WeightScheme::Idf, order);
         let auto = ssjoin(&r, &s, &pred, &SsJoinConfig::new(Algorithm::Auto)).unwrap();
-        assert!(auto.stats.plan.is_some(), "seed {seed}: no plan recorded");
+        assert_eq!(auto.algorithm_used, Algorithm::Inline, "seed {seed}");
         let index = CorpusIndex::build(s.clone(), pred.clone()).unwrap();
         let mut ws = JoinWorkspace::new();
         for threads in [1usize, 4] {
@@ -465,9 +464,10 @@ fn auto_matches_every_forced_configuration() {
                     &mut ws,
                 )
                 .unwrap();
-            assert!(
-                auto_probe.stats.plan.is_some(),
-                "seed {seed}, {threads}t: no probe plan recorded"
+            assert_eq!(
+                auto_probe.algorithm_used,
+                Algorithm::Inline,
+                "seed {seed}, {threads}t"
             );
             assert_eq!(auto.pairs, auto_probe.pairs, "seed {seed}, {threads}t");
             for alg in EXECUTORS {
@@ -493,28 +493,17 @@ fn auto_matches_every_forced_configuration() {
     }
 }
 
-/// Regression for the planner's parallel branch: with a multi-thread budget
-/// and an input heavy enough that the modeled parallel saving dwarfs the
-/// spawn cost, `Algorithm::Auto` must plan a parallel configuration — it
-/// used to silently run its chosen executor sequentially, ignoring
-/// `ExecContext::threads` entirely.
+/// `Algorithm::Auto` is exactly forced `Inline` on the caller's context:
+/// at every thread count × filter setting, one-shot and through
+/// [`CorpusIndex::probe`], it emits the same pairs and the same
+/// schedule-independent counters, reports `Inline` as the algorithm used,
+/// and runs the same number of workers. Holds on any host: the thread
+/// clamp applies to both sides alike.
 #[test]
-fn auto_plan_uses_requested_parallelism() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores < 2 {
-        eprintln!(
-            "skipping auto_plan_uses_requested_parallelism: \
-             host has a single core, the clamp forces sequential plans \
-             (the planner's parallel branch is covered by the pure cost-model \
-             unit tests in exec/auto.rs)"
-        );
-        return;
-    }
-    let groups: Vec<Vec<String>> = (0..4000)
+fn auto_is_inline_on_the_callers_context() {
+    let groups: Vec<Vec<String>> = (0..400)
         .map(|i| {
-            (0..8)
+            (0..(3 + i % 6))
                 .map(|j| format!("t{}", (i * 31 + j * 7) % 199))
                 .collect()
         })
@@ -526,17 +515,41 @@ fn auto_plan_uses_requested_parallelism() {
         ElementOrder::FrequencyAsc,
     );
     let pred = OverlapPredicate::two_sided(0.7);
-    let cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext::new().with_threads(cores));
-    let out = ssjoin(&r, &s, &pred, &cfg).unwrap();
-    let plan = out.stats.plan.expect("auto records a plan");
-    assert!(
-        plan.threads > 1,
-        "auto degraded to a sequential plan on a {cores}-core host: {plan:?}"
-    );
-    assert_eq!(
-        plan.threads as u64, out.stats.effective_threads,
-        "the plan must spend the whole effective thread budget: {plan:?}"
-    );
+    let index = CorpusIndex::build(s.clone(), pred.clone()).unwrap();
+    let mut ws = JoinWorkspace::new();
+    for threads in [1usize, 2, 4] {
+        for filter in [true, false] {
+            let ctx = ExecContext::new()
+                .with_threads(threads)
+                .with_bitmap_filter(filter);
+            let auto = SsJoinConfig::new(Algorithm::Auto).with_exec(ctx.clone());
+            let inline = SsJoinConfig::new(Algorithm::Inline).with_exec(ctx);
+            let what = format!("{threads}t, filter {filter}");
+
+            let (a, i) = (
+                ssjoin(&r, &s, &pred, &auto).unwrap(),
+                ssjoin(&r, &s, &pred, &inline).unwrap(),
+            );
+            assert!(!i.pairs.is_empty(), "{what}: the join found no pairs");
+            assert_eq!(a.pairs, i.pairs, "{what}");
+            assert_eq!(a.algorithm_used, Algorithm::Inline, "{what}");
+            assert_eq!(work_counters(&a.stats), work_counters(&i.stats), "{what}");
+            assert_eq!(a.stats.effective_threads, i.stats.effective_threads);
+            assert_eq!(filter, a.stats.bitmap_probes > 0, "{what}");
+
+            let a = index.probe(&r, &auto, &mut ws).unwrap();
+            let (a_pairs, a_stats, a_used) = (a.pairs.to_vec(), a.stats, a.algorithm_used);
+            let i = index.probe(&r, &inline, &mut ws).unwrap();
+            assert_eq!(a_pairs, i.pairs, "probe {what}");
+            assert_eq!(a_used, Algorithm::Inline, "probe {what}");
+            assert_eq!(
+                work_counters(&a_stats),
+                work_counters(&i.stats),
+                "probe {what}"
+            );
+            assert_eq!(a_stats.effective_threads, i.stats.effective_threads);
+        }
+    }
 }
 
 /// Monotonicity: raising an absolute threshold never adds pairs.

@@ -48,11 +48,16 @@
 //! `--approx RECALL` (0 < RECALL ≤ 1) opts in to approximate candidate
 //! generation: a seeded LSH sketch replaces the exhaustive candidate scan,
 //! targeting the given recall. Every reported pair is still verified
-//! exactly — only completeness is traded for speed. `1.0` is exact. Joins
-//! print the winning execution plan (and the approx setting) to stderr;
-//! serve mode surfaces it in the `stats` response.
+//! exactly — only completeness is traded for speed. `1.0` is exact. Serve
+//! mode echoes the recall target in the `stats` response.
+//!
+//! `--algorithm auto` runs the inline algorithm (`Algorithm::resolve`).
+//! `join --algorithm auto` and `join --approx` runs print the configuration
+//! that ran to stderr as `plan: <algorithm>/<bitmap|off>/<threads>t`,
+//! followed by ` spill=<partitions>p` for an out-of-core run and
+//! ` approx=<recall>` for an approximate one.
 
-use ssjoin::core::{Algorithm, ApproxSpec, ExecContext};
+use ssjoin::core::{Algorithm, ApproxSpec, ExecContext, SsJoinStats};
 use ssjoin::datagen::{read_tsv, write_tsv, AddressCorpus, AddressCorpusConfig};
 use ssjoin::joins::{
     cluster_pairs, cosine_join, dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join,
@@ -343,6 +348,21 @@ fn topk_config(k: usize, min_sim: f64) -> Result<TopKConfig, String> {
     TopKConfig::new(k, min_sim).map_err(|e| format!("{option}: {e}"))
 }
 
+/// The `plan:` line of a join: the executor that ran, the filter and
+/// effective worker count it ran with, its spill partitions (if it ran out
+/// of core) and its recall target (if approximate).
+fn plan_line(algorithm: Algorithm, exec: &ExecContext, stats: &SsJoinStats) -> String {
+    let filter = if exec.bitmap_filter { "bitmap" } else { "off" };
+    let mut line = format!("{algorithm:?}/{filter}/{}t", stats.effective_threads);
+    if stats.spill_partitions > 0 {
+        line.push_str(&format!(" spill={}p", stats.spill_partitions));
+    }
+    if let Some(spec) = exec.approx.filter(ApproxSpec::is_active) {
+        line.push_str(&format!(" approx={:.2}", spec.target_recall));
+    }
+    line
+}
+
 /// The execution context of `join` and `dedup`: the library default (bitmap
 /// filter on) on one worker per core the host reports.
 fn join_exec(memory_budget: Option<u64>, approx: Option<f64>) -> ExecContext {
@@ -357,12 +377,10 @@ fn run_join(
     kind: JoinKind,
     threshold: f64,
     algorithm: Algorithm,
-    memory_budget: Option<u64>,
-    approx: Option<f64>,
+    exec: ExecContext,
     r: &[String],
     s: &[String],
 ) -> Result<SimilarityJoinOutput, String> {
-    let exec = join_exec(memory_budget, approx);
     let out = match kind {
         JoinKind::Edit => edit_similarity_join(
             r,
@@ -468,7 +486,11 @@ fn run_serve<R: BufRead, W: Write>(
                 .and_then(|id| writeln!(out, "ok\t{id}").map_err(io_err)),
             // Per-batch execution stats of the most recent probe — under a
             // memory budget this is where spill partitions/bytes surface.
-            "stats" => writeln!(out, "ok\t{}", index.last_stats()).map_err(io_err),
+            "stats" => match approx.filter(|&recall| recall < 1.0) {
+                Some(recall) => writeln!(out, "ok\t{} approx={recall:.2}", index.last_stats()),
+                None => writeln!(out, "ok\t{}", index.last_stats()),
+            }
+            .map_err(io_err),
             other => Err(format!("unknown request {other:?}")),
         };
         if let Err(msg) = outcome {
@@ -501,11 +523,15 @@ fn execute(cmd: Command) -> Result<(), String> {
                 Some(p) => first_column(p)?,
                 None => r.clone(),
             };
-            let output = run_join(kind, threshold, algorithm, memory_budget, approx, &r, &s)?;
-            // The winning execution plan (auto-planned or approximate) goes
-            // to stderr so piped TSV output stays clean.
-            if let Some(plan) = &output.stats.plan {
-                eprintln!("plan: {plan}");
+            let exec = join_exec(memory_budget, approx);
+            let output = run_join(kind, threshold, algorithm, exec.clone(), &r, &s)?;
+            // The configuration an auto or approximate run used goes to
+            // stderr so piped TSV output stays clean.
+            if algorithm == Algorithm::Auto || exec.approx.is_some_and(|a| a.is_active()) {
+                eprintln!(
+                    "plan: {}",
+                    plan_line(output.algorithm_used, &exec, &output.stats)
+                );
             }
             let mut pairs = output.pairs;
             if self_dedupe && s_path.is_none() {
@@ -582,8 +608,15 @@ fn execute(cmd: Command) -> Result<(), String> {
             path,
         } => {
             let data = first_column(&path)?;
-            let pairs =
-                run_join(kind, threshold, Algorithm::Inline, None, None, &data, &data)?.pairs;
+            let pairs = run_join(
+                kind,
+                threshold,
+                Algorithm::Inline,
+                join_exec(None, None),
+                &data,
+                &data,
+            )?
+            .pairs;
             let groups = cluster_pairs(data.len(), &pairs);
             for (gi, group) in groups.iter().enumerate() {
                 for &member in group {

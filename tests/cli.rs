@@ -113,6 +113,65 @@ fn gen_join_match_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `join --algorithm auto` and `join --approx` print the configuration that
+/// ran on stderr — `Auto` is `Inline` on the CLI's context (every core, the
+/// bitmap filter on) — while a plain `--algorithm inline` join prints none.
+/// Auto's output is byte-identical to inline's.
+#[test]
+fn join_plan_line_reports_what_ran() {
+    let dir = temp_dir("plan_line");
+    let data = dir.join("data.tsv");
+    let out = bin()
+        .args(["gen", "--rows", "300", "--seed", "9", "--out"])
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let join = |extra: &[&str]| {
+        let out = bin()
+            .args(["join", "--kind", "jaccard", "--threshold", "0.8"])
+            .args(extra)
+            .arg(&data)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (out.stdout, String::from_utf8(out.stderr).unwrap())
+    };
+
+    let (inline_rows, inline_err) = join(&["--algorithm", "inline"]);
+    assert!(!inline_rows.is_empty(), "the join found no pairs");
+    assert_eq!(inline_err, "", "a forced inline join prints no plan");
+
+    let (auto_rows, auto_err) = join(&["--algorithm", "auto"]);
+    assert_eq!(auto_rows, inline_rows, "auto must print inline's rows");
+    assert_eq!(auto_err, format!("plan: Inline/bitmap/{threads}t\n"));
+
+    let (spilled_rows, spilled_err) = join(&["--algorithm", "auto", "--memory-budget", "1k"]);
+    assert_eq!(
+        spilled_rows, inline_rows,
+        "a spilled join prints the same rows"
+    );
+    let partitions: u64 = spilled_err
+        .strip_prefix(&format!("plan: Inline/bitmap/{threads}t spill="))
+        .and_then(|rest| rest.strip_suffix("p\n"))
+        .and_then(|p| p.parse().ok())
+        .unwrap_or_else(|| panic!("unexpected plan line {spilled_err:?}"));
+    assert!(partitions >= 2, "{spilled_err:?}");
+
+    let (_, approx_err) = join(&["--approx", "0.9"]);
+    assert_eq!(
+        approx_err,
+        format!("plan: Inline/bitmap/{threads}t approx=0.90\n")
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn dedup_prints_groups() {
     let dir = temp_dir("dedup");
