@@ -1403,13 +1403,15 @@ fn ablation_index(scale: f64, report: &mut Report) {
 /// The in-memory inline join is the baseline; then the resident budget is
 /// tightened to 1/2, 1/4, and 1/8 of `estimate_memory_bytes`, forcing the
 /// spill driver to split the same join into token-range partitions. The
-/// partition count is the planner's, not ours: every set is carried in full
-/// by each partition whose rank range it touches, so tiny counts (2, 4)
-/// barely shrink residency and the smallest productive count is data-driven
-/// (the `Partitions` column reports what actually ran). Each spilled run
-/// must reproduce the resident output bit-for-bit — same pairs, same
-/// overlaps, same order. The overhead column is the price of serializing
-/// partitions through the spill file and merging their runs.
+/// partition count is the planner's, not ours (the `Partitions` column
+/// reports what actually ran, and must equal `plan_spill`'s count). A set
+/// is carried in full by each partition its Lemma-1 prefix reaches, so the
+/// `Candidates` column (spilled/resident `candidate_pairs`) measures the
+/// replication that costs. Each spilled run must reproduce the resident
+/// output bit-for-bit — same pairs, same overlaps, same order — and
+/// `budget_met` records whether every planned peak fit its budget. The
+/// overhead column is the price of serializing partitions through the
+/// spill file and merging their runs.
 fn ablation_spill(scale: f64, report: &mut Report) {
     use ssjoin_core::{OverlapPredicate, SsJoinConfig};
     use ssjoin_text::Tokenizer;
@@ -1457,6 +1459,7 @@ fn ablation_spill(scale: f64, report: &mut Report) {
             "Config",
             "Total ms",
             "Partitions",
+            "Candidates",
             "Spill MiB",
             "Peak resident MiB",
             "Overhead",
@@ -1467,6 +1470,7 @@ fn ablation_spill(scale: f64, report: &mut Report) {
         "in-memory".into(),
         ms(base_t),
         "1".into(),
+        "1.00x".into(),
         "-".into(),
         "-".into(),
         "1.00x".into(),
@@ -1476,10 +1480,11 @@ fn ablation_spill(scale: f64, report: &mut Report) {
     report.metric_u64("ablation_spill.estimate_bytes", est);
 
     let mut all_equal = true;
+    let mut budget_met = true;
     let mut overhead_div4 = f64::NAN;
     for div in [2u64, 4, 8] {
         let budget = (est / div).max(1);
-        let Some(planned) = plan_spill(c, c, budget) else {
+        let Some(planned) = plan_spill(c, c, &pred, budget) else {
             println!("warning: input cannot be split at budget est/{div}; skipping");
             continue;
         };
@@ -1488,7 +1493,10 @@ fn ablation_spill(scale: f64, report: &mut Report) {
         let (out, elapsed) = median3(exec);
         let equal = out.pairs == base.pairs;
         all_equal &= equal;
+        budget_met &= out.stats.spill_peak_resident_bytes <= budget;
         let overhead = elapsed.as_secs_f64() / base_t.as_secs_f64().max(1e-9);
+        let candidate_ratio =
+            out.stats.candidate_pairs as f64 / base.stats.candidate_pairs.max(1) as f64;
         if div == 4 {
             overhead_div4 = overhead;
         }
@@ -1496,6 +1504,7 @@ fn ablation_spill(scale: f64, report: &mut Report) {
             format!("spill @ est/{div} budget ({} KiB)", budget >> 10),
             ms(elapsed),
             count(out.stats.spill_partitions),
+            format!("{candidate_ratio:.2}x"),
             format!("{:.1}", out.stats.spill_bytes as f64 / (1 << 20) as f64),
             format!(
                 "{:.1}",
@@ -1526,6 +1535,10 @@ fn ablation_spill(scale: f64, report: &mut Report) {
             out.stats.spill_peak_resident_bytes,
         );
         report.metric_f64(format!("ablation_spill.div{div}.overhead"), overhead);
+        report.metric_f64(
+            format!("ablation_spill.div{div}.candidate_ratio"),
+            candidate_ratio,
+        );
     }
     report.table(t);
     assert!(
@@ -1544,6 +1557,10 @@ fn ablation_spill(scale: f64, report: &mut Report) {
     report.metric_str(
         "ablation_spill.output_equal",
         if all_equal { "true" } else { "false" },
+    );
+    report.metric_str(
+        "ablation_spill.budget_met",
+        if budget_met { "true" } else { "false" },
     );
 }
 

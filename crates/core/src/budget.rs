@@ -60,7 +60,10 @@ pub struct ExecBudget {
     /// token-range partitions sized to fit (see [`crate::plan_spill`]), joined
     /// one partition at a time with the rest serialized to a temp-dir spill
     /// file, and merged back deterministically. Output is bit-identical to
-    /// an unbudgeted run.
+    /// an unbudgeted run. The budget bounds the join's working set, not the
+    /// process (the input collections stay resident), and it is best
+    /// effort: when no partition count fits, the smallest-peak plan runs
+    /// and reports `SsJoinStats::spill_peak_resident_bytes` above it.
     pub max_resident_bytes: Option<u64>,
 }
 
@@ -344,11 +347,10 @@ pub fn estimate_memory_bytes(r: &SetCollection, s: &SetCollection) -> u64 {
     // chunked workers share the candidate space roughly evenly.
     let scratch = s.len() as u64 * 16;
     let prefix_tables = (r.len() + s.len()) as u64 * 8;
-    // Arena blocks added after the original model: the 8×u64 bitmap
-    // signature per set and the dense u32 token-frequency array per side.
+    // Arena block added after the original model: the 8×u64 bitmap
+    // signature per set.
     let signatures = (r.len() + s.len()) as u64 * (crate::set::SIG_WORDS as u64 * 8);
-    let token_freq = (r.universe_size() + s.universe_size()) as u64 * 4;
-    postings + scratch + prefix_tables + signatures + token_freq
+    postings + scratch + prefix_tables + signatures
 }
 
 #[cfg(test)]

@@ -184,16 +184,6 @@ impl<'a> SetRef<'a> {
     }
 }
 
-/// Fold one set's ranks into a dense token-frequency histogram, with
-/// saturating increments so extreme corpora cannot wrap a count.
-fn count_tokens(token_freq: &mut [u32], ranks: &[u32]) {
-    for &rank in ranks {
-        if let Some(slot) = token_freq.get_mut(rank as usize) {
-            *slot = slot.saturating_add(1);
-        }
-    }
-}
-
 /// One side (R or S) of an SSJoin: a CSR arena of weighted sets. The index
 /// of a set in the collection is its group id.
 #[derive(Debug, Clone)]
@@ -224,9 +214,6 @@ pub struct SetCollection {
     universe_tag: u64,
     /// Cached smallest/largest norm across groups (`None` when empty).
     norm_range: Option<(f64, f64)>,
-    /// Dense per-rank occurrence counts over the universe, maintained
-    /// incrementally as sets are added (see [`Self::token_freq`]).
-    token_freq: Vec<u32>,
 }
 
 impl SetCollection {
@@ -263,7 +250,6 @@ impl SetCollection {
         let mut sig_words = Vec::with_capacity(n * SIG_WORDS);
         let mut min_weights = Vec::with_capacity(n);
         let mut norm_range: Option<(f64, f64)> = None;
-        let mut token_freq = vec![0; universe_size];
 
         for (mut elems, norm) in sets {
             elems.sort_unstable_by_key(|&(rank, _)| rank);
@@ -291,7 +277,6 @@ impl SetCollection {
                 acc += weights[k];
                 suffix[k] = acc;
             }
-            count_tokens(&mut token_freq, &ranks[start..]);
             offsets.push(ranks.len() as u32);
             norms.push(norm);
             totals.push(acc);
@@ -315,7 +300,6 @@ impl SetCollection {
             universe_size,
             universe_tag,
             norm_range,
-            token_freq,
         })
     }
 
@@ -381,7 +365,6 @@ impl SetCollection {
             self.suffix[k] = acc;
         }
         let id = self.len() as u32;
-        count_tokens(&mut self.token_freq, &self.ranks[start..]);
         self.offsets.push(self.ranks.len() as u32);
         self.norms.push(norm);
         self.totals.push(acc);
@@ -429,7 +412,6 @@ impl SetCollection {
             self.suffix[k] = acc;
         }
         let id = self.len() as u32;
-        count_tokens(&mut self.token_freq, &self.ranks[start..]);
         self.offsets.push(self.ranks.len() as u32);
         self.norms.push(norm);
         self.totals.push(acc);
@@ -460,8 +442,6 @@ impl SetCollection {
         self.universe_size = universe_size;
         self.universe_tag = universe_tag;
         self.norm_range = None;
-        self.token_freq.clear();
-        self.token_freq.resize(universe_size, 0);
     }
 
     /// An empty collection sharing this one's element universe (size and
@@ -480,7 +460,6 @@ impl SetCollection {
             universe_size: self.universe_size,
             universe_tag: self.universe_tag,
             norm_range: None,
-            token_freq: vec![0; self.universe_size],
         }
     }
 
@@ -538,15 +517,6 @@ impl SetCollection {
 
     pub(crate) fn universe_tag(&self) -> u64 {
         self.universe_tag
-    }
-
-    /// Dense per-rank occurrence counts over the universe — the token mass
-    /// the out-of-core driver balances its partition cut points on.
-    /// Saturating: a count of `u32::MAX` means "at least that many". Counts
-    /// every set ever added (deletions happen above this layer, via
-    /// tombstones).
-    pub fn token_freq(&self) -> &[u32] {
-        &self.token_freq
     }
 
     /// True when both collections come from the same builder run and thus

@@ -17,13 +17,24 @@
 //! # Decomposition
 //!
 //! Partition `p` owns the global element-rank range `[cuts[p], cuts[p+1])`.
-//! A set belongs to every partition whose range contains at least one of
-//! its ranks, and its **full** contents ride along (so per-partition norms,
+//! A set is **routed** to every partition whose range holds a rank of its
+//! routing prefix: the Lemma-1 prefix the executors themselves probe with,
+//! computed against the partner side's global norm range. In a self-join a
+//! set plays both the R and the S role, so it routes by the longer of its
+//! two prefixes (an asymmetric predicate gives the roles different
+//! lengths). A set whose prefix is empty can join nothing and goes nowhere.
+//! The routed set's **full** contents ride along, so per-partition norms,
 //! total weights, and suffix bounds are exact and the executors run
-//! unmodified). Each partition therefore finds every qualifying pair whose
-//! two sets both touch its range; a pair is *emitted* only by the partition
-//! whose range contains the pair's first (smallest) shared rank — an
-//! exactly-once ownership rule — so the union over partitions is exactly the in-memory result.
+//! unmodified.
+//!
+//! A pair is *emitted* only by the partition whose range contains the
+//! pair's first (smallest) shared rank — an exactly-once ownership rule.
+//! By Lemma 1 that rank lies in both sets' prefixes (were it in either
+//! suffix, every shared element would be, and the overlap would fall short
+//! of the bound the prefix was cut at), so the owning partition holds both
+//! sets and finds the pair: the union over partitions is exactly the
+//! in-memory result. A set is thus replicated once per range its prefix
+//! touches, not once per range its full contents touch.
 //!
 //! # Determinism
 //!
@@ -43,15 +54,21 @@
 //!
 //! A resident run costs no extra I/O and no replication, so it is taken
 //! whenever the estimate fits the budget. Past that, every added partition
-//! costs another slice of set replication (a set with ranks in `k` ranges
-//! is serialized and re-joined `k` times) plus its share of the two I/O
-//! passes, so the spill planner picks the **smallest** partition count
-//! (doubling from 2) whose peak per-partition resident estimate fits. The
-//! choice is recorded in [`SsJoinStats::spill_partitions`].
+//! costs another slice of set replication (a set whose prefix has ranks in
+//! `k` ranges is serialized and re-joined `k` times) plus its share of the
+//! two I/O passes, so the spill planner picks the **smallest** partition
+//! count (doubling from 2) whose peak per-partition resident estimate fits.
+//! The planner and the writer route through the same function, so the
+//! planned per-partition tallies are exactly the sets the writer
+//! serializes. The choice is recorded in [`SsJoinStats::spill_partitions`],
+//! and a plan that cannot fit shows as
+//! [`SsJoinStats::spill_peak_resident_bytes`] above the budget.
 
 use crate::budget::BudgetState;
 use crate::error::SsJoinResult;
-use crate::exec::{run_algorithm, Algorithm, ExecContext, JoinPair, JoinWorkspace};
+use crate::exec::{
+    prefix_lengths_into, run_algorithm, Algorithm, ExecContext, JoinPair, JoinWorkspace, Side,
+};
 use crate::io::{
     bad, read_spill_frame, read_spill_header, write_spill_frame, write_spill_header, TempSpillFile,
 };
@@ -91,6 +108,23 @@ impl SpillPlan {
     }
 }
 
+/// One side's routing: every set's routing-prefix length and, once the cuts
+/// are fixed, the member ids of every partition in CSR form —
+/// `members[offsets[p]..offsets[p + 1]]`, ascending within each partition.
+#[derive(Debug, Default)]
+struct Routing {
+    lens: Vec<usize>,
+    offsets: Vec<usize>,
+    members: Vec<u32>,
+}
+
+impl Routing {
+    /// Member ids of partition `p`.
+    fn members(&self, p: usize) -> &[u32] {
+        &self.members[self.offsets[p]..self.offsets[p + 1]]
+    }
+}
+
 /// Reusable buffers for the out-of-core path, pooled on the
 /// [`JoinWorkspace`] so repeated spilled runs stop allocating once every
 /// buffer has warmed to the largest partition seen.
@@ -105,6 +139,8 @@ pub(crate) struct SpillScratch {
     frame: Vec<u8>,
     /// Universe-sized rank → local-rank table (`u32::MAX` = absent).
     remap: Vec<u32>,
+    /// Distinct global ranks of the partition being written.
+    touched: Vec<u32>,
     /// Global group ids of the current partition's sets, per side, indexed
     /// by local set id.
     r_gids: Vec<u32>,
@@ -112,15 +148,20 @@ pub(crate) struct SpillScratch {
     /// Per-set decode scratch.
     ranks_buf: Vec<u32>,
     weights_buf: Vec<Weight>,
-    /// Member group ids of the partition being written, per side — filled
-    /// by one membership scan and reused by the encoder, so each partition
-    /// costs one pass over the parent arenas instead of two.
-    members_r: Vec<u32>,
-    members_s: Vec<u32>,
-    /// Planning scratch: per-partition set/tuple tallies.
-    tally: PartitionTally,
-    /// The active plan's cut points.
+    /// The active plan: routing, cut points, per-partition tallies.
+    planner: Planner,
+}
+
+/// The spill planner's pooled state: both sides' routing, the routed-mass
+/// histogram the cut points balance, the chosen cuts, and their
+/// per-partition tallies.
+#[derive(Debug, Default)]
+struct Planner {
+    route_r: Routing,
+    route_s: Routing,
+    mass: Vec<u64>,
     cuts: Vec<u32>,
+    tally: PartitionTally,
 }
 
 #[derive(Debug, Default)]
@@ -153,29 +194,32 @@ impl SpillScratch {
             sub_s: template.empty_like(),
             frame: Vec::new(),
             remap: Vec::new(),
+            touched: Vec::new(),
             r_gids: Vec::new(),
             s_gids: Vec::new(),
             ranks_buf: Vec::new(),
             weights_buf: Vec::new(),
-            members_r: Vec::new(),
-            members_s: Vec::new(),
-            tally: PartitionTally::default(),
-            cuts: Vec::new(),
+            planner: Planner::default(),
         }
     }
 
     pub(crate) fn bytes_reserved(&self) -> u64 {
         use crate::exec::vec_bytes;
+        let route =
+            |x: &Routing| vec_bytes(&x.lens) + vec_bytes(&x.offsets) + vec_bytes(&x.members);
+        let plan = &self.planner;
         self.inner.bytes_reserved()
             + vec_bytes(&self.frame)
             + vec_bytes(&self.remap)
+            + vec_bytes(&self.touched)
             + vec_bytes(&self.r_gids)
             + vec_bytes(&self.s_gids)
             + vec_bytes(&self.ranks_buf)
             + vec_bytes(&self.weights_buf)
-            + vec_bytes(&self.members_r)
-            + vec_bytes(&self.members_s)
-            + vec_bytes(&self.cuts)
+            + route(&plan.route_r)
+            + route(&plan.route_s)
+            + vec_bytes(&plan.mass)
+            + vec_bytes(&plan.cuts)
     }
 }
 
@@ -196,72 +240,142 @@ fn partition_estimate(
     let scratch = s_sets * 16;
     let prefix_tables = sets * 8;
     let signatures = sets * (SIG_WORDS as u64 * 8);
-    let token_freq = 2 * local_universe * 4;
     // Frame buffer: 12 bytes per element (rank + weight) + 16 per set
     // header, held while the partition is decoded and joined.
     let frame = tuples * 12 + sets * 16;
-    postings + scratch + prefix_tables + signatures + token_freq + frame
+    postings + scratch + prefix_tables + signatures + frame
 }
 
-/// Token mass of rank `t` across both sides — the quantity the cut points
-/// balance. Saturating: the statistics histograms saturate too.
-fn mass(r_freq: &[u32], s_freq: &[u32], t: usize) -> u64 {
-    let a = r_freq.get(t).copied().unwrap_or(0) as u64;
-    let b = s_freq.get(t).copied().unwrap_or(0) as u64;
-    a + b
+/// Routed mass per rank: every set adds its full length at each rank of
+/// its routing prefix — the tuples a partition owning that rank takes on
+/// for it. The cut points balance this histogram.
+fn routed_mass(
+    r: &SetCollection,
+    s: &SetCollection,
+    r_lens: &[usize],
+    s_lens: &[usize],
+    mass: &mut Vec<u64>,
+) {
+    mass.clear();
+    mass.resize(r.universe_size().max(s.universe_size()), 0);
+    let mut add = |c: &SetCollection, lens: &[usize]| {
+        for (set, &plen) in c.iter().zip(lens) {
+            let len = set.len() as u64;
+            for &t in &set.ranks()[..plen] {
+                mass[t as usize] += len;
+            }
+        }
+    };
+    add(r, r_lens);
+    if !std::ptr::eq(r, s) {
+        add(s, s_lens);
+    }
 }
 
-/// Place `target` balanced cut points over the token-mass histogram.
+/// Place `target` balanced cut points over the routed-mass histogram.
 /// Produces strictly ascending cuts (duplicates collapse, so fewer actual
 /// partitions can result when mass is concentrated on few ranks).
-fn balanced_cuts(r: &SetCollection, s: &SetCollection, target: usize, cuts: &mut Vec<u32>) {
-    let universe = r.universe_size().max(s.universe_size());
-    let r_freq = r.token_freq();
-    let s_freq = s.token_freq();
-    let mut total = 0u64;
-    for t in 0..universe {
-        total = total.saturating_add(mass(r_freq, s_freq, t));
-    }
+fn balanced_cuts(mass: &[u64], target: usize, cuts: &mut Vec<u32>) {
+    let total: u64 = mass.iter().sum();
     cuts.clear();
     cuts.push(0);
     if total > 0 {
         let mut acc = 0u64;
         let mut next = 1usize;
-        for t in 0..universe {
-            acc = acc.saturating_add(mass(r_freq, s_freq, t));
+        for (t, &m) in mass.iter().enumerate() {
+            acc += m;
             while next < target && acc.saturating_mul(target as u64) >= total * next as u64 {
                 cuts.push((t + 1) as u32);
                 next += 1;
             }
         }
     }
-    cuts.push(universe as u32);
+    cuts.push(mass.len() as u32);
     cuts.dedup();
 }
 
+/// Routing-prefix lengths of both sides: each set's Lemma-1 prefix against
+/// the partner side's global norm range, as the executors compute it. In a
+/// self-join every set plays both roles, so `r_lens` takes the longer of
+/// its R- and S-side prefixes (`s_lens` is then scratch).
+fn routing_prefixes(
+    r: &SetCollection,
+    s: &SetCollection,
+    pred: &OverlapPredicate,
+    r_lens: &mut Vec<usize>,
+    s_lens: &mut Vec<usize>,
+) {
+    prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
+    prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
+    if std::ptr::eq(r, s) {
+        for (a, &b) in r_lens.iter_mut().zip(s_lens.iter()) {
+            *a = (*a).max(b);
+        }
+    }
+}
+
+/// Call `f(p)` once per partition `p` holding a rank of `prefix`, in
+/// ascending order — the partitions a set with this routing prefix goes
+/// to. The planner's tallies and the writer's member lists both route
+/// through here, so they agree by construction.
+fn routed_partitions(prefix: &[u32], cuts: &[u32], mut f: impl FnMut(usize)) {
+    let mut rest = prefix;
+    while let Some(&t) = rest.first() {
+        // `cuts[0] == 0`, so the partition holding `t` is the last cut ≤ t.
+        let p = cuts.partition_point(|&c| c <= t).saturating_sub(1);
+        let Some(&hi) = cuts.get(p + 1) else {
+            break; // rank past the universe: no partition owns it
+        };
+        f(p);
+        rest = &rest[rest.partition_point(|&x| x < hi)..];
+    }
+}
+
 /// Tally per-partition set and tuple counts for one side under `cuts`. A
-/// set is charged its **full** length to every partition it intersects —
-/// exactly what the spill writer will serialize for it.
-fn tally_side(c: &SetCollection, cuts: &[u32], sets: &mut [u64], tuples: &mut [u64]) {
-    for set in c.iter() {
-        let ranks = set.ranks();
-        if ranks.is_empty() {
-            continue;
-        }
-        let mut p = 0usize;
-        let mut i = 0usize;
-        while i < ranks.len() {
-            while p + 1 < cuts.len() && cuts[p + 1] <= ranks[i] {
-                p += 1;
-            }
-            if p + 1 >= cuts.len() {
-                break;
-            }
+/// set is charged its **full** length to every partition its routing
+/// prefix reaches — exactly what the spill writer will serialize for it.
+fn tally_side(
+    c: &SetCollection,
+    lens: &[usize],
+    cuts: &[u32],
+    sets: &mut [u64],
+    tuples: &mut [u64],
+) {
+    for (set, &plen) in c.iter().zip(lens) {
+        let len = set.len() as u64;
+        routed_partitions(&set.ranks()[..plen], cuts, |p| {
             sets[p] += 1;
-            tuples[p] += ranks.len() as u64;
-            // Skip the rest of this partition's ranks.
-            i += ranks[i..].partition_point(|&t| t < cuts[p + 1]);
-        }
+            tuples[p] += len;
+        });
+    }
+}
+
+/// Bucket one side's set ids by partition in a single pass over the side,
+/// into `route.offsets`/`route.members`. `sets` is the planner's tally for
+/// this side under the same cuts, so every bucket is sized before the pass
+/// and ids land in ascending order within each bucket.
+fn bucket_members(c: &SetCollection, cuts: &[u32], sets: &[u64], route: &mut Routing) {
+    // offsets[p + 1] starts as bucket p's first slot and advances as the
+    // bucket fills, ending as bucket p's end (= bucket p + 1's start).
+    route.offsets.clear();
+    route.offsets.push(0);
+    let mut start = 0usize;
+    for &n in sets {
+        route.offsets.push(start);
+        start += n as usize;
+    }
+    route.members.clear();
+    route.members.resize(start, 0);
+    let Routing {
+        lens,
+        offsets,
+        members,
+    } = route;
+    for (id, (set, &plen)) in c.iter().zip(lens.iter()).enumerate() {
+        routed_partitions(&set.ranks()[..plen], cuts, |p| {
+            members[offsets[p + 1]] = id as u32;
+            offsets[p + 1] += 1;
+        });
     }
 }
 
@@ -269,17 +383,19 @@ fn tally_side(c: &SetCollection, cuts: &[u32], sets: &mut [u64], tuples: &mut [u
 fn plan_peak(
     r: &SetCollection,
     s: &SetCollection,
+    r_lens: &[usize],
+    s_lens: &[usize],
     cuts: &[u32],
     tally: &mut PartitionTally,
 ) -> u64 {
     let partitions = cuts.len().saturating_sub(1);
     tally.reset(partitions);
-    tally_side(r, cuts, &mut tally.r_sets, &mut tally.r_tuples);
+    tally_side(r, r_lens, cuts, &mut tally.r_sets, &mut tally.r_tuples);
     if std::ptr::eq(r, s) {
         tally.s_sets.copy_from_slice(&tally.r_sets);
         tally.s_tuples.copy_from_slice(&tally.r_tuples);
     } else {
-        tally_side(s, cuts, &mut tally.s_sets, &mut tally.s_tuples);
+        tally_side(s, s_lens, cuts, &mut tally.s_sets, &mut tally.s_tuples);
     }
     let universe = r.universe_size().max(s.universe_size()) as u64;
     let mut peak = 0u64;
@@ -299,67 +415,83 @@ fn plan_peak(
     peak
 }
 
-/// Plan a spilled execution of `r ⋈ s` under a resident budget: the
-/// smallest partition count (doubling from 2, up to 256)
-/// whose peak per-partition resident estimate fits `max_resident_bytes`,
-/// with cut points balanced over the combined token-frequency histograms.
-/// When no candidate fits, the best-effort plan with the smallest peak is
-/// returned (the run completes over budget rather than failing). `None`
-/// when the input cannot be split (empty side, or the whole mass on one
-/// rank) — callers fall back to the resident path.
+/// Plan a spilled execution of `r ⋈ s` under `pred` and a resident budget:
+/// the smallest partition count (doubling from 2, up to 256) whose peak
+/// per-partition resident estimate fits `max_resident_bytes`, with sets
+/// routed by their Lemma-1 prefixes under `pred` and cut points balanced
+/// over the routed mass — the plan the spill driver runs for the same
+/// inputs. When no candidate fits, the best-effort plan with the smallest
+/// peak is returned (the run completes over budget rather than failing;
+/// its peak then exceeds `max_resident_bytes`). `None` when the input
+/// cannot be split (empty side, or the whole mass on one rank) — callers
+/// fall back to the resident path.
 pub fn plan_spill(
     r: &SetCollection,
     s: &SetCollection,
+    pred: &OverlapPredicate,
     max_resident_bytes: u64,
 ) -> Option<SpillPlan> {
-    let mut cuts = Vec::new();
-    let mut tally = PartitionTally::default();
-    plan_spill_into(r, s, max_resident_bytes, &mut cuts, &mut tally).map(|peak_resident_bytes| {
-        SpillPlan {
-            cuts,
-            peak_resident_bytes,
-        }
+    let mut planner = Planner::default();
+    let peak_resident_bytes = planner.plan(r, s, pred, max_resident_bytes)?;
+    Some(SpillPlan {
+        cuts: planner.cuts,
+        peak_resident_bytes,
     })
 }
 
-/// Allocation-reusing core of [`plan_spill`]: fills `cuts` and returns the
-/// peak per-partition resident estimate.
-fn plan_spill_into(
-    r: &SetCollection,
-    s: &SetCollection,
-    max_resident_bytes: u64,
-    cuts: &mut Vec<u32>,
-    tally: &mut PartitionTally,
-) -> Option<u64> {
-    if r.is_empty() || s.is_empty() {
-        return None;
+impl Planner {
+    /// Allocation-reusing core of [`plan_spill`]: fills the routing
+    /// prefixes, cuts and tallies (not the member lists, see
+    /// [`bucket_members`]) and returns the peak per-partition estimate.
+    fn plan(
+        &mut self,
+        r: &SetCollection,
+        s: &SetCollection,
+        pred: &OverlapPredicate,
+        max_resident_bytes: u64,
+    ) -> Option<u64> {
+        if r.is_empty() || s.is_empty() {
+            return None;
+        }
+        let Self {
+            route_r,
+            route_s,
+            mass,
+            cuts,
+            tally,
+        } = self;
+        routing_prefixes(r, s, pred, &mut route_r.lens, &mut route_s.lens);
+        let (r_lens, s_lens) = (&route_r.lens[..], &route_s.lens[..]);
+        routed_mass(r, s, r_lens, s_lens, mass);
+        let max_target = MAX_PARTITIONS.min(mass.len().max(1));
+        // Best-effort fallback: the target with the smallest peak (its cuts
+        // are recomputed rather than cloned, so a warm run allocates nothing
+        // here).
+        let mut best: Option<(usize, u64)> = None;
+        let mut target = 2usize;
+        while target <= max_target {
+            balanced_cuts(mass, target, cuts);
+            if cuts.len() < 3 {
+                // The mass would not split: doubling the target cannot help.
+                break;
+            }
+            let peak = plan_peak(r, s, r_lens, s_lens, cuts, tally);
+            if peak <= max_resident_bytes {
+                return Some(peak);
+            }
+            if best.is_none_or(|(_, bp)| peak < bp) {
+                best = Some((target, peak));
+            }
+            target *= 2;
+        }
+        let (best_target, peak) = best?;
+        // The cuts and the tally must describe the *chosen* target, not the
+        // last one tried — the writer sizes its member buckets from the
+        // tally.
+        balanced_cuts(mass, best_target, cuts);
+        plan_peak(r, s, r_lens, s_lens, cuts, tally);
+        Some(peak)
     }
-    let universe = r.universe_size().max(s.universe_size());
-    let max_target = MAX_PARTITIONS.min(universe.max(1));
-    let mut best: Option<(Vec<u32>, u64)> = None;
-    let mut target = 2usize;
-    while target <= max_target {
-        balanced_cuts(r, s, target, cuts);
-        if cuts.len() < 3 {
-            // The mass would not split: doubling the target cannot help.
-            break;
-        }
-        let peak = plan_peak(r, s, cuts, tally);
-        let better = best.as_ref().is_none_or(|(_, bp)| peak < *bp);
-        if better {
-            best = Some((cuts.clone(), peak));
-        }
-        if peak <= max_resident_bytes {
-            return Some(peak);
-        }
-        target *= 2;
-    }
-    let (best_cuts, peak) = best?;
-    *cuts = best_cuts;
-    // The tally must describe the *chosen* cuts, not the last candidate
-    // tried — the writer serializes per-partition counts from it.
-    plan_peak(r, s, cuts, tally);
-    Some(peak)
 }
 
 /// Cursor over a decoded frame payload; every read is bounds-checked onto
@@ -432,9 +564,9 @@ fn owns_pair(a: &[u32], b: &[u32], local_lo: u32, local_hi: u32) -> bool {
 /// len × u64 weight_raw` — ranks and weights as separate contiguous arrays,
 /// so the reader decodes each with one bounds check and a tight conversion
 /// loop instead of per-element cursor calls. `members` is the partition's
-/// member id list (sets with at least one rank in the partition's range);
-/// their full contents are written so partition-local norms and totals stay
-/// exact.
+/// member id list (sets whose routing prefix reaches the partition's
+/// range); their full contents are written so partition-local norms and
+/// totals stay exact.
 fn encode_side(c: &SetCollection, members: &[u32], remap: &[u32], frame: &mut Vec<u8>) {
     push_u64(frame, members.len() as u64);
     for &id in members {
@@ -536,10 +668,10 @@ fn run_inner(
     limit: u64,
 ) -> SsJoinResult<Option<SsJoinStats>> {
     // Plan. An unsplittable input falls back to the resident path.
-    let Some(peak) = plan_spill_into(r, s, limit, &mut scratch.cuts, &mut scratch.tally) else {
+    let Some(peak) = scratch.planner.plan(r, s, pred, limit) else {
         return Ok(None);
     };
-    let partitions = scratch.cuts.len() - 1;
+    let partitions = scratch.planner.cuts.len() - 1;
     #[allow(clippy::field_reassign_with_default)] // phase_times is private
     let mut stats = SsJoinStats::default();
     stats.spill_partitions = partitions as u64;
@@ -559,6 +691,30 @@ fn run_inner(
     let self_join = std::ptr::eq(r, s);
     let tag = r.universe_tag();
 
+    // Membership: one pass per side buckets every routed set id by the
+    // partitions its prefix reaches, sized by the planner's tally.
+    let SpillScratch {
+        frame,
+        remap,
+        touched,
+        planner,
+        ..
+    } = &mut *scratch;
+    let Planner {
+        route_r,
+        route_s,
+        cuts,
+        tally,
+        ..
+    } = planner;
+    bucket_members(r, cuts, &tally.r_sets, route_r);
+    let route_s = if self_join {
+        &*route_r
+    } else {
+        bucket_members(s, cuts, &tally.s_sets, route_s);
+        &*route_s
+    };
+
     // Write phase: one frame per partition. The guard removes the file on
     // every exit path, including budget aborts and error propagation.
     let (guard, mut file) = TempSpillFile::create()?;
@@ -567,68 +723,54 @@ fn run_inner(
         let mut writer = BufWriter::new(&mut file);
         write_spill_header(&mut writer, partitions as u32)?;
         spill_bytes += 12;
+        remap.clear();
+        remap.resize(universe, u32::MAX);
         for p in 0..partitions {
             if !budget.proceed() {
                 drop(writer);
                 drop(guard);
                 return Ok(Some(stats));
             }
-            let (lo, hi) = (scratch.cuts[p], scratch.cuts[p + 1]);
-            // One pass per side: collect member ids and mark every rank they
-            // carry, then assign dense local ids in ascending rank order (a
-            // monotone remap). The encoder reuses the member lists, so the
-            // parent arenas are scanned once per partition, not twice.
-            scratch.remap.clear();
-            scratch.remap.resize(universe, u32::MAX);
-            let mut collect = |c: &SetCollection, members: &mut Vec<u32>| {
-                members.clear();
-                for (id, set) in c.iter().enumerate() {
-                    let ranks = set.ranks();
-                    let at = ranks.partition_point(|&t| t < lo);
-                    if at >= ranks.len() || ranks[at] >= hi {
-                        continue;
-                    }
-                    members.push(id as u32);
-                    for &t in ranks {
-                        scratch.remap[t as usize] = 0;
+            let (lo, hi) = (cuts[p], cuts[p + 1]);
+            let (members_r, members_s) = (route_r.members(p), route_s.members(p));
+            // Dense local ids in ascending global rank order (a monotone
+            // remap) over the distinct ranks the members carry.
+            touched.clear();
+            let mut mark = |c: &SetCollection, members: &[u32]| {
+                for &id in members {
+                    for &t in c.set(id).ranks() {
+                        let slot = &mut remap[t as usize];
+                        if *slot == u32::MAX {
+                            *slot = 0;
+                            touched.push(t);
+                        }
                     }
                 }
             };
-            let mut members_r = std::mem::take(&mut scratch.members_r);
-            let mut members_s = std::mem::take(&mut scratch.members_s);
-            collect(r, &mut members_r);
+            mark(r, members_r);
             if !self_join {
-                collect(s, &mut members_s);
+                mark(s, members_s);
             }
-            let (mut next, mut local_lo, mut local_hi) = (0u32, 0u32, 0u32);
-            for (t, slot) in scratch.remap.iter_mut().enumerate() {
-                if t as u32 == lo {
-                    local_lo = next;
-                }
-                if t as u32 == hi {
-                    local_hi = next;
-                }
-                if *slot == 0 {
-                    *slot = next;
-                    next += 1;
-                }
+            touched.sort_unstable();
+            for (local, &t) in touched.iter().enumerate() {
+                remap[t as usize] = local as u32;
             }
-            if hi as usize == universe {
-                local_hi = next;
-            }
-            scratch.frame.clear();
-            push_u32(&mut scratch.frame, next);
-            push_u32(&mut scratch.frame, local_lo);
-            push_u32(&mut scratch.frame, local_hi);
-            scratch.frame.push(u8::from(self_join));
-            encode_side(r, &members_r, &scratch.remap, &mut scratch.frame);
+            let local_lo = touched.partition_point(|&t| t < lo) as u32;
+            let local_hi = touched.partition_point(|&t| t < hi) as u32;
+            frame.clear();
+            push_u32(frame, touched.len() as u32);
+            push_u32(frame, local_lo);
+            push_u32(frame, local_hi);
+            frame.push(u8::from(self_join));
+            encode_side(r, members_r, remap, frame);
             if !self_join {
-                encode_side(s, &members_s, &scratch.remap, &mut scratch.frame);
+                encode_side(s, members_s, remap, frame);
             }
-            scratch.members_r = members_r;
-            scratch.members_s = members_s;
-            write_spill_frame(&mut writer, &scratch.frame)?;
-            spill_bytes += 16 + scratch.frame.len() as u64;
+            for &t in touched.iter() {
+                remap[t as usize] = u32::MAX;
+            }
+            write_spill_frame(&mut writer, frame)?;
+            spill_bytes += 16 + frame.len() as u64;
         }
         writer.flush()?;
     }
@@ -751,6 +893,10 @@ mod tests {
         b.build().unwrap().collection(h).clone()
     }
 
+    fn pred() -> OverlapPredicate {
+        OverlapPredicate::two_sided(0.7)
+    }
+
     fn corpus(n: usize, vocab: usize) -> SetCollection {
         build(
             (0..n)
@@ -767,11 +913,11 @@ mod tests {
     fn plan_splits_and_fits_generous_budget() {
         let c = corpus(200, 97);
         let est = crate::budget::estimate_memory_bytes(&c, &c);
-        let plan = plan_spill(&c, &c, est / 2).expect("splittable corpus");
+        let plan = plan_spill(&c, &c, &pred(), est / 2).expect("splittable corpus");
         assert!(plan.partitions() >= 2, "{plan:?}");
         assert!(plan.peak_resident_bytes() > 0);
         // A tighter budget never plans *fewer* partitions.
-        let tight = plan_spill(&c, &c, est / 8).expect("splittable corpus");
+        let tight = plan_spill(&c, &c, &pred(), est / 8).expect("splittable corpus");
         assert!(
             tight.partitions() >= plan.partitions(),
             "{tight:?} vs {plan:?}"
@@ -781,16 +927,16 @@ mod tests {
     #[test]
     fn plan_rejects_empty_and_degenerate_inputs() {
         let empty = build(vec![]);
-        assert!(plan_spill(&empty, &empty, 1).is_none());
+        assert!(plan_spill(&empty, &empty, &pred(), 1).is_none());
         // One distinct token: all mass on one rank, nothing to split.
         let one = build(vec![vec!["x".into()], vec!["x".into()]]);
-        assert!(plan_spill(&one, &one, 1).is_none());
+        assert!(plan_spill(&one, &one, &pred(), 1).is_none());
     }
 
     #[test]
     fn tiny_budget_caps_partitions() {
         let c = corpus(300, 113);
-        let plan = plan_spill(&c, &c, 1).expect("splittable corpus");
+        let plan = plan_spill(&c, &c, &pred(), 1).expect("splittable corpus");
         assert!(plan.partitions() <= MAX_PARTITIONS);
         assert!(plan.partitions() >= 2);
         // Best effort: the peak exceeds the absurd budget but the plan is
@@ -808,17 +954,101 @@ mod tests {
     }
 
     #[test]
-    fn tally_charges_full_length_per_intersected_partition() {
-        // Set {0, 5} under cuts [0, 3, 8]: intersects both partitions,
-        // charged its full length (2) to each.
+    fn tally_charges_full_length_per_routed_partition() {
+        // One set over ranks {0, 1} under cuts [0, 1, 2]: its full length
+        // (2) is charged to each partition its routing prefix reaches —
+        // only partition 0 for a 1-rank prefix, both for the full set,
+        // none for an empty prefix.
         let c = build(vec![vec!["a".into(), "b".into()]]);
-        // Build a synthetic cuts vector over the 2-rank universe.
         let cuts = [0u32, 1, 2];
-        let mut sets = vec![0u64; 2];
-        let mut tuples = vec![0u64; 2];
-        tally_side(&c, &cuts, &mut sets, &mut tuples);
-        assert_eq!(sets, vec![1, 1]);
-        assert_eq!(tuples, vec![2, 2]);
+        for (plen, want_sets, want_tuples) in [
+            (0usize, [0u64, 0], [0u64, 0]),
+            (1, [1, 0], [2, 0]),
+            (2, [1, 1], [2, 2]),
+        ] {
+            let mut sets = vec![0u64; 2];
+            let mut tuples = vec![0u64; 2];
+            tally_side(&c, &[plen], &cuts, &mut sets, &mut tuples);
+            assert_eq!(sets, want_sets, "prefix {plen}");
+            assert_eq!(tuples, want_tuples, "prefix {plen}");
+        }
+    }
+
+    #[test]
+    fn self_join_routes_by_the_longer_prefix() {
+        // `r_normalized` bounds the overlap by the R side's own norm only,
+        // so a set's R-role prefix and S-role prefix differ; a self-join
+        // set must route by the longer of the two.
+        let c = corpus(200, 97);
+        let pred = OverlapPredicate::r_normalized(0.6);
+        let (mut r_only, mut s_only) = (Vec::new(), Vec::new());
+        prefix_lengths_into(&c, Side::R, &pred, c.norm_range(), &mut r_only);
+        prefix_lengths_into(&c, Side::S, &pred, c.norm_range(), &mut s_only);
+        assert_ne!(r_only, s_only, "the two roles must differ here");
+        let (mut lens, mut scratch) = (Vec::new(), Vec::new());
+        routing_prefixes(&c, &c, &pred, &mut lens, &mut scratch);
+        for (i, &l) in lens.iter().enumerate() {
+            assert_eq!(l, r_only[i].max(s_only[i]), "set {i}");
+        }
+        // R ≠ S: each side keeps its own role's prefix.
+        let other = c.clone();
+        routing_prefixes(&c, &other, &pred, &mut lens, &mut scratch);
+        assert_eq!(lens, r_only);
+        assert_eq!(scratch, s_only);
+    }
+
+    #[test]
+    fn planner_tallies_equal_writer_member_lists() {
+        let c = corpus(300, 113);
+        let other = corpus(180, 113);
+        let est = crate::budget::estimate_memory_bytes(&c, &c);
+        for pred in [
+            OverlapPredicate::two_sided(0.7),
+            OverlapPredicate::r_normalized(0.6),
+            OverlapPredicate::absolute(2.0),
+        ] {
+            for (r, s) in [(&c, &c), (&c, &other)] {
+                let mut planner = Planner::default();
+                planner
+                    .plan(r, s, &pred, est / 8)
+                    .expect("splittable corpus");
+                let Planner {
+                    route_r,
+                    route_s,
+                    cuts,
+                    tally,
+                    ..
+                } = &mut planner;
+                let partitions = cuts.len() - 1;
+                assert!(partitions >= 2, "{pred:?}");
+                // As the writer does: a self-join serializes one side.
+                bucket_members(r, cuts, &tally.r_sets, route_r);
+                let mut sides = vec![(r, &*route_r, &tally.r_sets, &tally.r_tuples)];
+                if !std::ptr::eq(r, s) {
+                    bucket_members(s, cuts, &tally.s_sets, route_s);
+                    sides.push((s, &*route_s, &tally.s_sets, &tally.s_tuples));
+                }
+                for (c, route, sets, tuples) in sides {
+                    for p in 0..partitions {
+                        let members = route.members(p);
+                        assert_eq!(members.len() as u64, sets[p], "{pred:?} p{p}");
+                        let len: u64 = members.iter().map(|&id| c.set(id).len() as u64).sum();
+                        assert_eq!(len, tuples[p], "{pred:?} p{p}");
+                        assert!(members.windows(2).all(|w| w[0] < w[1]), "{pred:?} p{p}");
+                        // Exactly the sets whose routing prefix holds a rank
+                        // of the partition's range.
+                        let (lo, hi) = (cuts[p], cuts[p + 1]);
+                        let want: Vec<u32> = (0..c.len() as u32)
+                            .filter(|&id| {
+                                let prefix = &c.set(id).ranks()[..route.lens[id as usize]];
+                                prefix.iter().any(|&t| t >= lo && t < hi)
+                            })
+                            .collect();
+                        assert_eq!(members, want.as_slice(), "{pred:?} p{p}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Out-of-core acceptance suite: a join run with
 //! [`ExecBudget::max_resident_bytes`] set below the memory estimate must
 //! complete via token-range spill with output **bit-identical** to the
-//! unbudgeted in-memory run — across partition counts (driven by the
-//! budget), executors, bitmap filter settings, and thread counts — and
+//! unbudgeted in-memory run — across predicates, self- and two-relation
+//! joins, partition counts (driven by the budget), executors, bitmap filter
+//! settings, and thread counts — and
 //! budget interruptions (deadline, cancel) mid-spill must abort with the
 //! typed `BudgetExceeded` error, never a stray temp file.
 
@@ -57,12 +58,16 @@ fn keyed(pairs: &[JoinPair]) -> Vec<(u32, u32, u64)> {
 /// Budgets that force progressively more partitions, derived from the
 /// spill planner itself so each really does plan a distinct partition
 /// count where the corpus allows it.
-fn partition_forcing_budgets(c: &SetCollection) -> Vec<(usize, u64)> {
-    let est = estimate_memory_bytes(c, c);
+fn partition_forcing_budgets(
+    r: &SetCollection,
+    s: &SetCollection,
+    pred: &OverlapPredicate,
+) -> Vec<(usize, u64)> {
+    let est = estimate_memory_bytes(r, s);
     let mut out = Vec::new();
     for div in [2u64, 4, 8, 32] {
         let budget = (est / div).max(1);
-        if let Some(plan) = plan_spill(c, c, budget) {
+        if let Some(plan) = plan_spill(r, s, pred, budget) {
             out.push((plan.partitions(), budget));
         }
     }
@@ -70,54 +75,103 @@ fn partition_forcing_budgets(c: &SetCollection) -> Vec<(usize, u64)> {
     out
 }
 
+/// Two relations over one element universe, from the same generator as
+/// [`corpus`]; every third S group is an R group with its last token
+/// replaced, so the join has near-duplicate pairs at every predicate.
+fn corpus_pair(
+    seed: u64,
+    r_groups: usize,
+    s_groups: usize,
+    vocab: u32,
+) -> (SetCollection, SetCollection) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let group = |rng: &mut StdRng| -> Vec<String> {
+        let len = rng.gen_range(3usize..9);
+        (0..len)
+            .map(|_| format!("t{}", rng.gen_range(0u32..vocab)))
+            .collect()
+    };
+    let rg: Vec<Vec<String>> = (0..r_groups).map(|_| group(&mut rng)).collect();
+    let sg: Vec<Vec<String>> = (0..s_groups)
+        .map(|i| match rg.get(i / 3).filter(|_| i % 3 == 0) {
+            Some(src) => {
+                let mut near = src.clone();
+                if let Some(last) = near.last_mut() {
+                    *last = format!("t{}", rng.gen_range(0u32..vocab));
+                }
+                near
+            }
+            None => group(&mut rng),
+        })
+        .collect();
+    let mut b = SsJoinInputBuilder::new(WeightScheme::Idf, ElementOrder::FrequencyAsc);
+    let (rh, sh) = (b.add_relation(rg), b.add_relation(sg));
+    let built = b.build().unwrap();
+    (built.collection(rh).clone(), built.collection(sh).clone())
+}
+
 /// The tentpole property: spilled ≡ resident, bit for bit, across
-/// partition counts × executors × bitmap filter × threads.
+/// predicates × join shapes × partition counts × executors × bitmap filter
+/// × threads. Sets are routed by their prefix, so every predicate shape
+/// matters: the R-normalized and S-normalized predicates give a set
+/// different prefixes in its R and S roles (a self-join must route by the
+/// longer), and an absolute overlap bound ignores norms entirely.
 #[test]
 fn spilled_output_bit_identical_to_resident() {
     let _guard = SPILL_DIR.lock().unwrap();
     let c = corpus(0x59111, 260, 151);
-    let pred = OverlapPredicate::two_sided(0.7);
-    let budgets = partition_forcing_budgets(&c);
-    assert!(
-        budgets.len() >= 2,
-        "corpus too small to exercise multiple partition counts: {budgets:?}"
-    );
-    for alg in [
-        Algorithm::Basic,
-        Algorithm::PrefixFiltered,
-        Algorithm::Inline,
-        Algorithm::PositionalInline,
-        Algorithm::Auto,
+    let (r, s) = corpus_pair(0x5911a, 180, 240, 151);
+    for pred in [
+        OverlapPredicate::two_sided(0.7),
+        OverlapPredicate::r_normalized(0.6),
+        OverlapPredicate::s_normalized(0.6),
+        OverlapPredicate::absolute(2.0),
     ] {
-        for threads in [1usize, 3] {
-            for filter in [false, true] {
-                let cfg = SsJoinConfig::new(alg).with_exec(
-                    ExecContext::new()
-                        .with_threads(threads)
-                        .with_bitmap_filter(filter),
-                );
-                let base = ssjoin(&c, &c, &pred, &cfg).unwrap();
-                assert_eq!(base.stats.spill_partitions, 0, "unbudgeted run spilled");
-                for &(partitions, budget) in &budgets {
-                    let bcfg = cfg.clone().with_exec(
-                        cfg.exec
-                            .clone()
-                            .with_budget(ExecBudget::new().with_max_resident_bytes(budget)),
-                    );
-                    let out = ssjoin(&c, &c, &pred, &bcfg).unwrap();
-                    assert_eq!(
-                        keyed(&base.pairs),
-                        keyed(&out.pairs),
-                        "alg {alg:?} threads {threads} filter {filter} \
-                         partitions {partitions}: spilled output diverged"
-                    );
-                    assert_eq!(
-                        out.stats.spill_partitions, partitions as u64,
-                        "alg {alg:?} budget {budget}: unexpected partition count"
-                    );
-                    assert!(out.stats.spill_bytes > 0, "spilled run wrote no frames");
-                    assert!(out.stats.spill_peak_resident_bytes > 0);
-                    assert_eq!(out.algorithm_used, alg.resolve(), "alg {alg:?}");
+        for (what, r, s) in [("self-join", &c, &c), ("R != S", &r, &s)] {
+            let budgets = partition_forcing_budgets(r, s, &pred);
+            assert!(
+                budgets.len() >= 2,
+                "{what} {pred:?}: too few partition counts: {budgets:?}"
+            );
+            for alg in [
+                Algorithm::Basic,
+                Algorithm::PrefixFiltered,
+                Algorithm::Inline,
+                Algorithm::PositionalInline,
+                Algorithm::Auto,
+            ] {
+                for threads in [1usize, 3] {
+                    for filter in [false, true] {
+                        let cfg = SsJoinConfig::new(alg).with_exec(
+                            ExecContext::new()
+                                .with_threads(threads)
+                                .with_bitmap_filter(filter),
+                        );
+                        let base = ssjoin(r, s, &pred, &cfg).unwrap();
+                        assert_eq!(base.stats.spill_partitions, 0, "unbudgeted run spilled");
+                        assert!(!base.pairs.is_empty(), "{what} {pred:?}: no pairs to lose");
+                        for &(partitions, budget) in &budgets {
+                            let bcfg =
+                                cfg.clone().with_exec(cfg.exec.clone().with_budget(
+                                    ExecBudget::new().with_max_resident_bytes(budget),
+                                ));
+                            let out = ssjoin(r, s, &pred, &bcfg).unwrap();
+                            assert_eq!(
+                                keyed(&base.pairs),
+                                keyed(&out.pairs),
+                                "{what} {pred:?} alg {alg:?} threads {threads} filter {filter} \
+                                 partitions {partitions}: spilled output diverged"
+                            );
+                            assert_eq!(
+                                out.stats.spill_partitions, partitions as u64,
+                                "{what} {pred:?} alg {alg:?} budget {budget}: \
+                                 ran a different plan than planned"
+                            );
+                            assert!(out.stats.spill_bytes > 0, "spilled run wrote no frames");
+                            assert!(out.stats.spill_peak_resident_bytes > 0);
+                            assert_eq!(out.algorithm_used, alg.resolve(), "alg {alg:?}");
+                        }
+                    }
                 }
             }
         }
@@ -244,7 +298,7 @@ fn memory_cap_prices_the_partition_peak_when_spilling() {
     let pred = OverlapPredicate::two_sided(0.7);
     let est = estimate_memory_bytes(&c, &c);
     let resident_budget = est / 4;
-    let plan = plan_spill(&c, &c, resident_budget).expect("splittable corpus");
+    let plan = plan_spill(&c, &c, &pred, resident_budget).expect("splittable corpus");
     let peak = plan.peak_resident_bytes();
     assert!(peak < est, "partitioning should shrink the resident peak");
     // Cap between peak and full estimate: resident would be rejected, the

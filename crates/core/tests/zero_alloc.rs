@@ -3,18 +3,29 @@
 //! allocations. A counting global allocator wraps [`System`] and a flag
 //! turns the counter on only around the measured call.
 //!
+//! A warm *spilled* probe is not allocation-free: each run opens a fresh
+//! temp spill file (its path is formatted) and wraps it in a `BufWriter`
+//! and a `BufReader`. What it does promise is a **constant** count — every
+//! partition buffer is pooled, so the count does not grow with the corpus
+//! or the partition count.
+//!
 //! This lives in its own integration-test crate because the library forbids
-//! `unsafe` (a `GlobalAlloc` impl requires it) and because the counter is
-//! process-global: the file contains exactly one `#[test]` so no concurrent
-//! test can pollute the count.
+//! `unsafe` (a `GlobalAlloc` impl requires it). The counter is
+//! process-global, so every test here holds [`SERIAL`] for its whole run
+//! and no concurrent test can pollute another's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use ssjoin_core::{
-    ssjoin_with, Algorithm, CorpusIndex, ElementOrder, ExecContext, JoinWorkspace,
-    OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder, WeightScheme,
+    estimate_memory_bytes, ssjoin_with, Algorithm, CorpusIndex, ElementOrder, ExecBudget,
+    ExecContext, JoinWorkspace, OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder,
+    WeightScheme,
 };
+
+/// Held by every test for its whole run: the allocation counter is global.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
@@ -68,6 +79,7 @@ fn build_self(groups: Vec<Vec<String>>) -> SetCollection {
 
 #[test]
 fn warm_workspace_runs_allocation_free() {
+    let _serial = SERIAL.lock().unwrap();
     // A moderately collision-heavy self-join so every executor does real
     // work (posting lists, candidates, verifications, output pairs).
     let groups: Vec<Vec<String>> = (0..120)
@@ -142,4 +154,54 @@ fn warm_workspace_runs_allocation_free() {
             assert_eq!(got, expect, "alg {algorithm:?} pred {pred:?}");
         }
     }
+}
+
+/// A warm spilled probe through [`CorpusIndex`] allocates a fixed number of
+/// times — the spill file's path and its two I/O buffers — however large
+/// the corpus and however many partitions the budget forces.
+#[test]
+fn warm_spilled_probe_allocates_a_constant_count() {
+    let _serial = SERIAL.lock().unwrap();
+    let pred = OverlapPredicate::two_sided(0.6);
+    let mut counts = Vec::new();
+    for n in [150usize, 600, 2400] {
+        let groups: Vec<Vec<String>> = (0..n)
+            .map(|i| {
+                (0..(3 + i % 5))
+                    .map(|j| format!("t{}", (i * 7 + j * 13) % (n / 3)))
+                    .collect()
+            })
+            .collect();
+        let c = build_self(groups);
+        let est = estimate_memory_bytes(&c, &c);
+        let config = SsJoinConfig::new(Algorithm::Inline).with_exec(
+            ExecContext::new()
+                .with_threads(1)
+                .with_budget(ExecBudget::new().with_max_resident_bytes(est / 8)),
+        );
+        let index = CorpusIndex::build(c.clone(), pred.clone()).unwrap();
+        let mut ws = JoinWorkspace::new();
+        let cold = index.probe(&c, &config, &mut ws).unwrap();
+        let (expect, partitions) = (cold.pairs.len(), cold.stats.spill_partitions);
+        assert!(partitions >= 2, "n {n}: the probe did not spill");
+        let mut got = usize::MAX;
+        let allocs = count_allocs(|| {
+            got = index.probe(&c, &config, &mut ws).unwrap().pairs.len();
+        });
+        assert_eq!(got, expect, "n {n}");
+        counts.push((n, partitions, allocs));
+    }
+    let first = counts[0].2;
+    assert!(
+        counts.iter().all(|&(_, _, a)| a == first),
+        "warm spilled probe allocations grew with the corpus: {counts:?}"
+    );
+    assert!(
+        first <= 8,
+        "warm spilled probe allocated more than its file setup: {counts:?}"
+    );
+    assert!(
+        counts.windows(2).any(|w| w[0].1 != w[1].1),
+        "the corpora must force different partition counts: {counts:?}"
+    );
 }

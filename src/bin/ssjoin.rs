@@ -55,7 +55,10 @@
 //! `join --algorithm auto` and `join --approx` runs print the configuration
 //! that ran to stderr as `plan: <algorithm>/<bitmap|off>/<threads>t`,
 //! followed by ` spill=<partitions>p` for an out-of-core run and
-//! ` approx=<recall>` for an approximate one.
+//! ` approx=<recall>` for an approximate one. A spilled join whose heaviest
+//! partition cannot fit `--memory-budget` (the planner runs its best effort
+//! rather than failing) prints the line whatever its algorithm, with
+//! ` over-budget peak=<bytes> budget=<bytes>` after the partition count.
 
 use ssjoin::core::{Algorithm, ApproxSpec, ExecContext, SsJoinStats};
 use ssjoin::datagen::{read_tsv, write_tsv, AddressCorpus, AddressCorpusConfig};
@@ -348,14 +351,30 @@ fn topk_config(k: usize, min_sim: f64) -> Result<TopKConfig, String> {
     TopKConfig::new(k, min_sim).map_err(|e| format!("{option}: {e}"))
 }
 
+/// True when a spilled run's heaviest partition was planned above the
+/// resident budget (the planner's best effort could not fit it).
+fn over_budget(exec: &ExecContext, stats: &SsJoinStats) -> bool {
+    exec.budget
+        .max_resident_bytes
+        .is_some_and(|budget| stats.spill_peak_resident_bytes > budget)
+}
+
 /// The `plan:` line of a join: the executor that ran, the filter and
 /// effective worker count it ran with, its spill partitions (if it ran out
-/// of core) and its recall target (if approximate).
+/// of core, with its peak and budget when the peak missed the budget) and
+/// its recall target (if approximate).
 fn plan_line(algorithm: Algorithm, exec: &ExecContext, stats: &SsJoinStats) -> String {
     let filter = if exec.bitmap_filter { "bitmap" } else { "off" };
     let mut line = format!("{algorithm:?}/{filter}/{}t", stats.effective_threads);
     if stats.spill_partitions > 0 {
         line.push_str(&format!(" spill={}p", stats.spill_partitions));
+    }
+    if over_budget(exec, stats) {
+        line.push_str(&format!(
+            " over-budget peak={} budget={}",
+            stats.spill_peak_resident_bytes,
+            exec.budget.max_resident_bytes.unwrap_or(0)
+        ));
     }
     if let Some(spec) = exec.approx.filter(ApproxSpec::is_active) {
         line.push_str(&format!(" approx={:.2}", spec.target_recall));
@@ -525,9 +544,12 @@ fn execute(cmd: Command) -> Result<(), String> {
             };
             let exec = join_exec(memory_budget, approx);
             let output = run_join(kind, threshold, algorithm, exec.clone(), &r, &s)?;
-            // The configuration an auto or approximate run used goes to
-            // stderr so piped TSV output stays clean.
-            if algorithm == Algorithm::Auto || exec.approx.is_some_and(|a| a.is_active()) {
+            // The configuration an auto, approximate or over-budget run used
+            // goes to stderr so piped TSV output stays clean.
+            if algorithm == Algorithm::Auto
+                || exec.approx.is_some_and(|a| a.is_active())
+                || over_budget(&exec, &output.stats)
+            {
                 eprintln!(
                     "plan: {}",
                     plan_line(output.algorithm_used, &exec, &output.stats)
@@ -801,6 +823,51 @@ mod tests {
         assert_eq!(exec.threads, cores);
         assert_eq!(exec.budget.max_resident_bytes, Some(64 << 10));
         assert!(exec.approx.is_some());
+    }
+
+    /// A budget the planner cannot meet still runs (best effort, same
+    /// rows) but says so on the plan line; a met budget adds no marker.
+    #[test]
+    fn plan_line_marks_a_missed_budget() {
+        let rows: Vec<String> = (0..300)
+            .map(|i| format!("customer {} record {} main street", i % 40, i % 23))
+            .collect();
+        let resident = run_join(
+            JoinKind::Jaccard,
+            0.8,
+            Algorithm::Inline,
+            join_exec(None, None),
+            &rows,
+            &rows,
+        )
+        .unwrap();
+        let exec = join_exec(Some(1), None);
+        let out = run_join(
+            JoinKind::Jaccard,
+            0.8,
+            Algorithm::Inline,
+            exec.clone(),
+            &rows,
+            &rows,
+        )
+        .unwrap();
+        assert_eq!(out.pairs, resident.pairs, "the best-effort run lost pairs");
+        let (partitions, peak) = (
+            out.stats.spill_partitions,
+            out.stats.spill_peak_resident_bytes,
+        );
+        assert!(partitions >= 2 && peak > 1, "{:?}", out.stats);
+        let line = plan_line(out.algorithm_used, &exec, &out.stats);
+        assert!(
+            line.ends_with(&format!(
+                " spill={partitions}p over-budget peak={peak} budget=1"
+            )),
+            "{line}"
+        );
+        // The same run under a budget equal to its peak met the budget.
+        let met = join_exec(Some(peak), None);
+        assert!(!over_budget(&met, &out.stats));
+        assert!(!plan_line(out.algorithm_used, &met, &out.stats).contains("over-budget"));
     }
 
     #[test]

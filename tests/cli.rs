@@ -115,8 +115,9 @@ fn gen_join_match_roundtrip() {
 
 /// `join --algorithm auto` and `join --approx` print the configuration that
 /// ran on stderr — `Auto` is `Inline` on the CLI's context (every core, the
-/// bitmap filter on) — while a plain `--algorithm inline` join prints none.
-/// Auto's output is byte-identical to inline's.
+/// bitmap filter on) — while a plain `--algorithm inline` join prints none
+/// unless its spill plan missed `--memory-budget`. Auto's output is
+/// byte-identical to inline's.
 #[test]
 fn join_plan_line_reports_what_ran() {
     let dir = temp_dir("plan_line");
@@ -151,7 +152,8 @@ fn join_plan_line_reports_what_ran() {
     assert_eq!(auto_rows, inline_rows, "auto must print inline's rows");
     assert_eq!(auto_err, format!("plan: Inline/bitmap/{threads}t\n"));
 
-    let (spilled_rows, spilled_err) = join(&["--algorithm", "auto", "--memory-budget", "1k"]);
+    // A budget the planner meets: the spill partitions, no marker.
+    let (spilled_rows, spilled_err) = join(&["--algorithm", "auto", "--memory-budget", "16k"]);
     assert_eq!(
         spilled_rows, inline_rows,
         "a spilled join prints the same rows"
@@ -162,6 +164,21 @@ fn join_plan_line_reports_what_ran() {
         .and_then(|p| p.parse().ok())
         .unwrap_or_else(|| panic!("unexpected plan line {spilled_err:?}"));
     assert!(partitions >= 2, "{spilled_err:?}");
+
+    // A budget no partition count can meet: the best-effort run prints the
+    // same rows, and the plan line — printed for any algorithm — names the
+    // peak it ran at against the budget.
+    for algorithm in ["auto", "inline"] {
+        let (rows, err) = join(&["--algorithm", algorithm, "--memory-budget", "1k"]);
+        assert_eq!(rows, inline_rows, "{algorithm}: over-budget rows differ");
+        let (partitions, peak) = err
+            .strip_prefix(&format!("plan: Inline/bitmap/{threads}t spill="))
+            .and_then(|rest| rest.strip_suffix(" budget=1024\n"))
+            .and_then(|rest| rest.split_once("p over-budget peak="))
+            .and_then(|(p, peak)| Some((p.parse::<u64>().ok()?, peak.parse::<u64>().ok()?)))
+            .unwrap_or_else(|| panic!("unexpected plan line {err:?}"));
+        assert!(partitions >= 2 && peak > 1024, "{err:?}");
+    }
 
     let (_, approx_err) = join(&["--approx", "0.9"]);
     assert_eq!(
