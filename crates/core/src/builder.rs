@@ -636,6 +636,62 @@ mod tests {
         assert!(matches!(err, SsJoinError::InvalidInput(_)), "{err:?}");
     }
 
+    /// A self-join built as one relation equals the two-copy build bit for
+    /// bit: doubling every group count leaves `N / f` exact (so IDF weights
+    /// and norms) and keeps the `(freq, first-seen id)` order.
+    #[test]
+    fn one_relation_builds_like_two_copies() {
+        let g = vec![
+            toks(&["main", "st", "100", "seattle"]),
+            toks(&["main", "street", "100", "seattle"]),
+            toks(&["oak", "ave", "oak", "7"]),
+            toks(&["main", "st"]),
+            vec![],
+            toks(&["zyx", "ave", "seattle", "wa", "wa"]),
+        ];
+        for scheme in [
+            WeightScheme::Idf,
+            WeightScheme::IdfSquared,
+            WeightScheme::Unweighted,
+        ] {
+            for norm in [NormKind::TotalWeight, NormKind::SqrtTotalWeight] {
+                let mut one = SsJoinInputBuilder::new(scheme, ElementOrder::FrequencyAsc);
+                let h = one.add_relation_with_norm(g.clone(), norm.clone());
+                let one = one.build().unwrap();
+                let mut two = SsJoinInputBuilder::new(scheme, ElementOrder::FrequencyAsc);
+                let hr = two.add_relation_with_norm(g.clone(), norm.clone());
+                let hs = two.add_relation_with_norm(g.clone(), norm.clone());
+                let two = two.build().unwrap();
+                assert_eq!(one.universe_size(), two.universe_size());
+                for rank in 0..one.universe_size() as u32 {
+                    assert_eq!(
+                        one.element(rank),
+                        two.element(rank),
+                        "{scheme:?} rank {rank}"
+                    );
+                    assert_eq!(
+                        one.element_weight(rank).raw(),
+                        two.element_weight(rank).raw(),
+                        "{scheme:?} rank {rank}"
+                    );
+                }
+                for other in [hr, hs] {
+                    let (a, b) = (one.collection(h), two.collection(other));
+                    assert_eq!(a.len(), b.len());
+                    for (x, y) in a.iter().zip(b.iter()) {
+                        assert_eq!(x.ranks(), y.ranks(), "{scheme:?} {norm:?}");
+                        assert_eq!(x.weights(), y.weights(), "{scheme:?} {norm:?}");
+                        assert_eq!(
+                            x.norm().to_bits(),
+                            y.norm().to_bits(),
+                            "{scheme:?} {norm:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn distinct_builds_have_distinct_tags() {
         let build = || {

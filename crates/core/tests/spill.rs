@@ -234,6 +234,44 @@ fn asymmetric_spilled_join_matches_resident() {
     assert!(spill_files_for_this_process().is_empty());
 }
 
+/// A self-join handed the same collection twice — `ssjoin(&c, &c, ..)`, as
+/// every packaged join runs a same-slice call — serializes one side per
+/// partition frame: the same pairs as the two-copy join `ssjoin(&c,
+/// &c.clone(), ..)` under the same budget, with fewer spill bytes.
+#[test]
+fn same_collection_self_join_spills_one_side() {
+    let _guard = SPILL_DIR.lock().unwrap();
+    let c = corpus(0x59114, 400, 151);
+    let copy = c.clone();
+    let est = estimate_memory_bytes(&c, &c);
+    for pred in [
+        OverlapPredicate::two_sided(0.7),
+        OverlapPredicate::r_normalized(0.6),
+    ] {
+        for div in [4u64, 8] {
+            let cfg = SsJoinConfig::default().with_exec(
+                ExecContext::new()
+                    .with_budget(ExecBudget::new().with_max_resident_bytes(est / div)),
+            );
+            let one = ssjoin(&c, &c, &pred, &cfg).unwrap();
+            let two = ssjoin(&c, &copy, &pred, &cfg).unwrap();
+            assert!(!one.pairs.is_empty(), "{pred:?}: no pairs to compare");
+            assert_eq!(keyed(&one.pairs), keyed(&two.pairs), "{pred:?} div {div}");
+            assert!(
+                one.stats.spill_partitions >= 2 && two.stats.spill_partitions >= 2,
+                "{pred:?} div {div} did not spill"
+            );
+            assert!(
+                one.stats.spill_bytes < two.stats.spill_bytes,
+                "{pred:?} div {div}: one side spilled {} bytes, two copies {}",
+                one.stats.spill_bytes,
+                two.stats.spill_bytes
+            );
+        }
+    }
+    assert!(spill_files_for_this_process().is_empty());
+}
+
 /// Deadline already passed: the spilled run aborts with the typed error
 /// before or during partition work, and the guard removes the temp file.
 #[test]

@@ -1,24 +1,33 @@
 //! Minimal TSV persistence for generated corpora.
 //!
 //! Implemented in-repo (no external CSV dependency): tab-separated columns,
-//! one record per line, with `\t`, `\n`, and `\\` escaped.
+//! one record per line, with `\t`, `\n`, `\r` and `\\` escaped by one
+//! allocation-free field writer ([`write_field`]).
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-fn escape(field: &str) -> String {
-    let mut out = String::with_capacity(field.len());
-    for c in field.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
+/// Write `field` to `w` with `\\`, `\t`, `\n` and `\r` escaped, without
+/// allocating: runs of plain bytes go out as slices of `field`. Every escaped
+/// character is ASCII, so a run never splits a multi-byte UTF-8 sequence.
+/// [`read_tsv`] reverses it.
+pub fn write_field<W: Write>(w: &mut W, field: &str) -> io::Result<()> {
+    let bytes = field.as_bytes();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escaped: &[u8] = match b {
+            b'\\' => b"\\\\",
+            b'\t' => b"\\t",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            _ => continue,
+        };
+        w.write_all(&bytes[start..i])?;
+        w.write_all(escaped)?;
+        start = i + 1;
     }
-    out
+    w.write_all(&bytes[start..])
 }
 
 fn unescape(field: &str) -> String {
@@ -44,12 +53,18 @@ fn unescape(field: &str) -> String {
     out
 }
 
-/// Write rows of string fields as TSV.
+/// Write rows of string fields as TSV: fields escaped by [`write_field`],
+/// separated by tabs, one row per line.
 pub fn write_tsv<P: AsRef<Path>>(path: P, rows: &[Vec<String>]) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     for row in rows {
-        let line: Vec<String> = row.iter().map(|f| escape(f)).collect();
-        writeln!(w, "{}", line.join("\t"))?;
+        for (i, field) in row.iter().enumerate() {
+            if i > 0 {
+                w.write_all(b"\t")?;
+            }
+            write_field(&mut w, field)?;
+        }
+        w.write_all(b"\n")?;
     }
     w.flush()
 }
@@ -85,11 +100,48 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    fn escaped(field: &str) -> String {
+        let mut out = Vec::new();
+        write_field(&mut out, field).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn escape_unescape_inverse() {
         for s in ["", "abc", "a\tb", "a\nb", "a\\b", "\\t", "mixed\t\n\\all"] {
-            assert_eq!(unescape(&escape(s)), s, "{s:?}");
+            assert_eq!(unescape(&escaped(s)), s, "{s:?}");
         }
+        assert_eq!(escaped("a\tb\\c\r\nd"), "a\\tb\\\\c\\r\\nd");
+    }
+
+    #[test]
+    fn streamed_rows_round_trip_and_equal_write_tsv() {
+        let dir = std::env::temp_dir().join("ssjoin_tsv_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (streamed, batch) = (dir.join("streamed.tsv"), dir.join("batch.tsv"));
+        let rows = vec![
+            vec!["back\\slash".to_string(), "tab\there".to_string()],
+            vec!["new\nline".to_string(), "carriage\rreturn".to_string()],
+            vec!["café ü 東京 🦀".to_string(), "\\t\t\\n\n\\\\".to_string()],
+            vec!["".to_string(), "".to_string()],
+        ];
+        let mut w = BufWriter::new(File::create(&streamed).unwrap());
+        for row in &rows {
+            write_field(&mut w, &row[0]).unwrap();
+            w.write_all(b"\t").unwrap();
+            write_field(&mut w, &row[1]).unwrap();
+            w.write_all(b"\n").unwrap();
+        }
+        w.flush().unwrap();
+        drop(w);
+        write_tsv(&batch, &rows).unwrap();
+        assert_eq!(read_tsv(&streamed).unwrap(), rows);
+        assert_eq!(
+            std::fs::read(&streamed).unwrap(),
+            std::fs::read(&batch).unwrap()
+        );
+        std::fs::remove_file(&streamed).ok();
+        std::fs::remove_file(&batch).ok();
     }
 
     #[test]

@@ -72,6 +72,13 @@ pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// the predicate reads.
 pub(crate) type Relation = (Vec<Vec<String>>, NormKind);
 
+/// `f` of the R side, and of the S side unless it is the same slice as R
+/// (`None`: a self-join, which [`run_join`] builds as one relation). The
+/// identity test is the one `core::spill` and `core::approx` use.
+pub(crate) fn sides<T, U>(r: &[T], s: &[T], f: impl Fn(&[T]) -> U) -> (U, Option<U>) {
+    (f(r), (!std::ptr::eq(r, s)).then(|| f(s)))
+}
+
 /// The pairs a join's verification kept, and how many times it called its
 /// similarity function (the output's `udf_verifications`).
 pub(crate) type Verified = (Vec<MatchPair>, u64);
@@ -154,26 +161,34 @@ pub(crate) struct JoinSpec<'a> {
 }
 
 /// Figure 2 of the paper, shared by every packaged join: check the
-/// thresholds, build both relations from `prep` (timed as
-/// [`Phase::Prep`]), run SSJoin, verify the candidates with the join's UDF
-/// (timed as [`Phase::Filter`]), and assemble the `(r, s)`-sorted output.
+/// thresholds, build the relations from `prep` (timed as [`Phase::Prep`]),
+/// run SSJoin, verify the candidates with the join's UDF (timed as
+/// [`Phase::Filter`]), and assemble the `(r, s)`-sorted output.
+///
+/// `prep` returns the R relation and, unless the join is a self-join, the S
+/// relation. A self-join (`None`) is built as one relation and joined with
+/// itself — `ssjoin(c, c)` — so its rows are tokenized, interned and spilled
+/// once. The output equals the two-relation build's bit for bit: doubling
+/// every group count leaves `N / f` (hence IDF weights and norms) and the
+/// frequency order unchanged.
 pub(crate) fn run_join(
     spec: JoinSpec<'_>,
-    prep: impl FnOnce() -> SsJoinResult<[Relation; 2]>,
+    prep: impl FnOnce() -> SsJoinResult<(Relation, Option<Relation>)>,
     verify: impl FnOnce(&[JoinPair], &SetCollection, &SetCollection) -> Verified,
 ) -> SsJoinResult<SimilarityJoinOutput> {
     for &(name, value) in spec.thresholds {
         check_threshold(name, value)?;
     }
     let (built, prep_time) = timed(|| {
-        let [(r_groups, r_norm), (s_groups, s_norm)] = prep()?;
+        let ((r_groups, r_norm), s) = prep()?;
         let mut builder = SsJoinInputBuilder::new(spec.weights, spec.order);
         let rh = builder.add_relation_with_norm(r_groups, r_norm);
-        let sh = builder.add_relation_with_norm(s_groups, s_norm);
+        let sh = s.map(|(s_groups, s_norm)| builder.add_relation_with_norm(s_groups, s_norm));
         builder.build().map(|built| (built, rh, sh))
     });
     let (built, rh, sh) = built?;
-    let (r_col, s_col) = (built.collection(rh), built.collection(sh));
+    let r_col = built.collection(rh);
+    let s_col = sh.map_or(r_col, |sh| built.collection(sh));
     let out = ssjoin(r_col, s_col, &spec.predicate, &spec.config)?;
     let mut stats = out.stats;
     stats.add_time(Phase::Prep, prep_time);

@@ -17,7 +17,7 @@
 //! element, which matches treating repeated tokens as set members with
 //! occurrence tags rather than term frequencies.
 
-use crate::common::{run_join, JoinSpec, MatchPair, SimilarityJoinOutput};
+use crate::common::{run_join, sides, JoinSpec, MatchPair, SimilarityJoinOutput};
 use ssjoin_core::{
     Algorithm, ElementOrder, ExecContext, JoinPair, NormExpr, NormKind, OverlapPredicate,
     SetCollection, SsJoinConfig, SsJoinResult, WeightScheme,
@@ -68,6 +68,16 @@ pub fn cosine_join_tokens(
     s_groups: Vec<Vec<String>>,
     config: &CosineConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
+    cosine_join_groups(r_groups, Some(s_groups), config)
+}
+
+/// [`cosine_join_tokens`] with the S side optional: `None` self-joins the R
+/// groups as one relation.
+fn cosine_join_groups(
+    r_groups: Vec<Vec<String>>,
+    s_groups: Option<Vec<Vec<String>>>,
+    config: &CosineConfig,
+) -> SsJoinResult<SimilarityJoinOutput> {
     let spec = JoinSpec {
         thresholds: &[("threshold", config.threshold)],
         weights: WeightScheme::IdfSquared,
@@ -85,12 +95,8 @@ pub fn cosine_join_tokens(
             exec: config.exec.clone(),
         },
     };
-    let prep = || {
-        Ok([
-            (r_groups, NormKind::SqrtTotalWeight),
-            (s_groups, NormKind::SqrtTotalWeight),
-        ])
-    };
+    let relation = |groups| (groups, NormKind::SqrtTotalWeight);
+    let prep = || Ok((relation(r_groups), s_groups.map(relation)));
     // The predicate is exact: every candidate qualifies, so scoring is all
     // the filter does (no UDF call).
     let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
@@ -115,7 +121,8 @@ pub fn cosine_join_tokens(
     run_join(spec, prep, verify)
 }
 
-/// Cosine join over strings, tokenized into lowercased words.
+/// Cosine join over strings, tokenized into lowercased words. Pass the same
+/// slice twice for a self-join: it is tokenized and built once.
 ///
 /// ```
 /// use ssjoin_joins::{cosine_join, CosineConfig};
@@ -133,9 +140,8 @@ pub fn cosine_join(
     config: &CosineConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
     let tok = WordTokenizer::new().lowercased();
-    let r_groups = r.iter().map(|x| tok.tokenize(x)).collect();
-    let s_groups = s.iter().map(|x| tok.tokenize(x)).collect();
-    cosine_join_tokens(r_groups, s_groups, config)
+    let (r_groups, s_groups) = sides(r, s, |xs| xs.iter().map(|x| tok.tokenize(x)).collect());
+    cosine_join_groups(r_groups, s_groups, config)
 }
 
 #[cfg(test)]

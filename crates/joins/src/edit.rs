@@ -21,7 +21,7 @@
 //! brute-force check, so the join is correct for every input.
 
 use crate::common::{
-    run_join, verify_candidates, verify_uncovered, JoinSpec, SimilarityJoinOutput,
+    run_join, sides, verify_candidates, verify_uncovered, JoinSpec, SimilarityJoinOutput,
 };
 use ssjoin_core::{
     Algorithm, ElementOrder, ExecContext, JoinPair, NormExpr, NormKind, OverlapPredicate,
@@ -122,7 +122,7 @@ pub(crate) fn property4_predicate(alpha: f64, q: usize) -> OverlapPredicate {
 
 /// Edit-similarity join: all pairs `(i, j)` with
 /// `edit_similarity(r[i], s[j]) ≥ threshold`. Pass the same slice twice for
-/// a self-join.
+/// a self-join: it is tokenized and built once.
 ///
 /// # Errors
 /// Returns [`SsJoinError::Config`] when the threshold is outside `(0, 1]`
@@ -157,12 +157,11 @@ pub fn edit_similarity_join(
     // Prep: q-gram sets with string-length norms.
     let prep = || {
         let tok = QGramTokenizer::new(q);
-        let side = |xs: &[String]| {
+        Ok(sides(r, s, |xs| {
             let lens = xs.iter().map(|x| x.chars().count() as f64).collect();
             let groups = xs.iter().map(|x| tok.tokenize(x)).collect();
             (groups, NormKind::Custom(lens))
-        };
-        Ok([side(r), side(s)])
+        }))
     };
     // Filter: verify candidates with the banded edit-distance UDF, then the
     // pairs outside the q-gram bound's reach — both strings shorter than

@@ -20,7 +20,7 @@
 //! brute-force reference for recall evaluation.
 
 use crate::common::{
-    check_threshold, finish, run_join, timed, verify_candidates, JoinSpec, MatchPair,
+    check_threshold, finish, run_join, sides, timed, verify_candidates, JoinSpec, MatchPair,
     SimilarityJoinOutput,
 };
 use crate::edit::{edit_similarity_join, EditJoinConfig};
@@ -91,7 +91,8 @@ impl GesJoinConfig {
 }
 
 /// GES join: pairs with `GES(r[i] → s[j]) ≥ threshold` (note GES's
-/// asymmetric normalization by the R side, per Definition 6).
+/// asymmetric normalization by the R side, per Definition 6). Pass the same
+/// slice twice for a self-join: it is tokenized and built once.
 ///
 /// # Errors
 /// Returns [`ssjoin_core::SsJoinError::Config`] when the threshold or β is
@@ -103,13 +104,17 @@ pub fn ges_join(
 ) -> SsJoinResult<SimilarityJoinOutput> {
     let thresholds = [("threshold", config.threshold), ("beta", config.beta)];
     let tok = WordTokenizer::new().lowercased();
-    let r_tokens: Vec<Vec<String>> = r.iter().map(|x| tok.tokenize(x)).collect();
-    let s_tokens: Vec<Vec<String>> = s.iter().map(|x| tok.tokenize(x)).collect();
+    // A self-join (the same slice twice) is tokenized once: `s_own` is `None`.
+    let (r_tokens, s_own) = sides(r, s, |xs| {
+        xs.iter().map(|x| tok.tokenize(x)).collect::<Vec<_>>()
+    });
+    let s_tokens = s_own.as_deref().unwrap_or(&r_tokens);
 
-    // IDF token weights over the joint corpus (the GES weight model).
-    let total = (r_tokens.len() + s_tokens.len()) as f64;
+    // IDF token weights over the joint corpus (the GES weight model). A
+    // self-join counts its one relation: `N / f` is the same either way.
+    let total = (r_tokens.len() + s_own.as_ref().map_or(0, Vec::len)) as f64;
     let mut freq: HashMap<&str, usize> = HashMap::new();
-    for group in r_tokens.iter().chain(&s_tokens) {
+    for group in r_tokens.iter().chain(s_own.iter().flatten()) {
         let mut seen: Vec<&str> = Vec::new();
         for t in group {
             if !seen.contains(&t.as_str()) {
@@ -212,7 +217,7 @@ pub fn ges_join(
                 .collect();
             (expanded, NormKind::TotalWeight)
         };
-        Ok([expand(&r_tokens), expand(&s_tokens)])
+        Ok((expand(&r_tokens), s_own.as_deref().map(expand)))
     };
     run_join(spec, prep, |candidates, _, _| {
         verify_candidates(candidates, config.exec.threads, &udf)

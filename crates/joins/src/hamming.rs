@@ -8,7 +8,7 @@
 //! removed by the exact hamming check.
 
 use crate::common::{
-    run_join, verify_candidates, verify_uncovered, JoinSpec, SimilarityJoinOutput,
+    run_join, sides, verify_candidates, verify_uncovered, JoinSpec, SimilarityJoinOutput,
 };
 use ssjoin_core::{
     Algorithm, ElementOrder, JoinPair, NormExpr, NormKind, OverlapPredicate, SetCollection,
@@ -58,7 +58,8 @@ fn similarity(d: usize, len: usize) -> f64 {
 }
 
 /// Hamming join: pairs of equal-length strings differing in at most
-/// `max_distance` positions, with `similarity = 1 − d/len`.
+/// `max_distance` positions, with `similarity = 1 − d/len`. Pass the same
+/// slice twice for a self-join: it is built once.
 pub fn hamming_join(
     r: &[String],
     s: &[String],
@@ -80,12 +81,11 @@ pub fn hamming_join(
         config: SsJoinConfig::new(config.algorithm),
     };
     let prep = || {
-        let side = |xs: &[String]| {
+        Ok(sides(r, s, |xs| {
             let lens = xs.iter().map(|x| x.chars().count() as f64).collect();
             let groups = xs.iter().map(|x| positional_elements(x)).collect();
             (groups, NormKind::Custom(lens))
-        };
-        Ok([side(r), side(s)])
+        }))
     };
     // Verify with the exact hamming check (the norms are the lengths).
     let udf = |i: u32, j: u32| {

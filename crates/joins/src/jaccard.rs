@@ -7,7 +7,7 @@
 //! (computable from the overlap and the two set weights, no re-tokenization)
 //! filters them.
 
-use crate::common::{run_join, JoinSpec, MatchPair, SimilarityJoinOutput};
+use crate::common::{run_join, sides, JoinSpec, MatchPair, SimilarityJoinOutput};
 use ssjoin_core::{
     Algorithm, ElementOrder, ExecContext, JoinPair, NormKind, OverlapPredicate, SetCollection,
     SsJoinConfig, SsJoinResult, WeightScheme,
@@ -98,6 +98,16 @@ pub fn jaccard_join_tokens(
     s_groups: Vec<Vec<String>>,
     config: &JaccardConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
+    jaccard_join_groups(r_groups, Some(s_groups), config)
+}
+
+/// [`jaccard_join_tokens`] with the S side optional: `None` self-joins the R
+/// groups as one relation.
+pub(crate) fn jaccard_join_groups(
+    r_groups: Vec<Vec<String>>,
+    s_groups: Option<Vec<Vec<String>>>,
+    config: &JaccardConfig,
+) -> SsJoinResult<SimilarityJoinOutput> {
     let (alpha, kind) = (config.threshold, config.kind);
     let spec = JoinSpec {
         thresholds: &[("threshold", alpha)],
@@ -112,12 +122,8 @@ pub fn jaccard_join_tokens(
             exec: config.exec.clone(),
         },
     };
-    let prep = || {
-        Ok([
-            (r_groups, NormKind::TotalWeight),
-            (s_groups, NormKind::TotalWeight),
-        ])
-    };
+    let relation = |groups| (groups, NormKind::TotalWeight);
+    let prep = || Ok((relation(r_groups), s_groups.map(relation)));
     // Containment is the predicate itself; resemblance is checked exactly
     // from the overlap and the two set weights (no re-tokenization).
     let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
@@ -149,7 +155,8 @@ pub fn jaccard_join_tokens(
 }
 
 /// Jaccard join over strings, tokenized into lowercased words (the standard
-/// data-cleaning setup for addresses and names).
+/// data-cleaning setup for addresses and names). Pass the same slice twice
+/// for a self-join: it is tokenized and built once.
 ///
 /// ```
 /// use ssjoin_joins::{jaccard_join, JaccardConfig};
@@ -169,9 +176,8 @@ pub fn jaccard_join(
     config: &JaccardConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
     let tok = WordTokenizer::new().lowercased();
-    let r_groups = r.iter().map(|x| tok.tokenize(x)).collect();
-    let s_groups = s.iter().map(|x| tok.tokenize(x)).collect();
-    jaccard_join_tokens(r_groups, s_groups, config)
+    let (r_groups, s_groups) = sides(r, s, |xs| xs.iter().map(|x| tok.tokenize(x)).collect());
+    jaccard_join_groups(r_groups, s_groups, config)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! an absolute-overlap SSJoin with threshold `k` — the reduction of
 //! Figure 6.
 
-use crate::common::{run_join, JoinSpec, MatchPair, SimilarityJoinOutput};
+use crate::common::{run_join, sides, JoinSpec, MatchPair, SimilarityJoinOutput};
 use ssjoin_core::{
     Algorithm, ElementOrder, JoinPair, NormKind, OverlapPredicate, SetCollection, SsJoinConfig,
     SsJoinError, SsJoinResult, WeightScheme,
@@ -53,7 +53,8 @@ fn tuple_elements(attrs: &[String]) -> Vec<String> {
 
 /// Soft-FD join: `r` and `s` are tuples of FD-source attribute values (all
 /// tuples must have the same arity `h`); returns pairs agreeing on ≥ `k`
-/// attributes, with `similarity = agreements / h`.
+/// attributes, with `similarity = agreements / h`. Pass the same slice twice
+/// for a self-join: it is built once.
 ///
 /// # Errors
 /// Returns [`SsJoinError::InvalidInput`] for tuples of unequal arity,
@@ -97,11 +98,10 @@ pub fn soft_fd_join(
         config: SsJoinConfig::new(config.algorithm),
     };
     let prep = || {
-        let side = |rows: &[Vec<String>]| {
+        Ok(sides(r, s, |rows| {
             let groups = rows.iter().map(|row| tuple_elements(row)).collect();
             (groups, NormKind::TotalWeight)
-        };
-        Ok([side(r), side(s)])
+        }))
     };
     // The absolute-overlap predicate is exact: agreements are the overlap.
     let verify = |candidates: &[JoinPair], _: &SetCollection, _: &SetCollection| {

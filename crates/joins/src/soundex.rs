@@ -6,8 +6,8 @@
 //! pronunciation ("Robert" / "Rupert") produce identical codes, so the join
 //! reduces directly to SSJoin over code sets.
 
-use crate::common::SimilarityJoinOutput;
-use crate::jaccard::{jaccard_join_tokens, JaccardConfig, JaccardKind};
+use crate::common::{sides, SimilarityJoinOutput};
+use crate::jaccard::{jaccard_join_groups, JaccardConfig, JaccardKind};
 use ssjoin_core::{Algorithm, SsJoinResult, WeightScheme};
 use ssjoin_text::soundex_tokens;
 
@@ -37,8 +37,7 @@ pub fn soundex_join(
     s: &[String],
     config: &SoundexConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
-    let r_groups: Vec<Vec<String>> = r.iter().map(|x| soundex_tokens(x)).collect();
-    let s_groups: Vec<Vec<String>> = s.iter().map(|x| soundex_tokens(x)).collect();
+    let (r_groups, s_groups) = sides(r, s, |xs| xs.iter().map(|x| soundex_tokens(x)).collect());
     let jconfig = JaccardConfig {
         threshold: config.threshold,
         kind: JaccardKind::Resemblance,
@@ -47,7 +46,7 @@ pub fn soundex_join(
         exec: Default::default(),
         order: Default::default(),
     };
-    jaccard_join_tokens(r_groups, s_groups, &jconfig)
+    jaccard_join_groups(r_groups, s_groups, &jconfig)
 }
 
 #[cfg(test)]

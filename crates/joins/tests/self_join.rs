@@ -1,0 +1,211 @@
+//! A self-join is one relation. Every packaged join handed the same slice
+//! twice — `f(&d, &d)` — tokenizes and builds `d` once and joins the one
+//! collection with itself; handed two equal slices — `f(&d, &d.to_vec())` —
+//! it builds two. The outputs must agree pair for pair with bit-identical
+//! similarities, on every executor, at 1 and 3 threads, and when the join
+//! spills. The spilled run also shows the one-relation build reached the
+//! core: a same-collection self-join writes one side per partition frame,
+//! so it spills fewer bytes than the two-relation run.
+
+use ssjoin_core::{Algorithm, ExecBudget, ExecContext, SsJoinResult};
+use ssjoin_joins::{
+    cosine_join, edit_similarity_join, ges_join, hamming_join, jaccard_join, soft_fd_join,
+    CosineConfig, EditJoinConfig, GesJoinConfig, HammingJoinConfig, JaccardConfig,
+    SimilarityJoinOutput, SoftFdConfig,
+};
+use ssjoin_prng::{Rng, StdRng};
+
+const ALGORITHMS: [Algorithm; 3] = [
+    Algorithm::Basic,
+    Algorithm::PrefixFiltered,
+    Algorithm::Inline,
+];
+
+/// A resident budget far below any join's estimate: the join must spill.
+const SPILL_BUDGET: u64 = 4096;
+
+type Join<T> = dyn Fn(&[T], &[T], Algorithm, ExecContext) -> SsJoinResult<SimilarityJoinOutput>;
+
+/// `r  s  similarity-bits` per output pair.
+fn bits(out: &SimilarityJoinOutput) -> Vec<(u32, u32, u64)> {
+    out.pairs
+        .iter()
+        .map(|p| (p.r, p.s, p.similarity.to_bits()))
+        .collect()
+}
+
+/// Run `join` on `data` as one relation and as two, under `exec`, and check
+/// the outputs agree. Returns both runs.
+fn one_vs_two<T: Clone>(
+    what: &str,
+    join: &Join<T>,
+    data: &[T],
+    algorithm: Algorithm,
+    exec: ExecContext,
+) -> (SimilarityJoinOutput, SimilarityJoinOutput) {
+    let copy = data.to_vec();
+    let one = join(data, data, algorithm, exec.clone()).unwrap();
+    let two = join(data, &copy, algorithm, exec).unwrap();
+    let at = format!("{what} {algorithm:?}");
+    assert!(
+        one.pairs.len() > data.len(),
+        "{at}: only {} pairs, too few off-diagonal pairs to compare",
+        one.pairs.len()
+    );
+    assert_eq!(bits(&one), bits(&two), "{at}: one relation != two");
+    assert_eq!(one.udf_verifications, two.udf_verifications, "{at}");
+    (one, two)
+}
+
+/// The executor × threads matrix, then one spilled run whose spill bytes
+/// show the self-join wrote one side.
+fn check_with_exec<T: Clone>(what: &str, join: &Join<T>, data: &[T]) {
+    for algorithm in ALGORITHMS {
+        for threads in [1, 3] {
+            let exec = ExecContext::new().with_threads(threads);
+            one_vs_two(&format!("{what} {threads}t"), join, data, algorithm, exec);
+        }
+    }
+    let exec =
+        ExecContext::new().with_budget(ExecBudget::new().with_max_resident_bytes(SPILL_BUDGET));
+    let (one, two) = one_vs_two(
+        &format!("{what} spill"),
+        join,
+        data,
+        Algorithm::Inline,
+        exec,
+    );
+    assert!(
+        one.stats.spill_partitions >= 2 && two.stats.spill_partitions >= 2,
+        "{what}: the budgeted join did not spill"
+    );
+    assert!(
+        one.stats.spill_bytes < two.stats.spill_bytes,
+        "{what}: the self-join spilled {} bytes, two relations {}",
+        one.stats.spill_bytes,
+        two.stats.spill_bytes
+    );
+}
+
+/// 60 address-like records, each followed by two variants one character
+/// edit away, so every join has near-duplicate pairs.
+fn addresses() -> Vec<String> {
+    let mut rng = StdRng::seed_from_u64(0x5E1F);
+    let streets = [
+        "main st",
+        "oak avenue",
+        "maple street",
+        "cedar lane",
+        "birch road",
+    ];
+    let cities = ["seattle wa", "redmond wa", "springfield il", "portland or"];
+    let mut out = Vec::new();
+    for _ in 0..60 {
+        let base = format!(
+            "{} {} {}",
+            rng.gen_range(100u32..400),
+            streets[rng.gen_index(streets.len())],
+            cities[rng.gen_index(cities.len())]
+        );
+        out.push(base.clone());
+        for _ in 0..2 {
+            out.push(one_edit(&mut rng, &base));
+        }
+    }
+    out
+}
+
+/// `s` with one character replaced by a letter.
+fn one_edit(rng: &mut StdRng, s: &str) -> String {
+    let mut chars: Vec<char> = s.chars().collect();
+    let at = rng.gen_index(chars.len());
+    chars[at] = char::from(b'a' + rng.gen_range(0u8..26));
+    chars.into_iter().collect()
+}
+
+#[test]
+fn jaccard_self_join_is_one_relation() {
+    let join = |r: &[String], s: &[String], algorithm, exec| {
+        let cfg = JaccardConfig::resemblance(0.6)
+            .with_algorithm(algorithm)
+            .with_exec(exec);
+        jaccard_join(r, s, &cfg)
+    };
+    check_with_exec("jaccard", &join, &addresses());
+}
+
+#[test]
+fn edit_self_join_is_one_relation() {
+    let join = |r: &[String], s: &[String], algorithm, exec| {
+        let cfg = EditJoinConfig::new(0.85)
+            .with_algorithm(algorithm)
+            .with_exec(exec);
+        edit_similarity_join(r, s, &cfg)
+    };
+    check_with_exec("edit", &join, &addresses());
+}
+
+#[test]
+fn cosine_self_join_is_one_relation() {
+    let join = |r: &[String], s: &[String], algorithm, exec| {
+        let cfg = CosineConfig::new(0.6)
+            .with_algorithm(algorithm)
+            .with_exec(exec);
+        cosine_join(r, s, &cfg)
+    };
+    check_with_exec("cosine", &join, &addresses());
+}
+
+#[test]
+fn ges_self_join_is_one_relation() {
+    let join = |r: &[String], s: &[String], algorithm, exec| {
+        let cfg = GesJoinConfig::new(0.8)
+            .with_algorithm(algorithm)
+            .with_exec(exec);
+        ges_join(r, s, &cfg)
+    };
+    check_with_exec("ges", &join, &addresses());
+}
+
+#[test]
+fn hamming_self_join_is_one_relation() {
+    // Fixed-length codes, each with two one-substitution variants.
+    let mut rng = StdRng::seed_from_u64(0x4A77);
+    let mut codes = Vec::new();
+    for _ in 0..60 {
+        let code: String = (0..8)
+            .map(|_| char::from(b'a' + rng.gen_range(0u8..6)))
+            .collect();
+        codes.push(code.clone());
+        codes.push(one_edit(&mut rng, &code));
+        codes.push(one_edit(&mut rng, &code));
+    }
+    for algorithm in ALGORITHMS {
+        let join = |r: &[String], s: &[String], algorithm, _| {
+            hamming_join(r, s, &HammingJoinConfig::new(2).with_algorithm(algorithm))
+        };
+        one_vs_two("hamming", &join, &codes, algorithm, ExecContext::new());
+    }
+}
+
+#[test]
+fn soft_fd_self_join_is_one_relation() {
+    // [address, email, phone] tuples over small domains, so many agree on
+    // two of three attributes.
+    let mut rng = StdRng::seed_from_u64(0x50F7);
+    let tuples: Vec<Vec<String>> = (0..150)
+        .map(|_| {
+            vec![
+                format!("{} main st", rng.gen_range(0u32..12)),
+                format!("user{}@x.com", rng.gen_range(0u32..12)),
+                format!("555-01{:02}", rng.gen_range(0u32..12)),
+            ]
+        })
+        .collect();
+    for algorithm in ALGORITHMS {
+        let join = |r: &[Vec<String>], s: &[Vec<String>], algorithm, _| {
+            soft_fd_join(r, s, &SoftFdConfig::new(2).with_algorithm(algorithm))
+        };
+        one_vs_two("soft-FD", &join, &tuples, algorithm, ExecContext::new());
+    }
+}

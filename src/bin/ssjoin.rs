@@ -10,7 +10,9 @@
 //!
 //! Input files are TSV; the first column of each row is the string joined
 //! on. Join output rows are `r_index  s_index  similarity  r_string
-//! s_string`.
+//! s_string`, streamed to `--out` or stdout with the strings TSV-escaped
+//! either way. A `join` given one file is a self-join: the table is read,
+//! tokenized and built once and joined with itself.
 //!
 //! `match` answers one lookup with [`top_k_matches`]: the edit-similarity
 //! join (q = 3) of the query against the reference table at `--min-sim`,
@@ -61,13 +63,13 @@
 //! ` over-budget peak=<bytes> budget=<bytes>` after the partition count.
 
 use ssjoin::core::{Algorithm, ApproxSpec, ExecContext, SsJoinStats};
-use ssjoin::datagen::{read_tsv, write_tsv, AddressCorpus, AddressCorpusConfig};
+use ssjoin::datagen::{read_tsv, write_field, write_tsv, AddressCorpus, AddressCorpusConfig};
 use ssjoin::joins::{
-    cluster_pairs, cosine_join, dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join,
-    top_k_matches, CosineConfig, EditJoinConfig, GesJoinConfig, JaccardConfig,
-    SimilarityJoinOutput, TopKConfig, TopKIndex,
+    cluster_pairs, cosine_join, edit_similarity_join, ges_join, jaccard_join, top_k_matches,
+    CosineConfig, EditJoinConfig, GesJoinConfig, JaccardConfig, MatchPair, SimilarityJoinOutput,
+    TopKConfig, TopKIndex,
 };
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufWriter, Write};
 use std::process::ExitCode;
 
 /// Which similarity function a join uses.
@@ -433,6 +435,29 @@ fn run_join(
     out.map_err(|e| e.to_string())
 }
 
+/// Stream join output rows `r  s  similarity  r_text  s_text` to `w`, the
+/// text fields escaped by [`write_field`] straight from `r` and `s`. With
+/// `dedupe`, only pairs with `r < s` are written. Returns the rows written.
+fn write_pairs<W: Write>(
+    mut w: W,
+    pairs: &[MatchPair],
+    r: &[String],
+    s: &[String],
+    dedupe: bool,
+) -> std::io::Result<usize> {
+    let mut rows = 0;
+    for p in pairs.iter().filter(|p| !dedupe || p.r < p.s) {
+        write!(w, "{}\t{}\t{:.6}\t", p.r, p.s, p.similarity)?;
+        write_field(&mut w, &r[p.r as usize])?;
+        w.write_all(b"\t")?;
+        write_field(&mut w, &s[p.s as usize])?;
+        w.write_all(b"\n")?;
+        rows += 1;
+    }
+    w.flush()?;
+    Ok(rows)
+}
+
 /// Serve-mode request loop: build the [`TopKIndex`] once over `reference`,
 /// then answer one tab-separated request per input line until EOF. Request
 /// failures are reported as `err` response lines; only I/O failures and a
@@ -538,12 +563,12 @@ fn execute(cmd: Command) -> Result<(), String> {
             out,
         } => {
             let r = first_column(&r_path)?;
-            let s = match &s_path {
-                Some(p) => first_column(p)?,
-                None => r.clone(),
-            };
+            let s_table = s_path.as_ref().map(first_column).transpose()?;
+            // One file is a self-join: the same slice on both sides, so the
+            // join tokenizes, builds and spills it once.
+            let s = s_table.as_deref().unwrap_or(&r);
             let exec = join_exec(memory_budget, approx);
-            let output = run_join(kind, threshold, algorithm, exec.clone(), &r, &s)?;
+            let output = run_join(kind, threshold, algorithm, exec.clone(), &r, s)?;
             // The configuration an auto, approximate or over-budget run used
             // goes to stderr so piped TSV output stays clean.
             if algorithm == Algorithm::Auto
@@ -555,31 +580,19 @@ fn execute(cmd: Command) -> Result<(), String> {
                     plan_line(output.algorithm_used, &exec, &output.stats)
                 );
             }
-            let mut pairs = output.pairs;
-            if self_dedupe && s_path.is_none() {
-                pairs = dedupe_self_pairs(&pairs);
-            }
-            let rows: Vec<Vec<String>> = pairs
-                .iter()
-                .map(|p| {
-                    vec![
-                        p.r.to_string(),
-                        p.s.to_string(),
-                        format!("{:.6}", p.similarity),
-                        r[p.r as usize].clone(),
-                        s[p.s as usize].clone(),
-                    ]
-                })
-                .collect();
+            let dedupe = self_dedupe && s_table.is_none();
             match out {
                 Some(path) => {
-                    write_tsv(&path, &rows).map_err(|e| format!("cannot write {path}: {e}"))?;
-                    eprintln!("{} pairs written to {path}", rows.len());
+                    let file = std::fs::File::create(&path);
+                    let rows = file
+                        .and_then(|f| write_pairs(BufWriter::new(f), &output.pairs, &r, s, dedupe))
+                        .map_err(|e| format!("cannot write {path}: {e}"))?;
+                    eprintln!("{rows} pairs written to {path}");
                 }
                 None => {
-                    for row in rows {
-                        println!("{}", row.join("\t"));
-                    }
+                    let stdout = BufWriter::new(std::io::stdout().lock());
+                    write_pairs(stdout, &output.pairs, &r, s, dedupe)
+                        .map_err(|e| format!("cannot write the output: {e}"))?;
                 }
             }
             Ok(())

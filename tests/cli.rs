@@ -189,6 +189,58 @@ fn join_plan_line_reports_what_ran() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Join output goes through one escaping writer, to a file or to stdout: a
+/// field holding a tab, a newline or a backslash (read from its escaped TSV
+/// form) comes out escaped on stdout exactly as in the `--out` file.
+#[test]
+fn join_stdout_escapes_like_the_out_file() {
+    let dir = temp_dir("stdout_escapes");
+    let data = dir.join("data.tsv");
+    let file_out = dir.join("pairs.tsv");
+    // Three near-identical rows whose first field holds `\t`, `\n` and `\\`
+    // escapes, plus one plain row.
+    std::fs::write(
+        &data,
+        "100 main\\tst\\nseattle \\\\ wa\t1\n\
+         100 main\\tst\\nseattle \\\\ wa\t2\n\
+         100 main\\tst\\nseattle \\\\ wa usa\t3\n\
+         7 oak ave portland\t4\n",
+    )
+    .unwrap();
+    let rows = ssjoin::datagen::read_tsv(&data).unwrap();
+    assert_eq!(rows[0][0], "100 main\tst\nseattle \\ wa");
+    for extra in [&[][..], &["--self-dedupe"][..]] {
+        let join = |out: Option<&std::path::Path>| {
+            let mut cmd = bin();
+            cmd.args(["join", "--kind", "jaccard", "--threshold", "0.5"])
+                .args(extra);
+            if let Some(path) = out {
+                cmd.arg("--out").arg(path);
+            }
+            let out = cmd.arg(&data).output().unwrap();
+            assert!(
+                out.status.success(),
+                "{extra:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            out.stdout
+        };
+        let stdout = join(None);
+        assert!(join(Some(&file_out)).is_empty(), "--out wrote to stdout");
+        let file = std::fs::read(&file_out).unwrap();
+        assert_eq!(stdout, file, "{extra:?}: stdout differs from --out");
+        let pairs = ssjoin::datagen::read_tsv(&file_out).unwrap();
+        assert!(pairs.len() >= 3, "{extra:?}: {pairs:?}");
+        for row in &pairs {
+            assert_eq!(row.len(), 5, "{extra:?}: malformed row {row:?}");
+            let (r, s): (usize, usize) = (row[0].parse().unwrap(), row[1].parse().unwrap());
+            assert_eq!(row[3], rows[r][0]);
+            assert_eq!(row[4], rows[s][0]);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn dedup_prints_groups() {
     let dir = temp_dir("dedup");
