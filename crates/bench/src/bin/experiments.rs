@@ -5,12 +5,13 @@
 //! ```
 //!
 //! Experiments: `table1 fig10 fig11 fig12 fig13 table2 naive ablation-order
-//! ablation-cost ablation-auto ablation-positional ablation-shard
-//! ablation-workspace ablation-bitmap ablation-budget ablation-index
-//! ablation-spill ablation-approx`
+//! ablation-cost ablation-auto ablation-shard ablation-workspace
+//! ablation-bitmap ablation-budget ablation-index ablation-spill
+//! ablation-approx`
 //! (default: all; `--all` forces the full set even when experiments are also
-//! named). `--scale 1.0` is the paper's 25,000-row corpus; smaller
-//! values shrink every dataset proportionally for quick runs. `--json`
+//! named; any other name is a usage error). `--scale 1.0` is the paper's
+//! 25,000-row corpus; smaller values shrink every dataset proportionally for
+//! quick runs. `--json`
 //! writes the run to `BENCH_<n>.json` (`--pr n`, default 10) or to an
 //! explicit `--out PATH`.
 //!
@@ -35,7 +36,7 @@ use ssjoin_joins::{
 use ssjoin_sim::edit_similarity;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [table1|fig10|fig11|fig12|fig13|table2|naive|ablation-order|ablation-cost|ablation-auto|ablation-positional|ablation-shard|ablation-workspace|ablation-bitmap|ablation-budget|ablation-index|ablation-spill|ablation-approx|all]...
+const USAGE: &str = "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [table1|fig10|fig11|fig12|fig13|table2|naive|ablation-order|ablation-cost|ablation-auto|ablation-shard|ablation-workspace|ablation-bitmap|ablation-budget|ablation-index|ablation-spill|ablation-approx|all]...
 --all (or the bare word `all`) regenerates every panel in one invocation;
 --json additionally writes the run as BENCH_<N>.json (--pr N, default 10),
 or to an explicit --out PATH";
@@ -86,13 +87,48 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--out" => opts.out = Some(value("--out")?),
             "--json" => opts.emit_json = true,
-            "--all" => opts.experiments.push("all".to_string()),
+            "--all" | "all" => opts.experiments.push("all".to_string()),
             "--help" | "-h" => opts.help = true,
-            exp => opts.experiments.push(exp.to_string()),
+            flag if flag.starts_with('-') => return Err(format!("unknown option {flag}")),
+            exp if PANELS.iter().any(|(name, _)| *name == exp) => {
+                opts.experiments.push(exp.to_string())
+            }
+            exp => {
+                let names: Vec<&str> = PANELS.iter().map(|(name, _)| *name).collect();
+                return Err(format!(
+                    "unknown experiment {exp:?} (expected one of: {} all)",
+                    names.join(" ")
+                ));
+            }
         }
     }
     Ok(opts)
 }
+
+/// One panel of the harness: it runs at a scale and adds its tables to the
+/// report.
+type Panel = fn(f64, &mut Report);
+
+/// Every panel, by name, in the order a default run prints them.
+const PANELS: &[(&str, Panel)] = &[
+    ("table1", table1),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("table2", table2),
+    ("naive", naive),
+    ("ablation-order", ablation_order),
+    ("ablation-cost", ablation_cost),
+    ("ablation-auto", ablation_auto),
+    ("ablation-shard", ablation_shard),
+    ("ablation-workspace", ablation_workspace),
+    ("ablation-bitmap", ablation_bitmap),
+    ("ablation-budget", ablation_budget),
+    ("ablation-index", ablation_index),
+    ("ablation-spill", ablation_spill),
+    ("ablation-approx", ablation_approx),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -119,28 +155,11 @@ fn main() {
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
         // `table1` prints Figure 11 from the same (expensive) baseline
         // sweep, so `fig11` is not repeated in the default set.
-        experiments = [
-            "table1",
-            "fig10",
-            "fig12",
-            "fig13",
-            "table2",
-            "naive",
-            "ablation-order",
-            "ablation-cost",
-            "ablation-auto",
-            "ablation-positional",
-            "ablation-shard",
-            "ablation-workspace",
-            "ablation-bitmap",
-            "ablation-budget",
-            "ablation-index",
-            "ablation-spill",
-            "ablation-approx",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        experiments = PANELS
+            .iter()
+            .map(|(name, _)| name.to_string())
+            .filter(|name| name != "fig11")
+            .collect();
     }
 
     println!(
@@ -148,26 +167,9 @@ fn main() {
         ((25_000f64 * scale).round() as usize).max(10)
     );
     for exp in &experiments {
-        match exp.as_str() {
-            "table1" => table1(scale, &mut report),
-            "fig10" => fig10(scale, &mut report),
-            "fig11" => fig11(scale, &mut report),
-            "fig12" => fig12(scale, &mut report),
-            "fig13" => fig13(scale, &mut report),
-            "table2" => table2(scale, &mut report),
-            "naive" => naive(scale, &mut report),
-            "ablation-order" => ablation_order(scale, &mut report),
-            "ablation-cost" => ablation_cost(scale, &mut report),
-            "ablation-auto" => ablation_auto(scale, &mut report),
-            "ablation-positional" => ablation_positional(scale, &mut report),
-            "ablation-shard" => ablation_shard(scale, &mut report),
-            "ablation-workspace" => ablation_workspace(scale, &mut report),
-            "ablation-bitmap" => ablation_bitmap(scale, &mut report),
-            "ablation-budget" => ablation_budget(scale, &mut report),
-            "ablation-index" => ablation_index(scale, &mut report),
-            "ablation-spill" => ablation_spill(scale, &mut report),
-            "ablation-approx" => ablation_approx(scale, &mut report),
-            other => eprintln!("unknown experiment {other:?}, skipping"),
+        // `parse_args` admits only names from `PANELS`.
+        if let Some((_, panel)) = PANELS.iter().find(|(name, _)| name == exp) {
+            panel(scale, &mut report);
         }
     }
     match report.write_json(&out_path, scale) {
@@ -461,45 +463,6 @@ fn ablation_order(scale: f64, report: &mut Report) {
     report.table(t);
 }
 
-/// Ablation (extension): the positional filter on top of the inline
-/// algorithm — same candidates, fewer verification merges.
-fn ablation_positional(scale: f64, report: &mut Report) {
-    let data = evaluation_corpus(scale).records;
-    let mut t = Table::new(
-        "Ablation — positional filter (edit join)",
-        &[
-            "Threshold",
-            "Inline verifs",
-            "Positional verifs",
-            "Inline ms",
-            "Positional ms",
-        ],
-    );
-    for &theta in &PAPER_THRESHOLDS {
-        let run_with = |alg: Algorithm| {
-            let start = Instant::now();
-            let out = edit_similarity_join(
-                &data,
-                &data,
-                &EditJoinConfig::new(theta).with_algorithm(alg),
-            )
-            .expect("edit join");
-            (out, start.elapsed())
-        };
-        let (inline, inline_t) = run_with(Algorithm::Inline);
-        let (positional, positional_t) = run_with(Algorithm::PositionalInline);
-        assert_eq!(inline.keys(), positional.keys(), "results must agree");
-        t.row(vec![
-            format!("{theta:.2}"),
-            count(inline.stats.verified_pairs),
-            count(positional.stats.verified_pairs),
-            ms(inline_t),
-            ms(positional_t),
-        ]);
-    }
-    report.table(t);
-}
-
 /// Ablation (§5, §7): the paper sees "no clear winner" between the basic
 /// and prefix-filtered plans and leaves a cost-based choice to future work.
 /// Forced Basic and Inline are timed against `Auto` (which resolves to
@@ -613,7 +576,6 @@ fn ablation_auto(scale: f64, report: &mut Report) {
                 Algorithm::Basic,
                 Algorithm::PrefixFiltered,
                 Algorithm::Inline,
-                Algorithm::PositionalInline,
             ] {
                 for filter in [false, true] {
                     if alg == Algorithm::Basic && filter {
@@ -1079,7 +1041,7 @@ fn median_of_3<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
 /// the checkpoint instrumentation is effectively free: attaching a budget
 /// whose limits can never trip costs <2% over the unbudgeted run on the
 /// Zipf-weighted panel. Second, a `Duration::ZERO` deadline aborts every
-/// executor — basic, prefix, inline, positional, and parallel inline — in a
+/// executor — basic, prefix, inline, and parallel inline — in a
 /// small fraction of the unbounded runtime, returning the
 /// typed `BudgetExceeded(Deadline)` error instead of panicking.
 fn ablation_budget(scale: f64, report: &mut Report) {
@@ -1146,15 +1108,10 @@ fn ablation_budget(scale: f64, report: &mut Report) {
     let pred = ssjoin_core::OverlapPredicate::two_sided(theta);
 
     let parallel = ExecContext::new().with_threads(4);
-    let configs: [(&str, Algorithm, ExecContext); 5] = [
+    let configs: [(&str, Algorithm, ExecContext); 4] = [
         ("basic", Algorithm::Basic, ExecContext::new()),
         ("prefix", Algorithm::PrefixFiltered, ExecContext::new()),
         ("inline", Algorithm::Inline, ExecContext::new()),
-        (
-            "positional",
-            Algorithm::PositionalInline,
-            ExecContext::new(),
-        ),
         ("inline (4 threads)", Algorithm::Inline, parallel),
     ];
     let mut d = Table::new(
@@ -1820,5 +1777,25 @@ mod tests {
             let err = parse(args).unwrap_err();
             assert!(err.contains(option), "{args:?}: {err}");
         }
+    }
+
+    #[test]
+    fn unknown_experiments_and_flags_are_errors() {
+        for (args, named) in [
+            (&["ablation-nope"][..], "ablation-nope"),
+            (&["table1", "fig99"][..], "fig99"),
+            (&["--bogus"][..], "--bogus"),
+            (&["--scale", "0.1", "--verbose"][..], "--verbose"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(named), "{args:?}: {err}");
+        }
+        // An unknown experiment's error names every valid panel.
+        let err = parse(&["ablation-nope"]).unwrap_err();
+        for (name, _) in PANELS {
+            assert!(err.contains(name), "{err} is missing {name}");
+        }
+        let opts = parse(&["fig11", "all", "ablation-spill"]).unwrap();
+        assert_eq!(opts.experiments, ["fig11", "all", "ablation-spill"]);
     }
 }

@@ -8,7 +8,7 @@
 //! [`crate::SsJoinError::BudgetExceeded`], and the crate-internal
 //! [`BudgetState`] the executors consult cooperatively.
 //!
-//! The contract, shared by all five executors:
+//! The contract, shared by every executor:
 //!
 //! * Limits are checked at **probe-group granularity** — once per probe
 //!   group of each worker's chunk, plus once at every phase boundary. A
@@ -336,20 +336,29 @@ impl BudgetState {
 /// that would obviously blow a caller's memory envelope, not to account
 /// bytes exactly.
 pub fn estimate_memory_bytes(r: &SetCollection, s: &SetCollection) -> u64 {
-    let universe = r.universe_size().max(s.universe_size()) as u64;
-    let tuples = (r.tuple_count() + s.tuple_count()) as u64;
+    resident_estimate(
+        r.universe_size().max(s.universe_size()) as u64,
+        r.len() as u64,
+        s.len() as u64,
+        (r.tuple_count() + s.tuple_count()) as u64,
+    )
+}
+
+/// The resident memory model behind [`estimate_memory_bytes`], over raw
+/// quantities so the spill planner prices one partition with the same terms.
+pub(crate) fn resident_estimate(universe: u64, r_sets: u64, s_sets: u64, tuples: u64) -> u64 {
     // Two CSR indexes, a conservative charge (a run builds one): offsets
     // (universe + 1) + cursors (universe) of 4 bytes each per side, plus the
     // shared posting arenas.
     let postings = 2 * (2 * universe + 1) * 4 + tuples * 4;
-    // Dense S-side scratch: weight accumulator (8) + stamp (4) + slot (4),
-    // per worker in the worst case is ignored — one copy is charged because
-    // chunked workers share the candidate space roughly evenly.
-    let scratch = s.len() as u64 * 16;
-    let prefix_tables = (r.len() + s.len()) as u64 * 8;
+    // Dense S-side scratch: weight accumulator (8) + stamp (4), per worker
+    // in the worst case is ignored — one copy is charged because chunked
+    // workers share the candidate space roughly evenly.
+    let scratch = s_sets * 12;
+    let prefix_tables = (r_sets + s_sets) * 8;
     // Arena block added after the original model: the 8×u64 bitmap
     // signature per set.
-    let signatures = (r.len() + s.len()) as u64 * (crate::set::SIG_WORDS as u64 * 8);
+    let signatures = (r_sets + s_sets) * (crate::set::SIG_WORDS as u64 * 8);
     postings + scratch + prefix_tables + signatures
 }
 

@@ -7,7 +7,7 @@
 //! Every posting hit is one tuple of the equi-join result, which is the
 //! quantity §4.1 identifies as the bottleneck on frequent elements.
 
-use super::workspace::{CsrIndex, JoinWorkspace, WorkerScratch};
+use super::workspace::JoinWorkspace;
 use super::{run_chunked, ExecContext, JoinPair};
 use crate::budget::BudgetState;
 use crate::predicate::OverlapPredicate;
@@ -42,27 +42,6 @@ pub(super) fn run(
     let index = &*s_index;
 
     let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
-        candidate_phase(r, s, index, pred, ctx, budget, workers, out)
-    });
-    stats.merge(&inner);
-    stats
-}
-
-/// Probe + accumulate phase against a prebuilt full-set index. Shared
-/// between [`run`] (fresh per-call build) and [`probe_basic`] (borrowed
-/// persistent index).
-#[allow(clippy::too_many_arguments)]
-fn candidate_phase(
-    r: &SetCollection,
-    s: &SetCollection,
-    index: &CsrIndex,
-    pred: &OverlapPredicate,
-    ctx: &ExecContext,
-    budget: &BudgetState,
-    workers: &mut Vec<WorkerScratch>,
-    out: &mut Vec<JoinPair>,
-) -> SsJoinStats {
-    {
         run_chunked(r.len(), ctx.threads, workers, out, |range, scratch| {
             let mut stats = SsJoinStats::default();
             // Dense per-probe accumulator over S ids, reset via touch list.
@@ -125,28 +104,6 @@ fn candidate_phase(
             }
             stats
         })
-    }
-}
-
-/// Basic-algorithm R×index probe against a borrowed, prebuilt full-set
-/// index. Mirrors [`run`] minus the Prep phase: the index is owned by the
-/// caller's `CorpusIndex` and was built once up front.
-pub(crate) fn probe_basic(
-    r: &SetCollection,
-    s: &SetCollection,
-    index: &CsrIndex,
-    pred: &OverlapPredicate,
-    ctx: &ExecContext,
-    budget: &BudgetState,
-    ws: &mut JoinWorkspace,
-) -> SsJoinStats {
-    let mut stats = SsJoinStats::default();
-    if !budget.proceed() {
-        return stats;
-    }
-    let JoinWorkspace { workers, out, .. } = ws;
-    let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
-        candidate_phase(r, s, index, pred, ctx, budget, workers, out)
     });
     stats.merge(&inner);
     stats

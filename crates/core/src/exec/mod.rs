@@ -9,14 +9,11 @@
 
 mod basic;
 mod inline;
-mod positional;
 mod prefix;
 mod workspace;
 
 pub use workspace::JoinWorkspace;
 
-pub(crate) use basic::probe_basic;
-pub(crate) use positional::probe_positional;
 pub(crate) use prefix::{prefix_lengths_into, probe_prefix_family, Side};
 pub(crate) use workspace::{build_csr_parallel, vec_bytes, CsrIndex, WorkerScratch};
 
@@ -65,12 +62,6 @@ pub enum Algorithm {
     /// verification merges the carried sets directly.
     #[default]
     Inline,
-    /// The inline algorithm plus the positional filter: candidates whose
-    /// position-aware overlap upper bound cannot reach the required
-    /// threshold are pruned before the verification merge. An extension of
-    /// the paper's prefix filter in the direction later taken by PPJoin
-    /// (Xiao et al., WWW 2008).
-    PositionalInline,
     /// Let the system choose: resolves to [`Algorithm::Inline`] on the
     /// caller's context unchanged (see [`Algorithm::resolve`]).
     Auto,
@@ -462,7 +453,6 @@ pub(crate) fn run_algorithm(
     match algorithm {
         Algorithm::Basic => basic::run(r, s, pred, ctx, budget, ws),
         Algorithm::PrefixFiltered => prefix::run(r, s, pred, ctx, budget, ws),
-        Algorithm::PositionalInline => positional::run(r, s, pred, ctx, budget, ws),
         // Auto is Inline (`Algorithm::resolve`).
         Algorithm::Inline | Algorithm::Auto => inline::run(r, s, pred, ctx, budget, ws),
     }
@@ -584,7 +574,6 @@ mod tests {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
         ] {
             assert_eq!(alg.resolve(), alg);
         }
@@ -618,7 +607,6 @@ mod tests {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
         ] {
             let out = ssjoin(
                 built.collection(r),

@@ -221,22 +221,12 @@ pub(crate) struct WorkerScratch {
     /// run). Re-filled with the sentinel at the start of every run, so a
     /// stale stamp from run *n* can never alias a probe id of run *n + 1*.
     pub(crate) stamp: Vec<u32>,
-    /// Candidate slot of the stamped S id (positional executor).
-    pub(crate) slot: Vec<u32>,
     /// Dense overlap accumulator over S ids (basic executor).
     pub(crate) acc: Vec<Weight>,
     /// Touched S ids of the current probe (basic executor).
     pub(crate) touched: Vec<u32>,
     /// Candidate S ids of the current probe (prefix family).
     pub(crate) candidates: Vec<u32>,
-    /// Candidate S ids, insertion order (positional executor).
-    pub(crate) cand_sids: Vec<u32>,
-    /// Accumulated shared-prefix weight per candidate (positional).
-    pub(crate) cand_accum: Vec<Weight>,
-    /// Position-aware overlap upper bound per candidate (positional).
-    pub(crate) cand_bound: Vec<Weight>,
-    /// Verification-order permutation of the candidate list (positional).
-    pub(crate) order: Vec<u32>,
     /// Join-back hash table over the current R group (prefix-filtered).
     pub(crate) r_table: FxHashMap<u32, Weight>,
     /// Output pairs produced by this worker.
@@ -262,14 +252,9 @@ impl WorkerScratch {
 
     fn bytes_reserved(&self) -> u64 {
         vec_bytes(&self.stamp)
-            + vec_bytes(&self.slot)
             + vec_bytes(&self.acc)
             + vec_bytes(&self.touched)
             + vec_bytes(&self.candidates)
-            + vec_bytes(&self.cand_sids)
-            + vec_bytes(&self.cand_accum)
-            + vec_bytes(&self.cand_bound)
-            + vec_bytes(&self.order)
             + vec_bytes(&self.pairs)
             + vec_bytes(&self.runs)
             + vec_bytes(&self.idx_offsets)

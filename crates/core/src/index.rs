@@ -6,9 +6,8 @@
 //! against a large, mostly-static reference table. [`CorpusIndex`] factors
 //! that cost out. Built once from a [`SetCollection`], it owns everything
 //! the executors previously derived per call on the S side — the prefix
-//! inverted index, per-set prefix lengths, the full-set inverted index for
-//! [`Algorithm::Basic`], and (inside the arena) the per-set bitmap
-//! signatures — and answers `R × index` joins through [`CorpusIndex::probe`]
+//! inverted index, per-set prefix lengths, and (inside the arena) the per-set
+//! bitmap signatures — and answers `R × index` joins through [`CorpusIndex::probe`]
 //! with the same budget, cancellation, and zero-warm-allocation contracts as
 //! [`crate::ssjoin_with`].
 //!
@@ -41,9 +40,9 @@ use crate::approx::ApproxSketch;
 use crate::budget::BudgetState;
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
-    begin, build_csr_parallel, effective_threads, finish, prefix_lengths_into, probe_basic,
-    probe_positional, probe_prefix_family, vec_bytes, Algorithm, CsrIndex, ExecContext,
-    JoinWorkspace, Side, SsJoinConfig, SsJoinRun, WorkerScratch,
+    begin, build_csr_parallel, effective_threads, finish, prefix_lengths_into, probe_prefix_family,
+    run_algorithm, vec_bytes, Algorithm, CsrIndex, ExecContext, JoinWorkspace, Side, SsJoinConfig,
+    SsJoinRun, WorkerScratch,
 };
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
@@ -100,7 +99,7 @@ pub struct CorpusIndex {
     build_threads: usize,
     /// Approximate spec fixed at build time (`None` = exact-only index).
     approx_spec: Option<crate::approx::ApproxSpec>,
-    /// The LSH sketch backing approximate probes, rebuilt with the indexes.
+    /// The LSH sketch backing approximate probes, rebuilt with the index.
     approx: Option<Box<crate::approx::ApproxSketch>>,
     /// Prefix inverted index over sets `0..indexed` (prefix-family probes).
     prefix_index: CsrIndex,
@@ -108,9 +107,6 @@ pub struct CorpusIndex {
     prefix_lens: Vec<usize>,
     /// Cached `Σ prefix_lens`, reported into probe stats.
     prefix_tuples: u64,
-    /// Full-set inverted index over sets `0..indexed` (basic probes).
-    full_index: CsrIndex,
-    full_lens: Vec<usize>,
     /// Sets `indexed..corpus.len()` are the un-indexed epoch tail.
     indexed: usize,
     alive: Vec<bool>,
@@ -168,8 +164,6 @@ impl CorpusIndex {
             prefix_index: CsrIndex::default(),
             prefix_lens: Vec::new(),
             prefix_tuples: 0,
-            full_index: CsrIndex::default(),
-            full_lens: Vec::new(),
             indexed: 0,
             alive,
             dead: 0,
@@ -180,7 +174,7 @@ impl CorpusIndex {
         Ok(index)
     }
 
-    /// Rebuild both inverted indexes over the whole arena, excluding dead
+    /// Rebuild the prefix inverted index over the whole arena, excluding dead
     /// sets, and absorb the epoch tail. Bit-identical at any
     /// `build_threads`.
     fn rebuild(&mut self) {
@@ -198,14 +192,6 @@ impl CorpusIndex {
             }
         }
         self.prefix_tuples = self.prefix_lens.iter().map(|&l| l as u64).sum();
-        self.full_lens.clear();
-        self.full_lens.extend((0..n).map(|i| {
-            if self.alive[i] {
-                self.corpus.set(i as u32).len()
-            } else {
-                0
-            }
-        }));
         let threads = effective_threads(self.build_threads);
         if self.workers.len() < threads {
             self.workers.resize_with(threads, WorkerScratch::default);
@@ -214,13 +200,6 @@ impl CorpusIndex {
             &mut self.prefix_index,
             &self.corpus,
             &self.prefix_lens,
-            &mut self.workers,
-            threads,
-        );
-        build_csr_parallel(
-            &mut self.full_index,
-            &self.corpus,
-            &self.full_lens,
             &mut self.workers,
             threads,
         );
@@ -286,11 +265,14 @@ impl CorpusIndex {
             }
         }
         let sketch = self.sketch_for(&config.exec)?;
-        // A probe whose working-set estimate exceeds its resident budget is
-        // routed through the token-range spill driver as a budgeted full
-        // join against the corpus arena: the persistent index cannot be
-        // consulted one partition at a time, but the spilled join holds only
-        // one partition's sub-index resident and emits bit-identical pairs.
+        // Two probes bypass the persistent index and join the whole corpus
+        // arena instead. A probe whose working-set estimate exceeds its
+        // resident budget runs through the token-range spill driver: the
+        // index cannot be consulted one partition at a time, but the spilled
+        // join holds only one partition's sub-index resident. An exact
+        // `Basic` probe runs its own executor, which builds the full-set
+        // index the persistent one (prefixes only) does not hold. Both emit
+        // bit-identical pairs.
         let run = begin(batch, &self.corpus, config, ws)?;
         let (r, s, algorithm, ctx) = (batch, &self.corpus, run.algorithm, &*run.ctx);
         let spilled = if run.spill {
@@ -298,18 +280,37 @@ impl CorpusIndex {
         } else {
             None
         };
-        let from_spill = spilled.is_some();
-        let mut stats = match (spilled, sketch) {
-            (Some(stats), _) => stats,
-            (None, Some(sketch)) => {
-                crate::approx::probe_built(r, s, sketch, &self.pred, ctx, &run.budget, ws)
-            }
-            (None, None) => self.probe_resident(r, algorithm, ctx, &run.budget, ws),
+        let (mut stats, whole_arena) = match (spilled, sketch) {
+            (Some(stats), _) => (stats, true),
+            (None, Some(sketch)) => (
+                crate::approx::probe_built(r, s, sketch, &self.pred, ctx, &run.budget, ws),
+                false,
+            ),
+            (None, None) if algorithm == Algorithm::Basic => (
+                run_algorithm(algorithm, r, s, &self.pred, ctx, &run.budget, ws),
+                true,
+            ),
+            // `algorithm` is resolved, so only PrefixFiltered and Inline
+            // reach the persistent prefix index.
+            (None, None) => (
+                probe_prefix_family(
+                    r,
+                    s,
+                    &self.prefix_index,
+                    self.prefix_tuples,
+                    &self.pred,
+                    ctx,
+                    algorithm == Algorithm::Inline,
+                    &run.budget,
+                    ws,
+                ),
+                false,
+            ),
         };
-        if from_spill {
-            // The spilled join covered the whole arena — epoch tail
-            // included — so only the tombstone filter applies, and it must
-            // cover epoch-tail tombstones too.
+        if whole_arena {
+            // The join covered the whole arena — epoch tail included — so
+            // only the tombstone filter applies, and it must cover
+            // epoch-tail tombstones too.
             if self.dead > 0 {
                 ws.out.retain(|p| self.alive[p.s as usize]);
             }
@@ -364,38 +365,6 @@ impl CorpusIndex {
             )));
         }
         Ok(Some(sketch))
-    }
-
-    /// Resident probe through the persistent indexes: the one `match` that
-    /// mirrors the one-shot dispatch (`exec::run_algorithm`) over prebuilt
-    /// S-side indexes.
-    fn probe_resident(
-        &self,
-        r: &SetCollection,
-        algorithm: Algorithm,
-        ctx: &ExecContext,
-        budget: &BudgetState,
-        ws: &mut JoinWorkspace,
-    ) -> SsJoinStats {
-        let (s, index, tuples, pred) = (
-            &self.corpus,
-            &self.prefix_index,
-            self.prefix_tuples,
-            &self.pred,
-        );
-        match algorithm {
-            Algorithm::Basic => probe_basic(r, s, &self.full_index, pred, ctx, budget, ws),
-            Algorithm::PrefixFiltered => {
-                probe_prefix_family(r, s, index, tuples, pred, ctx, false, budget, ws)
-            }
-            Algorithm::PositionalInline => {
-                probe_positional(r, s, index, tuples, pred, ctx, budget, ws)
-            }
-            // Auto is Inline (`Algorithm::resolve`).
-            Algorithm::Inline | Algorithm::Auto => {
-                probe_prefix_family(r, s, index, tuples, pred, ctx, true, budget, ws)
-            }
-        }
     }
 
     /// Brute-force join of the batch against the un-indexed epoch tail.
@@ -480,7 +449,7 @@ impl CorpusIndex {
         Ok(())
     }
 
-    /// Merge the epoch tail into the inverted indexes now (a rebuild over
+    /// Merge the epoch tail into the inverted index now (a rebuild over
     /// the whole arena, excluding tombstoned sets). Probe results are
     /// unchanged; probes merely stop paying the brute-force tail scan.
     pub fn merge_epoch(&mut self) {
@@ -563,9 +532,7 @@ impl CorpusIndex {
     /// corpus arena itself).
     pub fn bytes_reserved(&self) -> u64 {
         self.prefix_index.bytes_reserved()
-            + self.full_index.bytes_reserved()
             + vec_bytes(&self.prefix_lens)
-            + vec_bytes(&self.full_lens)
             + vec_bytes(&self.alive)
             + self.approx.as_ref().map_or(0, |a| a.bytes_reserved())
     }

@@ -73,7 +73,7 @@ use crate::io::{
     bad, read_spill_frame, read_spill_header, write_spill_frame, write_spill_header, TempSpillFile,
 };
 use crate::predicate::OverlapPredicate;
-use crate::set::{SetCollection, SIG_WORDS};
+use crate::set::SetCollection;
 use crate::stats::SsJoinStats;
 use crate::weight::Weight;
 use std::io::{BufReader, BufWriter, Seek, SeekFrom, Write};
@@ -223,27 +223,16 @@ impl SpillScratch {
     }
 }
 
-/// Resident estimate (bytes) of joining one partition, mirroring
-/// [`crate::budget::estimate_memory_bytes`] over partition-local
+/// Resident estimate (bytes) of joining one partition: the
+/// [`crate::budget::estimate_memory_bytes`] model over partition-local
 /// quantities, plus the frame read-back buffer the spill path itself holds
 /// while that partition is live.
-fn partition_estimate(
-    local_universe: u64,
-    r_sets: u64,
-    s_sets: u64,
-    r_tuples: u64,
-    s_tuples: u64,
-) -> u64 {
-    let tuples = r_tuples + s_tuples;
+fn partition_estimate(local_universe: u64, r_sets: u64, s_sets: u64, tuples: u64) -> u64 {
     let sets = r_sets + s_sets;
-    let postings = 2 * (2 * local_universe + 1) * 4 + tuples * 4;
-    let scratch = s_sets * 16;
-    let prefix_tables = sets * 8;
-    let signatures = sets * (SIG_WORDS as u64 * 8);
     // Frame buffer: 12 bytes per element (rank + weight) + 16 per set
     // header, held while the partition is decoded and joined.
     let frame = tuples * 12 + sets * 16;
-    postings + scratch + prefix_tables + signatures + frame
+    crate::budget::resident_estimate(local_universe, r_sets, s_sets, tuples) + frame
 }
 
 /// Routed mass per rank: every set adds its full length at each rank of
@@ -408,8 +397,7 @@ fn plan_peak(
             local_universe,
             tally.r_sets[p],
             tally.s_sets[p],
-            tally.r_tuples[p],
-            tally.s_tuples[p],
+            tuples,
         ));
     }
     peak

@@ -11,11 +11,10 @@ use ssjoin_core::{
 };
 use ssjoin_prng::{Rng, StdRng};
 
-const ALGORITHMS: [Algorithm; 5] = [
+const ALGORITHMS: [Algorithm; 4] = [
     Algorithm::Basic,
     Algorithm::PrefixFiltered,
     Algorithm::Inline,
-    Algorithm::PositionalInline,
     Algorithm::Auto,
 ];
 

@@ -1,6 +1,6 @@
 //! Acceptance tests for panic-free budgeted execution (seeded, reproducible).
 //!
-//! Three properties, checked for all five physical algorithms:
+//! Three properties, checked for every algorithm:
 //!
 //! 1. adversarial inputs — empty relations, empty sets, singleton vocab,
 //!    heavy duplicates — never panic any executor;
@@ -16,11 +16,10 @@ use ssjoin_core::{
 use ssjoin_prng::{Rng, StdRng};
 use std::time::Duration;
 
-const ALGORITHMS: [Algorithm; 5] = [
+const ALGORITHMS: [Algorithm; 4] = [
     Algorithm::Basic,
     Algorithm::PrefixFiltered,
     Algorithm::Inline,
-    Algorithm::PositionalInline,
     Algorithm::Auto,
 ];
 

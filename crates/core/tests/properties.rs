@@ -104,7 +104,6 @@ fn executors_match_oracle() {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
             Algorithm::Auto,
         ] {
             let out = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg)).unwrap();
@@ -192,7 +191,6 @@ fn parallel_equals_sequential() {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
             Algorithm::Auto,
         ] {
             let seq = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg)).unwrap();
@@ -293,7 +291,6 @@ fn bitmap_filter_never_changes_output() {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
             Algorithm::Auto,
         ] {
             let baseline = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg)).unwrap();
@@ -439,11 +436,10 @@ fn parallel_inline_matches_sequential_on_zipf_head() {
 /// the one-shot path and the [`CorpusIndex::probe`] path.
 #[test]
 fn auto_matches_every_forced_configuration() {
-    const EXECUTORS: [Algorithm; 4] = [
+    const EXECUTORS: [Algorithm; 3] = [
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::PositionalInline,
     ];
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(0xA070 + seed);

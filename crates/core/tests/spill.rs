@@ -137,7 +137,6 @@ fn spilled_output_bit_identical_to_resident() {
                 Algorithm::Basic,
                 Algorithm::PrefixFiltered,
                 Algorithm::Inline,
-                Algorithm::PositionalInline,
                 Algorithm::Auto,
             ] {
                 for threads in [1usize, 3] {

@@ -50,7 +50,6 @@ fn reused_workspace_matches_fresh_matrix() {
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::PositionalInline,
         Algorithm::Auto,
     ];
     for (a, &algorithm) in algorithms.iter().enumerate() {
@@ -116,7 +115,6 @@ fn no_stale_state_leaks_across_runs() {
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::PositionalInline,
     ] {
         for threads in [1usize, 4] {
             let mut ws = JoinWorkspace::new();
@@ -174,11 +172,7 @@ fn outputs_sorted_without_global_sort() {
         let c = build_self(random_groups(&mut rng, 40), WeightScheme::Idf);
         let pred = random_predicate(&mut rng);
         for threads in [1usize, 3] {
-            for algorithm in [
-                Algorithm::Basic,
-                Algorithm::Inline,
-                Algorithm::PositionalInline,
-            ] {
+            for algorithm in [Algorithm::Basic, Algorithm::Inline] {
                 let config = SsJoinConfig::new(algorithm)
                     .with_exec(ExecContext::new().with_threads(threads));
                 let run = ssjoin_with(&c, &c, &pred, &config, &mut ws).unwrap();

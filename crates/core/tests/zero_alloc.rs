@@ -99,7 +99,6 @@ fn warm_workspace_runs_allocation_free() {
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::PositionalInline,
         Algorithm::Auto,
     ] {
         for filter in [false, true] {

@@ -207,11 +207,7 @@ mod tests {
     fn matches_brute_force() {
         let data = sample();
         for alpha in [0.3, 0.5, 0.7, 0.9] {
-            for alg in [
-                Algorithm::Basic,
-                Algorithm::Inline,
-                Algorithm::PositionalInline,
-            ] {
+            for alg in [Algorithm::Basic, Algorithm::Inline] {
                 let out = cosine_join(&data, &data, &CosineConfig::new(alpha).with_algorithm(alg))
                     .unwrap();
                 assert_eq!(

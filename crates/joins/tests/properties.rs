@@ -43,11 +43,7 @@ fn edit_join_exact() {
                 }
             }
         }
-        for alg in [
-            Algorithm::Basic,
-            Algorithm::Inline,
-            Algorithm::PositionalInline,
-        ] {
+        for alg in [Algorithm::Basic, Algorithm::Inline] {
             let out = edit_similarity_join(
                 &data,
                 &data,

@@ -128,7 +128,7 @@ enum Command {
 
 const USAGE: &str = "usage:
   ssjoin join  --kind <edit|jaccard|cosine|ges> --threshold F \\
-               [--algorithm <basic|prefix|inline|positional|auto>] \\
+               [--algorithm <basic|prefix|inline|auto>] \\
                [--memory-budget BYTES[k|m|g]] [--approx RECALL] \\
                [--self-dedupe] [--out OUT.tsv] R.tsv [S.tsv]
   ssjoin match --reference R.tsv --query STRING [--k N] [--min-sim F]
@@ -174,9 +174,10 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
         "basic" => Ok(Algorithm::Basic),
         "prefix" => Ok(Algorithm::PrefixFiltered),
         "inline" => Ok(Algorithm::Inline),
-        "positional" => Ok(Algorithm::PositionalInline),
         "auto" => Ok(Algorithm::Auto),
-        other => Err(format!("unknown algorithm {other:?}")),
+        other => Err(format!(
+            "unknown algorithm {other:?} (expected basic|prefix|inline|auto)"
+        )),
     }
 }
 
@@ -458,6 +459,19 @@ fn write_pairs<W: Write>(
     Ok(rows)
 }
 
+/// Stream dedup output rows `group  member  text` to `w`, the text escaped
+/// by [`write_field`] as in [`write_pairs`].
+fn write_groups<W: Write>(mut w: W, groups: &[Vec<u32>], data: &[String]) -> std::io::Result<()> {
+    for (gi, group) in groups.iter().enumerate() {
+        for &member in group {
+            write!(w, "{gi}\t{member}\t")?;
+            write_field(&mut w, &data[member as usize])?;
+            w.write_all(b"\n")?;
+        }
+    }
+    w.flush()
+}
+
 /// Serve-mode request loop: build the [`TopKIndex`] once over `reference`,
 /// then answer one tab-separated request per input line until EOF. Request
 /// failures are reported as `err` response lines; only I/O failures and a
@@ -653,11 +667,9 @@ fn execute(cmd: Command) -> Result<(), String> {
             )?
             .pairs;
             let groups = cluster_pairs(data.len(), &pairs);
-            for (gi, group) in groups.iter().enumerate() {
-                for &member in group {
-                    println!("{gi}\t{member}\t{}", data[member as usize]);
-                }
-            }
+            let stdout = BufWriter::new(std::io::stdout().lock());
+            write_groups(stdout, &groups, &data)
+                .map_err(|e| format!("cannot write the output: {e}"))?;
             eprintln!("{} duplicate groups", groups.len());
             Ok(())
         }
@@ -760,7 +772,6 @@ mod tests {
             ("basic", Algorithm::Basic),
             ("prefix", Algorithm::PrefixFiltered),
             ("inline", Algorithm::Inline),
-            ("positional", Algorithm::PositionalInline),
             ("auto", Algorithm::Auto),
         ] {
             let cmd = parse_args(&sv(&[
@@ -787,21 +798,27 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("unknown algorithm"), "got {err}");
-        // Every algorithm the parser accepts is advertised in the usage.
-        for name in ["basic", "prefix", "inline", "positional", "auto"] {
-            assert!(USAGE.contains(name), "usage is missing {name}");
+        // Exactly the algorithms the parser accepts are advertised in the
+        // usage.
+        assert!(USAGE.contains("--algorithm <basic|prefix|inline|auto>"));
+        // The removed token-sharded and positional executors' names are
+        // unknown algorithms, and the error names the valid ones.
+        for removed in ["partition", "positional"] {
+            let err = parse_args(&sv(&[
+                "join",
+                "--threshold",
+                "0.8",
+                "--algorithm",
+                removed,
+                "r.tsv",
+            ]))
+            .unwrap_err();
+            assert!(
+                err.contains(&format!("unknown algorithm {removed:?}"))
+                    && err.contains("basic|prefix|inline|auto"),
+                "got {err}"
+            );
         }
-        // The removed token-sharded executor's name is an unknown
-        // algorithm.
-        assert!(parse_args(&sv(&[
-            "join",
-            "--threshold",
-            "0.8",
-            "--algorithm",
-            "partition",
-            "r.tsv"
-        ]))
-        .is_err());
     }
 
     #[test]

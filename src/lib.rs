@@ -353,11 +353,6 @@ fn run_relational(
         ),
         // Auto is Inline (`Algorithm::resolve`): the Figure 9 plan.
         Algorithm::Inline | Algorithm::Auto => inline_plan(r, s, pred),
-        Algorithm::PositionalInline => {
-            return Err(SsJoinError::Config(format!(
-                "{algorithm:?} has no relational-plan formulation; use Engine::Fast"
-            )))
-        }
     };
     let (pairs, ctx) = run_plan(plan.as_ref()).map_err(|e| SsJoinError::Plan(e.to_string()))?;
     #[allow(clippy::field_reassign_with_default)]
@@ -529,7 +524,6 @@ mod tests {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::PositionalInline,
             Algorithm::Auto,
         ] {
             let join = SsJoin::new(&input).predicate(pred.clone()).algorithm(alg);
@@ -634,17 +628,6 @@ mod tests {
     fn facade_missing_predicate_is_config_error() {
         let input = addresses_input();
         let err = SsJoin::new(&input).run();
-        assert!(matches!(err, Err(SsJoinError::Config(_))));
-    }
-
-    #[test]
-    fn facade_positional_plan_rejected() {
-        let input = addresses_input();
-        let err = SsJoin::new(&input)
-            .predicate(OverlapPredicate::absolute(1.0))
-            .algorithm(Algorithm::PositionalInline)
-            .engine(Engine::RelationalPlan)
-            .run();
         assert!(matches!(err, Err(SsJoinError::Config(_))));
     }
 }

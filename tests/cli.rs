@@ -268,6 +268,43 @@ fn dedup_prints_groups() {
 }
 
 #[test]
+fn dedup_escapes_fields_like_join() {
+    let dir = temp_dir("dedup_escapes");
+    let data = dir.join("dups.tsv");
+    let printed = dir.join("groups.tsv");
+    // Two identical rows whose first field holds `\t`, `\n` and `\\`
+    // escapes, plus one unrelated row.
+    std::fs::write(
+        &data,
+        "12 main st\\tapt 4\\nseattle \\\\ wa\t1\n\
+         12 main st\\tapt 4\\nseattle \\\\ wa\t2\n\
+         unrelated record entirely\t3\n",
+    )
+    .unwrap();
+    let rows = ssjoin::datagen::read_tsv(&data).unwrap();
+    assert_eq!(rows[0][0], "12 main st\tapt 4\nseattle \\ wa");
+    let out = bin()
+        .args(["dedup", "--threshold", "0.85", data.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::write(&printed, &out.stdout).unwrap();
+    let groups = ssjoin::datagen::read_tsv(&printed).unwrap();
+    for row in &groups {
+        assert_eq!(row.len(), 3, "malformed row {row:?}");
+        let member: usize = row[1].parse().unwrap();
+        assert_eq!(row[2], rows[member][0]);
+    }
+    let members: Vec<&str> = groups.iter().map(|row| row[1].as_str()).collect();
+    assert_eq!(members, ["0", "1"], "{groups:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn missing_input_file_reports_error() {
     let out = bin()
         .args(["join", "--threshold", "0.8", "/definitely/not/here.tsv"])
