@@ -751,8 +751,8 @@ fn ablation_shard(scale: f64, report: &mut Report) {
 
     if cores < 8 {
         println!(
-            "warning: host has {cores} core(s); the 8-thread runs above were \
-             clamped to {cores} worker(s) — speedups reflect the clamped count \
+            "warning: host has {cores} core(s); the 8 workers of the 8-thread \
+             runs above shared them — speedups reflect the oversubscribed host \
              (the BENCH header records the topology)"
         );
     }

@@ -162,7 +162,7 @@ impl Report {
         let cores = host_parallelism();
         format!(
             "{{\"schema\":\"ssjoin-bench/1\",\"scale\":{scale},\
-             \"host\":{{\"available_parallelism\":{cores},\"thread_clamp\":{cores}}},\
+             \"host\":{{\"available_parallelism\":{cores}}},\
              \"metrics\":{{{}}},\"tables\":[{}]}}\n",
             metrics.join(","),
             tables.join(",")
@@ -181,10 +181,9 @@ impl Report {
     }
 }
 
-/// The host's `available_parallelism` (1 when the probe fails). This is
-/// also the clamp the core executors apply to any requested thread count,
-/// so it doubles as the `thread_clamp` header field: a run that requested
-/// more workers than this actually used this many.
+/// The host's `available_parallelism` (1 when the probe fails). The core
+/// executors run every requested worker, so a run that requested more
+/// workers than this shared these cores among them.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -268,9 +267,7 @@ mod tests {
         let j = r.to_json(0.5);
         assert!(j.starts_with("{\"schema\":\"ssjoin-bench/1\",\"scale\":0.5,"));
         let cores = host_parallelism();
-        assert!(j.contains(&format!(
-            "\"host\":{{\"available_parallelism\":{cores},\"thread_clamp\":{cores}}}"
-        )));
+        assert!(j.contains(&format!("\"host\":{{\"available_parallelism\":{cores}}}")));
         assert!(j.contains("\"speedup\":2.5"));
         assert!(j.contains("\"prunes\":7"));
         assert!(j.contains("\"status\":\"ok\""));

@@ -534,7 +534,7 @@ fn candidate_phase(
     // probe's leaf by table lookup instead of re-hashing its tokens; the
     // leaves reached are identical, only cheaper to find.
     let same = std::ptr::eq(r, s);
-    run_chunked(r.len(), ctx.threads, workers, out, |range, scratch| {
+    let probe = |range: std::ops::Range<usize>, scratch: &mut WorkerScratch| {
         let mut stats = SsJoinStats::default();
         scratch.stamp.clear();
         scratch.stamp.resize(s.len(), u32::MAX);
@@ -603,7 +603,8 @@ fn candidate_phase(
             }
         }
         stats
-    })
+    };
+    run_chunked(r.len(), ctx.threads, false, workers, out, probe)
 }
 
 /// Execute an approximate join: build (or rebuild) the sketch over `s` into

@@ -44,9 +44,12 @@ use std::time::{Duration, Instant};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecBudget {
-    /// Abort once more than this many candidate pairs have been generated.
+    /// Abort once more than this many candidate pairs have been generated
+    /// (on a symmetric self-join, unordered pairs: see
+    /// [`crate::SsJoinStats`]).
     pub max_candidate_pairs: Option<u64>,
-    /// Abort once more than this many output pairs have been emitted.
+    /// Abort once more than this many output pairs have been emitted —
+    /// both orientations of a self-join pair, as the output holds them.
     pub max_output_pairs: Option<u64>,
     /// Abort once this much wall-clock time has elapsed since the run began.
     pub deadline: Option<Duration>,

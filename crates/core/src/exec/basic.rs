@@ -6,9 +6,13 @@
 //! weights per touched `S` set *is* the equi-join followed by the group-by.
 //! Every posting hit is one tuple of the equi-join result, which is the
 //! quantity §4.1 identifies as the bottleneck on frequent elements.
+//!
+//! A symmetric self-join takes the half path of [`super::run_probes`]:
+//! probe `rid` accumulates only over S ids `≤ rid`, and the lower triangle
+//! is mirrored into the full output.
 
-use super::workspace::JoinWorkspace;
-use super::{run_chunked, ExecContext, JoinPair};
+use super::workspace::{JoinWorkspace, WorkerScratch};
+use super::{output_charge, run_probes, symmetric_self_join, ExecContext, JoinPair};
 use crate::budget::BudgetState;
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
@@ -27,9 +31,11 @@ pub(super) fn run(
     if !budget.proceed() {
         return stats;
     }
+    let half = symmetric_self_join(r, s, pred);
     let JoinWorkspace {
         s_index,
         workers,
+        mirror,
         out,
         ..
     } = ws;
@@ -42,7 +48,7 @@ pub(super) fn run(
     let index = &*s_index;
 
     let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
-        run_chunked(r.len(), ctx.threads, workers, out, |range, scratch| {
+        let probe = |range: std::ops::Range<usize>, scratch: &mut WorkerScratch| {
             let mut stats = SsJoinStats::default();
             // Dense per-probe accumulator over S ids, reset via touch list.
             // The clear + resize refills every slot with zero, so values a
@@ -57,7 +63,12 @@ pub(super) fn run(
                 let out_before = pairs.len();
                 let rset = r.set(rid as u32);
                 for (&rank, &w) in rset.ranks().iter().zip(rset.weights()) {
-                    for &sid in index.postings(rank) {
+                    let postings = if half {
+                        index.postings_upto(rank, rid as u32)
+                    } else {
+                        index.postings(rank)
+                    };
+                    for &sid in postings {
                         if acc[sid as usize].is_zero() {
                             touched.push(sid);
                         }
@@ -98,12 +109,13 @@ pub(super) fn run(
                 touched.clear();
                 // Budget checkpoint: one per probe group, charging the
                 // candidates and outputs this group produced.
-                if !budget.checkpoint(cand_delta, (pairs.len() - out_before) as u64) {
+                if !budget.checkpoint(cand_delta, output_charge(&pairs[out_before..], half)) {
                     break;
                 }
             }
             stats
-        })
+        };
+        run_probes(r.len(), ctx.threads, half, workers, mirror, out, probe)
     });
     stats.merge(&inner);
     stats

@@ -15,7 +15,7 @@ mod workspace;
 pub use workspace::JoinWorkspace;
 
 pub(crate) use prefix::{prefix_lengths_into, probe_prefix_family, Side};
-pub(crate) use workspace::{build_csr_parallel, vec_bytes, CsrIndex, WorkerScratch};
+pub(crate) use workspace::{build_csr_parallel, vec_bytes, CsrIndex, MirrorScratch, WorkerScratch};
 
 use crate::approx::ApproxSpec;
 use crate::budget::{estimate_memory_bytes, BudgetState, CancelToken, ExecBudget};
@@ -24,7 +24,6 @@ use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
 use crate::stats::SsJoinStats;
 use crate::weight::Weight;
-use std::borrow::Cow;
 
 /// One result pair: group ids on each side plus their weighted overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,7 +281,7 @@ fn ssjoin_into(
         return Err(SsJoinError::UniverseMismatch);
     }
     let run = begin(r, s, config, ws)?;
-    let (algorithm, ctx) = (run.algorithm, &*run.ctx);
+    let (algorithm, ctx) = (run.algorithm, run.ctx);
     let spilled = if run.spill {
         crate::spill::run(r, s, pred, algorithm, ctx, &run.budget, ws)?
     } else {
@@ -305,14 +304,14 @@ fn ssjoin_into(
 /// resolved algorithm, the context the executors see, the shared budget
 /// state, and the route the run takes. One-shot joins and
 /// [`crate::CorpusIndex`] probes share it, so validation, the
-/// [`Algorithm::Auto`] rule, the thread clamp, spill routing and the
-/// budget-error conversion exist once.
+/// [`Algorithm::Auto`] rule, spill routing and the budget-error conversion
+/// exist once.
 pub(crate) struct RunEnvelope<'c> {
     /// The configured algorithm after [`Algorithm::resolve`] — never
     /// [`Algorithm::Auto`]; reported as the run's `algorithm_used`.
     pub(crate) algorithm: Algorithm,
-    /// The caller's context with its worker count clamped to the host.
-    pub(crate) ctx: Cow<'c, ExecContext>,
+    /// The caller's context, worker count included.
+    pub(crate) ctx: &'c ExecContext,
     /// Limits and cancellation, shared by every worker of the run.
     pub(crate) budget: BudgetState,
     /// Route the run through the out-of-core spill driver.
@@ -322,10 +321,9 @@ pub(crate) struct RunEnvelope<'c> {
 }
 
 /// Open a run of `config` over `r × s`: reject zero threads and invalid
-/// approximate specs, resolve the algorithm, clamp the worker count, decide
-/// whether the resident budget routes the run out of core (refusing
-/// approximate mode there), apply the memory preflight, take the entry
-/// checkpoint and reset `ws`.
+/// approximate specs, resolve the algorithm, decide whether the resident
+/// budget routes the run out of core (refusing approximate mode there),
+/// apply the memory preflight, take the entry checkpoint and reset `ws`.
 pub(crate) fn begin<'c>(
     r: &SetCollection,
     s: &SetCollection,
@@ -340,15 +338,6 @@ pub(crate) fn begin<'c>(
         spec.validate()?;
     }
     let approx = ctx.active_approx();
-    // Clamp the worker count to the host's parallelism: more workers than
-    // cores only adds scheduling overhead, and benchmarks on small hosts
-    // would otherwise report fictitious "8-thread" numbers.
-    let effective = effective_threads(ctx.threads);
-    let ctx = if effective == ctx.threads {
-        Cow::Borrowed(ctx)
-    } else {
-        Cow::Owned(ctx.clone().with_threads(effective))
-    };
     let budget = BudgetState::new(&ctx.budget, ctx.cancel.as_ref());
     // Out-of-core decision: a resident-budget knob below the estimate routes
     // the run through the token-range spill driver instead of rejecting it.
@@ -419,23 +408,6 @@ pub(crate) fn finish(
     Ok((stats, run.algorithm))
 }
 
-/// Clamp a requested worker count to what the host can actually run in
-/// parallel. A request above `available_parallelism` cannot speed anything
-/// up — it only adds scheduling noise and makes "speedup" claims on small
-/// hosts dishonest — so the effective count is recorded in
-/// [`SsJoinStats::effective_threads`].
-pub(crate) fn effective_threads(requested: usize) -> usize {
-    // `available_parallelism` probes cgroup files on Linux (and allocates
-    // doing so); cache it once so the per-run clamp stays allocation-free.
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let cores = *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    requested.min(cores).max(1)
-}
-
 /// Dispatch to the physical executor for `algorithm`. Shared by the
 /// resident path of [`ssjoin_into`] and the per-partition joins of the
 /// out-of-core driver (`crate::spill`), which is exactly the
@@ -458,29 +430,40 @@ pub(crate) fn run_algorithm(
     }
 }
 
-/// Split `0..n` into at most `threads` contiguous chunks.
-pub(crate) fn chunk_ranges(n: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
-    let threads = threads.max(1).min(n.max(1));
-    let base = n / threads;
-    let extra = n % threads;
-    let mut out = Vec::with_capacity(threads);
-    let mut start = 0;
-    for i in 0..threads {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+/// Chunk `k` of `parts` contiguous chunks of `0..n`. An equal split gives
+/// each chunk `n / parts` ids. A `triangle` split is for the lower-triangle
+/// probes of a symmetric self-join, where probe `rid` walks only ids up to
+/// `rid` and so costs about `rid`: the cumulative cost grows as `x²`, so
+/// equal shares cut at `n·√(k / parts)` — wide chunks first, narrow last.
+pub(crate) fn chunk_range(
+    n: usize,
+    parts: usize,
+    k: usize,
+    triangle: bool,
+) -> std::ops::Range<usize> {
+    let cut = |k: usize| {
+        if k >= parts {
+            n
+        } else if triangle {
+            ((n as f64) * (k as f64 / parts as f64).sqrt()) as usize
+        } else {
+            n * k / parts
+        }
+    };
+    cut(k)..cut(k + 1)
 }
 
-/// Run `work` over R-id chunks, possibly in parallel. Each invocation gets a
-/// dedicated [`WorkerScratch`] whose `pairs` buffer it must append output
-/// to; pairs land in `out` in chunk order (so a per-chunk sorted stream
-/// concatenates into a globally `(r, s)`-sorted one), and counter-only stats
-/// are merged. Phase timing is the caller's responsibility.
+/// Run `work` over R-id chunks, possibly in parallel: one contiguous chunk
+/// per worker, [`chunk_range`]'s equal split or, with `triangle`, its
+/// lower-triangle split. Each invocation gets a dedicated [`WorkerScratch`]
+/// whose `pairs` buffer it must append output to; pairs land in `out` in
+/// chunk order (so a per-chunk sorted stream concatenates into a globally
+/// `(r, s)`-sorted one), and counter-only stats are merged. Phase timing is
+/// the caller's responsibility.
 pub(crate) fn run_chunked<F>(
     n: usize,
     threads: usize,
+    triangle: bool,
     workers: &mut Vec<WorkerScratch>,
     out: &mut Vec<JoinPair>,
     work: F,
@@ -503,12 +486,11 @@ where
         std::mem::swap(out, &mut scratch.pairs);
         return stats;
     }
-    let ranges = chunk_ranges(n, threads);
-    let used = ranges.len();
     std::thread::scope(|scope| {
         let work = &work;
         let mut handles = Vec::new();
-        for (scratch, range) in workers[..used].iter_mut().zip(ranges) {
+        for (k, scratch) in workers[..threads].iter_mut().enumerate() {
+            let range = chunk_range(n, threads, k, triangle);
             handles.push(scope.spawn(move || {
                 scratch.pairs.clear();
                 scratch.stats = work(range, scratch);
@@ -526,11 +508,115 @@ where
     });
 
     let mut stats = SsJoinStats::default();
-    for scratch in workers[..used].iter() {
+    for scratch in workers[..threads].iter() {
         out.extend_from_slice(&scratch.pairs);
         stats.merge(&scratch.stats);
     }
     stats
+}
+
+/// Run an executor's probe loop, taking the half path on a symmetric
+/// self-join (`half`, from [`symmetric_self_join`]): `work` then emits only
+/// the lower triangle `s ≤ r` into the workspace's pooled `half` buffer,
+/// over [`chunk_range`]'s triangle split, and [`mirror_half`] expands it
+/// into the full output in `out`. Otherwise `work` runs straight into
+/// `out`.
+pub(crate) fn run_probes<F>(
+    n: usize,
+    threads: usize,
+    half: bool,
+    workers: &mut Vec<WorkerScratch>,
+    mirror: &mut MirrorScratch,
+    out: &mut Vec<JoinPair>,
+    work: F,
+) -> SsJoinStats
+where
+    F: Fn(std::ops::Range<usize>, &mut WorkerScratch) -> SsJoinStats + Sync,
+{
+    if !half {
+        return run_chunked(n, threads, false, workers, out, work);
+    }
+    mirror.half.clear();
+    let stats = run_chunked(n, threads, true, workers, &mut mirror.half, work);
+    mirror_half(n, &mirror.half, &mut mirror.row_starts, out);
+    stats
+}
+
+/// True when `r ⋈ s` is a self-join (one collection passed as both sides)
+/// under a symmetric predicate: then pair `(i, j)` qualifies exactly when
+/// `(j, i)` does, with the same overlap, so the executors find each
+/// unordered pair once (probe `rid` walks only ids `≤ rid`) and mirror.
+pub(crate) fn symmetric_self_join(
+    r: &SetCollection,
+    s: &SetCollection,
+    pred: &OverlapPredicate,
+) -> bool {
+    std::ptr::eq(r, s) && pred.is_symmetric()
+}
+
+/// Expand the `(r, s)`-sorted lower triangle `half` (every qualifying pair
+/// with `s ≤ r`) of an `n`-set symmetric self-join into the full
+/// `(r, s)`-sorted output in `out`: each off-diagonal pair `(i, j)` also
+/// yields `(j, i)`. One counting pass sizes every output row in
+/// `row_starts`, one scatter pass fills them. Row `r` receives its own half
+/// row (`s ≤ r`, ascending) before any mirrored pair `(r, x)`, `x > r`,
+/// because those come from later half rows, in ascending `x` — so the
+/// scatter needs no sort.
+pub(crate) fn mirror_half(
+    n: usize,
+    half: &[JoinPair],
+    row_starts: &mut Vec<usize>,
+    out: &mut Vec<JoinPair>,
+) {
+    row_starts.clear();
+    row_starts.resize(n + 1, 0);
+    for p in half {
+        row_starts[p.r as usize + 1] += 1;
+        if p.s != p.r {
+            row_starts[p.s as usize + 1] += 1;
+        }
+    }
+    for i in 1..=n {
+        row_starts[i] += row_starts[i - 1];
+    }
+    out.clear();
+    out.resize(
+        row_starts[n],
+        JoinPair {
+            r: 0,
+            s: 0,
+            overlap: Weight::ZERO,
+        },
+    );
+    // `row_starts[r]` now serves as row r's fill cursor.
+    for &p in half {
+        let cur = &mut row_starts[p.r as usize];
+        out[*cur] = p;
+        *cur += 1;
+        if p.s != p.r {
+            let cur = &mut row_starts[p.s as usize];
+            out[*cur] = JoinPair {
+                r: p.s,
+                s: p.r,
+                overlap: p.overlap,
+            };
+            *cur += 1;
+        }
+    }
+}
+
+/// The output pairs a probe's new `pairs` stand for in the caller's result,
+/// as its budget checkpoint charges them: one each, or on the half path two
+/// per off-diagonal pair and one for the diagonal `(rid, rid)`, which sorts
+/// last among a probe's `s ≤ rid` pairs. So
+/// [`ExecBudget::max_output_pairs`] caps what the caller sees.
+pub(crate) fn output_charge(pairs: &[JoinPair], half: bool) -> u64 {
+    let n = pairs.len() as u64;
+    if !half {
+        return n;
+    }
+    let diagonal = pairs.last().is_some_and(|p| p.r == p.s);
+    2 * n - u64::from(diagonal)
 }
 
 #[cfg(test)]
@@ -558,13 +644,27 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_clamps_to_host() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(effective_threads(1), 1);
-        assert_eq!(effective_threads(usize::MAX), cores);
-        assert_eq!(effective_threads(0), 1);
+    fn requested_threads_run_unclamped() {
+        // An explicit worker count runs that many workers whatever the
+        // host's parallelism: the run reports it, capped only by the group
+        // count (one worker per group at most).
+        let mut b = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+        let h = b.add_relation((0..40).map(|i| vec![format!("t{}", i % 7)]).collect());
+        let built = b.build().unwrap();
+        let c = built.collection(h);
+        let pred = OverlapPredicate::absolute(1.0);
+        for threads in [1usize, 3, 8, 64] {
+            let cfg = SsJoinConfig::new(Algorithm::Inline)
+                .with_exec(ExecContext::new().with_threads(threads));
+            let out = ssjoin(c, c, &pred, &cfg).unwrap();
+            assert_eq!(out.stats.effective_threads, threads as u64);
+            let mut workers = Vec::new();
+            let mut pairs = Vec::new();
+            run_chunked(c.len(), threads, false, &mut workers, &mut pairs, |_, _| {
+                SsJoinStats::default()
+            });
+            assert_eq!(workers.len(), threads.min(c.len()), "threads {threads}");
+        }
     }
 
     #[test]
@@ -622,19 +722,67 @@ mod tests {
 
     #[test]
     fn chunk_ranges_cover_everything() {
-        for n in [0usize, 1, 5, 16, 17] {
+        for n in [0usize, 1, 5, 16, 17, 1000] {
             for t in [1usize, 2, 3, 8] {
-                let ranges = chunk_ranges(n, t);
-                let total: usize = ranges.iter().map(|r| r.len()).sum();
-                assert_eq!(total, n, "n={n} t={t}");
-                // Contiguous and ordered.
-                let mut expect = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect);
-                    expect = r.end;
+                for triangle in [false, true] {
+                    // Contiguous, ordered, and covering 0..n.
+                    let mut expect = 0;
+                    for k in 0..t {
+                        let r = chunk_range(n, t, k, triangle);
+                        assert_eq!(r.start, expect, "n={n} t={t} triangle={triangle}");
+                        assert!(r.start <= r.end);
+                        expect = r.end;
+                    }
+                    assert_eq!(expect, n, "n={n} t={t} triangle={triangle}");
                 }
             }
         }
+        // The triangle split balances `Σ rid` over its chunks: wide first.
+        let n = 1000usize;
+        let cost = |r: std::ops::Range<usize>| r.map(|i| i as u64 + 1).sum::<u64>();
+        let costs: Vec<u64> = (0..4).map(|k| cost(chunk_range(n, 4, k, true))).collect();
+        let total = cost(0..n);
+        assert!(
+            costs.iter().all(|&c| c.abs_diff(total / 4) < total / 100),
+            "{costs:?}"
+        );
+        assert!(chunk_range(n, 4, 0, true).len() > chunk_range(n, 4, 3, true).len());
+    }
+
+    #[test]
+    fn mirror_half_expands_the_triangle_sorted() {
+        let mk = |r: u32, s: u32| JoinPair {
+            r,
+            s,
+            overlap: Weight::from_f64(f64::from(r * 10 + s)),
+        };
+        // Lower triangle (s ≤ r) of a 4-set self-join, set 2 matching nothing.
+        let half = [mk(0, 0), mk(1, 0), mk(1, 1), mk(3, 0), mk(3, 1), mk(3, 3)];
+        let mut starts = Vec::new();
+        let mut out = Vec::new();
+        mirror_half(4, &half, &mut starts, &mut out);
+        let keys: Vec<(u32, u32)> = out.iter().map(|p| (p.r, p.s)).collect();
+        assert_eq!(
+            keys,
+            vec![
+                (0, 0),
+                (0, 1),
+                (0, 3),
+                (1, 0),
+                (1, 1),
+                (1, 3),
+                (3, 0),
+                (3, 1),
+                (3, 3)
+            ]
+        );
+        // A mirrored pair carries its original's overlap.
+        assert_eq!(out[2].overlap, mk(3, 0).overlap);
+        // Budget charge: the probe of 3 stands for 5 caller-visible pairs.
+        assert_eq!(output_charge(&half[3..], true), 5);
+        assert_eq!(output_charge(&half[3..], false), 3);
+        assert_eq!(output_charge(&half[1..2], true), 2);
+        assert_eq!(output_charge(&[], true), 0);
     }
 
     #[test]
@@ -643,16 +791,23 @@ mod tests {
         for threads in [1usize, 4] {
             let mut workers = Vec::new();
             let mut pairs = Vec::new();
-            let stats = run_chunked(10, threads, &mut workers, &mut pairs, |range, scratch| {
-                scratch.pairs.extend(range.map(|i| JoinPair {
-                    r: i as u32,
-                    s: 0,
-                    overlap: Weight::ONE,
-                }));
-                let mut st = SsJoinStats::default();
-                st.join_tuples = 1;
-                st
-            });
+            let stats = run_chunked(
+                10,
+                threads,
+                false,
+                &mut workers,
+                &mut pairs,
+                |range, scratch| {
+                    scratch.pairs.extend(range.map(|i| JoinPair {
+                        r: i as u32,
+                        s: 0,
+                        overlap: Weight::ONE,
+                    }));
+                    let mut st = SsJoinStats::default();
+                    st.join_tuples = 1;
+                    st
+                },
+            );
             assert_eq!(pairs.len(), 10, "threads {threads}");
             // Chunk-order concatenation keeps rids ascending.
             assert!(pairs.windows(2).all(|w| w[0].r < w[1].r));

@@ -14,9 +14,14 @@
 //! exactly the work the extra joins + group-by of Figure 8 perform. The
 //! *inline* variant (Figure 9, in [`super::inline`]) skips that by carrying
 //! sets through the filter and merging them directly.
+//!
+//! A symmetric self-join takes the half path of [`super::run_probes`]: probe
+//! `rid` walks each prefix rank's postings only up to `rid`, so every
+//! unordered pair is found, deduplicated, bitmap-probed and merged once, and
+//! the lower triangle is mirrored into the full output.
 
 use super::workspace::{CsrIndex, JoinWorkspace, WorkerScratch};
-use super::{run_chunked, ExecContext, JoinPair};
+use super::{output_charge, run_probes, symmetric_self_join, ExecContext, JoinPair, MirrorScratch};
 use crate::budget::BudgetState;
 use crate::kernel::verify_overlap;
 use crate::predicate::{Interval, OverlapPredicate};
@@ -93,11 +98,13 @@ pub(crate) fn run_prefix_family(
     if !budget.proceed() {
         return stats;
     }
+    let half = symmetric_self_join(r, s, pred);
     let JoinWorkspace {
         s_index,
         r_lens,
         s_lens,
         workers,
+        mirror,
         out,
         ..
     } = ws;
@@ -122,7 +129,7 @@ pub(crate) fn run_prefix_family(
     // overlap recomputation per candidate.
     let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(
-            r, s, s_index, r_lens, pred, ctx, inline, budget, workers, out,
+            r, s, s_index, r_lens, pred, ctx, inline, half, budget, workers, mirror, out,
         )
     });
     stats.merge(&inner);
@@ -134,7 +141,8 @@ pub(crate) fn run_prefix_family(
 /// candidate. Shared by the fresh-build path ([`run_prefix_family`], which
 /// builds `s_index` into the workspace first) and the persistent-index probe
 /// path ([`probe_prefix_family`], which borrows `s_index` from a
-/// [`crate::CorpusIndex`]).
+/// [`crate::CorpusIndex`]). `half` selects the symmetric self-join's
+/// lower-triangle walk ([`super::run_probes`]).
 #[allow(clippy::too_many_arguments)]
 fn candidate_phase(
     r: &SetCollection,
@@ -144,12 +152,14 @@ fn candidate_phase(
     pred: &OverlapPredicate,
     ctx: &ExecContext,
     inline: bool,
+    half: bool,
     budget: &BudgetState,
     workers: &mut Vec<WorkerScratch>,
+    mirror: &mut MirrorScratch,
     out: &mut Vec<JoinPair>,
 ) -> SsJoinStats {
     {
-        run_chunked(r.len(), ctx.threads, workers, out, |range, scratch| {
+        let probe = |range: std::ops::Range<usize>, scratch: &mut WorkerScratch| {
             let mut stats = SsJoinStats::default();
             // Candidate dedup via a stamp array (reset-free across probes
             // within one run). The clear + resize refills every slot with the
@@ -183,7 +193,12 @@ fn candidate_phase(
                 }
                 candidates.clear();
                 for &rank in &rset.ranks()[..plen] {
-                    for &sid in s_index.postings(rank) {
+                    let postings = if half {
+                        s_index.postings_upto(rank, rid as u32)
+                    } else {
+                        s_index.postings(rank)
+                    };
+                    for &sid in postings {
                         stats.join_tuples += 1;
                         if stamp[sid as usize] != rid as u32 {
                             stamp[sid as usize] = rid as u32;
@@ -263,12 +278,13 @@ fn candidate_phase(
                         }
                     }
                 }
-                if !budget.checkpoint(0, (pairs.len() - out_before) as u64) {
+                if !budget.checkpoint(0, output_charge(&pairs[out_before..], half)) {
                     break;
                 }
             }
             stats
-        })
+        };
+        run_probes(r.len(), ctx.threads, half, workers, mirror, out, probe)
     }
 }
 
@@ -298,6 +314,7 @@ pub(crate) fn probe_prefix_family(
     let JoinWorkspace {
         r_lens,
         workers,
+        mirror,
         out,
         ..
     } = ws;
@@ -313,7 +330,7 @@ pub(crate) fn probe_prefix_family(
     let r_lens = &*r_lens;
     let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(
-            r, s, s_index, r_lens, pred, ctx, inline, budget, workers, out,
+            r, s, s_index, r_lens, pred, ctx, inline, false, budget, workers, mirror, out,
         )
     });
     stats.merge(&inner);

@@ -78,6 +78,14 @@ impl CsrIndex {
         &self.postings[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
 
+    /// Ids of the sets containing `rank` that are `≤ last`, ascending — the
+    /// lower-triangle walk of a symmetric self-join's probe `last`.
+    #[inline]
+    pub(crate) fn postings_upto(&self, rank: u32, last: u32) -> &[u32] {
+        let ids = self.postings(rank);
+        &ids[..ids.partition_point(|&id| id <= last)]
+    }
+
     pub(crate) fn bytes_reserved(&self) -> u64 {
         vec_bytes(&self.offsets) + vec_bytes(&self.postings) + vec_bytes(&self.cursors)
     }
@@ -104,11 +112,10 @@ pub(crate) fn build_csr_parallel(
         return;
     }
     // Phase A: per-worker local CSRs over contiguous id chunks.
-    let ranges = super::chunk_ranges(collection.len(), threads);
-    let built = ranges.len();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for (scratch, range) in workers[..built].iter_mut().zip(ranges) {
+        for (k, scratch) in workers[..threads].iter_mut().enumerate() {
+            let range = super::chunk_range(collection.len(), threads, k, false);
             handles.push(scope.spawn(move || {
                 scratch.idx_offsets.clear();
                 scratch.idx_offsets.resize(universe + 1, 0);
@@ -150,7 +157,7 @@ pub(crate) fn build_csr_parallel(
     // Phase B: global offsets from the summed per-worker counts.
     index.offsets.clear();
     index.offsets.resize(universe + 1, 0);
-    for scratch in workers[..built].iter() {
+    for scratch in workers[..threads].iter() {
         for t in 0..universe {
             index.offsets[t] += scratch.idx_offsets[t + 1] - scratch.idx_offsets[t];
         }
@@ -182,7 +189,7 @@ pub(crate) fn build_csr_parallel(
     bounds.push(universe);
     std::thread::scope(|scope| {
         let offsets = &index.offsets;
-        let sources: &[WorkerScratch] = &workers[..built];
+        let sources: &[WorkerScratch] = &workers[..threads];
         let mut rest: &mut [u32] = &mut index.postings;
         let mut consumed = 0usize;
         let mut handles = Vec::new();
@@ -265,6 +272,17 @@ impl WorkerScratch {
     }
 }
 
+/// Pooled buffers of the symmetric self-join half path
+/// ([`super::run_probes`]): the lower-triangle output and the per-row
+/// offsets [`super::mirror_half`] expands it with.
+#[derive(Debug, Default)]
+pub(crate) struct MirrorScratch {
+    /// Lower-triangle pairs (`s ≤ r`), `(r, s)`-sorted.
+    pub(crate) half: Vec<JoinPair>,
+    /// Output row offsets, then fill cursors (`n + 1` entries).
+    pub(crate) row_starts: Vec<usize>,
+}
+
 /// One sorted, pair-disjoint output run inside worker 0's pair buffer.
 #[derive(Debug, Clone, Copy)]
 struct MergeRun {
@@ -306,6 +324,7 @@ pub struct JoinWorkspace {
     pub(crate) r_lens: Vec<usize>,
     pub(crate) s_lens: Vec<usize>,
     pub(crate) workers: Vec<WorkerScratch>,
+    pub(crate) mirror: MirrorScratch,
     merge_runs: Vec<MergeRun>,
     merge_heap: Vec<u32>,
     pub(crate) out: Vec<JoinPair>,
@@ -341,6 +360,8 @@ impl JoinWorkspace {
         self.s_index.bytes_reserved()
             + vec_bytes(&self.r_lens)
             + vec_bytes(&self.s_lens)
+            + vec_bytes(&self.mirror.half)
+            + vec_bytes(&self.mirror.row_starts)
             + vec_bytes(&self.merge_runs)
             + vec_bytes(&self.merge_heap)
             + vec_bytes(&self.out)

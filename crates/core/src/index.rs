@@ -40,9 +40,9 @@ use crate::approx::ApproxSketch;
 use crate::budget::BudgetState;
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
-    begin, build_csr_parallel, effective_threads, finish, prefix_lengths_into, probe_prefix_family,
-    run_algorithm, vec_bytes, Algorithm, CsrIndex, ExecContext, JoinWorkspace, Side, SsJoinConfig,
-    SsJoinRun, WorkerScratch,
+    begin, build_csr_parallel, finish, prefix_lengths_into, probe_prefix_family, run_algorithm,
+    vec_bytes, Algorithm, CsrIndex, ExecContext, JoinWorkspace, Side, SsJoinConfig, SsJoinRun,
+    WorkerScratch,
 };
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
@@ -192,7 +192,7 @@ impl CorpusIndex {
             }
         }
         self.prefix_tuples = self.prefix_lens.iter().map(|&l| l as u64).sum();
-        let threads = effective_threads(self.build_threads);
+        let threads = self.build_threads;
         if self.workers.len() < threads {
             self.workers.resize_with(threads, WorkerScratch::default);
         }
@@ -274,7 +274,7 @@ impl CorpusIndex {
         // index the persistent one (prefixes only) does not hold. Both emit
         // bit-identical pairs.
         let run = begin(batch, &self.corpus, config, ws)?;
-        let (r, s, algorithm, ctx) = (batch, &self.corpus, run.algorithm, &*run.ctx);
+        let (r, s, algorithm, ctx) = (batch, &self.corpus, run.algorithm, run.ctx);
         let spilled = if run.spill {
             crate::spill::run(r, s, &self.pred, algorithm, ctx, &run.budget, ws)?
         } else {

@@ -160,6 +160,25 @@ impl NormExpr {
             | NormExpr::Max(a, b) => a.uses_s_norm() || b.uses_s_norm(),
         }
     }
+
+    /// True if `other` is `self` with `R.norm` and `S.norm` swapped, up to
+    /// the commutativity of `+ × min max` — a structural check, so it never
+    /// allocates and may answer `false` for algebraically equal forms.
+    fn mirrors(&self, other: &NormExpr) -> bool {
+        use NormExpr::*;
+        match (self, other) {
+            (Const(x), Const(y)) => x.to_bits() == y.to_bits(),
+            (RNorm, SNorm) | (SNorm, RNorm) => true,
+            (Sub(a1, a2), Sub(b1, b2)) => a1.mirrors(b1) && a2.mirrors(b2),
+            (Add(a1, a2), Add(b1, b2))
+            | (Mul(a1, a2), Mul(b1, b2))
+            | (Min(a1, a2), Min(b1, b2))
+            | (Max(a1, a2), Max(b1, b2)) => {
+                (a1.mirrors(b1) && a2.mirrors(b2)) || (a1.mirrors(b2) && a2.mirrors(b1))
+            }
+            _ => false,
+        }
+    }
 }
 
 impl std::fmt::Display for NormExpr {
@@ -282,6 +301,21 @@ impl OverlapPredicate {
     pub fn uses_s_norm(&self) -> bool {
         self.conjuncts.iter().any(NormExpr::uses_s_norm)
     }
+
+    /// True if swapping `R.norm` and `S.norm` leaves the predicate
+    /// unchanged: every conjunct's mirror image is itself a conjunct, up to
+    /// conjunct order and the commutativity of `+ × min max`. Then
+    /// `required_overlap(a, b) == required_overlap(b, a)`, and since overlap
+    /// is symmetric too, a self-join's pair `(i, j)` qualifies exactly when
+    /// `(j, i)` does. Holds for [`Self::absolute`], [`Self::two_sided`],
+    /// Property 4's `max(R.norm, S.norm)` form and cosine's
+    /// `c · R.norm · S.norm`; fails for [`Self::r_normalized`] and
+    /// [`Self::s_normalized`]. Structural and allocation-free.
+    pub fn is_symmetric(&self) -> bool {
+        self.conjuncts
+            .iter()
+            .all(|e| self.conjuncts.iter().any(|m| e.mirrors(m)))
+    }
 }
 
 #[cfg(test)]
@@ -392,6 +426,57 @@ mod tests {
         assert!(!OverlapPredicate::r_normalized(0.8).uses_s_norm());
         assert!(OverlapPredicate::two_sided(0.8).uses_s_norm());
         assert!(OverlapPredicate::s_normalized(0.8).uses_s_norm());
+    }
+
+    fn boxed(e: NormExpr) -> Box<NormExpr> {
+        Box::new(e)
+    }
+
+    #[test]
+    fn symmetric_predicates_detected() {
+        use NormExpr::*;
+        // Property 4: max(R.norm, S.norm)·c − (q − 1), either operand order.
+        let property4 = |r_first: bool| {
+            let (a, b) = if r_first {
+                (RNorm, SNorm)
+            } else {
+                (SNorm, RNorm)
+            };
+            OverlapPredicate::new(vec![Sub(
+                boxed(Mul(boxed(Max(boxed(a), boxed(b))), boxed(Const(0.55)))),
+                boxed(Const(2.0)),
+            )])
+        };
+        // Cosine: c · R.norm · S.norm.
+        let cosine = OverlapPredicate::new(vec![Mul(
+            boxed(Const(0.8)),
+            boxed(Mul(boxed(RNorm), boxed(SNorm))),
+        )]);
+        // Two-sided with its conjuncts listed S first.
+        let reordered =
+            OverlapPredicate::new(vec![NormExpr::s_scaled(0.7), NormExpr::r_scaled(0.7)]);
+        for p in [
+            OverlapPredicate::two_sided(0.8),
+            OverlapPredicate::absolute(3.0),
+            property4(true),
+            property4(false),
+            cosine,
+            reordered,
+        ] {
+            assert!(p.is_symmetric(), "{p}");
+            for (a, b) in [(3.0, 11.0), (7.5, 2.25), (4.0, 4.0)] {
+                assert_eq!(p.required_overlap(a, b), p.required_overlap(b, a), "{p}");
+            }
+        }
+        for p in [
+            OverlapPredicate::r_normalized(0.8),
+            OverlapPredicate::s_normalized(0.8),
+            // Sub does not commute, and unequal constants do not mirror.
+            OverlapPredicate::new(vec![Sub(boxed(RNorm), boxed(SNorm))]),
+            OverlapPredicate::new(vec![NormExpr::r_scaled(0.7), NormExpr::s_scaled(0.8)]),
+        ] {
+            assert!(!p.is_symmetric(), "{p}");
+        }
     }
 
     #[test]

@@ -43,6 +43,14 @@ impl Phase {
 
 /// Statistics of one SSJoin execution.
 ///
+/// On a symmetric self-join (one collection passed as both sides, under a
+/// predicate for which [`crate::OverlapPredicate::is_symmetric`] holds) the
+/// executors find each unordered pair once and mirror it, so the work
+/// counters — `join_tuples`, `candidate_pairs`, `verified_pairs`,
+/// `bitmap_probes`, `bitmap_prunes`, `merge_steps`, `early_exits`,
+/// `gallop_probes` — count unordered pairs (the diagonal once), while
+/// `output_pairs` counts both orientations, as the output holds them.
+///
 /// `PartialEq`/`Eq` compare every field (all counters and durations), so a
 /// stats record can ride inside [`crate::SsJoinError::BudgetExceeded`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -60,7 +68,7 @@ pub struct SsJoinStats {
     pub candidate_pairs: u64,
     /// Candidate pairs whose full overlap was computed (verification work).
     pub verified_pairs: u64,
-    /// Pairs in the final result.
+    /// Pairs in the final result — both orientations of a self-join pair.
     pub output_pairs: u64,
     /// Candidate pairs probed against the bitmap signature filter.
     pub bitmap_probes: u64,
@@ -80,9 +88,10 @@ pub struct SsJoinStats {
     /// Budget checkpoints taken (0 when no limit and no cancel token was
     /// set — the inactive fast path skips counting entirely).
     pub budget_checks: u64,
-    /// Worker threads the run actually used after clamping the requested
-    /// count to the host's `available_parallelism` (0 in per-worker partial
-    /// records; set once on the final stats).
+    /// Worker threads the run was given: the context's `threads`, never
+    /// clamped to the host (0 in per-worker partial records; set once on
+    /// the final stats). A join over fewer groups than threads runs one
+    /// worker per group.
     pub effective_threads: u64,
     /// Bytes of buffer capacity held by the [`crate::exec::JoinWorkspace`]
     /// after the run — the memory a reused workspace amortizes.

@@ -301,6 +301,80 @@ fn at_limit_runs_complete() {
     }
 }
 
+/// The output cap counts the pairs the caller sees. A symmetric self-join
+/// finds each unordered pair once and mirrors it, so its probes charge two
+/// per off-diagonal pair and one per diagonal pair: a cap one below the
+/// full output still trips, and a cap equal to it passes, in every
+/// executor. A spilled run trips one below the full output too; it is not
+/// held to passing at the full output, because its partition joins charge
+/// their pairs before the ownership filter drops the ones another
+/// partition owns (an over-count the spill driver already had).
+#[test]
+fn self_join_output_cap_counts_both_orientations() {
+    let groups: Vec<Vec<String>> = (0..40)
+        .map(|i| (0..4).map(|j| format!("e{}", (i + j * 3) % 13)).collect())
+        .collect();
+    let mut b = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+    let h = b.add_relation(groups);
+    let c = b.build().unwrap().collection(h).clone();
+    let spill_at = ssjoin_core::estimate_memory_bytes(&c, &c) / 4;
+    for pred in [
+        OverlapPredicate::absolute(2.0),
+        OverlapPredicate::two_sided(0.5),
+    ] {
+        assert!(pred.is_symmetric());
+        for alg in ALGORITHMS {
+            for (threads, resident) in [(1usize, None), (3, None), (1, Some(spill_at))] {
+                let ctx = |budget: ExecBudget| {
+                    let budget = match resident {
+                        Some(bytes) => budget.with_max_resident_bytes(bytes),
+                        None => budget,
+                    };
+                    SsJoinConfig::new(alg)
+                        .with_exec(ExecContext::new().with_threads(threads).with_budget(budget))
+                };
+                let full = ssjoin(&c, &c, &pred, &ctx(ExecBudget::default())).unwrap();
+                let n = full.stats.output_pairs;
+                assert!(
+                    full.pairs.iter().filter(|p| p.r != p.s).count() > 8,
+                    "the corpus must yield off-diagonal pairs"
+                );
+                let under = ssjoin(
+                    &c,
+                    &c,
+                    &pred,
+                    &ctx(ExecBudget::new().with_max_output_pairs(n - 1)),
+                );
+                assert!(
+                    matches!(
+                        under,
+                        Err(SsJoinError::BudgetExceeded {
+                            which: BudgetCause::OutputPairs,
+                            ..
+                        })
+                    ),
+                    "alg {alg:?} threads {threads} resident {resident:?} pred {pred}: \
+                     cap {} of {n} must trip, got {:?}",
+                    n - 1,
+                    under.map(|o| o.pairs.len())
+                );
+                if resident.is_some() {
+                    assert!(full.stats.spill_partitions >= 2, "the budget must spill");
+                    continue;
+                }
+                let at = ssjoin(
+                    &c,
+                    &c,
+                    &pred,
+                    &ctx(ExecBudget::new().with_max_output_pairs(n)),
+                )
+                .unwrap_or_else(|e| panic!("alg {alg:?} threads {threads}: cap {n}: {e}"));
+                assert_eq!(pairs_to_keys(&at.pairs), pairs_to_keys(&full.pairs));
+            }
+        }
+    }
+}
+
 /// Mid-run cancellation from another thread aborts a large parallel join
 /// with the typed error (not a hang, not a panic).
 #[test]
