@@ -1,10 +1,10 @@
-//! Relational-engine operator benchmarks: hash join vs sort-merge join
-//! (§5 notes the optimizer used both), plus aggregation.
+//! Relational-engine operator benchmarks: the hash join and the group-by
+//! that the paper's Figs 7–9 plans are built from.
 
 use ssjoin_bench::criterion::{criterion_group, criterion_main, Criterion};
 use ssjoin_relational::{
-    AggFunc, AggSpec, DataType, ExecContext, Expr, GroupBy, HashJoin, MergeJoin, PlanNode,
-    Relation, Scan, Schema, Value,
+    AggFunc, AggSpec, DataType, ExecContext, Expr, GroupBy, HashJoin, PlanNode, Relation, Scan,
+    Schema, Value,
 };
 use std::sync::Arc;
 
@@ -25,17 +25,6 @@ fn bench_engine(c: &mut Criterion) {
     g.bench_function("hash_join_20k", |b| {
         b.iter(|| {
             HashJoin::on(
-                Box::new(Scan::new(l.clone())),
-                Box::new(Scan::new(r.clone())),
-                &[("k", "k")],
-            )
-            .execute(&mut ExecContext::new())
-            .expect("join")
-        })
-    });
-    g.bench_function("merge_join_20k", |b| {
-        b.iter(|| {
-            MergeJoin::on(
                 Box::new(Scan::new(l.clone())),
                 Box::new(Scan::new(r.clone())),
                 &[("k", "k")],

@@ -465,20 +465,18 @@ fn ablation_order(scale: f64, report: &mut Report) {
 
 /// Ablation (§5, §7): the paper sees "no clear winner" between the basic
 /// and prefix-filtered plans and leaves a cost-based choice to future work.
-/// Forced Basic and Inline are timed against `Auto` (which resolves to
-/// Inline) across thresholds, next to each executor's element equi-join
-/// size — the quantity a cost model would have to estimate.
+/// Basic and Inline (the default) are timed across thresholds, next to each
+/// executor's element equi-join size — the quantity a cost model would have
+/// to estimate.
 fn ablation_cost(scale: f64, report: &mut Report) {
     let corpus = evaluation_corpus((scale * 0.4).max(0.004));
     let data = corpus.records;
     let mut t = Table::new(
-        "Ablation — Auto's rule vs forced Basic / Inline (Jaccard resemblance)",
+        "Ablation — Basic vs Inline across thresholds (Jaccard resemblance)",
         &[
             "Threshold",
             "Basic ms",
             "Inline ms",
-            "Auto ms",
-            "Auto ran",
             "Basic join tuples",
             "Inline join tuples",
         ],
@@ -496,13 +494,10 @@ fn ablation_cost(scale: f64, report: &mut Report) {
         };
         let (basic_t, basic_out) = time_with(Algorithm::Basic);
         let (inline_t, inline_out) = time_with(Algorithm::Inline);
-        let (auto_t, auto_out) = time_with(Algorithm::Auto);
         t.row(vec![
             format!("{theta:.2}"),
             ms(basic_t),
             ms(inline_t),
-            ms(auto_t),
-            format!("{:?}", auto_out.algorithm_used),
             count(basic_out.stats.join_tuples),
             count(inline_out.stats.join_tuples),
         ]);
@@ -510,13 +505,13 @@ fn ablation_cost(scale: f64, report: &mut Report) {
     report.table(t);
 }
 
-/// Ablation: `Algorithm::Auto` (Inline on the caller's context, bitmap
-/// filter on by default) is timed against the grid of fixed configurations
-/// (executor × bitmap filter × thread count) on the same collection. Regret
-/// is Auto's slowdown relative to the best fixed configuration; every
-/// configuration must reproduce the same output pair-for-pair. Timings take
-/// the minimum over several repetitions so the regret figure survives
-/// small-scale CI runs.
+/// Ablation: the default configuration (Inline with the bitmap filter on)
+/// against the grid of fixed configurations (executor × bitmap filter ×
+/// thread count) on the same collection. Regret is the default's slowdown
+/// relative to the best configuration of the grid, which includes the
+/// default at every thread level; every configuration must reproduce the
+/// same output pair-for-pair. Timings take the minimum over several
+/// repetitions so the regret figure survives small-scale CI runs.
 fn ablation_auto(scale: f64, report: &mut Report) {
     use ssjoin_core::{OverlapPredicate, SsJoinConfig};
     use ssjoin_text::Tokenizer;
@@ -541,11 +536,11 @@ fn ablation_auto(scale: f64, report: &mut Report) {
     let thread_levels: &[usize] = if cores > 1 { &[1, 8] } else { &[1] };
 
     let mut t = Table::new(
-        format!("Ablation — Auto's regret vs every fixed configuration (Jaccard resemblance, cores={cores})"),
+        format!("Ablation — the default's regret vs every fixed configuration (Jaccard resemblance, cores={cores})"),
         &[
             "Threshold",
-            "Auto ms",
-            "Auto plan",
+            "Default ms",
+            "Default plan",
             "Best fixed",
             "Best ms",
             "Regret %",
@@ -558,19 +553,10 @@ fn ablation_auto(scale: f64, report: &mut Report) {
     for theta in [0.6, 0.8] {
         let pred = OverlapPredicate::two_sided(theta);
 
-        // Enumerate every timed configuration up front: Auto at each thread
-        // level under the default context, then the fixed grid — every
-        // executor with the filter off and on (basic accumulates instead of
-        // verifying, so it runs unfiltered only), at each thread level.
-        let mut configs: Vec<(String, bool, SsJoinConfig)> = Vec::new();
-        for &threads in thread_levels {
-            configs.push((
-                format!("auto/{threads}t"),
-                true,
-                SsJoinConfig::new(Algorithm::Auto)
-                    .with_exec(ExecContext::new().with_threads(threads)),
-            ));
-        }
+        // Every timed configuration: each executor with the filter off and
+        // on (basic accumulates instead of verifying, so it runs unfiltered
+        // only), at each thread level.
+        let mut configs: Vec<(String, SsJoinConfig)> = Vec::new();
         for &threads in thread_levels {
             for alg in [
                 Algorithm::Basic,
@@ -586,7 +572,6 @@ fn ablation_auto(scale: f64, report: &mut Report) {
                             "{alg:?}/{}/{threads}t",
                             if filter { "bitmap" } else { "off" }
                         ),
-                        false,
                         SsJoinConfig::new(alg).with_exec(
                             ExecContext::new()
                                 .with_threads(threads)
@@ -599,17 +584,16 @@ fn ablation_auto(scale: f64, report: &mut Report) {
 
         // Warm caches and the allocator so the first timed configuration is
         // not systematically penalized.
-        let _ = ssjoin(c, c, &pred, &SsJoinConfig::new(Algorithm::Inline)).expect("warmup");
+        let _ = ssjoin(c, c, &pred, &SsJoinConfig::default()).expect("warmup");
 
         // Round-robin timing: one repetition of every configuration per
         // round, minimum per configuration across rounds. Interleaving
         // spreads slow drift on busy hosts across all configurations
         // instead of biasing whichever block ran first.
         let mut best_each = vec![Duration::MAX; configs.len()];
-        let mut auto_pairs: Option<Vec<_>> = None;
-        let mut plans = vec![String::from("-"); configs.len()];
+        let mut first_pairs: Option<Vec<_>> = None;
         for rep in 0..reps {
-            for (i, (_, is_auto, cfg)) in configs.iter().enumerate() {
+            for (i, (_, cfg)) in configs.iter().enumerate() {
                 let start = Instant::now();
                 let out = ssjoin(c, c, &pred, cfg).expect("ssjoin");
                 let elapsed = start.elapsed();
@@ -617,49 +601,35 @@ fn ablation_auto(scale: f64, report: &mut Report) {
                     best_each[i] = elapsed;
                 }
                 if rep == 0 {
-                    if *is_auto {
-                        let filter = if cfg.exec.bitmap_filter {
-                            "bitmap"
-                        } else {
-                            "off"
-                        };
-                        plans[i] = format!(
-                            "{:?}/{filter}/{}t",
-                            out.algorithm_used, out.stats.effective_threads
-                        );
-                    }
-                    if let Some(prev) = &auto_pairs {
+                    if let Some(prev) = &first_pairs {
                         all_equal &= *prev == out.pairs;
                     } else {
-                        // Auto entries lead the list, so the reference
-                        // output is Auto's.
-                        auto_pairs = Some(out.pairs);
+                        first_pairs = Some(out.pairs);
                     }
                 }
             }
         }
 
-        let (mut auto_t, mut best_t) = (Duration::MAX, Duration::MAX);
-        let mut plan = String::from("-");
-        let mut best_desc = String::from("-");
-        for (i, (desc, is_auto, _)) in configs.iter().enumerate() {
-            if *is_auto {
-                if best_each[i] < auto_t {
-                    auto_t = best_each[i];
-                    plan = plans[i].clone();
-                }
-            } else if best_each[i] < best_t {
+        let (mut default_t, mut best_t) = (Duration::MAX, Duration::MAX);
+        let (mut plan, mut best_desc) = (String::from("-"), String::from("-"));
+        for (i, (desc, cfg)) in configs.iter().enumerate() {
+            let is_default = cfg.algorithm == Algorithm::Inline && cfg.exec.bitmap_filter;
+            if is_default && best_each[i] < default_t {
+                default_t = best_each[i];
+                plan = desc.clone();
+            }
+            if best_each[i] < best_t {
                 best_t = best_each[i];
                 best_desc = desc.clone();
             }
         }
 
-        let regret =
-            (auto_t.as_secs_f64() - best_t.as_secs_f64()).max(0.0) / best_t.as_secs_f64().max(1e-9);
+        let regret = (default_t.as_secs_f64() - best_t.as_secs_f64()).max(0.0)
+            / best_t.as_secs_f64().max(1e-9);
         max_regret = max_regret.max(regret);
         t.row(vec![
             format!("{theta:.2}"),
-            ms(auto_t),
+            ms(default_t),
             plan,
             best_desc,
             ms(best_t),
@@ -670,7 +640,7 @@ fn ablation_auto(scale: f64, report: &mut Report) {
     report.table(t);
     assert!(
         all_equal,
-        "every fixed configuration must reproduce Auto's output"
+        "every fixed configuration must reproduce the same output"
     );
     report.metric_u64("ablation_auto.cores", cores as u64);
     report.metric_f64("ablation_auto.regret", max_regret);
@@ -804,7 +774,7 @@ fn ablation_workspace(scale: f64, report: &mut Report) {
         .collect();
     let collections: Vec<_> = built.iter().map(|(b, h)| b.collection(*h)).collect();
     let pred = ssjoin_core::OverlapPredicate::two_sided(theta);
-    let cfg = SsJoinConfig::new(Algorithm::Auto);
+    let cfg = SsJoinConfig::new(Algorithm::Inline);
 
     // Each timed sweep replays the whole batch stream several times so the
     // measurement is long enough to sit above scheduler noise.
@@ -859,7 +829,7 @@ fn ablation_workspace(scale: f64, report: &mut Report) {
 
     let mut t = Table::new(
         format!(
-            "Ablation — workspace reuse (Jaccard {theta}, auto, {} batches of ≤{batch} records)",
+            "Ablation — workspace reuse (Jaccard {theta}, inline, {} batches of ≤{batch} records)",
             collections.len()
         ),
         &["Config", "Sweep ms", "Pairs", "Output equal"],
@@ -1525,7 +1495,7 @@ fn ablation_spill(scale: f64, report: &mut Report) {
 /// ≥-floor swept point must exist on the clean corpus.
 const APPROX_RECALL_FLOOR: f64 = 0.90;
 
-/// One corpus panel of [`ablation_approx`]: exact Auto ground truth, then
+/// One corpus panel of [`ablation_approx`]: exact Inline ground truth, then
 /// the recall sweep. Returns `(frontier_recall, frontier_speedup,
 /// floor_met, subset_sound)` where the frontier point is the fastest swept
 /// point whose measured recall clears [`APPROX_RECALL_FLOOR`] (falling back
@@ -1559,7 +1529,7 @@ fn approx_panel(
     // approximate mode for its own preprocessing.
     let median3 = |cfg: &SsJoinConfig| median_of_3(|| ssjoin(c, c, &pred, cfg).expect("ssjoin"));
 
-    let (exact, exact_t) = median3(&SsJoinConfig::new(Algorithm::Auto));
+    let (exact, exact_t) = median3(&SsJoinConfig::new(Algorithm::Inline));
     let truth: std::collections::HashMap<(u32, u32), _> = exact
         .pairs
         .iter()
@@ -1579,7 +1549,7 @@ fn approx_panel(
         ],
     );
     t.row(vec![
-        "exact (Auto)".into(),
+        "exact (Inline)".into(),
         ms(exact_t),
         "1.00x".into(),
         "-".into(),
@@ -1593,7 +1563,7 @@ fn approx_panel(
     // (target, measured recall, speedup) per swept point.
     let mut points: Vec<(f64, f64, f64)> = Vec::new();
     for &target in recalls {
-        let cfg = SsJoinConfig::new(Algorithm::Auto)
+        let cfg = SsJoinConfig::new(Algorithm::Inline)
             .with_exec(ExecContext::new().with_approximate(target));
         let (out, elapsed) = median3(&cfg);
         // Subset soundness: every approximate pair must appear in the exact
@@ -1658,7 +1628,7 @@ fn approx_panel(
 /// sketches replace the exhaustive candidate scan with recursive
 /// argmin-bucket lookups; verification runs the unmodified exact kernels, so
 /// the only possible failure mode is a *missed* pair — measured here as
-/// recall against the exact Auto plan's ground truth, alongside the
+/// recall against the exact Inline run's ground truth, alongside the
 /// wall-clock speedup, on both the clean evaluation corpus and the PR 9
 /// dirty near-threshold corpus. Speedups are host-dependent and reported,
 /// not gated; the recall floor and subset-soundness verdicts are gated in

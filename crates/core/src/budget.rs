@@ -226,6 +226,9 @@ pub(crate) struct BudgetState {
     cancel: Option<CancelToken>,
     candidates: AtomicU64,
     output: AtomicU64,
+    /// False while a spill partition joins: its pairs are charged only once
+    /// the ownership filter has dropped those another partition owns.
+    charge_output: AtomicBool,
     /// 0 = running; otherwise a [`BudgetCause`] discriminant. First writer
     /// wins.
     cause: AtomicU8,
@@ -243,6 +246,7 @@ impl BudgetState {
             cancel: cancel.cloned(),
             candidates: AtomicU64::new(0),
             output: AtomicU64::new(0),
+            charge_output: AtomicBool::new(true),
             cause: AtomicU8::new(0),
             checks: AtomicU64::new(0),
         }
@@ -290,6 +294,11 @@ impl BudgetState {
             self.trip(BudgetCause::CandidatePairs);
             return false;
         }
+        let out_delta = if self.charge_output.load(Ordering::Relaxed) {
+            out_delta
+        } else {
+            0
+        };
         let out = self.output.fetch_add(out_delta, Ordering::Relaxed) + out_delta;
         if out > self.max_output {
             self.trip(BudgetCause::OutputPairs);
@@ -309,6 +318,13 @@ impl BudgetState {
     #[inline]
     pub(crate) fn proceed(&self) -> bool {
         self.checkpoint(0, 0)
+    }
+
+    /// Stop (`false`) or resume (`true`) charging the output deltas that
+    /// checkpoints report. Call only between executor runs, never while
+    /// workers are live.
+    pub(crate) fn charge_output(&self, on: bool) {
+        self.charge_output.store(on, Ordering::Relaxed);
     }
 
     /// The cause that aborted the run, if any.

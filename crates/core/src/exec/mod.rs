@@ -43,9 +43,6 @@ pub struct SsJoinOutput {
     pub pairs: Vec<JoinPair>,
     /// Phase timings and counters.
     pub stats: SsJoinStats,
-    /// The algorithm that actually ran: the configured one after
-    /// [`Algorithm::resolve`], so it differs only under [`Algorithm::Auto`].
-    pub algorithm_used: Algorithm,
 }
 
 /// Physical SSJoin algorithm, per §4 of the paper.
@@ -58,26 +55,11 @@ pub enum Algorithm {
     /// relations to regroup and verify.
     PrefixFiltered,
     /// Figure 9: prefix filter with the inline set representation —
-    /// verification merges the carried sets directly.
+    /// verification merges the carried sets directly. The default: a cost
+    /// model choosing among the three picked it at every measured threshold
+    /// (DESIGN §12).
     #[default]
     Inline,
-    /// Let the system choose: resolves to [`Algorithm::Inline`] on the
-    /// caller's context unchanged (see [`Algorithm::resolve`]).
-    Auto,
-}
-
-impl Algorithm {
-    /// The executor a run of `self` uses. [`Algorithm::Auto`] is a rule, not
-    /// a planner: it resolves to [`Algorithm::Inline`] — the executor the
-    /// former cost model picked at every threshold of the `ablation-cost`
-    /// and `ablation-auto` panels (DESIGN §12). Every other algorithm
-    /// resolves to itself.
-    pub fn resolve(self) -> Algorithm {
-        match self {
-            Algorithm::Auto => Algorithm::Inline,
-            forced => forced,
-        }
-    }
 }
 
 /// Execution context shared by every physical executor: thread count, the
@@ -209,9 +191,6 @@ pub struct SsJoinRun<'w> {
     pub pairs: &'w [JoinPair],
     /// Phase timings and counters.
     pub stats: SsJoinStats,
-    /// The algorithm that actually ran: the configured one after
-    /// [`Algorithm::resolve`], so it differs only under [`Algorithm::Auto`].
-    pub algorithm_used: Algorithm,
 }
 
 /// Execute the SSJoin operator `R SSJoin_pred S`.
@@ -239,11 +218,10 @@ pub fn ssjoin(
     config: &SsJoinConfig,
 ) -> SsJoinResult<SsJoinOutput> {
     let mut ws = JoinWorkspace::new();
-    let (stats, used) = ssjoin_into(r, s, pred, config, &mut ws)?;
+    let stats = ssjoin_into(r, s, pred, config, &mut ws)?;
     Ok(SsJoinOutput {
         pairs: std::mem::take(&mut ws.out),
         stats,
-        algorithm_used: used,
     })
 }
 
@@ -262,11 +240,10 @@ pub fn ssjoin_with<'w>(
     config: &SsJoinConfig,
     ws: &'w mut JoinWorkspace,
 ) -> SsJoinResult<SsJoinRun<'w>> {
-    let (stats, used) = ssjoin_into(r, s, pred, config, ws)?;
+    let stats = ssjoin_into(r, s, pred, config, ws)?;
     Ok(SsJoinRun {
         pairs: &ws.out,
         stats,
-        algorithm_used: used,
     })
 }
 
@@ -276,7 +253,7 @@ fn ssjoin_into(
     pred: &OverlapPredicate,
     config: &SsJoinConfig,
     ws: &mut JoinWorkspace,
-) -> SsJoinResult<(SsJoinStats, Algorithm)> {
+) -> SsJoinResult<SsJoinStats> {
     if r.universe_tag() != s.universe_tag() {
         return Err(SsJoinError::UniverseMismatch);
     }
@@ -301,14 +278,12 @@ fn ssjoin_into(
 }
 
 /// One run's envelope, opened by [`begin`] and closed by [`finish`]: the
-/// resolved algorithm, the context the executors see, the shared budget
-/// state, and the route the run takes. One-shot joins and
-/// [`crate::CorpusIndex`] probes share it, so validation, the
-/// [`Algorithm::Auto`] rule, spill routing and the budget-error conversion
-/// exist once.
+/// algorithm, the context the executors see, the shared budget state, and
+/// the route the run takes. One-shot joins and [`crate::CorpusIndex`]
+/// probes share it, so validation, spill routing and the budget-error
+/// conversion exist once.
 pub(crate) struct RunEnvelope<'c> {
-    /// The configured algorithm after [`Algorithm::resolve`] — never
-    /// [`Algorithm::Auto`]; reported as the run's `algorithm_used`.
+    /// The configured algorithm.
     pub(crate) algorithm: Algorithm,
     /// The caller's context, worker count included.
     pub(crate) ctx: &'c ExecContext,
@@ -321,9 +296,9 @@ pub(crate) struct RunEnvelope<'c> {
 }
 
 /// Open a run of `config` over `r × s`: reject zero threads and invalid
-/// approximate specs, resolve the algorithm, decide whether the resident
-/// budget routes the run out of core (refusing approximate mode there),
-/// apply the memory preflight, take the entry checkpoint and reset `ws`.
+/// approximate specs, decide whether the resident budget routes the run out
+/// of core (refusing approximate mode there), apply the memory preflight,
+/// take the entry checkpoint and reset `ws`.
 pub(crate) fn begin<'c>(
     r: &SetCollection,
     s: &SetCollection,
@@ -367,7 +342,7 @@ pub(crate) fn begin<'c>(
     let _ = budget.proceed();
     ws.begin_run();
     Ok(RunEnvelope {
-        algorithm: config.algorithm.resolve(),
+        algorithm: config.algorithm,
         spill: spilling && budget.cause().is_none(),
         approx,
         budget,
@@ -384,7 +359,7 @@ pub(crate) fn finish(
     mut stats: SsJoinStats,
     extra_bytes: u64,
     ws: &JoinWorkspace,
-) -> SsJoinResult<(SsJoinStats, Algorithm)> {
+) -> SsJoinResult<SsJoinStats> {
     stats.budget_checks = run.budget.checks();
     stats.effective_threads = run.ctx.threads as u64;
     stats.workspace_reuses = ws.reuses();
@@ -405,7 +380,7 @@ pub(crate) fn finish(
         "executor output must arrive (r, s)-sorted and duplicate-free"
     );
     stats.output_pairs = ws.out.len() as u64;
-    Ok((stats, run.algorithm))
+    Ok(stats)
 }
 
 /// Dispatch to the physical executor for `algorithm`. Shared by the
@@ -425,8 +400,7 @@ pub(crate) fn run_algorithm(
     match algorithm {
         Algorithm::Basic => basic::run(r, s, pred, ctx, budget, ws),
         Algorithm::PrefixFiltered => prefix::run(r, s, pred, ctx, budget, ws),
-        // Auto is Inline (`Algorithm::resolve`).
-        Algorithm::Inline | Algorithm::Auto => inline::run(r, s, pred, ctx, budget, ws),
+        Algorithm::Inline => inline::run(r, s, pred, ctx, budget, ws),
     }
 }
 
@@ -664,18 +638,6 @@ mod tests {
                 SsJoinStats::default()
             });
             assert_eq!(workers.len(), threads.min(c.len()), "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn auto_resolves_to_inline_and_forced_algorithms_to_themselves() {
-        assert_eq!(Algorithm::Auto.resolve(), Algorithm::Inline);
-        for alg in [
-            Algorithm::Basic,
-            Algorithm::PrefixFiltered,
-            Algorithm::Inline,
-        ] {
-            assert_eq!(alg.resolve(), alg);
         }
     }
 

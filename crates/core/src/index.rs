@@ -238,11 +238,10 @@ impl CorpusIndex {
         config: &SsJoinConfig,
         ws: &'w mut JoinWorkspace,
     ) -> SsJoinResult<SsJoinRun<'w>> {
-        let (stats, used) = self.probe_into(batch, config, ws)?;
+        let stats = self.probe_into(batch, config, ws)?;
         Ok(SsJoinRun {
             pairs: &ws.out,
             stats,
-            algorithm_used: used,
         })
     }
 
@@ -251,7 +250,7 @@ impl CorpusIndex {
         batch: &SetCollection,
         config: &SsJoinConfig,
         ws: &mut JoinWorkspace,
-    ) -> SsJoinResult<(SsJoinStats, Algorithm)> {
+    ) -> SsJoinResult<SsJoinStats> {
         if !batch.shares_universe(&self.corpus) {
             return Err(SsJoinError::UniverseMismatch);
         }
@@ -290,8 +289,8 @@ impl CorpusIndex {
                 run_algorithm(algorithm, r, s, &self.pred, ctx, &run.budget, ws),
                 true,
             ),
-            // `algorithm` is resolved, so only PrefixFiltered and Inline
-            // reach the persistent prefix index.
+            // Only PrefixFiltered and Inline reach the persistent prefix
+            // index.
             (None, None) => (
                 probe_prefix_family(
                     r,

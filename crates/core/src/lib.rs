@@ -18,11 +18,8 @@
 //!   relations to recompute full overlaps (Figure 8);
 //! * [`Algorithm::Inline`] — prefix filter where each surviving tuple
 //!   carries its full set inline, so verification is a sorted-array merge
-//!   and the joins back to base relations disappear (Figure 9);
-//!
-//! plus [`Algorithm::Auto`], which resolves to the inline algorithm (the
-//! choice a cost model made on every measured panel; see
-//! [`Algorithm::resolve`]).
+//!   and the joins back to base relations disappear (Figure 9), the
+//!   default.
 //!
 //! The [`plan`] module additionally composes the *same* three
 //! implementations as literal relational operator trees over the

@@ -618,7 +618,7 @@ fn decode_side(
 /// join each through the ordinary executor for `algorithm`, keep only the
 /// pairs each partition owns, and k-way merge the per-partition sorted runs
 /// into `ws.out`. Returns the merged stats; every partition runs the same
-/// executor, `algorithm` after [`Algorithm::resolve`].
+/// executor, `algorithm`.
 ///
 /// The shared [`BudgetState`] spans the whole run: a deadline or cancel
 /// tripping mid-partition aborts between (or inside) partitions, the
@@ -822,6 +822,10 @@ fn run_inner(
             &scratch.s_gids
         };
         scratch.inner.begin_run();
+        // The partition join charges candidates and polls the deadline and
+        // cancel token, but its output includes pairs another partition
+        // owns: only the owned pairs are charged, after the filter below.
+        budget.charge_output(false);
         let pstats = run_algorithm(
             algorithm,
             sub_r,
@@ -831,6 +835,7 @@ fn run_inner(
             budget,
             &mut scratch.inner,
         );
+        budget.charge_output(true);
         stats.merge(&pstats);
         // Ownership filter + global-id remap. Local ids ascend with global
         // ids (encode order), so the surviving pairs stay `(r, s)`-sorted
@@ -848,10 +853,11 @@ fn run_inner(
                 });
             }
         }
-        if w0.pairs.len() > start {
+        let owned = w0.pairs.len() - start;
+        if owned > 0 {
             w0.runs.push((start, w0.pairs.len()));
         }
-        if budget.cause().is_some() {
+        if !budget.checkpoint(0, owned as u64) {
             break;
         }
     }

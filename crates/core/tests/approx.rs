@@ -15,11 +15,10 @@ use ssjoin_core::{
 };
 use ssjoin_prng::{Rng, StdRng};
 
-const ALGORITHMS: [Algorithm; 4] = [
+const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::Basic,
     Algorithm::PrefixFiltered,
     Algorithm::Inline,
-    Algorithm::Auto,
 ];
 
 fn build_self(groups: Vec<Vec<String>>, order: ElementOrder) -> SetCollection {
@@ -76,7 +75,7 @@ fn approx_output_is_subset_with_exact_scores() {
             .iter()
             .map(|p| ((p.r, p.s), p.overlap))
             .collect();
-        let cfg = SsJoinConfig::new(Algorithm::Auto)
+        let cfg = SsJoinConfig::new(Algorithm::Inline)
             .with_exec(ExecContext::new().with_approximate(target));
         let out = ssjoin(&c, &c, &pred, &cfg).unwrap();
         assert!(out.stats.approx_reps >= 1, "seed {seed}: no repetitions");
@@ -111,7 +110,7 @@ fn approx_is_deterministic_across_executors_and_threads() {
             &c,
             &c,
             &pred,
-            &SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext {
+            &SsJoinConfig::new(Algorithm::Inline).with_exec(ExecContext {
                 approx: Some(spec),
                 ..ExecContext::new()
             }),
@@ -134,25 +133,24 @@ fn approx_is_deterministic_across_executors_and_threads() {
 }
 
 /// A target recall of exactly 1.0 is a valid spec that keeps the exact
-/// pipeline: output bit-identical to a plain run, no repetitions built, and
-/// `Auto` reports the inline executor it ran.
+/// pipeline: output bit-identical to a plain run and no repetitions built.
 #[test]
 fn recall_one_degenerates_to_exact() {
     for seed in 0..12u64 {
         let mut rng = StdRng::seed_from_u64(0x1000_u64.wrapping_add(seed));
         let c = build_self(clustered_groups(&mut rng), ElementOrder::FrequencyAsc);
         let pred = OverlapPredicate::two_sided(0.5);
-        let exact = ssjoin(&c, &c, &pred, &SsJoinConfig::new(Algorithm::Auto)).unwrap();
+        let exact = ssjoin(&c, &c, &pred, &SsJoinConfig::new(Algorithm::Inline)).unwrap();
         let degenerate = ssjoin(
             &c,
             &c,
             &pred,
-            &SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext::new().with_approximate(1.0)),
+            &SsJoinConfig::new(Algorithm::Inline)
+                .with_exec(ExecContext::new().with_approximate(1.0)),
         )
         .unwrap();
         assert_eq!(exact.pairs, degenerate.pairs, "seed {seed}");
         assert_eq!(degenerate.stats.approx_reps, 0, "seed {seed}");
-        assert_eq!(degenerate.algorithm_used, Algorithm::Inline, "seed {seed}");
     }
 }
 
@@ -166,8 +164,8 @@ fn invalid_targets_are_config_errors() {
     );
     let pred = OverlapPredicate::two_sided(0.5);
     for bad in [0.0, -0.25, 1.5, f64::NAN] {
-        let cfg =
-            SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext::new().with_approximate(bad));
+        let cfg = SsJoinConfig::new(Algorithm::Inline)
+            .with_exec(ExecContext::new().with_approximate(bad));
         match ssjoin(&c, &c, &pred, &cfg) {
             Err(SsJoinError::Config(msg)) => {
                 assert!(msg.contains("recall"), "target {bad}: {msg}")
@@ -185,7 +183,7 @@ fn approx_plus_spill_is_a_config_error() {
     let mut rng = StdRng::seed_from_u64(0x5B1A);
     let c = build_self(clustered_groups(&mut rng), ElementOrder::FrequencyAsc);
     let pred = OverlapPredicate::two_sided(0.5);
-    let cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(
+    let cfg = SsJoinConfig::new(Algorithm::Inline).with_exec(
         ExecContext::new()
             .with_approximate(0.9)
             .with_budget(ExecBudget::new().with_max_resident_bytes(1)),
@@ -209,7 +207,7 @@ fn approx_honors_budget_and_cancellation() {
 
     let token = CancelToken::new();
     token.cancel();
-    let cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(
+    let cfg = SsJoinConfig::new(Algorithm::Inline).with_exec(
         ExecContext::new()
             .with_approximate(0.9)
             .with_cancel_token(token),
@@ -221,7 +219,7 @@ fn approx_honors_budget_and_cancellation() {
         other => panic!("expected cancellation, got {other:?}"),
     }
 
-    let cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(
+    let cfg = SsJoinConfig::new(Algorithm::Inline).with_exec(
         ExecContext::new()
             .with_approximate(0.9)
             .with_budget(ExecBudget::new().with_max_candidate_pairs(1)),
@@ -250,7 +248,7 @@ fn index_pins_the_approx_spec_and_survives_churn() {
     // Exact-built index rejects approximate probes.
     let exact_index =
         CorpusIndex::build_with(c.clone(), pred.clone(), &CorpusIndexOptions::default()).unwrap();
-    let approx_cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext {
+    let approx_cfg = SsJoinConfig::new(Algorithm::Inline).with_exec(ExecContext {
         approx: Some(spec),
         ..ExecContext::new()
     });
@@ -269,7 +267,7 @@ fn index_pins_the_approx_spec_and_survives_churn() {
     };
     let mut index = CorpusIndex::build_with(c.clone(), pred.clone(), &options).unwrap();
     for wrong in [spec.with_seed(123), ApproxSpec::new(0.8)] {
-        let cfg = SsJoinConfig::new(Algorithm::Auto).with_exec(ExecContext {
+        let cfg = SsJoinConfig::new(Algorithm::Inline).with_exec(ExecContext {
             approx: Some(wrong),
             ..ExecContext::new()
         });
@@ -286,7 +284,7 @@ fn index_pins_the_approx_spec_and_survives_churn() {
     // and an exact probe of the approx-built index still works.
     let subset_sound = |index: &mut CorpusIndex, ws: &mut JoinWorkspace| {
         let exact: std::collections::HashMap<(u32, u32), Weight> = index
-            .probe(&c, &SsJoinConfig::new(Algorithm::Auto), ws)
+            .probe(&c, &SsJoinConfig::new(Algorithm::Inline), ws)
             .unwrap()
             .pairs
             .iter()

@@ -11,11 +11,10 @@ use ssjoin_core::{
 };
 use ssjoin_prng::{Rng, StdRng};
 
-const ALGORITHMS: [Algorithm; 4] = [
+const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::Basic,
     Algorithm::PrefixFiltered,
     Algorithm::Inline,
-    Algorithm::Auto,
 ];
 
 /// A collision-heavy Idf corpus: 120 groups of 3–7 tokens from a 61-token
@@ -36,10 +35,8 @@ fn corpus() -> SetCollection {
 }
 
 /// Check one filtered run against its unfiltered twin: identical pairs and
-/// balancing counters. `Auto` runs on the caller's context like every
-/// forced executor, so it is held to the same balance. A probe with a
-/// pending epoch tail verifies
-/// the tail brute-force, outside the filter, so `tail` relaxes the probe
+/// balancing counters. A probe with a pending epoch tail verifies the
+/// tail brute-force, outside the filter, so `tail` relaxes the probe
 /// count to an upper bound. Returns the filtered run's prunes.
 fn check_balance(
     what: &str,

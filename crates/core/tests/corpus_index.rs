@@ -11,11 +11,10 @@ use ssjoin_core::{
 };
 use ssjoin_prng::{Rng, StdRng};
 
-const ALGORITHMS: [Algorithm; 4] = [
+const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::Basic,
     Algorithm::PrefixFiltered,
     Algorithm::Inline,
-    Algorithm::Auto,
 ];
 
 /// 1–19 groups of 0–7 single-letter tokens from a 10-letter alphabet —
@@ -116,12 +115,6 @@ fn probe_equals_fresh_ssjoin_across_executors_and_threads() {
                     fresh.pairs.as_slice(),
                     "seed {seed}, alg {alg:?}, threads {threads}"
                 );
-                assert_eq!(
-                    probed.algorithm_used,
-                    alg.resolve(),
-                    "seed {seed}, alg {alg:?}, threads {threads}"
-                );
-                assert_eq!(probed.algorithm_used, fresh.algorithm_used);
             }
         }
     }

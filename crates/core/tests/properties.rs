@@ -6,9 +6,8 @@
 use ssjoin_core::kernel::{overlap_at_least, overlap_gallop, verify_overlap};
 use ssjoin_core::plan::{basic_plan, collection_to_relation, inline_plan, prefix_plan, run_plan};
 use ssjoin_core::{
-    ssjoin, Algorithm, CorpusIndex, ElementOrder, ExecContext, JoinPair, JoinWorkspace,
-    OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder, SsJoinStats, Weight,
-    WeightScheme,
+    ssjoin, Algorithm, ElementOrder, ExecContext, JoinPair, OverlapPredicate, SetCollection,
+    SsJoinConfig, SsJoinInputBuilder, SsJoinStats, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 use std::sync::Arc;
@@ -80,8 +79,8 @@ fn build_two(
     (built.collection(rh).clone(), built.collection(sh).clone())
 }
 
-/// The four fast-path executors and `Auto` agree with the oracle, for
-/// every weighting scheme and global order.
+/// The three executors agree with the oracle, for every weighting scheme
+/// and global order.
 #[test]
 fn executors_match_oracle() {
     for seed in 0..64u64 {
@@ -104,7 +103,6 @@ fn executors_match_oracle() {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::Auto,
         ] {
             let out = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg)).unwrap();
             assert_eq!(
@@ -191,7 +189,6 @@ fn parallel_equals_sequential() {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::Auto,
         ] {
             let seq = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg)).unwrap();
             for threads in [2usize, 8] {
@@ -291,7 +288,6 @@ fn bitmap_filter_never_changes_output() {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::Auto,
         ] {
             let baseline = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg)).unwrap();
             for threads in [1usize, 2, 8] {
@@ -420,130 +416,12 @@ fn parallel_inline_matches_sequential_on_zipf_head() {
                 let par = run(threads);
                 let what = format!("seed {seed}, threads {threads}, filter {filter}");
                 assert_eq!(seq.pairs, par.pairs, "{what}");
-                assert_eq!(par.algorithm_used, Algorithm::Inline);
                 assert_eq!(
                     work_counters(&seq.stats),
                     work_counters(&par.stats),
                     "{what}"
                 );
             }
-        }
-    }
-}
-
-/// `Algorithm::Auto`'s output is bit-identical (ids *and* overlaps) to
-/// every forced configuration — executor × thread count × filter — on both
-/// the one-shot path and the [`CorpusIndex::probe`] path.
-#[test]
-fn auto_matches_every_forced_configuration() {
-    const EXECUTORS: [Algorithm; 3] = [
-        Algorithm::Basic,
-        Algorithm::PrefixFiltered,
-        Algorithm::Inline,
-    ];
-    for seed in 0..8u64 {
-        let mut rng = StdRng::seed_from_u64(0xA070 + seed);
-        let pred = random_predicate(&mut rng);
-        let order = random_order(&mut rng);
-        let groups = random_groups(&mut rng);
-        let (r, s) = build_two(groups.clone(), groups, WeightScheme::Idf, order);
-        let auto = ssjoin(&r, &s, &pred, &SsJoinConfig::new(Algorithm::Auto)).unwrap();
-        assert_eq!(auto.algorithm_used, Algorithm::Inline, "seed {seed}");
-        let index = CorpusIndex::build(s.clone(), pred.clone()).unwrap();
-        let mut ws = JoinWorkspace::new();
-        for threads in [1usize, 4] {
-            let auto_probe = index
-                .probe(
-                    &r,
-                    &SsJoinConfig::new(Algorithm::Auto)
-                        .with_exec(ExecContext::new().with_threads(threads)),
-                    &mut ws,
-                )
-                .unwrap();
-            assert_eq!(
-                auto_probe.algorithm_used,
-                Algorithm::Inline,
-                "seed {seed}, {threads}t"
-            );
-            assert_eq!(auto.pairs, auto_probe.pairs, "seed {seed}, {threads}t");
-            for alg in EXECUTORS {
-                for filter in [false, true] {
-                    let cfg = SsJoinConfig::new(alg).with_exec(
-                        ExecContext::new()
-                            .with_threads(threads)
-                            .with_bitmap_filter(filter),
-                    );
-                    let forced = ssjoin(&r, &s, &pred, &cfg).unwrap();
-                    assert_eq!(
-                        auto.pairs, forced.pairs,
-                        "seed {seed}: auto differs from {alg:?}/{threads}t/filter={filter}"
-                    );
-                    let probed = index.probe(&r, &cfg, &mut ws).unwrap();
-                    assert_eq!(
-                        auto.pairs, probed.pairs,
-                        "seed {seed}: probe differs from {alg:?}/{threads}t/filter={filter}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// `Algorithm::Auto` is exactly forced `Inline` on the caller's context:
-/// at every thread count × filter setting, one-shot and through
-/// [`CorpusIndex::probe`], it emits the same pairs and the same
-/// schedule-independent counters, reports `Inline` as the algorithm used,
-/// and runs the same number of workers. Holds on any host: the thread
-/// clamp applies to both sides alike.
-#[test]
-fn auto_is_inline_on_the_callers_context() {
-    let groups: Vec<Vec<String>> = (0..400)
-        .map(|i| {
-            (0..(3 + i % 6))
-                .map(|j| format!("t{}", (i * 31 + j * 7) % 199))
-                .collect()
-        })
-        .collect();
-    let (r, s) = build_two(
-        groups.clone(),
-        groups,
-        WeightScheme::Idf,
-        ElementOrder::FrequencyAsc,
-    );
-    let pred = OverlapPredicate::two_sided(0.7);
-    let index = CorpusIndex::build(s.clone(), pred.clone()).unwrap();
-    let mut ws = JoinWorkspace::new();
-    for threads in [1usize, 2, 4] {
-        for filter in [true, false] {
-            let ctx = ExecContext::new()
-                .with_threads(threads)
-                .with_bitmap_filter(filter);
-            let auto = SsJoinConfig::new(Algorithm::Auto).with_exec(ctx.clone());
-            let inline = SsJoinConfig::new(Algorithm::Inline).with_exec(ctx);
-            let what = format!("{threads}t, filter {filter}");
-
-            let (a, i) = (
-                ssjoin(&r, &s, &pred, &auto).unwrap(),
-                ssjoin(&r, &s, &pred, &inline).unwrap(),
-            );
-            assert!(!i.pairs.is_empty(), "{what}: the join found no pairs");
-            assert_eq!(a.pairs, i.pairs, "{what}");
-            assert_eq!(a.algorithm_used, Algorithm::Inline, "{what}");
-            assert_eq!(work_counters(&a.stats), work_counters(&i.stats), "{what}");
-            assert_eq!(a.stats.effective_threads, i.stats.effective_threads);
-            assert_eq!(filter, a.stats.bitmap_probes > 0, "{what}");
-
-            let a = index.probe(&r, &auto, &mut ws).unwrap();
-            let (a_pairs, a_stats, a_used) = (a.pairs.to_vec(), a.stats, a.algorithm_used);
-            let i = index.probe(&r, &inline, &mut ws).unwrap();
-            assert_eq!(a_pairs, i.pairs, "probe {what}");
-            assert_eq!(a_used, Algorithm::Inline, "probe {what}");
-            assert_eq!(
-                work_counters(&a_stats),
-                work_counters(&i.stats),
-                "probe {what}"
-            );
-            assert_eq!(a_stats.effective_threads, i.stats.effective_threads);
         }
     }
 }

@@ -137,7 +137,6 @@ fn spilled_output_bit_identical_to_resident() {
                 Algorithm::Basic,
                 Algorithm::PrefixFiltered,
                 Algorithm::Inline,
-                Algorithm::Auto,
             ] {
                 for threads in [1usize, 3] {
                     for filter in [false, true] {
@@ -168,7 +167,6 @@ fn spilled_output_bit_identical_to_resident() {
                             );
                             assert!(out.stats.spill_bytes > 0, "spilled run wrote no frames");
                             assert!(out.stats.spill_peak_resident_bytes > 0);
-                            assert_eq!(out.algorithm_used, alg.resolve(), "alg {alg:?}");
                         }
                     }
                 }

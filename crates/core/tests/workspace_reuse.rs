@@ -50,7 +50,6 @@ fn reused_workspace_matches_fresh_matrix() {
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::Auto,
     ];
     for (a, &algorithm) in algorithms.iter().enumerate() {
         for (k, filter) in [false, true].into_iter().enumerate() {

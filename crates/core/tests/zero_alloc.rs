@@ -99,7 +99,6 @@ fn warm_workspace_runs_allocation_free() {
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::Auto,
     ] {
         for filter in [false, true] {
             // The strict zero-allocation contract covers the sequential hot

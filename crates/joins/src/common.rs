@@ -2,8 +2,8 @@
 //! path every packaged join runs through ([`run_join`]).
 
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, JoinPair, NormKind, OverlapPredicate, Phase, SetCollection,
-    SsJoinConfig, SsJoinError, SsJoinInputBuilder, SsJoinResult, SsJoinStats, WeightScheme,
+    ssjoin, ElementOrder, JoinPair, NormKind, OverlapPredicate, Phase, SetCollection, SsJoinConfig,
+    SsJoinError, SsJoinInputBuilder, SsJoinResult, SsJoinStats, WeightScheme,
 };
 use std::time::{Duration, Instant};
 
@@ -27,8 +27,6 @@ pub struct SimilarityJoinOutput {
     pub pairs: Vec<MatchPair>,
     /// Phase timings and counters.
     pub stats: SsJoinStats,
-    /// The SSJoin algorithm that ran.
-    pub algorithm_used: Algorithm,
     /// Similarity-function (UDF) invocations in the final filter — the
     /// quantity Table 1 of the paper counts. Distinct from
     /// `stats.verified_pairs`, which counts overlap recomputations inside
@@ -194,21 +192,19 @@ pub(crate) fn run_join(
     stats.add_time(Phase::Prep, prep_time);
     let (verified, filter_time) = timed(|| verify(&out.pairs, r_col, s_col));
     stats.add_time(Phase::Filter, filter_time);
-    Ok(finish(verified, stats, out.algorithm_used))
+    Ok(finish(verified, stats))
 }
 
 /// Sort the verified pairs, stamp `output_pairs`, and assemble the output.
 pub(crate) fn finish(
     (mut pairs, udf_verifications): Verified,
     mut stats: SsJoinStats,
-    algorithm_used: Algorithm,
 ) -> SimilarityJoinOutput {
     pairs.sort_unstable_by_key(|p| (p.r, p.s));
     stats.output_pairs = pairs.len() as u64;
     SimilarityJoinOutput {
         pairs,
         stats,
-        algorithm_used,
         udf_verifications,
     }
 }

@@ -267,7 +267,6 @@ mod tests {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::Auto,
         ] {
             let cfg = EditJoinConfig::new(alpha).with_algorithm(alg);
             let out = edit_similarity_join(&data, &data, &cfg).unwrap();

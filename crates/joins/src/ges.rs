@@ -158,7 +158,7 @@ pub fn ges_join(
         let mut stats = SsJoinStats::default();
         stats.add_time(Phase::Filter, filter_time);
         let udf_calls = (r.len() * s.len()) as u64;
-        return Ok(finish((pairs, udf_calls), stats, Algorithm::Basic));
+        return Ok(finish((pairs, udf_calls), stats));
     }
 
     let spec = JoinSpec {

@@ -29,7 +29,6 @@
 
 mod error;
 mod expr;
-pub mod logical;
 pub mod ops;
 mod relation;
 mod schema;
@@ -37,10 +36,9 @@ mod value;
 
 pub use error::{EngineError, Result};
 pub use expr::{AggFunc, BoundExpr, CmpOp, Expr};
-pub use logical::LogicalPlan;
 pub use ops::{
-    AggSpec, Distinct, ExecContext, Filter, GroupBy, Groupwise, HashJoin, Limit, MergeJoin,
-    OpStats, PlanNode, Project, Scan, Sort, SortKey, TopN, Union,
+    AggSpec, Distinct, ExecContext, Filter, GroupBy, Groupwise, HashJoin, OpStats, PlanNode,
+    Project, Scan,
 };
 pub use relation::{Relation, Row};
 pub use schema::{Field, Schema};

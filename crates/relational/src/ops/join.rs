@@ -1,7 +1,8 @@
-//! Equi-joins: hash join and sort-merge join.
+//! Equi-join: hash join.
 //!
 //! §5 of the paper notes the optimizer's plans "only involved hash and merge
-//! joins"; both are provided so the engine ablation can compare them.
+//! joins"; the operator trees of Figs 7–9 need only one of them, so this
+//! engine keeps the hash join.
 
 use crate::ops::{timed, ExecContext, PlanNode};
 use crate::{EngineError, Relation, Result, Row, Schema, Value};
@@ -117,108 +118,6 @@ impl PlanNode for HashJoin {
     }
 }
 
-/// Inner sort-merge equi-join. Sorts both inputs by their key columns and
-/// merges, producing the cross product within each matching key run.
-pub struct MergeJoin {
-    left: Box<dyn PlanNode>,
-    right: Box<dyn PlanNode>,
-    keys: KeyPairs,
-    right_prefix: String,
-}
-
-impl MergeJoin {
-    /// Join `left` and `right` on the given key column pairs.
-    pub fn new(left: Box<dyn PlanNode>, right: Box<dyn PlanNode>, keys: KeyPairs) -> Self {
-        Self {
-            left,
-            right,
-            keys,
-            right_prefix: "s_".to_string(),
-        }
-    }
-
-    /// Convenience for string key names.
-    pub fn on(left: Box<dyn PlanNode>, right: Box<dyn PlanNode>, keys: &[(&str, &str)]) -> Self {
-        Self::new(
-            left,
-            right,
-            keys.iter()
-                .map(|(a, b)| (a.to_string(), b.to_string()))
-                .collect(),
-        )
-    }
-
-    /// Override the prefix applied to clashing right-side column names.
-    pub fn with_right_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.right_prefix = prefix.into();
-        self
-    }
-}
-
-impl PlanNode for MergeJoin {
-    fn name(&self) -> &str {
-        "merge_join"
-    }
-
-    fn execute(&self, ctx: &mut ExecContext) -> Result<Relation> {
-        timed(ctx, self.name(), |ctx| {
-            let left = self.left.execute(ctx)?;
-            let right = self.right.execute(ctx)?;
-            let (lk, rk) = key_indexes(&self.keys, left.schema(), right.schema())?;
-            let schema = left.schema().join(right.schema(), &self.right_prefix);
-
-            let mut lrows = left.into_rows();
-            let mut rrows = right.into_rows();
-            sort_rows_by(&mut lrows, &lk);
-            sort_rows_by(&mut rrows, &rk);
-
-            let mut rows = Vec::new();
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < lrows.len() && j < rrows.len() {
-                let lkey = extract_key(&lrows[i], &lk);
-                let rkey = extract_key(&rrows[j], &rk);
-                match lkey.cmp(&rkey) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        // Find the extents of the equal-key runs.
-                        let i_end = run_end(&lrows, i, &lk, &lkey);
-                        let j_end = run_end(&rrows, j, &rk, &rkey);
-                        for lrow in &lrows[i..i_end] {
-                            for rrow in &rrows[j..j_end] {
-                                rows.push(concat_rows(lrow, rrow));
-                            }
-                        }
-                        i = i_end;
-                        j = j_end;
-                    }
-                }
-            }
-            Ok(Relation::from_trusted_rows(schema, rows))
-        })
-    }
-}
-
-fn sort_rows_by(rows: &mut [Row], idxs: &[usize]) {
-    rows.sort_by(|a, b| {
-        for &i in idxs {
-            let ord = a[i].cmp(&b[i]);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-}
-
-fn run_end(rows: &[Row], start: usize, idxs: &[usize], key: &[Value]) -> usize {
-    let mut end = start + 1;
-    while end < rows.len() && extract_key(&rows[end], idxs) == key {
-        end += 1;
-    }
-    end
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,20 +146,6 @@ mod tests {
         let out = j.execute(&mut ExecContext::new()).unwrap();
         assert_eq!(out.schema().names(), vec!["k", "v", "s_k", "s_v"]);
         assert_eq!(out.len(), 3); // (2,x), (3,y), (3,z)
-    }
-
-    #[test]
-    fn merge_join_matches_hash_join() {
-        let l = rel(vec![(5, "a"), (1, "b"), (5, "c"), (2, "d")]);
-        let r = rel(vec![(5, "p"), (5, "q"), (2, "r"), (9, "s")]);
-        let h = HashJoin::on(scan(l.clone()), scan(r.clone()), &[("k", "k")])
-            .execute(&mut ExecContext::new())
-            .unwrap();
-        let m = MergeJoin::on(scan(l), scan(r), &[("k", "k")])
-            .execute(&mut ExecContext::new())
-            .unwrap();
-        assert_eq!(h.sorted_rows(), m.sorted_rows());
-        assert_eq!(h.len(), 5); // 2*2 for k=5 plus 1 for k=2
     }
 
     #[test]
@@ -314,14 +199,10 @@ mod tests {
         // 3 copies of k=7 on each side -> 9 output rows.
         let l = rel(vec![(7, "a"), (7, "b"), (7, "c")]);
         let r = rel(vec![(7, "x"), (7, "y"), (7, "z")]);
-        let h = HashJoin::on(scan(l.clone()), scan(r.clone()), &[("k", "k")])
-            .execute(&mut ExecContext::new())
-            .unwrap();
-        let m = MergeJoin::on(scan(l), scan(r), &[("k", "k")])
+        let h = HashJoin::on(scan(l), scan(r), &[("k", "k")])
             .execute(&mut ExecContext::new())
             .unwrap();
         assert_eq!(h.len(), 9);
-        assert_eq!(m.len(), 9);
     }
 
     #[test]

@@ -12,17 +12,13 @@ mod groupwise;
 mod join;
 mod project;
 mod setops;
-mod sort;
-mod topn;
 
 pub use filter::Filter;
 pub use group::{AggSpec, GroupBy};
 pub use groupwise::Groupwise;
-pub use join::{HashJoin, MergeJoin};
+pub use join::HashJoin;
 pub use project::Project;
-pub use setops::{Distinct, Union};
-pub use sort::{Limit, Sort, SortKey};
-pub use topn::TopN;
+pub use setops::Distinct;
 
 use crate::{Relation, Result, Schema};
 use std::sync::Arc;

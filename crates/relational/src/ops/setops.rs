@@ -1,7 +1,7 @@
-//! Duplicate elimination and union.
+//! Duplicate elimination.
 
 use crate::ops::{timed, ExecContext, PlanNode};
-use crate::{EngineError, Relation, Result};
+use crate::{Relation, Result};
 use std::collections::HashSet;
 
 /// Duplicate elimination (SELECT DISTINCT): keeps the first occurrence of
@@ -38,41 +38,6 @@ impl PlanNode for Distinct {
     }
 }
 
-/// Bag union (UNION ALL). Inputs must have identical schemas.
-pub struct Union {
-    left: Box<dyn PlanNode>,
-    right: Box<dyn PlanNode>,
-}
-
-impl Union {
-    /// Concatenate `left` and `right`.
-    pub fn new(left: Box<dyn PlanNode>, right: Box<dyn PlanNode>) -> Self {
-        Self { left, right }
-    }
-}
-
-impl PlanNode for Union {
-    fn name(&self) -> &str {
-        "union"
-    }
-
-    fn execute(&self, ctx: &mut ExecContext) -> Result<Relation> {
-        timed(ctx, self.name(), |ctx| {
-            let left = self.left.execute(ctx)?;
-            let right = self.right.execute(ctx)?;
-            if left.schema().names() != right.schema().names() {
-                return Err(EngineError::SchemaMismatch {
-                    context: format!("UNION of {} and {}", left.schema(), right.schema()),
-                });
-            }
-            let schema = left.schema().clone();
-            let mut rows = left.into_rows();
-            rows.extend(right.into_rows());
-            Ok(Relation::from_trusted_rows(schema, rows))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,28 +57,5 @@ mod tests {
         let out = d.execute(&mut ExecContext::new()).unwrap();
         let xs: Vec<_> = out.rows().iter().map(|r| r[0].clone()).collect();
         assert_eq!(xs, vec![Value::Int(3), Value::Int(1), Value::Int(2)]);
-    }
-
-    #[test]
-    fn union_all_concatenates() {
-        let u = Union::new(rel(&[1, 2]), rel(&[2, 3]));
-        let out = u.execute(&mut ExecContext::new()).unwrap();
-        assert_eq!(out.len(), 4);
-    }
-
-    #[test]
-    fn union_schema_mismatch() {
-        let schema = Schema::of(&[("y", DataType::Int)]);
-        let other = Box::new(Scan::new(Arc::new(Relation::empty(schema))));
-        let u = Union::new(rel(&[1]), other);
-        assert!(u.execute(&mut ExecContext::new()).is_err());
-    }
-
-    #[test]
-    fn distinct_then_union_pipeline() {
-        let u = Union::new(rel(&[1, 1]), rel(&[1]));
-        let d = Distinct::new(Box::new(u));
-        let out = d.execute(&mut ExecContext::new()).unwrap();
-        assert_eq!(out.len(), 1);
     }
 }

@@ -93,25 +93,6 @@ impl Relation {
         Ok(self.rows.iter().map(|r| r[idx].clone()).collect())
     }
 
-    /// Sort rows lexicographically by the given columns (ascending), in
-    /// place. Stable.
-    pub fn sort_by_columns(&mut self, names: &[&str]) -> Result<()> {
-        let idxs: Vec<usize> = names
-            .iter()
-            .map(|n| self.schema.index_of(n))
-            .collect::<Result<_>>()?;
-        self.rows.sort_by(|a, b| {
-            for &i in &idxs {
-                let ord = a[i].cmp(&b[i]);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        Ok(())
-    }
-
     /// Rows as a set-like sorted vector — convenience for order-insensitive
     /// test assertions.
     pub fn sorted_rows(&self) -> Vec<Row> {
@@ -171,14 +152,6 @@ mod tests {
             vec![Value::Int(2), Value::Int(1)]
         );
         assert!(rel.column("nope").is_err());
-    }
-
-    #[test]
-    fn sorting() {
-        let mut rel = sample();
-        rel.sort_by_columns(&["id"]).unwrap();
-        assert_eq!(rel.rows()[0][0], Value::Int(1));
-        assert_eq!(rel.rows()[1][0], Value::Int(2));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use ssjoin_prng::{Rng, StdRng};
 use ssjoin_relational::{
-    AggFunc, AggSpec, DataType, Distinct, ExecContext, Expr, Filter, GroupBy, HashJoin, MergeJoin,
-    PlanNode, Relation, Scan, Schema, Sort, SortKey, Value,
+    AggFunc, AggSpec, DataType, Distinct, ExecContext, Expr, Filter, GroupBy, HashJoin, PlanNode,
+    Relation, Scan, Schema, Value,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,7 +32,7 @@ fn random_rows(rng: &mut StdRng) -> Vec<(i64, i64)> {
         .collect()
 }
 
-/// Hash join and merge join agree with the nested-loop reference.
+/// Hash join agrees with the nested-loop reference.
 #[test]
 fn joins_match_nested_loop() {
     for seed in 0..256u64 {
@@ -58,13 +58,6 @@ fn joins_match_nested_loop() {
         };
         let (lr, rr) = (int_relation(l), int_relation(r));
         let h = HashJoin::on(
-            Box::new(Scan::new(lr.clone())),
-            Box::new(Scan::new(rr.clone())),
-            &[("k", "k")],
-        )
-        .execute(&mut ExecContext::new())
-        .unwrap();
-        let m = MergeJoin::on(
             Box::new(Scan::new(lr)),
             Box::new(Scan::new(rr)),
             &[("k", "k")],
@@ -72,7 +65,6 @@ fn joins_match_nested_loop() {
         .execute(&mut ExecContext::new())
         .unwrap();
         assert_eq!(h.sorted_rows(), expect, "hash join, seed {seed}");
-        assert_eq!(m.sorted_rows(), expect, "merge join, seed {seed}");
     }
 }
 
@@ -111,30 +103,18 @@ fn group_by_matches_fold() {
     }
 }
 
-/// Distinct removes exactly the duplicates; Sort orders totally.
+/// Distinct removes exactly the duplicates.
 #[test]
-fn distinct_and_sort() {
+fn distinct_is_exact() {
     for seed in 0..256u64 {
         let mut rng = StdRng::seed_from_u64(0x303 + seed);
         let rows = random_rows(&mut rng);
         let rel = int_relation(rows.clone());
-        let d = Distinct::new(Box::new(Scan::new(rel.clone())))
+        let d = Distinct::new(Box::new(Scan::new(rel)))
             .execute(&mut ExecContext::new())
             .unwrap();
         let unique: std::collections::HashSet<(i64, i64)> = rows.iter().copied().collect();
         assert_eq!(d.len(), unique.len(), "seed {seed}");
-
-        let s = Sort::new(
-            Box::new(Scan::new(rel)),
-            vec![SortKey::asc("k"), SortKey::desc("v")],
-        )
-        .execute(&mut ExecContext::new())
-        .unwrap();
-        for w in s.rows().windows(2) {
-            let (k0, v0) = (w[0][0].as_i64().unwrap(), w[0][1].as_i64().unwrap());
-            let (k1, v1) = (w[1][0].as_i64().unwrap(), w[1][1].as_i64().unwrap());
-            assert!(k0 < k1 || (k0 == k1 && v0 >= v1), "seed {seed}");
-        }
     }
 }
 

@@ -24,8 +24,6 @@
 mod edit;
 mod ges;
 mod hamming;
-mod jaro;
-mod monge_elkan;
 mod setsim;
 
 pub use edit::{
@@ -34,8 +32,6 @@ pub use edit::{
 };
 pub use ges::{ges, ges_symmetric, GesConfig};
 pub use hamming::{hamming_distance, hamming_similarity};
-pub use jaro::{jaro, jaro_winkler};
-pub use monge_elkan::{monge_elkan, monge_elkan_symmetric};
 pub use setsim::{
     cosine, dice, jaccard_containment, jaccard_resemblance, multiset_counts, overlap,
     weighted_jaccard_containment, weighted_jaccard_resemblance, weighted_overlap,

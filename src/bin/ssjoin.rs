@@ -53,14 +53,14 @@
 //! exactly — only completeness is traded for speed. `1.0` is exact. Serve
 //! mode echoes the recall target in the `stats` response.
 //!
-//! `--algorithm auto` runs the inline algorithm (`Algorithm::resolve`).
-//! `join --algorithm auto` and `join --approx` runs print the configuration
-//! that ran to stderr as `plan: <algorithm>/<bitmap|off>/<threads>t`,
-//! followed by ` spill=<partitions>p` for an out-of-core run and
-//! ` approx=<recall>` for an approximate one. A spilled join whose heaviest
-//! partition cannot fit `--memory-budget` (the planner runs its best effort
-//! rather than failing) prints the line whatever its algorithm, with
-//! ` over-budget peak=<bytes> budget=<bytes>` after the partition count.
+//! `--algorithm` picks the executor; `inline` is the default. A spilled or
+//! approximate `join` prints the configuration that ran to stderr as
+//! `plan: <algorithm>/<bitmap|off>/<threads>t`, followed by
+//! ` spill=<partitions>p` for an out-of-core run and ` approx=<recall>` for
+//! an approximate one. A spilled join whose heaviest partition cannot fit
+//! `--memory-budget` (the planner runs its best effort rather than failing)
+//! adds ` over-budget peak=<bytes> budget=<bytes>` after the partition
+//! count.
 
 use ssjoin::core::{Algorithm, ApproxSpec, ExecContext, SsJoinStats};
 use ssjoin::datagen::{read_tsv, write_field, write_tsv, AddressCorpus, AddressCorpusConfig};
@@ -128,7 +128,7 @@ enum Command {
 
 const USAGE: &str = "usage:
   ssjoin join  --kind <edit|jaccard|cosine|ges> --threshold F \\
-               [--algorithm <basic|prefix|inline|auto>] \\
+               [--algorithm <basic|prefix|inline>] \\
                [--memory-budget BYTES[k|m|g]] [--approx RECALL] \\
                [--self-dedupe] [--out OUT.tsv] R.tsv [S.tsv]
   ssjoin match --reference R.tsv --query STRING [--k N] [--min-sim F]
@@ -174,9 +174,8 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
         "basic" => Ok(Algorithm::Basic),
         "prefix" => Ok(Algorithm::PrefixFiltered),
         "inline" => Ok(Algorithm::Inline),
-        "auto" => Ok(Algorithm::Auto),
         other => Err(format!(
-            "unknown algorithm {other:?} (expected basic|prefix|inline|auto)"
+            "unknown algorithm {other:?} (expected basic|prefix|inline)"
         )),
     }
 }
@@ -583,16 +582,10 @@ fn execute(cmd: Command) -> Result<(), String> {
             let s = s_table.as_deref().unwrap_or(&r);
             let exec = join_exec(memory_budget, approx);
             let output = run_join(kind, threshold, algorithm, exec.clone(), &r, s)?;
-            // The configuration an auto, approximate or over-budget run used
-            // goes to stderr so piped TSV output stays clean.
-            if algorithm == Algorithm::Auto
-                || exec.approx.is_some_and(|a| a.is_active())
-                || over_budget(&exec, &output.stats)
-            {
-                eprintln!(
-                    "plan: {}",
-                    plan_line(output.algorithm_used, &exec, &output.stats)
-                );
+            // The configuration a spilled or approximate run used goes to
+            // stderr so piped TSV output stays clean.
+            if output.stats.spill_partitions > 0 || exec.approx.is_some_and(|a| a.is_active()) {
+                eprintln!("plan: {}", plan_line(algorithm, &exec, &output.stats));
             }
             let dedupe = self_dedupe && s_table.is_none();
             match out {
@@ -772,7 +765,6 @@ mod tests {
             ("basic", Algorithm::Basic),
             ("prefix", Algorithm::PrefixFiltered),
             ("inline", Algorithm::Inline),
-            ("auto", Algorithm::Auto),
         ] {
             let cmd = parse_args(&sv(&[
                 "join",
@@ -800,10 +792,11 @@ mod tests {
         assert!(err.contains("unknown algorithm"), "got {err}");
         // Exactly the algorithms the parser accepts are advertised in the
         // usage.
-        assert!(USAGE.contains("--algorithm <basic|prefix|inline|auto>"));
-        // The removed token-sharded and positional executors' names are
-        // unknown algorithms, and the error names the valid ones.
-        for removed in ["partition", "positional"] {
+        assert!(USAGE.contains("--algorithm <basic|prefix|inline>"));
+        // The removed token-sharded and positional executors' names and the
+        // removed `auto` alias are unknown algorithms, and the error names
+        // the valid ones.
+        for removed in ["partition", "positional", "auto"] {
             let err = parse_args(&sv(&[
                 "join",
                 "--threshold",
@@ -815,7 +808,7 @@ mod tests {
             .unwrap_err();
             assert!(
                 err.contains(&format!("unknown algorithm {removed:?}"))
-                    && err.contains("basic|prefix|inline|auto"),
+                    && err.contains("expected basic|prefix|inline)"),
                 "got {err}"
             );
         }
@@ -887,7 +880,7 @@ mod tests {
             out.stats.spill_peak_resident_bytes,
         );
         assert!(partitions >= 2 && peak > 1, "{:?}", out.stats);
-        let line = plan_line(out.algorithm_used, &exec, &out.stats);
+        let line = plan_line(Algorithm::Inline, &exec, &out.stats);
         assert!(
             line.ends_with(&format!(
                 " spill={partitions}p over-budget peak={peak} budget=1"
@@ -897,7 +890,7 @@ mod tests {
         // The same run under a budget equal to its peak met the budget.
         let met = join_exec(Some(peak), None);
         assert!(!over_budget(&met, &out.stats));
-        assert!(!plan_line(out.algorithm_used, &met, &out.stats).contains("over-budget"));
+        assert!(!plan_line(Algorithm::Inline, &met, &out.stats).contains("over-budget"));
     }
 
     #[test]
@@ -970,7 +963,7 @@ mod tests {
             let spec = option_spec(cmd).unwrap();
             let value = |opt: &str| match opt {
                 "kind" => "jaccard",
-                "algorithm" => "auto",
+                "algorithm" => "prefix",
                 "memory-budget" => "64m",
                 "approx" => "0.9",
                 "out" | "reference" => "x.tsv",

@@ -337,7 +337,6 @@ fn run_relational(
     if !r.shares_universe(s) {
         return Err(SsJoinError::UniverseMismatch);
     }
-    let algorithm = algorithm.resolve();
     let plan = match algorithm {
         Algorithm::Basic => basic_plan(
             Arc::new(collection_to_relation(r)),
@@ -351,8 +350,7 @@ fn run_relational(
             r.norm_range(),
             s.norm_range(),
         ),
-        // Auto is Inline (`Algorithm::resolve`): the Figure 9 plan.
-        Algorithm::Inline | Algorithm::Auto => inline_plan(r, s, pred),
+        Algorithm::Inline => inline_plan(r, s, pred),
     };
     let (pairs, ctx) = run_plan(plan.as_ref()).map_err(|e| SsJoinError::Plan(e.to_string()))?;
     #[allow(clippy::field_reassign_with_default)]
@@ -365,11 +363,7 @@ fn run_relational(
         st.output_pairs = pairs.len() as u64;
         st
     };
-    Ok(SsJoinOutput {
-        pairs,
-        stats,
-        algorithm_used: algorithm,
-    })
+    Ok(SsJoinOutput { pairs, stats })
 }
 
 #[cfg(test)]
@@ -408,7 +402,6 @@ mod tests {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::Auto,
         ] {
             let fast = SsJoin::new(&input)
                 .predicate(pred.clone())
@@ -424,7 +417,6 @@ mod tests {
             let f: Vec<(u32, u32)> = fast.pairs.iter().map(|p| (p.r, p.s)).collect();
             let p: Vec<(u32, u32)> = plan.pairs.iter().map(|p| (p.r, p.s)).collect();
             assert_eq!(f, p, "alg {alg:?}");
-            assert_eq!(plan.algorithm_used, alg.resolve(), "alg {alg:?}");
         }
     }
 
@@ -524,7 +516,6 @@ mod tests {
             Algorithm::Basic,
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
-            Algorithm::Auto,
         ] {
             let join = SsJoin::new(&input).predicate(pred.clone()).algorithm(alg);
             let fresh = SsJoin::new(&input)
@@ -536,8 +527,6 @@ mod tests {
             let mut ws = JoinWorkspace::new();
             let probed = join.probe_with(&index, &mut ws).unwrap();
             assert_eq!(probed.pairs, fresh.pairs.as_slice(), "alg {alg:?}");
-            assert_eq!(probed.algorithm_used, alg.resolve(), "alg {alg:?}");
-            assert_eq!(fresh.algorithm_used, alg.resolve(), "alg {alg:?}");
         }
         // The relational-plan engine has no probe path.
         let index = SsJoin::new(&input).predicate(pred.clone()).index().unwrap();

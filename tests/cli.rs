@@ -113,11 +113,10 @@ fn gen_join_match_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `join --algorithm auto` and `join --approx` print the configuration that
-/// ran on stderr — `Auto` is `Inline` on the CLI's context (every core, the
-/// bitmap filter on) — while a plain `--algorithm inline` join prints none
-/// unless its spill plan missed `--memory-budget`. Auto's output is
-/// byte-identical to inline's.
+/// A spilled or approximate `join` prints the configuration that ran on
+/// stderr — `Inline`, the default, on the CLI's context (every core, the
+/// bitmap filter on) — while a plain join prints none. Every run prints the
+/// plain join's rows.
 #[test]
 fn join_plan_line_reports_what_ran() {
     let dir = temp_dir("plan_line");
@@ -144,18 +143,14 @@ fn join_plan_line_reports_what_ran() {
         (out.stdout, String::from_utf8(out.stderr).unwrap())
     };
 
-    let (inline_rows, inline_err) = join(&["--algorithm", "inline"]);
-    assert!(!inline_rows.is_empty(), "the join found no pairs");
-    assert_eq!(inline_err, "", "a forced inline join prints no plan");
-
-    let (auto_rows, auto_err) = join(&["--algorithm", "auto"]);
-    assert_eq!(auto_rows, inline_rows, "auto must print inline's rows");
-    assert_eq!(auto_err, format!("plan: Inline/bitmap/{threads}t\n"));
+    let (plain_rows, plain_err) = join(&[]);
+    assert!(!plain_rows.is_empty(), "the join found no pairs");
+    assert_eq!(plain_err, "", "a plain join prints no plan");
 
     // A budget the planner meets: the spill partitions, no marker.
-    let (spilled_rows, spilled_err) = join(&["--algorithm", "auto", "--memory-budget", "16k"]);
+    let (spilled_rows, spilled_err) = join(&["--memory-budget", "16k"]);
     assert_eq!(
-        spilled_rows, inline_rows,
+        spilled_rows, plain_rows,
         "a spilled join prints the same rows"
     );
     let partitions: u64 = spilled_err
@@ -166,21 +161,21 @@ fn join_plan_line_reports_what_ran() {
     assert!(partitions >= 2, "{spilled_err:?}");
 
     // A budget no partition count can meet: the best-effort run prints the
-    // same rows, and the plan line — printed for any algorithm — names the
-    // peak it ran at against the budget.
-    for algorithm in ["auto", "inline"] {
-        let (rows, err) = join(&["--algorithm", algorithm, "--memory-budget", "1k"]);
-        assert_eq!(rows, inline_rows, "{algorithm}: over-budget rows differ");
-        let (partitions, peak) = err
-            .strip_prefix(&format!("plan: Inline/bitmap/{threads}t spill="))
-            .and_then(|rest| rest.strip_suffix(" budget=1024\n"))
-            .and_then(|rest| rest.split_once("p over-budget peak="))
-            .and_then(|(p, peak)| Some((p.parse::<u64>().ok()?, peak.parse::<u64>().ok()?)))
-            .unwrap_or_else(|| panic!("unexpected plan line {err:?}"));
-        assert!(partitions >= 2 && peak > 1024, "{err:?}");
-    }
+    // same rows, and the plan line names the peak it ran at against the
+    // budget.
+    let (rows, err) = join(&["--memory-budget", "1k"]);
+    assert_eq!(rows, plain_rows, "over-budget rows differ");
+    let (partitions, peak) = err
+        .strip_prefix(&format!("plan: Inline/bitmap/{threads}t spill="))
+        .and_then(|rest| rest.strip_suffix(" budget=1024\n"))
+        .and_then(|rest| rest.split_once("p over-budget peak="))
+        .and_then(|(p, peak)| Some((p.parse::<u64>().ok()?, peak.parse::<u64>().ok()?)))
+        .unwrap_or_else(|| panic!("unexpected plan line {err:?}"));
+    assert!(partitions >= 2 && peak > 1024, "{err:?}");
 
-    let (_, approx_err) = join(&["--approx", "0.9"]);
+    // The seeded sketch finds every pair of this small corpus.
+    let (approx_rows, approx_err) = join(&["--approx", "0.9"]);
+    assert_eq!(approx_rows, plain_rows, "approximate rows differ");
     assert_eq!(
         approx_err,
         format!("plan: Inline/bitmap/{threads}t approx=0.90\n")
@@ -314,8 +309,8 @@ fn missing_input_file_reports_error() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
 
-/// Out-of-range options exit 1 with an error naming the option — never a
-/// panic (exit 101).
+/// Out-of-range or unknown option values exit 1 with an error naming the
+/// option or the accepted values — never a panic (exit 101).
 #[test]
 fn invalid_options_are_errors_not_panics() {
     let dir = temp_dir("invalid_options");
@@ -341,6 +336,10 @@ fn invalid_options_are_errors_not_panics() {
     rows.push((
         vec!["match", "--reference", path, "--query", "x", "--k", "0"],
         "--k",
+    ));
+    rows.push((
+        vec!["join", "--threshold", "0.8", "--algorithm", "auto", path],
+        "expected basic|prefix|inline",
     ));
     for (args, option) in rows {
         let out = bin().args(&args).output().unwrap();

@@ -38,7 +38,6 @@ fn all_algorithms_identical_on_corpus_edit_join() {
         Algorithm::Basic,
         Algorithm::PrefixFiltered,
         Algorithm::Inline,
-        Algorithm::Auto,
     ] {
         let out = edit_similarity_join(
             &data,
