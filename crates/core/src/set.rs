@@ -444,10 +444,9 @@ impl SetCollection {
         self.norm_range = None;
     }
 
-    /// An empty collection sharing this one's element universe (size and
-    /// tag), so sets appended with [`Self::push_set`] stay joinable against
-    /// collections from the original builder run. Used by epoch compaction.
-    pub(crate) fn empty_like(&self) -> Self {
+    /// An empty collection over the universe of `universe_size` ranks
+    /// tagged `universe_tag`.
+    pub(crate) fn empty(universe_size: usize, universe_tag: u64) -> Self {
         Self {
             offsets: vec![0],
             ranks: Vec::new(),
@@ -457,10 +456,57 @@ impl SetCollection {
             totals: Vec::new(),
             sig_words: Vec::new(),
             min_weights: Vec::new(),
-            universe_size: self.universe_size,
-            universe_tag: self.universe_tag,
+            universe_size,
+            universe_tag,
             norm_range: None,
         }
+    }
+
+    /// An empty collection sharing this one's element universe (size and
+    /// tag), so sets appended with [`Self::push_set`] stay joinable against
+    /// collections from the original builder run. Used by epoch compaction.
+    pub(crate) fn empty_like(&self) -> Self {
+        Self::empty(self.universe_size, self.universe_tag)
+    }
+
+    /// Append every set of `other` (same universe), in order: the builder
+    /// concatenates its per-chunk arenas with it. An empty `self` takes
+    /// `other`'s buffers without copying.
+    ///
+    /// # Errors
+    /// [`SsJoinError::TooManyElements`] / [`SsJoinError::TooManyGroups`] on
+    /// `u32` arena or group-id overflow.
+    pub(crate) fn append(&mut self, other: SetCollection) -> SsJoinResult<()> {
+        debug_assert!(self.shares_universe(&other));
+        if self.is_empty() {
+            *self = other;
+            return Ok(());
+        }
+        let tuples = self.ranks.len() + other.ranks.len();
+        if tuples > u32::MAX as usize {
+            return Err(SsJoinError::TooManyElements { elements: tuples });
+        }
+        if self.len() + other.len() >= u32::MAX as usize {
+            return Err(SsJoinError::TooManyGroups {
+                relation: 0,
+                groups: self.len() + other.len(),
+            });
+        }
+        let base = self.ranks.len() as u32;
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&o| base + o));
+        self.ranks.extend_from_slice(&other.ranks);
+        self.weights.extend_from_slice(&other.weights);
+        self.suffix.extend_from_slice(&other.suffix);
+        self.norms.extend_from_slice(&other.norms);
+        self.totals.extend_from_slice(&other.totals);
+        self.sig_words.extend_from_slice(&other.sig_words);
+        self.min_weights.extend_from_slice(&other.min_weights);
+        self.norm_range = match (self.norm_range, other.norm_range) {
+            (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+            (range, None) | (None, range) => range,
+        };
+        Ok(())
     }
 
     /// One set by group id, as a borrowed arena view.

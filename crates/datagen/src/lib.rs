@@ -32,5 +32,5 @@ pub use errors::{ErrorModel, Perturber};
 pub use persons::{PersonCorpus, PersonCorpusConfig, PersonRecord};
 pub use products::{ProductCorpus, ProductCorpusConfig};
 pub use publications::{PublicationCorpus, PublicationCorpusConfig};
-pub use tsv::{read_tsv, write_field, write_tsv};
+pub use tsv::{read_first_column, read_tsv, write_field, write_tsv};
 pub use zipf::Zipf;

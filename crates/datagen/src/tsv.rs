@@ -30,7 +30,11 @@ pub fn write_field<W: Write>(w: &mut W, field: &str) -> io::Result<()> {
     w.write_all(&bytes[start..])
 }
 
+/// Reverse [`write_field`]'s escapes; an unknown escape is kept as is.
 fn unescape(field: &str) -> String {
+    if !field.contains('\\') {
+        return field.to_owned();
+    }
     let mut out = String::with_capacity(field.len());
     let mut chars = field.chars();
     while let Some(c) = chars.next() {
@@ -78,6 +82,30 @@ pub fn read_tsv<P: AsRef<Path>>(path: P) -> io::Result<Vec<Vec<String>>> {
         rows.push(line.split('\t').map(unescape).collect());
     }
     Ok(rows)
+}
+
+/// The first column of every row of a TSV file, streamed: lines pass through
+/// one reused buffer and only column 0 is unescaped. Equals `read_tsv(path)`
+/// with each row cut to its first field — a line ends at `\n` or `\r\n`, an
+/// empty line is the field `""`, and invalid UTF-8 anywhere in a line is an
+/// [`io::ErrorKind::InvalidData`] error.
+pub fn read_first_column<P: AsRef<Path>>(path: P) -> io::Result<Vec<String>> {
+    let mut r = BufReader::new(File::open(path)?);
+    let mut line = Vec::new();
+    let mut column = Vec::new();
+    while r.read_until(b'\n', &mut line)? > 0 {
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+        }
+        let text = std::str::from_utf8(&line)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        column.push(unescape(text.split('\t').next().unwrap_or_default()));
+        line.clear();
+    }
+    Ok(column)
 }
 
 #[cfg(test)]
@@ -153,5 +181,63 @@ mod tests {
     #[test]
     fn missing_file_errors() {
         assert!(read_tsv("/nonexistent/definitely/missing.tsv").is_err());
+        assert!(read_first_column("/nonexistent/definitely/missing.tsv").is_err());
+    }
+
+    /// Malformed and edge-case files: the streaming column-0 reader equals
+    /// `read_tsv(..)[i][0]` on each.
+    #[test]
+    fn first_column_matches_read_tsv() {
+        let dir = std::env::temp_dir().join("ssjoin_tsv_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("first_column_{}.tsv", std::process::id()));
+        let cases: &[&[u8]] = &[
+            b"",
+            b"\n",
+            b"\n\n\n",
+            b"a\r\nb\r\n",
+            b"crlf\r\nlf\nno final newline",
+            b"lone\rcr\r\nend\r",
+            b"a\n\nb\n\n",
+            b"tab\\there\tx\nnew\\nline\ty\nback\\\\slash\tz\n",
+            b"trailing\\\tunknown\\q\n",
+            b"one\nc0\tc1\tc2\tc3\tc4\n\tempty first\n",
+            "caf\u{e9}\t\u{130}stanbul\nSTRASSE\n".as_bytes(),
+        ];
+        for &case in cases {
+            std::fs::write(&path, case).unwrap();
+            let expect: Vec<String> = read_tsv(&path)
+                .unwrap()
+                .into_iter()
+                .map(|row| row[0].clone())
+                .collect();
+            assert_eq!(read_first_column(&path).unwrap(), expect, "{case:?}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Invalid UTF-8 — in column 0 or a later column, on the first line or
+    /// after valid ones — is an `InvalidData` error, as in `read_tsv`.
+    #[test]
+    fn first_column_rejects_invalid_utf8() {
+        let dir = std::env::temp_dir().join("ssjoin_tsv_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("invalid_utf8_{}.tsv", std::process::id()));
+        let cases: &[&[u8]] = &[
+            b"\xff\n",
+            b"ok\n\xc3\x28\tx\n",
+            b"ok\tcolumn one \xe2\x82\n",
+            b"truncated at eof \xe2",
+        ];
+        for &case in cases {
+            std::fs::write(&path, case).unwrap();
+            let err = read_first_column(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case:?}");
+            assert_eq!(
+                read_tsv(&path).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

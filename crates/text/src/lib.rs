@@ -38,14 +38,32 @@ pub use words::WordTokenizer;
 /// Implementations must be deterministic: the same input always produces the
 /// same token sequence, in a stable order. Downstream code is free to treat
 /// the output as a multiset.
+///
+/// Each tokenizer has one tokenizing loop, [`Tokenizer::for_each_token`],
+/// which lends every token as a `&str`; [`Tokenizer::tokenize`] and
+/// [`Tokenizer::token_count`] are defined through it. Callers that intern
+/// tokens (the SSJoin input builder) visit them without allocating a
+/// `String` per token.
 pub trait Tokenizer {
-    /// Tokenize `s` into a sequence of owned tokens.
-    fn tokenize(&self, s: &str) -> Vec<String>;
+    /// Call `f` on every token of `s`, in order. A token that is not a
+    /// substring of `s` (lowercased, padded) is assembled in `scratch`, a
+    /// caller-owned buffer reused across calls; its contents afterwards are
+    /// unspecified.
+    fn for_each_token(&self, s: &str, scratch: &mut String, f: &mut dyn FnMut(&str));
 
-    /// The number of tokens `tokenize` would produce, when it can be computed
-    /// without materializing them. The default materializes.
+    /// Tokenize `s` into a sequence of owned tokens.
+    fn tokenize(&self, s: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        self.for_each_token(s, &mut String::new(), &mut |t| out.push(t.to_owned()));
+        out
+    }
+
+    /// The number of tokens `tokenize` would produce, counted without
+    /// materializing them.
     fn token_count(&self, s: &str) -> usize {
-        self.tokenize(s).len()
+        let mut n = 0;
+        self.for_each_token(s, &mut String::new(), &mut |_| n += 1);
+        n
     }
 }
 

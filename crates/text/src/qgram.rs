@@ -81,36 +81,34 @@ impl QGramTokenizer {
             qgram_count(len, self.q)
         }
     }
-
-    fn tokenize_chars(&self, chars: &[char]) -> Vec<String> {
-        if chars.is_empty() {
-            // Both conventions: the empty string tokenizes to no q-grams.
-            return Vec::new();
-        }
-        if self.pad {
-            let padding = vec![self.pad_char; self.q - 1];
-            let mut padded = Vec::with_capacity(chars.len() + 2 * (self.q - 1));
-            padded.extend_from_slice(&padding);
-            padded.extend_from_slice(chars);
-            padded.extend_from_slice(&padding);
-            windows_to_strings(&padded, self.q)
-        } else {
-            if chars.len() < self.q {
-                return vec![chars.iter().collect()];
-            }
-            windows_to_strings(chars, self.q)
-        }
-    }
-}
-
-fn windows_to_strings(chars: &[char], q: usize) -> Vec<String> {
-    chars.windows(q).map(|w| w.iter().collect()).collect()
 }
 
 impl Tokenizer for QGramTokenizer {
-    fn tokenize(&self, s: &str) -> Vec<String> {
-        let chars: Vec<char> = s.chars().collect();
-        self.tokenize_chars(&chars)
+    /// Unpadded q-grams are substrings of `s`; padded ones are windows of
+    /// the padded string, assembled once in `scratch`.
+    fn for_each_token(&self, s: &str, scratch: &mut String, f: &mut dyn FnMut(&str)) {
+        if s.is_empty() {
+            // Both conventions: the empty string tokenizes to no q-grams.
+            return;
+        }
+        let text = if self.pad {
+            let pad = || (1..self.q).map(|_| self.pad_char);
+            scratch.clear();
+            scratch.extend(pad());
+            scratch.push_str(s);
+            scratch.extend(pad());
+            scratch.as_str()
+        } else {
+            s
+        };
+        // Window k spans chars k..k+q: from the k-th char boundary to the
+        // (k+q)-th, or to the end of `text` for the last window. Shorter
+        // than q chars (unpadded only), the one window is the whole string.
+        let bounds = || text.char_indices().map(|(i, _)| i);
+        let ends = bounds().skip(self.q).chain(std::iter::once(text.len()));
+        for (start, end) in bounds().zip(ends) {
+            f(&text[start..end]);
+        }
     }
 
     fn token_count(&self, s: &str) -> usize {

@@ -68,27 +68,66 @@ impl WordTokenizer {
             DelimiterRule::Chars(set) => set.contains(&c),
         }
     }
+
+    /// The byte path for an ASCII `s`: on ASCII, `is_ascii_alphanumeric` and
+    /// `to_ascii_lowercase` equal the `char` versions, so every token is a
+    /// byte range of `s` — or of its lowercased copy in `scratch`, at the
+    /// same offsets. Delimiters are tested on `s`, as the `char` path does.
+    fn ascii_tokens(&self, s: &str, scratch: &mut String, f: &mut dyn FnMut(&str)) {
+        let text = if self.lowercase {
+            scratch.clear();
+            scratch.push_str(s);
+            scratch.make_ascii_lowercase();
+            scratch.as_str()
+        } else {
+            s
+        };
+        let is_delim = |b: u8| match &self.delimiters {
+            DelimiterRule::NonAlphanumeric => !b.is_ascii_alphanumeric(),
+            DelimiterRule::Whitespace | DelimiterRule::Chars(_) => self.is_delim(char::from(b)),
+        };
+        let mut start = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            if is_delim(b) {
+                if start < i {
+                    f(&text[start..i]);
+                }
+                start = i + 1;
+            }
+        }
+        if start < s.len() {
+            f(&text[start..]);
+        }
+    }
+
+    /// The `char` path, for any `s`: each token is assembled in `scratch`.
+    fn char_tokens(&self, s: &str, scratch: &mut String, f: &mut dyn FnMut(&str)) {
+        scratch.clear();
+        for c in s.chars() {
+            if self.is_delim(c) {
+                if !scratch.is_empty() {
+                    f(scratch);
+                    scratch.clear();
+                }
+            } else if self.lowercase {
+                scratch.extend(c.to_lowercase());
+            } else {
+                scratch.push(c);
+            }
+        }
+        if !scratch.is_empty() {
+            f(scratch);
+        }
+    }
 }
 
 impl Tokenizer for WordTokenizer {
-    fn tokenize(&self, s: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut current = String::new();
-        for c in s.chars() {
-            if self.is_delim(c) {
-                if !current.is_empty() {
-                    out.push(std::mem::take(&mut current));
-                }
-            } else if self.lowercase {
-                current.extend(c.to_lowercase());
-            } else {
-                current.push(c);
-            }
+    fn for_each_token(&self, s: &str, scratch: &mut String, f: &mut dyn FnMut(&str)) {
+        if s.is_ascii() {
+            self.ascii_tokens(s, scratch, f);
+        } else {
+            self.char_tokens(s, scratch, f);
         }
-        if !current.is_empty() {
-            out.push(current);
-        }
-        out
     }
 }
 

@@ -190,3 +190,120 @@ fn word_tokens_clean() {
         }
     }
 }
+
+/// The word-tokenizer semantics as one `char` loop, the model both of
+/// `WordTokenizer`'s paths must reproduce.
+fn model_words(s: &str, is_delim: impl Fn(char) -> bool, lowercase: bool) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut current = String::new();
+    for c in s.chars() {
+        if is_delim(c) {
+            if !current.is_empty() {
+                out.push(std::mem::take(&mut current));
+            }
+        } else if lowercase {
+            current.extend(c.to_lowercase());
+        } else {
+            current.push(c);
+        }
+    }
+    if !current.is_empty() {
+        out.push(current);
+    }
+    out
+}
+
+/// The q-gram semantics over a `Vec<char>`: windows of the (padded) string,
+/// or the whole string when it is non-empty and shorter than q unpadded.
+fn model_qgrams(s: &str, q: usize) -> Vec<String> {
+    let chars: Vec<char> = s.chars().collect();
+    match chars.len() {
+        0 => Vec::new(),
+        n if n < q => vec![s.to_string()],
+        _ => chars.windows(q).map(|w| w.iter().collect()).collect(),
+    }
+}
+
+/// Seeded strings of three shapes: pure ASCII (the word tokenizer's byte
+/// path), mixed Unicode with punctuation (the `char` path), and ASCII with
+/// a case-folding trap (`İ`, `ẞ`) appended.
+fn visitor_inputs() -> Vec<String> {
+    const ASCII: &[char] = &[
+        'a', 'b', 'z', 'A', 'Q', 'Z', '0', '7', ' ', ' ', '\t', '\n', '\x0b', '\x0c', '\r', '-',
+        '.', ',', ';', '!', '#', '/', '_',
+    ];
+    let mut out = Vec::new();
+    for seed in 0..300u64 {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0000 + seed);
+        let len: usize = rng.gen_range_inclusive(0..=32);
+        let ascii: String = (0..len)
+            .map(|_| ASCII[rng.gen_index(ASCII.len())])
+            .collect();
+        out.push(format!("{ascii}İstanbul STRASSE ẞ"));
+        out.push(ascii);
+        out.push(random_text(&mut rng, 32));
+    }
+    out.extend(["", "café", "İstanbul", "STRASSE", "  ,.;  "].map(String::from));
+    out
+}
+
+/// Tokens through the visitor, with one scratch buffer reused (and left
+/// dirty) across every input.
+fn visited(t: &dyn Tokenizer, s: &str, scratch: &mut String) -> Vec<String> {
+    let mut out = Vec::new();
+    t.for_each_token(s, scratch, &mut |x| out.push(x.to_owned()));
+    out
+}
+
+/// For every word-tokenizer rule × case and q-gram tokenizer q = 1..=4 on
+/// seeded ASCII, Unicode and punctuation strings: the visitor equals
+/// `tokenize`, `token_count` counts the same tokens, and both equal the
+/// `char`-loop model — so the word tokenizer's ASCII byte path equals its
+/// `char` path.
+#[test]
+fn visitor_equals_tokenize_and_the_char_model() {
+    const DELIMS: [char; 4] = [',', ';', 'Q', ' '];
+    type IsDelim = fn(char) -> bool;
+    let words: [(WordTokenizer, IsDelim); 3] = [
+        (WordTokenizer::new(), |c| !c.is_alphanumeric()),
+        (WordTokenizer::whitespace(), char::is_whitespace),
+        (WordTokenizer::with_delimiters(&DELIMS), |c| {
+            DELIMS.contains(&c)
+        }),
+    ];
+    let mut scratch = String::from("left over");
+    for s in visitor_inputs() {
+        for (t, is_delim) in &words {
+            for (t, lowercase) in [(t.clone(), false), (t.clone().lowercased(), true)] {
+                let expect = model_words(&s, is_delim, lowercase);
+                assert_eq!(visited(&t, &s, &mut scratch), expect, "{t:?} on {s:?}");
+                assert_eq!(t.tokenize(&s), expect, "{t:?} on {s:?}");
+                assert_eq!(t.token_count(&s), expect.len(), "{t:?} on {s:?}");
+            }
+        }
+        for q in 1..=4 {
+            let t = QGramTokenizer::new(q);
+            let expect = model_qgrams(&s, q);
+            assert_eq!(visited(&t, &s, &mut scratch), expect, "q {q} on {s:?}");
+            assert_eq!(t.tokenize(&s), expect, "q {q} on {s:?}");
+            assert_eq!(t.token_count(&s), expect.len(), "q {q} on {s:?}");
+            let padded = QGramTokenizer::padded(q, '#');
+            let pad = "#".repeat(q - 1);
+            let expect = if s.is_empty() {
+                Vec::new()
+            } else {
+                model_qgrams(&format!("{pad}{s}{pad}"), q)
+            };
+            assert_eq!(
+                visited(&padded, &s, &mut scratch),
+                expect,
+                "padded q {q} on {s:?}"
+            );
+            assert_eq!(
+                padded.token_count(&s),
+                expect.len(),
+                "padded q {q} on {s:?}"
+            );
+        }
+    }
+}
