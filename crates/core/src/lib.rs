@@ -81,7 +81,8 @@ mod weight;
 pub use approx::ApproxSpec;
 pub use budget::{estimate_memory_bytes, BudgetCause, CancelToken, ExecBudget};
 pub use builder::{
-    BuiltInput, NormKind, QueryEncoder, RelationHandle, SsJoinInputBuilder, WeightScheme,
+    BuiltInput, NormKind, QueryEncoder, RelationHandle, SsJoinInputBuilder, TokenGroups,
+    WeightScheme,
 };
 pub use error::{SsJoinError, SsJoinResult};
 pub use exec::{
