@@ -80,7 +80,10 @@ use ssjoin_prng::{Rng, StdRng};
 
 use crate::budget::BudgetState;
 use crate::error::{SsJoinError, SsJoinResult};
-use crate::exec::{run_chunked, vec_bytes, ExecContext, JoinPair, JoinWorkspace, WorkerScratch};
+use crate::exec::{
+    bounds_into, run_chunked, vec_bytes, ExecContext, JoinPair, JoinWorkspace, Prune, SetBound,
+    Side, WorkerScratch,
+};
 use crate::hash::FxHashMap;
 use crate::kernel::verify_overlap;
 use crate::predicate::OverlapPredicate;
@@ -524,7 +527,7 @@ fn candidate_phase(
     r: &SetCollection,
     s: &SetCollection,
     sketch: &ApproxSketch,
-    pred: &OverlapPredicate,
+    prune: Prune<'_>,
     ctx: &ExecContext,
     budget: &BudgetState,
     workers: &mut Vec<WorkerScratch>,
@@ -553,10 +556,11 @@ fn candidate_phase(
             if rset.is_empty() {
                 continue;
             }
+            let rid = rid as u32;
             candidates.clear();
             for rep in 0..sketch.reps {
                 let leaf = if same {
-                    sketch.own_leaf(rid as u32, rep)
+                    sketch.own_leaf(rid, rep)
                 } else {
                     sketch.probe(rset, rep)
                 };
@@ -565,8 +569,8 @@ fn candidate_phase(
                 };
                 for &sid in leaf {
                     stats.join_tuples += 1;
-                    if stamp[sid as usize] != rid as u32 {
-                        stamp[sid as usize] = rid as u32;
+                    if stamp[sid as usize] != rid {
+                        stamp[sid as usize] = rid;
                         candidates.push(sid);
                     }
                 }
@@ -575,24 +579,18 @@ fn candidate_phase(
             if candidates.is_empty() {
                 continue;
             }
-            candidates.sort_unstable();
             if !budget.checkpoint(candidates.len() as u64, 0) {
                 break;
             }
+            prune.retain(rid, candidates, &mut stats);
+            candidates.sort_unstable();
             for &sid in candidates.iter() {
                 let sset = s.set(sid);
-                let required = pred.required_overlap(rset.norm(), sset.norm());
-                if ctx.bitmap_filter {
-                    stats.bitmap_probes += 1;
-                    if rset.wide_overlap_bound(sset) < required {
-                        stats.bitmap_prunes += 1;
-                        continue; // signature proves the merge can't reach the threshold
-                    }
-                }
                 stats.verified_pairs += 1;
+                let required = prune.required(rid, sid);
                 if let Some(overlap) = verify_overlap(rset, sset, required, &mut stats) {
                     pairs.push(JoinPair {
-                        r: rid as u32,
+                        r: rid,
                         s: sid,
                         overlap,
                     });
@@ -607,9 +605,10 @@ fn candidate_phase(
     run_chunked(r.len(), ctx.threads, false, workers, out, probe)
 }
 
-/// Execute an approximate join: build (or rebuild) the sketch over `s` into
-/// the workspace pool, then [`probe_built`] it. Approximation bypasses the
-/// executor choice, so the configured algorithm plays no part here.
+/// Execute an approximate join: build (or rebuild) the sketch and the
+/// per-set prune columns over `s` into the workspace pool, then
+/// [`probe_built`] it. Approximation bypasses the executor choice, so the
+/// configured algorithm plays no part here.
 pub(crate) fn run(
     r: &SetCollection,
     s: &SetCollection,
@@ -621,27 +620,33 @@ pub(crate) fn run(
 ) -> SsJoinStats {
     let mut build = SsJoinStats::default();
     let mut sketch = ws.approx.take().unwrap_or_default();
+    let mut s_bounds = std::mem::take(&mut ws.s_bounds);
     if budget.proceed() {
         // Sketch + tree construction is the prefix-filter analog of this
         // pipeline, and is timed as such.
         timed_phase(&mut build, Phase::PrefixFilter, |_| {
             sketch.build(s, pred, spec, budget);
+            bounds_into(s, pred, Side::S, &mut s_bounds);
         });
     }
-    let mut stats = probe_built(r, s, &sketch, pred, ctx, budget, ws);
+    let mut stats = probe_built(r, s, &sketch, &s_bounds, pred, ctx, budget, ws);
     stats.merge(&build);
     ws.approx = Some(sketch);
+    ws.s_bounds = s_bounds;
     stats
 }
 
 /// Generate candidates from an already-built sketch by tree descent and
-/// verify them exactly (the [`crate::CorpusIndex`] path: the sketch was
-/// built once at index (re)build time, so warm probes run the candidate
-/// loop only — allocation-free on a warmed workspace).
+/// verify them exactly (the [`crate::CorpusIndex`] path: the sketch and the
+/// corpus's prune column `s_bounds` were built once at index (re)build
+/// time, so warm probes compute only the probe batch's prune column and run
+/// the candidate loop — allocation-free on a warmed workspace).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_built(
     r: &SetCollection,
     s: &SetCollection,
     sketch: &ApproxSketch,
+    s_bounds: &[SetBound],
     pred: &OverlapPredicate,
     ctx: &ExecContext,
     budget: &BudgetState,
@@ -649,9 +654,18 @@ pub(crate) fn probe_built(
 ) -> SsJoinStats {
     let mut stats = SsJoinStats::default();
     if budget.proceed() {
-        let JoinWorkspace { workers, out, .. } = ws;
+        let JoinWorkspace {
+            r_bounds,
+            workers,
+            out,
+            ..
+        } = ws;
+        timed_phase(&mut stats, Phase::PrefixFilter, |_| {
+            bounds_into(r, pred, Side::R, r_bounds);
+        });
+        let prune = Prune::new(r, s, r_bounds, s_bounds, pred, ctx.bitmap_filter);
         let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
-            candidate_phase(r, s, sketch, pred, ctx, budget, workers, out)
+            candidate_phase(r, s, sketch, prune, ctx, budget, workers, out)
         });
         stats.merge(&inner);
     }

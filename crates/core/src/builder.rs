@@ -558,6 +558,7 @@ impl ChunkGroups {
     ) -> SsJoinResult<SetCollection> {
         check_id_space(self.eids.len())?;
         let mut arena = SetCollection::empty(universe, tag);
+        arena.reserve(self.ends.len(), self.eids.len());
         let mut set: Vec<(u32, Weight)> = Vec::new();
         let (mut ranks, mut weights) = (Vec::new(), Vec::new());
         let mut start = 0;

@@ -11,6 +11,7 @@
 //! probe `rid` accumulates only over S ids `≤ rid`, and the lower triangle
 //! is mirrored into the full output.
 
+use super::prune::{join_bounds_into, Prune};
 use super::workspace::{JoinWorkspace, WorkerScratch};
 use super::{output_charge, run_probes, symmetric_self_join, ExecContext, JoinPair};
 use crate::budget::BudgetState;
@@ -34,6 +35,8 @@ pub(super) fn run(
     let half = symmetric_self_join(r, s, pred);
     let JoinWorkspace {
         s_index,
+        r_bounds,
+        s_bounds,
         workers,
         mirror,
         out,
@@ -41,11 +44,14 @@ pub(super) fn run(
     } = ws;
     timed_phase(&mut stats, Phase::Prep, |_| {
         s_index.build(s, None);
+        join_bounds_into(r, s, pred, half, r_bounds, s_bounds);
     });
     if !budget.proceed() {
         return stats;
     }
     let index = &*s_index;
+    let r_bounds = if half { &*s_bounds } else { &*r_bounds };
+    let prune = Prune::new(r, s, r_bounds, s_bounds, pred, ctx.bitmap_filter);
 
     let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         let probe = |range: std::ops::Range<usize>, scratch: &mut WorkerScratch| {
@@ -62,9 +68,10 @@ pub(super) fn run(
             for rid in range {
                 let out_before = pairs.len();
                 let rset = r.set(rid as u32);
+                let rid = rid as u32;
                 for (&rank, &w) in rset.ranks().iter().zip(rset.weights()) {
                     let postings = if half {
-                        index.postings_upto(rank, rid as u32)
+                        index.postings_upto(rank, rid)
                     } else {
                         index.postings(rank)
                     };
@@ -76,36 +83,34 @@ pub(super) fn run(
                         stats.join_tuples += 1;
                     }
                 }
-                stats.candidate_pairs += touched.len() as u64;
+                let cand_delta = touched.len() as u64;
+                stats.candidate_pairs += cand_delta;
+                // The overlap is already accumulated here, so the prune
+                // saves only the predicate check — but it keeps the filter's
+                // counter semantics (and its losslessness: bound ≥ exact
+                // overlap, so a pruned pair could never pass the predicate)
+                // uniform across all executors. A pruned candidate's
+                // accumulator is reset here, a survivor's after its check.
+                touched.retain(|&sid| {
+                    let pruned = prune.prunes(rid, sid, &mut stats);
+                    if pruned {
+                        acc[sid as usize] = Weight::ZERO;
+                    }
+                    !pruned
+                });
                 touched.sort_unstable();
                 for &sid in touched.iter() {
                     let overlap = acc[sid as usize];
                     acc[sid as usize] = Weight::ZERO;
-                    let sset = s.set(sid);
-                    if ctx.bitmap_filter {
-                        stats.bitmap_probes += 1;
-                        let required = pred.required_overlap(rset.norm(), sset.norm());
-                        // The overlap is already accumulated here, so the
-                        // prune saves only the predicate check — but it
-                        // keeps the filter's counter semantics (and its
-                        // losslessness: bound ≥ exact overlap, so a pruned
-                        // pair could never pass the predicate) uniform
-                        // across all executors.
-                        if rset.wide_overlap_bound(sset) < required {
-                            stats.bitmap_prunes += 1;
-                            continue;
-                        }
-                    }
                     stats.verified_pairs += 1;
-                    if pred.check(overlap, rset.norm(), sset.norm()) {
+                    if overlap >= prune.required(rid, sid) {
                         pairs.push(JoinPair {
-                            r: rid as u32,
+                            r: rid,
                             s: sid,
                             overlap,
                         });
                     }
                 }
-                let cand_delta = touched.len() as u64;
                 touched.clear();
                 // Budget checkpoint: one per probe group, charging the
                 // candidates and outputs this group produced.

@@ -10,11 +10,13 @@
 mod basic;
 mod inline;
 mod prefix;
+mod prune;
 mod workspace;
 
 pub use workspace::JoinWorkspace;
 
 pub(crate) use prefix::{prefix_lengths_into, probe_prefix_family, Side};
+pub(crate) use prune::{bounds_into, Prune, SetBound};
 pub(crate) use workspace::{build_csr_parallel, vec_bytes, CsrIndex, MirrorScratch, WorkerScratch};
 
 use crate::approx::ApproxSpec;
@@ -639,6 +641,31 @@ mod tests {
             });
             assert_eq!(workers.len(), threads.min(c.len()), "threads {threads}");
         }
+    }
+
+    #[test]
+    fn threshold_past_the_weight_range_matches_nothing() {
+        // 1e14 exceeds the fixed-point range; the requirement saturates, so
+        // every executor, with and without the bitmap filter, and the
+        // approximate path return no pairs instead of panicking.
+        let mut b = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+        let h = b.add_relation((0..30).map(|i| vec![format!("t{}", i % 4)]).collect());
+        let built = b.build().unwrap();
+        let c = built.collection(h);
+        let pred = OverlapPredicate::absolute(1e14);
+        for alg in [
+            Algorithm::Basic,
+            Algorithm::PrefixFiltered,
+            Algorithm::Inline,
+        ] {
+            for filter in [false, true] {
+                let exec = ExecContext::new().with_bitmap_filter(filter);
+                let out = ssjoin(c, c, &pred, &SsJoinConfig::new(alg).with_exec(exec)).unwrap();
+                assert!(out.pairs.is_empty(), "alg {alg:?} filter {filter}");
+            }
+        }
+        let approx = SsJoinConfig::default().with_exec(ExecContext::new().with_approximate(0.9));
+        assert!(ssjoin(c, c, &pred, &approx).unwrap().pairs.is_empty());
     }
 
     #[test]

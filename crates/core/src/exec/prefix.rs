@@ -20,6 +20,7 @@
 //! unordered pair is found, deduplicated, bitmap-probed and merged once, and
 //! the lower triangle is mirrored into the full output.
 
+use super::prune::{bounds_into, join_bounds_into, Prune, SetBound};
 use super::workspace::{CsrIndex, JoinWorkspace, WorkerScratch};
 use super::{output_charge, run_probes, symmetric_self_join, ExecContext, JoinPair, MirrorScratch};
 use crate::budget::BudgetState;
@@ -103,33 +104,38 @@ pub(crate) fn run_prefix_family(
         s_index,
         r_lens,
         s_lens,
+        r_bounds,
+        s_bounds,
         workers,
         mirror,
         out,
         ..
     } = ws;
 
-    // Phase: prefix-filter (computing prefixes and the prefix index). Only
-    // the R-side lengths and the S-side prefix index escape the phase; the
-    // S-side lengths are consumed by the index build.
+    // Phase: prefix-filter (computing prefixes, the prefix index and the
+    // per-set prune columns). Only the R-side lengths, the S-side prefix
+    // index and the prune columns escape the phase; the S-side lengths are
+    // consumed by the index build.
     timed_phase(&mut stats, Phase::PrefixFilter, |stats| {
         prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
         prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
         stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
         stats.prefix_tuples_s = s_lens.iter().map(|&l| l as u64).sum();
         s_index.build(s, Some(s_lens));
+        join_bounds_into(r, s, pred, half, r_bounds, s_bounds);
     });
     if !budget.proceed() {
         return stats;
     }
-    let s_index = &*s_index;
-    let r_lens = &*r_lens;
+    let r_bounds = if half { &*s_bounds } else { &*r_bounds };
+    let prune = Prune::new(r, s, r_bounds, s_bounds, pred, ctx.bitmap_filter);
+    let (s_index, r_lens) = (&*s_index, &*r_lens);
 
     // Phase: the SSJoin proper — prefix equi-join producing candidates, then
     // overlap recomputation per candidate.
     let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(
-            r, s, s_index, r_lens, pred, ctx, inline, half, budget, workers, mirror, out,
+            r, s, s_index, r_lens, prune, ctx, inline, half, budget, workers, mirror, out,
         )
     });
     stats.merge(&inner);
@@ -143,13 +149,16 @@ pub(crate) fn run_prefix_family(
 /// path ([`probe_prefix_family`], which borrows `s_index` from a
 /// [`crate::CorpusIndex`]). `half` selects the symmetric self-join's
 /// lower-triangle walk ([`super::run_probes`]).
+///
+/// Each probe gathers its candidates in posting order, prunes them there,
+/// and sorts only the survivors (on the edit join, about 0.5% of them).
 #[allow(clippy::too_many_arguments)]
 fn candidate_phase(
     r: &SetCollection,
     s: &SetCollection,
     s_index: &CsrIndex,
     r_lens: &[usize],
-    pred: &OverlapPredicate,
+    prune: Prune<'_>,
     ctx: &ExecContext,
     inline: bool,
     half: bool,
@@ -186,22 +195,23 @@ fn candidate_phase(
                     "rid collides with the stamp sentinel; collection exceeds the id space"
                 );
                 let out_before = pairs.len();
-                let rset = r.set(rid as u32);
                 let plen = r_lens[rid];
                 if plen == 0 {
                     continue;
                 }
+                let rset = r.set(rid as u32);
+                let rid = rid as u32;
                 candidates.clear();
                 for &rank in &rset.ranks()[..plen] {
                     let postings = if half {
-                        s_index.postings_upto(rank, rid as u32)
+                        s_index.postings_upto(rank, rid)
                     } else {
                         s_index.postings(rank)
                     };
                     for &sid in postings {
                         stats.join_tuples += 1;
-                        if stamp[sid as usize] != rid as u32 {
-                            stamp[sid as usize] = rid as u32;
+                        if stamp[sid as usize] != rid {
+                            stamp[sid as usize] = rid;
                             candidates.push(sid);
                         }
                     }
@@ -210,30 +220,26 @@ fn candidate_phase(
                 if candidates.is_empty() {
                     continue;
                 }
-                candidates.sort_unstable();
                 // Budget checkpoint before verification: candidate work for
                 // this probe is known, verification is the expensive tail.
                 if !budget.checkpoint(candidates.len() as u64, 0) {
                     break;
                 }
+                // The signature bound rejects a candidate without reading its
+                // set; only the survivors are sorted into `(r, s)` order.
+                prune.retain(rid, candidates, &mut stats);
+                candidates.sort_unstable();
 
                 if inline {
                     for &sid in candidates.iter() {
                         let sset = s.set(sid);
-                        let required = pred.required_overlap(rset.norm(), sset.norm());
-                        if ctx.bitmap_filter {
-                            stats.bitmap_probes += 1;
-                            if rset.wide_overlap_bound(sset) < required {
-                                stats.bitmap_prunes += 1;
-                                continue; // signature proves the merge can't reach the threshold
-                            }
-                        }
                         stats.verified_pairs += 1;
                         // The HAVING check is fused into the kernel: Some
                         // exactly when overlap >= required.
+                        let required = prune.required(rid, sid);
                         if let Some(overlap) = verify_overlap(rset, sset, required, &mut stats) {
                             pairs.push(JoinPair {
-                                r: rid as u32,
+                                r: rid,
                                 s: sid,
                                 overlap,
                             });
@@ -247,17 +253,9 @@ fn candidate_phase(
                     // emulation rebuilds the R-group hash table for every
                     // candidate rather than amortizing it. (Skipping that
                     // rebuild is exactly the inline optimization of
-                    // Figure 9.)
+                    // Figure 9.) Pruned candidates skip the rebuild.
                     for &sid in candidates.iter() {
                         let sset = s.set(sid);
-                        if ctx.bitmap_filter {
-                            stats.bitmap_probes += 1;
-                            let required = pred.required_overlap(rset.norm(), sset.norm());
-                            if rset.wide_overlap_bound(sset) < required {
-                                stats.bitmap_prunes += 1;
-                                continue; // skip the per-candidate table rebuild
-                            }
-                        }
                         r_table.clear();
                         for (&rank, &w) in rset.ranks().iter().zip(rset.weights()) {
                             r_table.insert(rank, w);
@@ -269,9 +267,9 @@ fn candidate_phase(
                             }
                         }
                         stats.verified_pairs += 1;
-                        if pred.check(overlap, rset.norm(), sset.norm()) {
+                        if overlap >= prune.required(rid, sid) {
                             pairs.push(JoinPair {
-                                r: rid as u32,
+                                r: rid,
                                 s: sid,
                                 overlap,
                             });
@@ -290,17 +288,19 @@ fn candidate_phase(
 
 /// Probe an already-built S-side prefix index: identical to
 /// [`run_prefix_family`] except that the prefix-filter phase computes only
-/// the R-side (probe batch) prefix lengths — the S side's prefixes and index
-/// were fixed when the [`crate::CorpusIndex`] was built, against a
-/// conservative partner-norm interval, so the candidate set is a superset of
-/// the fresh build's and verification makes the output identical.
-/// `s_prefix_tuples` reports the stored index's prefix size into the stats.
+/// the R-side (probe batch) prefix lengths and prune column — the S side's
+/// prefixes, index and prune column were fixed when the
+/// [`crate::CorpusIndex`] was built, against a conservative partner-norm
+/// interval, so the candidate set is a superset of the fresh build's and
+/// verification makes the output identical. `s_prefix_tuples` reports the
+/// stored index's prefix size into the stats.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_prefix_family(
     r: &SetCollection,
     s: &SetCollection,
     s_index: &CsrIndex,
     s_prefix_tuples: u64,
+    s_bounds: &[SetBound],
     pred: &OverlapPredicate,
     ctx: &ExecContext,
     inline: bool,
@@ -313,6 +313,7 @@ pub(crate) fn probe_prefix_family(
     }
     let JoinWorkspace {
         r_lens,
+        r_bounds,
         workers,
         mirror,
         out,
@@ -323,14 +324,16 @@ pub(crate) fn probe_prefix_family(
         prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
         stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
         stats.prefix_tuples_s = s_prefix_tuples;
+        bounds_into(r, pred, Side::R, r_bounds);
     });
     if !budget.proceed() {
         return stats;
     }
+    let prune = Prune::new(r, s, r_bounds, s_bounds, pred, ctx.bitmap_filter);
     let r_lens = &*r_lens;
     let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(
-            r, s, s_index, r_lens, pred, ctx, inline, false, budget, workers, mirror, out,
+            r, s, s_index, r_lens, prune, ctx, inline, false, budget, workers, mirror, out,
         )
     });
     stats.merge(&inner);

@@ -18,6 +18,7 @@
 //! representation (one heap allocation *per universe rank*) that earlier
 //! revisions rebuilt on every run.
 
+use super::prune::SetBound;
 use super::JoinPair;
 use crate::hash::FxHashMap;
 use crate::set::SetCollection;
@@ -293,8 +294,8 @@ struct MergeRun {
 /// Reusable buffer pool for [`crate::ssjoin_with`].
 ///
 /// Holds every transient structure an execution needs — the CSR inverted
-/// index, prefix-length tables, per-worker stamp/candidate/output buffers,
-/// and the final output vector. All state is
+/// index, prefix-length tables, per-set prune columns, per-worker
+/// stamp/candidate/output buffers, and the final output vector. All state is
 /// reset at the start of each run; capacity is retained, so repeated joins
 /// over same-scale inputs stop allocating entirely.
 ///
@@ -323,6 +324,10 @@ pub struct JoinWorkspace {
     pub(crate) s_index: CsrIndex,
     pub(crate) r_lens: Vec<usize>,
     pub(crate) s_lens: Vec<usize>,
+    /// Per-set prune columns ([`super::bounds_into`]) of the R and S sides;
+    /// a symmetric self-join fills only `s_bounds`.
+    pub(crate) r_bounds: Vec<SetBound>,
+    pub(crate) s_bounds: Vec<SetBound>,
     pub(crate) workers: Vec<WorkerScratch>,
     pub(crate) mirror: MirrorScratch,
     merge_runs: Vec<MergeRun>,
@@ -360,6 +365,8 @@ impl JoinWorkspace {
         self.s_index.bytes_reserved()
             + vec_bytes(&self.r_lens)
             + vec_bytes(&self.s_lens)
+            + vec_bytes(&self.r_bounds)
+            + vec_bytes(&self.s_bounds)
             + vec_bytes(&self.mirror.half)
             + vec_bytes(&self.mirror.row_starts)
             + vec_bytes(&self.merge_runs)

@@ -6,8 +6,9 @@
 //! against a large, mostly-static reference table. [`CorpusIndex`] factors
 //! that cost out. Built once from a [`SetCollection`], it owns everything
 //! the executors previously derived per call on the S side — the prefix
-//! inverted index, per-set prefix lengths, and (inside the arena) the per-set
-//! bitmap signatures — and answers `R × index` joins through [`CorpusIndex::probe`]
+//! inverted index, per-set prefix lengths, the bitmap prune's per-set column
+//! (required overlap and signature popcount), and (inside the arena) the
+//! per-set signatures — and answers `R × index` joins through [`CorpusIndex::probe`]
 //! with the same budget, cancellation, and zero-warm-allocation contracts as
 //! [`crate::ssjoin_with`].
 //!
@@ -40,9 +41,9 @@ use crate::approx::ApproxSketch;
 use crate::budget::BudgetState;
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
-    begin, build_csr_parallel, finish, prefix_lengths_into, probe_prefix_family, run_algorithm,
-    vec_bytes, Algorithm, CsrIndex, ExecContext, JoinWorkspace, Side, SsJoinConfig, SsJoinRun,
-    WorkerScratch,
+    begin, bounds_into, build_csr_parallel, finish, prefix_lengths_into, probe_prefix_family,
+    run_algorithm, vec_bytes, Algorithm, CsrIndex, ExecContext, JoinWorkspace, SetBound, Side,
+    SsJoinConfig, SsJoinRun, WorkerScratch,
 };
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
@@ -107,6 +108,11 @@ pub struct CorpusIndex {
     prefix_lens: Vec<usize>,
     /// Cached `Σ prefix_lens`, reported into probe stats.
     prefix_tuples: u64,
+    /// The per-set prune column (S side) of sets `0..indexed`, computed at
+    /// each (re)build, so a probe computes only its batch's. Epoch-tail sets
+    /// are joined brute force, so no prune reads theirs until the next
+    /// rebuild covers them.
+    bounds: Vec<SetBound>,
     /// Sets `indexed..corpus.len()` are the un-indexed epoch tail.
     indexed: usize,
     alive: Vec<bool>,
@@ -164,6 +170,7 @@ impl CorpusIndex {
             prefix_index: CsrIndex::default(),
             prefix_lens: Vec::new(),
             prefix_tuples: 0,
+            bounds: Vec::new(),
             indexed: 0,
             alive,
             dead: 0,
@@ -203,6 +210,7 @@ impl CorpusIndex {
             &mut self.workers,
             threads,
         );
+        bounds_into(&self.corpus, &self.pred, Side::S, &mut self.bounds);
         self.indexed = n;
         self.dead_in_index = 0;
         if let Some(spec) = self.approx_spec {
@@ -282,7 +290,16 @@ impl CorpusIndex {
         let (mut stats, whole_arena) = match (spilled, sketch) {
             (Some(stats), _) => (stats, true),
             (None, Some(sketch)) => (
-                crate::approx::probe_built(r, s, sketch, &self.pred, ctx, &run.budget, ws),
+                crate::approx::probe_built(
+                    r,
+                    s,
+                    sketch,
+                    &self.bounds,
+                    &self.pred,
+                    ctx,
+                    &run.budget,
+                    ws,
+                ),
                 false,
             ),
             (None, None) if algorithm == Algorithm::Basic => (
@@ -297,6 +314,7 @@ impl CorpusIndex {
                     s,
                     &self.prefix_index,
                     self.prefix_tuples,
+                    &self.bounds,
                     &self.pred,
                     ctx,
                     algorithm == Algorithm::Inline,
@@ -532,6 +550,7 @@ impl CorpusIndex {
     pub fn bytes_reserved(&self) -> u64 {
         self.prefix_index.bytes_reserved()
             + vec_bytes(&self.prefix_lens)
+            + vec_bytes(&self.bounds)
             + vec_bytes(&self.alive)
             + self.approx.as_ref().map_or(0, |a| a.bytes_reserved())
     }

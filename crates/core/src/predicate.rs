@@ -161,6 +161,69 @@ impl NormExpr {
         }
     }
 
+    /// True if the expression mentions `R.norm`.
+    fn uses_r_norm(&self) -> bool {
+        match self {
+            NormExpr::Const(_) | NormExpr::SNorm => false,
+            NormExpr::RNorm => true,
+            NormExpr::Add(a, b)
+            | NormExpr::Sub(a, b)
+            | NormExpr::Mul(a, b)
+            | NormExpr::Min(a, b)
+            | NormExpr::Max(a, b) => a.uses_r_norm() || b.uses_r_norm(),
+        }
+    }
+
+    /// True if `e(r, s) = max(e_R(r), e_S(s))` for the one-sided parts that
+    /// [`Self::side_part`] evaluates. An expression over at most one norm
+    /// splits as it is. Otherwise the shape must be a `Max` of splitting
+    /// operands, or a splitting operand shifted by a finite constant
+    /// (`+ k`, `− k`) or scaled by a finite `c > 0`: each of those maps is
+    /// monotone non-decreasing under round-to-nearest, so it commutes with
+    /// `max` bit for bit. A product of the two norms, `min`, `k − x` and
+    /// `c ≤ 0` do not split. Structural and allocation-free.
+    fn splits(&self) -> bool {
+        use NormExpr::*;
+        let finite = |e: &NormExpr| matches!(e, Const(k) if k.is_finite());
+        let positive = |e: &NormExpr| matches!(e, Const(c) if c.is_finite() && *c > 0.0);
+        if !self.uses_r_norm() || !self.uses_s_norm() {
+            return true;
+        }
+        match self {
+            Max(a, b) => a.splits() && b.splits(),
+            Add(a, b) => (finite(b) && a.splits()) || (finite(a) && b.splits()),
+            Sub(a, b) => finite(b) && a.splits(),
+            Mul(a, b) => (positive(b) && a.splits()) || (positive(a) && b.splits()),
+            _ => false,
+        }
+    }
+
+    /// The one-sided part of a splitting expression (see [`Self::splits`])
+    /// at norm `x` for `side`: the expression itself when it reads no other
+    /// norm, `−∞` (the identity of `max`) when it reads only the other
+    /// norm, and otherwise the same operator applied to its operands' parts.
+    fn side_part(&self, side: NormSide, x: f64) -> f64 {
+        let (mine, other) = match side {
+            NormSide::R => (self.uses_r_norm(), self.uses_s_norm()),
+            NormSide::S => (self.uses_s_norm(), self.uses_r_norm()),
+        };
+        if !other {
+            return self.eval(x, x);
+        }
+        if !mine {
+            return f64::NEG_INFINITY;
+        }
+        match self {
+            NormExpr::Add(a, b) => a.side_part(side, x) + b.side_part(side, x),
+            NormExpr::Sub(a, b) => a.side_part(side, x) - b.side_part(side, x),
+            NormExpr::Mul(a, b) => a.side_part(side, x) * b.side_part(side, x),
+            NormExpr::Max(a, b) => a.side_part(side, x).max(b.side_part(side, x)),
+            // Unreachable for a splitting expression; NaN is ignored by the
+            // conjunct fold.
+            _ => f64::NAN,
+        }
+    }
+
     /// True if `other` is `self` with `R.norm` and `S.norm` swapped, up to
     /// the commutativity of `+ × min max` — a structural check, so it never
     /// allocates and may answer `false` for algebraically equal forms.
@@ -297,6 +360,27 @@ impl OverlapPredicate {
         Weight::from_f64_threshold(t).max(Weight::EPSILON)
     }
 
+    /// Split the predicate into an R-side and an S-side requirement, when
+    /// the split is exact: for every pair of norms,
+    /// `required_overlap(r, s) == required_r(r).max(required_s(s))`, bit for
+    /// bit. Then an executor evaluates the predicate once per set per run
+    /// instead of once per candidate pair.
+    ///
+    /// A conjunct over at most one norm splits as it is, and so do `max`,
+    /// `+ k`, `− k` and `· c` with finite `k` and `c > 0` (Property 4's
+    /// `max(R.norm, S.norm)·c − k` at `c > 0`, hamming's
+    /// `max(R.norm, S.norm) − k`). The conjunct fold, the threshold
+    /// conversion ([`Weight::from_f64_threshold`]) and the `EPSILON` clamp
+    /// are monotone, so they commute with the outer `max`. Returns `None`
+    /// for any other shape — cosine's `c · R.norm · S.norm`, Property 4 at
+    /// `c ≤ 0` — which keeps per-pair evaluation.
+    pub(crate) fn split(&self) -> Option<SplitPredicate<'_>> {
+        self.conjuncts
+            .iter()
+            .all(NormExpr::splits)
+            .then_some(SplitPredicate { pred: self })
+    }
+
     /// True if any conjunct references `S.norm`.
     pub fn uses_s_norm(&self) -> bool {
         self.conjuncts.iter().any(NormExpr::uses_s_norm)
@@ -315,6 +399,44 @@ impl OverlapPredicate {
         self.conjuncts
             .iter()
             .all(|e| self.conjuncts.iter().any(|m| e.mirrors(m)))
+    }
+}
+
+/// The side of a pair a norm belongs to.
+#[derive(Debug, Clone, Copy)]
+enum NormSide {
+    R,
+    S,
+}
+
+/// An [`OverlapPredicate`] whose required overlap splits exactly into one
+/// requirement per set ([`OverlapPredicate::split`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SplitPredicate<'p> {
+    pred: &'p OverlapPredicate,
+}
+
+impl SplitPredicate<'_> {
+    /// The requirement an `R`-side set with norm `r_norm` places on every
+    /// partner.
+    pub(crate) fn required_r(self, r_norm: f64) -> Weight {
+        self.required_side(NormSide::R, r_norm)
+    }
+
+    /// The requirement an `S`-side set with norm `s_norm` places on every
+    /// partner.
+    pub(crate) fn required_s(self, s_norm: f64) -> Weight {
+        self.required_side(NormSide::S, s_norm)
+    }
+
+    fn required_side(self, side: NormSide, norm: f64) -> Weight {
+        let t = self
+            .pred
+            .conjuncts
+            .iter()
+            .map(|e| e.side_part(side, norm))
+            .fold(f64::NEG_INFINITY, f64::max);
+        Weight::from_f64_threshold(t).max(Weight::EPSILON)
     }
 }
 
@@ -476,6 +598,104 @@ mod tests {
             OverlapPredicate::new(vec![NormExpr::r_scaled(0.7), NormExpr::s_scaled(0.8)]),
         ] {
             assert!(!p.is_symmetric(), "{p}");
+        }
+    }
+
+    /// Property 4 at threshold `theta` over q-grams: `max(R, S)·c − (q − 1)`
+    /// with `c = 1 − (1 − θ)·q`, as the edit join builds it.
+    fn property4(theta: f64, q: usize) -> OverlapPredicate {
+        use NormExpr::*;
+        let c = 1.0 - (1.0 - theta) * q as f64;
+        OverlapPredicate::new(vec![Sub(
+            boxed(Mul(boxed(Max(boxed(RNorm), boxed(SNorm))), boxed(Const(c)))),
+            boxed(Const(q as f64 - 1.0)),
+        )])
+    }
+
+    /// Seeded norms of every kind the requirement meets: integers,
+    /// fractions, zero, multiples of the fixed-point resolution, and values
+    /// near the top of the fixed-point range.
+    fn random_norms(seed: u64, n: usize) -> Vec<f64> {
+        use ssjoin_prng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let resolution = 1.0 / Weight::SCALE as f64;
+        let top = (u64::MAX / Weight::SCALE) as f64;
+        let mut norms = vec![0.0, 1.0, resolution, top, top * 2.0];
+        norms.extend((0..n).map(|_| match rng.gen_range(0u32..5) {
+            0 => f64::from(rng.gen_range(0u32..200)),
+            1 => f64::from(rng.next_u32()) / f64::from(u32::MAX) * 40.0,
+            2 => f64::from(rng.gen_range(0u32..4096)) * resolution,
+            3 => top - f64::from(rng.gen_range(0u32..1 << 20)) * 1024.0,
+            _ => 0.0,
+        }));
+        norms
+    }
+
+    #[test]
+    fn split_is_exact_for_every_packaged_predicate() {
+        let hamming = |k: f64| {
+            OverlapPredicate::new(vec![NormExpr::Sub(
+                boxed(NormExpr::Max(
+                    boxed(NormExpr::RNorm),
+                    boxed(NormExpr::SNorm),
+                )),
+                boxed(NormExpr::Const(k)),
+            )])
+        };
+        let preds = [
+            OverlapPredicate::absolute(3.0),
+            OverlapPredicate::absolute(0.4),
+            OverlapPredicate::absolute(1e14),
+            OverlapPredicate::r_normalized(0.8),
+            OverlapPredicate::s_normalized(0.85),
+            OverlapPredicate::two_sided(0.9),
+            property4(0.85, 3),
+            property4(0.95, 3),
+            hamming(2.0),
+        ];
+        let norms = random_norms(23, 300);
+        for pred in &preds {
+            let split = pred.split().unwrap_or_else(|| panic!("{pred} must split"));
+            // A symmetric self-join keeps one column for both roles, which
+            // needs the two sides' requirements equal at every norm.
+            if pred.is_symmetric() {
+                for &x in &norms {
+                    assert_eq!(split.required_r(x), split.required_s(x), "{pred} at {x}");
+                }
+            }
+            for (i, &r) in norms.iter().enumerate() {
+                // Every R norm against a stride of S norms, both orders.
+                for &s in norms.iter().skip(i % 7).step_by(7) {
+                    for (a, b) in [(r, s), (s, r)] {
+                        let want = pred.required_overlap(a, b);
+                        let got = split.required_r(a).max(split.required_s(b));
+                        assert_eq!(got.raw(), want.raw(), "{pred} at r={a} s={b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_is_refused_where_it_would_not_be_exact() {
+        use NormExpr::*;
+        let cosine = OverlapPredicate::new(vec![Mul(
+            boxed(Const(0.8)),
+            boxed(Mul(boxed(RNorm), boxed(SNorm))),
+        )]);
+        // Property 4 at θ = 0.6, q = 3: c = 1 − 0.4·3 < 0.
+        let negative = property4(0.6, 3);
+        let zero = OverlapPredicate::new(vec![Mul(
+            boxed(Max(boxed(RNorm), boxed(SNorm))),
+            boxed(Const(0.0)),
+        )]);
+        let min = OverlapPredicate::new(vec![Min(boxed(RNorm), boxed(SNorm))]);
+        let minus_max = OverlapPredicate::new(vec![Sub(
+            boxed(Const(10.0)),
+            boxed(Max(boxed(RNorm), boxed(SNorm))),
+        )]);
+        for pred in [cosine, negative, zero, min, minus_max] {
+            assert!(pred.split().is_none(), "{pred} must not split");
         }
     }
 

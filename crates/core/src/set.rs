@@ -9,21 +9,22 @@
 //! one heap allocation per group, the collection holds a single contiguous
 //! **compressed-sparse-row arena**: one `ranks` array, one parallel
 //! `weights` array, one parallel `suffix` array of cumulative suffix
-//! weights, and an `offsets` array delimiting each set's slice. Per-set
-//! derived state (total weight, norm, bitmap signature, minimum
-//! element weight) lives in parallel per-set arrays. Index builds and
-//! verification merges therefore stream cache-friendly structure-of-arrays
-//! memory with no pointer chasing.
+//! weights, and an `offsets` array delimiting each set's slice. Per set it
+//! keeps a norm and one 80-byte [`SetRecord`] — the bitmap signature, the
+//! total weight and the minimum element weight, contiguous, because the
+//! bitmap prune reads exactly those. Index builds and verification merges
+//! therefore stream cache-friendly memory with no pointer chasing, and a
+//! prune touches one record per side.
 //!
 //! [`SetRef`] is the borrowed per-set view handed to executors and overlap
 //! kernels (see [`crate::kernel`]); it is `Copy` and carries the arena
-//! slices plus the derived scalars.
+//! slices, the norm and the record.
 
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::weight::Weight;
 
 /// Number of 64-bit words in a set's bitmap signature: `64 · SIG_WORDS =
-/// 512` hashed bit positions per set, stored contiguously in the arena and
+/// 512` hashed bit positions per set, stored in the set's prune record and
 /// compared whole by the bitmap filter.
 pub const SIG_WORDS: usize = 8;
 
@@ -34,11 +35,49 @@ fn signature_position(rank: u32) -> usize {
     ((rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 55) as usize
 }
 
-/// Set the hashed bit for `rank` in a signature.
-#[inline]
-fn set_signature_bit(sig: &mut [u64; SIG_WORDS], rank: u32) {
-    let p = signature_position(rank);
-    sig[p >> 6] |= 1u64 << (p & 63);
+/// What the bitmap prune reads of one set, stored contiguously: the
+/// [`SIG_WORDS`]-word signature, the total weight and the smallest element
+/// weight (80 bytes). The collection's own storage — one record per set —
+/// so no run copies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SetRecord {
+    sig: [u64; SIG_WORDS],
+    total: Weight,
+    min_weight: Weight,
+}
+
+impl SetRecord {
+    /// Number of set bits in the signature. Executors compute it once per
+    /// set per run, beside the set's required overlap, so a prune pays
+    /// only for the popcounts of `sig_r & sig_s`.
+    pub(crate) fn popcount(&self) -> u32 {
+        self.sig.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// [`SetRef::wide_overlap_bound`] by the popcount identity: with
+    /// `common = popcount(sig_r & sig_s)`, `popcount(sig_r & !sig_s)` is
+    /// `pop_r − common`, so the bound costs [`SIG_WORDS`] popcounts instead
+    /// of `2 · SIG_WORDS`. `pop` and `other_pop` are the two records'
+    /// [`SetRecord::popcount`]s.
+    #[inline]
+    pub(crate) fn overlap_bound(&self, pop: u32, other: &SetRecord, other_pop: u32) -> Weight {
+        let mut common = 0u32;
+        for (&x, &y) in self.sig.iter().zip(&other.sig) {
+            common += (x & y).count_ones();
+        }
+        let bound_r = self.total.saturating_sub(Weight::from_raw(
+            self.min_weight
+                .raw()
+                .saturating_mul(u64::from(pop - common)),
+        ));
+        let bound_s = other.total.saturating_sub(Weight::from_raw(
+            other
+                .min_weight
+                .raw()
+                .saturating_mul(u64::from(other_pop - common)),
+        ));
+        bound_r.min(bound_s)
+    }
 }
 
 /// A borrowed view of one weighted set inside a [`SetCollection`] arena.
@@ -55,11 +94,8 @@ pub struct SetRef<'a> {
     /// Suffix cumulative weights: `suffix[i] = Σ weights[i..]`.
     suffix: &'a [Weight],
     norm: f64,
-    total: Weight,
-    /// Bitmap signature: a `SIG_WORDS`-word slice of the collection's
-    /// contiguous signature pool.
-    sig: &'a [u64],
-    min_weight: Weight,
+    /// Signature, total and minimum weight.
+    record: &'a SetRecord,
 }
 
 impl PartialEq for SetRef<'_> {
@@ -112,7 +148,7 @@ impl<'a> SetRef<'a> {
 
     /// Total weight `wt(s)`.
     pub fn total_weight(self) -> Weight {
-        self.total
+        self.record.total
     }
 
     /// The norm used by normalized predicates.
@@ -120,15 +156,15 @@ impl<'a> SetRef<'a> {
         self.norm
     }
 
-    /// The bitmap signature: [`SIG_WORDS`] words, contiguous in the
-    /// collection's signature pool.
+    /// The bitmap signature: [`SIG_WORDS`] words, stored in the set's
+    /// record.
     pub fn signature_words(self) -> &'a [u64] {
-        self.sig
+        &self.record.sig
     }
 
     /// Smallest element weight ([`Weight::ZERO`] for the empty set).
     pub fn min_element_weight(self) -> Weight {
-        self.min_weight
+        self.record.min_weight
     }
 
     /// Upper bound on `wt(self ∩ other)` from the two bitmap signatures.
@@ -143,17 +179,27 @@ impl<'a> SetRef<'a> {
     /// Exact-overlap computation never exceeds this, so pruning candidates
     /// whose bound falls *strictly below* the required overlap is lossless —
     /// a bound exactly at the threshold is kept and verified.
+    ///
+    /// This is the reference form. Executors prune through the equal
+    /// popcount-identity form, which reuses each set's cached popcount.
     pub fn wide_overlap_bound(self, other: SetRef<'_>) -> Weight {
         let (mut only_r, mut only_s) = (0u32, 0u32);
-        for (&x, &y) in self.sig.iter().zip(other.sig) {
+        for (&x, &y) in self.record.sig.iter().zip(&other.record.sig) {
             only_r += (x & !y).count_ones();
             only_s += (y & !x).count_ones();
         }
-        let bound_r = self.total.saturating_sub(Weight::from_raw(
-            self.min_weight.raw().saturating_mul(u64::from(only_r)),
+        let bound_r = self.record.total.saturating_sub(Weight::from_raw(
+            self.record
+                .min_weight
+                .raw()
+                .saturating_mul(u64::from(only_r)),
         ));
-        let bound_s = other.total.saturating_sub(Weight::from_raw(
-            other.min_weight.raw().saturating_mul(u64::from(only_s)),
+        let bound_s = other.record.total.saturating_sub(Weight::from_raw(
+            other
+                .record
+                .min_weight
+                .raw()
+                .saturating_mul(u64::from(only_s)),
         ));
         bound_r.min(bound_s)
     }
@@ -200,13 +246,8 @@ pub struct SetCollection {
     suffix: Vec<Weight>,
     /// Per-set norms.
     norms: Vec<f64>,
-    /// Per-set total weights.
-    totals: Vec<Weight>,
-    /// Per-set bitmap signatures, stored contiguously: set `i` owns words
-    /// `i*SIG_WORDS..(i+1)*SIG_WORDS`.
-    sig_words: Vec<u64>,
-    /// Per-set minimum element weights.
-    min_weights: Vec<Weight>,
+    /// Per-set prune records: signature, total weight, minimum weight.
+    records: Vec<SetRecord>,
     /// Number of distinct element ranks in the shared universe.
     universe_size: usize,
     /// Identifies the builder run that produced this collection; collections
@@ -218,10 +259,10 @@ pub struct SetCollection {
 
 impl SetCollection {
     /// Build the arena from per-set `(elements, norm)` pairs; sorts and
-    /// validates each element list and computes all derived state (totals,
-    /// suffix weight tables, bitmap signatures, minimum weights, the cached
-    /// norm range) in one pass, so every construction path — builder or
-    /// deserialization — gets it consistently.
+    /// validates each element list and computes all derived state (suffix
+    /// weight tables, the per-set records, the cached norm range) in one
+    /// pass, so every construction path — builder or deserialization — gets
+    /// it consistently.
     ///
     /// # Errors
     /// Returns [`SsJoinError::InvalidInput`] on duplicate ranks within a set
@@ -239,68 +280,13 @@ impl SetCollection {
                 elements: tuple_count,
             });
         }
-        let n = sets.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut ranks = Vec::with_capacity(tuple_count);
-        let mut weights = Vec::with_capacity(tuple_count);
-        let mut suffix = vec![Weight::ZERO; tuple_count];
-        let mut norms = Vec::with_capacity(n);
-        let mut totals = Vec::with_capacity(n);
-        let mut sig_words = Vec::with_capacity(n * SIG_WORDS);
-        let mut min_weights = Vec::with_capacity(n);
-        let mut norm_range: Option<(f64, f64)> = None;
-
+        let mut c = Self::empty(universe_size, universe_tag);
+        c.reserve(sets.len(), tuple_count);
         for (mut elems, norm) in sets {
-            elems.sort_unstable_by_key(|&(rank, _)| rank);
-            for w in elems.windows(2) {
-                if w[0].0 == w[1].0 {
-                    return Err(SsJoinError::InvalidInput(format!(
-                        "duplicate rank {}; ordinalize multisets first",
-                        w[0].0
-                    )));
-                }
-            }
-            let start = ranks.len();
-            let mut signature = [0u64; SIG_WORDS];
-            let mut min_weight: Option<Weight> = None;
-            for &(rank, w) in &elems {
-                ranks.push(rank);
-                weights.push(w);
-                set_signature_bit(&mut signature, rank);
-                min_weight = Some(min_weight.map_or(w, |m| m.min(w)));
-            }
-            // Suffix cumulative weights by a reverse scan; the set total
-            // falls out as suffix[start].
-            let mut acc = Weight::ZERO;
-            for k in (start..ranks.len()).rev() {
-                acc += weights[k];
-                suffix[k] = acc;
-            }
-            offsets.push(ranks.len() as u32);
-            norms.push(norm);
-            totals.push(acc);
-            sig_words.extend_from_slice(&signature);
-            min_weights.push(min_weight.unwrap_or(Weight::ZERO));
-            norm_range = Some(match norm_range {
-                None => (norm, norm),
-                Some((lo, hi)) => (lo.min(norm), hi.max(norm)),
-            });
+            sort_and_check(&mut elems)?;
+            c.push_sorted(elems.iter().copied(), norm);
         }
-
-        Ok(Self {
-            offsets,
-            ranks,
-            weights,
-            suffix,
-            norms,
-            totals,
-            sig_words,
-            min_weights,
-            universe_size,
-            universe_tag,
-            norm_range,
-        })
+        Ok(c)
     }
 
     /// Append one set to the arena (same universe), computing the same
@@ -332,15 +318,7 @@ impl SetCollection {
             });
         }
         let mut elems = elements.to_vec();
-        elems.sort_unstable_by_key(|&(rank, _)| rank);
-        for w in elems.windows(2) {
-            if w[0].0 == w[1].0 {
-                return Err(SsJoinError::InvalidInput(format!(
-                    "duplicate rank {}; ordinalize multisets first",
-                    w[0].0
-                )));
-            }
-        }
+        sort_and_check(&mut elems)?;
         if let Some(&(rank, _)) = elems.last() {
             if rank as usize >= self.universe_size {
                 return Err(SsJoinError::InvalidInput(format!(
@@ -349,32 +327,7 @@ impl SetCollection {
                 )));
             }
         }
-        let start = self.ranks.len();
-        let mut signature = [0u64; SIG_WORDS];
-        let mut min_weight: Option<Weight> = None;
-        for &(rank, w) in &elems {
-            self.ranks.push(rank);
-            self.weights.push(w);
-            set_signature_bit(&mut signature, rank);
-            min_weight = Some(min_weight.map_or(w, |m| m.min(w)));
-        }
-        self.suffix.resize(self.ranks.len(), Weight::ZERO);
-        let mut acc = Weight::ZERO;
-        for k in (start..self.ranks.len()).rev() {
-            acc += self.weights[k];
-            self.suffix[k] = acc;
-        }
-        let id = self.len() as u32;
-        self.offsets.push(self.ranks.len() as u32);
-        self.norms.push(norm);
-        self.totals.push(acc);
-        self.sig_words.extend_from_slice(&signature);
-        self.min_weights.push(min_weight.unwrap_or(Weight::ZERO));
-        self.norm_range = Some(match self.norm_range {
-            None => (norm, norm),
-            Some((lo, hi)) => (lo.min(norm), hi.max(norm)),
-        });
-        Ok(id)
+        Ok(self.push_sorted(elems.iter().copied(), norm))
     }
 
     /// Append one set whose elements arrive already ascending by rank,
@@ -396,15 +349,28 @@ impl SetCollection {
             .last()
             .is_none_or(|&r| (r as usize) < self.universe_size));
         debug_assert!(self.len() < u32::MAX as usize);
+        self.push_sorted(
+            elem_ranks.iter().copied().zip(elem_weights.iter().copied()),
+            norm,
+        )
+    }
+
+    /// Append one set from rank-ascending, duplicate-free elements: the arena
+    /// slices, the suffix weights, the norm and the set's record. Every
+    /// construction path ends here. Returns the new set's group id.
+    fn push_sorted(&mut self, elems: impl Iterator<Item = (u32, Weight)>, norm: f64) -> u32 {
         let start = self.ranks.len();
-        let mut signature = [0u64; SIG_WORDS];
+        let mut sig = [0u64; SIG_WORDS];
         let mut min_weight: Option<Weight> = None;
-        for (&rank, &w) in elem_ranks.iter().zip(elem_weights) {
+        for (rank, w) in elems {
             self.ranks.push(rank);
             self.weights.push(w);
-            set_signature_bit(&mut signature, rank);
+            let p = signature_position(rank);
+            sig[p >> 6] |= 1u64 << (p & 63);
             min_weight = Some(min_weight.map_or(w, |m| m.min(w)));
         }
+        // Suffix cumulative weights by a reverse scan; the set total falls
+        // out as suffix[start].
         self.suffix.resize(self.ranks.len(), Weight::ZERO);
         let mut acc = Weight::ZERO;
         for k in (start..self.ranks.len()).rev() {
@@ -414,14 +380,27 @@ impl SetCollection {
         let id = self.len() as u32;
         self.offsets.push(self.ranks.len() as u32);
         self.norms.push(norm);
-        self.totals.push(acc);
-        self.sig_words.extend_from_slice(&signature);
-        self.min_weights.push(min_weight.unwrap_or(Weight::ZERO));
+        self.records.push(SetRecord {
+            sig,
+            total: acc,
+            min_weight: min_weight.unwrap_or(Weight::ZERO),
+        });
         self.norm_range = Some(match self.norm_range {
             None => (norm, norm),
             Some((lo, hi)) => (lo.min(norm), hi.max(norm)),
         });
         id
+    }
+
+    /// Reserve room for `sets` more sets holding `tuples` more elements, so a
+    /// builder that knows its sizes appends without regrowing any column.
+    pub(crate) fn reserve(&mut self, sets: usize, tuples: usize) {
+        self.offsets.reserve(sets);
+        self.ranks.reserve(tuples);
+        self.weights.reserve(tuples);
+        self.suffix.reserve(tuples);
+        self.norms.reserve(sets);
+        self.records.reserve(sets);
     }
 
     /// Reset this collection to an empty arena over a (possibly different)
@@ -436,9 +415,7 @@ impl SetCollection {
         self.weights.clear();
         self.suffix.clear();
         self.norms.clear();
-        self.totals.clear();
-        self.sig_words.clear();
-        self.min_weights.clear();
+        self.records.clear();
         self.universe_size = universe_size;
         self.universe_tag = universe_tag;
         self.norm_range = None;
@@ -453,9 +430,7 @@ impl SetCollection {
             weights: Vec::new(),
             suffix: Vec::new(),
             norms: Vec::new(),
-            totals: Vec::new(),
-            sig_words: Vec::new(),
-            min_weights: Vec::new(),
+            records: Vec::new(),
             universe_size,
             universe_tag,
             norm_range: None,
@@ -499,9 +474,7 @@ impl SetCollection {
         self.weights.extend_from_slice(&other.weights);
         self.suffix.extend_from_slice(&other.suffix);
         self.norms.extend_from_slice(&other.norms);
-        self.totals.extend_from_slice(&other.totals);
-        self.sig_words.extend_from_slice(&other.sig_words);
-        self.min_weights.extend_from_slice(&other.min_weights);
+        self.records.extend_from_slice(&other.records);
         self.norm_range = match (self.norm_range, other.norm_range) {
             (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
             (range, None) | (None, range) => range,
@@ -520,10 +493,18 @@ impl SetCollection {
             weights: &self.weights[lo..hi],
             suffix: &self.suffix[lo..hi],
             norm: self.norms[i],
-            total: self.totals[i],
-            sig: &self.sig_words[i * SIG_WORDS..(i + 1) * SIG_WORDS],
-            min_weight: self.min_weights[i],
+            record: &self.records[i],
         }
+    }
+
+    /// Every set's prune record, in group-id order.
+    pub(crate) fn records(&self) -> &[SetRecord] {
+        &self.records
+    }
+
+    /// Every set's norm, in group-id order.
+    pub(crate) fn norms(&self) -> &[f64] {
+        &self.norms
     }
 
     /// Iterate over all sets in group-id order.
@@ -569,6 +550,18 @@ impl SetCollection {
     /// share one element universe — the precondition for joining them.
     pub fn shares_universe(&self, other: &SetCollection) -> bool {
         self.universe_tag == other.universe_tag
+    }
+}
+
+/// Sort a set's elements by rank and reject duplicate ranks.
+fn sort_and_check(elems: &mut [(u32, Weight)]) -> SsJoinResult<()> {
+    elems.sort_unstable_by_key(|&(rank, _)| rank);
+    match elems.windows(2).find(|w| w[0].0 == w[1].0) {
+        Some(w) => Err(SsJoinError::InvalidInput(format!(
+            "duplicate rank {}; ordinalize multisets first",
+            w[0].0
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -817,6 +810,89 @@ mod tests {
         let above = Weight::from_raw(required.raw() + 1);
         assert!(bound < above);
         assert!(a.overlap(a) < above);
+    }
+
+    /// The record's bound, through each set's cached popcount.
+    fn identity_bound(c: &SetCollection, a: u32, b: u32) -> Weight {
+        let (ra, rb) = (&c.records()[a as usize], &c.records()[b as usize]);
+        ra.overlap_bound(ra.popcount(), rb, rb.popcount())
+    }
+
+    #[test]
+    fn popcount_identity_bound_equals_andnot_form() {
+        // The adversarial shapes above: an empty set, a single-token
+        // universe, identical sets, signature-disjoint sets, an at-limit
+        // pair, and seeded random pairs with colliding signature bits.
+        let shapes = [
+            collection(&[&[], &[(1, 2.0), (5, 1.0)]]),
+            SetCollection::from_sets(
+                vec![(vec![(0, w(1.5))], 0.0), (vec![(0, w(1.5))], 0.0)],
+                1,
+                0,
+            )
+            .unwrap(),
+            collection(&[&[(3, 1.5), (9, 2.0), (77, 0.25)]]),
+            collection(&[
+                &[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)],
+                &[(60, 1.0), (61, 1.0), (62, 1.0), (63, 1.0)],
+            ]),
+            collection(&[&[(2, 0.75), (11, 1.25), (40, 3.0)]]),
+        ];
+        for c in &shapes {
+            for a in 0..c.len() as u32 {
+                for b in 0..c.len() as u32 {
+                    let andnot = c.set(a).wide_overlap_bound(c.set(b));
+                    assert_eq!(identity_bound(c, a, b), andnot, "sets {a},{b}");
+                }
+            }
+        }
+        // Seeded pairs over 3 000 ranks: 64-element sets share signature
+        // bits by hash collision as well as by common elements.
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let sets: Vec<_> = (0..40)
+            .map(|_| {
+                let mut elems: Vec<(u32, Weight)> = (0..64)
+                    .map(|_| {
+                        (
+                            (next() % 3000) as u32,
+                            Weight::from_raw(1 + next() % 4_000_000),
+                        )
+                    })
+                    .collect();
+                elems.sort_unstable_by_key(|e| e.0);
+                elems.dedup_by_key(|e| e.0);
+                (elems, 0.0)
+            })
+            .collect();
+        let c = SetCollection::from_sets(sets, 3000, 0).unwrap();
+        for a in 0..c.len() as u32 {
+            for b in 0..c.len() as u32 {
+                let andnot = c.set(a).wide_overlap_bound(c.set(b));
+                assert_eq!(identity_bound(&c, a, b), andnot, "random sets {a},{b}");
+            }
+        }
+    }
+
+    #[test]
+    fn record_holds_total_min_weight_and_signature() {
+        let c = collection(&[&[(1, 2.0), (7, 0.5), (40, 1.0)]]);
+        let (s, record) = (c.set(0), &c.records()[0]);
+        assert_eq!(s.total_weight(), w(3.5));
+        assert_eq!(s.min_element_weight(), w(0.5));
+        assert_eq!(
+            record.popcount(),
+            s.signature_words()
+                .iter()
+                .map(|w| w.count_ones())
+                .sum::<u32>()
+        );
+        assert_eq!(std::mem::size_of::<SetRecord>(), 80);
     }
 
     #[test]

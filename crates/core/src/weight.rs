@@ -51,21 +51,23 @@ impl Weight {
     }
 
     /// Convert a float *threshold* (a required-overlap value) conservatively:
-    /// values ≤ 0 become zero; positive values round up after an epsilon
-    /// haircut, so `overlap ≥ threshold` comparisons tolerate float error in
-    /// the threshold computation without admitting genuinely smaller
-    /// overlaps.
+    /// values ≤ 0 and NaN become zero; positive values round up after an
+    /// epsilon haircut, so `overlap ≥ threshold` comparisons tolerate float
+    /// error in the threshold computation without admitting genuinely
+    /// smaller overlaps. Thresholds past the fixed-point range, `+∞`
+    /// included, saturate at the largest weight, so no overlap reaches them.
+    ///
+    /// Monotone non-decreasing over `[−∞, +∞]`, so it commutes with `max`:
+    /// `from_f64_threshold(a.max(b)) == from_f64_threshold(a).max(from_f64_threshold(b))`
+    /// — the identity the per-set split of a predicate's required overlap
+    /// relies on.
     pub fn from_f64_threshold(t: f64) -> Self {
-        if !t.is_finite() || t <= 0.0 {
+        if t.is_nan() || t <= 0.0 {
             return Weight::ZERO;
         }
         let adjusted = (t - Self::THRESHOLD_EPS).max(0.0);
-        let scaled = (adjusted * Self::SCALE as f64).ceil();
-        assert!(
-            scaled <= u64::MAX as f64,
-            "threshold {t} overflows fixed-point range"
-        );
-        Weight(scaled as u64)
+        // `as` saturates: anything at or past 2⁶⁴ becomes `u64::MAX`.
+        Weight((adjusted * Self::SCALE as f64).ceil() as u64)
     }
 
     /// Back to floating point.
@@ -173,6 +175,18 @@ mod tests {
         assert_eq!(Weight::from_f64_threshold(0.0), Weight::ZERO);
         assert_eq!(Weight::from_f64_threshold(-3.0), Weight::ZERO);
         assert_eq!(Weight::from_f64_threshold(f64::NEG_INFINITY), Weight::ZERO);
+    }
+
+    #[test]
+    fn threshold_past_the_range_saturates() {
+        let max = Weight::from_raw(u64::MAX);
+        assert_eq!(Weight::from_f64_threshold(1e14), max);
+        assert_eq!(Weight::from_f64_threshold(f64::MAX), max);
+        assert_eq!(Weight::from_f64_threshold(f64::INFINITY), max);
+        assert_eq!(Weight::from_f64_threshold(f64::NAN), Weight::ZERO);
+        // A threshold inside the range does not saturate.
+        let top = (u64::MAX >> 21) as f64;
+        assert!(Weight::from_f64_threshold(top) < max);
     }
 
     #[test]

@@ -10,47 +10,51 @@
 //! or the partition count.
 //!
 //! This lives in its own integration-test crate because the library forbids
-//! `unsafe` (a `GlobalAlloc` impl requires it). The counter is
-//! process-global, so every test here holds [`SERIAL`] for its whole run
-//! and no concurrent test can pollute another's count.
+//! `unsafe` (a `GlobalAlloc` impl requires it). The counter is per thread —
+//! a `const` thread-local the allocator reads without allocating — so it
+//! charges only the measured call on the test's own thread: allocations by
+//! the test harness, or by a test running concurrently, are not counted.
+//! Every measured call runs one worker, on the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use ssjoin_core::{
     estimate_memory_bytes, ssjoin_with, Algorithm, CorpusIndex, ElementOrder, ExecBudget,
-    ExecContext, JoinWorkspace, OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder,
-    WeightScheme,
+    ExecContext, JoinWorkspace, NormExpr, NormKind, OverlapPredicate, SetCollection, SsJoinConfig,
+    SsJoinInputBuilder, WeightScheme,
 };
-
-/// Held by every test for its whole run: the allocation counter is global.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether allocations on this thread are being counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation if this thread is counting. `try_with` keeps the
+/// allocator usable while the thread's locals are being torn down.
+fn tick() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        tick();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        tick();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        tick();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -62,13 +66,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Count heap allocations performed by `f`.
+/// Count the heap allocations `f` performs on the calling thread.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
     f();
-    COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    COUNTING.with(|c| c.set(false));
+    ALLOCS.with(Cell::get)
 }
 
 fn build_self(groups: Vec<Vec<String>>) -> SetCollection {
@@ -77,9 +81,12 @@ fn build_self(groups: Vec<Vec<String>>) -> SetCollection {
     b.build().unwrap().collection(h).clone()
 }
 
+fn boxed(e: NormExpr) -> Box<NormExpr> {
+    Box::new(e)
+}
+
 #[test]
 fn warm_workspace_runs_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
     // A moderately collision-heavy self-join so every executor does real
     // work (posting lists, candidates, verifications, output pairs).
     let groups: Vec<Vec<String>> = (0..120)
@@ -89,10 +96,36 @@ fn warm_workspace_runs_allocation_free() {
                 .collect()
         })
         .collect();
-    let c = build_self(groups);
-    let preds = [
-        OverlapPredicate::absolute(2.0),
-        OverlapPredicate::two_sided(0.6),
+    let c = build_self(groups.clone());
+    // The same sets with cardinality norms, for the norm-dependent shapes:
+    // Property 4's `max(R, S)·c − (q − 1)`, whose requirement splits into
+    // per-set columns, and a `c · R · S` product, which the prune evaluates
+    // per pair.
+    let mut b = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+    let h = b.add_relation_with_norm(groups, NormKind::Cardinality);
+    let q = b.build().unwrap().collection(h).clone();
+    let property4 = OverlapPredicate::new(vec![NormExpr::Sub(
+        boxed(NormExpr::Mul(
+            boxed(NormExpr::Max(
+                boxed(NormExpr::RNorm),
+                boxed(NormExpr::SNorm),
+            )),
+            boxed(NormExpr::Const(0.55)),
+        )),
+        boxed(NormExpr::Const(2.0)),
+    )]);
+    let product = OverlapPredicate::new(vec![NormExpr::Mul(
+        boxed(NormExpr::Const(0.1)),
+        boxed(NormExpr::Mul(
+            boxed(NormExpr::RNorm),
+            boxed(NormExpr::SNorm),
+        )),
+    )]);
+    let cases = [
+        (&c, OverlapPredicate::absolute(2.0)),
+        (&c, OverlapPredicate::two_sided(0.6)),
+        (&q, property4),
+        (&q, product),
     ];
 
     for algorithm in [
@@ -110,24 +143,25 @@ fn warm_workspace_runs_allocation_free() {
                     .with_threads(1),
             );
             let mut ws = JoinWorkspace::new();
-            // Warm the pools: one cold run per predicate.
+            // Warm the pools: one cold run per query.
             let mut expected = Vec::new();
-            for pred in &preds {
-                let run = ssjoin_with(&c, &c, pred, &config, &mut ws).unwrap();
+            for (sets, pred) in &cases {
+                let run = ssjoin_with(sets, sets, pred, &config, &mut ws).unwrap();
                 expected.push(run.pairs.to_vec());
             }
             // Measured runs: repeat each query on the warm workspace.
-            for (pred, expect) in preds.iter().zip(&expected) {
+            for ((sets, pred), expect) in cases.iter().zip(&expected) {
+                assert!(!expect.is_empty(), "pred {pred} must match some pairs");
                 let mut got = usize::MAX;
                 let allocs = count_allocs(|| {
-                    got = ssjoin_with(&c, &c, pred, &config, &mut ws)
+                    got = ssjoin_with(sets, sets, pred, &config, &mut ws)
                         .unwrap()
                         .pairs
                         .len();
                 });
                 assert_eq!(
                     allocs, 0,
-                    "warm run allocated: alg {algorithm:?} filter {filter} pred {pred:?}"
+                    "warm run allocated: alg {algorithm:?} filter {filter} pred {pred}"
                 );
                 assert_eq!(got, expect.len(), "alg {algorithm:?} filter {filter}");
             }
@@ -135,21 +169,22 @@ fn warm_workspace_runs_allocation_free() {
 
         // The same contract holds for the persistent-index probe path: once
         // the workspace has warmed on a probe, repeating it allocates
-        // nothing — the index side was paid for at build time.
-        for pred in &preds {
-            let index = CorpusIndex::build(c.clone(), pred.clone()).unwrap();
+        // nothing — the index side, its prune column included, was paid for
+        // at build time.
+        for (sets, pred) in &cases {
+            let index = CorpusIndex::build((*sets).clone(), pred.clone()).unwrap();
             let config = SsJoinConfig::new(algorithm).with_exec(ExecContext::new().with_threads(1));
             let mut ws = JoinWorkspace::new();
-            let expect = index.probe(&c, &config, &mut ws).unwrap().pairs.len();
+            let expect = index.probe(sets, &config, &mut ws).unwrap().pairs.len();
             let mut got = usize::MAX;
             let allocs = count_allocs(|| {
-                got = index.probe(&c, &config, &mut ws).unwrap().pairs.len();
+                got = index.probe(sets, &config, &mut ws).unwrap().pairs.len();
             });
             assert_eq!(
                 allocs, 0,
-                "warm probe allocated: alg {algorithm:?} pred {pred:?}"
+                "warm probe allocated: alg {algorithm:?} pred {pred}"
             );
-            assert_eq!(got, expect, "alg {algorithm:?} pred {pred:?}");
+            assert_eq!(got, expect, "alg {algorithm:?} pred {pred}");
         }
     }
 }
@@ -159,7 +194,6 @@ fn warm_workspace_runs_allocation_free() {
 /// the corpus and however many partitions the budget forces.
 #[test]
 fn warm_spilled_probe_allocates_a_constant_count() {
-    let _serial = SERIAL.lock().unwrap();
     let pred = OverlapPredicate::two_sided(0.6);
     let mut counts = Vec::new();
     for n in [150usize, 600, 2400] {
