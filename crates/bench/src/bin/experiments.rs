@@ -200,8 +200,8 @@ fn table1(scale: f64, report: &mut Report) {
         ],
     );
     for &theta in &PAPER_THRESHOLDS {
-        let ours =
-            edit_similarity_join(&data, &data, &EditJoinConfig::new(theta)).expect("edit join");
+        let cfg = EditJoinConfig::new(theta).with_q(3);
+        let ours = edit_similarity_join(&data, &data, &cfg).expect("edit join");
         let (pairs, theirs) = GravanoJoin::new(GravanoConfig::new(3, theta)).run(&data, &data);
         t.row(vec![
             format!("{theta:.2}"),
@@ -250,7 +250,7 @@ fn fig10(scale: f64, report: &mut Report) {
             let out = edit_similarity_join(
                 &data,
                 &data,
-                &EditJoinConfig::new(theta).with_algorithm(alg),
+                &EditJoinConfig::new(theta).with_q(3).with_algorithm(alg),
             )
             .expect("edit join");
             t.row(vec![
@@ -409,7 +409,8 @@ fn naive(scale: f64, report: &mut Report) {
     let theta = 0.85;
 
     let start = Instant::now();
-    let ours = edit_similarity_join(&data, &data, &EditJoinConfig::new(theta)).expect("join");
+    let cfg = EditJoinConfig::new(theta).with_q(3);
+    let ours = edit_similarity_join(&data, &data, &cfg).expect("join");
     let ssjoin_time = start.elapsed();
 
     let (naive_pairs, naive_stats) = naive_join(&data, &data, theta, |a, b| edit_similarity(a, b));
@@ -901,8 +902,9 @@ fn ablation_bitmap(scale: f64, report: &mut Report) {
         "ablation_bitmap.edit",
         report,
         |filter| {
-            let cfg =
-                EditJoinConfig::new(theta).with_exec(ExecContext::new().with_bitmap_filter(filter));
+            let cfg = EditJoinConfig::new(theta)
+                .with_q(3)
+                .with_exec(ExecContext::new().with_bitmap_filter(filter));
             edit_similarity_join(&clean, &clean, &cfg).expect("edit join")
         },
     );
@@ -1190,7 +1192,8 @@ fn ablation_index(scale: f64, report: &mut Report) {
 
     // Build once, probe the same batch `probes` times on one workspace.
     let start = Instant::now();
-    let mut index = CorpusIndex::build(corpus.clone(), pred).expect("build index");
+    let mut index =
+        CorpusIndex::build(corpus.clone(), pred, &ExecContext::new()).expect("build index");
     let build_t = start.elapsed();
     let mut ws = JoinWorkspace::new();
     let probe_keys: Vec<(u32, u32)> = {

@@ -535,7 +535,9 @@ fn candidate_phase(
 ) -> SsJoinStats {
     // Self-joins (probe collection IS the indexed collection) resolve each
     // probe's leaf by table lookup instead of re-hashing its tokens; the
-    // leaves reached are identical, only cheaper to find.
+    // leaves reached are identical, only cheaper to find. Sets inserted
+    // into a `CorpusIndex` after its sketch was built have no table entry,
+    // so they descend like any other probe.
     let same = std::ptr::eq(r, s);
     let probe = |range: std::ops::Range<usize>, scratch: &mut WorkerScratch| {
         let mut stats = SsJoinStats::default();
@@ -559,7 +561,7 @@ fn candidate_phase(
             let rid = rid as u32;
             candidates.clear();
             for rep in 0..sketch.reps {
-                let leaf = if same {
+                let leaf = if same && (rid as usize) < sketch.n {
                     sketch.own_leaf(rid, rep)
                 } else {
                     sketch.probe(rset, rep)

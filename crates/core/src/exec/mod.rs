@@ -67,8 +67,8 @@ pub enum Algorithm {
 /// Execution context shared by every physical executor: thread count, the
 /// candidate filter, resource limits, cancellation and approximate mode. It
 /// is the one place an execution value is set: [`SsJoinConfig`] pairs it
-/// with the algorithm choice, and the facade, the packaged joins and index
-/// probes pass it through whole.
+/// with the algorithm choice, and the packaged joins, index builds and index
+/// probes take it whole.
 ///
 /// The default context runs one thread with the bitmap filter on. Output
 /// never depends on either knob; counters are identical at every thread
@@ -149,6 +149,14 @@ impl ExecContext {
     /// The approximate spec, if one is set *and* active (`target_recall < 1`).
     pub(crate) fn active_approx(&self) -> Option<ApproxSpec> {
         self.approx.filter(ApproxSpec::is_active)
+    }
+
+    /// Reject zero threads and an invalid approximate spec.
+    pub(crate) fn validate(&self) -> SsJoinResult<()> {
+        if self.threads == 0 {
+            return Err(SsJoinError::Config("threads must be at least 1".into()));
+        }
+        self.approx.as_ref().map_or(Ok(()), ApproxSpec::validate)
     }
 }
 
@@ -308,12 +316,7 @@ pub(crate) fn begin<'c>(
     ws: &mut JoinWorkspace,
 ) -> SsJoinResult<RunEnvelope<'c>> {
     let ctx = &config.exec;
-    if ctx.threads == 0 {
-        return Err(SsJoinError::Config("threads must be at least 1".into()));
-    }
-    if let Some(spec) = &ctx.approx {
-        spec.validate()?;
-    }
+    ctx.validate()?;
     let approx = ctx.active_approx();
     let budget = BudgetState::new(&ctx.budget, ctx.cancel.as_ref());
     // Out-of-core decision: a resident-budget knob below the estimate routes

@@ -17,8 +17,8 @@
 //! The one quantity a persistent S index cannot know in advance is the
 //! *probe batch's* norm range, which a fresh build uses to lower-bound the
 //! required overlap when extracting S prefixes (Lemma 1). The index instead
-//! fixes a conservative partner-norm interval at build time (by default
-//! `[0, ∞)`). Interval lower-bounding is inclusion-monotone — a wider
+//! extracts them against the widest partner-norm interval, `[0, ∞)`.
+//! Interval lower-bounding is inclusion-monotone — a wider
 //! partner interval can only lower the bound — so the stored prefixes are
 //! supersets of the ones a fresh build would extract, the candidate set is a
 //! superset of the fresh candidate set, and exact per-pair verification
@@ -50,41 +50,9 @@ use crate::set::SetCollection;
 use crate::stats::SsJoinStats;
 use crate::weight::Weight;
 
-/// Build-time options for a [`CorpusIndex`].
-#[derive(Debug, Clone)]
-pub struct CorpusIndexOptions {
-    /// Norm interval the probe batches are promised to stay within. Tighter
-    /// intervals yield shorter stored prefixes (fewer candidates per probe);
-    /// the default `[0, ∞)` accepts any batch. Probing with a batch whose
-    /// norm range escapes the promised interval is a config error — a
-    /// silently wrong answer otherwise.
-    pub partner_norms: Option<(f64, f64)>,
-    /// Worker threads for index (re)builds. Builds are bit-identical at any
-    /// thread count. Defaults to 1.
-    pub build_threads: usize,
-    /// Epoch-tail size that triggers an automatic merge on insert. Defaults
-    /// to `max(64, indexed/8)`.
-    pub epoch_limit: Option<usize>,
-    /// Approximate-mode spec the index commits to at build time. When set
-    /// (and active), the seeded LSH sketch of [`crate::ApproxSpec`] is built
-    /// once per (re)build, so warm approximate probes run the candidate
-    /// loop only. Probes must then pass the *same* spec on their execution
-    /// context — a persisted sketch must not silently serve a recall target
-    /// or seed it was not built for. Exact probes of an approx-enabled index remain available and
-    /// unchanged. Defaults to `None` (exact-only index).
-    pub approx: Option<crate::ApproxSpec>,
-}
-
-impl Default for CorpusIndexOptions {
-    fn default() -> Self {
-        Self {
-            partner_norms: None,
-            build_threads: 1,
-            epoch_limit: None,
-            approx: None,
-        }
-    }
-}
+/// The partner-norm interval every index serves: stored S prefixes are
+/// extracted against it, so a probe batch must keep its norms inside it.
+const PARTNER_NORMS: (f64, f64) = (0.0, f64::MAX);
 
 /// A persistent, incrementally maintainable S-side index over one
 /// [`SetCollection`] and one [`OverlapPredicate`].
@@ -95,8 +63,7 @@ impl Default for CorpusIndexOptions {
 pub struct CorpusIndex {
     corpus: SetCollection,
     pred: OverlapPredicate,
-    partner_norms: (f64, f64),
-    epoch_limit: Option<usize>,
+    /// Workers for (re)builds: the build context's thread count.
     build_threads: usize,
     /// Approximate spec fixed at build time (`None` = exact-only index).
     approx_spec: Option<crate::approx::ApproxSpec>,
@@ -126,46 +93,27 @@ pub struct CorpusIndex {
 }
 
 impl CorpusIndex {
-    /// Build an index over `corpus` for probes under `pred`, with default
-    /// options.
-    pub fn build(corpus: SetCollection, pred: OverlapPredicate) -> SsJoinResult<Self> {
-        Self::build_with(corpus, pred, &CorpusIndexOptions::default())
-    }
-
-    /// Build with explicit [`CorpusIndexOptions`].
+    /// Build an index over `corpus` for probes under `pred`, on
+    /// `exec.threads` workers (rebuilds too; bit-identical at any count). An
+    /// active `exec.approx` is committed to: its seeded LSH sketch is built
+    /// with the index, and approximate probes must pass the same spec. The
+    /// rest of `exec` applies per probe, through the probe's own context.
     ///
     /// # Errors
-    /// [`SsJoinError::Config`] when `options.partner_norms` is inverted or
-    /// non-finite at the low end, or `build_threads` is 0.
-    pub fn build_with(
+    /// [`SsJoinError::Config`] when `exec.threads` is 0 or the approximate
+    /// spec is invalid.
+    pub fn build(
         corpus: SetCollection,
         pred: OverlapPredicate,
-        options: &CorpusIndexOptions,
+        exec: &ExecContext,
     ) -> SsJoinResult<Self> {
-        let partner_norms = options.partner_norms.unwrap_or((0.0, f64::MAX));
-        if partner_norms.0.is_nan() || partner_norms.1.is_nan() || partner_norms.0 > partner_norms.1
-        {
-            return Err(SsJoinError::Config(format!(
-                "partner norm interval [{}, {}] is inverted or NaN",
-                partner_norms.0, partner_norms.1
-            )));
-        }
-        if options.build_threads == 0 {
-            return Err(SsJoinError::Config(
-                "build_threads must be at least 1".into(),
-            ));
-        }
-        if let Some(spec) = &options.approx {
-            spec.validate()?;
-        }
+        exec.validate()?;
         let alive = vec![true; corpus.len()];
         let mut index = Self {
             corpus,
             pred,
-            partner_norms,
-            epoch_limit: options.epoch_limit,
-            build_threads: options.build_threads,
-            approx_spec: options.approx.filter(crate::approx::ApproxSpec::is_active),
+            build_threads: exec.threads,
+            approx_spec: exec.active_approx(),
             approx: None,
             prefix_index: CsrIndex::default(),
             prefix_lens: Vec::new(),
@@ -190,7 +138,7 @@ impl CorpusIndex {
             &self.corpus,
             Side::S,
             &self.pred,
-            Some(self.partner_norms),
+            Some(PARTNER_NORMS),
             &mut self.prefix_lens,
         );
         for (len, &alive) in self.prefix_lens.iter_mut().zip(&self.alive) {
@@ -238,7 +186,7 @@ impl CorpusIndex {
     /// # Errors
     /// [`SsJoinError::UniverseMismatch`] when `batch` comes from a different
     /// builder run; [`SsJoinError::Config`] for zero threads or a batch
-    /// whose norms escape the promised partner interval;
+    /// with a negative norm (outside the `[0, ∞)` partner interval);
     /// [`SsJoinError::BudgetExceeded`] when a limit trips.
     pub fn probe<'w>(
         &self,
@@ -263,11 +211,11 @@ impl CorpusIndex {
             return Err(SsJoinError::UniverseMismatch);
         }
         if let Some((lo, hi)) = batch.norm_range() {
-            if lo < self.partner_norms.0 || hi > self.partner_norms.1 {
+            if lo < PARTNER_NORMS.0 || hi > PARTNER_NORMS.1 {
                 return Err(SsJoinError::Config(format!(
                     "batch norms [{lo}, {hi}] escape the partner interval [{}, {}] \
-                     this index was built for",
-                    self.partner_norms.0, self.partner_norms.1
+                     every index is built for",
+                    PARTNER_NORMS.0, PARTNER_NORMS.1
                 )));
             }
         }
@@ -366,8 +314,8 @@ impl CorpusIndex {
         };
         let Some(sketch) = self.approx.as_deref() else {
             return Err(SsJoinError::Config(
-                "approximate probe against an index built without an approximate spec; set \
-                 CorpusIndexOptions::approx at build time"
+                "approximate probe against an index built without an approximate spec; build \
+                 it under the same ExecContext::approx"
                     .into(),
             ));
         };
@@ -429,7 +377,7 @@ impl CorpusIndex {
     /// norm used by normalized predicates) and return its id. The set is
     /// probe-visible immediately; it joins the inverted index at the next
     /// epoch merge, which happens automatically once the epoch tail exceeds
-    /// the configured limit.
+    /// `max(64, indexed/8)` sets.
     ///
     /// # Errors
     /// [`SsJoinError::InvalidInput`] on duplicate or out-of-range ranks;
@@ -556,6 +504,6 @@ impl CorpusIndex {
     }
 
     fn epoch_limit(&self) -> usize {
-        self.epoch_limit.unwrap_or(self.indexed / 8).max(64)
+        (self.indexed / 8).max(64)
     }
 }

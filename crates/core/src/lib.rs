@@ -90,7 +90,7 @@ pub use exec::{
     SsJoinOutput, SsJoinRun,
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use index::{CorpusIndex, CorpusIndexOptions};
+pub use index::CorpusIndex;
 pub use order::ElementOrder;
 pub use predicate::{Interval, NormExpr, OverlapPredicate};
 pub use set::{SetCollection, SetRef, SIG_WORDS};

@@ -9,9 +9,9 @@
 //! index pinning must fail with typed errors, never silently wrong answers.
 
 use ssjoin_core::{
-    ssjoin, Algorithm, ApproxSpec, BudgetCause, CancelToken, CorpusIndex, CorpusIndexOptions,
-    ElementOrder, ExecBudget, ExecContext, JoinPair, JoinWorkspace, OverlapPredicate,
-    SetCollection, SsJoinConfig, SsJoinError, SsJoinInputBuilder, Weight, WeightScheme,
+    ssjoin, Algorithm, ApproxSpec, BudgetCause, CancelToken, CorpusIndex, ElementOrder, ExecBudget,
+    ExecContext, JoinPair, JoinWorkspace, OverlapPredicate, SetCollection, SsJoinConfig,
+    SsJoinError, SsJoinInputBuilder, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 
@@ -246,8 +246,7 @@ fn index_pins_the_approx_spec_and_survives_churn() {
     let mut ws = JoinWorkspace::new();
 
     // Exact-built index rejects approximate probes.
-    let exact_index =
-        CorpusIndex::build_with(c.clone(), pred.clone(), &CorpusIndexOptions::default()).unwrap();
+    let exact_index = CorpusIndex::build(c.clone(), pred.clone(), &ExecContext::new()).unwrap();
     let approx_cfg = SsJoinConfig::new(Algorithm::Inline).with_exec(ExecContext {
         approx: Some(spec),
         ..ExecContext::new()
@@ -261,11 +260,7 @@ fn index_pins_the_approx_spec_and_survives_churn() {
     }
 
     // Approx-built index rejects a different seed and a different target.
-    let options = CorpusIndexOptions {
-        approx: Some(spec),
-        ..CorpusIndexOptions::default()
-    };
-    let mut index = CorpusIndex::build_with(c.clone(), pred.clone(), &options).unwrap();
+    let mut index = CorpusIndex::build(c.clone(), pred.clone(), &approx_cfg.exec).unwrap();
     for wrong in [spec.with_seed(123), ApproxSpec::new(0.8)] {
         let cfg = SsJoinConfig::new(Algorithm::Inline).with_exec(ExecContext {
             approx: Some(wrong),
@@ -316,4 +311,58 @@ fn index_pins_the_approx_spec_and_survives_churn() {
         .collect();
     index.insert(&elems, donor.norm()).unwrap();
     subset_sound(&mut index, &mut ws);
+}
+
+/// An approximate self-probe (the corpus joined with itself, as `serve`'s
+/// `dedup` runs it) after an insert: the inserted set has no leaf in the
+/// sketch built before it, so it descends the trees like a foreign probe.
+/// The output stays a subset of the exact self-probe, with exact overlaps.
+#[test]
+fn approximate_self_probe_after_insert_is_subset_of_exact() {
+    let mut rng = StdRng::seed_from_u64(0x5E1F);
+    let c = build_self(clustered_groups(&mut rng), ElementOrder::FrequencyAsc);
+    let pred = OverlapPredicate::two_sided(0.4);
+    let approx = ExecContext::new().with_approximate(0.9);
+    let mut index = CorpusIndex::build(c.clone(), pred, &approx).unwrap();
+    for id in [0, 1, 1] {
+        let set = c.set(id);
+        let elems: Vec<(u32, Weight)> = set
+            .ranks()
+            .iter()
+            .copied()
+            .zip(set.weights().iter().copied())
+            .collect();
+        index.insert(&elems, set.norm()).unwrap();
+    }
+    assert_eq!(
+        index.pending(),
+        3,
+        "the inserts must stay outside the sketch"
+    );
+    let mut ws = JoinWorkspace::new();
+    let exact_cfg = SsJoinConfig::new(Algorithm::Inline);
+    let exact: std::collections::HashMap<(u32, u32), Weight> = index
+        .probe(index.corpus(), &exact_cfg, &mut ws)
+        .unwrap()
+        .pairs
+        .iter()
+        .map(|p| ((p.r, p.s), p.overlap))
+        .collect();
+    let approx_cfg = SsJoinConfig::new(Algorithm::Inline).with_exec(approx);
+    let out = index.probe(index.corpus(), &approx_cfg, &mut ws).unwrap();
+    assert!(out.stats.approx_reps >= 1);
+    for p in out.pairs.iter() {
+        assert_eq!(exact.get(&(p.r, p.s)), Some(&p.overlap), "pair {p:?}");
+    }
+    // Each inserted copy finds itself and its donor: identical sets collide
+    // in every repetition.
+    let n = c.len() as u32;
+    for (inserted, donor) in [(n, 0), (n + 1, 1), (n + 2, 1)] {
+        for pair in [(inserted, inserted), (inserted, donor)] {
+            assert!(
+                out.pairs.iter().any(|p| (p.r, p.s) == pair),
+                "missing {pair:?}"
+            );
+        }
+    }
 }

@@ -102,7 +102,7 @@ fn bitmap_filter_prunes_without_changing_probe_output() {
     let c = corpus();
     let pred = OverlapPredicate::two_sided(0.8);
     let mut ws = JoinWorkspace::new();
-    let mut index = CorpusIndex::build(c.clone(), pred.clone()).unwrap();
+    let mut index = CorpusIndex::build(c.clone(), pred.clone(), &ExecContext::new()).unwrap();
     let mut check_all = |index: &CorpusIndex, stage: &str| {
         for alg in ALGORITHMS {
             for threads in [1usize, 2, 4] {

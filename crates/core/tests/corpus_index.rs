@@ -5,9 +5,9 @@
 //! so every failure is reproducible from the iteration's seed.
 
 use ssjoin_core::{
-    ssjoin, Algorithm, CancelToken, CorpusIndex, CorpusIndexOptions, ElementOrder, ExecBudget,
-    ExecContext, JoinPair, JoinWorkspace, NormKind, OverlapPredicate, SetCollection, SsJoinConfig,
-    SsJoinError, SsJoinInputBuilder, Weight, WeightScheme,
+    ssjoin, Algorithm, CancelToken, CorpusIndex, ElementOrder, ExecBudget, ExecContext, JoinPair,
+    JoinWorkspace, NormKind, OverlapPredicate, SetCollection, SsJoinConfig, SsJoinError,
+    SsJoinInputBuilder, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 
@@ -102,7 +102,7 @@ fn probe_equals_fresh_ssjoin_across_executors_and_threads() {
         let mut rng = StdRng::seed_from_u64(0x1D1_u64.wrapping_add(seed));
         let pred = random_predicate(&mut rng);
         let (r, s) = build_two(random_groups(&mut rng), random_groups(&mut rng));
-        let index = CorpusIndex::build(s.clone(), pred.clone()).unwrap();
+        let index = CorpusIndex::build(s.clone(), pred.clone(), &ExecContext::new()).unwrap();
         let mut ws = JoinWorkspace::new();
         for alg in ALGORITHMS {
             for threads in [1usize, 4] {
@@ -129,14 +129,9 @@ fn insert_delete_sequences_equal_fresh_rebuild() {
         let mut rng = StdRng::seed_from_u64(0xEF0C_u64.wrapping_add(seed));
         let pred = random_predicate(&mut rng);
         let (batch, pool) = build_two(random_groups(&mut rng), random_groups(&mut rng));
-        // Tiny epoch limit so auto-merges trigger mid-sequence; parallel
-        // rebuilds must stay bit-identical.
-        let options = CorpusIndexOptions {
-            epoch_limit: Some(3),
-            build_threads: if seed % 2 == 0 { 1 } else { 4 },
-            ..CorpusIndexOptions::default()
-        };
-        let mut index = CorpusIndex::build_with(pool.clone(), pred.clone(), &options).unwrap();
+        // Parallel rebuilds must stay bit-identical.
+        let exec = ExecContext::new().with_threads(if seed % 2 == 0 { 1 } else { 4 });
+        let mut index = CorpusIndex::build(pool.clone(), pred.clone(), &exec).unwrap();
         let mut ws = JoinWorkspace::new();
 
         for _step in 0..30 {
@@ -147,6 +142,11 @@ fn insert_delete_sequences_equal_fresh_rebuild() {
                     let id = index.insert(&elems, norm).unwrap();
                     assert_eq!(id as usize, index.len() - 1);
                     assert!(index.is_alive(id));
+                    // Merge a tail of more than 3 sets mid-sequence, well
+                    // before the automatic `max(64, indexed/8)` limit.
+                    if index.pending() > 3 {
+                        index.merge_epoch();
+                    }
                 }
                 // Delete a random id (idempotent on repeats).
                 4..=6 => {
@@ -214,7 +214,7 @@ fn probe_honors_budget_and_cancellation() {
     let mut rng = StdRng::seed_from_u64(0xB1D9);
     let pred = OverlapPredicate::absolute(1.0);
     let (batch, pool) = build_two(random_groups(&mut rng), random_groups(&mut rng));
-    let mut index = CorpusIndex::build(pool.clone(), pred.clone()).unwrap();
+    let mut index = CorpusIndex::build(pool.clone(), pred.clone(), &ExecContext::new()).unwrap();
     let mut ws = JoinWorkspace::new();
 
     let cancelled = CancelToken::new();
@@ -251,56 +251,38 @@ fn probe_honors_budget_and_cancellation() {
     ));
 }
 
-/// Config-level validation: inverted partner intervals and zero threads are
-/// rejected; batches escaping the promised interval are rejected; batches
-/// inside a *tight* interval answer exactly like the default wide one.
+/// Config-level validation: a zero-thread build context is rejected, and
+/// a batch with a negative norm — outside the `[0, ∞)` partner interval the
+/// stored prefixes were extracted against — is a config error, not a
+/// silently wrong answer.
 #[test]
-fn partner_norm_interval_is_validated_and_tightenable() {
+fn zero_threads_and_escaping_batches_are_config_errors() {
     let mut rng = StdRng::seed_from_u64(0x9AB5);
     let pred = OverlapPredicate::two_sided(0.5);
-    let (batch, pool) = build_two(random_groups(&mut rng), random_groups(&mut rng));
-
-    let inverted = CorpusIndexOptions {
-        partner_norms: Some((2.0, 1.0)),
-        ..CorpusIndexOptions::default()
-    };
+    let (_, pool) = build_two(random_groups(&mut rng), random_groups(&mut rng));
     assert!(matches!(
-        CorpusIndex::build_with(pool.clone(), pred.clone(), &inverted),
-        Err(SsJoinError::Config(_))
-    ));
-    let zero_threads = CorpusIndexOptions {
-        build_threads: 0,
-        ..CorpusIndexOptions::default()
-    };
-    assert!(matches!(
-        CorpusIndex::build_with(pool.clone(), pred.clone(), &zero_threads),
+        CorpusIndex::build(
+            pool.clone(),
+            pred.clone(),
+            &ExecContext::new().with_threads(0)
+        ),
         Err(SsJoinError::Config(_))
     ));
 
-    let wide = CorpusIndex::build(pool.clone(), pred.clone()).unwrap();
-    let (lo, hi) = batch.norm_range().unwrap();
-    let tight = CorpusIndexOptions {
-        partner_norms: Some((lo, hi)),
-        ..CorpusIndexOptions::default()
-    };
-    let tight = CorpusIndex::build_with(pool.clone(), pred.clone(), &tight).unwrap();
+    let groups = vec![
+        vec!["a".to_string()],
+        vec!["a".to_string(), "b".to_string()],
+    ];
+    let norms = vec![-1.0, 2.0];
+    let mut b = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+    let bh = b.add_relation_with_norm(groups, NormKind::Custom(norms));
+    let sh = b.add_relation(random_groups(&mut rng));
+    let built = b.build().unwrap();
+    let index =
+        CorpusIndex::build(built.collection(sh).clone(), pred, &ExecContext::new()).unwrap();
     let mut ws = JoinWorkspace::new();
-    for alg in ALGORITHMS {
-        let config = SsJoinConfig::new(alg);
-        let from_wide = keys(wide.probe(&batch, &config, &mut ws).unwrap().pairs);
-        let from_tight = keys(tight.probe(&batch, &config, &mut ws).unwrap().pairs);
-        assert_eq!(from_wide, from_tight, "alg {alg:?}");
-    }
-
-    // A batch escaping the promised interval is a config error, not a
-    // silently wrong answer.
-    let escaping = CorpusIndexOptions {
-        partner_norms: Some((hi + 1.0, hi + 2.0)),
-        ..CorpusIndexOptions::default()
-    };
-    let escaping = CorpusIndex::build_with(pool, pred, &escaping).unwrap();
     assert!(matches!(
-        escaping.probe(&batch, &SsJoinConfig::default(), &mut ws),
+        index.probe(built.collection(bh), &SsJoinConfig::default(), &mut ws),
         Err(SsJoinError::Config(_))
     ));
 }
@@ -315,11 +297,8 @@ fn bitmap_filter_probe_output_invariant() {
         let pred = random_predicate(&mut rng);
         let (batch, pool) = build_two(random_groups(&mut rng), random_groups(&mut rng));
         let mut ws = JoinWorkspace::new();
-        let options = CorpusIndexOptions {
-            epoch_limit: Some(3),
-            ..CorpusIndexOptions::default()
-        };
-        let mut index = CorpusIndex::build_with(pool.clone(), pred.clone(), &options).unwrap();
+        let mut index =
+            CorpusIndex::build(pool.clone(), pred.clone(), &ExecContext::new()).unwrap();
         for alg in ALGORITHMS {
             let config =
                 SsJoinConfig::new(alg).with_exec(ExecContext::new().with_bitmap_filter(true));
@@ -332,12 +311,16 @@ fn bitmap_filter_probe_output_invariant() {
             );
         }
 
-        // Churn: inserts (forcing epoch merges), deletes, then compact.
+        // Churn: inserts (merging the epoch once it exceeds 3 sets),
+        // deletes, then compact.
         let config = SsJoinConfig::new(Algorithm::Inline)
             .with_exec(ExecContext::new().with_bitmap_filter(true));
         for _ in 0..6 {
             let (elems, norm) = elements_of(&pool, rng.gen_range(0..pool.len() as u32));
             index.insert(&elems, norm).unwrap();
+            if index.pending() > 3 {
+                index.merge_epoch();
+            }
         }
         index.delete(rng.gen_range(0..index.len() as u32)).unwrap();
         let probed = index.probe(&batch, &config, &mut ws).unwrap();
@@ -362,7 +345,8 @@ fn probe_rejects_foreign_universe() {
     let mut rng = StdRng::seed_from_u64(0x0DD);
     let (_, pool) = build_two(random_groups(&mut rng), random_groups(&mut rng));
     let (foreign, _) = build_two(random_groups(&mut rng), random_groups(&mut rng));
-    let index = CorpusIndex::build(pool, OverlapPredicate::absolute(1.0)).unwrap();
+    let index =
+        CorpusIndex::build(pool, OverlapPredicate::absolute(1.0), &ExecContext::new()).unwrap();
     let mut ws = JoinWorkspace::new();
     assert!(matches!(
         index.probe(&foreign, &SsJoinConfig::default(), &mut ws),
@@ -378,16 +362,9 @@ fn parallel_build_is_bit_identical() {
         let mut rng = StdRng::seed_from_u64(0xB41D_u64.wrapping_add(seed));
         let pred = random_predicate(&mut rng);
         let (batch, pool) = build_two(random_groups(&mut rng), random_groups(&mut rng));
-        let sequential = CorpusIndex::build(pool.clone(), pred.clone()).unwrap();
-        let parallel = CorpusIndex::build_with(
-            pool,
-            pred,
-            &CorpusIndexOptions {
-                build_threads: 4,
-                ..CorpusIndexOptions::default()
-            },
-        )
-        .unwrap();
+        let sequential =
+            CorpusIndex::build(pool.clone(), pred.clone(), &ExecContext::new()).unwrap();
+        let parallel = CorpusIndex::build(pool, pred, &ExecContext::new().with_threads(4)).unwrap();
         let mut ws = JoinWorkspace::new();
         for alg in ALGORITHMS {
             let config = SsJoinConfig::new(alg);
@@ -419,7 +396,7 @@ fn probe_matches_fresh_join_under_custom_norms() {
         let built = b.build().unwrap();
         let (r, s) = (built.collection(rh), built.collection(sh));
         let pred = random_predicate(&mut rng);
-        let index = CorpusIndex::build(s.clone(), pred.clone()).unwrap();
+        let index = CorpusIndex::build(s.clone(), pred.clone(), &ExecContext::new()).unwrap();
         let mut ws = JoinWorkspace::new();
         for alg in ALGORITHMS {
             let config = SsJoinConfig::new(alg);

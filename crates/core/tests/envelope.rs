@@ -4,8 +4,8 @@
 
 use ssjoin_core::{
     estimate_memory_bytes, ssjoin, Algorithm, ApproxSpec, BudgetCause, CancelToken, CorpusIndex,
-    CorpusIndexOptions, ElementOrder, ExecBudget, ExecContext, JoinWorkspace, OverlapPredicate,
-    SetCollection, SsJoinConfig, SsJoinError, SsJoinInputBuilder, SsJoinResult, WeightScheme,
+    ElementOrder, ExecBudget, ExecContext, JoinWorkspace, OverlapPredicate, SetCollection,
+    SsJoinConfig, SsJoinError, SsJoinInputBuilder, SsJoinResult, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 use std::time::Duration;
@@ -50,11 +50,11 @@ fn one_shot_and_probe_share_the_run_envelope() {
     let spec = ApproxSpec::new(0.9);
     // The index carries the approximate sketch, so an approximate probe
     // reaches the envelope instead of failing the sketch check first.
-    let options = CorpusIndexOptions {
+    let built_with = ExecContext {
         approx: Some(spec),
-        ..CorpusIndexOptions::default()
+        ..ExecContext::new()
     };
-    let index = CorpusIndex::build_with(c.clone(), pred.clone(), &options).unwrap();
+    let index = CorpusIndex::build(c.clone(), pred.clone(), &built_with).unwrap();
     let cancelled = CancelToken::new();
     cancelled.cancel();
     let budget = |b: ExecBudget| ExecContext::new().with_budget(b);

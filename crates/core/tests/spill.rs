@@ -408,7 +408,7 @@ fn index_probe_spills_under_memory_budget() {
     let c = corpus(0x59118, 200, 127);
     let pred = OverlapPredicate::two_sided(0.7);
     let est = estimate_memory_bytes(&c, &c);
-    let mut index = CorpusIndex::build(c.clone(), pred).unwrap();
+    let mut index = CorpusIndex::build(c.clone(), pred, &ExecContext::new()).unwrap();
     let mut ws = JoinWorkspace::new();
     let resident = SsJoinConfig::default();
     let budgeted = SsJoinConfig::default().with_exec(

@@ -172,7 +172,8 @@ fn warm_workspace_runs_allocation_free() {
         // nothing — the index side, its prune column included, was paid for
         // at build time.
         for (sets, pred) in &cases {
-            let index = CorpusIndex::build((*sets).clone(), pred.clone()).unwrap();
+            let index =
+                CorpusIndex::build((*sets).clone(), pred.clone(), &ExecContext::new()).unwrap();
             let config = SsJoinConfig::new(algorithm).with_exec(ExecContext::new().with_threads(1));
             let mut ws = JoinWorkspace::new();
             let expect = index.probe(sets, &config, &mut ws).unwrap().pairs.len();
@@ -211,7 +212,7 @@ fn warm_spilled_probe_allocates_a_constant_count() {
                 .with_threads(1)
                 .with_budget(ExecBudget::new().with_max_resident_bytes(est / 8)),
         );
-        let index = CorpusIndex::build(c.clone(), pred.clone()).unwrap();
+        let index = CorpusIndex::build(c.clone(), pred.clone(), &ExecContext::new()).unwrap();
         let mut ws = JoinWorkspace::new();
         let cold = index.probe(&c, &config, &mut ws).unwrap();
         let (expect, partitions) = (cold.pairs.len(), cold.stats.spill_partitions);

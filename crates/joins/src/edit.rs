@@ -33,7 +33,8 @@ use ssjoin_text::QGramTokenizer;
 /// Configuration for [`edit_similarity_join`].
 #[derive(Debug, Clone)]
 pub struct EditJoinConfig {
-    /// q-gram length (the paper uses 3).
+    /// q-gram length: chosen from the threshold by [`Self::new`] unless
+    /// overridden with [`Self::with_q`].
     pub q: usize,
     /// Edit-similarity threshold α in (0, 1].
     pub threshold: f64,
@@ -48,11 +49,12 @@ pub struct EditJoinConfig {
 }
 
 impl EditJoinConfig {
-    /// Defaults: the paper's q = 3 and the inline algorithm. The threshold
-    /// is checked when the join runs.
+    /// Defaults: the inline algorithm, and q from the threshold — the
+    /// paper's 3 from 0.8 up, 1 below, so the Property-4 bound stays usable
+    /// at low thresholds. The threshold is checked when the join runs.
     pub fn new(threshold: f64) -> Self {
         Self {
-            q: 3,
+            q: qgram_length(threshold),
             threshold,
             algorithm: Algorithm::Inline,
             exec: ExecContext::new(),
@@ -73,7 +75,8 @@ impl EditJoinConfig {
         self
     }
 
-    /// Override q (checked when the join runs).
+    /// Override q (checked when the join runs): the paper's panels pin
+    /// q = 3 at every threshold.
     pub fn with_q(mut self, q: usize) -> Self {
         self.q = q;
         self
@@ -83,6 +86,19 @@ impl EditJoinConfig {
     pub fn with_order(mut self, order: ElementOrder) -> Self {
         self.order = order;
         self
+    }
+}
+
+/// The q-gram length for threshold `alpha`: the paper's 3 from α = 0.8 up,
+/// and 1 below it. Below 0.8 a 3-gram bound weakens towards brute force (at
+/// α = 0.6 its coefficient `1 − (1 − α)·3` is negative) while the
+/// single-character bound stays strong. The cut compares α itself, never
+/// the float coefficient. ROADMAP item 2 holds the timings behind it.
+pub(crate) fn qgram_length(alpha: f64) -> usize {
+    if alpha >= 0.8 {
+        3
+    } else {
+        1
     }
 }
 
@@ -246,13 +262,38 @@ mod tests {
     }
 
     #[test]
+    fn q_rule_pins_each_threshold() {
+        for (alpha, q) in [
+            (0.3, 1),
+            (0.6, 1),
+            (0.65, 1),
+            (0.7, 1),
+            (0.75, 1),
+            (0.8 - 1e-12, 1),
+            (0.8, 3),
+            (0.85, 3),
+            (0.9, 3),
+            (0.95, 3),
+            (1.0, 3),
+        ] {
+            assert_eq!(qgram_length(alpha), q, "alpha {alpha}");
+            assert_eq!(EditJoinConfig::new(alpha).q, q, "alpha {alpha}");
+            // The chosen q keeps the Property-4 bound positive, so only
+            // strings below a finite cutoff take the brute-force route.
+            assert!(coefficient(alpha, q) > 0.0, "alpha {alpha}");
+            assert!(short_cutoff(alpha, q) < usize::MAX, "alpha {alpha}");
+        }
+    }
+
+    #[test]
     fn short_strings_handled_exactly() {
         // "ab" vs "ac": ES = 0.5; with α = 0.5 and q = 3 the q-gram bound is
         // vacuous for these lengths — they share no 3-gram — yet the pair
         // must be found.
         let data = strings(&["ab", "ac", "abcdefgh"]);
         let alpha = 0.5;
-        let out = edit_similarity_join(&data, &data, &EditJoinConfig::new(alpha)).unwrap();
+        let cfg = EditJoinConfig::new(alpha).with_q(3);
+        let out = edit_similarity_join(&data, &data, &cfg).unwrap();
         let expect = brute_force(&data, &data, alpha);
         assert_eq!(out.keys(), expect);
         assert!(out.keys().contains(&(0, 1)));
@@ -273,7 +314,7 @@ mod tests {
             Algorithm::PrefixFiltered,
             Algorithm::Inline,
         ] {
-            let cfg = EditJoinConfig::new(alpha).with_algorithm(alg);
+            let cfg = EditJoinConfig::new(alpha).with_q(3).with_algorithm(alg);
             let out = edit_similarity_join(&data, &data, &cfg).unwrap();
             assert_eq!(out.keys(), expect, "alg {alg:?}");
         }
@@ -284,7 +325,7 @@ mod tests {
         // α = 0.5, q = 3 → coefficient 1 − 0.5·3 = −0.5 ≤ 0: no length is
         // safe and the cutoff is usize::MAX, so the whole join must fall
         // back to the exact brute-force route and still be correct.
-        let cfg = EditJoinConfig::new(0.5);
+        let cfg = EditJoinConfig::new(0.5).with_q(3);
         assert_eq!(short_cutoff(0.5, 3), usize::MAX);
         let data = strings(&["hello world", "hello worlds", "abcd", "abce", "zzz"]);
         let expect = brute_force(&data, &data, 0.5);
@@ -304,7 +345,7 @@ mod tests {
         let alpha = 0.5;
         let expect = brute_force(&r, &s, alpha);
         assert!(expect.contains(&(0, 0)));
-        let out = edit_similarity_join(&r, &s, &EditJoinConfig::new(alpha)).unwrap();
+        let out = edit_similarity_join(&r, &s, &EditJoinConfig::new(alpha).with_q(3)).unwrap();
         assert_eq!(out.keys(), expect);
     }
 

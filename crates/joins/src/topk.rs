@@ -20,11 +20,13 @@
 //!   grouping.
 
 use crate::common::{check_threshold, MatchPair};
-use crate::edit::{edit_similarity_join, property4_predicate, short_cutoff, EditJoinConfig};
+use crate::edit::{
+    edit_similarity_join, property4_predicate, qgram_length, short_cutoff, EditJoinConfig,
+};
 use ssjoin_core::{
-    Algorithm, ApproxSpec, CorpusIndex, CorpusIndexOptions, ElementOrder, ExecContext,
-    JoinWorkspace, NormKind, QueryEncoder, SsJoinConfig, SsJoinError, SsJoinInputBuilder,
-    SsJoinResult, SsJoinStats, TokenGroups, WeightScheme,
+    Algorithm, ApproxSpec, CorpusIndex, ElementOrder, ExecContext, JoinWorkspace, NormKind,
+    QueryEncoder, SsJoinConfig, SsJoinError, SsJoinInputBuilder, SsJoinResult, SsJoinStats,
+    TokenGroups, WeightScheme,
 };
 use ssjoin_sim::edit_similarity_within;
 use ssjoin_text::{QGramTokenizer, Tokenizer};
@@ -36,10 +38,9 @@ pub struct TopKConfig {
     /// Number of matches to return.
     pub k: usize,
     /// Similarity floor: matches below this are never returned (the
-    /// "above a certain threshold" part of the composition).
+    /// "above a certain threshold" part of the composition). It also sets
+    /// the q-gram length, as in [`EditJoinConfig::new`].
     pub min_similarity: f64,
-    /// q-gram length for the underlying edit join.
-    pub q: usize,
     /// Resident-memory budget in bytes for probes against the underlying
     /// [`CorpusIndex`], carried into the probe context's
     /// [`ExecBudget::max_resident_bytes`](ssjoin_core::ExecBudget::max_resident_bytes).
@@ -71,7 +72,6 @@ impl TopKConfig {
         Ok(Self {
             k,
             min_similarity,
-            q: 3,
             memory_budget: None,
             approx: None,
         })
@@ -130,6 +130,8 @@ fn rank_matches(out: &mut [TopKMatch]) {
 #[derive(Debug)]
 pub struct TopKIndex {
     config: TopKConfig,
+    /// q-gram length, chosen from `config.min_similarity`.
+    q: usize,
     reference: Vec<String>,
     ref_lens: Vec<usize>,
     encoder: QueryEncoder,
@@ -151,15 +153,13 @@ impl TopKIndex {
     /// Build the index over `reference` once.
     ///
     /// # Errors
-    /// Returns [`SsJoinError::Config`] when `config.q` is zero or
-    /// `config.min_similarity` is outside `(0, 1]`, or any error of the
-    /// underlying input build / index construction.
+    /// Returns [`SsJoinError::Config`] when `config.min_similarity` is
+    /// outside `(0, 1]`, or any error of the underlying input build / index
+    /// construction.
     pub fn build(reference: &[String], config: TopKConfig) -> SsJoinResult<Self> {
-        if config.q == 0 {
-            return Err(SsJoinError::Config("q must be at least 1".into()));
-        }
         check_threshold("min_similarity", config.min_similarity)?;
-        let tok = QGramTokenizer::new(config.q);
+        let q = qgram_length(config.min_similarity);
+        let tok = QGramTokenizer::new(q);
         let ref_lens: Vec<usize> = reference.iter().map(|x| x.chars().count()).collect();
         let norms: Vec<f64> = ref_lens.iter().map(|&l| l as f64).collect();
         let mut builder =
@@ -175,24 +175,22 @@ impl TopKIndex {
             .into_collections()
             .pop()
             .unwrap_or_else(|| unreachable!("one relation was added"));
-        let pred = property4_predicate(config.min_similarity, config.q);
-        let approx = config.approx.map(ApproxSpec::new);
-        let options = CorpusIndexOptions {
-            approx,
-            ..CorpusIndexOptions::default()
-        };
-        let index = CorpusIndex::build_with(corpus, pred, &options)?;
-        let cutoff = short_cutoff(config.min_similarity, config.q);
+        let pred = property4_predicate(config.min_similarity, q);
+        // One context for the build and every probe: the build commits to
+        // its approximate spec, and each probe runs under its budget.
+        let mut exec = ExecContext::new();
+        exec.budget.max_resident_bytes = config.memory_budget;
+        exec.approx = config.approx.map(ApproxSpec::new);
+        let index = CorpusIndex::build(corpus, pred, &exec)?;
+        let cutoff = short_cutoff(config.min_similarity, q);
         let short_ids = (0..reference.len() as u32)
             .filter(|&i| ref_lens[i as usize] < cutoff)
             .collect();
-        let mut exec = ExecContext::new();
-        exec.budget.max_resident_bytes = config.memory_budget;
-        exec.approx = approx;
         let ss_config = SsJoinConfig::new(Algorithm::Inline).with_exec(exec);
         Ok(Self {
             ss_config,
             config,
+            q,
             reference: reference.to_vec(),
             ref_lens,
             encoder,
@@ -217,7 +215,7 @@ impl TopKIndex {
     /// All live references for `query` above the floor, unbounded by `k`.
     pub fn matches(&mut self, query: &str) -> SsJoinResult<Vec<TopKMatch>> {
         let alpha = self.config.min_similarity;
-        let tok = QGramTokenizer::new(self.config.q);
+        let tok = QGramTokenizer::new(self.q);
         let qlen = query.chars().count();
         let batch = self
             .encoder
@@ -304,7 +302,7 @@ impl TopKIndex {
     /// immediately; the underlying [`CorpusIndex`] merges its epoch tail
     /// into the inverted lists automatically as inserts accumulate.
     pub fn insert(&mut self, text: &str) -> SsJoinResult<u32> {
-        let tok = QGramTokenizer::new(self.config.q);
+        let tok = QGramTokenizer::new(self.q);
         let group = tok.tokenize(text);
         let elems = self.encoder.encode_group(&group);
         let dropped = elems.len() < group.len();
@@ -382,7 +380,7 @@ impl TopKIndex {
 ///
 /// # Errors
 /// Returns [`SsJoinError::Config`] when `config.min_similarity` is outside
-/// `(0, 1]` or `config.q` is zero, and any error of the underlying join.
+/// `(0, 1]`, and any error of the underlying join.
 pub fn top_k_matches(
     query: &str,
     reference: &[String],
@@ -390,7 +388,7 @@ pub fn top_k_matches(
 ) -> SsJoinResult<Vec<TopKMatch>> {
     check_threshold("min_similarity", config.min_similarity)?;
     let queries = vec![query.to_string()];
-    let join_cfg = EditJoinConfig::new(config.min_similarity).with_q(config.q);
+    let join_cfg = EditJoinConfig::new(config.min_similarity);
     let out = edit_similarity_join(&queries, reference, &join_cfg)?;
     let mut matches: Vec<TopKMatch> = out
         .pairs

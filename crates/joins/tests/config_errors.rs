@@ -109,18 +109,6 @@ fn out_of_range_counts_are_config_errors() {
         ),
         ("top-k k = 0", "k", TopKConfig::new(0, 0.8).map(drop)),
         (
-            "TopKIndex q = 0",
-            "q",
-            TopKIndex::build(
-                &data,
-                TopKConfig {
-                    q: 0,
-                    ..TopKConfig::new(3, 0.8).expect("valid")
-                },
-            )
-            .map(drop),
-        ),
-        (
             "soft-fd k = 0",
             "k",
             soft_fd_join(&tuples, &tuples, &SoftFdConfig::new(0)).map(drop),

@@ -111,7 +111,8 @@ fn topk_index_exact() {
                 refs.push(perturb(&mut rng, query, &letters, edits));
             }
             let budget = edit_distance_budget(query.chars().count(), theta).unwrap_or(0);
-            refs.push(spaced_substitutions(query, budget, 3));
+            let q = EditJoinConfig::new(theta).q;
+            refs.push(spaced_substitutions(query, budget, q));
         }
         let config = TopKConfig::new(refs.len(), theta).unwrap();
         let mut index = TopKIndex::build(&refs, config).unwrap();

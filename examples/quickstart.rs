@@ -4,8 +4,8 @@
 
 use ssjoin::joins::{jaccard_join, JaccardConfig};
 use ssjoin::{
-    Algorithm, ElementOrder, ExecContext, OverlapPredicate, SsJoin, SsJoinInputBuilder,
-    WeightScheme,
+    ssjoin, Algorithm, ElementOrder, ExecContext, OverlapPredicate, SsJoinConfig,
+    SsJoinInputBuilder, WeightScheme,
 };
 
 fn main() {
@@ -37,14 +37,12 @@ fn main() {
     let built = builder.build().unwrap();
 
     // "At least 60% of the R group's cities must co-occur" — the 1-sided
-    // normalized predicate of Example 2. `SsJoin` is the unified entry
-    // point; threads, the bitmap filter, budgets and approximate mode all
-    // live on the one `ExecContext` it is handed.
-    let out = SsJoin::between(built.collection(rh), built.collection(sh))
-        .predicate(OverlapPredicate::r_normalized(0.6))
-        .algorithm(Algorithm::Inline)
-        .exec(ExecContext::new().with_threads(2))
-        .run()
+    // normalized predicate of Example 2. Threads, the bitmap filter,
+    // budgets and approximate mode all live on the one `ExecContext` the
+    // config hands over.
+    let config = SsJoinConfig::new(Algorithm::Inline).with_exec(ExecContext::new().with_threads(2));
+    let pred = OverlapPredicate::r_normalized(0.6);
+    let out = ssjoin(built.collection(rh), built.collection(sh), &pred, &config)
         .expect("collections share a universe");
 
     println!("SSJoin on state/city co-occurrence:");

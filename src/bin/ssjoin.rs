@@ -3,7 +3,7 @@
 //! ```text
 //! ssjoin join   --kind jaccard --threshold 0.85 [--algorithm inline] [--memory-budget 64m] [--approx 0.9] [--self-dedupe] R.tsv [S.tsv]
 //! ssjoin match  --reference R.tsv --query "some string" [--k 3] [--min-sim 0.6]
-//! ssjoin serve  --reference R.tsv [--k 3] [--min-sim 0.6] [--q 3] [--memory-budget 64m] [--approx 0.9]
+//! ssjoin serve  --reference R.tsv [--k 3] [--min-sim 0.6] [--memory-budget 64m] [--approx 0.9]
 //! ssjoin dedup  --threshold 0.85 [--kind edit] FILE.tsv
 //! ssjoin gen    --rows 10000 --out addresses.tsv [--seed 7]
 //! ```
@@ -16,8 +16,9 @@
 //! tokenized and built once and joined with itself.
 //!
 //! `match` answers one lookup with [`top_k_matches`]: the edit-similarity
-//! join (q = 3) of the query against the reference table at `--min-sim`,
-//! ranked by similarity (ties by row index), cut to `--k`; output rows are
+//! join of the query against the reference table at `--min-sim` (its q-gram
+//! length chosen from `--min-sim`, as every edit join chooses it), ranked by
+//! similarity (ties by row index), cut to `--k`; output rows are
 //! `similarity  index  reference_string`.
 //!
 //! `serve` loads the reference table once, builds a persistent
@@ -111,7 +112,6 @@ enum Command {
         reference: String,
         k: usize,
         min_sim: f64,
-        q: usize,
         /// Resident budget in bytes; oversized probe batches spill to disk.
         memory_budget: Option<u64>,
         /// `Some(recall)` opts in to approximate candidate generation.
@@ -136,7 +136,7 @@ const USAGE: &str = "usage:
                [--memory-budget BYTES[k|m|g]] [--approx RECALL] \\
                [--self-dedupe] [--out OUT.tsv] R.tsv [S.tsv]
   ssjoin match --reference R.tsv --query STRING [--k N] [--min-sim F]
-  ssjoin serve --reference R.tsv [--k N] [--min-sim F] [--q N] \\
+  ssjoin serve --reference R.tsv [--k N] [--min-sim F] \\
                [--memory-budget BYTES[k|m|g]] [--approx RECALL]
   ssjoin dedup --threshold F [--kind <edit|jaccard|cosine>] FILE.tsv
   ssjoin gen   --rows N --out FILE.tsv [--seed N]";
@@ -207,7 +207,7 @@ fn option_spec(cmd: &str) -> Option<OptionSpec> {
         ),
         "match" => (&["reference", "query", "k", "min-sim"], &[]),
         "serve" => (
-            &["reference", "k", "min-sim", "q", "memory-budget", "approx"],
+            &["reference", "k", "min-sim", "memory-budget", "approx"],
             &[],
         ),
         "dedup" => (&["threshold", "kind"], &[]),
@@ -308,7 +308,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 .ok_or("serve requires --reference".to_string())?,
             k: get_usize("k")?.unwrap_or(3),
             min_sim: get_f64("min-sim")?.unwrap_or(0.6),
-            q: get_usize("q")?.unwrap_or(3),
             memory_budget: opts
                 .get("memory-budget")
                 .map(|v| parse_bytes(v))
@@ -514,21 +513,13 @@ fn write_groups<W: Write>(mut w: W, groups: &[Vec<u32>], data: &[String]) -> std
 /// then answer one tab-separated request per input line until EOF. Request
 /// failures are reported as `err` response lines; only I/O failures and a
 /// bad initial configuration abort the loop.
-#[allow(clippy::too_many_arguments)]
 fn run_serve<R: BufRead, W: Write>(
     reference: Vec<String>,
-    k: usize,
-    min_sim: f64,
-    q: usize,
-    memory_budget: Option<u64>,
-    approx: Option<f64>,
+    config: TopKConfig,
     input: R,
     mut out: W,
 ) -> Result<(), String> {
-    let mut config = topk_config(k, min_sim)?;
-    config.q = q;
-    config.memory_budget = memory_budget;
-    config.approx = approx;
+    let approx = config.approx;
     let mut index = TopKIndex::build(&reference, config).map_err(|e| e.to_string())?;
     let io_err = |e: std::io::Error| e.to_string();
 
@@ -667,24 +658,16 @@ fn execute(cmd: Command) -> Result<(), String> {
             reference,
             k,
             min_sim,
-            q,
             memory_budget,
             approx,
         } => {
+            let mut config = topk_config(k, min_sim)?;
+            config.memory_budget = memory_budget;
+            config.approx = approx;
             let refs = first_column(&reference)?;
             eprintln!("serving {} reference rows (EOF to stop)", refs.len());
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            run_serve(
-                refs,
-                k,
-                min_sim,
-                q,
-                memory_budget,
-                approx,
-                stdin.lock(),
-                stdout.lock(),
-            )
+            let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
+            run_serve(refs, config, stdin.lock(), stdout.lock())
         }
         Command::Dedup {
             kind,
@@ -1009,6 +992,8 @@ mod tests {
                 ][..],
                 "--signature-width",
             ),
+            // Removed: serve chooses q from --min-sim.
+            (&["serve", "--reference", "r.tsv", "--q", "3"][..], "--q"),
             // Valid for another subcommand only.
             (
                 &["serve", "--reference", "r.tsv", "--threshold", "0.9"][..],
@@ -1041,6 +1026,7 @@ mod tests {
             );
             assert!(err.contains(USAGE), "{args:?}: error lacks the usage");
         }
+        assert!(!USAGE.contains("--q "), "usage still advertises --q");
     }
 
     #[test]
@@ -1185,7 +1171,6 @@ mod tests {
                 reference: "r.tsv".into(),
                 k: 3,
                 min_sim: 0.6,
-                q: 3,
                 memory_budget: None,
                 approx: None,
             }
@@ -1199,8 +1184,6 @@ mod tests {
                 "5",
                 "--min-sim",
                 "0.8",
-                "--q",
-                "2",
                 "--memory-budget",
                 "64m",
                 "--approx",
@@ -1211,7 +1194,6 @@ mod tests {
                 reference: "r.tsv".into(),
                 k: 5,
                 min_sim: 0.8,
-                q: 2,
                 memory_budget: Some(64 << 20),
                 approx: Some(0.95),
             }
@@ -1268,17 +1250,8 @@ mod tests {
                      del\tbogus\n\
                      frobnicate\tx\n";
         let mut out = Vec::new();
-        run_serve(
-            refs,
-            3,
-            0.6,
-            3,
-            None,
-            None,
-            std::io::Cursor::new(input),
-            &mut out,
-        )
-        .unwrap();
+        let config = topk_config(3, 0.6).unwrap();
+        run_serve(refs, config, std::io::Cursor::new(input), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
 
@@ -1420,17 +1393,8 @@ mod tests {
             .collect();
         let input = "match\tmicrosoft corporation\nstats\n";
         let mut out = Vec::new();
-        run_serve(
-            refs,
-            3,
-            0.6,
-            3,
-            None,
-            Some(0.9),
-            std::io::Cursor::new(input),
-            &mut out,
-        )
-        .unwrap();
+        let config = topk_config(3, 0.6).unwrap().with_approximate(0.9);
+        run_serve(refs, config, std::io::Cursor::new(input), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         // The exact self-match survives approximate candidate generation
         // (its similarity untouched), and the stats response records the

@@ -341,6 +341,11 @@ fn invalid_options_are_errors_not_panics() {
         vec!["join", "--threshold", "0.8", "--algorithm", "auto", path],
         "expected basic|prefix|inline",
     ));
+    // Removed: serve chooses q from --min-sim.
+    rows.push((
+        vec!["serve", "--reference", path, "--q", "3"],
+        "unknown option --q for serve",
+    ));
     for (args, option) in rows {
         let out = bin().args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -406,5 +411,127 @@ fn match_equals_brute_force_ranking() {
             }
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The rows of `ssjoin gen --rows {rows} --seed {seed}`, column 0.
+fn gen_rows(dir: &std::path::Path, rows: usize, seed: u64) -> (PathBuf, Vec<String>) {
+    let data = dir.join("data.tsv");
+    let (rows, seed) = (rows.to_string(), seed.to_string());
+    let out = bin()
+        .args(["gen", "--rows", &rows, "--out", data.to_str().unwrap()])
+        .args(["--seed", &seed])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let refs = ssjoin::datagen::read_first_column(&data).unwrap();
+    (data, refs)
+}
+
+/// `serve` answers `match` requests from its persistent index exactly as
+/// the one-shot `match` subcommand does — similarity, row index and text —
+/// at low floors too, where both take a q-gram length below 3 from
+/// `--min-sim`.
+#[test]
+fn serve_matches_equal_match_rows_at_low_min_sim() {
+    use std::io::Write;
+    let dir = temp_dir("serve_vs_match");
+    let (data, refs) = gen_rows(&dir, 2000, 5);
+    let path = data.to_str().unwrap();
+    // Rows verbatim and with one character dropped.
+    let queries: Vec<String> = (0..20)
+        .map(|i| {
+            let mut q = refs[i * 97 + 3].clone();
+            if i % 2 == 1 {
+                q.remove(q.len() / 2);
+            }
+            q
+        })
+        .collect();
+    for min_sim in ["0.6", "0.7"] {
+        let mut child = bin()
+            .args(["serve", "--reference", path, "--min-sim", min_sim])
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        let requests: String = queries.iter().map(|q| format!("match\t{q}\n")).collect();
+        child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(requests.as_bytes())
+            .unwrap();
+        let served = child.wait_with_output().unwrap();
+        assert!(served.status.success(), "serve at {min_sim}");
+        let served: String = String::from_utf8(served.stdout)
+            .unwrap()
+            .lines()
+            .filter_map(|l| l.strip_prefix("m\t"))
+            .map(|l| {
+                let f: Vec<&str> = l.splitn(3, '\t').collect();
+                format!("{}\t{}\t{}\n", f[1], f[0], f[2])
+            })
+            .collect();
+        let mut matched = String::new();
+        for query in &queries {
+            let out = bin()
+                .args(["match", "--reference", path, "--query", query])
+                .args(["--min-sim", min_sim])
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "match {query:?} at {min_sim}");
+            matched.push_str(&String::from_utf8(out.stdout).unwrap());
+        }
+        assert!(matched.lines().count() >= queries.len(), "{matched}");
+        assert_eq!(served, matched, "min-sim {min_sim}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An approximate `serve` answers `dedup` after an `add`: the inserted rows
+/// postdate the LSH sketch, so their self-probes descend the trees instead
+/// of reading sketch entries they do not have (this used to panic with an
+/// index out of bounds).
+#[test]
+fn approximate_serve_dedups_after_an_add() {
+    use std::io::Write;
+    let dir = temp_dir("serve_approx_add_dedup");
+    let (data, refs) = gen_rows(&dir, 300, 3);
+    let mut child = bin()
+        .args(["serve", "--reference", data.to_str().unwrap()])
+        .args(["--k", "3", "--min-sim", "0.6", "--approx", "0.9"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let requests = format!("add\t999 New Row St\nadd\t{}\ndedup\t0.8\n", refs[0]);
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(requests.as_bytes()).unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines[..2], ["ok\t300", "ok\t301"], "{stdout}");
+    // The copy of row 0 joins row 0's group (the epoch tail is joined
+    // exactly), and the reply ends in ok.
+    let copy = format!("\t301\t{}", refs[0]);
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.starts_with("g\t") && l.ends_with(&copy)),
+        "{stdout}"
+    );
+    assert!(
+        lines.last().is_some_and(|l| l.starts_with("ok\t")),
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

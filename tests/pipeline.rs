@@ -103,16 +103,40 @@ fn prefix_filter_beats_basic_on_join_tuples_at_high_threshold() {
     );
 }
 
+/// The edit join at the q its threshold chooses is exact against the
+/// naive cross product at every threshold from 0.6 to 0.95, including on
+/// strings shorter than the q-gram cutoff (handled by the short-string
+/// route), while verifying a small share of the pairs at 0.85.
 #[test]
 fn naive_baseline_agrees_but_compares_everything() {
-    let data = corpus(150).records;
-    let alpha = 0.85;
-    let ours = edit_similarity_join(&data, &data, &EditJoinConfig::new(alpha)).unwrap();
-    let (naive_pairs, naive_stats) = ssjoin::baselines::naive_join(&data, &data, alpha, |a, b| {
-        ssjoin::sim::edit_similarity(a, b)
-    });
-    let naive_keys: Vec<(u32, u32)> = naive_pairs.iter().map(|&(i, j, _)| (i, j)).collect();
-    assert_eq!(ours.keys(), naive_keys);
-    assert_eq!(naive_stats.comparisons, 150 * 150);
-    assert!(ours.udf_verifications < naive_stats.comparisons / 10);
+    let mut data = corpus(150).records;
+    data.extend(
+        [
+            "",
+            "a",
+            "ab",
+            "ac",
+            "abc",
+            "abd",
+            "1 Main",
+            "1 Mian",
+            "12 Oak St",
+            "12 Oak Sq",
+        ]
+        .map(String::from),
+    );
+    let n = data.len() as u64;
+    for alpha in [0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95] {
+        let ours = edit_similarity_join(&data, &data, &EditJoinConfig::new(alpha)).unwrap();
+        let (naive_pairs, naive_stats) =
+            ssjoin::baselines::naive_join(&data, &data, alpha, |a, b| {
+                ssjoin::sim::edit_similarity(a, b)
+            });
+        let naive_keys: Vec<(u32, u32)> = naive_pairs.iter().map(|&(i, j, _)| (i, j)).collect();
+        assert_eq!(ours.keys(), naive_keys, "alpha {alpha}");
+        assert_eq!(naive_stats.comparisons, n * n);
+        if alpha == 0.85 {
+            assert!(ours.udf_verifications < naive_stats.comparisons / 10);
+        }
+    }
 }
