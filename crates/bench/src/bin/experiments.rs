@@ -1340,8 +1340,8 @@ fn ablation_index(scale: f64, report: &mut Report) {
 /// replication that costs. Each spilled run must reproduce the resident
 /// output bit-for-bit — same pairs, same overlaps, same order — and
 /// `budget_met` records whether every planned peak fit its budget. The
-/// overhead column is the price of serializing partitions through the
-/// spill file and merging their runs.
+/// overhead column is the price of building partition sub-arenas,
+/// re-joining replicated sets and merging their runs.
 fn ablation_spill(scale: f64, report: &mut Report) {
     use ssjoin_core::{OverlapPredicate, SsJoinConfig};
     use ssjoin_text::Tokenizer;

@@ -60,13 +60,14 @@ pub struct ExecBudget {
     /// Keep the run's resident working set under this many bytes by
     /// switching to out-of-core execution instead of rejecting it: when the
     /// whole-input estimate exceeds the budget, the join is split into
-    /// token-range partitions sized to fit (see [`crate::plan_spill`]), joined
-    /// one partition at a time with the rest serialized to a temp-dir spill
-    /// file, and merged back deterministically. Output is bit-identical to
-    /// an unbudgeted run. The budget bounds the join's working set, not the
-    /// process (the input collections stay resident), and it is best
-    /// effort: when no partition count fits, the smallest-peak plan runs
-    /// and reports `SsJoinStats::spill_peak_resident_bytes` above it.
+    /// token-range partitions sized to fit (see [`crate::plan_spill`]), each
+    /// built from the inputs and joined one partition at a time, and merged
+    /// back deterministically; no temp file is written. Output is
+    /// bit-identical to an unbudgeted run. The budget bounds each
+    /// partition's working set, not the process (the input collections stay
+    /// resident), and it is best effort: when no partition count fits, the
+    /// smallest-peak plan runs and reports
+    /// `SsJoinStats::spill_peak_resident_bytes` above it.
     pub max_resident_bytes: Option<u64>,
 }
 
@@ -100,8 +101,9 @@ impl ExecBudget {
         self
     }
 
-    /// Bound the resident working set in bytes; oversized joins spill to
-    /// disk instead of failing (see [`ExecBudget::max_resident_bytes`]).
+    /// Bound the resident working set in bytes; oversized joins run in
+    /// token-range partitions instead of failing (see
+    /// [`ExecBudget::max_resident_bytes`]).
     pub fn with_max_resident_bytes(mut self, bytes: u64) -> Self {
         self.max_resident_bytes = Some(bytes);
         self

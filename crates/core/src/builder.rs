@@ -46,7 +46,7 @@ use std::sync::{Mutex, PoisonError};
 
 static UNIVERSE_TAG: AtomicU64 = AtomicU64::new(1);
 
-/// A process-unique universe tag (used by builds and by deserialization).
+/// A process-unique universe tag, one per build.
 pub(crate) fn fresh_universe_tag() -> u64 {
     UNIVERSE_TAG.fetch_add(1, Ordering::Relaxed)
 }
@@ -605,19 +605,6 @@ impl BuiltInput {
         self.collections
     }
 
-    /// Reassemble a built input from its parts (deserialization).
-    pub(crate) fn from_parts(
-        collections: Vec<SetCollection>,
-        element_meta: Vec<(String, u32)>,
-        weights_by_rank: Vec<Weight>,
-    ) -> Self {
-        Self {
-            collections,
-            element_meta,
-            weights_by_rank,
-        }
-    }
-
     /// Number of distinct elements in the universe.
     pub fn universe_size(&self) -> usize {
         self.element_meta.len()
@@ -1094,7 +1081,11 @@ mod tests {
                 SetCollection::from_sets(sets, elements.len(), 0).unwrap()
             })
             .collect();
-        BuiltInput::from_parts(collections, meta, weights_by_rank)
+        BuiltInput {
+            collections,
+            element_meta: meta,
+            weights_by_rank,
+        }
     }
 
     /// Rows tokenized and interned on 1, 2, 3 and 8 workers — and the same

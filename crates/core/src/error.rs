@@ -32,8 +32,6 @@ pub enum SsJoinError {
         /// Number of elements that overflowed the id space.
         elements: usize,
     },
-    /// An I/O failure while persisting or loading built inputs.
-    Io(String),
     /// The execution exceeded a resource limit of its
     /// [`crate::ExecBudget`], or its [`crate::CancelToken`] was cancelled.
     /// Carries the statistics accumulated up to the abort, so callers can
@@ -64,7 +62,6 @@ impl fmt::Display for SsJoinError {
                 f,
                 "{elements} elements exceed the u32 id/offset space"
             ),
-            SsJoinError::Io(m) => write!(f, "i/o error: {m}"),
             SsJoinError::BudgetExceeded { which, .. } => {
                 write!(f, "execution budget exceeded: {which}")
             }
@@ -73,12 +70,6 @@ impl fmt::Display for SsJoinError {
 }
 
 impl std::error::Error for SsJoinError {}
-
-impl From<std::io::Error> for SsJoinError {
-    fn from(e: std::io::Error) -> Self {
-        SsJoinError::Io(e.to_string())
-    }
-}
 
 /// Result alias.
 pub type SsJoinResult<T> = std::result::Result<T, SsJoinError>;

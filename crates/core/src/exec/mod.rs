@@ -270,7 +270,7 @@ fn ssjoin_into(
     let run = begin(r, s, config, ws)?;
     let (algorithm, ctx) = (run.algorithm, run.ctx);
     let spilled = if run.spill {
-        crate::spill::run(r, s, pred, algorithm, ctx, &run.budget, ws)?
+        crate::spill::run(r, s, pred, algorithm, ctx, &run.budget, ws)
     } else {
         None
     };

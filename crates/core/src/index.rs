@@ -231,7 +231,7 @@ impl CorpusIndex {
         let run = begin(batch, &self.corpus, config, ws)?;
         let (r, s, algorithm, ctx) = (batch, &self.corpus, run.algorithm, run.ctx);
         let spilled = if run.spill {
-            crate::spill::run(r, s, &self.pred, algorithm, ctx, &run.budget, ws)?
+            crate::spill::run(r, s, &self.pred, algorithm, ctx, &run.budget, ws)
         } else {
             None
         };

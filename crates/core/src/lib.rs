@@ -68,7 +68,6 @@ mod error;
 pub mod exec;
 mod hash;
 mod index;
-pub mod io;
 pub mod kernel;
 mod order;
 pub mod plan;

@@ -261,8 +261,7 @@ impl SetCollection {
     /// Build the arena from per-set `(elements, norm)` pairs; sorts and
     /// validates each element list and computes all derived state (suffix
     /// weight tables, the per-set records, the cached norm range) in one
-    /// pass, so every construction path — builder or deserialization — gets
-    /// it consistently.
+    /// pass, so every construction path gets it consistently.
     ///
     /// # Errors
     /// Returns [`SsJoinError::InvalidInput`] on duplicate ranks within a set
@@ -293,8 +292,8 @@ impl SetCollection {
     /// derived state as [`SetCollection::from_sets`]. Elements may arrive in
     /// any order; they are sorted by rank. Returns the new set's group id.
     ///
-    /// Unlike `from_sets` — whose callers (builder, deserialization) have
-    /// already range-checked every rank — this path takes caller-supplied
+    /// Unlike `from_sets` — whose callers (the builder) have already
+    /// range-checked every rank — this path takes caller-supplied
     /// elements directly, so it additionally validates `rank <
     /// universe_size` (an out-of-range rank would overrun the inverted
     /// index's per-rank offset table).
@@ -332,8 +331,8 @@ impl SetCollection {
 
     /// Append one set whose elements arrive already ascending by rank,
     /// duplicate-free, and inside the universe — exactly what the spill
-    /// reader's frames store (partition sub-sets keep the parent arena's
-    /// order under a monotone rank remap). Skips [`Self::push_set`]'s sort,
+    /// driver copies (partition sub-sets keep the parent arena's order under
+    /// a monotone rank remap). Skips [`Self::push_set`]'s sort,
     /// validation, and temporary buffer; the preconditions are
     /// debug-asserted. Infallible because partition sub-arenas are subsets
     /// of a collection that already fit the `u32` offset/group space.
@@ -405,9 +404,8 @@ impl SetCollection {
 
     /// Reset this collection to an empty arena over a (possibly different)
     /// universe, keeping every pool's capacity. The spill path recycles two
-    /// such collections across all partitions of a run so the warm
-    /// read-back path stops allocating once the largest partition has been
-    /// seen.
+    /// such collections across all partitions of a run so a warm spilled
+    /// run stops allocating once the largest partition has been seen.
     pub(crate) fn reset_for_universe(&mut self, universe_size: usize, universe_tag: u64) {
         self.offsets.clear();
         self.offsets.push(0);

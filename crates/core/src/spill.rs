@@ -7,12 +7,12 @@
 //! from a rejection ([`crate::budget::estimate_memory_bytes`] preflight)
 //! into an execution strategy: when the resident estimate exceeds
 //! [`crate::ExecBudget::max_resident_bytes`], the join is split into
-//! token-range partitions sized to fit, each partition's CSR sub-arena is
-//! serialized to a checksummed temp-dir spill file
-//! ([`crate::io::write_spill_frame`]), and partitions are read back and
-//! joined one at a time through the ordinary executors — so only one
-//! partition's sub-arena, inverted index, and scratch are resident at any
-//! moment.
+//! token-range partitions sized to fit, and partitions are built and joined
+//! one at a time through the ordinary executors — so only one partition's
+//! sub-arena, inverted index, and scratch are resident at any moment. Each
+//! partition's CSR sub-arena is copied straight from the input collections,
+//! which stay resident for the whole run: the budget bounds the join's
+//! working set, not the process, and no temp file is written.
 //!
 //! # Decomposition
 //!
@@ -52,31 +52,24 @@
 //!
 //! # Choosing the partition count
 //!
-//! A resident run costs no extra I/O and no replication, so it is taken
-//! whenever the estimate fits the budget. Past that, every added partition
-//! costs another slice of set replication (a set whose prefix has ranks in
-//! `k` ranges is serialized and re-joined `k` times) plus its share of the
-//! two I/O passes, so the spill planner picks the **smallest** partition
-//! count (doubling from 2) whose peak per-partition resident estimate fits.
-//! The planner and the writer route through the same function, so the
-//! planned per-partition tallies are exactly the sets the writer
-//! serializes. The choice is recorded in [`SsJoinStats::spill_partitions`],
-//! and a plan that cannot fit shows as
+//! A resident run costs no replication, so it is taken whenever the
+//! estimate fits the budget. Past that, every added partition costs another
+//! slice of set replication (a set whose prefix has ranks in `k` ranges is
+//! copied and re-joined `k` times) plus its own index build, so the spill
+//! planner picks the **smallest** partition count (doubling from 2) whose
+//! peak per-partition resident estimate fits. The planner and the driver
+//! route through the same function, so the planned per-partition tallies
+//! are exactly the sets the driver copies. The choice is recorded in
+//! [`SsJoinStats::spill_partitions`], and a plan that cannot fit shows as
 //! [`SsJoinStats::spill_peak_resident_bytes`] above the budget.
 
 use crate::budget::BudgetState;
-use crate::error::SsJoinResult;
 use crate::exec::{
     prefix_lengths_into, run_algorithm, Algorithm, ExecContext, JoinPair, JoinWorkspace, Side,
-};
-use crate::io::{
-    bad, read_spill_frame, read_spill_header, write_spill_frame, write_spill_header, TempSpillFile,
 };
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
 use crate::stats::SsJoinStats;
-use crate::weight::Weight;
-use std::io::{BufReader, BufWriter, Seek, SeekFrom, Write};
 
 /// Hard ceiling on the partition count: past this, per-partition fixed
 /// overheads dominate and the run completes best-effort over the budget
@@ -135,19 +128,12 @@ pub(crate) struct SpillScratch {
     /// Recycled sub-collections (reset per partition, capacity retained).
     sub_r: SetCollection,
     sub_s: SetCollection,
-    /// Frame payload buffer (encode on write, decode on read).
-    frame: Vec<u8>,
     /// Universe-sized rank → local-rank table (`u32::MAX` = absent).
     remap: Vec<u32>,
-    /// Distinct global ranks of the partition being written.
+    /// Distinct global ranks of the partition being built.
     touched: Vec<u32>,
-    /// Global group ids of the current partition's sets, per side, indexed
-    /// by local set id.
-    r_gids: Vec<u32>,
-    s_gids: Vec<u32>,
-    /// Per-set decode scratch.
+    /// One set's remapped ranks, staged for the sub-arena.
     ranks_buf: Vec<u32>,
-    weights_buf: Vec<Weight>,
     /// The active plan: routing, cut points, per-partition tallies.
     planner: Planner,
 }
@@ -192,13 +178,9 @@ impl SpillScratch {
             inner: JoinWorkspace::new(),
             sub_r: template.empty_like(),
             sub_s: template.empty_like(),
-            frame: Vec::new(),
             remap: Vec::new(),
             touched: Vec::new(),
-            r_gids: Vec::new(),
-            s_gids: Vec::new(),
             ranks_buf: Vec::new(),
-            weights_buf: Vec::new(),
             planner: Planner::default(),
         }
     }
@@ -209,13 +191,9 @@ impl SpillScratch {
             |x: &Routing| vec_bytes(&x.lens) + vec_bytes(&x.offsets) + vec_bytes(&x.members);
         let plan = &self.planner;
         self.inner.bytes_reserved()
-            + vec_bytes(&self.frame)
             + vec_bytes(&self.remap)
             + vec_bytes(&self.touched)
-            + vec_bytes(&self.r_gids)
-            + vec_bytes(&self.s_gids)
             + vec_bytes(&self.ranks_buf)
-            + vec_bytes(&self.weights_buf)
             + route(&plan.route_r)
             + route(&plan.route_s)
             + vec_bytes(&plan.mass)
@@ -225,14 +203,14 @@ impl SpillScratch {
 
 /// Resident estimate (bytes) of joining one partition: the
 /// [`crate::budget::estimate_memory_bytes`] model over partition-local
-/// quantities, plus the frame read-back buffer the spill path itself holds
-/// while that partition is live.
+/// quantities, plus the partition's own sub-arena, which that model (built
+/// for inputs that are already resident) does not charge: 12 bytes per
+/// copied element (a rank and a weight) and 16 per set. Suffix weights and
+/// per-set records are left to the model's slack. Dropping the term lets
+/// the planner pick fewer, larger partitions, which raises the real peak.
 fn partition_estimate(local_universe: u64, r_sets: u64, s_sets: u64, tuples: u64) -> u64 {
-    let sets = r_sets + s_sets;
-    // Frame buffer: 12 bytes per element (rank + weight) + 16 per set
-    // header, held while the partition is decoded and joined.
-    let frame = tuples * 12 + sets * 16;
-    crate::budget::resident_estimate(local_universe, r_sets, s_sets, tuples) + frame
+    let sub_arena = tuples * 12 + (r_sets + s_sets) * 16;
+    crate::budget::resident_estimate(local_universe, r_sets, s_sets, tuples) + sub_arena
 }
 
 /// Routed mass per rank: every set adds its full length at each rank of
@@ -305,7 +283,7 @@ fn routing_prefixes(
 
 /// Call `f(p)` once per partition `p` holding a rank of `prefix`, in
 /// ascending order — the partitions a set with this routing prefix goes
-/// to. The planner's tallies and the writer's member lists both route
+/// to. The planner's tallies and the driver's member lists both route
 /// through here, so they agree by construction.
 fn routed_partitions(prefix: &[u32], cuts: &[u32], mut f: impl FnMut(usize)) {
     let mut rest = prefix;
@@ -322,7 +300,7 @@ fn routed_partitions(prefix: &[u32], cuts: &[u32], mut f: impl FnMut(usize)) {
 
 /// Tally per-partition set and tuple counts for one side under `cuts`. A
 /// set is charged its **full** length to every partition its routing
-/// prefix reaches — exactly what the spill writer will serialize for it.
+/// prefix reaches — exactly what the spill driver will copy for it.
 fn tally_side(
     c: &SetCollection,
     lens: &[usize],
@@ -474,61 +452,12 @@ impl Planner {
         }
         let (best_target, peak) = best?;
         // The cuts and the tally must describe the *chosen* target, not the
-        // last one tried — the writer sizes its member buckets from the
+        // last one tried — the driver sizes its member buckets from the
         // tally.
         balanced_cuts(mass, best_target, cuts);
         plan_peak(r, s, r_lens, s_lens, cuts, tally);
         Some(peak)
     }
-}
-
-/// Cursor over a decoded frame payload; every read is bounds-checked onto
-/// the typed `Io` error path (the checksum already passed, so a short read
-/// here means a bug, but the library's no-panic contract still holds).
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> SsJoinResult<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad("spill frame truncated"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> SsJoinResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> SsJoinResult<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> SsJoinResult<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self) -> SsJoinResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-}
-
-fn push_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// True when the partition owning `[local_lo, local_hi)` owns the pair: the
@@ -546,84 +475,39 @@ fn owns_pair(a: &[u32], b: &[u32], local_lo: u32, local_hi: u32) -> bool {
     false
 }
 
-/// Serialize one side's partition members into `frame`, remapping ranks
-/// through `remap`. Layout per side: `u64 count`, then per set
-/// `u32 global_id | u64 norm_bits | u32 len | len × u32 local_rank |
-/// len × u64 weight_raw` — ranks and weights as separate contiguous arrays,
-/// so the reader decodes each with one bounds check and a tight conversion
-/// loop instead of per-element cursor calls. `members` is the partition's
-/// member id list (sets whose routing prefix reaches the partition's
-/// range); their full contents are written so partition-local norms and
-/// totals stay exact.
-fn encode_side(c: &SetCollection, members: &[u32], remap: &[u32], frame: &mut Vec<u8>) {
-    push_u64(frame, members.len() as u64);
+/// Copy one side's partition members into the recycled sub-collection
+/// `sub`, remapping ranks through `remap`; local set `i` is `members[i]`.
+/// Members carry their full contents, weights and norms, so partition-local
+/// norms and totals stay exact. Returns the elements copied.
+fn build_side(
+    c: &SetCollection,
+    members: &[u32],
+    remap: &[u32],
+    ranks_buf: &mut Vec<u32>,
+    sub: &mut SetCollection,
+) -> u64 {
+    let mut elements = 0u64;
     for &id in members {
         let set = c.set(id);
-        let ranks = set.ranks();
-        push_u32(frame, id);
-        push_u64(frame, set.norm().to_bits());
-        push_u32(frame, ranks.len() as u32);
-        for &t in ranks {
-            push_u32(frame, remap[t as usize]);
-        }
-        for &w in set.weights() {
-            push_u64(frame, w.raw());
-        }
-    }
-}
-
-/// Decode one side from the cursor into a recycled sub-collection,
-/// recording global ids per local id. The rank and weight arrays are taken
-/// as whole slices (one bounds check each) and converted in bulk.
-fn decode_side(
-    cur: &mut Cur<'_>,
-    sub: &mut SetCollection,
-    gids: &mut Vec<u32>,
-    ranks_buf: &mut Vec<u32>,
-    weights_buf: &mut Vec<Weight>,
-) -> SsJoinResult<()> {
-    gids.clear();
-    let count = cur.u64()?;
-    for _ in 0..count {
-        let gid = cur.u32()?;
-        let norm = cur.f64()?;
-        let len = cur.u32()? as usize;
-        let rank_bytes = len
-            .checked_mul(4)
-            .ok_or_else(|| bad("spill frame truncated"))?;
-        let raw_ranks = cur.take(rank_bytes)?;
         ranks_buf.clear();
-        ranks_buf.extend(
-            raw_ranks
-                .chunks_exact(4)
-                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
-        );
-        let raw_weights = cur.take(len * 8)?;
-        weights_buf.clear();
-        weights_buf.extend(raw_weights.chunks_exact(8).map(|b| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(b);
-            Weight::from_raw(u64::from_le_bytes(a))
-        }));
-        sub.push_set_presorted(ranks_buf, weights_buf, norm);
-        gids.push(gid);
+        ranks_buf.extend(set.ranks().iter().map(|&t| remap[t as usize]));
+        sub.push_set_presorted(ranks_buf, set.weights(), set.norm());
+        elements += ranks_buf.len() as u64;
     }
-    Ok(())
+    elements
 }
 
 /// Execute `r ⋈ s` out of core under the context's
 /// [`max_resident_bytes`](crate::ExecBudget::max_resident_bytes) budget:
-/// plan token-range partitions, serialize every partition's sub-arena to a
-/// checksummed temp spill file, then read partitions back one at a time,
-/// join each through the ordinary executor for `algorithm`, keep only the
-/// pairs each partition owns, and k-way merge the per-partition sorted runs
-/// into `ws.out`. Returns the merged stats; every partition runs the same
-/// executor, `algorithm`.
+/// plan token-range partitions, then for each partition in turn build its
+/// sub-arena from `r` and `s`, join it through the ordinary executor for
+/// `algorithm`, and keep only the pairs it owns; the per-partition sorted
+/// runs are k-way merged into `ws.out`. Returns the merged stats, or `None`
+/// when the input cannot be split (the caller then runs resident).
 ///
 /// The shared [`BudgetState`] spans the whole run: a deadline or cancel
-/// tripping mid-partition aborts between (or inside) partitions, the
-/// caller converts the cause into a typed `BudgetExceeded`, and the
-/// [`TempSpillFile`] guard removes the spill file on every exit path.
+/// tripping mid-partition aborts between (or inside) partitions, and the
+/// caller converts the cause into a typed `BudgetExceeded`.
 pub(crate) fn run(
     r: &SetCollection,
     s: &SetCollection,
@@ -632,7 +516,7 @@ pub(crate) fn run(
     ctx: &ExecContext,
     budget: &BudgetState,
     ws: &mut JoinWorkspace,
-) -> SsJoinResult<Option<SsJoinStats>> {
+) -> Option<SsJoinStats> {
     let limit = ctx.budget.max_resident_bytes.unwrap_or(u64::MAX);
     let mut scratch = match ws.spill.take() {
         Some(s) => s,
@@ -654,11 +538,9 @@ fn run_inner(
     ws: &mut JoinWorkspace,
     scratch: &mut SpillScratch,
     limit: u64,
-) -> SsJoinResult<Option<SsJoinStats>> {
+) -> Option<SsJoinStats> {
     // Plan. An unsplittable input falls back to the resident path.
-    let Some(peak) = scratch.planner.plan(r, s, pred, limit) else {
-        return Ok(None);
-    };
+    let peak = scratch.planner.plan(r, s, pred, limit)?;
     let partitions = scratch.planner.cuts.len() - 1;
     #[allow(clippy::field_reassign_with_default)] // phase_times is private
     let mut stats = SsJoinStats::default();
@@ -672,7 +554,7 @@ fn run_inner(
         }
     }
     if !budget.proceed() {
-        return Ok(Some(stats));
+        return Some(stats);
     }
 
     let universe = r.universe_size().max(s.universe_size());
@@ -682,12 +564,14 @@ fn run_inner(
     // Membership: one pass per side buckets every routed set id by the
     // partitions its prefix reaches, sized by the planner's tally.
     let SpillScratch {
-        frame,
+        inner,
+        sub_r,
+        sub_s,
         remap,
         touched,
+        ranks_buf,
         planner,
-        ..
-    } = &mut *scratch;
+    } = scratch;
     let Planner {
         route_r,
         route_s,
@@ -703,152 +587,78 @@ fn run_inner(
         &*route_s
     };
 
-    // Write phase: one frame per partition. The guard removes the file on
-    // every exit path, including budget aborts and error propagation.
-    let (guard, mut file) = TempSpillFile::create()?;
-    let mut spill_bytes = 0u64;
-    {
-        let mut writer = BufWriter::new(&mut file);
-        write_spill_header(&mut writer, partitions as u32)?;
-        spill_bytes += 12;
-        remap.clear();
-        remap.resize(universe, u32::MAX);
-        for p in 0..partitions {
-            if !budget.proceed() {
-                drop(writer);
-                drop(guard);
-                return Ok(Some(stats));
-            }
-            let (lo, hi) = (cuts[p], cuts[p + 1]);
-            let (members_r, members_s) = (route_r.members(p), route_s.members(p));
-            // Dense local ids in ascending global rank order (a monotone
-            // remap) over the distinct ranks the members carry.
-            touched.clear();
-            let mut mark = |c: &SetCollection, members: &[u32]| {
-                for &id in members {
-                    for &t in c.set(id).ranks() {
-                        let slot = &mut remap[t as usize];
-                        if *slot == u32::MAX {
-                            *slot = 0;
-                            touched.push(t);
-                        }
-                    }
-                }
-            };
-            mark(r, members_r);
-            if !self_join {
-                mark(s, members_s);
-            }
-            touched.sort_unstable();
-            for (local, &t) in touched.iter().enumerate() {
-                remap[t as usize] = local as u32;
-            }
-            let local_lo = touched.partition_point(|&t| t < lo) as u32;
-            let local_hi = touched.partition_point(|&t| t < hi) as u32;
-            frame.clear();
-            push_u32(frame, touched.len() as u32);
-            push_u32(frame, local_lo);
-            push_u32(frame, local_hi);
-            frame.push(u8::from(self_join));
-            encode_side(r, members_r, remap, frame);
-            if !self_join {
-                encode_side(s, members_s, remap, frame);
-            }
-            for &t in touched.iter() {
-                remap[t as usize] = u32::MAX;
-            }
-            write_spill_frame(&mut writer, frame)?;
-            spill_bytes += 16 + frame.len() as u64;
-        }
-        writer.flush()?;
-    }
-    stats.spill_bytes = spill_bytes;
-
-    // Read/join phase: partitions come back in write order, one resident at
-    // a time. Output pairs are staged as sorted runs in worker 0 of the
-    // *outer* workspace; the inner workspace hosts the partition joins.
-    file.seek(SeekFrom::Start(0))?;
-    let mut reader = BufReader::new(&mut file);
-    let frames = read_spill_header(&mut reader)?;
-    if frames as usize != partitions {
-        return Err(bad("spill file partition count mismatch"));
-    }
+    // One partition resident at a time. Output pairs are staged as sorted
+    // runs in worker 0 of the *outer* workspace; the inner workspace hosts
+    // the partition joins.
     ws.ensure_workers(1);
     {
         let w0 = &mut ws.workers[0];
         w0.pairs.clear();
         w0.runs.clear();
     }
-    for _ in 0..partitions {
+    remap.clear();
+    remap.resize(universe, u32::MAX);
+    let mut elements = 0u64;
+    for p in 0..partitions {
         if !budget.proceed() {
             break;
         }
-        read_spill_frame(&mut reader, &mut scratch.frame)?;
-        let mut cur = Cur {
-            buf: &scratch.frame,
-            pos: 0,
+        let (lo, hi) = (cuts[p], cuts[p + 1]);
+        let (members_r, members_s) = (route_r.members(p), route_s.members(p));
+        // Dense local ids in ascending global rank order (a monotone
+        // remap) over the distinct ranks the members carry.
+        touched.clear();
+        let mut mark = |c: &SetCollection, members: &[u32]| {
+            for &id in members {
+                for &t in c.set(id).ranks() {
+                    let slot = &mut remap[t as usize];
+                    if *slot == u32::MAX {
+                        *slot = 0;
+                        touched.push(t);
+                    }
+                }
+            }
         };
-        let local_universe = cur.u32()? as usize;
-        let local_lo = cur.u32()?;
-        let local_hi = cur.u32()?;
-        let frame_self = cur.u8()? != 0;
-        scratch.sub_r.reset_for_universe(local_universe, tag);
-        decode_side(
-            &mut cur,
-            &mut scratch.sub_r,
-            &mut scratch.r_gids,
-            &mut scratch.ranks_buf,
-            &mut scratch.weights_buf,
-        )?;
-        if !frame_self {
-            scratch.sub_s.reset_for_universe(local_universe, tag);
-            decode_side(
-                &mut cur,
-                &mut scratch.sub_s,
-                &mut scratch.s_gids,
-                &mut scratch.ranks_buf,
-                &mut scratch.weights_buf,
-            )?;
+        mark(r, members_r);
+        if !self_join {
+            mark(s, members_s);
         }
-        let sub_r = &scratch.sub_r;
-        let sub_s = if frame_self {
-            &scratch.sub_r
-        } else {
-            &scratch.sub_s
-        };
-        let s_gids = if frame_self {
-            &scratch.r_gids
-        } else {
-            &scratch.s_gids
-        };
-        scratch.inner.begin_run();
+        touched.sort_unstable();
+        for (local, &t) in touched.iter().enumerate() {
+            remap[t as usize] = local as u32;
+        }
+        let local_lo = touched.partition_point(|&t| t < lo) as u32;
+        let local_hi = touched.partition_point(|&t| t < hi) as u32;
+        sub_r.reset_for_universe(touched.len(), tag);
+        elements += build_side(r, members_r, remap, ranks_buf, sub_r);
+        if !self_join {
+            sub_s.reset_for_universe(touched.len(), tag);
+            elements += build_side(s, members_s, remap, ranks_buf, sub_s);
+        }
+        for &t in touched.iter() {
+            remap[t as usize] = u32::MAX;
+        }
+        let (sub_r, sub_s) = (&*sub_r, if self_join { &*sub_r } else { &*sub_s });
+        inner.begin_run();
         // The partition join charges candidates and polls the deadline and
         // cancel token, but its output includes pairs another partition
         // owns: only the owned pairs are charged, after the filter below.
         budget.charge_output(false);
-        let pstats = run_algorithm(
-            algorithm,
-            sub_r,
-            sub_s,
-            pred,
-            ctx,
-            budget,
-            &mut scratch.inner,
-        );
+        let pstats = run_algorithm(algorithm, sub_r, sub_s, pred, ctx, budget, inner);
         budget.charge_output(true);
         stats.merge(&pstats);
         // Ownership filter + global-id remap. Local ids ascend with global
-        // ids (encode order), so the surviving pairs stay `(r, s)`-sorted
+        // ids (member order), so the surviving pairs stay `(r, s)`-sorted
         // in global id space: one sorted run per partition.
         let w0 = &mut ws.workers[0];
         let start = w0.pairs.len();
-        for pair in &scratch.inner.out {
+        for pair in &inner.out {
             let a = sub_r.set(pair.r).ranks();
             let b = sub_s.set(pair.s).ranks();
             if owns_pair(a, b, local_lo, local_hi) {
                 w0.pairs.push(JoinPair {
-                    r: scratch.r_gids[pair.r as usize],
-                    s: s_gids[pair.s as usize],
+                    r: members_r[pair.r as usize],
+                    s: members_s[pair.s as usize],
                     overlap: pair.overlap,
                 });
             }
@@ -861,18 +671,17 @@ fn run_inner(
             break;
         }
     }
-    drop(reader);
-    drop(guard);
 
     // Deterministic, sort-free k-way merge of the pair-disjoint
     // per-partition runs.
     ws.merge_sorted_runs();
     // Run-level spill facts survive the per-partition merges (which carry
-    // zeros for them); restate them on the final record.
+    // zeros for them); restate them on the final record. A sub-arena
+    // element is a rank and a weight: 12 bytes.
     stats.spill_partitions = partitions as u64;
-    stats.spill_bytes = spill_bytes;
+    stats.spill_bytes = elements * 12;
     stats.spill_peak_resident_bytes = peak;
-    Ok(Some(stats))
+    Some(stats)
 }
 
 #[cfg(test)]
@@ -992,7 +801,7 @@ mod tests {
     }
 
     #[test]
-    fn planner_tallies_equal_writer_member_lists() {
+    fn planner_tallies_equal_driver_member_lists() {
         let c = corpus(300, 113);
         let other = corpus(180, 113);
         let est = crate::budget::estimate_memory_bytes(&c, &c);
@@ -1015,7 +824,7 @@ mod tests {
                 } = &mut planner;
                 let partitions = cuts.len() - 1;
                 assert!(partitions >= 2, "{pred:?}");
-                // As the writer does: a self-join serializes one side.
+                // As the driver does: a self-join copies one side.
                 bucket_members(r, cuts, &tally.r_sets, route_r);
                 let mut sides = vec![(r, &*route_r, &tally.r_sets, &tally.r_tuples)];
                 if !std::ptr::eq(r, s) {
@@ -1043,14 +852,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn frame_cursor_rejects_truncation() {
-        let mut cur = Cur {
-            buf: &[1, 2],
-            pos: 0,
-        };
-        assert!(cur.u32().is_err());
     }
 }

@@ -102,8 +102,8 @@ pub struct SsJoinStats {
     /// Token-range partitions the out-of-core spill driver executed (0 when
     /// the run stayed fully resident).
     pub spill_partitions: u64,
-    /// Bytes written to the temp-dir spill file (frame payloads plus
-    /// per-frame length/checksum overhead and the file header).
+    /// Bytes of partition sub-arenas the spill driver built: 12 per element
+    /// copied (a `u32` rank and a `u64` weight), summed over partitions.
     pub spill_bytes: u64,
     /// Peak per-partition resident-memory estimate of the spilled run, by
     /// the same model as [`crate::budget::estimate_memory_bytes`].

@@ -5,7 +5,7 @@
 //! joins, partition counts (driven by the budget), executors, bitmap filter
 //! settings, and thread counts — and
 //! budget interruptions (deadline, cancel) mid-spill must abort with the
-//! typed `BudgetExceeded` error, never a stray temp file.
+//! typed `BudgetExceeded` error.
 
 use ssjoin_core::{
     estimate_memory_bytes, plan_spill, ssjoin, Algorithm, CancelToken, CorpusIndex, ElementOrder,
@@ -13,29 +13,6 @@ use ssjoin_core::{
     SsJoinConfig, SsJoinError, SsJoinInputBuilder, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
-use std::sync::Mutex;
-
-/// Serializes the tests that create spill files, so the stray-file scan at
-/// the end of each cannot race another test's live spill file (same pid,
-/// same temp-dir prefix).
-static SPILL_DIR: Mutex<()> = Mutex::new(());
-
-fn spill_files_for_this_process() -> Vec<std::path::PathBuf> {
-    let prefix = format!("ssjoin-spill-{}-", std::process::id());
-    let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) else {
-        return Vec::new();
-    };
-    entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(&prefix))
-        })
-        .collect()
-}
-
 fn corpus(seed: u64, groups: usize, vocab: u32) -> SetCollection {
     let mut rng = StdRng::seed_from_u64(seed);
     let groups: Vec<Vec<String>> = (0..groups)
@@ -118,7 +95,6 @@ fn corpus_pair(
 /// longer), and an absolute overlap bound ignores norms entirely.
 #[test]
 fn spilled_output_bit_identical_to_resident() {
-    let _guard = SPILL_DIR.lock().unwrap();
     let c = corpus(0x59111, 260, 151);
     let (r, s) = corpus_pair(0x5911a, 180, 240, 151);
     for pred in [
@@ -165,7 +141,7 @@ fn spilled_output_bit_identical_to_resident() {
                                 "{what} {pred:?} alg {alg:?} budget {budget}: \
                                  ran a different plan than planned"
                             );
-                            assert!(out.stats.spill_bytes > 0, "spilled run wrote no frames");
+                            assert!(out.stats.spill_bytes > 0, "spilled run built no partition");
                             assert!(out.stats.spill_peak_resident_bytes > 0);
                         }
                     }
@@ -173,10 +149,6 @@ fn spilled_output_bit_identical_to_resident() {
             }
         }
     }
-    assert!(
-        spill_files_for_this_process().is_empty(),
-        "stray spill files left behind"
-    );
 }
 
 /// A budget ABOVE the estimate must not spill: `max_resident_bytes` is a
@@ -194,10 +166,9 @@ fn generous_resident_budget_stays_in_memory() {
 }
 
 /// An asymmetric (non-self) join spills correctly too: both sides are
-/// serialized per partition and the result matches the resident run.
+/// copied per partition and the result matches the resident run.
 #[test]
 fn asymmetric_spilled_join_matches_resident() {
-    let _guard = SPILL_DIR.lock().unwrap();
     let mut rng = StdRng::seed_from_u64(0x59113);
     let mut gen_side = |n: usize| -> Vec<Vec<String>> {
         (0..n)
@@ -228,16 +199,14 @@ fn asymmetric_spilled_join_matches_resident() {
         assert_eq!(keyed(&base.pairs), keyed(&out.pairs), "div {div}");
         assert!(out.stats.spill_partitions >= 2, "div {div} did not spill");
     }
-    assert!(spill_files_for_this_process().is_empty());
 }
 
 /// A self-join handed the same collection twice — `ssjoin(&c, &c, ..)`, as
-/// every packaged join runs a same-slice call — serializes one side per
-/// partition frame: the same pairs as the two-copy join `ssjoin(&c,
+/// every packaged join runs a same-slice call — copies one side per
+/// partition: the same pairs as the two-copy join `ssjoin(&c,
 /// &c.clone(), ..)` under the same budget, with fewer spill bytes.
 #[test]
 fn same_collection_self_join_spills_one_side() {
-    let _guard = SPILL_DIR.lock().unwrap();
     let c = corpus(0x59114, 400, 151);
     let copy = c.clone();
     let est = estimate_memory_bytes(&c, &c);
@@ -266,14 +235,12 @@ fn same_collection_self_join_spills_one_side() {
             );
         }
     }
-    assert!(spill_files_for_this_process().is_empty());
 }
 
 /// Deadline already passed: the spilled run aborts with the typed error
-/// before or during partition work, and the guard removes the temp file.
+/// before or during partition work.
 #[test]
 fn zero_deadline_aborts_spilled_run_cleanly() {
-    let _guard = SPILL_DIR.lock().unwrap();
     let c = corpus(0x59114, 200, 127);
     let pred = OverlapPredicate::two_sided(0.7);
     let est = estimate_memory_bytes(&c, &c);
@@ -290,16 +257,11 @@ fn zero_deadline_aborts_spilled_run_cleanly() {
         }
         other => panic!("expected BudgetExceeded, got {other:?}"),
     }
-    assert!(
-        spill_files_for_this_process().is_empty(),
-        "deadline abort leaked a spill file"
-    );
 }
 
 /// Pre-cancelled token: same clean-abort contract as the deadline.
 #[test]
 fn cancelled_spilled_run_aborts_cleanly() {
-    let _guard = SPILL_DIR.lock().unwrap();
     let c = corpus(0x59115, 200, 127);
     let pred = OverlapPredicate::two_sided(0.7);
     let est = estimate_memory_bytes(&c, &c);
@@ -316,10 +278,6 @@ fn cancelled_spilled_run_aborts_cleanly() {
         }
         other => panic!("expected BudgetExceeded, got {other:?}"),
     }
-    assert!(
-        spill_files_for_this_process().is_empty(),
-        "cancel abort leaked a spill file"
-    );
 }
 
 /// `max_memory_bytes` (the hard rejection cap) applies to the spilled
@@ -328,7 +286,6 @@ fn cancelled_spilled_run_aborts_cleanly() {
 /// rejects.
 #[test]
 fn memory_cap_prices_the_partition_peak_when_spilling() {
-    let _guard = SPILL_DIR.lock().unwrap();
     let c = corpus(0x59116, 220, 131);
     let pred = OverlapPredicate::two_sided(0.7);
     let est = estimate_memory_bytes(&c, &c);
@@ -361,14 +318,12 @@ fn memory_cap_prices_the_partition_peak_when_spilling() {
         }
         other => panic!("expected memory BudgetExceeded, got {other:?}"),
     }
-    assert!(spill_files_for_this_process().is_empty());
 }
 
 /// Workspace reuse across spilled runs: the same workspace serves spilled
 /// and resident runs interchangeably with identical output.
 #[test]
 fn workspace_survives_spilled_and_resident_interleaving() {
-    let _guard = SPILL_DIR.lock().unwrap();
     let c = corpus(0x59117, 180, 101);
     let pred = OverlapPredicate::two_sided(0.7);
     let est = estimate_memory_bytes(&c, &c);
@@ -396,7 +351,6 @@ fn workspace_survives_spilled_and_resident_interleaving() {
         );
         assert_eq!(base, resident, "round {round} resident diverged");
     }
-    assert!(spill_files_for_this_process().is_empty());
 }
 
 /// A probe whose own context carries a resident budget below its estimate
@@ -404,7 +358,6 @@ fn workspace_survives_spilled_and_resident_interleaving() {
 /// pairs, tombstones filtered, epoch-tail inserts visible.
 #[test]
 fn index_probe_spills_under_memory_budget() {
-    let _guard = SPILL_DIR.lock().unwrap();
     let c = corpus(0x59118, 200, 127);
     let pred = OverlapPredicate::two_sided(0.7);
     let est = estimate_memory_bytes(&c, &c);
@@ -447,5 +400,4 @@ fn index_probe_spills_under_memory_budget() {
         "the insert must stay in the epoch tail"
     );
     check(&index, "mutated");
-    assert!(spill_files_for_this_process().is_empty());
 }

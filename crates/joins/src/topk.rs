@@ -46,8 +46,8 @@ pub struct TopKConfig {
     /// [`ExecBudget::max_resident_bytes`](ssjoin_core::ExecBudget::max_resident_bytes).
     /// Probe batches whose working-set estimate exceeds the budget run out
     /// of core through the token-range spill driver with bit-identical
-    /// matches — the knob that lets a long-lived matching service hold
-    /// reference tables larger than RAM. `None` (the default) never spills.
+    /// matches — the knob that bounds a long-lived matching service's probe
+    /// working set. `None` (the default) never spills.
     pub memory_budget: Option<u64>,
     /// Opt-in approximate candidate generation for indexed probes: `Some(r)`
     /// with `r < 1` builds the underlying [`CorpusIndex`] with a seeded LSH
@@ -133,7 +133,6 @@ pub struct TopKIndex {
     /// q-gram length, chosen from `config.min_similarity`.
     q: usize,
     reference: Vec<String>,
-    ref_lens: Vec<usize>,
     encoder: QueryEncoder,
     index: CorpusIndex,
     ss_config: SsJoinConfig,
@@ -192,7 +191,6 @@ impl TopKIndex {
             config,
             q,
             reference: reference.to_vec(),
-            ref_lens,
             encoder,
             index,
             ws: JoinWorkspace::new(),
@@ -309,7 +307,6 @@ impl TopKIndex {
         let len = text.chars().count();
         let id = self.index.insert(&elems, len as f64)?;
         self.reference.push(text.to_string());
-        self.ref_lens.push(len);
         if len < self.short_cutoff {
             self.short_ids.push(id);
         }

@@ -4,8 +4,8 @@
 //! it builds two. The outputs must agree pair for pair with bit-identical
 //! similarities, on every executor, at 1 and 3 threads, and when the join
 //! spills. The spilled run also shows the one-relation build reached the
-//! core: a same-collection self-join writes one side per partition frame,
-//! so it spills fewer bytes than the two-relation run.
+//! core: a same-collection self-join copies one side per partition, so it
+//! spills fewer bytes than the two-relation run.
 
 use ssjoin_core::{Algorithm, ExecBudget, ExecContext, SsJoinResult};
 use ssjoin_joins::{
@@ -58,7 +58,7 @@ fn one_vs_two<T: Clone>(
 }
 
 /// The executor × threads matrix, then one spilled run whose spill bytes
-/// show the self-join wrote one side.
+/// show the self-join copied one side.
 fn check_with_exec<T: Clone>(what: &str, join: &Join<T>, data: &[T]) {
     for algorithm in ALGORITHMS {
         for threads in [1, 3] {

@@ -184,6 +184,48 @@ fn join_plan_line_reports_what_ran() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A spilled join builds its partitions from the resident inputs and writes
+/// no temp file: with `TMPDIR` naming a directory that does not exist, the
+/// one-file join under a budget still spills and writes the unbudgeted
+/// join's bytes.
+#[test]
+fn spilled_join_needs_no_temp_dir() {
+    let dir = temp_dir("spill_no_tmpdir");
+    let data = dir.join("data.tsv");
+    let missing = dir.join("missing");
+    assert!(!missing.exists());
+    let out = bin()
+        .args(["gen", "--rows", "300", "--seed", "9", "--out"])
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let join = |name: &str, extra: &[&str]| {
+        let rows = dir.join(name);
+        let out = bin()
+            .env("TMPDIR", &missing)
+            .args(["join", "--kind", "jaccard", "--threshold", "0.8"])
+            .args(extra)
+            .arg("--out")
+            .arg(&rows)
+            .arg(&data)
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{extra:?}: {err}");
+        (std::fs::read(&rows).unwrap(), err)
+    };
+    let (plain, _) = join("plain.tsv", &[]);
+    let (spilled, err) = join("spilled.tsv", &["--memory-budget", "16k"]);
+    assert!(
+        err.starts_with("plan: ") && err.contains(" spill="),
+        "{err:?}"
+    );
+    assert!(!plain.is_empty(), "the join found no pairs");
+    assert_eq!(spilled, plain, "a spilled join writes the same bytes");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Join output goes through one escaping writer, to a file or to stdout: a
 /// field holding a tab, a newline or a backslash (read from its escaped TSV
 /// form) comes out escaped on stdout exactly as in the `--out` file.
