@@ -415,23 +415,41 @@ fn naive(scale: f64, report: &mut Report) {
 
     let (naive_pairs, naive_stats) = naive_join(&data, &data, theta, |a, b| edit_similarity(a, b));
 
+    // The SSJoin pairs and similarities must be the cross product's, bit
+    // for bit.
+    let ours_keyed = ours
+        .pairs
+        .iter()
+        .map(|p| (p.r, p.s, p.similarity.to_bits()));
+    let naive_keyed = naive_pairs.iter().map(|&(r, s, sim)| (r, s, sim.to_bits()));
+    let equal = ours_keyed.eq(naive_keyed);
+
     let mut t = Table::new(
         format!("Naive UDF cross product vs SSJoin ({rows} rows, edit 0.85)"),
-        &["Strategy", "Comparisons", "Time ms", "Pairs"],
+        &[
+            "Strategy",
+            "Comparisons",
+            "Time ms",
+            "Pairs",
+            "Output equal",
+        ],
     );
     t.row(vec![
         "SSJoin (inline)".into(),
         count(ours.udf_verifications),
         ms(ssjoin_time),
         count(ours.pairs.len() as u64),
+        if equal { "yes".into() } else { "NO".into() },
     ]);
     t.row(vec![
         "UDF cross product".into(),
         count(naive_stats.comparisons),
         ms(naive_stats.elapsed),
         count(naive_pairs.len() as u64),
+        "-".into(),
     ]);
     report.table(t);
+    report.metric_str("naive.output_equal", if equal { "true" } else { "false" });
 }
 
 /// Ablation (§4.3.2): the global element order drives prefix-join size.

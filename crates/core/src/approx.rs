@@ -559,6 +559,9 @@ fn candidate_phase(
                 continue;
             }
             let rid = rid as u32;
+            // A leaf lists ids in no norm order, so each entry is tested
+            // against the probe's window.
+            let window = prune.window(rid, false);
             candidates.clear();
             for rep in 0..sketch.reps {
                 let leaf = if same && (rid as usize) < sketch.n {
@@ -571,7 +574,7 @@ fn candidate_phase(
                 };
                 for &sid in leaf {
                     stats.join_tuples += 1;
-                    if stamp[sid as usize] != rid {
+                    if stamp[sid as usize] != rid && window.contains(&sid) {
                         stamp[sid as usize] = rid;
                         candidates.push(sid);
                     }

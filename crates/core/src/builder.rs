@@ -119,6 +119,11 @@ pub enum TokenGroups<'a> {
         rows: &'a [String],
         /// Cuts each row into its token multiset.
         tokenizer: &'a (dyn Tokenizer + Sync),
+        /// The row each group reads, when the groups take the rows in
+        /// another order (a permutation of the row indices); `None` reads
+        /// row `i` as group `i`. The edit join passes the rows' length
+        /// order, without copying a row.
+        order: Option<&'a [u32]>,
     },
 }
 
@@ -126,7 +131,7 @@ impl TokenGroups<'_> {
     fn len(&self) -> usize {
         match self {
             TokenGroups::Tokenized(groups) => groups.len(),
-            TokenGroups::Text { rows, .. } => rows.len(),
+            TokenGroups::Text { rows, order, .. } => order.map_or(rows.len(), <[u32]>::len),
         }
     }
 
@@ -134,8 +139,13 @@ impl TokenGroups<'_> {
     fn visit(&self, group: usize, scratch: &mut String, f: &mut dyn FnMut(&str)) {
         match self {
             TokenGroups::Tokenized(groups) => groups[group].iter().for_each(|t| f(t)),
-            TokenGroups::Text { rows, tokenizer } => {
-                tokenizer.for_each_token(&rows[group], scratch, f)
+            TokenGroups::Text {
+                rows,
+                tokenizer,
+                order,
+            } => {
+                let row = order.map_or(group, |order| order[group] as usize);
+                tokenizer.for_each_token(&rows[row], scratch, f)
             }
         }
     }
@@ -1172,6 +1182,7 @@ mod tests {
                                 let rows = TokenGroups::Text {
                                     rows: side,
                                     tokenizer: *tok,
+                                    order: None,
                                 };
                                 text.add_groups(rows, norm.clone());
                                 groups.add_relation_with_norm(g.clone(), norm.clone());

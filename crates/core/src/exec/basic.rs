@@ -9,7 +9,8 @@
 //!
 //! A symmetric self-join takes the half path of [`super::run_probes`]:
 //! probe `rid` accumulates only over S ids `≤ rid`, and the lower triangle
-//! is mirrored into the full output.
+//! is mirrored into the full output. Each probe accumulates only over its
+//! id window ([`super::Prune::window`]).
 
 use super::prune::{join_bounds_into, Prune};
 use super::workspace::{JoinWorkspace, WorkerScratch};
@@ -69,13 +70,9 @@ pub(super) fn run(
                 let out_before = pairs.len();
                 let rset = r.set(rid as u32);
                 let rid = rid as u32;
+                let window = prune.window(rid, half);
                 for (&rank, &w) in rset.ranks().iter().zip(rset.weights()) {
-                    let postings = if half {
-                        index.postings_upto(rank, rid)
-                    } else {
-                        index.postings(rank)
-                    };
-                    for &sid in postings {
+                    for &sid in index.postings_in(rank, window.clone()) {
                         if acc[sid as usize].is_zero() {
                             touched.push(sid);
                         }

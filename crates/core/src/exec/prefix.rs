@@ -18,7 +18,9 @@
 //! A symmetric self-join takes the half path of [`super::run_probes`]: probe
 //! `rid` walks each prefix rank's postings only up to `rid`, so every
 //! unordered pair is found, deduplicated, bitmap-probed and merged once, and
-//! the lower triangle is mirrored into the full output.
+//! the lower triangle is mirrored into the full output. Under a norm-ratio
+//! predicate over norm-sorted sets, each probe walks only its partner
+//! window's id range of every list ([`super::Prune::window`]).
 
 use super::prune::{bounds_into, join_bounds_into, Prune, SetBound};
 use super::workspace::{CsrIndex, JoinWorkspace, WorkerScratch};
@@ -201,14 +203,13 @@ fn candidate_phase(
                 }
                 let rset = r.set(rid as u32);
                 let rid = rid as u32;
+                let window = prune.window(rid, half);
+                if window.is_empty() {
+                    continue;
+                }
                 candidates.clear();
                 for &rank in &rset.ranks()[..plen] {
-                    let postings = if half {
-                        s_index.postings_upto(rank, rid)
-                    } else {
-                        s_index.postings(rank)
-                    };
-                    for &sid in postings {
+                    for &sid in s_index.postings_in(rank, window.clone()) {
                         stats.join_tuples += 1;
                         if stamp[sid as usize] != rid {
                             stamp[sid as usize] = rid;

@@ -20,6 +20,15 @@
 //! The per-set values ([`SetBound`]) live in buffers pooled by
 //! [`super::JoinWorkspace`], or, for a persistent index's corpus, in the
 //! [`crate::CorpusIndex`] itself.
+//!
+//! The prune also owns each probe's id window ([`Prune::window`]). A
+//! predicate with a norm ratio ([`OverlapPredicate::norm_ratio`]) admits,
+//! for a probe of norm `n`, only partners of norm about `[ρ·n, n/ρ]`. When
+//! the S side's norms are sorted by id ([`SetCollection::norms_sorted`])
+//! those partners are one id range, found once per probe by binary search,
+//! and every candidate generator draws only from it. Otherwise the window
+//! spans all of S and [`Prune::retain`] drops the incompatible candidates
+//! one by one, so the output never depends on the id order.
 
 use super::prefix::Side;
 use crate::predicate::OverlapPredicate;
@@ -97,6 +106,12 @@ pub(crate) struct Prune<'a> {
     s_bounds: &'a [SetBound],
     /// The predicate, when it does not split and so is evaluated per pair.
     per_pair: Option<&'a OverlapPredicate>,
+    /// The predicate, when it declares a norm ratio and `s` is norm-sorted:
+    /// each probe's id window enforces the ratio.
+    windowed: Option<&'a OverlapPredicate>,
+    /// The predicate, when it declares a norm ratio but `s` is not
+    /// norm-sorted: each candidate is checked instead.
+    ratio_per_pair: Option<&'a OverlapPredicate>,
     /// `ExecContext::bitmap_filter`.
     filter: bool,
 }
@@ -116,14 +131,39 @@ impl<'a> Prune<'a> {
     ) -> Self {
         debug_assert_eq!(r_bounds.len(), r.len());
         debug_assert!(s_bounds.len() <= s.len());
+        let ratio = pred.norm_ratio().map(|_| pred);
+        let sorted = s.norms_sorted();
         Self {
             r,
             s,
             r_bounds,
             s_bounds,
             per_pair: pred.split().is_none().then_some(pred),
+            windowed: ratio.filter(|_| sorted),
+            ratio_per_pair: ratio.filter(|_| !sorted),
             filter,
         }
+    }
+
+    /// The S ids probe `rid` may pair with: its partner window
+    /// ([`OverlapPredicate::partner_window`]) when the predicate declares a
+    /// norm ratio and S is norm-sorted, all of S otherwise, and on a
+    /// symmetric self-join's lower-triangle walk (`half`) only ids `≤ rid`.
+    #[inline]
+    pub(crate) fn window(&self, rid: u32, half: bool) -> std::ops::Range<u32> {
+        let norms = self.s.norms();
+        let mut ids = match self.windowed {
+            Some(pred) => {
+                let w = pred.partner_window(self.r.norms()[rid as usize], norms);
+                w.start as u32..w.end as u32
+            }
+            None => 0..norms.len() as u32,
+        };
+        if half {
+            ids.end = ids.end.min(rid + 1);
+        }
+        ids.start = ids.start.min(ids.end);
+        ids
     }
 
     /// The required overlap of the pair `(rid, sid)`: bit for bit
@@ -142,11 +182,18 @@ impl<'a> Prune<'a> {
         }
     }
 
-    /// True when the bitmap filter is on and the two signatures prove that
-    /// `(rid, sid)` cannot reach its required overlap. Counts the probe and
-    /// the prune in `stats`.
+    /// True when `(rid, sid)` fails a norm ratio that the probe's window
+    /// could not enforce, or when the bitmap filter is on and the two
+    /// signatures prove that the pair cannot reach its required overlap.
+    /// Counts the bitmap probe and prune in `stats`.
     #[inline]
     pub(crate) fn prunes(&self, rid: u32, sid: u32, stats: &mut SsJoinStats) -> bool {
+        if let Some(pred) = self.ratio_per_pair {
+            let (a, b) = (self.r.norms()[rid as usize], self.s.norms()[sid as usize]);
+            if !pred.norms_compatible(a, b) {
+                return true;
+            }
+        }
         if !self.filter {
             return false;
         }
@@ -166,7 +213,7 @@ impl<'a> Prune<'a> {
     /// keeping the survivors in their order.
     #[inline]
     pub(crate) fn retain(&self, rid: u32, candidates: &mut Vec<u32>, stats: &mut SsJoinStats) {
-        if self.filter {
+        if self.filter || self.ratio_per_pair.is_some() {
             candidates.retain(|&sid| !self.prunes(rid, sid, stats));
         }
     }

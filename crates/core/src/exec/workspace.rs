@@ -79,12 +79,25 @@ impl CsrIndex {
         &self.postings[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
 
-    /// Ids of the sets containing `rank` that are `≤ last`, ascending — the
-    /// lower-triangle walk of a symmetric self-join's probe `last`.
+    /// Ids of the sets containing `rank` that lie in `window`, ascending:
+    /// the probe window of [`super::Prune::window`] (a norm-ratio
+    /// predicate's partners over norm-sorted sets, cut to `..=rid` on a
+    /// symmetric self-join's lower-triangle walk) cut from the id-sorted
+    /// list by at most two binary searches.
     #[inline]
-    pub(crate) fn postings_upto(&self, rank: u32, last: u32) -> &[u32] {
+    pub(crate) fn postings_in(&self, rank: u32, window: std::ops::Range<u32>) -> &[u32] {
         let ids = self.postings(rank);
-        &ids[..ids.partition_point(|&id| id <= last)]
+        let lo = if window.start == 0 {
+            0
+        } else {
+            ids.partition_point(|&id| id < window.start)
+        };
+        let hi = if ids.last().is_none_or(|&id| id < window.end) {
+            ids.len()
+        } else {
+            ids.partition_point(|&id| id < window.end)
+        };
+        &ids[lo..hi]
     }
 
     pub(crate) fn bytes_reserved(&self) -> u64 {

@@ -18,6 +18,13 @@
 //! positive: a required overlap that evaluates to ≤ 0 is clamped to the
 //! smallest positive weight, i.e. joined groups must share at least one
 //! element.
+//!
+//! Besides its overlap conjuncts, a predicate may declare one norm-ratio
+//! conjunct, `min(R.norm, S.norm) ≥ ρ·max(R.norm, S.norm)` — Gravano et
+//! al.'s length filter, which the edit join declares from its threshold.
+//! For a norm `n ≥ 0` its compatible partner norms form one interval around
+//! `n`, about `[ρ·n, n/ρ]` ([`OverlapPredicate::partner_window`]), so over
+//! norm-sorted sets the executors cut every posting list to one id range.
 
 use crate::weight::Weight;
 
@@ -259,10 +266,14 @@ impl std::fmt::Display for NormExpr {
     }
 }
 
-/// An SSJoin predicate: `⋀ᵢ Overlap ≥ eᵢ`, i.e. `Overlap ≥ maxᵢ eᵢ`.
+/// An SSJoin predicate: `⋀ᵢ Overlap ≥ eᵢ`, i.e. `Overlap ≥ maxᵢ eᵢ`, and
+/// optionally the norm-ratio conjunct `min(R.norm, S.norm) ≥
+/// ρ·max(R.norm, S.norm)` ([`Self::with_norm_ratio`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverlapPredicate {
     conjuncts: Vec<NormExpr>,
+    /// The declared norm ratio ρ ∈ (0, 1], if any.
+    norm_ratio: Option<f64>,
 }
 
 impl std::fmt::Display for OverlapPredicate {
@@ -272,6 +283,9 @@ impl std::fmt::Display for OverlapPredicate {
                 f.write_str(" AND ")?;
             }
             write!(f, "Overlap >= {e}")?;
+        }
+        if let Some(rho) = self.norm_ratio {
+            write!(f, " AND min(R.norm, S.norm) >= {rho} * max(R.norm, S.norm)")?;
         }
         Ok(())
     }
@@ -287,7 +301,56 @@ impl OverlapPredicate {
             !conjuncts.is_empty(),
             "predicate needs at least one conjunct"
         );
-        Self { conjuncts }
+        Self {
+            conjuncts,
+            norm_ratio: None,
+        }
+    }
+
+    /// Add the norm-ratio conjunct `min(R.norm, S.norm) ≥ rho·max(R.norm,
+    /// S.norm)`. Norms are taken to be non-negative. A join declares it only
+    /// where its answer implies it — the edit join, from the threshold, since
+    /// `ED(r, s) ≥ ||r| − |s||` — because the operator then drops every pair
+    /// outside it, whatever its overlap.
+    ///
+    /// # Panics
+    /// Panics unless `0 < rho ≤ 1`.
+    pub fn with_norm_ratio(mut self, rho: f64) -> Self {
+        assert!(
+            rho > 0.0 && rho <= 1.0,
+            "norm ratio must be in (0, 1], got {rho}"
+        );
+        self.norm_ratio = Some(rho);
+        self
+    }
+
+    /// The declared norm ratio ρ, if any.
+    pub fn norm_ratio(&self) -> Option<f64> {
+        self.norm_ratio
+    }
+
+    /// True when norms `a` and `b` satisfy the norm-ratio conjunct:
+    /// `min(a, b) ≥ ρ·max(a, b)`, always true without one. Symmetric in its
+    /// arguments bit for bit.
+    #[inline]
+    pub fn norms_compatible(&self, a: f64, b: f64) -> bool {
+        self.norm_ratio.is_none_or(|rho| a.min(b) >= rho * a.max(b))
+    }
+
+    /// The ids of `sorted_norms` (non-decreasing, non-negative) whose norms
+    /// are compatible partners of norm `n` ([`Self::norms_compatible`]): one
+    /// contiguous range, about `[ρ·n, n/ρ]` in norm, found by two binary
+    /// searches that apply the conjunct itself, so the range holds exactly
+    /// the compatible ids. The whole slice without a declared ratio.
+    pub fn partner_window(&self, n: f64, sorted_norms: &[f64]) -> std::ops::Range<usize> {
+        let Some(rho) = self.norm_ratio else {
+            return 0..sorted_norms.len();
+        };
+        // Below n a partner m needs m ≥ ρ·n; above n it needs n ≥ ρ·m,
+        // which fails for a suffix of the larger norms.
+        let lo = sorted_norms.partition_point(|&m| m < n && m < rho * n);
+        let hi = sorted_norms.partition_point(|&m| m <= n || n >= rho * m);
+        lo..hi
     }
 
     /// Absolute overlap: `Overlap ≥ alpha` (Example 2, first form).
@@ -330,9 +393,10 @@ impl OverlapPredicate {
         Weight::from_f64_threshold(t).max(Weight::EPSILON)
     }
 
-    /// Check the predicate for a pair.
+    /// Check the predicate for a pair: its overlap conjuncts and its norm
+    /// ratio.
     pub fn check(&self, overlap: Weight, r_norm: f64, s_norm: f64) -> bool {
-        overlap >= self.required_overlap(r_norm, s_norm)
+        self.norms_compatible(r_norm, s_norm) && overlap >= self.required_overlap(r_norm, s_norm)
     }
 
     /// Safe lower bound of the required overlap for an `R`-side set with
@@ -394,7 +458,8 @@ impl OverlapPredicate {
     /// `(j, i)` does. Holds for [`Self::absolute`], [`Self::two_sided`],
     /// Property 4's `max(R.norm, S.norm)` form and cosine's
     /// `c · R.norm · S.norm`; fails for [`Self::r_normalized`] and
-    /// [`Self::s_normalized`]. Structural and allocation-free.
+    /// [`Self::s_normalized`]. A norm ratio is symmetric by construction.
+    /// Structural and allocation-free.
     pub fn is_symmetric(&self) -> bool {
         self.conjuncts
             .iter()
@@ -727,6 +792,61 @@ mod tests {
             Box::new(NormExpr::Const(2.0)),
         );
         assert_eq!(e.to_string(), "(max(R.norm, S.norm) - 2)");
+    }
+
+    #[test]
+    fn norm_ratio_conjunct() {
+        let p = OverlapPredicate::absolute(1.0).with_norm_ratio(0.8);
+        assert_eq!(p.norm_ratio(), Some(0.8));
+        assert_eq!(
+            p.to_string(),
+            "Overlap >= 1 AND min(R.norm, S.norm) >= 0.8 * max(R.norm, S.norm)"
+        );
+        assert!(p.is_symmetric());
+        assert!(!OverlapPredicate::r_normalized(0.5)
+            .with_norm_ratio(0.8)
+            .is_symmetric());
+        // The ratio is part of the check, whatever the overlap.
+        assert!(p.check(w(5.0), 10.0, 8.0));
+        assert!(!p.check(w(5.0), 10.0, 7.9));
+        assert!(!p.check(w(5.0), 7.9, 10.0));
+        assert!(OverlapPredicate::absolute(1.0).check(w(5.0), 10.0, 1.0));
+    }
+
+    #[test]
+    fn partner_window_holds_exactly_the_compatible_norms() {
+        let norms: Vec<f64> = random_norms(5, 200)
+            .into_iter()
+            .filter(|n| *n < 1e9)
+            .chain((0..60).map(f64::from))
+            .collect();
+        let mut sorted = norms.clone();
+        sorted.sort_by(f64::total_cmp);
+        for rho in [0.1, 0.5, 0.8, 0.85 - 1e-12, 0.9, 0.999_999, 1.0] {
+            let p = OverlapPredicate::absolute(1.0).with_norm_ratio(rho);
+            for &n in &norms {
+                let window = p.partner_window(n, &sorted);
+                for (i, &m) in sorted.iter().enumerate() {
+                    assert_eq!(
+                        window.contains(&i),
+                        p.norms_compatible(n, m),
+                        "rho {rho} n {n} m {m}"
+                    );
+                    assert_eq!(p.norms_compatible(n, m), p.norms_compatible(m, n));
+                }
+            }
+        }
+        // Without a ratio the window is everything.
+        assert_eq!(
+            OverlapPredicate::absolute(1.0).partner_window(3.0, &sorted),
+            0..sorted.len()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "norm ratio must be in (0, 1]")]
+    fn norm_ratio_out_of_range_panics() {
+        let _ = OverlapPredicate::absolute(1.0).with_norm_ratio(1.5);
     }
 
     #[test]

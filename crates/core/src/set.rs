@@ -255,6 +255,8 @@ pub struct SetCollection {
     universe_tag: u64,
     /// Cached smallest/largest norm across groups (`None` when empty).
     norm_range: Option<(f64, f64)>,
+    /// Cached: the norms are non-decreasing in id order (true when empty).
+    norms_sorted: bool,
 }
 
 impl SetCollection {
@@ -378,6 +380,7 @@ impl SetCollection {
         }
         let id = self.len() as u32;
         self.offsets.push(self.ranks.len() as u32);
+        self.norms_sorted &= self.norms.last().is_none_or(|&last| last <= norm);
         self.norms.push(norm);
         self.records.push(SetRecord {
             sig,
@@ -417,6 +420,7 @@ impl SetCollection {
         self.universe_size = universe_size;
         self.universe_tag = universe_tag;
         self.norm_range = None;
+        self.norms_sorted = true;
     }
 
     /// An empty collection over the universe of `universe_size` ranks
@@ -432,6 +436,7 @@ impl SetCollection {
             universe_size,
             universe_tag,
             norm_range: None,
+            norms_sorted: true,
         }
     }
 
@@ -444,7 +449,9 @@ impl SetCollection {
 
     /// Append every set of `other` (same universe), in order: the builder
     /// concatenates its per-chunk arenas with it. An empty `self` takes
-    /// `other`'s buffers without copying.
+    /// `other`'s buffers without copying; otherwise each of `other`'s
+    /// columns is freed as soon as it is copied, so the concatenation holds
+    /// at most one column twice.
     ///
     /// # Errors
     /// [`SsJoinError::TooManyElements`] / [`SsJoinError::TooManyGroups`] on
@@ -465,15 +472,35 @@ impl SetCollection {
                 groups: self.len() + other.len(),
             });
         }
+        let SetCollection {
+            offsets,
+            ranks,
+            weights,
+            suffix,
+            norms,
+            records,
+            norm_range,
+            norms_sorted,
+            ..
+        } = other;
         let base = self.ranks.len() as u32;
-        self.offsets
-            .extend(other.offsets[1..].iter().map(|&o| base + o));
-        self.ranks.extend_from_slice(&other.ranks);
-        self.weights.extend_from_slice(&other.weights);
-        self.suffix.extend_from_slice(&other.suffix);
-        self.norms.extend_from_slice(&other.norms);
-        self.records.extend_from_slice(&other.records);
-        self.norm_range = match (self.norm_range, other.norm_range) {
+        self.offsets.extend(offsets[1..].iter().map(|&o| base + o));
+        drop(offsets);
+        self.ranks.extend_from_slice(&ranks);
+        drop(ranks);
+        self.weights.extend_from_slice(&weights);
+        drop(weights);
+        self.suffix.extend_from_slice(&suffix);
+        drop(suffix);
+        self.norms_sorted &= norms_sorted
+            && match (self.norms.last(), norms.first()) {
+                (Some(&last), Some(&first)) => last <= first,
+                _ => true,
+            };
+        self.norms.extend_from_slice(&norms);
+        drop(norms);
+        self.records.extend_from_slice(&records);
+        self.norm_range = match (self.norm_range, norm_range) {
             (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
             (range, None) | (None, range) => range,
         };
@@ -538,6 +565,14 @@ impl SetCollection {
     /// construction — O(1).
     pub fn norm_range(&self) -> Option<(f64, f64)> {
         self.norm_range
+    }
+
+    /// True when the norms are non-decreasing in id order (and when the
+    /// collection is empty). Then a norm-ratio predicate's partners of any
+    /// probe form one id range ([`crate::OverlapPredicate::partner_window`]).
+    /// Cached and kept current by every append — O(1).
+    pub fn norms_sorted(&self) -> bool {
+        self.norms_sorted
     }
 
     pub(crate) fn universe_tag(&self) -> u64 {
@@ -900,6 +935,42 @@ mod tests {
         assert_eq!(c.norm_range(), Some((1.0, 3.0)));
         let empty = SetCollection::from_sets(vec![], 0, 0).unwrap();
         assert_eq!(empty.norm_range(), None);
+    }
+
+    #[test]
+    fn norms_sorted_tracks_every_append() {
+        let mk = |norms: &[f64]| {
+            let sets = norms.iter().map(|&n| (vec![(0u32, Weight::ONE)], n));
+            SetCollection::from_sets(sets.collect(), 1, 0).unwrap()
+        };
+        assert!(mk(&[]).norms_sorted());
+        assert!(mk(&[1.0, 1.0, 2.0]).norms_sorted());
+        assert!(!mk(&[1.0, 3.0, 2.0]).norms_sorted());
+        // push_set: an equal norm keeps the order, a smaller one breaks it.
+        let mut c = mk(&[1.0, 2.0]);
+        c.push_set(&[(0, Weight::ONE)], 2.0).unwrap();
+        assert!(c.norms_sorted());
+        c.push_set(&[(0, Weight::ONE)], 0.5).unwrap();
+        assert!(!c.norms_sorted());
+        // reset starts over.
+        c.reset_for_universe(1, 0);
+        assert!(c.norms_sorted());
+        c.push_set_presorted(&[0], &[Weight::ONE], 4.0);
+        assert!(c.norms_sorted());
+        // append: both halves sorted and joined in order, or not.
+        for (a, b, sorted) in [
+            (&[1.0, 2.0][..], &[2.0, 3.0][..], true),
+            (&[1.0, 2.0], &[1.5], false),
+            (&[1.0, 2.0], &[3.0, 2.5], false),
+            (&[2.0, 1.0], &[3.0], false),
+            (&[1.0], &[], true),
+            (&[], &[2.0, 1.0], false),
+        ] {
+            let mut c = mk(a);
+            c.append(mk(b)).unwrap();
+            assert_eq!(c.norms_sorted(), sorted, "{a:?} ++ {b:?}");
+            assert_eq!(c.len(), a.len() + b.len());
+        }
     }
 
     #[test]

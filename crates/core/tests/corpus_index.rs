@@ -410,3 +410,48 @@ fn probe_matches_fresh_join_under_custom_norms() {
         }
     }
 }
+
+/// A corpus built in norm order reports it, and keeps it through an
+/// in-order insert, so its probes window each posting list by id. An
+/// out-of-order insert clears the flag; probes then check the norm ratio
+/// per candidate. Either way a probe of the churned index equals one of a
+/// fresh rebuild over the same arena, and the brute-force oracle.
+#[test]
+fn norm_order_flag_follows_inserts() {
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0x5027_u64.wrapping_add(seed));
+        let pred = random_predicate(&mut rng).with_norm_ratio(0.3 + 0.7 * rng.gen_f64());
+        let mut groups = random_groups(&mut rng);
+        groups.sort_by_key(Vec::len);
+        let mut b = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+        let ch = b.add_relation_with_norm(groups, NormKind::Cardinality);
+        let bh = b.add_relation_with_norm(random_groups(&mut rng), NormKind::Cardinality);
+        let built = b.build().unwrap();
+        let (corpus, batch) = (built.collection(ch), built.collection(bh));
+        assert!(corpus.norms_sorted(), "seed {seed}");
+        let mut index =
+            CorpusIndex::build(corpus.clone(), pred.clone(), &ExecContext::new()).unwrap();
+        let mut ws = JoinWorkspace::new();
+        let last = corpus.len() as u32 - 1;
+        let (elems, top) = elements_of(corpus, last);
+        let top = top.max(1.0);
+        // In order: the largest norm again, then a smaller one.
+        for (norm, sorted) in [(top, true), (top / 2.0, false)] {
+            index.insert(&elems, norm).unwrap();
+            assert_eq!(index.corpus().norms_sorted(), sorted, "seed {seed}");
+            let fresh =
+                CorpusIndex::build(index.corpus().clone(), pred.clone(), &ExecContext::new())
+                    .unwrap();
+            let mut fresh_ws = JoinWorkspace::new();
+            let expect = oracle_live(batch, &index, &pred);
+            for alg in ALGORITHMS {
+                let config = SsJoinConfig::new(alg);
+                let probed = keys(index.probe(batch, &config, &mut ws).unwrap().pairs);
+                let rebuilt = keys(fresh.probe(batch, &config, &mut fresh_ws).unwrap().pairs);
+                let ctx = format!("seed {seed} {alg:?} sorted {sorted} {pred}");
+                assert_eq!(probed, rebuilt, "{ctx}");
+                assert_eq!(probed, expect, "{ctx}");
+            }
+        }
+    }
+}

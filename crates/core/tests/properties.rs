@@ -6,8 +6,8 @@
 use ssjoin_core::kernel::{overlap_at_least, overlap_gallop, verify_overlap};
 use ssjoin_core::plan::{basic_plan, collection_to_relation, inline_plan, prefix_plan, run_plan};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, ExecContext, JoinPair, OverlapPredicate, SetCollection,
-    SsJoinConfig, SsJoinInputBuilder, SsJoinStats, Weight, WeightScheme,
+    ssjoin, Algorithm, ElementOrder, ExecBudget, ExecContext, JoinPair, NormKind, OverlapPredicate,
+    SetCollection, SsJoinConfig, SsJoinInputBuilder, SsJoinStats, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 use std::sync::Arc;
@@ -489,6 +489,69 @@ fn self_join_symmetry() {
                 keys.contains(&(j, i)),
                 "seed {seed}, missing mirror of ({i},{j})"
             );
+        }
+    }
+}
+
+/// A predicate with a norm ratio gives the oracle's answer whether the
+/// sets' ids follow their norms (each probe then walks one id window of
+/// every posting list) or not (each candidate's norms are checked instead):
+/// on the self-join's half path and the two-relation path, under every
+/// executor, at 1 and 3 workers, resident and spilled. Approximate output
+/// stays a subset of it.
+#[test]
+fn norm_ratio_matches_oracle_in_and_out_of_norm_order() {
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(0x4A71 + seed);
+        let pred = random_predicate(&mut rng).with_norm_ratio(0.2 + 0.8 * rng.gen_f64());
+        let mut groups = random_groups(&mut rng);
+        let others = random_groups(&mut rng);
+        for sorted in [false, true] {
+            if sorted {
+                groups.sort_by_key(Vec::len);
+            }
+            // Unweighted cardinality norms: sorting the groups by size sorts
+            // the norms.
+            let mut b =
+                SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+            let ch = b.add_relation_with_norm(groups.clone(), NormKind::Cardinality);
+            let oh = b.add_relation_with_norm(others.clone(), NormKind::Cardinality);
+            let built = b.build().unwrap();
+            let (c, o) = (built.collection(ch), built.collection(oh));
+            assert!(!sorted || c.norms_sorted(), "seed {seed}");
+            for (r, s) in [(c, c), (o, c)] {
+                let expect = oracle(r, s, &pred);
+                for alg in [
+                    Algorithm::Basic,
+                    Algorithm::PrefixFiltered,
+                    Algorithm::Inline,
+                ] {
+                    for threads in [1, 3] {
+                        for resident in [None, Some(1)] {
+                            let mut budget = ExecBudget::new();
+                            if let Some(bytes) = resident {
+                                budget = budget.with_max_resident_bytes(bytes);
+                            }
+                            let exec = ExecContext::new().with_threads(threads).with_budget(budget);
+                            let out = ssjoin(r, s, &pred, &SsJoinConfig::new(alg).with_exec(exec))
+                                .unwrap();
+                            assert_eq!(
+                                pairs_to_keys(&out.pairs),
+                                expect,
+                                "seed {seed} sorted {sorted} self {} {alg:?} threads {threads} \
+                                 resident {resident:?} {pred}",
+                                std::ptr::eq(r, s)
+                            );
+                        }
+                    }
+                }
+                let approx =
+                    SsJoinConfig::default().with_exec(ExecContext::new().with_approximate(0.9));
+                let out = ssjoin(r, s, &pred, &approx).unwrap();
+                for key in pairs_to_keys(&out.pairs) {
+                    assert!(expect.contains(&key), "seed {seed} sorted {sorted} {key:?}");
+                }
+            }
         }
     }
 }

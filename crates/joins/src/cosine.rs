@@ -149,6 +149,7 @@ pub fn cosine_join(
     let (r_rows, s_rows) = sides(r, s, |xs| TokenGroups::Text {
         rows: xs,
         tokenizer: &tok,
+        order: None,
     });
     cosine_join_groups(r_rows, s_rows, config)
 }

@@ -21,7 +21,8 @@
 //! brute-force check, so the join is correct for every input.
 
 use crate::common::{
-    run_join, sides, verify_candidates, verify_uncovered, JoinSpec, SimilarityJoinOutput,
+    check_threshold, run_join, sides, verify_candidates, verify_uncovered, JoinSpec, Relation,
+    SimilarityJoinOutput,
 };
 use ssjoin_core::{
     Algorithm, ElementOrder, ExecContext, JoinPair, NormExpr, NormKind, OverlapPredicate,
@@ -122,7 +123,9 @@ pub(crate) fn short_cutoff(alpha: f64, q: usize) -> usize {
 }
 
 /// The Property-4 predicate at threshold `alpha` over string-length norms:
-/// `Overlap ≥ max(R.norm, S.norm)·(1 − (1−α)q) − (q − 1)`.
+/// `Overlap ≥ max(R.norm, S.norm)·(1 − (1−α)q) − (q − 1)`, with the length
+/// filter `min(R.norm, S.norm) ≥ ρ·max(R.norm, S.norm)` as its norm ratio
+/// ([`length_ratio`]).
 pub(crate) fn property4_predicate(alpha: f64, q: usize) -> OverlapPredicate {
     OverlapPredicate::new(vec![NormExpr::Sub(
         Box::new(NormExpr::Mul(
@@ -134,11 +137,67 @@ pub(crate) fn property4_predicate(alpha: f64, q: usize) -> OverlapPredicate {
         )),
         Box::new(NormExpr::Const(q as f64 - 1.0)),
     )])
+    .with_norm_ratio(length_ratio(alpha))
+}
+
+/// The length ratio ρ of threshold `alpha` ∈ (0, 1] (Gravano et al.'s
+/// length filter). `ES(r, s) ≥ α` needs `ED ≤ edit_distance_budget(max, α)`,
+/// and `ED ≥ max − min`, so `min ≥ max − budget ≈ α·max`. The budget
+/// absorbs float rounding in the similarity test, so ρ sits a relative
+/// 1e-9 below α: every such pair then passes `min ≥ ρ·max` in f64 (checked
+/// for every max length up to 1,024).
+pub(crate) fn length_ratio(alpha: f64) -> f64 {
+    alpha * (1.0 - 1e-9)
+}
+
+/// One side of an edit join in build order: each row's length in chars, and
+/// the row indices sorted by (length, index). Built in that order, the
+/// side's norms are sorted, so every probe's length window is one id range
+/// of each posting list.
+struct LengthOrder {
+    /// Length of row `i`, in row order.
+    lens: Vec<usize>,
+    /// Set id `k` is row `order[k]`.
+    order: Vec<u32>,
+}
+
+impl LengthOrder {
+    fn of(rows: &[String]) -> Self {
+        let lens: Vec<usize> = rows.iter().map(|x| x.chars().count()).collect();
+        let mut order: Vec<u32> = (0..rows.len()).map(|i| i as u32).collect();
+        order.sort_by_key(|&i| lens[i as usize]);
+        Self { lens, order }
+    }
+
+    /// The side's relation: the q-gram sets of `rows` in length order, with
+    /// the lengths as norms.
+    fn relation<'a>(&'a self, rows: &'a [String], tok: &'a QGramTokenizer) -> Relation<'a> {
+        let norms = self.order.iter().map(|&i| self.lens[i as usize] as f64);
+        (
+            TokenGroups::Text {
+                rows,
+                tokenizer: tok,
+                order: Some(&self.order),
+            },
+            NormKind::Custom(norms.collect()),
+        )
+    }
+
+    /// The rows shorter than `cutoff`, ascending.
+    fn shorter_than(&self, cutoff: usize) -> Vec<u32> {
+        (0..self.lens.len() as u32)
+            .filter(|&i| self.lens[i as usize] < cutoff)
+            .collect()
+    }
 }
 
 /// Edit-similarity join: all pairs `(i, j)` with
 /// `edit_similarity(r[i], s[j]) ≥ threshold`. Pass the same slice twice for
 /// a self-join: it is tokenized and built once.
+///
+/// Each side is built over its rows in (length, index) order, so the
+/// predicate's length filter cuts one id range from each posting list;
+/// pairs are mapped back to row indices before they are returned.
 ///
 /// # Errors
 /// Returns [`SsJoinError::Config`] when the threshold is outside `(0, 1]`
@@ -160,6 +219,8 @@ pub fn edit_similarity_join(
     if q == 0 {
         return Err(SsJoinError::Config("q must be at least 1".into()));
     }
+    // Checked before the predicate, whose length ratio is read from it.
+    check_threshold("threshold", alpha)?;
     let spec = JoinSpec {
         thresholds: &[("threshold", alpha)],
         weights: WeightScheme::Unweighted,
@@ -170,34 +231,32 @@ pub fn edit_similarity_join(
             exec: config.exec.clone(),
         },
     };
-    // Prep: q-gram sets with string-length norms.
+    let (r_side, s_own) = sides(r, s, LengthOrder::of);
+    let s_side = s_own.as_ref().unwrap_or(&r_side);
+    // Prep: q-gram sets in length order, with string-length norms.
     let tok = QGramTokenizer::new(q);
     let prep = || {
-        Ok(sides(r, s, |xs| {
-            let lens = xs.iter().map(|x| x.chars().count() as f64).collect();
-            (
-                TokenGroups::Text {
-                    rows: xs,
-                    tokenizer: &tok,
-                },
-                NormKind::Custom(lens),
-            )
-        }))
+        let s_rel = s_own.as_ref().map(|side| side.relation(s, &tok));
+        Ok((r_side.relation(r, &tok), s_rel))
     };
-    // Filter: verify candidates with the banded edit-distance UDF, then the
-    // pairs outside the q-gram bound's reach — both strings shorter than
-    // the cutoff (the norms are the lengths).
+    // Filter: verify candidates with the banded edit-distance UDF, map them
+    // back to rows, then verify the pairs outside the q-gram bound's reach —
+    // both strings shorter than the cutoff.
     let udf = |i: u32, j: u32| edit_similarity_within(&r[i as usize], &s[j as usize], alpha);
-    let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
-        let mut verified = verify_candidates(candidates, config.exec.threads, &udf);
+    let verify = |candidates: &[JoinPair], _: &SetCollection, _: &SetCollection| {
+        let (r_order, s_order) = (&r_side.order, &s_side.order);
+        let (mut pairs, udf_calls) = verify_candidates(candidates, config.exec.threads, &|i, j| {
+            udf(r_order[i as usize], s_order[j as usize])
+        });
+        for p in &mut pairs {
+            (p.r, p.s) = (r_order[p.r as usize], s_order[p.s as usize]);
+        }
+        pairs.sort_unstable_by_key(|p| (p.r, p.s));
+        let mut verified = (pairs, udf_calls);
         let cutoff = short_cutoff(alpha, q);
-        let short = |col: &SetCollection| -> Vec<u32> {
-            (0..col.len() as u32)
-                .filter(|&i| (col.set(i).norm() as usize) < cutoff)
-                .collect()
-        };
-        let short_s = short(s_col);
-        let uncovered = short(r_col)
+        let short_s = s_side.shorter_than(cutoff);
+        let uncovered = r_side
+            .shorter_than(cutoff)
             .into_iter()
             .flat_map(|i| short_s.iter().map(move |&j| (i, j)));
         verify_uncovered(&mut verified, uncovered, udf);
@@ -282,6 +341,35 @@ mod tests {
             // strings below a finite cutoff take the brute-force route.
             assert!(coefficient(alpha, q) > 0.0, "alpha {alpha}");
             assert!(short_cutoff(alpha, q) < usize::MAX, "alpha {alpha}");
+        }
+    }
+
+    #[test]
+    fn length_window_keeps_every_pair_within_the_edit_budget() {
+        use ssjoin_sim::edit_distance_budget;
+        // Norms 0..=1024, sorted: a probe's window is an id range of them.
+        let norms: Vec<f64> = (0..=1024).map(f64::from).collect();
+        let thetas = (50..=100)
+            .map(|t| f64::from(t) / 100.0)
+            .chain([0.85 - 1e-12, 0.85 + 1e-12]);
+        for theta in thetas {
+            let pred = property4_predicate(theta, qgram_length(theta));
+            for max in 0..=1024usize {
+                let budget = edit_distance_budget(max, theta).unwrap();
+                let shortest = max - budget.min(max);
+                // As probe: the window of `max` holds every length the
+                // budget reaches, `max` itself included.
+                let window = pred.partner_window(max as f64, &norms);
+                assert!(
+                    window.start <= shortest && window.end > max,
+                    "theta {theta} max {max}: {window:?} misses {shortest}..={max}"
+                );
+                // As partner: each such length's window holds `max`.
+                for len in shortest..=max {
+                    let window = pred.partner_window(len as f64, &norms);
+                    assert!(window.contains(&max), "theta {theta} len {len} max {max}");
+                }
+            }
         }
     }
 

@@ -185,6 +185,7 @@ pub fn jaccard_join(
     let (r_rows, s_rows) = sides(r, s, |xs| TokenGroups::Text {
         rows: xs,
         tokenizer: &tok,
+        order: None,
     });
     jaccard_join_groups(r_rows, s_rows, config)
 }

@@ -166,6 +166,7 @@ impl TopKIndex {
         let rows = TokenGroups::Text {
             rows: reference,
             tokenizer: &tok,
+            order: None,
         };
         builder.add_groups(rows, NormKind::Custom(norms));
         let built = builder.build()?;

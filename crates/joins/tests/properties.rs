@@ -55,6 +55,97 @@ fn edit_join_exact() {
     }
 }
 
+/// `s` without `count` of its characters, chosen at random: a row at edit
+/// distance exactly `count` (the length difference) from `s`.
+fn delete_chars(rng: &mut StdRng, s: &str, count: usize) -> String {
+    let mut chars: Vec<char> = s.chars().collect();
+    for _ in 0..count.min(chars.len()) {
+        chars.remove(rng.gen_index(chars.len()));
+    }
+    chars.into_iter().collect()
+}
+
+/// Rows whose lengths sit on the edit join's length window at `theta`: per
+/// base row of length `l` (8–110 chars over a pool with multi-byte chars,
+/// so chars ≠ bytes, and lengths past 64), deletions down to
+/// `⌈θ·l⌉ − 1`, `⌈θ·l⌉` and `⌈θ·l⌉ + 1` chars, and a 1–3-edit variant.
+fn window_edge_corpus(rng: &mut StdRng, theta: f64) -> Vec<String> {
+    let pool = ['a', 'b', 'é', 'ß', '東', ' ', 'z', 'ø'];
+    let mut rows = Vec::new();
+    for _ in 0..6 {
+        let len = rng.gen_range_inclusive(8usize..=110);
+        let base: String = (0..len).map(|_| pool[rng.gen_index(pool.len())]).collect();
+        let edge = (theta * len as f64).ceil() as usize;
+        for keep in [edge - 1, edge, (edge + 1).min(len)] {
+            rows.push(delete_chars(rng, &base, len - keep));
+        }
+        let edits = rng.gen_range_inclusive(1usize..=3);
+        rows.push(perturb(rng, &base, &pool, edits));
+        rows.push(base);
+    }
+    rows
+}
+
+/// The edit join is exact on rows at the edge of its length window, under
+/// every executor, at 1 and 3 workers, resident and spilled, one-file and
+/// two-file.
+#[test]
+fn edit_join_exact_on_the_length_window_edge() {
+    use ssjoin_core::ExecContext;
+    let brute = |r: &[String], s: &[String], theta: f64| {
+        let mut expect = Vec::new();
+        for (i, a) in r.iter().enumerate() {
+            for (j, b) in s.iter().enumerate() {
+                if edit_similarity(a, b) >= theta {
+                    expect.push((i as u32, j as u32));
+                }
+            }
+        }
+        expect
+    };
+    for theta in [0.8, 0.85, 0.9] {
+        for seed in 0..2u64 {
+            let mut rng = StdRng::seed_from_u64(0x1E46 + seed);
+            let rows = window_edge_corpus(&mut rng, theta);
+            let half = rows.len() / 2;
+            // One file, and two overlapping slices of it as two files.
+            let inputs = [
+                (&rows[..], &rows[..]),
+                (&rows[..half + 5], &rows[half - 5..]),
+            ];
+            for (r, s) in inputs {
+                let expect = brute(r, s, theta);
+                assert!(expect.len() > r.len().min(s.len()), "theta {theta}");
+                for alg in [
+                    Algorithm::Basic,
+                    Algorithm::PrefixFiltered,
+                    Algorithm::Inline,
+                ] {
+                    for threads in [1, 3] {
+                        for spill in [false, true] {
+                            let mut exec = ExecContext::new().with_threads(threads);
+                            if spill {
+                                exec.budget.max_resident_bytes = Some(1 << 10);
+                            }
+                            let cfg = EditJoinConfig::new(theta)
+                                .with_algorithm(alg)
+                                .with_exec(exec);
+                            let out = edit_similarity_join(r, s, &cfg).unwrap();
+                            let at = format!(
+                                "theta {theta} seed {seed} one-file {} alg {alg:?} \
+                                 threads {threads} spill {spill}",
+                                std::ptr::eq(r, s)
+                            );
+                            assert_eq!(out.stats.spill_partitions > 0, spill, "{at}");
+                            assert_eq!(out.keys(), expect, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// `s` after `edits` random single-character substitutions, insertions or
 /// deletions over `pool`.
 fn perturb(rng: &mut StdRng, s: &str, pool: &[char], edits: usize) -> String {
