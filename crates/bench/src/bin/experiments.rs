@@ -6,7 +6,7 @@
 //!
 //! Experiments: `table1 fig10 fig11 fig12 fig13 table2 naive ablation-order
 //! ablation-cost ablation-auto ablation-shard ablation-workspace
-//! ablation-bitmap ablation-budget ablation-index ablation-spill
+//! ablation-bitmap ablation-index ablation-spill
 //! ablation-approx`
 //! (default: all; `--all` forces the full set even when experiments are also
 //! named; any other name is a usage error). `--scale 1.0` is the paper's
@@ -26,8 +26,8 @@ use ssjoin_bench::{
     corpus_with_rows, dirty_corpus, evaluation_corpus, PAPER_ROWS, PAPER_THRESHOLDS, TABLE2_ROWS,
 };
 use ssjoin_core::{
-    estimate_memory_bytes, plan_spill, ssjoin, Algorithm, BudgetCause, ElementOrder, ExecBudget,
-    ExecContext, Phase, SsJoinError,
+    estimate_memory_bytes, plan_spill, ssjoin, Algorithm, ElementOrder, ExecBudget, ExecContext,
+    Phase,
 };
 use ssjoin_joins::{
     dedupe_self_pairs, edit_similarity_join, ges_join, jaccard_join, EditJoinConfig, GesJoinConfig,
@@ -36,7 +36,7 @@ use ssjoin_joins::{
 use ssjoin_sim::edit_similarity;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [table1|fig10|fig11|fig12|fig13|table2|naive|ablation-order|ablation-cost|ablation-auto|ablation-shard|ablation-workspace|ablation-bitmap|ablation-budget|ablation-index|ablation-spill|ablation-approx|all]...
+const USAGE: &str = "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [table1|fig10|fig11|fig12|fig13|table2|naive|ablation-order|ablation-cost|ablation-auto|ablation-shard|ablation-workspace|ablation-bitmap|ablation-index|ablation-spill|ablation-approx|all]...
 --all (or the bare word `all`) regenerates every panel in one invocation;
 --json additionally writes the run as BENCH_<N>.json (--pr N, default 10),
 or to an explicit --out PATH";
@@ -124,7 +124,6 @@ const PANELS: &[(&str, Panel)] = &[
     ("ablation-shard", ablation_shard),
     ("ablation-workspace", ablation_workspace),
     ("ablation-bitmap", ablation_bitmap),
-    ("ablation-budget", ablation_budget),
     ("ablation-index", ablation_index),
     ("ablation-spill", ablation_spill),
     ("ablation-approx", ablation_approx),
@@ -402,9 +401,11 @@ fn table2(scale: f64, report: &mut Report) {
 }
 
 /// §5 prose: the UDF-over-cross-product gap, on a subset small enough for
-/// the cross product to finish.
+/// the cross product to finish. At least 400 rows, so that even a small
+/// `--scale` compares hundreds of off-diagonal pairs, not only each row
+/// with itself.
 fn naive(scale: f64, report: &mut Report) {
-    let rows = ((2_000f64 * scale).round() as usize).max(10);
+    let rows = ((2_000f64 * scale).round() as usize).max(400);
     let data = corpus_with_rows(rows).records;
     let theta = 0.85;
 
@@ -450,6 +451,8 @@ fn naive(scale: f64, report: &mut Report) {
     ]);
     report.table(t);
     report.metric_str("naive.output_equal", if equal { "true" } else { "false" });
+    let off_diagonal = naive_pairs.iter().filter(|&&(r, s, _)| r != s).count();
+    report.metric_u64("naive.off_diagonal_pairs", off_diagonal as u64);
 }
 
 /// Ablation (§4.3.2): the global element order drives prefix-join size.
@@ -1025,136 +1028,6 @@ fn median_of_3<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
         .collect();
     runs.sort_by_key(|(_, t)| *t);
     runs.swap_remove(1)
-}
-
-/// Ablation (tentpole): the budgeted-execution machinery. Two claims. First,
-/// the checkpoint instrumentation is effectively free: attaching a budget
-/// whose limits can never trip costs <2% over the unbudgeted run on the
-/// Zipf-weighted panel. Second, a `Duration::ZERO` deadline aborts every
-/// executor — basic, prefix, inline, and parallel inline — in a
-/// small fraction of the unbounded runtime, returning the
-/// typed `BudgetExceeded(Deadline)` error instead of panicking.
-fn ablation_budget(scale: f64, report: &mut Report) {
-    let data = evaluation_corpus(scale).records;
-    let theta = 0.85;
-
-    let median3 = |exec: ExecContext| {
-        let cfg = JaccardConfig::resemblance(theta)
-            .with_algorithm(Algorithm::Inline)
-            .with_exec(exec);
-        median_of_3(|| jaccard_join(&data, &data, &cfg).expect("jaccard join"))
-    };
-
-    let generous = ExecContext::new().with_budget(
-        ExecBudget::default()
-            .with_max_candidate_pairs(u64::MAX)
-            .with_max_output_pairs(u64::MAX)
-            .with_deadline(Duration::from_secs(3_600)),
-    );
-    let (base_out, base_t) = median3(ExecContext::new());
-    let (budget_out, budget_t) = median3(generous);
-    assert_eq!(
-        base_out.keys(),
-        budget_out.keys(),
-        "a non-tripping budget must not change the output"
-    );
-    let overhead_pct = (budget_t.as_secs_f64() / base_t.as_secs_f64().max(1e-9) - 1.0) * 100.0;
-
-    let mut t = Table::new(
-        format!("Ablation — budget checkpoint overhead (Jaccard {theta}, inline, median of 3)"),
-        &["Config", "Total ms", "Budget checks", "Pairs"],
-    );
-    t.row(vec![
-        "no budget".into(),
-        ms(base_t),
-        count(base_out.stats.budget_checks),
-        count(base_out.pairs.len() as u64),
-    ]);
-    t.row(vec![
-        "generous budget".into(),
-        ms(budget_t),
-        count(budget_out.stats.budget_checks),
-        count(budget_out.pairs.len() as u64),
-    ]);
-    report.table(t);
-
-    // The deadline panel times the core `ssjoin` call on a pre-built
-    // collection so tokenization and index construction — which the deadline
-    // does not govern — stay out of both measurements.
-    let groups: Vec<Vec<String>> = data
-        .iter()
-        .map(|s| {
-            use ssjoin_text::Tokenizer;
-            ssjoin_text::WordTokenizer::new().lowercased().tokenize(s)
-        })
-        .collect();
-    let mut b = ssjoin_core::SsJoinInputBuilder::new(
-        ssjoin_core::WeightScheme::Idf,
-        ElementOrder::FrequencyAsc,
-    );
-    let h = b.add_relation(groups);
-    let built = b.build().expect("build collection");
-    let c = built.collection(h);
-    let pred = ssjoin_core::OverlapPredicate::two_sided(theta);
-
-    let parallel = ExecContext::new().with_threads(4);
-    let configs: [(&str, Algorithm, ExecContext); 4] = [
-        ("basic", Algorithm::Basic, ExecContext::new()),
-        ("prefix", Algorithm::PrefixFiltered, ExecContext::new()),
-        ("inline", Algorithm::Inline, ExecContext::new()),
-        ("inline (4 threads)", Algorithm::Inline, parallel),
-    ];
-    let mut d = Table::new(
-        "Ablation — Duration::ZERO deadline abort, per executor (core join only)",
-        &["Executor", "Unbounded ms", "Abort ms", "Error"],
-    );
-    let mut worst_abort = Duration::ZERO;
-    for (label, alg, exec) in configs {
-        let cfg = ssjoin_core::SsJoinConfig::new(alg).with_exec(exec.clone());
-        let start = Instant::now();
-        let _ = ssjoin(c, c, &pred, &cfg).expect("unbounded join");
-        let full_t = start.elapsed();
-
-        let cfg = ssjoin_core::SsJoinConfig::new(alg)
-            .with_exec(exec.with_budget(ExecBudget::default().with_deadline(Duration::ZERO)));
-        let start = Instant::now();
-        let err = ssjoin(c, c, &pred, &cfg).expect_err("zero deadline must abort");
-        let abort_t = start.elapsed();
-        worst_abort = worst_abort.max(abort_t);
-        assert!(
-            matches!(
-                err,
-                SsJoinError::BudgetExceeded {
-                    which: BudgetCause::Deadline,
-                    ..
-                }
-            ),
-            "{label}: expected BudgetExceeded(Deadline), got {err}"
-        );
-        d.row(vec![
-            label.into(),
-            ms(full_t),
-            ms(abort_t),
-            "BudgetExceeded(Deadline)".into(),
-        ]);
-    }
-    report.table(d);
-
-    report.metric_f64("ablation_budget.base_ms", base_t.as_secs_f64() * 1e3);
-    report.metric_f64("ablation_budget.budgeted_ms", budget_t.as_secs_f64() * 1e3);
-    report.metric_f64("ablation_budget.overhead_pct", overhead_pct);
-    report.metric_u64(
-        "ablation_budget.budget_checks",
-        budget_out.stats.budget_checks,
-    );
-    report.metric_f64(
-        "ablation_budget.worst_abort_ms",
-        worst_abort.as_secs_f64() * 1e3,
-    );
-    report.metric_str(
-        "ablation_budget.overhead_under_2pct",
-        if overhead_pct < 2.0 { "true" } else { "false" },
-    );
 }
 
 /// Ablation (tentpole): the persistent [`ssjoin_core::CorpusIndex`]. A serve

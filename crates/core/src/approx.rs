@@ -78,7 +78,6 @@
 
 use ssjoin_prng::{Rng, StdRng};
 
-use crate::budget::BudgetState;
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
     bounds_into, run_chunked, vec_bytes, ExecContext, JoinPair, JoinWorkspace, Prune, SetBound,
@@ -379,15 +378,8 @@ impl ApproxSketch {
     }
 
     /// (Re)build the sketch over `s` for `spec`, reusing every buffer's
-    /// capacity. Repetition 0 calibrates the repetition count; the budget is
-    /// checked between repetitions so a cancelled run stops building.
-    pub(crate) fn build(
-        &mut self,
-        s: &SetCollection,
-        pred: &OverlapPredicate,
-        spec: &ApproxSpec,
-        budget: &BudgetState,
-    ) {
+    /// capacity. Repetition 0 calibrates the repetition count.
+    pub(crate) fn build(&mut self, s: &SetCollection, pred: &OverlapPredicate, spec: &ApproxSpec) {
         self.seed = spec.seed;
         self.recall_milli = spec.recall_milli();
         self.n = s.len();
@@ -413,9 +405,6 @@ impl ApproxSketch {
             resemblance_hint(s, pred),
         );
         for rep in 1..reps {
-            if !budget.proceed() {
-                break;
-            }
             self.base_rep(rep as u32);
             self.sketch_rep(s, rep as u32);
             self.build_rep(rep);
@@ -521,15 +510,13 @@ fn planned_reps(target: f64, mean_level: f64, j: f64) -> usize {
 /// The candidate-generation + verification loop: per probe set, gather the
 /// leaf buckets of every repetition (stamp-deduplicated), then verify each
 /// candidate through the unmodified exact tail — the same bitmap prune,
-/// [`verify_overlap`] kernel, and budget checkpoints the prefix family runs.
-#[allow(clippy::too_many_arguments)]
+/// and [`verify_overlap`] kernel the prefix family runs.
 fn candidate_phase(
     r: &SetCollection,
     s: &SetCollection,
     sketch: &ApproxSketch,
     prune: Prune<'_>,
     ctx: &ExecContext,
-    budget: &BudgetState,
     workers: &mut Vec<WorkerScratch>,
     out: &mut Vec<JoinPair>,
 ) -> SsJoinStats {
@@ -553,7 +540,6 @@ fn candidate_phase(
                 u32::MAX,
                 "rid collides with the stamp sentinel; collection exceeds the id space"
             );
-            let out_before = pairs.len();
             let rset = r.set(rid as u32);
             if rset.is_empty() {
                 continue;
@@ -584,9 +570,6 @@ fn candidate_phase(
             if candidates.is_empty() {
                 continue;
             }
-            if !budget.checkpoint(candidates.len() as u64, 0) {
-                break;
-            }
             prune.retain(rid, candidates, &mut stats);
             candidates.sort_unstable();
             for &sid in candidates.iter() {
@@ -600,9 +583,6 @@ fn candidate_phase(
                         overlap,
                     });
                 }
-            }
-            if !budget.checkpoint(0, (pairs.len() - out_before) as u64) {
-                break;
             }
         }
         stats
@@ -620,21 +600,18 @@ pub(crate) fn run(
     pred: &OverlapPredicate,
     ctx: &ExecContext,
     spec: &ApproxSpec,
-    budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let mut build = SsJoinStats::default();
     let mut sketch = ws.approx.take().unwrap_or_default();
     let mut s_bounds = std::mem::take(&mut ws.s_bounds);
-    if budget.proceed() {
-        // Sketch + tree construction is the prefix-filter analog of this
-        // pipeline, and is timed as such.
-        timed_phase(&mut build, Phase::PrefixFilter, |_| {
-            sketch.build(s, pred, spec, budget);
-            bounds_into(s, pred, Side::S, &mut s_bounds);
-        });
-    }
-    let mut stats = probe_built(r, s, &sketch, &s_bounds, pred, ctx, budget, ws);
+    // Sketch + tree construction is the prefix-filter analog of this
+    // pipeline, and is timed as such.
+    timed_phase(&mut build, Phase::PrefixFilter, |_| {
+        sketch.build(s, pred, spec);
+        bounds_into(s, pred, Side::S, &mut s_bounds);
+    });
+    let mut stats = probe_built(r, s, &sketch, &s_bounds, pred, ctx, ws);
     stats.merge(&build);
     ws.approx = Some(sketch);
     ws.s_bounds = s_bounds;
@@ -646,7 +623,6 @@ pub(crate) fn run(
 /// corpus's prune column `s_bounds` were built once at index (re)build
 /// time, so warm probes compute only the probe batch's prune column and run
 /// the candidate loop — allocation-free on a warmed workspace).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_built(
     r: &SetCollection,
     s: &SetCollection,
@@ -654,26 +630,23 @@ pub(crate) fn probe_built(
     s_bounds: &[SetBound],
     pred: &OverlapPredicate,
     ctx: &ExecContext,
-    budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let mut stats = SsJoinStats::default();
-    if budget.proceed() {
-        let JoinWorkspace {
-            r_bounds,
-            workers,
-            out,
-            ..
-        } = ws;
-        timed_phase(&mut stats, Phase::PrefixFilter, |_| {
-            bounds_into(r, pred, Side::R, r_bounds);
-        });
-        let prune = Prune::new(r, s, r_bounds, s_bounds, pred, ctx.bitmap_filter);
-        let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
-            candidate_phase(r, s, sketch, prune, ctx, budget, workers, out)
-        });
-        stats.merge(&inner);
-    }
+    let JoinWorkspace {
+        r_bounds,
+        workers,
+        out,
+        ..
+    } = ws;
+    timed_phase(&mut stats, Phase::PrefixFilter, |_| {
+        bounds_into(r, pred, Side::R, r_bounds);
+    });
+    let prune = Prune::new(r, s, r_bounds, s_bounds, pred, ctx.bitmap_filter);
+    let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
+        candidate_phase(r, s, sketch, prune, ctx, workers, out)
+    });
+    stats.merge(&inner);
     stats.approx_reps = sketch.reps as u64;
     stats
 }
@@ -750,10 +723,8 @@ mod tests {
         let c = build_collection(groups(120, 23));
         let pred = OverlapPredicate::two_sided(0.7);
         let spec = ApproxSpec::new(0.9);
-        let budget_cfg = crate::budget::ExecBudget::default();
-        let budget = BudgetState::new(&budget_cfg, None);
         let mut sketch = ApproxSketch::default();
-        sketch.build(&c, &pred, &spec, &budget);
+        sketch.build(&c, &pred, &spec);
         assert!(sketch.reps >= 1);
         // Every set finds its own leaf and the leaf contains the set itself;
         // every leaf-mate shares at least one token with the probe.
@@ -779,18 +750,16 @@ mod tests {
         let c = build_collection(groups(80, 19));
         let pred = OverlapPredicate::two_sided(0.8);
         let spec = ApproxSpec::new(0.85);
-        let budget_cfg = crate::budget::ExecBudget::default();
-        let budget = BudgetState::new(&budget_cfg, None);
         let mut a = ApproxSketch::default();
-        a.build(&c, &pred, &spec, &budget);
+        a.build(&c, &pred, &spec);
         let first = (a.roots.clone(), a.nodes.clone(), a.leaf_sets.clone());
-        a.build(&c, &pred, &spec, &budget);
+        a.build(&c, &pred, &spec);
         assert_eq!(
             first,
             (a.roots.clone(), a.nodes.clone(), a.leaf_sets.clone())
         );
         let mut b = ApproxSketch::default();
-        b.build(&c, &pred, &spec, &budget);
+        b.build(&c, &pred, &spec);
         assert_eq!(first, (b.roots, b.nodes, b.leaf_sets));
         assert!(a.bytes_reserved() > 0);
     }
@@ -799,12 +768,10 @@ mod tests {
     fn different_seeds_change_the_tree() {
         let c = build_collection(groups(100, 17));
         let pred = OverlapPredicate::two_sided(0.8);
-        let budget_cfg = crate::budget::ExecBudget::default();
-        let budget = BudgetState::new(&budget_cfg, None);
         let mut a = ApproxSketch::default();
-        a.build(&c, &pred, &ApproxSpec::new(0.9), &budget);
+        a.build(&c, &pred, &ApproxSpec::new(0.9));
         let mut b = ApproxSketch::default();
-        b.build(&c, &pred, &ApproxSpec::new(0.9).with_seed(12345), &budget);
+        b.build(&c, &pred, &ApproxSpec::new(0.9).with_seed(12345));
         assert_ne!(a.sketch, b.sketch, "seed must steer the hash families");
     }
 
@@ -817,10 +784,8 @@ mod tests {
         let probe_c = built.collection(h).clone();
         let c = built.collection(empty).clone();
         let pred = OverlapPredicate::absolute(1.0);
-        let budget_cfg = crate::budget::ExecBudget::default();
-        let budget = BudgetState::new(&budget_cfg, None);
         let mut sketch = ApproxSketch::default();
-        sketch.build(&c, &pred, &ApproxSpec::new(0.9), &budget);
+        sketch.build(&c, &pred, &ApproxSpec::new(0.9));
         for rep in 0..sketch.reps {
             assert!(sketch.probe(probe_c.set(0), rep).is_none());
         }

@@ -1,7 +1,5 @@
 //! Error type for SSJoin operations.
 
-use crate::budget::BudgetCause;
-use crate::stats::SsJoinStats;
 use std::fmt;
 
 /// Errors raised by SSJoin construction or execution.
@@ -32,16 +30,6 @@ pub enum SsJoinError {
         /// Number of elements that overflowed the id space.
         elements: usize,
     },
-    /// The execution exceeded a resource limit of its
-    /// [`crate::ExecBudget`], or its [`crate::CancelToken`] was cancelled.
-    /// Carries the statistics accumulated up to the abort, so callers can
-    /// see how far the run got.
-    BudgetExceeded {
-        /// The limit that aborted the run.
-        which: BudgetCause,
-        /// Statistics merged across all workers at the moment of abort.
-        partial_stats: Box<SsJoinStats>,
-    },
 }
 
 impl fmt::Display for SsJoinError {
@@ -62,9 +50,6 @@ impl fmt::Display for SsJoinError {
                 f,
                 "{elements} elements exceed the u32 id/offset space"
             ),
-            SsJoinError::BudgetExceeded { which, .. } => {
-                write!(f, "execution budget exceeded: {which}")
-            }
         }
     }
 }

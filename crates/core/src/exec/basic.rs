@@ -14,8 +14,7 @@
 
 use super::prune::{join_bounds_into, Prune};
 use super::workspace::{JoinWorkspace, WorkerScratch};
-use super::{output_charge, run_probes, symmetric_self_join, ExecContext, JoinPair};
-use crate::budget::BudgetState;
+use super::{run_probes, symmetric_self_join, ExecContext, JoinPair};
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
 use crate::stats::{timed_phase, Phase, SsJoinStats};
@@ -26,13 +25,9 @@ pub(super) fn run(
     s: &SetCollection,
     pred: &OverlapPredicate,
     ctx: &ExecContext,
-    budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let mut stats = SsJoinStats::default();
-    if !budget.proceed() {
-        return stats;
-    }
     let half = symmetric_self_join(r, s, pred);
     let JoinWorkspace {
         s_index,
@@ -47,9 +42,6 @@ pub(super) fn run(
         s_index.build(s, None);
         join_bounds_into(r, s, pred, half, r_bounds, s_bounds);
     });
-    if !budget.proceed() {
-        return stats;
-    }
     let index = &*s_index;
     let r_bounds = if half { &*s_bounds } else { &*r_bounds };
     let prune = Prune::new(r, s, r_bounds, s_bounds, pred, ctx.bitmap_filter);
@@ -67,7 +59,6 @@ pub(super) fn run(
             let touched = &mut scratch.touched;
             let pairs = &mut scratch.pairs;
             for rid in range {
-                let out_before = pairs.len();
                 let rset = r.set(rid as u32);
                 let rid = rid as u32;
                 let window = prune.window(rid, half);
@@ -80,8 +71,7 @@ pub(super) fn run(
                         stats.join_tuples += 1;
                     }
                 }
-                let cand_delta = touched.len() as u64;
-                stats.candidate_pairs += cand_delta;
+                stats.candidate_pairs += touched.len() as u64;
                 // The overlap is already accumulated here, so the prune
                 // saves only the predicate check — but it keeps the filter's
                 // counter semantics (and its losslessness: bound ≥ exact
@@ -109,11 +99,6 @@ pub(super) fn run(
                     }
                 }
                 touched.clear();
-                // Budget checkpoint: one per probe group, charging the
-                // candidates and outputs this group produced.
-                if !budget.checkpoint(cand_delta, output_charge(&pairs[out_before..], half)) {
-                    break;
-                }
             }
             stats
         };
@@ -149,16 +134,7 @@ mod tests {
             toks(&["x", "y"]),
         ]);
         let pred = OverlapPredicate::absolute(2.0);
-        let (mut pairs, stats) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
+        let (mut pairs, stats) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
         pairs.sort_unstable_by_key(|p| (p.r, p.s));
         // Self-pairs (0,0),(1,1),(2,2) plus (0,1),(1,0).
         let got: Vec<(u32, u32)> = pairs.iter().map(|p| (p.r, p.s)).collect();
@@ -171,16 +147,7 @@ mod tests {
     fn overlap_values_correct() {
         let c = build(vec![toks(&["a", "b", "c"]), toks(&["b", "c", "d"])]);
         let pred = OverlapPredicate::absolute(1.0);
-        let (pairs, _) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
+        let (pairs, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
         let p01 = pairs.iter().find(|p| p.r == 0 && p.s == 1).unwrap();
         assert_eq!(p01.overlap, Weight::from_f64(2.0));
     }
@@ -189,16 +156,7 @@ mod tests {
     fn zero_overlap_pairs_never_emitted() {
         let c = build(vec![toks(&["a"]), toks(&["b"])]);
         let pred = OverlapPredicate::absolute(-10.0); // clamps to epsilon
-        let (pairs, _) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
+        let (pairs, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
         let got: Vec<(u32, u32)> = pairs.iter().map(|p| (p.r, p.s)).collect();
         assert_eq!(got, vec![(0, 0), (1, 1)]);
     }
@@ -214,26 +172,8 @@ mod tests {
             .collect();
         let c = build(groups);
         let pred = OverlapPredicate::absolute(2.0);
-        let (mut p1, _) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
-        let (mut p4, _) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new().with_threads(4),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
+        let (mut p1, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
+        let (mut p4, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new().with_threads(4), ws));
         p1.sort_unstable_by_key(|p| (p.r, p.s));
         p4.sort_unstable_by_key(|p| (p.r, p.s));
         assert_eq!(p1, p4);
@@ -244,29 +184,11 @@ mod tests {
         let e = build(vec![]);
         let c = build(vec![toks(&["a"])]);
         let pred = OverlapPredicate::absolute(1.0);
-        let (empty_pairs, _) = collect(|ws| {
-            run(
-                &e,
-                &e,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
+        let (empty_pairs, _) = collect(|ws| run(&e, &e, &pred, &ExecContext::new(), ws));
         assert!(empty_pairs.is_empty());
         // Note: e and c come from different builders here, so only same-
         // builder combinations are meaningful; the public API enforces that.
-        let (pairs, _) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
+        let (pairs, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
         assert_eq!(pairs.len(), 1);
     }
 }

@@ -13,7 +13,6 @@
 use super::prefix::run_prefix_family;
 use super::workspace::JoinWorkspace;
 use super::ExecContext;
-use crate::budget::BudgetState;
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
 use crate::stats::SsJoinStats;
@@ -23,10 +22,9 @@ pub(super) fn run(
     s: &SetCollection,
     pred: &OverlapPredicate,
     ctx: &ExecContext,
-    budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
-    run_prefix_family(r, s, pred, ctx, true, budget, ws)
+    run_prefix_family(r, s, pred, ctx, true, ws)
 }
 
 #[cfg(test)]
@@ -61,36 +59,11 @@ mod tests {
             OverlapPredicate::two_sided(0.6),
             OverlapPredicate::s_normalized(0.8),
         ] {
-            let (mut basic, _) = collect(|ws| {
-                super::super::basic::run(
-                    &c,
-                    &c,
-                    &pred,
-                    &ExecContext::new(),
-                    &BudgetState::unlimited(),
-                    ws,
-                )
-            });
-            let (mut prefix, _) = collect(|ws| {
-                super::super::prefix::run(
-                    &c,
-                    &c,
-                    &pred,
-                    &ExecContext::new(),
-                    &BudgetState::unlimited(),
-                    ws,
-                )
-            });
-            let (mut inline, _) = collect(|ws| {
-                run(
-                    &c,
-                    &c,
-                    &pred,
-                    &ExecContext::new(),
-                    &BudgetState::unlimited(),
-                    ws,
-                )
-            });
+            let (mut basic, _) =
+                collect(|ws| super::super::basic::run(&c, &c, &pred, &ExecContext::new(), ws));
+            let (mut prefix, _) =
+                collect(|ws| super::super::prefix::run(&c, &c, &pred, &ExecContext::new(), ws));
+            let (mut inline, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
             basic.sort_unstable_by_key(|p| (p.r, p.s));
             prefix.sort_unstable_by_key(|p| (p.r, p.s));
             inline.sort_unstable_by_key(|p| (p.r, p.s));
@@ -105,7 +78,7 @@ mod tests {
         let pred = OverlapPredicate::two_sided(0.5);
         for filter in [false, true] {
             let ctx = ExecContext::new().with_bitmap_filter(filter);
-            let (_, stats) = collect(|ws| run(&c, &c, &pred, &ctx, &BudgetState::unlimited(), ws));
+            let (_, stats) = collect(|ws| run(&c, &c, &pred, &ctx, ws));
             // Every candidate is either pruned by its signature or merged.
             assert_eq!(
                 stats.verified_pairs + stats.bitmap_prunes,
@@ -123,26 +96,8 @@ mod tests {
     fn parallel_matches_sequential() {
         let c = build(random_groups(64, 31), WeightScheme::Idf);
         let pred = OverlapPredicate::two_sided(0.5);
-        let (mut p1, _) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
-        let (mut p3, _) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new().with_threads(3),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
+        let (mut p1, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
+        let (mut p3, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new().with_threads(3), ws));
         p1.sort_unstable_by_key(|p| (p.r, p.s));
         p3.sort_unstable_by_key(|p| (p.r, p.s));
         assert_eq!(p1, p3);

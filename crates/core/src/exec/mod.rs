@@ -20,7 +20,7 @@ pub(crate) use prune::{bounds_into, Prune, SetBound};
 pub(crate) use workspace::{build_csr_parallel, vec_bytes, CsrIndex, MirrorScratch, WorkerScratch};
 
 use crate::approx::ApproxSpec;
-use crate::budget::{estimate_memory_bytes, BudgetState, CancelToken, ExecBudget};
+use crate::budget::{estimate_memory_bytes, ExecBudget};
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
@@ -65,7 +65,7 @@ pub enum Algorithm {
 }
 
 /// Execution context shared by every physical executor: thread count, the
-/// candidate filter, resource limits, cancellation and approximate mode. It
+/// candidate filter, the resident-memory budget and approximate mode. It
 /// is the one place an execution value is set: [`SsJoinConfig`] pairs it
 /// with the algorithm choice, and the packaged joins, index builds and index
 /// probes take it whole.
@@ -83,15 +83,10 @@ pub struct ExecContext {
     /// changes counters but never output. On by default;
     /// `with_bitmap_filter(false)` is the ablation and test oracle.
     pub bitmap_filter: bool,
-    /// Resource limits (candidate pairs, output pairs, deadline, memory).
-    /// Unlimited by default; exceeding any limit aborts the run with
-    /// [`SsJoinError::BudgetExceeded`]. A `max_resident_bytes` below the
-    /// run's estimate routes it out of core instead.
+    /// The resident-memory budget. Unlimited by default; a
+    /// `max_resident_bytes` below the run's estimate routes it out of core,
+    /// with the same output.
     pub budget: ExecBudget,
-    /// Cooperative cancellation token. `None` by default; when set, calling
-    /// [`CancelToken::cancel`] on any clone aborts the run at the next
-    /// checkpoint.
-    pub cancel: Option<CancelToken>,
     /// Opt-in approximate mode (`None` = exact, the default). When set to an
     /// active spec (`target_recall < 1`), candidate generation switches to
     /// the seeded LSH generator of [`crate::ApproxSpec`]; verification is
@@ -109,7 +104,6 @@ impl ExecContext {
             threads: 1,
             bitmap_filter: true,
             budget: ExecBudget::default(),
-            cancel: None,
             approx: None,
         }
     }
@@ -126,15 +120,9 @@ impl ExecContext {
         self
     }
 
-    /// Set the execution budget.
+    /// Set the resident-memory budget.
     pub fn with_budget(mut self, budget: ExecBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Attach a cooperative cancellation token.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
         self
     }
 
@@ -172,7 +160,7 @@ impl Default for ExecContext {
 pub struct SsJoinConfig {
     /// Which physical algorithm to run.
     pub algorithm: Algorithm,
-    /// Threads, filter, limits, cancellation, approximate mode.
+    /// Threads, filter, resident budget, approximate mode.
     pub exec: ExecContext,
 }
 
@@ -213,14 +201,9 @@ pub struct SsJoinRun<'w> {
 /// running repeated joins should keep a workspace and use [`ssjoin_with`],
 /// which reuses every transient buffer across runs.
 ///
-/// # Budgets and cancellation
-///
-/// When the context carries an [`ExecBudget`] limit or a [`CancelToken`],
-/// every executor checks it cooperatively at chunk granularity.
-/// Exceeding a limit (or a cancel) aborts cleanly across all worker threads
-/// and returns [`SsJoinError::BudgetExceeded`] with the statistics gathered
-/// so far — a run either completes with correct, complete results or fails
-/// with that typed error; it never returns a silently truncated result.
+/// A run either returns every qualifying pair or a typed input error
+/// ([`SsJoinError::UniverseMismatch`], [`SsJoinError::Config`]); it never
+/// returns a truncated result.
 pub fn ssjoin(
     r: &SetCollection,
     s: &SetCollection,
@@ -237,12 +220,11 @@ pub fn ssjoin(
 
 /// Execute the SSJoin operator into a caller-owned [`JoinWorkspace`].
 ///
-/// Identical semantics to [`ssjoin`] — same output, same stats, same budget
-/// behaviour — but every transient buffer (inverted indexes, prefix tables,
-/// stamp arrays, candidate and output buffers) comes from the
-/// workspace's pools. After the workspace has warmed on a first run of
-/// comparable scale, subsequent sequential runs perform zero heap
-/// allocations on the hot path.
+/// Identical semantics to [`ssjoin`] — same output, same stats — but every
+/// transient buffer (inverted indexes, prefix tables, stamp arrays,
+/// candidate and output buffers) comes from the workspace's pools. After the
+/// workspace has warmed on a first run of comparable scale, subsequent
+/// sequential runs perform zero heap allocations on the hot path.
 pub fn ssjoin_with<'w>(
     r: &SetCollection,
     s: &SetCollection,
@@ -270,7 +252,7 @@ fn ssjoin_into(
     let run = begin(r, s, config, ws)?;
     let (algorithm, ctx) = (run.algorithm, run.ctx);
     let spilled = if run.spill {
-        crate::spill::run(r, s, pred, algorithm, ctx, &run.budget, ws)
+        crate::spill::run(r, s, pred, algorithm, ctx, ws)
     } else {
         None
     };
@@ -279,26 +261,23 @@ fn ssjoin_into(
         // Approximate candidate generation replaces the executor choice
         // wholesale — one deterministic pipeline regardless of the
         // configured algorithm, so output is identical across executors.
-        (None, Some(spec)) => crate::approx::run(r, s, pred, ctx, &spec, &run.budget, ws),
+        (None, Some(spec)) => crate::approx::run(r, s, pred, ctx, &spec, ws),
         // Resident path — also the fallback when the spill planner found
         // nothing to split (empty side, single-rank mass).
-        (None, None) => run_algorithm(algorithm, r, s, pred, ctx, &run.budget, ws),
+        (None, None) => run_algorithm(algorithm, r, s, pred, ctx, ws),
     };
-    finish(run, stats, 0, ws)
+    Ok(finish(run, stats, 0, ws))
 }
 
 /// One run's envelope, opened by [`begin`] and closed by [`finish`]: the
-/// algorithm, the context the executors see, the shared budget state, and
-/// the route the run takes. One-shot joins and [`crate::CorpusIndex`]
-/// probes share it, so validation, spill routing and the budget-error
-/// conversion exist once.
+/// algorithm, the context the executors see, and the route the run takes.
+/// One-shot joins and [`crate::CorpusIndex`] probes share it, so validation
+/// and spill routing exist once.
 pub(crate) struct RunEnvelope<'c> {
     /// The configured algorithm.
     pub(crate) algorithm: Algorithm,
     /// The caller's context, worker count included.
     pub(crate) ctx: &'c ExecContext,
-    /// Limits and cancellation, shared by every worker of the run.
-    pub(crate) budget: BudgetState,
     /// Route the run through the out-of-core spill driver.
     pub(crate) spill: bool,
     /// The active approximate spec; never set together with `spill`.
@@ -307,8 +286,7 @@ pub(crate) struct RunEnvelope<'c> {
 
 /// Open a run of `config` over `r × s`: reject zero threads and invalid
 /// approximate specs, decide whether the resident budget routes the run out
-/// of core (refusing approximate mode there), apply the memory preflight,
-/// take the entry checkpoint and reset `ws`.
+/// of core (refusing approximate mode there), and reset `ws`.
 pub(crate) fn begin<'c>(
     r: &SetCollection,
     s: &SetCollection,
@@ -318,7 +296,6 @@ pub(crate) fn begin<'c>(
     let ctx = &config.exec;
     ctx.validate()?;
     let approx = ctx.active_approx();
-    let budget = BudgetState::new(&ctx.budget, ctx.cancel.as_ref());
     // Out-of-core decision: a resident-budget knob below the estimate routes
     // the run through the token-range spill driver instead of rejecting it.
     let spilling = ctx
@@ -332,49 +309,27 @@ pub(crate) fn begin<'c>(
                 .into(),
         ));
     }
-    // Memory preflight: refuse runs whose index + scratch estimate already
-    // exceeds the cap, before allocating anything. A spilled run holds only
-    // one partition resident at a time, so its preflight happens inside the
-    // spill driver against the per-partition peak instead.
-    if let Some(limit) = ctx.budget.max_memory_bytes {
-        if !spilling && estimate_memory_bytes(r, s) > limit {
-            budget.trip_memory();
-        }
-    }
-    // Entry checkpoint: an already-passed deadline (e.g. `Duration::ZERO`)
-    // or a pre-cancelled token aborts before any phase runs. Executors
-    // re-check at their own phase boundaries and per probe group.
-    let _ = budget.proceed();
     ws.begin_run();
     Ok(RunEnvelope {
         algorithm: config.algorithm,
-        spill: spilling && budget.cause().is_none(),
+        spill: spilling,
         approx,
-        budget,
         ctx,
     })
 }
 
 /// Close a run opened by [`begin`]: stamp the run-level counters
 /// (`extra_bytes` counts structures held outside `ws`, such as a persistent
-/// index), turn a tripped limit into [`SsJoinError::BudgetExceeded`] with
-/// the partial statistics, and count the `(r, s)`-sorted output.
+/// index) and count the `(r, s)`-sorted output.
 pub(crate) fn finish(
     run: RunEnvelope<'_>,
     mut stats: SsJoinStats,
     extra_bytes: u64,
     ws: &JoinWorkspace,
-) -> SsJoinResult<SsJoinStats> {
-    stats.budget_checks = run.budget.checks();
+) -> SsJoinStats {
     stats.effective_threads = run.ctx.threads as u64;
     stats.workspace_reuses = ws.reuses();
     stats.bytes_reserved = ws.bytes_reserved() + extra_bytes;
-    if let Some(which) = run.budget.cause() {
-        return Err(SsJoinError::BudgetExceeded {
-            which,
-            partial_stats: Box::new(stats),
-        });
-    }
     // Executors emit in `(r, s)` order by construction — chunked workers
     // concatenate in ascending-rid chunk order, and the spill driver k-way
     // merges its sorted partition runs — so no global sort runs here.
@@ -385,7 +340,7 @@ pub(crate) fn finish(
         "executor output must arrive (r, s)-sorted and duplicate-free"
     );
     stats.output_pairs = ws.out.len() as u64;
-    Ok(stats)
+    stats
 }
 
 /// Dispatch to the physical executor for `algorithm`. Shared by the
@@ -399,13 +354,12 @@ pub(crate) fn run_algorithm(
     s: &SetCollection,
     pred: &OverlapPredicate,
     ctx: &ExecContext,
-    budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     match algorithm {
-        Algorithm::Basic => basic::run(r, s, pred, ctx, budget, ws),
-        Algorithm::PrefixFiltered => prefix::run(r, s, pred, ctx, budget, ws),
-        Algorithm::Inline => inline::run(r, s, pred, ctx, budget, ws),
+        Algorithm::Basic => basic::run(r, s, pred, ctx, ws),
+        Algorithm::PrefixFiltered => prefix::run(r, s, pred, ctx, ws),
+        Algorithm::Inline => inline::run(r, s, pred, ctx, ws),
     }
 }
 
@@ -584,20 +538,6 @@ pub(crate) fn mirror_half(
     }
 }
 
-/// The output pairs a probe's new `pairs` stand for in the caller's result,
-/// as its budget checkpoint charges them: one each, or on the half path two
-/// per off-diagonal pair and one for the diagonal `(rid, rid)`, which sorts
-/// last among a probe's `s ≤ rid` pairs. So
-/// [`ExecBudget::max_output_pairs`] caps what the caller sees.
-pub(crate) fn output_charge(pairs: &[JoinPair], half: bool) -> u64 {
-    let n = pairs.len() as u64;
-    if !half {
-        return n;
-    }
-    let diagonal = pairs.last().is_some_and(|p| p.r == p.s);
-    2 * n - u64::from(diagonal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -770,11 +710,6 @@ mod tests {
         );
         // A mirrored pair carries its original's overlap.
         assert_eq!(out[2].overlap, mk(3, 0).overlap);
-        // Budget charge: the probe of 3 stands for 5 caller-visible pairs.
-        assert_eq!(output_charge(&half[3..], true), 5);
-        assert_eq!(output_charge(&half[3..], false), 3);
-        assert_eq!(output_charge(&half[1..2], true), 2);
-        assert_eq!(output_charge(&[], true), 0);
     }
 
     #[test]

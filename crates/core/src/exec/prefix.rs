@@ -24,8 +24,7 @@
 
 use super::prune::{bounds_into, join_bounds_into, Prune, SetBound};
 use super::workspace::{CsrIndex, JoinWorkspace, WorkerScratch};
-use super::{output_charge, run_probes, symmetric_self_join, ExecContext, JoinPair, MirrorScratch};
-use crate::budget::BudgetState;
+use super::{run_probes, symmetric_self_join, ExecContext, JoinPair, MirrorScratch};
 use crate::kernel::verify_overlap;
 use crate::predicate::{Interval, OverlapPredicate};
 use crate::set::SetCollection;
@@ -94,13 +93,9 @@ pub(crate) fn run_prefix_family(
     pred: &OverlapPredicate,
     ctx: &ExecContext,
     inline: bool,
-    budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let mut stats = SsJoinStats::default();
-    if !budget.proceed() {
-        return stats;
-    }
     let half = symmetric_self_join(r, s, pred);
     let JoinWorkspace {
         s_index,
@@ -126,9 +121,6 @@ pub(crate) fn run_prefix_family(
         s_index.build(s, Some(s_lens));
         join_bounds_into(r, s, pred, half, r_bounds, s_bounds);
     });
-    if !budget.proceed() {
-        return stats;
-    }
     let r_bounds = if half { &*s_bounds } else { &*r_bounds };
     let prune = Prune::new(r, s, r_bounds, s_bounds, pred, ctx.bitmap_filter);
     let (s_index, r_lens) = (&*s_index, &*r_lens);
@@ -137,7 +129,7 @@ pub(crate) fn run_prefix_family(
     // overlap recomputation per candidate.
     let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(
-            r, s, s_index, r_lens, prune, ctx, inline, half, budget, workers, mirror, out,
+            r, s, s_index, r_lens, prune, ctx, inline, half, workers, mirror, out,
         )
     });
     stats.merge(&inner);
@@ -164,127 +156,115 @@ fn candidate_phase(
     ctx: &ExecContext,
     inline: bool,
     half: bool,
-    budget: &BudgetState,
     workers: &mut Vec<WorkerScratch>,
     mirror: &mut MirrorScratch,
     out: &mut Vec<JoinPair>,
 ) -> SsJoinStats {
-    {
-        let probe = |range: std::ops::Range<usize>, scratch: &mut WorkerScratch| {
-            let mut stats = SsJoinStats::default();
-            // Candidate dedup via a stamp array (reset-free across probes
-            // within one run). The clear + resize refills every slot with the
-            // sentinel so a stamp from a previous run on this workspace can
-            // never alias a rid of the current run.
-            scratch.stamp.clear();
-            scratch.stamp.resize(s.len(), u32::MAX);
-            scratch.candidates.clear();
-            scratch.r_table.clear();
-            let stamp = &mut scratch.stamp;
-            let candidates = &mut scratch.candidates;
-            // Join-back scratch: hash table over the current R group.
-            let r_table = &mut scratch.r_table;
-            let pairs = &mut scratch.pairs;
+    let probe = |range: std::ops::Range<usize>, scratch: &mut WorkerScratch| {
+        let mut stats = SsJoinStats::default();
+        // Candidate dedup via a stamp array (reset-free across probes
+        // within one run). The clear + resize refills every slot with the
+        // sentinel so a stamp from a previous run on this workspace can
+        // never alias a rid of the current run.
+        scratch.stamp.clear();
+        scratch.stamp.resize(s.len(), u32::MAX);
+        scratch.candidates.clear();
+        scratch.r_table.clear();
+        let stamp = &mut scratch.stamp;
+        let candidates = &mut scratch.candidates;
+        // Join-back scratch: hash table over the current R group.
+        let r_table = &mut scratch.r_table;
+        let pairs = &mut scratch.pairs;
 
-            for rid in range {
-                // The stamp array uses `u32::MAX` as its "never seen"
-                // sentinel; group ids are capped at `u32::MAX - 1` by the
-                // builder's TooManyGroups check, so a real rid can never
-                // alias the sentinel.
-                debug_assert_ne!(
-                    rid as u32,
-                    u32::MAX,
-                    "rid collides with the stamp sentinel; collection exceeds the id space"
-                );
-                let out_before = pairs.len();
-                let plen = r_lens[rid];
-                if plen == 0 {
-                    continue;
-                }
-                let rset = r.set(rid as u32);
-                let rid = rid as u32;
-                let window = prune.window(rid, half);
-                if window.is_empty() {
-                    continue;
-                }
-                candidates.clear();
-                for &rank in &rset.ranks()[..plen] {
-                    for &sid in s_index.postings_in(rank, window.clone()) {
-                        stats.join_tuples += 1;
-                        if stamp[sid as usize] != rid {
-                            stamp[sid as usize] = rid;
-                            candidates.push(sid);
-                        }
+        for rid in range {
+            // The stamp array uses `u32::MAX` as its "never seen"
+            // sentinel; group ids are capped at `u32::MAX - 1` by the
+            // builder's TooManyGroups check, so a real rid can never
+            // alias the sentinel.
+            debug_assert_ne!(
+                rid as u32,
+                u32::MAX,
+                "rid collides with the stamp sentinel; collection exceeds the id space"
+            );
+            let plen = r_lens[rid];
+            if plen == 0 {
+                continue;
+            }
+            let rset = r.set(rid as u32);
+            let rid = rid as u32;
+            let window = prune.window(rid, half);
+            if window.is_empty() {
+                continue;
+            }
+            candidates.clear();
+            for &rank in &rset.ranks()[..plen] {
+                for &sid in s_index.postings_in(rank, window.clone()) {
+                    stats.join_tuples += 1;
+                    if stamp[sid as usize] != rid {
+                        stamp[sid as usize] = rid;
+                        candidates.push(sid);
                     }
-                }
-                stats.candidate_pairs += candidates.len() as u64;
-                if candidates.is_empty() {
-                    continue;
-                }
-                // Budget checkpoint before verification: candidate work for
-                // this probe is known, verification is the expensive tail.
-                if !budget.checkpoint(candidates.len() as u64, 0) {
-                    break;
-                }
-                // The signature bound rejects a candidate without reading its
-                // set; only the survivors are sorted into `(r, s)` order.
-                prune.retain(rid, candidates, &mut stats);
-                candidates.sort_unstable();
-
-                if inline {
-                    for &sid in candidates.iter() {
-                        let sset = s.set(sid);
-                        stats.verified_pairs += 1;
-                        // The HAVING check is fused into the kernel: Some
-                        // exactly when overlap >= required.
-                        let required = prune.required(rid, sid);
-                        if let Some(overlap) = verify_overlap(rset, sset, required, &mut stats) {
-                            pairs.push(JoinPair {
-                                r: rid,
-                                s: sid,
-                                overlap,
-                            });
-                        }
-                    }
-                } else {
-                    // Join back to the base relations (Figure 8): the SQL
-                    // plan re-joins the candidate pairs with R and S and
-                    // re-groups, i.e. it materializes and hashes each
-                    // candidate's group rows anew per pair — so the
-                    // emulation rebuilds the R-group hash table for every
-                    // candidate rather than amortizing it. (Skipping that
-                    // rebuild is exactly the inline optimization of
-                    // Figure 9.) Pruned candidates skip the rebuild.
-                    for &sid in candidates.iter() {
-                        let sset = s.set(sid);
-                        r_table.clear();
-                        for (&rank, &w) in rset.ranks().iter().zip(rset.weights()) {
-                            r_table.insert(rank, w);
-                        }
-                        let mut overlap = Weight::ZERO;
-                        for rank in sset.ranks() {
-                            if let Some(&w) = r_table.get(rank) {
-                                overlap += w;
-                            }
-                        }
-                        stats.verified_pairs += 1;
-                        if overlap >= prune.required(rid, sid) {
-                            pairs.push(JoinPair {
-                                r: rid,
-                                s: sid,
-                                overlap,
-                            });
-                        }
-                    }
-                }
-                if !budget.checkpoint(0, output_charge(&pairs[out_before..], half)) {
-                    break;
                 }
             }
-            stats
-        };
-        run_probes(r.len(), ctx.threads, half, workers, mirror, out, probe)
-    }
+            stats.candidate_pairs += candidates.len() as u64;
+            if candidates.is_empty() {
+                continue;
+            }
+            // The signature bound rejects a candidate without reading its
+            // set; only the survivors are sorted into `(r, s)` order.
+            prune.retain(rid, candidates, &mut stats);
+            candidates.sort_unstable();
+
+            if inline {
+                for &sid in candidates.iter() {
+                    let sset = s.set(sid);
+                    stats.verified_pairs += 1;
+                    // The HAVING check is fused into the kernel: Some
+                    // exactly when overlap >= required.
+                    let required = prune.required(rid, sid);
+                    if let Some(overlap) = verify_overlap(rset, sset, required, &mut stats) {
+                        pairs.push(JoinPair {
+                            r: rid,
+                            s: sid,
+                            overlap,
+                        });
+                    }
+                }
+            } else {
+                // Join back to the base relations (Figure 8): the SQL
+                // plan re-joins the candidate pairs with R and S and
+                // re-groups, i.e. it materializes and hashes each
+                // candidate's group rows anew per pair — so the
+                // emulation rebuilds the R-group hash table for every
+                // candidate rather than amortizing it. (Skipping that
+                // rebuild is exactly the inline optimization of
+                // Figure 9.) Pruned candidates skip the rebuild.
+                for &sid in candidates.iter() {
+                    let sset = s.set(sid);
+                    r_table.clear();
+                    for (&rank, &w) in rset.ranks().iter().zip(rset.weights()) {
+                        r_table.insert(rank, w);
+                    }
+                    let mut overlap = Weight::ZERO;
+                    for rank in sset.ranks() {
+                        if let Some(&w) = r_table.get(rank) {
+                            overlap += w;
+                        }
+                    }
+                    stats.verified_pairs += 1;
+                    if overlap >= prune.required(rid, sid) {
+                        pairs.push(JoinPair {
+                            r: rid,
+                            s: sid,
+                            overlap,
+                        });
+                    }
+                }
+            }
+        }
+        stats
+    };
+    run_probes(r.len(), ctx.threads, half, workers, mirror, out, probe)
 }
 
 /// Probe an already-built S-side prefix index: identical to
@@ -305,13 +285,9 @@ pub(crate) fn probe_prefix_family(
     pred: &OverlapPredicate,
     ctx: &ExecContext,
     inline: bool,
-    budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let mut stats = SsJoinStats::default();
-    if !budget.proceed() {
-        return stats;
-    }
     let JoinWorkspace {
         r_lens,
         r_bounds,
@@ -327,14 +303,11 @@ pub(crate) fn probe_prefix_family(
         stats.prefix_tuples_s = s_prefix_tuples;
         bounds_into(r, pred, Side::R, r_bounds);
     });
-    if !budget.proceed() {
-        return stats;
-    }
     let prune = Prune::new(r, s, r_bounds, s_bounds, pred, ctx.bitmap_filter);
     let r_lens = &*r_lens;
     let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
         candidate_phase(
-            r, s, s_index, r_lens, prune, ctx, inline, false, budget, workers, mirror, out,
+            r, s, s_index, r_lens, prune, ctx, inline, false, workers, mirror, out,
         )
     });
     stats.merge(&inner);
@@ -346,10 +319,9 @@ pub(super) fn run(
     s: &SetCollection,
     pred: &OverlapPredicate,
     ctx: &ExecContext,
-    budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
-    run_prefix_family(r, s, pred, ctx, false, budget, ws)
+    run_prefix_family(r, s, pred, ctx, false, ws)
 }
 
 #[cfg(test)]
@@ -381,16 +353,7 @@ mod tests {
         let pred = OverlapPredicate::absolute(4.0);
         let lens = prefix_lengths(&c, Side::R, &pred, c.norm_range());
         assert_eq!(lens, vec![2, 2]);
-        let (pairs, _) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
+        let (pairs, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
         let got: Vec<(u32, u32)> = pairs.iter().map(|p| (p.r, p.s)).collect();
         let mut got = got;
         got.sort_unstable();
@@ -413,26 +376,9 @@ mod tests {
                 OverlapPredicate::r_normalized(0.6),
                 OverlapPredicate::two_sided(0.5),
             ] {
-                let (mut a, _) = collect(|ws| {
-                    super::super::basic::run(
-                        &c,
-                        &c,
-                        &pred,
-                        &ExecContext::new(),
-                        &BudgetState::unlimited(),
-                        ws,
-                    )
-                });
-                let (mut b, _) = collect(|ws| {
-                    run(
-                        &c,
-                        &c,
-                        &pred,
-                        &ExecContext::new(),
-                        &BudgetState::unlimited(),
-                        ws,
-                    )
-                });
+                let (mut a, _) =
+                    collect(|ws| super::super::basic::run(&c, &c, &pred, &ExecContext::new(), ws));
+                let (mut b, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
                 a.sort_unstable_by_key(|p| (p.r, p.s));
                 b.sort_unstable_by_key(|p| (p.r, p.s));
                 assert_eq!(a, b, "scheme {scheme:?} pred {pred:?}");
@@ -449,26 +395,9 @@ mod tests {
             .collect();
         let c = build(groups, WeightScheme::Idf);
         let pred = OverlapPredicate::two_sided(0.9);
-        let (_, basic_stats) = collect(|ws| {
-            super::super::basic::run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
-        let (_, prefix_stats) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
+        let (_, basic_stats) =
+            collect(|ws| super::super::basic::run(&c, &c, &pred, &ExecContext::new(), ws));
+        let (_, prefix_stats) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
         assert!(
             prefix_stats.join_tuples < basic_stats.join_tuples / 2,
             "prefix {} vs basic {}",
@@ -509,26 +438,8 @@ mod tests {
             .collect();
         let c = build(groups, WeightScheme::Idf);
         let pred = OverlapPredicate::two_sided(0.5);
-        let (mut p1, _) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new(),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
-        let (mut p4, _) = collect(|ws| {
-            run(
-                &c,
-                &c,
-                &pred,
-                &ExecContext::new().with_threads(4),
-                &BudgetState::unlimited(),
-                ws,
-            )
-        });
+        let (mut p1, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
+        let (mut p4, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new().with_threads(4), ws));
         p1.sort_unstable_by_key(|p| (p.r, p.s));
         p4.sort_unstable_by_key(|p| (p.r, p.s));
         assert_eq!(p1, p4);

@@ -8,9 +8,9 @@
 //! the executors previously derived per call on the S side — the prefix
 //! inverted index, per-set prefix lengths, the bitmap prune's per-set column
 //! (required overlap and signature popcount), and (inside the arena) the
-//! per-set signatures — and answers `R × index` joins through [`CorpusIndex::probe`]
-//! with the same budget, cancellation, and zero-warm-allocation contracts as
-//! [`crate::ssjoin_with`].
+//! per-set signatures — and answers `R × index` joins through
+//! [`CorpusIndex::probe`] with the same output, resident budget and
+//! zero-warm-allocation contracts as [`crate::ssjoin_with`].
 //!
 //! # Why probe output is identical to a fresh join
 //!
@@ -38,7 +38,6 @@
 //! fresh rebuild of the surviving collection.
 
 use crate::approx::ApproxSketch;
-use crate::budget::BudgetState;
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
     begin, bounds_into, build_csr_parallel, finish, prefix_lengths_into, probe_prefix_family,
@@ -166,9 +165,7 @@ impl CorpusIndex {
             // tombstoned set's pairs are filtered from probe output), so a
             // rebuild never has to renumber leaf membership.
             let mut sketch = self.approx.take().unwrap_or_default();
-            let unlimited = crate::budget::ExecBudget::default();
-            let budget = BudgetState::new(&unlimited, None);
-            sketch.build(&self.corpus, &self.pred, &spec, &budget);
+            sketch.build(&self.corpus, &self.pred, &spec);
             self.approx = Some(sketch);
         }
     }
@@ -176,18 +173,16 @@ impl CorpusIndex {
     /// Execute `batch SSJoin_pred index` into a caller-owned workspace.
     ///
     /// Semantics match [`crate::ssjoin_with`] with this index's corpus as
-    /// the S side restricted to live sets: same output pairs, same budget
-    /// and cancellation behaviour (honored per call through
-    /// `config.exec.budget` / `config.exec.cancel`), same `(r, s)`-sorted
-    /// zero-copy result. On a warmed workspace a sequential probe performs
+    /// the S side restricted to live sets: same output pairs, the same
+    /// resident budget (honored per call through `config.exec.budget`), same
+    /// `(r, s)`-sorted zero-copy result. On a warmed workspace a sequential probe performs
     /// zero heap allocations. Candidate-level counters may exceed a fresh
     /// join's (see the module docs); emitted pairs never differ.
     ///
     /// # Errors
     /// [`SsJoinError::UniverseMismatch`] when `batch` comes from a different
     /// builder run; [`SsJoinError::Config`] for zero threads or a batch
-    /// with a negative norm (outside the `[0, ∞)` partner interval);
-    /// [`SsJoinError::BudgetExceeded`] when a limit trips.
+    /// with a negative norm (outside the `[0, ∞)` partner interval).
     pub fn probe<'w>(
         &self,
         batch: &SetCollection,
@@ -231,29 +226,19 @@ impl CorpusIndex {
         let run = begin(batch, &self.corpus, config, ws)?;
         let (r, s, algorithm, ctx) = (batch, &self.corpus, run.algorithm, run.ctx);
         let spilled = if run.spill {
-            crate::spill::run(r, s, &self.pred, algorithm, ctx, &run.budget, ws)
+            crate::spill::run(r, s, &self.pred, algorithm, ctx, ws)
         } else {
             None
         };
         let (mut stats, whole_arena) = match (spilled, sketch) {
             (Some(stats), _) => (stats, true),
             (None, Some(sketch)) => (
-                crate::approx::probe_built(
-                    r,
-                    s,
-                    sketch,
-                    &self.bounds,
-                    &self.pred,
-                    ctx,
-                    &run.budget,
-                    ws,
-                ),
+                crate::approx::probe_built(r, s, sketch, &self.bounds, &self.pred, ctx, ws),
                 false,
             ),
-            (None, None) if algorithm == Algorithm::Basic => (
-                run_algorithm(algorithm, r, s, &self.pred, ctx, &run.budget, ws),
-                true,
-            ),
+            (None, None) if algorithm == Algorithm::Basic => {
+                (run_algorithm(algorithm, r, s, &self.pred, ctx, ws), true)
+            }
             // Only PrefixFiltered and Inline reach the persistent prefix
             // index.
             (None, None) => (
@@ -266,7 +251,6 @@ impl CorpusIndex {
                     &self.pred,
                     ctx,
                     algorithm == Algorithm::Inline,
-                    &run.budget,
                     ws,
                 ),
                 false,
@@ -297,12 +281,12 @@ impl CorpusIndex {
             if dead_emitted > 0 {
                 ws.out.retain(|p| self.alive[p.s as usize]);
             }
-            let epoch_added = self.probe_epoch_tail(r, &run.budget, ws, &mut stats);
+            let epoch_added = self.probe_epoch_tail(r, ws, &mut stats);
             if epoch_added {
                 ws.out.sort_unstable_by_key(|p| (p.r, p.s));
             }
         }
-        finish(run, stats, self.bytes_reserved(), ws)
+        Ok(finish(run, stats, self.bytes_reserved(), ws))
     }
 
     /// The sketch an approximate probe under `ctx` runs against (`None` for
@@ -337,7 +321,6 @@ impl CorpusIndex {
     fn probe_epoch_tail(
         &self,
         r: &SetCollection,
-        budget: &BudgetState,
         ws: &mut JoinWorkspace,
         stats: &mut SsJoinStats,
     ) -> bool {
@@ -346,7 +329,6 @@ impl CorpusIndex {
         }
         let before = ws.out.len();
         for rid in 0..r.len() as u32 {
-            let out_before = ws.out.len();
             let rset = r.set(rid);
             let mut cand = 0u64;
             for sid in self.indexed as u32..self.corpus.len() as u32 {
@@ -366,9 +348,6 @@ impl CorpusIndex {
             }
             stats.candidate_pairs += cand;
             stats.verified_pairs += cand;
-            if !budget.checkpoint(cand, (ws.out.len() - out_before) as u64) {
-                break;
-            }
         }
         ws.out.len() > before
     }

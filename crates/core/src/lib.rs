@@ -78,7 +78,7 @@ mod stats;
 mod weight;
 
 pub use approx::ApproxSpec;
-pub use budget::{estimate_memory_bytes, BudgetCause, CancelToken, ExecBudget};
+pub use budget::{estimate_memory_bytes, ExecBudget};
 pub use builder::{
     BuiltInput, NormKind, QueryEncoder, RelationHandle, SsJoinInputBuilder, TokenGroups,
     WeightScheme,

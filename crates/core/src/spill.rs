@@ -3,9 +3,9 @@
 //!
 //! The paper frames SSJoin as a primitive inside a DBMS operator tree, and
 //! physical operators in that setting are expected to degrade gracefully
-//! past RAM rather than refuse the input. This module turns the memory cap
-//! from a rejection ([`crate::budget::estimate_memory_bytes`] preflight)
-//! into an execution strategy: when the resident estimate exceeds
+//! past RAM rather than refuse the input. This module makes the memory cap
+//! an execution strategy: when the resident estimate
+//! ([`crate::budget::estimate_memory_bytes`]) exceeds
 //! [`crate::ExecBudget::max_resident_bytes`], the join is split into
 //! token-range partitions sized to fit, and partitions are built and joined
 //! one at a time through the ordinary executors — so only one partition's
@@ -63,7 +63,6 @@
 //! [`SsJoinStats::spill_partitions`], and a plan that cannot fit shows as
 //! [`SsJoinStats::spill_peak_resident_bytes`] above the budget.
 
-use crate::budget::BudgetState;
 use crate::exec::{
     prefix_lengths_into, run_algorithm, Algorithm, ExecContext, JoinPair, JoinWorkspace, Side,
 };
@@ -504,17 +503,12 @@ fn build_side(
 /// `algorithm`, and keep only the pairs it owns; the per-partition sorted
 /// runs are k-way merged into `ws.out`. Returns the merged stats, or `None`
 /// when the input cannot be split (the caller then runs resident).
-///
-/// The shared [`BudgetState`] spans the whole run: a deadline or cancel
-/// tripping mid-partition aborts between (or inside) partitions, and the
-/// caller converts the cause into a typed `BudgetExceeded`.
 pub(crate) fn run(
     r: &SetCollection,
     s: &SetCollection,
     pred: &OverlapPredicate,
     algorithm: Algorithm,
     ctx: &ExecContext,
-    budget: &BudgetState,
     ws: &mut JoinWorkspace,
 ) -> Option<SsJoinStats> {
     let limit = ctx.budget.max_resident_bytes.unwrap_or(u64::MAX);
@@ -522,7 +516,7 @@ pub(crate) fn run(
         Some(s) => s,
         None => Box::new(SpillScratch::new(r)),
     };
-    let result = run_inner(r, s, pred, algorithm, ctx, budget, ws, &mut scratch, limit);
+    let result = run_inner(r, s, pred, algorithm, ctx, ws, &mut scratch, limit);
     ws.spill = Some(scratch);
     result
 }
@@ -534,7 +528,6 @@ fn run_inner(
     pred: &OverlapPredicate,
     algorithm: Algorithm,
     ctx: &ExecContext,
-    budget: &BudgetState,
     ws: &mut JoinWorkspace,
     scratch: &mut SpillScratch,
     limit: u64,
@@ -542,20 +535,7 @@ fn run_inner(
     // Plan. An unsplittable input falls back to the resident path.
     let peak = scratch.planner.plan(r, s, pred, limit)?;
     let partitions = scratch.planner.cuts.len() - 1;
-    #[allow(clippy::field_reassign_with_default)] // phase_times is private
     let mut stats = SsJoinStats::default();
-    stats.spill_partitions = partitions as u64;
-    stats.spill_peak_resident_bytes = peak;
-    // The hard-rejection cap applies to what a spilled run actually holds
-    // resident — the partition peak — not the full-input estimate.
-    if let Some(cap) = ctx.budget.max_memory_bytes {
-        if peak > cap {
-            budget.trip_memory();
-        }
-    }
-    if !budget.proceed() {
-        return Some(stats);
-    }
 
     let universe = r.universe_size().max(s.universe_size());
     let self_join = std::ptr::eq(r, s);
@@ -600,9 +580,6 @@ fn run_inner(
     remap.resize(universe, u32::MAX);
     let mut elements = 0u64;
     for p in 0..partitions {
-        if !budget.proceed() {
-            break;
-        }
         let (lo, hi) = (cuts[p], cuts[p + 1]);
         let (members_r, members_s) = (route_r.members(p), route_s.members(p));
         // Dense local ids in ascending global rank order (a monotone
@@ -640,12 +617,7 @@ fn run_inner(
         }
         let (sub_r, sub_s) = (&*sub_r, if self_join { &*sub_r } else { &*sub_s });
         inner.begin_run();
-        // The partition join charges candidates and polls the deadline and
-        // cancel token, but its output includes pairs another partition
-        // owns: only the owned pairs are charged, after the filter below.
-        budget.charge_output(false);
-        let pstats = run_algorithm(algorithm, sub_r, sub_s, pred, ctx, budget, inner);
-        budget.charge_output(true);
+        let pstats = run_algorithm(algorithm, sub_r, sub_s, pred, ctx, inner);
         stats.merge(&pstats);
         // Ownership filter + global-id remap. Local ids ascend with global
         // ids (member order), so the surviving pairs stay `(r, s)`-sorted
@@ -663,12 +635,8 @@ fn run_inner(
                 });
             }
         }
-        let owned = w0.pairs.len() - start;
-        if owned > 0 {
+        if w0.pairs.len() > start {
             w0.runs.push((start, w0.pairs.len()));
-        }
-        if !budget.checkpoint(0, owned as u64) {
-            break;
         }
     }
 

@@ -51,8 +51,8 @@ impl Phase {
 /// `gallop_probes` — count unordered pairs (the diagonal once), while
 /// `output_pairs` counts both orientations, as the output holds them.
 ///
-/// `PartialEq`/`Eq` compare every field (all counters and durations), so a
-/// stats record can ride inside [`crate::SsJoinError::BudgetExceeded`].
+/// `PartialEq`/`Eq` compare every field, phase durations included, so two
+/// records are equal only when their timings are too.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SsJoinStats {
     /// Wall time per phase.
@@ -85,9 +85,6 @@ pub struct SsJoinStats {
     /// Rank comparisons performed by the galloping kernel's exponential
     /// probes and binary searches.
     pub gallop_probes: u64,
-    /// Budget checkpoints taken (0 when no limit and no cancel token was
-    /// set — the inactive fast path skips counting entirely).
-    pub budget_checks: u64,
     /// Worker threads the run was given: the context's `threads`, never
     /// clamped to the host (0 in per-worker partial records; set once on
     /// the final stats). A join over fewer groups than threads runs one
@@ -155,7 +152,6 @@ impl SsJoinStats {
         self.merge_steps += other.merge_steps;
         self.early_exits += other.early_exits;
         self.gallop_probes += other.gallop_probes;
-        self.budget_checks += other.budget_checks;
         // Run-level facts, not per-worker work: take the max so merging a
         // worker's partial record (all zeros here) never erases them.
         self.effective_threads = self.effective_threads.max(other.effective_threads);
@@ -258,13 +254,11 @@ mod tests {
         a.output_pairs = 1;
         a.add_time(Phase::Filter, Duration::from_millis(1));
         a.effective_threads = 4;
-        a.budget_checks = 2;
         let mut b = SsJoinStats::default();
         b.join_tuples = 7;
         b.output_pairs = 2;
         b.add_time(Phase::Filter, Duration::from_millis(4));
         b.effective_threads = 2;
-        b.budget_checks = 3;
         a.merge(&b);
         assert_eq!(a.join_tuples, 12);
         assert_eq!(a.output_pairs, 3);
@@ -272,7 +266,6 @@ mod tests {
         // Run-level facts take the max — every counter sums. Merging the
         // other way around must agree.
         assert_eq!(a.effective_threads, 4);
-        assert_eq!(a.budget_checks, 5);
         let mut c = SsJoinStats::default();
         c.effective_threads = 2;
         let mut d = SsJoinStats::default();

@@ -3,11 +3,13 @@
 //! predicate shapes. Inputs are driven by a seeded PRNG so every failure is
 //! reproducible from the iteration's seed.
 
+use ssjoin_baselines::naive_join;
 use ssjoin_core::kernel::{overlap_at_least, overlap_gallop, verify_overlap};
 use ssjoin_core::plan::{basic_plan, collection_to_relation, inline_plan, prefix_plan, run_plan};
 use ssjoin_core::{
-    ssjoin, Algorithm, ElementOrder, ExecBudget, ExecContext, JoinPair, NormKind, OverlapPredicate,
-    SetCollection, SsJoinConfig, SsJoinInputBuilder, SsJoinStats, Weight, WeightScheme,
+    estimate_memory_bytes, ssjoin, Algorithm, ElementOrder, ExecBudget, ExecContext, JoinPair,
+    NormKind, OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder, SsJoinStats,
+    Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 use std::sync::Arc;
@@ -550,6 +552,93 @@ fn norm_ratio_matches_oracle_in_and_out_of_norm_order() {
                 let out = ssjoin(r, s, &pred, &approx).unwrap();
                 for key in pairs_to_keys(&out.pairs) {
                     assert!(expect.contains(&key), "seed {seed} sorted {sorted} {key:?}");
+                }
+            }
+        }
+    }
+}
+
+/// Adversarial group generator: empty relations, empty sets, a single-token
+/// vocabulary, and heavy duplicates.
+fn adversarial_groups(rng: &mut StdRng, case: u32) -> Vec<Vec<String>> {
+    match case {
+        // Empty relation.
+        0 => Vec::new(),
+        // All-empty sets.
+        1 => vec![Vec::new(); rng.gen_range(1usize..5)],
+        // Single-token vocabulary: every set repeats one token (ordinalized
+        // into distinct elements), maximally collision-heavy postings.
+        2 => (0..rng.gen_range(1usize..12))
+            .map(|_| vec!["t".to_string(); rng.gen_range(0usize..6)])
+            .collect(),
+        // Duplicate groups: identical heavy sets, every pair qualifies.
+        3 => {
+            let g: Vec<String> = (0..rng.gen_range(1usize..6))
+                .map(|k| format!("d{k}"))
+                .collect();
+            vec![g; rng.gen_range(2usize..8)]
+        }
+        // Mixed: some empty, some single-token, some random.
+        _ => (0..rng.gen_range(1usize..10))
+            .map(|_| {
+                let len = rng.gen_range(0usize..6);
+                (0..len)
+                    .map(|_| {
+                        let c = b'a' + rng.gen_range(0u8..3);
+                        (c as char).to_string()
+                    })
+                    .collect()
+            })
+            .collect(),
+    }
+}
+
+/// Adversarial inputs never panic any executor, at 1 and 3 workers,
+/// resident and spilled (a resident budget of a quarter of the estimate),
+/// and every run returns exactly the pairs of the naive UDF cross product
+/// (`ssjoin_baselines::naive_join` over the predicate), with exact overlaps.
+#[test]
+fn adversarial_inputs_never_panic() {
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(0xB0D6 + seed);
+        let r_case = rng.gen_range(0u32..5);
+        let s_case = rng.gen_range(0u32..5);
+        let scheme = if rng.gen_bool(0.5) {
+            WeightScheme::Idf
+        } else {
+            WeightScheme::Unweighted
+        };
+        let (r, s) = build_two(
+            adversarial_groups(&mut rng, r_case),
+            adversarial_groups(&mut rng, s_case),
+            scheme,
+            ElementOrder::FrequencyAsc,
+        );
+        let pred = random_predicate(&mut rng);
+        let (r_sets, s_sets): (Vec<_>, Vec<_>) = (r.iter().collect(), s.iter().collect());
+        let (naive, _) = naive_join(&r_sets, &s_sets, 1.0, |a, b| {
+            f64::from(u8::from(pred.check(a.overlap(*b), a.norm(), b.norm())))
+        });
+        let expect: Vec<(u32, u32)> = naive.iter().map(|&(i, j, _)| (i, j)).collect();
+        let spill_at = estimate_memory_bytes(&r, &s) / 4;
+        for alg in [
+            Algorithm::Basic,
+            Algorithm::PrefixFiltered,
+            Algorithm::Inline,
+        ] {
+            for threads in [1usize, 3] {
+                for budget in [
+                    ExecBudget::new(),
+                    ExecBudget::new().with_max_resident_bytes(spill_at),
+                ] {
+                    let ctx = format!("seed {seed} {alg:?} threads {threads} {budget:?}");
+                    let exec = ExecContext::new().with_threads(threads).with_budget(budget);
+                    let out = ssjoin(&r, &s, &pred, &SsJoinConfig::new(alg).with_exec(exec))
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert_eq!(pairs_to_keys(&out.pairs), expect, "{ctx}");
+                    for p in &out.pairs {
+                        assert_eq!(p.overlap, r.set(p.r).overlap(s.set(p.s)), "{ctx}");
+                    }
                 }
             }
         }

@@ -25,8 +25,8 @@
 //!
 //! [`ssjoin`] joins two collections of one builder run; pass one collection
 //! twice for a self-join. Every execution setting (threads, the bitmap
-//! signature filter, budgets, cancellation, approximate mode) lives on one
-//! [`ExecContext`], handed over with [`SsJoinConfig::with_exec`]:
+//! signature filter, the resident-memory budget, approximate mode) lives on
+//! one [`ExecContext`], handed over with [`SsJoinConfig::with_exec`]:
 //!
 //! ```
 //! use ssjoin::{ssjoin, Algorithm, ExecContext, OverlapPredicate, SsJoinConfig};
@@ -77,9 +77,8 @@ pub use ssjoin_text as text;
 
 // Most-used items at the crate root for ergonomic imports.
 pub use ssjoin_core::{
-    Algorithm, ApproxSpec, BudgetCause, CancelToken, ElementOrder, ExecBudget, ExecContext,
-    JoinWorkspace, NormKind, OverlapPredicate, QueryEncoder, SsJoinConfig, SsJoinInputBuilder,
-    SsJoinRun, WeightScheme,
+    Algorithm, ApproxSpec, ElementOrder, ExecBudget, ExecContext, JoinWorkspace, NormKind,
+    OverlapPredicate, QueryEncoder, SsJoinConfig, SsJoinInputBuilder, SsJoinRun, WeightScheme,
 };
 
 /// The fast path and the relational operator trees of [`core::plan`]
@@ -164,9 +163,7 @@ mod tests {
     use ssjoin_core::plan::{
         basic_plan, collection_to_relation, inline_plan, prefix_plan, run_plan,
     };
-    use ssjoin_core::{
-        BuiltInput, JoinPair, SetCollection, SsJoinError, SsJoinOutput, SsJoinResult,
-    };
+    use ssjoin_core::{BuiltInput, JoinPair, SetCollection, SsJoinOutput, SsJoinResult};
     use std::sync::Arc;
 
     fn addresses_input() -> BuiltInput {
@@ -240,28 +237,6 @@ mod tests {
             assert_eq!(seq.pairs, par.pairs, "threads {threads}");
             assert!(par.stats.bitmap_probes > 0, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn facade_budget_and_cancel_are_honored() {
-        let input = addresses_input();
-        // A one-candidate budget must abort with the typed error.
-        let capped = ExecBudget::new().with_max_candidate_pairs(1);
-        let err = join(&input, 0.3, ExecContext::new().with_budget(capped)).unwrap_err();
-        assert!(
-            matches!(&err, SsJoinError::BudgetExceeded { which, .. }
-                if *which == BudgetCause::CandidatePairs),
-            "{err:?}"
-        );
-        // A pre-cancelled token aborts before any work happens.
-        let token = CancelToken::new();
-        token.cancel();
-        let err = join(&input, 0.3, ExecContext::new().with_cancel_token(token)).unwrap_err();
-        assert!(
-            matches!(&err, SsJoinError::BudgetExceeded { which, .. }
-                if *which == BudgetCause::Cancelled),
-            "{err:?}"
-        );
     }
 
     #[test]
