@@ -13,7 +13,7 @@
 //!    differ by at most ε,
 //!
 //! where `ε = ⌊(1 − α)·max(|σ1|, |σ2|)⌋` is the edit budget implied by the
-//! similarity threshold α. Candidates are verified with the banded edit
+//! similarity threshold α. Candidates are verified with the bit-parallel edit
 //! distance. The optional **count filter** (`GravanoConfig::count_filter`)
 //! additionally requires `max(|σ1|,|σ2|) − q + 1 − ε·q` positionally-close
 //! shared q-grams (Property 4) before verification — Gravano et al.'s full
@@ -209,7 +209,7 @@ impl GravanoJoin {
         stats.candidate_pairs = candidates.len() as u64;
         stats.candidate_enumeration = t1.elapsed();
 
-        // Verification with the banded edit distance.
+        // Verification with the threshold-aware edit distance.
         let t2 = Instant::now();
         let mut out = Vec::new();
         for (rid, sid) in candidates {

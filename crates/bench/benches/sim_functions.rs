@@ -15,7 +15,7 @@ fn bench_sim(c: &mut Criterion) {
     g.bench_function("levenshtein_full", |b| {
         b.iter(|| levenshtein(black_box(A), black_box(B)))
     });
-    g.bench_function("levenshtein_banded_k5", |b| {
+    g.bench_function("levenshtein_within_k5", |b| {
         b.iter(|| levenshtein_within(black_box(A), black_box(B), 5))
     });
     g.bench_function("edit_similarity", |b| {

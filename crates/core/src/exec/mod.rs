@@ -478,7 +478,8 @@ where
 /// True when `r ⋈ s` is a self-join (one collection passed as both sides)
 /// under a symmetric predicate: then pair `(i, j)` qualifies exactly when
 /// `(j, i)` does, with the same overlap, so the executors find each
-/// unordered pair once (probe `rid` walks only ids `≤ rid`) and mirror.
+/// unordered pair once (probe `rid` walks only ids `< rid` and decides
+/// `(rid, rid)` from its set's total) and mirror.
 pub(crate) fn symmetric_self_join(
     r: &SetCollection,
     s: &SetCollection,

@@ -16,11 +16,13 @@
 //! sets through the filter and merging them directly.
 //!
 //! A symmetric self-join takes the half path of [`super::run_probes`]: probe
-//! `rid` walks each prefix rank's postings only up to `rid`, so every
-//! unordered pair is found, deduplicated, bitmap-probed and merged once, and
-//! the lower triangle is mirrored into the full output. Under a norm-ratio
-//! predicate over norm-sorted sets, each probe walks only its partner
-//! window's id range of every list ([`super::Prune::window`]).
+//! `rid` walks each prefix rank's postings only below `rid`, so every
+//! unordered off-diagonal pair is found, deduplicated, bitmap-probed and
+//! merged once, and the lower triangle is mirrored into the full output.
+//! The diagonal `(rid, rid)` is never a candidate:
+//! [`super::Prune::push_diagonal`] decides it from the set's total. Under a
+//! norm-ratio predicate over norm-sorted sets, each probe walks only its
+//! partner window's id range of every list ([`super::Prune::window`]).
 
 use super::prune::{bounds_into, join_bounds_into, Prune, SetBound};
 use super::workspace::{CsrIndex, JoinWorkspace, WorkerScratch};
@@ -186,6 +188,8 @@ fn candidate_phase(
                 u32::MAX,
                 "rid collides with the stamp sentinel; collection exceeds the id space"
             );
+            // An empty prefix rules out the diagonal pair too: its set's
+            // total misses the lowest requirement of any partner.
             let plen = r_lens[rid];
             if plen == 0 {
                 continue;
@@ -193,9 +197,6 @@ fn candidate_phase(
             let rset = r.set(rid as u32);
             let rid = rid as u32;
             let window = prune.window(rid, half);
-            if window.is_empty() {
-                continue;
-            }
             candidates.clear();
             for &rank in &rset.ranks()[..plen] {
                 for &sid in s_index.postings_in(rank, window.clone()) {
@@ -207,9 +208,6 @@ fn candidate_phase(
                 }
             }
             stats.candidate_pairs += candidates.len() as u64;
-            if candidates.is_empty() {
-                continue;
-            }
             // The signature bound rejects a candidate without reading its
             // set; only the survivors are sorted into `(r, s)` order.
             prune.retain(rid, candidates, &mut stats);
@@ -260,6 +258,11 @@ fn candidate_phase(
                         });
                     }
                 }
+            }
+            // The diagonal comes last in its half row: every candidate is
+            // below `rid`.
+            if half {
+                prune.push_diagonal(rid, pairs);
             }
         }
         stats

@@ -31,6 +31,7 @@
 //! one by one, so the output never depends on the id order.
 
 use super::prefix::Side;
+use super::JoinPair;
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
 use crate::stats::SsJoinStats;
@@ -148,7 +149,8 @@ impl<'a> Prune<'a> {
     /// The S ids probe `rid` may pair with: its partner window
     /// ([`OverlapPredicate::partner_window`]) when the predicate declares a
     /// norm ratio and S is norm-sorted, all of S otherwise, and on a
-    /// symmetric self-join's lower-triangle walk (`half`) only ids `≤ rid`.
+    /// symmetric self-join's lower-triangle walk (`half`) only ids `< rid`:
+    /// that walk leaves the diagonal to [`Self::push_diagonal`].
     #[inline]
     pub(crate) fn window(&self, rid: u32, half: bool) -> std::ops::Range<u32> {
         let norms = self.s.norms();
@@ -160,7 +162,7 @@ impl<'a> Prune<'a> {
             None => 0..norms.len() as u32,
         };
         if half {
-            ids.end = ids.end.min(rid + 1);
+            ids.end = ids.end.min(rid);
         }
         ids.start = ids.start.min(ids.end);
         ids
@@ -179,6 +181,28 @@ impl<'a> Prune<'a> {
             Some(pred) => {
                 pred.required_overlap(self.r.norms()[rid as usize], self.s.norms()[sid as usize])
             }
+        }
+    }
+
+    /// Append the diagonal pair `(rid, rid)` of a symmetric self-join to
+    /// `pairs` when it qualifies, decided from the set's record alone: a
+    /// set's overlap with itself is its total weight, so the pair qualifies,
+    /// with that overlap, exactly when its norm is compatible with itself
+    /// and the total reaches the pair's required overlap. No bitmap probe or
+    /// merge runs for it.
+    #[inline]
+    pub(crate) fn push_diagonal(&self, rid: u32, pairs: &mut Vec<JoinPair>) {
+        let norm = self.r.norms()[rid as usize];
+        let ratio = self.windowed.or(self.ratio_per_pair);
+        let overlap = self.r.set(rid).total_weight();
+        if ratio.is_none_or(|pred| pred.norms_compatible(norm, norm))
+            && overlap >= self.required(rid, rid)
+        {
+            pairs.push(JoinPair {
+                r: rid,
+                s: rid,
+                overlap,
+            });
         }
     }
 

@@ -48,8 +48,10 @@ impl Phase {
 /// executors find each unordered pair once and mirror it, so the work
 /// counters — `join_tuples`, `candidate_pairs`, `verified_pairs`,
 /// `bitmap_probes`, `bitmap_prunes`, `merge_steps`, `early_exits`,
-/// `gallop_probes` — count unordered pairs (the diagonal once), while
-/// `output_pairs` counts both orientations, as the output holds them.
+/// `gallop_probes` — count unordered pairs, while `output_pairs` counts
+/// both orientations, as the output holds them. The diagonal `(i, i)` is
+/// decided from the set's own total weight, with no posting walk,
+/// candidate, probe or merge: it counts only in `output_pairs`.
 ///
 /// `PartialEq`/`Eq` compare every field, phase durations included, so two
 /// records are equal only when their timings are too.

@@ -8,7 +8,8 @@
 //! predicate shape (the asymmetric ones fall back to the full path on both
 //! sides), resident and spilled. The work counters of either path must not
 //! depend on the thread count, and the half path generates fewer candidates
-//! than the full one.
+//! than the full one: each unordered pair once, and no diagonal pair, which
+//! it decides from the set's own total.
 
 use ssjoin_core::{
     estimate_memory_bytes, ssjoin, Algorithm, ElementOrder, ExecBudget, ExecContext, JoinPair,
@@ -176,6 +177,25 @@ fn half_path_equals_full_path() {
                                         "{ctx}"
                                     );
                                     halved += 1;
+                                }
+                                if resident.is_none() {
+                                    // The full path meets every unordered
+                                    // pair twice and some diagonal pairs
+                                    // once, each output diagonal among
+                                    // them; the half path meets each
+                                    // unordered pair once and decides the
+                                    // diagonal without a candidate.
+                                    let diagonal =
+                                        full.pairs.iter().filter(|p| p.r == p.s).count() as u64;
+                                    for (h, f) in [
+                                        (half.stats.candidate_pairs, full.stats.candidate_pairs),
+                                        (half.stats.verified_pairs, full.stats.verified_pairs),
+                                    ] {
+                                        assert!(
+                                            2 * h + diagonal <= f && f <= 2 * h + c.len() as u64,
+                                            "{ctx}: half {h}, full {f}, diagonal {diagonal}"
+                                        );
+                                    }
                                 }
                             } else if resident.is_none() {
                                 // Asymmetric: both sides take the full path.

@@ -5,6 +5,7 @@ use ssjoin_core::{
     ssjoin, ElementOrder, JoinPair, NormKind, OverlapPredicate, Phase, SetCollection, SsJoinConfig,
     SsJoinError, SsJoinInputBuilder, SsJoinResult, SsJoinStats, TokenGroups, WeightScheme,
 };
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 /// One matching pair with its verified similarity.
@@ -30,7 +31,10 @@ pub struct SimilarityJoinOutput {
     /// Similarity-function (UDF) invocations in the final filter — the
     /// quantity Table 1 of the paper counts. Distinct from
     /// `stats.verified_pairs`, which counts overlap recomputations inside
-    /// the SSJoin executor.
+    /// the SSJoin executor. A one-file edit self-join (the same slice as
+    /// both sides) calls the UDF once per unordered off-diagonal pair and
+    /// never on the diagonal, so it counts unordered pairs; handed two
+    /// relations, it counts each orientation and the diagonal.
     pub udf_verifications: u64,
 }
 
@@ -81,27 +85,37 @@ pub(crate) fn sides<'a, T, U>(r: &'a [T], s: &'a [T], f: impl Fn(&'a [T]) -> U) 
 /// similarity function (the output's `udf_verifications`).
 pub(crate) type Verified = (Vec<MatchPair>, u64);
 
-/// Verify `candidates` with `udf`, one call each, on up to `threads`
-/// workers, each taking one contiguous chunk. Chunk results are concatenated
-/// in order, so the output is the same at any thread count.
+/// Verify `candidates` with `udf` on up to `threads` workers, each taking
+/// one contiguous chunk. Chunk results are concatenated in order, so the
+/// output is the same at any thread count.
+///
+/// Without `mirror`, `udf` runs once per candidate and the passing pairs
+/// come back in candidate order. With `mirror` — the candidates of a
+/// one-relation self-join under a symmetric predicate, verified by a
+/// symmetric `udf` that gives every row similarity 1.0 with itself (edit
+/// similarity, Definition 2) — each unordered pair is decided once
+/// ([`decide`]) and the pairs come back unsorted.
 pub(crate) fn verify_candidates(
     candidates: &[JoinPair],
     threads: usize,
+    mirror: bool,
     udf: &(impl Fn(u32, u32) -> Option<f64> + Sync),
 ) -> Verified {
     let verify = |chunk: &[JoinPair]| -> Vec<MatchPair> {
-        chunk
-            .iter()
-            .filter_map(|p| {
-                udf(p.r, p.s).map(|similarity| MatchPair {
-                    r: p.r,
-                    s: p.s,
-                    similarity,
-                })
-            })
-            .collect()
+        let mut pairs = Vec::new();
+        for p in chunk {
+            decide(p.r, p.s, mirror, udf, &mut pairs);
+        }
+        pairs
     };
-    let udf_calls = candidates.len() as u64;
+    let udf_calls = if mirror {
+        let below = candidates.iter().filter(|p| p.s < p.r).count();
+        // Every candidate below the diagonal has its mirror above it.
+        debug_assert_eq!(below, candidates.iter().filter(|p| p.s > p.r).count());
+        below
+    } else {
+        candidates.len()
+    } as u64;
     let threads = threads.clamp(1, candidates.len().max(1));
     if threads == 1 {
         return (verify(candidates), udf_calls);
@@ -124,13 +138,43 @@ pub(crate) fn verify_candidates(
     (pairs, udf_calls)
 }
 
+/// Decide the pair `(r, s)` with `udf`, appending it to `out` if it passes;
+/// true when `udf` ran. With `mirror`, only `s < r` reaches `udf`, and a
+/// pass also appends its mirror `(s, r)` with the same bits; the diagonal
+/// passes at 1.0 with no call, and `s > r` is left to its mirror.
+fn decide(
+    r: u32,
+    s: u32,
+    mirror: bool,
+    udf: impl Fn(u32, u32) -> Option<f64>,
+    out: &mut Vec<MatchPair>,
+) -> bool {
+    let (similarity, called) = match (mirror, s.cmp(&r)) {
+        (false, _) | (true, Ordering::Less) => (udf(r, s), true),
+        (true, Ordering::Equal) => (Some(1.0), false),
+        (true, Ordering::Greater) => return false,
+    };
+    if let Some(similarity) = similarity {
+        out.push(MatchPair { r, s, similarity });
+        if mirror && s != r {
+            out.push(MatchPair {
+                r: s,
+                s: r,
+                similarity,
+            });
+        }
+    }
+    called
+}
+
 /// Verify `pairs` the candidates did not cover — pairs a positive overlap
 /// bound cannot see, such as strings too short to share a q-gram — with
 /// `udf`, appending the passing ones. Pairs already among the (sorted)
-/// verified pairs are skipped.
+/// verified pairs are skipped. `mirror` is [`verify_candidates`]'s.
 pub(crate) fn verify_uncovered(
     (verified, udf_calls): &mut Verified,
     pairs: impl Iterator<Item = (u32, u32)>,
+    mirror: bool,
     udf: impl Fn(u32, u32) -> Option<f64>,
 ) {
     let covered = verified.len();
@@ -139,10 +183,7 @@ pub(crate) fn verify_uncovered(
             .binary_search_by_key(&(r, s), |p| (p.r, p.s))
             .is_err()
         {
-            *udf_calls += 1;
-            if let Some(similarity) = udf(r, s) {
-                verified.push(MatchPair { r, s, similarity });
-            }
+            *udf_calls += u64::from(decide(r, s, mirror, &udf, verified));
         }
     }
 }

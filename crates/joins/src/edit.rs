@@ -11,7 +11,8 @@
 //!
 //! which is exactly a [`NormExpr`] over the two string-length norms. The
 //! SSJoin result is a superset of the answer; each candidate is then
-//! verified with the banded edit-distance UDF, on `exec.threads` workers.
+//! verified with the bit-parallel edit-distance UDF, on `exec.threads`
+//! workers; a self-join of one relation verifies each unordered pair once.
 //!
 //! **Short strings.** When both strings are shorter than `q / (1 − (1−α)q)`
 //! the bound above is below 1 and the q-gram filter can miss qualifying
@@ -239,13 +240,17 @@ pub fn edit_similarity_join(
         let s_rel = s_own.as_ref().map(|side| side.relation(s, &tok));
         Ok((r_side.relation(r, &tok), s_rel))
     };
-    // Filter: verify candidates with the banded edit-distance UDF, map them
-    // back to rows, then verify the pairs outside the q-gram bound's reach —
-    // both strings shorter than the cutoff.
+    // Filter: verify candidates with the edit-distance UDF, map them back to
+    // rows, then verify the pairs outside the q-gram bound's reach — both
+    // strings shorter than the cutoff. A one-relation self-join decides each
+    // unordered pair once (`mirror`): edit similarity is symmetric and 1.0
+    // on the diagonal.
+    let mirror = s_own.is_none();
     let udf = |i: u32, j: u32| edit_similarity_within(&r[i as usize], &s[j as usize], alpha);
     let verify = |candidates: &[JoinPair], _: &SetCollection, _: &SetCollection| {
         let (r_order, s_order) = (&r_side.order, &s_side.order);
-        let (mut pairs, udf_calls) = verify_candidates(candidates, config.exec.threads, &|i, j| {
+        let threads = config.exec.threads;
+        let (mut pairs, udf_calls) = verify_candidates(candidates, threads, mirror, &|i, j| {
             udf(r_order[i as usize], s_order[j as usize])
         });
         for p in &mut pairs {
@@ -259,7 +264,7 @@ pub fn edit_similarity_join(
             .shorter_than(cutoff)
             .into_iter()
             .flat_map(|i| short_s.iter().map(move |&j| (i, j)));
-        verify_uncovered(&mut verified, uncovered, udf);
+        verify_uncovered(&mut verified, uncovered, mirror, udf);
         verified
     };
     run_join(spec, prep, verify)

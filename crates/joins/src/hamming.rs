@@ -93,7 +93,7 @@ pub fn hamming_join(
         Some(similarity(d, r[i as usize].chars().count()))
     };
     let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
-        let mut verified = verify_candidates(candidates, 1, &udf);
+        let mut verified = verify_candidates(candidates, 1, false, &udf);
         // Exactness for degenerate lengths: when `len ≤ max_distance`, every
         // equal-length pair is within distance (hamming ≤ len ≤ k) even if
         // the strings share no (position, char) element — which the positive
@@ -111,7 +111,7 @@ pub fn hamming_join(
                 .filter(move |&&j| len(r_col, i) == len(s_col, j));
             same_len.map(move |&j| (i, j))
         });
-        verify_uncovered(&mut verified, uncovered, udf);
+        verify_uncovered(&mut verified, uncovered, false, udf);
         verified
     };
     run_join(spec, prep, verify)

@@ -111,7 +111,7 @@ fn rank_matches(out: &mut [TopKMatch]) {
 /// Correctness mirrors [`edit_similarity_join`] exactly:
 ///
 /// * probe candidates come from the Property-4 predicate at the configured
-///   floor, then are verified with the banded edit-distance UDF;
+///   floor, then are verified with the bit-parallel edit-distance UDF;
 /// * references (and queries) shorter than the q-gram cutoff are routed
 ///   through an exact brute-force pool;
 /// * references [`insert`](TopKIndex::insert)ed later whose q-grams fall

@@ -6,6 +6,10 @@
 //! spills. The spilled run also shows the one-relation build reached the
 //! core: a same-collection self-join copies one side per partition, so it
 //! spills fewer bytes than the two-relation run.
+//!
+//! The UDF calls agree too, except for the edit join: its one-relation run
+//! verifies each unordered pair once and the diagonal with no call, so its
+//! calls are exactly the two-relation run's less the diagonal's, halved.
 
 use ssjoin_core::{Algorithm, ExecBudget, ExecContext, SsJoinResult};
 use ssjoin_joins::{
@@ -26,6 +30,18 @@ const SPILL_BUDGET: u64 = 4096;
 
 type Join<T> = dyn Fn(&[T], &[T], Algorithm, ExecContext) -> SsJoinResult<SimilarityJoinOutput>;
 
+/// How a one-relation run's UDF calls relate to the two-relation run's.
+#[derive(Clone, Copy)]
+enum Calls {
+    /// The same count.
+    Same,
+    /// Each unordered pair once, the diagonal free: `(two − n) / 2` for `n`
+    /// rows, since the two-relation run verifies each row with itself once
+    /// (as a candidate, or on the short-string route) and every other pair
+    /// in both orientations, on either route.
+    Halved,
+}
+
 /// `r  s  similarity-bits` per output pair.
 fn bits(out: &SimilarityJoinOutput) -> Vec<(u32, u32, u64)> {
     out.pairs
@@ -40,6 +56,7 @@ fn one_vs_two<T: Clone>(
     what: &str,
     join: &Join<T>,
     data: &[T],
+    calls: Calls,
     algorithm: Algorithm,
     exec: ExecContext,
 ) -> (SimilarityJoinOutput, SimilarityJoinOutput) {
@@ -53,17 +70,30 @@ fn one_vs_two<T: Clone>(
         one.pairs.len()
     );
     assert_eq!(bits(&one), bits(&two), "{at}: one relation != two");
-    assert_eq!(one.udf_verifications, two.udf_verifications, "{at}");
+    let want = match calls {
+        Calls::Same => two.udf_verifications,
+        Calls::Halved => {
+            let off_diagonal = two.udf_verifications - data.len() as u64;
+            assert_eq!(
+                off_diagonal % 2,
+                0,
+                "{at}: {off_diagonal} off-diagonal calls"
+            );
+            off_diagonal / 2
+        }
+    };
+    assert_eq!(one.udf_verifications, want, "{at}: UDF calls");
     (one, two)
 }
 
 /// The executor × threads matrix, then one spilled run whose spill bytes
 /// show the self-join copied one side.
-fn check_with_exec<T: Clone>(what: &str, join: &Join<T>, data: &[T]) {
+fn check_with_exec<T: Clone>(what: &str, join: &Join<T>, data: &[T], calls: Calls) {
     for algorithm in ALGORITHMS {
         for threads in [1, 3] {
             let exec = ExecContext::new().with_threads(threads);
-            one_vs_two(&format!("{what} {threads}t"), join, data, algorithm, exec);
+            let at = format!("{what} {threads}t");
+            one_vs_two(&at, join, data, calls, algorithm, exec);
         }
     }
     let exec =
@@ -72,6 +102,7 @@ fn check_with_exec<T: Clone>(what: &str, join: &Join<T>, data: &[T]) {
         &format!("{what} spill"),
         join,
         data,
+        calls,
         Algorithm::Inline,
         exec,
     );
@@ -131,7 +162,7 @@ fn jaccard_self_join_is_one_relation() {
             .with_exec(exec);
         jaccard_join(r, s, &cfg)
     };
-    check_with_exec("jaccard", &join, &addresses());
+    check_with_exec("jaccard", &join, &addresses(), Calls::Same);
 }
 
 #[test]
@@ -142,7 +173,12 @@ fn edit_self_join_is_one_relation() {
             .with_exec(exec);
         edit_similarity_join(r, s, &cfg)
     };
-    check_with_exec("edit", &join, &addresses());
+    // Strings under the q-gram cutoff (6 chars at 0.85) take the
+    // short-string route: the empty ones share no q-gram, so even their
+    // diagonal is verified there.
+    let mut data = addresses();
+    data.extend(["", "", "ab", "ab", "abc", "abd", "main", "mian"].map(String::from));
+    check_with_exec("edit", &join, &data, Calls::Halved);
 }
 
 #[test]
@@ -153,7 +189,7 @@ fn cosine_self_join_is_one_relation() {
             .with_exec(exec);
         cosine_join(r, s, &cfg)
     };
-    check_with_exec("cosine", &join, &addresses());
+    check_with_exec("cosine", &join, &addresses(), Calls::Same);
 }
 
 #[test]
@@ -164,7 +200,7 @@ fn ges_self_join_is_one_relation() {
             .with_exec(exec);
         ges_join(r, s, &cfg)
     };
-    check_with_exec("ges", &join, &addresses());
+    check_with_exec("ges", &join, &addresses(), Calls::Same);
 }
 
 #[test]
@@ -184,7 +220,14 @@ fn hamming_self_join_is_one_relation() {
         let join = |r: &[String], s: &[String], algorithm, _| {
             hamming_join(r, s, &HammingJoinConfig::new(2).with_algorithm(algorithm))
         };
-        one_vs_two("hamming", &join, &codes, algorithm, ExecContext::new());
+        one_vs_two(
+            "hamming",
+            &join,
+            &codes,
+            Calls::Same,
+            algorithm,
+            ExecContext::new(),
+        );
     }
 }
 
@@ -206,6 +249,13 @@ fn soft_fd_self_join_is_one_relation() {
         let join = |r: &[Vec<String>], s: &[Vec<String>], algorithm, _| {
             soft_fd_join(r, s, &SoftFdConfig::new(2).with_algorithm(algorithm))
         };
-        one_vs_two("soft-FD", &join, &tuples, algorithm, ExecContext::new());
+        one_vs_two(
+            "soft-FD",
+            &join,
+            &tuples,
+            Calls::Same,
+            algorithm,
+            ExecContext::new(),
+        );
     }
 }

@@ -6,9 +6,13 @@
 //!
 //! The SSJoin-based edit join uses q-gram overlap as a cheap candidate
 //! filter and then verifies candidates with the real edit distance; that
-//! verification is the hot UDF of Figures 10/11 and Table 1, so a banded
-//! O(k·n) verifier ([`levenshtein_within`]) is provided alongside the full
-//! O(m·n) dynamic program.
+//! verification is the hot UDF of Figures 10/11 and Table 1. Every
+//! threshold-aware entry point ([`levenshtein_within`],
+//! [`edit_similarity_within`], and GES's per-token distance) runs on one
+//! exact bit-parallel kernel (Myers 1999, in Hyyrö's formulation): each
+//! column of the dynamic program is a few word operations per 64 rows. The
+//! full O(m·n) dynamic program ([`levenshtein`], [`edit_similarity`]) stays
+//! as the independent reference the kernel is tested against.
 
 /// Full Levenshtein distance between `a` and `b` (unit costs).
 ///
@@ -16,10 +20,6 @@
 pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    levenshtein_chars(&a, &b)
-}
-
-pub(crate) fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
     // Iterate over the longer string, keep the row for the shorter one.
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
@@ -38,69 +38,182 @@ pub(crate) fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
     row[short.len()]
 }
 
-/// Banded Levenshtein: returns `Some(d)` if `levenshtein(a, b) = d ≤ max_dist`,
-/// `None` otherwise. O((2·max_dist + 1)·|a|) time.
+/// `Some(d)` if `levenshtein(a, b) = d ≤ max_dist`, `None` otherwise, from
+/// the bit-parallel kernel: O(⌈min(|a|,|b|)/64⌉·max(|a|,|b|)) word
+/// operations, and it stops as soon as the distance must exceed
+/// `max_dist`.
 ///
 /// This is the verification filter applied after the SSJoin candidate
-/// generation of Figure 3: thresholds are high, so `max_dist` is small and
-/// the band is narrow.
+/// generation of Figure 3 (and Gravano et al.'s baseline).
 pub fn levenshtein_within(a: &str, b: &str, max_dist: usize) -> Option<usize> {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    levenshtein_within_chars(&a, &b, max_dist)
+    distance_within(a, b, |_| Some(max_dist)).map(|(d, _)| d)
 }
 
-pub(crate) fn levenshtein_within_chars(a: &[char], b: &[char], max_dist: usize) -> Option<usize> {
-    let (m, n) = (a.len(), b.len());
-    if m.abs_diff(n) > max_dist {
+/// `(ED(a, b), max(|a|, |b|))` when `ED(a, b)` is at most `budget(max)`;
+/// `None` when the budget is `None` or the distance exceeds it. Lengths are
+/// in chars.
+///
+/// The shorter string is the pattern. An ASCII pair whose pattern has at
+/// most 64 chars runs on one `u64` word, reading bytes through a stack
+/// table, and allocates nothing; any other pair builds a per-call char →
+/// mask map and runs the blocked pass over `⌈m/64⌉` words.
+pub(crate) fn distance_within(
+    a: &str,
+    b: &str,
+    budget: impl FnOnce(usize) -> Option<usize>,
+) -> Option<(usize, usize)> {
+    let ascii = a.is_ascii() && b.is_ascii();
+    let len = |x: &str| if ascii { x.len() } else { x.chars().count() };
+    let (a_len, b_len) = (len(a), len(b));
+    let (short, m, long, n) = if a_len <= b_len {
+        (a, a_len, b, b_len)
+    } else {
+        (b, b_len, a, a_len)
+    };
+    let budget = budget(n)?;
+    if n - m > budget {
         return None;
     }
     if m == 0 {
-        return Some(n); // n <= max_dist by the check above
+        return Some((n, n));
     }
-    if n == 0 {
-        return Some(m);
-    }
-    let k = max_dist;
-    const INF: usize = usize::MAX / 2;
-    // row[j] = distance for prefix (i, j); only j in [i-k, i+k] is relevant.
-    let mut row = vec![INF; n + 1];
-    for (j, slot) in row.iter_mut().enumerate().take(k.min(n) + 1) {
-        *slot = j;
-    }
-    for i in 1..=m {
-        let lo = i.saturating_sub(k).max(1);
-        let hi = (i + k).min(n);
-        if lo > hi {
+    let d = if ascii && m <= 64 {
+        let mut peq = [0u64; 128];
+        for (i, c) in short.bytes().enumerate() {
+            peq[usize::from(c & 0x7f)] |= 1 << i;
+        }
+        one_word(m, n, long.bytes(), budget, |c| peq[usize::from(c & 0x7f)])
+    } else {
+        let masks = CharMasks::new(short, m);
+        blocked(m, n, long.chars(), budget, |c| masks.get(c))
+    };
+    d.map(|d| (d, n))
+}
+
+/// One column step of the bit-parallel dynamic program over a block of 64
+/// pattern rows: the new vertical delta vectors `(pv, mv)` given the
+/// column's match mask `eq` and the horizontal delta `hin` ∈ {−1, 0, +1}
+/// entering the block's top row, plus the horizontal deltas `(ph, mh)` of
+/// every row before the shift (bit `i` set: row `i`'s cell grew or shrank
+/// by one from the previous column).
+#[inline(always)]
+fn step(pv: u64, mv: u64, eq: u64, hin: i8) -> (u64, u64, u64, u64) {
+    let xv = eq | mv;
+    let eq = eq | u64::from(hin < 0);
+    let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+    let ph = mv | !(xh | pv);
+    let mh = pv & xh;
+    let ph_in = (ph << 1) | u64::from(hin > 0);
+    let mh_in = (mh << 1) | u64::from(hin < 0);
+    (mh_in | !(xv | ph_in), ph_in & xv, ph, mh)
+}
+
+/// The kernel for a pattern of `1..=64` chars against a text of `n` chars:
+/// `eq(c)` is the pattern's match mask of text char `c`. The score is the
+/// last pattern row's cell, which moves by at most one per column, so once
+/// it exceeds `budget` plus the columns still to come the distance must
+/// too.
+fn one_word<T>(
+    m: usize,
+    n: usize,
+    text: impl Iterator<Item = T>,
+    budget: usize,
+    eq: impl Fn(T) -> u64,
+) -> Option<usize> {
+    let last = 1u64 << (m - 1);
+    let (mut pv, mut mv, mut score) = (!0u64, 0u64, m);
+    for (j, c) in text.enumerate() {
+        // Row 0 of an edit-distance table grows by one per column: hin = +1.
+        let (p, q, ph, mh) = step(pv, mv, eq(c), 1);
+        (pv, mv) = (p, q);
+        score = score + usize::from(ph & last != 0) - usize::from(mh & last != 0);
+        if score > budget + (n - 1 - j) {
             return None;
         }
-        // Value entering the diagonal: row[lo-1] from the previous row.
-        let mut prev_diag = if lo == 1 { i - 1 } else { row[lo - 1] };
-        // Outside-band cells must not leak in.
-        let left_of_lo = if lo == 1 { i } else { INF };
-        let mut left = left_of_lo;
-        if lo > 1 {
-            row[lo - 1] = INF;
+    }
+    (score <= budget).then_some(score)
+}
+
+/// [`one_word`] for a pattern of any length: each column runs the pattern's
+/// `⌈m/64⌉` blocks top to bottom, each block's bottom-row horizontal delta
+/// entering the next block's top row. `eq(c)` holds one mask word per
+/// block.
+fn blocked<'a, T>(
+    m: usize,
+    n: usize,
+    text: impl Iterator<Item = T>,
+    budget: usize,
+    eq: impl Fn(T) -> &'a [u64],
+) -> Option<usize> {
+    let last = 1u64 << ((m - 1) % 64);
+    let mut vectors = vec![(!0u64, 0u64); m.div_ceil(64)];
+    let mut score = m;
+    for (j, c) in text.enumerate() {
+        let (mut hin, mut bottom) = (1i8, (0u64, 0u64));
+        for ((pv, mv), &e) in vectors.iter_mut().zip(eq(c)) {
+            let (p, q, ph, mh) = step(*pv, *mv, e, hin);
+            (*pv, *mv) = (p, q);
+            hin = (ph >> 63) as i8 - (mh >> 63) as i8;
+            bottom = (ph, mh);
         }
-        let mut best = INF;
-        for j in lo..=hi {
-            let up = row[j];
-            let sub = prev_diag + usize::from(a[i - 1] != b[j - 1]);
-            let val = sub.min(up + 1).min(left + 1);
-            prev_diag = up;
-            row[j] = val;
-            left = val;
-            best = best.min(val);
-        }
-        if hi < n {
-            row[hi + 1] = INF;
-        }
-        if best > k {
-            return None; // every band cell exceeds the threshold already
+        let (ph, mh) = bottom;
+        score = score + usize::from(ph & last != 0) - usize::from(mh & last != 0);
+        if score > budget + (n - 1 - j) {
+            return None;
         }
     }
-    let d = row[n];
-    (d <= max_dist).then_some(d)
+    (score <= budget).then_some(score)
+}
+
+/// A pattern's match masks: for each char, the pattern positions holding
+/// it, one bit each, `words` words per char. ASCII chars index a table;
+/// the pattern's other chars are kept sorted and found by binary search.
+struct CharMasks {
+    words: usize,
+    /// The pattern's distinct non-ASCII chars, ascending.
+    other: Vec<char>,
+    /// Mask words of ASCII char `c` at `c · words`, of `other[k]` at
+    /// `(128 + k) · words`, then one all-zero mask for every absent char.
+    masks: Vec<u64>,
+}
+
+impl CharMasks {
+    /// The masks of `pattern`, which has `m` chars.
+    fn new(pattern: &str, m: usize) -> Self {
+        let words = m.div_ceil(64);
+        let mut other: Vec<char> = pattern.chars().filter(|c| !c.is_ascii()).collect();
+        other.sort_unstable();
+        other.dedup();
+        let mut masks = Self {
+            words,
+            masks: vec![0; (128 + other.len() + 1) * words],
+            other,
+        };
+        for (i, c) in pattern.chars().enumerate() {
+            let at = masks.slot(c) * words + i / 64;
+            masks.masks[at] |= 1 << (i % 64);
+        }
+        masks
+    }
+
+    /// The mask slot of `c`: the zero mask's when the pattern lacks it.
+    #[inline]
+    fn slot(&self, c: char) -> usize {
+        if c.is_ascii() {
+            return c as usize;
+        }
+        match self.other.binary_search(&c) {
+            Ok(k) => 128 + k,
+            Err(_) => 128 + self.other.len(),
+        }
+    }
+
+    /// The mask words of `c`.
+    #[inline]
+    fn get(&self, c: char) -> &[u64] {
+        let at = self.slot(c) * self.words;
+        &self.masks[at..at + self.words]
+    }
 }
 
 /// Edit distance normalized by the maximum string length, in `[0, 1]`.
@@ -121,8 +234,9 @@ pub fn edit_similarity(a: &str, b: &str) -> f64 {
     1.0 - normalized_edit_distance(a, b)
 }
 
-/// Threshold check `ES(a, b) ≥ alpha`, evaluated with the banded verifier so
-/// the common (dissimilar) case costs O(k·n) rather than O(n²). Agrees with
+/// Threshold check `ES(a, b) ≥ alpha`, evaluated with the bit-parallel
+/// kernel, which stops once the distance must exceed the threshold's budget.
+/// Agrees with
 /// [`edit_similarity_within`] (and so with comparing [`edit_similarity`]
 /// against `alpha`) on every input.
 pub fn edit_similarity_at_least(a: &str, b: &str, alpha: f64) -> bool {
@@ -160,15 +274,13 @@ fn similarity_at(d: usize, max_len: usize) -> f64 {
 }
 
 /// `Some(ES(a, b))` when `ES(a, b) ≥ alpha`, `None` otherwise: the threshold
-/// check and the similarity from one banded [`levenshtein_within`] pass. The
-/// value is bit for bit [`edit_similarity`]'s, so a caller keeping passing
-/// pairs needs no second, unbanded O(|a|·|b|) dynamic program.
+/// check and the similarity from one bit-parallel kernel pass, budgeted by
+/// [`edit_distance_budget`]. The value is bit for bit [`edit_similarity`]'s,
+/// so a caller keeping passing pairs needs no second O(|a|·|b|) dynamic
+/// program.
 pub fn edit_similarity_within(a: &str, b: &str, alpha: f64) -> Option<f64> {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let max = a.len().max(b.len());
-    let budget = edit_distance_budget(max, alpha)?;
-    levenshtein_within_chars(&a, &b, budget).map(|d| similarity_at(d, max))
+    distance_within(a, b, |max| edit_distance_budget(max, alpha))
+        .map(|(d, max)| similarity_at(d, max))
 }
 
 #[cfg(test)]
@@ -207,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn banded_agrees_with_full_when_within() {
+    fn within_agrees_with_full_when_within() {
         let pairs = [
             ("kitten", "sitting"),
             ("microsoft corp", "mcrosoft corp"),
@@ -230,13 +342,13 @@ mod tests {
     }
 
     #[test]
-    fn banded_length_prune() {
+    fn within_length_prune() {
         // Length difference alone exceeds the budget.
         assert_eq!(levenshtein_within("a", "abcdef", 2), None);
     }
 
     #[test]
-    fn banded_zero_budget_is_equality() {
+    fn within_zero_budget_is_equality() {
         assert_eq!(levenshtein_within("same", "same", 0), Some(0));
         assert_eq!(levenshtein_within("same", "sane", 0), None);
     }

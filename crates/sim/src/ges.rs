@@ -16,7 +16,7 @@
 //! "microsft"), which fixes the failure modes of plain edit distance and
 //! plain Jaccard that §3.3 describes.
 
-use crate::edit::levenshtein_chars;
+use crate::edit::distance_within;
 
 /// Configuration for the GES computation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -66,8 +66,6 @@ fn transformation_cost(
     weight: &dyn Fn(&str) -> f64,
     config: GesConfig,
 ) -> f64 {
-    let a_chars: Vec<Vec<char>> = a.iter().map(|t| t.chars().collect()).collect();
-    let b_chars: Vec<Vec<char>> = b.iter().map(|t| t.chars().collect()).collect();
     let a_w: Vec<f64> = a.iter().map(|t| weight(t)).collect();
     let b_w: Vec<f64> = b.iter().map(|t| weight(t)).collect();
 
@@ -81,7 +79,7 @@ fn transformation_cost(
         let mut prev_diag = row[0];
         row[0] += a_w[i]; // delete a[0..=i]
         for j in 0..n {
-            let ned = normalized_token_ed(&a_chars[i], &b_chars[j]);
+            let ned = normalized_token_ed(&a[i], &b[j]);
             let replace_ok = config.replacement_cutoff.is_none_or(|cut| ned <= cut);
             let replace = if replace_ok {
                 prev_diag + ned * a_w[i]
@@ -98,12 +96,14 @@ fn transformation_cost(
     row[n]
 }
 
-fn normalized_token_ed(a: &[char], b: &[char]) -> f64 {
-    let max = a.len().max(b.len());
-    if max == 0 {
-        return 0.0;
+/// Length-normalized edit distance of two tokens, from the bit-parallel
+/// kernel with an unlimited budget (the distance never exceeds the longer
+/// length).
+fn normalized_token_ed(a: &str, b: &str) -> f64 {
+    match distance_within(a, b, Some) {
+        Some((d, max)) if max > 0 => d as f64 / max as f64,
+        _ => 0.0,
     }
-    levenshtein_chars(a, b) as f64 / max as f64
 }
 
 #[cfg(test)]

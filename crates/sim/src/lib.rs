@@ -4,7 +4,7 @@
 //! top of the set-overlap primitive:
 //!
 //! * [`levenshtein`] / [`edit_similarity`] — plain edit distance and its
-//!   normalized form (Definition 2), with a banded
+//!   normalized form (Definition 2), with a bit-parallel
 //!   [`levenshtein_within`] verifier behind the post-SSJoin filter UDF
 //!   [`edit_similarity_within`],
 //! * [`jaccard_resemblance`] / [`jaccard_containment`] — weighted Jaccard

@@ -68,9 +68,9 @@ fn levenshtein_bounds() {
     }
 }
 
-/// Banded verifier agrees with the full DP for all budgets.
+/// The threshold-aware verifier agrees with the full DP for all budgets.
 #[test]
-fn banded_matches_full() {
+fn within_matches_full() {
     for seed in 0..256u64 {
         let mut rng = StdRng::seed_from_u64(0xBA2 + seed);
         let a = random_lower(&mut rng, 3, 0, 14);
