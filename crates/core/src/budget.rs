@@ -24,8 +24,8 @@ pub struct ExecBudget {
     /// switching to out-of-core execution instead of rejecting it: when the
     /// whole-input estimate exceeds the budget, the join is split into
     /// token-range partitions sized to fit (see [`crate::plan_spill`]), each
-    /// built from the inputs and joined one partition at a time, and merged
-    /// back deterministically; no temp file is written. Output is
+    /// built from the inputs and joined one partition at a time, and the
+    /// kept pairs are sorted into one output; no temp file is written. Output is
     /// bit-identical to an unbudgeted run. The budget bounds each
     /// partition's working set, not the process (the input collections stay
     /// resident), and it is best effort: when no partition count fits, the
@@ -56,9 +56,13 @@ impl ExecBudget {
 /// The model covers the dominant allocations shared by the executors: the
 /// CSR inverted indexes (per side: `universe + 1` offsets, `universe`
 /// cursors, and one `u32` posting per tuple), the dense per-probe scratch
-/// arrays over S ids, and the per-set prefix-length tables. It is
-/// deliberately a slight over-estimate — it decides whether a run must be
-/// split, not how many bytes the run will hold.
+/// arrays over S ids (one copy, though each worker holds its own), the
+/// per-set prefix-length tables and the bitmap signatures. It leaves out
+/// the sets' suffix weights and per-set records, the output pair buffers
+/// and, for a spill partition, the sub-arena (the spill planner adds a
+/// fixed per-element and per-set term for that), so it can fall short of
+/// what a run holds. It decides whether a run must be split; ROADMAP item
+/// 12 is to check it against the bytes a run holds.
 pub fn estimate_memory_bytes(r: &SetCollection, s: &SetCollection) -> u64 {
     resident_estimate(
         r.universe_size().max(s.universe_size()) as u64,

@@ -17,7 +17,7 @@ pub use workspace::JoinWorkspace;
 
 pub(crate) use prefix::{prefix_lengths_into, probe_prefix_family, Side};
 pub(crate) use prune::{bounds_into, Prune, SetBound};
-pub(crate) use workspace::{build_csr_parallel, vec_bytes, CsrIndex, MirrorScratch, WorkerScratch};
+pub(crate) use workspace::{vec_bytes, CsrIndex, MirrorScratch, WorkerScratch};
 
 use crate::approx::ApproxSpec;
 use crate::budget::{estimate_memory_bytes, ExecBudget};
@@ -330,9 +330,10 @@ pub(crate) fn finish(
     stats.effective_threads = run.ctx.threads as u64;
     stats.workspace_reuses = ws.reuses();
     stats.bytes_reserved = ws.bytes_reserved() + extra_bytes;
-    // Executors emit in `(r, s)` order by construction — chunked workers
-    // concatenate in ascending-rid chunk order, and the spill driver k-way
-    // merges its sorted partition runs — so no global sort runs here.
+    // Resident executors emit in `(r, s)` order by construction — chunked
+    // workers concatenate in ascending-rid chunk order — and the spill
+    // driver and an index probe's epoch tail sort their output once in
+    // place, so no sort runs here.
     debug_assert!(
         ws.out
             .windows(2)

@@ -10,7 +10,7 @@
 //! `clear()`ed (never shrunk) between runs; once the workspace has warmed to
 //! the largest input it has seen, a subsequent run performs **zero** heap
 //! allocations on the sequential hot path (asserted by a counting-allocator
-//! test in `tests/alloc_discipline.rs`).
+//! test in `tests/zero_alloc.rs`).
 //!
 //! The inverted indexes use the same flat CSR layout as the
 //! [`SetCollection`] arena itself: one `offsets` array over element ranks
@@ -81,7 +81,7 @@ impl CsrIndex {
 
     /// Ids of the sets containing `rank` that lie in `window`, ascending:
     /// the probe window of [`super::Prune::window`] (a norm-ratio
-    /// predicate's partners over norm-sorted sets, cut to `..=rid` on a
+    /// predicate's partners over norm-sorted sets, cut to `..rid` on a
     /// symmetric self-join's lower-triangle walk) cut from the id-sorted
     /// list by at most two binary searches.
     #[inline]
@@ -105,133 +105,6 @@ impl CsrIndex {
     }
 }
 
-/// Build a [`CsrIndex`] in parallel: each worker builds a local CSR over a
-/// contiguous chunk of set ids (per-worker partial posting lists), the
-/// coordinator sums the per-rank counts into global offsets, and the workers
-/// then copy their partial lists into disjoint rank ranges of the global
-/// arena — merged by rank, worker-chunk order within a rank. Because worker
-/// chunks cover ascending id ranges, concatenating them in worker order
-/// reproduces the ascending-id posting order of the sequential build exactly,
-/// for any thread count.
-pub(crate) fn build_csr_parallel(
-    index: &mut CsrIndex,
-    collection: &SetCollection,
-    lens: &[usize],
-    workers: &mut [WorkerScratch],
-    threads: usize,
-) {
-    let universe = collection.universe_size();
-    if threads <= 1 || collection.len() < 2 * threads || universe == 0 {
-        index.build(collection, Some(lens));
-        return;
-    }
-    // Phase A: per-worker local CSRs over contiguous id chunks.
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (k, scratch) in workers[..threads].iter_mut().enumerate() {
-            let range = super::chunk_range(collection.len(), threads, k, false);
-            handles.push(scope.spawn(move || {
-                scratch.idx_offsets.clear();
-                scratch.idx_offsets.resize(universe + 1, 0);
-                for id in range.clone() {
-                    let set = collection.set(id as u32);
-                    for &rank in &set.ranks()[..lens[id]] {
-                        scratch.idx_offsets[rank as usize] += 1;
-                    }
-                }
-                let mut running = 0u32;
-                for slot in scratch.idx_offsets.iter_mut() {
-                    let count = *slot;
-                    *slot = running;
-                    running += count;
-                }
-                scratch.idx_cursors.clear();
-                scratch
-                    .idx_cursors
-                    .extend_from_slice(&scratch.idx_offsets[..universe]);
-                scratch.idx_postings.clear();
-                scratch.idx_postings.resize(running as usize, 0);
-                for id in range {
-                    let set = collection.set(id as u32);
-                    for &rank in &set.ranks()[..lens[id]] {
-                        let cur = &mut scratch.idx_cursors[rank as usize];
-                        scratch.idx_postings[*cur as usize] = id as u32;
-                        *cur += 1;
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-
-    // Phase B: global offsets from the summed per-worker counts.
-    index.offsets.clear();
-    index.offsets.resize(universe + 1, 0);
-    for scratch in workers[..threads].iter() {
-        for t in 0..universe {
-            index.offsets[t] += scratch.idx_offsets[t + 1] - scratch.idx_offsets[t];
-        }
-    }
-    let mut running = 0u32;
-    for slot in index.offsets.iter_mut() {
-        let count = *slot;
-        *slot = running;
-        running += count;
-    }
-    let total = running as usize;
-    index.postings.clear();
-    index.postings.resize(total, 0);
-
-    // Phase C: workers copy partial lists into disjoint rank ranges of the
-    // global arena. Rank boundaries are picked so each piece carries a
-    // near-equal share of the postings.
-    let pieces = threads.min(universe).max(1);
-    let mut bounds = Vec::with_capacity(pieces + 1);
-    bounds.push(0usize);
-    let mut t = 0usize;
-    for j in 1..pieces {
-        let goal = (total as u64 * j as u64 / pieces as u64) as u32;
-        while t < universe && index.offsets[t] < goal {
-            t += 1;
-        }
-        bounds.push(t);
-    }
-    bounds.push(universe);
-    std::thread::scope(|scope| {
-        let offsets = &index.offsets;
-        let sources: &[WorkerScratch] = &workers[..threads];
-        let mut rest: &mut [u32] = &mut index.postings;
-        let mut consumed = 0usize;
-        let mut handles = Vec::new();
-        for j in 0..pieces {
-            let (lo_t, hi_t) = (bounds[j], bounds[j + 1]);
-            let end = offsets[hi_t] as usize;
-            let (mine, tail) = rest.split_at_mut(end - consumed);
-            rest = tail;
-            consumed = end;
-            handles.push(scope.spawn(move || {
-                let mut cur = 0usize;
-                for t in lo_t..hi_t {
-                    for scratch in sources {
-                        let src = scratch.idx_slice(t);
-                        mine[cur..cur + src.len()].copy_from_slice(src);
-                        cur += src.len();
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-}
-
 /// Per-worker scratch buffers. One instance per worker thread; the
 /// sequential paths use worker 0. Every buffer is cleared (within capacity)
 /// by the executor that uses it — nothing carries semantic state across
@@ -252,35 +125,17 @@ pub(crate) struct WorkerScratch {
     pub(crate) r_table: FxHashMap<u32, Weight>,
     /// Output pairs produced by this worker.
     pub(crate) pairs: Vec<JoinPair>,
-    /// `(start, end)` ranges into `pairs`, each range sorted by `(r, s)` —
-    /// the per-partition runs the spill driver's k-way merge consumes.
-    pub(crate) runs: Vec<(usize, usize)>,
     /// Counters accumulated by this worker during the current run.
     pub(crate) stats: SsJoinStats,
-    /// Parallel index build: local CSR offsets (`universe + 1`).
-    pub(crate) idx_offsets: Vec<u32>,
-    /// Parallel index build: local posting arena.
-    pub(crate) idx_postings: Vec<u32>,
-    /// Parallel index build: local fill cursors.
-    pub(crate) idx_cursors: Vec<u32>,
 }
 
 impl WorkerScratch {
-    /// Local postings of rank `t` (parallel index build).
-    fn idx_slice(&self, t: usize) -> &[u32] {
-        &self.idx_postings[self.idx_offsets[t] as usize..self.idx_offsets[t + 1] as usize]
-    }
-
     fn bytes_reserved(&self) -> u64 {
         vec_bytes(&self.stamp)
             + vec_bytes(&self.acc)
             + vec_bytes(&self.touched)
             + vec_bytes(&self.candidates)
             + vec_bytes(&self.pairs)
-            + vec_bytes(&self.runs)
-            + vec_bytes(&self.idx_offsets)
-            + vec_bytes(&self.idx_postings)
-            + vec_bytes(&self.idx_cursors)
             // Hash-map entries: key + value + control byte, rounded up.
             + self.r_table.capacity() as u64 * 16
     }
@@ -295,13 +150,6 @@ pub(crate) struct MirrorScratch {
     pub(crate) half: Vec<JoinPair>,
     /// Output row offsets, then fill cursors (`n + 1` entries).
     pub(crate) row_starts: Vec<usize>,
-}
-
-/// One sorted, pair-disjoint output run inside worker 0's pair buffer.
-#[derive(Debug, Clone, Copy)]
-struct MergeRun {
-    cur: usize,
-    end: usize,
 }
 
 /// Reusable buffer pool for [`crate::ssjoin_with`].
@@ -343,8 +191,6 @@ pub struct JoinWorkspace {
     pub(crate) s_bounds: Vec<SetBound>,
     pub(crate) workers: Vec<WorkerScratch>,
     pub(crate) mirror: MirrorScratch,
-    merge_runs: Vec<MergeRun>,
-    merge_heap: Vec<u32>,
     pub(crate) out: Vec<JoinPair>,
     /// Out-of-core buffers (`crate::spill`): allocated lazily on the first
     /// spilled run, then pooled like everything else. `None` costs resident
@@ -382,8 +228,6 @@ impl JoinWorkspace {
             + vec_bytes(&self.s_bounds)
             + vec_bytes(&self.mirror.half)
             + vec_bytes(&self.mirror.row_starts)
-            + vec_bytes(&self.merge_runs)
-            + vec_bytes(&self.merge_heap)
             + vec_bytes(&self.out)
             + vec_bytes(&self.workers)
             + self
@@ -399,87 +243,6 @@ impl JoinWorkspace {
     pub(crate) fn begin_run(&mut self) {
         self.out.clear();
         self.runs += 1;
-    }
-
-    /// Grow the worker pool to at least `threads` entries.
-    pub(crate) fn ensure_workers(&mut self, threads: usize) {
-        if self.workers.len() < threads {
-            self.workers.resize_with(threads, WorkerScratch::default);
-        }
-    }
-
-    /// K-way merge of the sorted, pair-disjoint runs listed in worker 0's
-    /// `runs` into `self.out`, ordered by `(r, s)`. Because every qualifying
-    /// pair lies in exactly one run and each run is sorted, the merge is the
-    /// unique `(r, s)`-sorted interleaving — bit for bit what a global sort
-    /// would produce, without touching pairs more than once.
-    pub(crate) fn merge_sorted_runs(&mut self) {
-        let Some(scratch) = self.workers.first() else {
-            return;
-        };
-        let pairs = &scratch.pairs;
-        let runs = &mut self.merge_runs;
-        runs.clear();
-        let mut total = 0usize;
-        for &(start, end) in &scratch.runs {
-            if start < end {
-                runs.push(MergeRun { cur: start, end });
-                total += end - start;
-            }
-        }
-        self.out.reserve(total);
-        let key = |runs: &[MergeRun], i: u32| -> (u32, u32) {
-            let p = pairs[runs[i as usize].cur];
-            (p.r, p.s)
-        };
-        // Binary min-heap over run indices, keyed by each run's head pair.
-        let heap = &mut self.merge_heap;
-        heap.clear();
-        for i in 0..runs.len() as u32 {
-            heap.push(i);
-            let mut child = heap.len() - 1;
-            while child > 0 {
-                let parent = (child - 1) / 2;
-                if key(runs, heap[parent]) <= key(runs, heap[child]) {
-                    break;
-                }
-                heap.swap(parent, child);
-                child = parent;
-            }
-        }
-        while let Some(&top) = heap.first() {
-            let run = &mut runs[top as usize];
-            self.out.push(pairs[run.cur]);
-            run.cur += 1;
-            let exhausted = run.cur == run.end;
-            if exhausted {
-                let last = heap.pop().unwrap_or(top);
-                if heap.is_empty() {
-                    continue;
-                }
-                heap[0] = last;
-            }
-            // Sift the (possibly replaced) root down.
-            let mut parent = 0usize;
-            loop {
-                let left = 2 * parent + 1;
-                if left >= heap.len() {
-                    break;
-                }
-                let right = left + 1;
-                let min_child =
-                    if right < heap.len() && key(runs, heap[right]) < key(runs, heap[left]) {
-                        right
-                    } else {
-                        left
-                    };
-                if key(runs, heap[parent]) <= key(runs, heap[min_child]) {
-                    break;
-                }
-                heap.swap(parent, min_child);
-                parent = min_child;
-            }
-        }
     }
 }
 
@@ -549,60 +312,6 @@ mod tests {
                 assert!((id as usize) < small.len());
             }
         }
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        for n in [3usize, 16, 61, 200] {
-            let c = build(groups(n, 29));
-            let lens: Vec<usize> = c.iter().map(|s| s.len()).collect();
-            let mut seq = CsrIndex::default();
-            seq.build(&c, Some(&lens));
-            for threads in [2usize, 3, 8] {
-                let mut workers: Vec<WorkerScratch> = Vec::new();
-                workers.resize_with(threads, WorkerScratch::default);
-                let mut par = CsrIndex::default();
-                build_csr_parallel(&mut par, &c, &lens, &mut workers, threads);
-                assert_eq!(seq.offsets, par.offsets, "n {n} threads {threads}");
-                assert_eq!(seq.postings, par.postings, "n {n} threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_with_stale_worker_state() {
-        // A worker pool that served a larger run must not leak stale local
-        // postings into a later, smaller run.
-        let big = build(groups(120, 31));
-        let small = build(groups(20, 11));
-        let big_lens: Vec<usize> = big.iter().map(|s| s.len()).collect();
-        let small_lens: Vec<usize> = small.iter().map(|s| s.len()).collect();
-        let mut workers: Vec<WorkerScratch> = Vec::new();
-        workers.resize_with(4, WorkerScratch::default);
-        let mut index = CsrIndex::default();
-        build_csr_parallel(&mut index, &big, &big_lens, &mut workers, 4);
-        // Rebuild over the small collection with fewer threads.
-        build_csr_parallel(&mut index, &small, &small_lens, &mut workers, 2);
-        let mut seq = CsrIndex::default();
-        seq.build(&small, Some(&small_lens));
-        assert_eq!(seq.offsets, index.offsets);
-        assert_eq!(seq.postings, index.postings);
-    }
-
-    #[test]
-    fn merge_sorted_runs_sorts_disjoint_runs() {
-        let mut ws = JoinWorkspace::new();
-        ws.ensure_workers(1);
-        let mk = |r: u32, s: u32| JoinPair {
-            r,
-            s,
-            overlap: Weight::ONE,
-        };
-        ws.workers[0].pairs = vec![mk(0, 1), mk(2, 0), mk(5, 5), mk(1, 1), mk(0, 0), mk(3, 3)];
-        ws.workers[0].runs = vec![(0, 3), (3, 4), (4, 6)];
-        ws.merge_sorted_runs();
-        let keys: Vec<(u32, u32)> = ws.out.iter().map(|p| (p.r, p.s)).collect();
-        assert_eq!(keys, vec![(0, 0), (0, 1), (1, 1), (2, 0), (3, 3), (5, 5)]);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! [`CorpusIndex::insert`] appends a set to the arena without touching the
 //! index: new sets live in a small *epoch* tail that probes scan
 //! brute-force, and once the tail outgrows `max(64, indexed/8)` it is merged
-//! into the index by a (parallel) rebuild. [`CorpusIndex::delete`] is an
+//! into the index by a rebuild. [`CorpusIndex::delete`] is an
 //! O(1) tombstone; dead sets are filtered from probe output and excluded
 //! from the next rebuild. [`CorpusIndex::compact`] rewrites the arena
 //! without dead sets and renumbers ids densely. Every probe sees exactly the
@@ -40,9 +40,8 @@
 use crate::approx::ApproxSketch;
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
-    begin, bounds_into, build_csr_parallel, finish, prefix_lengths_into, probe_prefix_family,
-    run_algorithm, vec_bytes, Algorithm, CsrIndex, ExecContext, JoinWorkspace, SetBound, Side,
-    SsJoinConfig, SsJoinRun, WorkerScratch,
+    begin, bounds_into, finish, prefix_lengths_into, probe_prefix_family, run_algorithm, vec_bytes,
+    Algorithm, CsrIndex, ExecContext, JoinWorkspace, SetBound, Side, SsJoinConfig, SsJoinRun,
 };
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
@@ -62,8 +61,6 @@ const PARTNER_NORMS: (f64, f64) = (0.0, f64::MAX);
 pub struct CorpusIndex {
     corpus: SetCollection,
     pred: OverlapPredicate,
-    /// Workers for (re)builds: the build context's thread count.
-    build_threads: usize,
     /// Approximate spec fixed at build time (`None` = exact-only index).
     approx_spec: Option<crate::approx::ApproxSpec>,
     /// The LSH sketch backing approximate probes, rebuilt with the index.
@@ -87,16 +84,15 @@ pub struct CorpusIndex {
     /// Tombstoned sets that still have postings in the current index — only
     /// these force the probe-output retain pass.
     dead_in_index: usize,
-    /// Scratch for parallel rebuilds.
-    workers: Vec<WorkerScratch>,
 }
 
 impl CorpusIndex {
-    /// Build an index over `corpus` for probes under `pred`, on
-    /// `exec.threads` workers (rebuilds too; bit-identical at any count). An
-    /// active `exec.approx` is committed to: its seeded LSH sketch is built
-    /// with the index, and approximate probes must pass the same spec. The
-    /// rest of `exec` applies per probe, through the probe's own context.
+    /// Build an index over `corpus` for probes under `pred`. `exec` is
+    /// validated, and an active `exec.approx` is committed to: its seeded
+    /// LSH sketch is built with the index, and approximate probes must pass
+    /// the same spec. The build (and every rebuild) is the one-shot
+    /// executors' sequential index build; the rest of `exec`, threads
+    /// included, applies per probe, through the probe's own context.
     ///
     /// # Errors
     /// [`SsJoinError::Config`] when `exec.threads` is 0 or the approximate
@@ -111,7 +107,6 @@ impl CorpusIndex {
         let mut index = Self {
             corpus,
             pred,
-            build_threads: exec.threads,
             approx_spec: exec.active_approx(),
             approx: None,
             prefix_index: CsrIndex::default(),
@@ -122,15 +117,13 @@ impl CorpusIndex {
             alive,
             dead: 0,
             dead_in_index: 0,
-            workers: Vec::new(),
         };
         index.rebuild();
         Ok(index)
     }
 
     /// Rebuild the prefix inverted index over the whole arena, excluding dead
-    /// sets, and absorb the epoch tail. Bit-identical at any
-    /// `build_threads`.
+    /// sets, and absorb the epoch tail.
     fn rebuild(&mut self) {
         let n = self.corpus.len();
         prefix_lengths_into(
@@ -146,17 +139,8 @@ impl CorpusIndex {
             }
         }
         self.prefix_tuples = self.prefix_lens.iter().map(|&l| l as u64).sum();
-        let threads = self.build_threads;
-        if self.workers.len() < threads {
-            self.workers.resize_with(threads, WorkerScratch::default);
-        }
-        build_csr_parallel(
-            &mut self.prefix_index,
-            &self.corpus,
-            &self.prefix_lens,
-            &mut self.workers,
-            threads,
-        );
+        self.prefix_index
+            .build(&self.corpus, Some(&self.prefix_lens));
         bounds_into(&self.corpus, &self.pred, Side::S, &mut self.bounds);
         self.indexed = n;
         self.dead_in_index = 0;

@@ -44,11 +44,10 @@
 //! of every shared element, so each partition's executor output is the
 //! exact pairs-with-overlaps restricted to that partition, sorted by
 //! `(r, s)` in *global* id order (local ids are assigned in ascending
-//! global id order). The per-partition outputs are pair-disjoint sorted
-//! runs; the k-way run merge ([`JoinWorkspace::merge_sorted_runs`]) produces
-//! their unique sorted interleaving — bit for bit the output of an
-//! unbudgeted in-memory run. The bitmap-signature filter is lossless, so
-//! recomputed local signatures change counters, never output.
+//! global id order). The per-partition outputs are pair-disjoint, so one
+//! in-place `(r, s)` sort of their concatenation is bit for bit the output
+//! of an unbudgeted in-memory run. The bitmap-signature filter is lossless,
+//! so recomputed local signatures change counters, never output.
 //!
 //! # Choosing the partition count
 //!
@@ -500,9 +499,9 @@ fn build_side(
 /// [`max_resident_bytes`](crate::ExecBudget::max_resident_bytes) budget:
 /// plan token-range partitions, then for each partition in turn build its
 /// sub-arena from `r` and `s`, join it through the ordinary executor for
-/// `algorithm`, and keep only the pairs it owns; the per-partition sorted
-/// runs are k-way merged into `ws.out`. Returns the merged stats, or `None`
-/// when the input cannot be split (the caller then runs resident).
+/// `algorithm`, and append the pairs it owns to `ws.out`, which is sorted
+/// by `(r, s)` once at the end. Returns the merged stats, or `None` when
+/// the input cannot be split (the caller then runs resident).
 pub(crate) fn run(
     r: &SetCollection,
     s: &SetCollection,
@@ -567,15 +566,8 @@ fn run_inner(
         &*route_s
     };
 
-    // One partition resident at a time. Output pairs are staged as sorted
-    // runs in worker 0 of the *outer* workspace; the inner workspace hosts
-    // the partition joins.
-    ws.ensure_workers(1);
-    {
-        let w0 = &mut ws.workers[0];
-        w0.pairs.clear();
-        w0.runs.clear();
-    }
+    // One partition resident at a time: the inner workspace hosts the
+    // partition joins, and owned pairs go straight to the outer output.
     remap.clear();
     remap.resize(universe, u32::MAX);
     let mut elements = 0u64;
@@ -619,30 +611,23 @@ fn run_inner(
         inner.begin_run();
         let pstats = run_algorithm(algorithm, sub_r, sub_s, pred, ctx, inner);
         stats.merge(&pstats);
-        // Ownership filter + global-id remap. Local ids ascend with global
-        // ids (member order), so the surviving pairs stay `(r, s)`-sorted
-        // in global id space: one sorted run per partition.
-        let w0 = &mut ws.workers[0];
-        let start = w0.pairs.len();
+        // Ownership filter + global-id remap.
         for pair in &inner.out {
             let a = sub_r.set(pair.r).ranks();
             let b = sub_s.set(pair.s).ranks();
             if owns_pair(a, b, local_lo, local_hi) {
-                w0.pairs.push(JoinPair {
+                ws.out.push(JoinPair {
                     r: members_r[pair.r as usize],
                     s: members_s[pair.s as usize],
                     overlap: pair.overlap,
                 });
             }
         }
-        if w0.pairs.len() > start {
-            w0.runs.push((start, w0.pairs.len()));
-        }
     }
 
-    // Deterministic, sort-free k-way merge of the pair-disjoint
-    // per-partition runs.
-    ws.merge_sorted_runs();
+    // The partitions' pairs are disjoint: one in-place sort (no scratch
+    // allocation) restores the resident run's `(r, s)` order.
+    ws.out.sort_unstable_by_key(|p| (p.r, p.s));
     // Run-level spill facts survive the per-partition merges (which carry
     // zeros for them); restate them on the final record. A sub-arena
     // element is a rank and a weight: 12 bytes.

@@ -129,7 +129,7 @@ fn insert_delete_sequences_equal_fresh_rebuild() {
         let mut rng = StdRng::seed_from_u64(0xEF0C_u64.wrapping_add(seed));
         let pred = random_predicate(&mut rng);
         let (batch, pool) = build_two(random_groups(&mut rng), random_groups(&mut rng));
-        // Parallel rebuilds must stay bit-identical.
+        // The build context's thread count must not change any answer.
         let exec = ExecContext::new().with_threads(if seed % 2 == 0 { 1 } else { 4 });
         let mut index = CorpusIndex::build(pool.clone(), pred.clone(), &exec).unwrap();
         let mut ws = JoinWorkspace::new();
@@ -323,27 +323,6 @@ fn probe_rejects_foreign_universe() {
         index.probe(&foreign, &SsJoinConfig::default(), &mut ws),
         Err(SsJoinError::UniverseMismatch)
     ));
-}
-
-/// Parallel index builds are bit-identical to sequential ones: probes over
-/// either answer the same pairs.
-#[test]
-fn parallel_build_is_bit_identical() {
-    for seed in 0..16u64 {
-        let mut rng = StdRng::seed_from_u64(0xB41D_u64.wrapping_add(seed));
-        let pred = random_predicate(&mut rng);
-        let (batch, pool) = build_two(random_groups(&mut rng), random_groups(&mut rng));
-        let sequential =
-            CorpusIndex::build(pool.clone(), pred.clone(), &ExecContext::new()).unwrap();
-        let parallel = CorpusIndex::build(pool, pred, &ExecContext::new().with_threads(4)).unwrap();
-        let mut ws = JoinWorkspace::new();
-        for alg in ALGORITHMS {
-            let config = SsJoinConfig::new(alg);
-            let a = keys(sequential.probe(&batch, &config, &mut ws).unwrap().pairs);
-            let b = keys(parallel.probe(&batch, &config, &mut ws).unwrap().pairs);
-            assert_eq!(a, b, "seed {seed}, alg {alg:?}");
-        }
-    }
 }
 
 /// Custom-norm corpora: the S-prefix construction against the wide partner

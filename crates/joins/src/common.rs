@@ -31,10 +31,12 @@ pub struct SimilarityJoinOutput {
     /// Similarity-function (UDF) invocations in the final filter — the
     /// quantity Table 1 of the paper counts. Distinct from
     /// `stats.verified_pairs`, which counts overlap recomputations inside
-    /// the SSJoin executor. A one-file edit self-join (the same slice as
-    /// both sides) calls the UDF once per unordered off-diagonal pair and
-    /// never on the diagonal, so it counts unordered pairs; handed two
-    /// relations, it counts each orientation and the diagonal.
+    /// the SSJoin executor. A one-file edit or Jaccard-resemblance self-join
+    /// (the same slice as both sides) calls the UDF once per unordered
+    /// off-diagonal pair and never on the diagonal, so it counts unordered
+    /// pairs; handed two relations, it counts each orientation and the
+    /// diagonal. A containment join calls no UDF: its predicate is the
+    /// SSJoin's own, so it counts 0.
     pub udf_verifications: u64,
 }
 
@@ -89,22 +91,23 @@ pub(crate) type Verified = (Vec<MatchPair>, u64);
 /// one contiguous chunk. Chunk results are concatenated in order, so the
 /// output is the same at any thread count.
 ///
-/// Without `mirror`, `udf` runs once per candidate and the passing pairs
-/// come back in candidate order. With `mirror` — the candidates of a
-/// one-relation self-join under a symmetric predicate, verified by a
-/// symmetric `udf` that gives every row similarity 1.0 with itself (edit
-/// similarity, Definition 2) — each unordered pair is decided once
+/// `udf` sees the whole candidate, so it can read the overlap. Without
+/// `mirror`, it runs once per candidate and the passing pairs come back in
+/// candidate order. With `mirror` — the candidates of a one-relation
+/// self-join under a symmetric predicate, verified by a symmetric `udf`
+/// that gives every row similarity 1.0 with itself (edit similarity,
+/// Definition 2; Jaccard resemblance) — each unordered pair is decided once
 /// ([`decide`]) and the pairs come back unsorted.
 pub(crate) fn verify_candidates(
     candidates: &[JoinPair],
     threads: usize,
     mirror: bool,
-    udf: &(impl Fn(u32, u32) -> Option<f64> + Sync),
+    udf: &(impl Fn(&JoinPair) -> Option<f64> + Sync),
 ) -> Verified {
     let verify = |chunk: &[JoinPair]| -> Vec<MatchPair> {
         let mut pairs = Vec::new();
         for p in chunk {
-            decide(p.r, p.s, mirror, udf, &mut pairs);
+            decide(p.r, p.s, mirror, || udf(p), &mut pairs);
         }
         pairs
     };
@@ -138,19 +141,20 @@ pub(crate) fn verify_candidates(
     (pairs, udf_calls)
 }
 
-/// Decide the pair `(r, s)` with `udf`, appending it to `out` if it passes;
-/// true when `udf` ran. With `mirror`, only `s < r` reaches `udf`, and a
-/// pass also appends its mirror `(s, r)` with the same bits; the diagonal
-/// passes at 1.0 with no call, and `s > r` is left to its mirror.
+/// Decide the pair `(r, s)` with `udf` (its similarity, if it passes),
+/// appending it to `out` if it passes; true when `udf` ran. With `mirror`,
+/// only `s < r` reaches `udf`, and a pass also appends its mirror `(s, r)`
+/// with the same bits; the diagonal passes at 1.0 with no call, and `s > r`
+/// is left to its mirror.
 fn decide(
     r: u32,
     s: u32,
     mirror: bool,
-    udf: impl Fn(u32, u32) -> Option<f64>,
+    udf: impl FnOnce() -> Option<f64>,
     out: &mut Vec<MatchPair>,
 ) -> bool {
     let (similarity, called) = match (mirror, s.cmp(&r)) {
-        (false, _) | (true, Ordering::Less) => (udf(r, s), true),
+        (false, _) | (true, Ordering::Less) => (udf(), true),
         (true, Ordering::Equal) => (Some(1.0), false),
         (true, Ordering::Greater) => return false,
     };
@@ -183,7 +187,7 @@ pub(crate) fn verify_uncovered(
             .binary_search_by_key(&(r, s), |p| (p.r, p.s))
             .is_err()
         {
-            *udf_calls += u64::from(decide(r, s, mirror, &udf, verified));
+            *udf_calls += u64::from(decide(r, s, mirror, || udf(r, s), verified));
         }
     }
 }

@@ -46,8 +46,6 @@ pub struct EditJoinConfig {
     /// filter, budget). Its thread count also sets the workers of the
     /// edit-distance verification loop.
     pub exec: ExecContext,
-    /// Global element order (ablation hook; the default is the paper's).
-    pub order: ElementOrder,
 }
 
 impl EditJoinConfig {
@@ -60,7 +58,6 @@ impl EditJoinConfig {
             threshold,
             algorithm: Algorithm::Inline,
             exec: ExecContext::new(),
-            order: ElementOrder::FrequencyAsc,
         }
     }
 
@@ -81,12 +78,6 @@ impl EditJoinConfig {
     /// q = 3 at every threshold.
     pub fn with_q(mut self, q: usize) -> Self {
         self.q = q;
-        self
-    }
-
-    /// Override the element order.
-    pub fn with_order(mut self, order: ElementOrder) -> Self {
-        self.order = order;
         self
     }
 }
@@ -225,7 +216,7 @@ pub fn edit_similarity_join(
     let spec = JoinSpec {
         thresholds: &[("threshold", alpha)],
         weights: WeightScheme::Unweighted,
-        order: config.order,
+        order: ElementOrder::FrequencyAsc,
         predicate: property4_predicate(alpha, q),
         config: SsJoinConfig {
             algorithm: config.algorithm,
@@ -250,8 +241,8 @@ pub fn edit_similarity_join(
     let verify = |candidates: &[JoinPair], _: &SetCollection, _: &SetCollection| {
         let (r_order, s_order) = (&r_side.order, &s_side.order);
         let threads = config.exec.threads;
-        let (mut pairs, udf_calls) = verify_candidates(candidates, threads, mirror, &|i, j| {
-            udf(r_order[i as usize], s_order[j as usize])
+        let (mut pairs, udf_calls) = verify_candidates(candidates, threads, mirror, &|p| {
+            udf(r_order[p.r as usize], s_order[p.s as usize])
         });
         for p in &mut pairs {
             (p.r, p.s) = (r_order[p.r as usize], s_order[p.s as usize]);

@@ -220,7 +220,7 @@ pub fn ges_join(
         Ok((expand(&r_tokens), s_own.as_deref().map(expand)))
     };
     run_join(spec, prep, |candidates, _, _| {
-        verify_candidates(candidates, config.exec.threads, false, &udf)
+        verify_candidates(candidates, config.exec.threads, false, &|p| udf(p.r, p.s))
     })
 }
 

@@ -93,7 +93,7 @@ pub fn hamming_join(
         Some(similarity(d, r[i as usize].chars().count()))
     };
     let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
-        let mut verified = verify_candidates(candidates, 1, false, &udf);
+        let mut verified = verify_candidates(candidates, 1, false, &|p| udf(p.r, p.s));
         // Exactness for degenerate lengths: when `len ≤ max_distance`, every
         // equal-length pair is within distance (hamming ≤ len ≤ k) even if
         // the strings share no (position, char) element — which the positive

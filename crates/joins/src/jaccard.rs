@@ -5,9 +5,10 @@
 //! uses the paper's rewrite: `JR ≥ α ⇒ JC(r,s) ≥ α ∧ JC(s,r) ≥ α`, i.e. the
 //! 2-sided predicate generates candidates and an exact resemblance check
 //! (computable from the overlap and the two set weights, no re-tokenization)
-//! filters them.
+//! filters them, on `exec.threads` workers; a self-join of one relation
+//! checks each unordered pair once.
 
-use crate::common::{run_join, sides, JoinSpec, MatchPair, SimilarityJoinOutput};
+use crate::common::{run_join, sides, verify_candidates, JoinSpec, SimilarityJoinOutput};
 use ssjoin_core::{
     Algorithm, ElementOrder, ExecContext, JoinPair, NormKind, OverlapPredicate, SetCollection,
     SsJoinConfig, SsJoinResult, TokenGroups, WeightScheme,
@@ -127,12 +128,16 @@ pub(crate) fn jaccard_join_groups(
         },
     };
     let relation = |groups| (groups, NormKind::TotalWeight);
+    // A one-relation resemblance self-join decides each unordered pair once
+    // (`mirror`): `wr + ws − ov` is the same in either orientation, and on
+    // the diagonal `ov == wr`, so the similarity is exactly 1.0.
+    // Containment is asymmetric and keeps every orientation.
+    let mirror = s_groups.is_none() && kind == JaccardKind::Resemblance;
     let prep = || Ok((relation(r_groups), s_groups.map(relation)));
     // Containment is the predicate itself; resemblance is checked exactly
     // from the overlap and the two set weights (no re-tokenization).
     let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
-        let mut pairs = Vec::with_capacity(candidates.len());
-        for p in candidates {
+        let udf = |p: &JoinPair| {
             let wr = r_col.set(p.r).total_weight().to_f64();
             let ws = s_col.set(p.s).total_weight().to_f64();
             let ov = p.overlap.to_f64();
@@ -141,17 +146,12 @@ pub(crate) fn jaccard_join_groups(
                 JaccardKind::Resemblance => wr + ws - ov,
             };
             let similarity = if denom == 0.0 { 1.0 } else { ov / denom };
-            if similarity >= alpha - 1e-9 {
-                pairs.push(MatchPair {
-                    r: p.r,
-                    s: p.s,
-                    similarity,
-                });
-            }
-        }
+            (similarity >= alpha - 1e-9).then_some(similarity)
+        };
+        let (pairs, udf_calls) = verify_candidates(candidates, config.exec.threads, mirror, &udf);
         let udf_calls = match kind {
             JaccardKind::Containment => 0,
-            JaccardKind::Resemblance => candidates.len() as u64,
+            JaccardKind::Resemblance => udf_calls,
         };
         (pairs, udf_calls)
     };

@@ -7,9 +7,11 @@
 //! core: a same-collection self-join copies one side per partition, so it
 //! spills fewer bytes than the two-relation run.
 //!
-//! The UDF calls agree too, except for the edit join: its one-relation run
-//! verifies each unordered pair once and the diagonal with no call, so its
-//! calls are exactly the two-relation run's less the diagonal's, halved.
+//! The UDF calls agree too, except for the edit and Jaccard-resemblance
+//! joins: their one-relation runs verify each unordered pair once and the
+//! diagonal with no call, so their calls are exactly the two-relation run's
+//! less the diagonal's, halved. Jaccard containment is asymmetric, so it
+//! keeps every orientation (and calls no UDF at all).
 
 use ssjoin_core::{Algorithm, ExecBudget, ExecContext, SsJoinResult};
 use ssjoin_joins::{
@@ -156,13 +158,19 @@ fn one_edit(rng: &mut StdRng, s: &str) -> String {
 
 #[test]
 fn jaccard_self_join_is_one_relation() {
-    let join = |r: &[String], s: &[String], algorithm, exec| {
-        let cfg = JaccardConfig::resemblance(0.6)
-            .with_algorithm(algorithm)
-            .with_exec(exec);
-        jaccard_join(r, s, &cfg)
-    };
-    check_with_exec("jaccard", &join, &addresses(), Calls::Same);
+    // Resemblance is symmetric, so the one-relation run verifies each
+    // unordered pair once; containment is not, and calls no UDF.
+    for (config, calls) in [
+        (JaccardConfig::resemblance(0.6), Calls::Halved),
+        (JaccardConfig::containment(0.6), Calls::Same),
+    ] {
+        let what = format!("jaccard {:?}", config.kind);
+        let join = move |r: &[String], s: &[String], algorithm, exec| {
+            let cfg = config.clone().with_algorithm(algorithm).with_exec(exec);
+            jaccard_join(r, s, &cfg)
+        };
+        check_with_exec(&what, &join, &addresses(), calls);
+    }
 }
 
 #[test]
