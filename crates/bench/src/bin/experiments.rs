@@ -518,6 +518,19 @@ fn naive(scale: f64, report: &mut Report) {
     );
     report.metric_u64("naive.over_64_pairs", count(&|a, b| shorter(a, b) > 64));
     report.metric_u64("naive.over_128_pairs", count(&|a, b| shorter(a, b) > 128));
+    // The pairs the location caps must survive: a row whose q-gram recurs
+    // spans that q-gram's later elements from its first window (the ×3 and
+    // ×5 rows repeat their text).
+    let repeats = |row: &str| {
+        let chars: Vec<char> = row.chars().collect();
+        let mut grams: Vec<&[char]> = chars.windows(cfg.q).collect();
+        grams.sort_unstable();
+        grams.windows(2).any(|w| w[0] == w[1])
+    };
+    report.metric_u64(
+        "naive.repeated_qgram_pairs",
+        count(&|a, b| repeats(a) || repeats(b)),
+    );
 }
 
 /// Ablation (§4.3.2): the global element order drives prefix-join size.

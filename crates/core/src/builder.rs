@@ -32,7 +32,9 @@
 //! 3. **Remap by chunk.** Each worker renames its chunk's element ids to
 //!    `(rank, weight)` and appends its sets to a chunk arena; the arenas are
 //!    concatenated in chunk order. Weights are fixed-point, so norms do not
-//!    depend on summation order.
+//!    depend on summation order. A relation added with a [`CapRule`] has
+//!    each set's prefix caps computed here too, while each element's token
+//!    index is still known.
 
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::hash::FxHashMap;
@@ -89,13 +91,12 @@ pub enum NormKind {
 }
 
 impl NormKind {
-    /// The norm of group `group` with elements `elems`.
-    fn of(&self, group: usize, elems: &[(u32, Weight)]) -> f64 {
-        let total = || elems.iter().map(|&(_, w)| w).sum::<Weight>().to_f64();
+    /// The norm of group `group` with element weights `weights`.
+    fn of(&self, group: usize, weights: impl ExactSizeIterator<Item = Weight>) -> f64 {
         match self {
-            NormKind::TotalWeight => total(),
-            NormKind::SqrtTotalWeight => total().sqrt(),
-            NormKind::Cardinality => elems.len() as f64,
+            NormKind::TotalWeight => weights.sum::<Weight>().to_f64(),
+            NormKind::SqrtTotalWeight => weights.sum::<Weight>().to_f64().sqrt(),
+            NormKind::Cardinality => weights.len() as f64,
             NormKind::Custom(norms) => norms[group],
         }
     }
@@ -151,9 +152,19 @@ impl TokenGroups<'_> {
     }
 }
 
+/// A rule that caps each set's prefix during the build
+/// ([`SsJoinInputBuilder::add_groups_capped`]). The build calls it once per
+/// group, on its workers, with the group's index and the set's elements in
+/// rank order, each as `(first, at)`: the indices, in the group's token
+/// order, of its token's first occurrence and of this occurrence (element
+/// `(t, k)` is the k-th occurrence of token t). It returns the set's prefix
+/// caps as the R side and as the S side of [`crate::ssjoin_capped`].
+pub type CapRule<'a> = &'a (dyn Fn(usize, &[(u32, u32)]) -> [u32; 2] + Sync);
+
 struct RelationData<'a> {
     groups: TokenGroups<'a>,
     norm: NormKind,
+    cap_rule: Option<CapRule<'a>>,
 }
 
 /// Builds [`SetCollection`]s sharing one universe, weight assignment, and
@@ -205,8 +216,33 @@ impl<'a> SsJoinInputBuilder<'a> {
     /// validated by [`SsJoinInputBuilder::build`], which reports a mismatch
     /// as [`SsJoinError::InvalidInput`].
     pub fn add_groups(&mut self, groups: TokenGroups<'a>, norm: NormKind) -> RelationHandle {
+        self.push(groups, norm, None)
+    }
+
+    /// [`Self::add_groups`], with `rule` applied to every set of the
+    /// relation as it is built; [`BuiltInput::prefix_caps`] returns the
+    /// caps.
+    pub fn add_groups_capped(
+        &mut self,
+        groups: TokenGroups<'a>,
+        norm: NormKind,
+        rule: CapRule<'a>,
+    ) -> RelationHandle {
+        self.push(groups, norm, Some(rule))
+    }
+
+    fn push(
+        &mut self,
+        groups: TokenGroups<'a>,
+        norm: NormKind,
+        cap_rule: Option<CapRule<'a>>,
+    ) -> RelationHandle {
         let handle = RelationHandle(self.relations.len());
-        self.relations.push(RelationData { groups, norm });
+        self.relations.push(RelationData {
+            groups,
+            norm,
+            cap_rule,
+        });
         handle
     }
 
@@ -312,25 +348,44 @@ impl<'a> SsJoinInputBuilder<'a> {
         // Step 3: each worker remaps one chunk into an arena; a relation's
         // arenas are concatenated in chunk order.
         let universe = elements.len();
-        let rank_weight: Vec<(u32, Weight)> = rank_of_eid.into_iter().zip(weights_by_eid).collect();
+        let by_eid: Vec<Element> = (rank_of_eid.into_iter().zip(weights_by_eid))
+            .zip(&elements)
+            .map(|((rank, weight), &(token, _))| Element {
+                rank,
+                token,
+                weight,
+            })
+            .collect();
         let work: Vec<_> = chunks.into_iter().zip(groups).zip(eid_maps).collect();
         let parts = par_map(work, self.threads, |(((ri, rows), groups), eid_map)| {
-            let elem = |e: u32| rank_weight[eid_map[e as usize] as usize];
-            let arena =
-                groups.into_arena(rows.start, &self.relations[ri].norm, universe, tag, elem);
+            let rel = &self.relations[ri];
+            let elem = |e: u32| by_eid[eid_map[e as usize] as usize];
+            let capping = rel.cap_rule.map(|rule| (rule, first_eid.len()));
+            let arena = groups.into_arena(rows.start, &rel.norm, universe, tag, elem, capping);
             (ri, arena)
         });
         let mut collections: Vec<SetCollection> = (0..self.relations.len())
             .map(|_| SetCollection::empty(universe, tag))
             .collect();
+        let mut prefix_caps: Vec<Option<[Vec<u32>; 2]>> = self
+            .relations
+            .iter()
+            .map(|rel| rel.cap_rule.map(|_| [Vec::new(), Vec::new()]))
+            .collect();
         for (ri, arena) in parts {
-            collections[ri].append(arena?)?;
+            let (arena, caps) = arena?;
+            collections[ri].append(arena)?;
+            if let Some([r, s]) = &mut prefix_caps[ri] {
+                r.extend(caps.iter().map(|c| c[0]));
+                s.extend(caps.iter().map(|c| c[1]));
+            }
         }
 
         Ok(BuiltInput {
             collections,
             element_meta,
             weights_by_rank,
+            prefix_caps,
         })
     }
 
@@ -554,37 +609,75 @@ impl<'d> MergedDict<'d> {
     }
 }
 
+/// A global element id's rank, token id and weight (step 3).
+#[derive(Clone, Copy)]
+struct Element {
+    rank: u32,
+    token: u32,
+    weight: Weight,
+}
+
 impl ChunkGroups {
-    /// The chunk's groups as an arena of sets: each element id renamed to
-    /// its `(rank, weight)` by `elem`, sorted by rank, with the norm of
-    /// relation group `first + g` for chunk group `g`.
+    /// The chunk's groups as an arena of sets: each element id renamed by
+    /// `elem`, sorted by rank, with the norm of relation group `first + g`
+    /// for chunk group `g` — and, with `capping` (a [`CapRule`] and the
+    /// token count), each group's caps from the rule, in group order.
     fn into_arena(
         self,
         first: usize,
         norm: &NormKind,
         universe: usize,
         tag: u64,
-        elem: impl Fn(u32) -> (u32, Weight),
-    ) -> SsJoinResult<SetCollection> {
+        elem: impl Fn(u32) -> Element,
+        capping: Option<(CapRule<'_>, usize)>,
+    ) -> SsJoinResult<(SetCollection, Vec<[u32; 2]>)> {
         check_id_space(self.eids.len())?;
         let mut arena = SetCollection::empty(universe, tag);
         arena.reserve(self.ends.len(), self.eids.len());
-        let mut set: Vec<(u32, Weight)> = Vec::new();
+        // Each element as `(rank, token index, weight)`.
+        let mut set: Vec<(u32, u32, Weight)> = Vec::new();
         let (mut ranks, mut weights) = (Vec::new(), Vec::new());
+        // Capping scratch: per token id, the last group (1-based) it
+        // occurred in and its first token index there; per token index, its
+        // token's first index; the spans handed to the rule.
+        let mut caps = Vec::new();
+        let mut seen = vec![(0u32, 0u32); capping.map_or(0, |(_, tokens)| tokens)];
+        let (mut firsts, mut spans) = (Vec::new(), Vec::new());
         let mut start = 0;
-        for (g, &end) in self.ends.iter().enumerate() {
-            set.clear();
-            set.extend(self.eids[start..end].iter().map(|&e| elem(e)));
+        for ((g, &end), stamp) in self.ends.iter().enumerate().zip(1u32..) {
+            let eids = &self.eids[start..end];
             start = end;
-            let norm = norm.of(first + g, &set);
-            set.sort_unstable_by_key(|&(rank, _)| rank);
+            set.clear();
+            firsts.clear();
+            for (at, &e) in (0u32..).zip(eids) {
+                let Element {
+                    rank,
+                    token,
+                    weight,
+                } = elem(e);
+                set.push((rank, at, weight));
+                if capping.is_some() {
+                    let slot = &mut seen[token as usize];
+                    if slot.0 != stamp {
+                        *slot = (stamp, at);
+                    }
+                    firsts.push(slot.1);
+                }
+            }
+            let norm = norm.of(first + g, set.iter().map(|&(_, _, w)| w));
+            set.sort_unstable_by_key(|&(rank, _, _)| rank);
+            if let Some((rule, _)) = capping {
+                spans.clear();
+                spans.extend(set.iter().map(|&(_, at, _)| (firsts[at as usize], at)));
+                caps.push(rule(first + g, &spans));
+            }
             ranks.clear();
             weights.clear();
-            ranks.extend(set.iter().map(|&(r, _)| r));
-            weights.extend(set.iter().map(|&(_, w)| w));
+            ranks.extend(set.iter().map(|&(r, _, _)| r));
+            weights.extend(set.iter().map(|&(_, _, w)| w));
             arena.push_set_presorted(&ranks, &weights, norm);
         }
-        Ok(arena)
+        Ok((arena, caps))
     }
 }
 
@@ -597,6 +690,9 @@ pub struct BuiltInput {
     element_meta: Vec<(String, u32)>,
     /// Weight per rank.
     weights_by_rank: Vec<Weight>,
+    /// Per relation: its sets' caps as the R and as the S side, when it was
+    /// added with a [`CapRule`].
+    prefix_caps: Vec<Option<[Vec<u32>; 2]>>,
 }
 
 impl BuiltInput {
@@ -613,6 +709,15 @@ impl BuiltInput {
     /// Consume into the collections, in handle order.
     pub fn into_collections(self) -> Vec<SetCollection> {
         self.collections
+    }
+
+    /// The prefix caps of `handle`'s sets as the R side and as the S side of
+    /// a join, in set order, when it was added through
+    /// [`SsJoinInputBuilder::add_groups_capped`].
+    pub fn prefix_caps(&self, handle: RelationHandle) -> Option<(&[u32], &[u32])> {
+        self.prefix_caps[handle.0]
+            .as_ref()
+            .map(|[r, s]| (r.as_slice(), s.as_slice()))
     }
 
     /// Number of distinct elements in the universe.
@@ -767,6 +872,62 @@ mod tests {
         let c = built.collection(h);
         assert_eq!(c.len(), 2);
         assert_eq!(c.set(0).overlap(c.set(1)), Weight::from_f64(2.0));
+    }
+
+    #[test]
+    fn cap_rule_sees_where_each_element_sits() {
+        // The rule gets each set's elements in rank order as (first, at)
+        // token indices — "a b a c a" holds (a, k) at 0, 2, 4, each first
+        // at 0 — and its caps come back in set order, at any thread count.
+        let groups = vec![
+            toks(&["a", "b", "a", "c", "a"]),
+            toks(&["c", "c"]),
+            vec![],
+            toks(&["b", "a", "b"]),
+        ];
+        let seen = Mutex::new(Vec::new());
+        let rule = |g: usize, spans: &[(u32, u32)]| {
+            let mut seen = seen.lock().unwrap();
+            seen.push((g, spans.to_vec()));
+            [g as u32, spans.len() as u32]
+        };
+        for threads in [1, 3] {
+            seen.lock().unwrap().clear();
+            let mut b =
+                SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc)
+                    .with_threads(threads);
+            let plain = b.add_relation(groups.clone());
+            let h = b.add_groups_capped(
+                TokenGroups::Tokenized(groups.clone()),
+                NormKind::Cardinality,
+                &rule,
+            );
+            let built = b.build().unwrap();
+            assert_eq!(built.prefix_caps(plain), None);
+            let (r_caps, s_caps) = built.prefix_caps(h).unwrap();
+            assert_eq!(r_caps, [0, 1, 2, 3]);
+            assert_eq!(s_caps, [5, 2, 0, 3]);
+            let mut seen = seen.lock().unwrap();
+            seen.sort();
+            assert_eq!(seen.len(), groups.len());
+            for (g, spans) in seen.iter() {
+                let set = built.collection(h).set(*g as u32);
+                let want: Vec<(u32, u32)> = set
+                    .ranks()
+                    .iter()
+                    .map(|&rank| {
+                        let (token, ord) = built.element(rank);
+                        let at: Vec<u32> = (0u32..)
+                            .zip(&groups[*g])
+                            .filter(|(_, t)| t.as_str() == token)
+                            .map(|(i, _)| i)
+                            .collect();
+                        (at[0], at[ord as usize - 1])
+                    })
+                    .collect();
+                assert_eq!(spans, &want, "group {g} threads {threads}");
+            }
+        }
     }
 
     #[test]
@@ -1084,7 +1245,7 @@ mod tests {
                             .iter()
                             .map(|&e| (rank_of[e as usize], weights[e as usize]))
                             .collect();
-                        let norm = norm.of(g, &elems);
+                        let norm = norm.of(g, elems.iter().map(|&(_, w)| w));
                         (elems, norm)
                     })
                     .collect();
@@ -1094,6 +1255,7 @@ mod tests {
         BuiltInput {
             collections,
             element_meta: meta,
+            prefix_caps: vec![None; relations.len()],
             weights_by_rank,
         }
     }

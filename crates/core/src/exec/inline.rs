@@ -10,7 +10,7 @@
 //! At `threads > 1` each worker takes a contiguous chunk of R groups and
 //! dedups its candidates with its own stamp array, as the other executors do.
 
-use super::prefix::run_prefix_family;
+use super::prefix::{run_prefix_family, PrefixCaps};
 use super::workspace::JoinWorkspace;
 use super::ExecContext;
 use crate::predicate::OverlapPredicate;
@@ -22,9 +22,10 @@ pub(super) fn run(
     s: &SetCollection,
     pred: &OverlapPredicate,
     ctx: &ExecContext,
+    caps: Option<PrefixCaps<'_>>,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
-    run_prefix_family(r, s, pred, ctx, true, ws)
+    run_prefix_family(r, s, pred, ctx, caps, true, ws)
 }
 
 #[cfg(test)]
@@ -61,9 +62,10 @@ mod tests {
         ] {
             let (mut basic, _) =
                 collect(|ws| super::super::basic::run(&c, &c, &pred, &ExecContext::new(), ws));
-            let (mut prefix, _) =
-                collect(|ws| super::super::prefix::run(&c, &c, &pred, &ExecContext::new(), ws));
-            let (mut inline, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
+            let (mut prefix, _) = collect(|ws| {
+                super::super::prefix::run(&c, &c, &pred, &ExecContext::new(), None, ws)
+            });
+            let (mut inline, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
             basic.sort_unstable_by_key(|p| (p.r, p.s));
             prefix.sort_unstable_by_key(|p| (p.r, p.s));
             inline.sort_unstable_by_key(|p| (p.r, p.s));
@@ -78,7 +80,7 @@ mod tests {
         let pred = OverlapPredicate::two_sided(0.5);
         for filter in [false, true] {
             let ctx = ExecContext::new().with_bitmap_filter(filter);
-            let (_, stats) = collect(|ws| run(&c, &c, &pred, &ctx, ws));
+            let (_, stats) = collect(|ws| run(&c, &c, &pred, &ctx, None, ws));
             // Every candidate is either pruned by its signature or merged.
             assert_eq!(
                 stats.verified_pairs + stats.bitmap_prunes,
@@ -96,8 +98,9 @@ mod tests {
     fn parallel_matches_sequential() {
         let c = build(random_groups(64, 31), WeightScheme::Idf);
         let pred = OverlapPredicate::two_sided(0.5);
-        let (mut p1, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
-        let (mut p3, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new().with_threads(3), ws));
+        let (mut p1, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
+        let (mut p3, _) =
+            collect(|ws| run(&c, &c, &pred, &ExecContext::new().with_threads(3), None, ws));
         p1.sort_unstable_by_key(|p| (p.r, p.s));
         p3.sort_unstable_by_key(|p| (p.r, p.s));
         assert_eq!(p1, p3);

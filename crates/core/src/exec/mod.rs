@@ -15,7 +15,7 @@ mod workspace;
 
 pub use workspace::JoinWorkspace;
 
-pub(crate) use prefix::{prefix_lengths_into, probe_prefix_family, Side};
+pub(crate) use prefix::{prefix_lengths_into, probe_prefix_family, PrefixCaps, Side};
 pub(crate) use prune::{bounds_into, Prune, SetBound};
 pub(crate) use workspace::{vec_bytes, CsrIndex, MirrorScratch, WorkerScratch};
 
@@ -211,7 +211,57 @@ pub fn ssjoin(
     config: &SsJoinConfig,
 ) -> SsJoinResult<SsJoinOutput> {
     let mut ws = JoinWorkspace::new();
-    let stats = ssjoin_into(r, s, pred, config, &mut ws)?;
+    let stats = ssjoin_into(r, s, pred, config, None, &mut ws)?;
+    Ok(SsJoinOutput {
+        pairs: std::mem::take(&mut ws.out),
+        stats,
+    })
+}
+
+/// [`ssjoin`] with each side's prefixes capped: the prefix-filtered and
+/// inline executors keep `min(Lemma-1 length, cap)` elements of R's set `i`
+/// (cap `r_caps[i]`) and of S's set `j` (cap `s_caps[j]`). An empty Lemma-1
+/// prefix stays empty, and on `R ⋈ R` a set whose R prefix is not empty
+/// still has its diagonal pair decided from its total.
+///
+/// The contract is weaker than [`ssjoin`]'s: the output holds every
+/// overlap-qualifying pair `(i, j)` whose capped prefixes, R's set `i`'s
+/// and S's set `j`'s, share an element, and may hold more. When `r` and
+/// `s` are one collection under a symmetric predicate, each unordered pair
+/// is found once, from the later set's R prefix and the earlier set's S
+/// prefix, and kept in both orientations. The caller promises that every
+/// pair it needs meets that test: for instance, that no qualifying partner
+/// can lose all of a capped prefix (the edit join's location-based caps,
+/// DESIGN §6). With caps no shorter than the sets this is [`ssjoin`]. A
+/// run routed out of core by the resident budget, or through approximate
+/// mode, ignores the caps and keeps [`ssjoin`]'s contract.
+///
+/// # Errors
+/// As [`ssjoin`], plus [`SsJoinError::Config`] when a cap slice's length
+/// differs from its side's set count.
+pub fn ssjoin_capped(
+    r: &SetCollection,
+    s: &SetCollection,
+    pred: &OverlapPredicate,
+    config: &SsJoinConfig,
+    r_caps: &[u32],
+    s_caps: &[u32],
+) -> SsJoinResult<SsJoinOutput> {
+    if r_caps.len() != r.len() || s_caps.len() != s.len() {
+        return Err(SsJoinError::Config(format!(
+            "prefix caps must have one value per set: {} and {} caps for {} and {} sets",
+            r_caps.len(),
+            s_caps.len(),
+            r.len(),
+            s.len()
+        )));
+    }
+    let mut ws = JoinWorkspace::new();
+    let caps = PrefixCaps {
+        r: r_caps,
+        s: s_caps,
+    };
+    let stats = ssjoin_into(r, s, pred, config, Some(caps), &mut ws)?;
     Ok(SsJoinOutput {
         pairs: std::mem::take(&mut ws.out),
         stats,
@@ -232,7 +282,7 @@ pub fn ssjoin_with<'w>(
     config: &SsJoinConfig,
     ws: &'w mut JoinWorkspace,
 ) -> SsJoinResult<SsJoinRun<'w>> {
-    let stats = ssjoin_into(r, s, pred, config, ws)?;
+    let stats = ssjoin_into(r, s, pred, config, None, ws)?;
     Ok(SsJoinRun {
         pairs: &ws.out,
         stats,
@@ -244,6 +294,7 @@ fn ssjoin_into(
     s: &SetCollection,
     pred: &OverlapPredicate,
     config: &SsJoinConfig,
+    caps: Option<PrefixCaps<'_>>,
     ws: &mut JoinWorkspace,
 ) -> SsJoinResult<SsJoinStats> {
     if r.universe_tag() != s.universe_tag() {
@@ -264,7 +315,7 @@ fn ssjoin_into(
         (None, Some(spec)) => crate::approx::run(r, s, pred, ctx, &spec, ws),
         // Resident path — also the fallback when the spill planner found
         // nothing to split (empty side, single-rank mass).
-        (None, None) => run_algorithm(algorithm, r, s, pred, ctx, ws),
+        (None, None) => run_algorithm(algorithm, r, s, pred, ctx, caps, ws),
     };
     Ok(finish(run, stats, 0, ws))
 }
@@ -348,19 +399,21 @@ pub(crate) fn finish(
 /// resident path of [`ssjoin_into`] and the per-partition joins of the
 /// out-of-core driver (`crate::spill`), which is exactly the
 /// "partition-driver layer over unmodified executors" seam: the driver
-/// calls this once per partition with sub-collections.
+/// calls this once per partition with sub-collections and no caps. The
+/// basic executor has no prefix to cap.
 pub(crate) fn run_algorithm(
     algorithm: Algorithm,
     r: &SetCollection,
     s: &SetCollection,
     pred: &OverlapPredicate,
     ctx: &ExecContext,
+    caps: Option<PrefixCaps<'_>>,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     match algorithm {
         Algorithm::Basic => basic::run(r, s, pred, ctx, ws),
-        Algorithm::PrefixFiltered => prefix::run(r, s, pred, ctx, ws),
-        Algorithm::Inline => inline::run(r, s, pred, ctx, ws),
+        Algorithm::PrefixFiltered => prefix::run(r, s, pred, ctx, caps, ws),
+        Algorithm::Inline => inline::run(r, s, pred, ctx, caps, ws),
     }
 }
 
@@ -611,6 +664,34 @@ mod tests {
         }
         let approx = SsJoinConfig::default().with_exec(ExecContext::new().with_approximate(0.9));
         assert!(ssjoin(c, c, &pred, &approx).unwrap().pairs.is_empty());
+    }
+
+    #[test]
+    fn capped_join_checks_its_caps() {
+        // One cap per set on each side, or a typed error; caps as long as
+        // the sets give `ssjoin`'s output, and a zero cap drops the set.
+        let mut b = SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+        let h = b.add_relation((0..12).map(|i| vec![format!("t{}", i % 3)]).collect());
+        let built = b.build().unwrap();
+        let c = built.collection(h);
+        let (pred, cfg) = (OverlapPredicate::absolute(1.0), SsJoinConfig::default());
+        let full = vec![1; c.len()];
+        let err = ssjoin_capped(c, c, &pred, &cfg, &full[1..], &full);
+        assert!(matches!(err, Err(SsJoinError::Config(_))));
+        let plain = ssjoin(c, c, &pred, &cfg).unwrap().pairs;
+        assert_eq!(
+            ssjoin_capped(c, c, &pred, &cfg, &full, &full)
+                .unwrap()
+                .pairs,
+            plain
+        );
+        let mut none = full.clone();
+        none[0] = 0;
+        let pairs = ssjoin_capped(c, c, &pred, &cfg, &none, &none)
+            .unwrap()
+            .pairs;
+        assert!(pairs.iter().all(|p| p.r != 0 && p.s != 0));
+        assert_eq!(pairs.len(), plain.len() - 2 * 4 + 1);
     }
 
     #[test]

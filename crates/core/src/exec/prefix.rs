@@ -73,6 +73,23 @@ pub(crate) fn prefix_lengths_into(
     }));
 }
 
+/// Per-set prefix caps for each side of a join ([`crate::ssjoin_capped`]):
+/// set `i` of R keeps at most `r[i]` prefix elements, set `j` of S at most
+/// `s[j]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PrefixCaps<'a> {
+    pub(crate) r: &'a [u32],
+    pub(crate) s: &'a [u32],
+}
+
+/// Shorten each prefix length in `lens` to its set's cap; an empty prefix
+/// stays empty.
+fn apply_caps(lens: &mut [usize], caps: &[u32]) {
+    for (len, &cap) in lens.iter_mut().zip(caps) {
+        *len = (*len).min(cap as usize);
+    }
+}
+
 /// Allocating convenience wrapper over [`prefix_lengths_into`].
 #[cfg(test)]
 pub(crate) fn prefix_lengths(
@@ -88,12 +105,13 @@ pub(crate) fn prefix_lengths(
 
 /// Candidate generation + verification shared by the prefix-filtered and
 /// inline algorithms. `inline` selects merge-based verification; otherwise
-/// the join-back emulation runs.
+/// the join-back emulation runs. `caps` shortens each side's prefixes.
 pub(crate) fn run_prefix_family(
     r: &SetCollection,
     s: &SetCollection,
     pred: &OverlapPredicate,
     ctx: &ExecContext,
+    caps: Option<PrefixCaps<'_>>,
     inline: bool,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
@@ -118,6 +136,10 @@ pub(crate) fn run_prefix_family(
     timed_phase(&mut stats, Phase::PrefixFilter, |stats| {
         prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
         prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
+        if let Some(caps) = caps {
+            apply_caps(r_lens, caps.r);
+            apply_caps(s_lens, caps.s);
+        }
         stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
         stats.prefix_tuples_s = s_lens.iter().map(|&l| l as u64).sum();
         s_index.build(s, Some(s_lens));
@@ -322,9 +344,10 @@ pub(super) fn run(
     s: &SetCollection,
     pred: &OverlapPredicate,
     ctx: &ExecContext,
+    caps: Option<PrefixCaps<'_>>,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
-    run_prefix_family(r, s, pred, ctx, false, ws)
+    run_prefix_family(r, s, pred, ctx, caps, false, ws)
 }
 
 #[cfg(test)]
@@ -356,7 +379,7 @@ mod tests {
         let pred = OverlapPredicate::absolute(4.0);
         let lens = prefix_lengths(&c, Side::R, &pred, c.norm_range());
         assert_eq!(lens, vec![2, 2]);
-        let (pairs, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
+        let (pairs, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
         let got: Vec<(u32, u32)> = pairs.iter().map(|p| (p.r, p.s)).collect();
         let mut got = got;
         got.sort_unstable();
@@ -381,12 +404,99 @@ mod tests {
             ] {
                 let (mut a, _) =
                     collect(|ws| super::super::basic::run(&c, &c, &pred, &ExecContext::new(), ws));
-                let (mut b, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
+                let (mut b, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
                 a.sort_unstable_by_key(|p| (p.r, p.s));
                 b.sort_unstable_by_key(|p| (p.r, p.s));
                 assert_eq!(a, b, "scheme {scheme:?} pred {pred:?}");
             }
         }
+    }
+
+    #[test]
+    fn capped_prefixes_keep_every_pair_that_meets_in_both() {
+        use crate::exec::symmetric_self_join;
+        let groups: Vec<Vec<String>> = (0..60)
+            .map(|i| {
+                (0..(3 + i % 7))
+                    .map(|j| format!("w{}", (i * 5 + j * 11) % 29))
+                    .collect()
+            })
+            .collect();
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % (bound as u64 + 1)) as usize
+        };
+        let meets = |a: &[u32], b: &[u32]| a.iter().any(|x| b.contains(x));
+        // Pairs the contract keeps, and qualifying pairs the caps dropped.
+        let (mut kept, mut dropped) = (0, 0);
+        for scheme in [WeightScheme::Unweighted, WeightScheme::Idf] {
+            let c = build(groups.clone(), scheme);
+            let other = c.clone();
+            for pred in [
+                OverlapPredicate::absolute(2.0),
+                OverlapPredicate::two_sided(0.5),
+                OverlapPredicate::r_normalized(0.6),
+            ] {
+                let ctx = ExecContext::new();
+                let (all, _) = collect(|ws| super::super::basic::run(&c, &c, &pred, &ctx, ws));
+                let all: Vec<(u32, u32)> = all.iter().map(|p| (p.r, p.s)).collect();
+                // One collection as both sides (the half path under a
+                // symmetric predicate), and two equal ones (the full path).
+                for s in [&c, &other] {
+                    let half = symmetric_self_join(&c, s, &pred);
+                    let r_lens = prefix_lengths(&c, Side::R, &pred, s.norm_range());
+                    let s_lens = prefix_lengths(s, Side::S, &pred, c.norm_range());
+                    let sizes: Vec<u32> = c.iter().map(|set| set.len() as u32).collect();
+                    let random = |next: &mut dyn FnMut(usize) -> usize| {
+                        sizes
+                            .iter()
+                            .map(|&n| next(n as usize + 1) as u32)
+                            .collect::<Vec<_>>()
+                    };
+                    let (r_caps, s_caps) = (random(&mut next), random(&mut next));
+                    for inline in [false, true] {
+                        let at = format!("{scheme:?} {pred:?} half {half} inline {inline}");
+                        let run = |r_caps: &[u32], s_caps: &[u32]| {
+                            let caps = PrefixCaps {
+                                r: r_caps,
+                                s: s_caps,
+                            };
+                            collect(|ws| {
+                                run_prefix_family(&c, s, &pred, &ctx, Some(caps), inline, ws)
+                            })
+                        };
+                        let (pairs, _) = run(&r_caps, &s_caps);
+                        let got: Vec<(u32, u32)> = pairs.iter().map(|p| (p.r, p.s)).collect();
+                        assert!(got.iter().all(|p| all.contains(p)), "{at}");
+                        dropped += all.len() - got.len();
+                        for &(i, j) in &all {
+                            // On the half path the later set probes.
+                            let (a, b) = if half { (i.max(j), i.min(j)) } else { (i, j) };
+                            let (a, b) = (a as usize, b as usize);
+                            let pa = &c.set(a as u32).ranks()[..r_lens[a].min(r_caps[a] as usize)];
+                            let pb = &s.set(b as u32).ranks()[..s_lens[b].min(s_caps[b] as usize)];
+                            if meets(pa, pb) {
+                                assert!(got.contains(&(i, j)), "{at}: ({i}, {j}) lost");
+                                kept += 1;
+                            }
+                        }
+                        // Caps no shorter than the sets change nothing.
+                        let (pairs, capped) = run(&sizes, &sizes);
+                        let (plain, uncapped) =
+                            collect(|ws| run_prefix_family(&c, s, &pred, &ctx, None, inline, ws));
+                        assert_eq!(pairs, plain, "{at}");
+                        let counters = |st: &SsJoinStats| {
+                            (st.prefix_tuples_r, st.prefix_tuples_s, st.join_tuples)
+                        };
+                        assert_eq!(counters(&capped), counters(&uncapped), "{at}");
+                    }
+                }
+            }
+        }
+        assert!(kept > 0 && dropped > 0, "kept {kept} dropped {dropped}");
     }
 
     #[test]
@@ -400,7 +510,7 @@ mod tests {
         let pred = OverlapPredicate::two_sided(0.9);
         let (_, basic_stats) =
             collect(|ws| super::super::basic::run(&c, &c, &pred, &ExecContext::new(), ws));
-        let (_, prefix_stats) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
+        let (_, prefix_stats) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
         assert!(
             prefix_stats.join_tuples < basic_stats.join_tuples / 2,
             "prefix {} vs basic {}",
@@ -441,8 +551,9 @@ mod tests {
             .collect();
         let c = build(groups, WeightScheme::Idf);
         let pred = OverlapPredicate::two_sided(0.5);
-        let (mut p1, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), ws));
-        let (mut p4, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new().with_threads(4), ws));
+        let (mut p1, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
+        let (mut p4, _) =
+            collect(|ws| run(&c, &c, &pred, &ExecContext::new().with_threads(4), None, ws));
         p1.sort_unstable_by_key(|p| (p.r, p.s));
         p4.sort_unstable_by_key(|p| (p.r, p.s));
         assert_eq!(p1, p4);

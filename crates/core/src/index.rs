@@ -220,9 +220,10 @@ impl CorpusIndex {
                 crate::approx::probe_built(r, s, sketch, &self.bounds, &self.pred, ctx, ws),
                 false,
             ),
-            (None, None) if algorithm == Algorithm::Basic => {
-                (run_algorithm(algorithm, r, s, &self.pred, ctx, ws), true)
-            }
+            (None, None) if algorithm == Algorithm::Basic => (
+                run_algorithm(algorithm, r, s, &self.pred, ctx, None, ws),
+                true,
+            ),
             // Only PrefixFiltered and Inline reach the persistent prefix
             // index.
             (None, None) => (

@@ -80,13 +80,13 @@ mod weight;
 pub use approx::ApproxSpec;
 pub use budget::{estimate_memory_bytes, ExecBudget};
 pub use builder::{
-    BuiltInput, NormKind, QueryEncoder, RelationHandle, SsJoinInputBuilder, TokenGroups,
+    BuiltInput, CapRule, NormKind, QueryEncoder, RelationHandle, SsJoinInputBuilder, TokenGroups,
     WeightScheme,
 };
 pub use error::{SsJoinError, SsJoinResult};
 pub use exec::{
-    ssjoin, ssjoin_with, Algorithm, ExecContext, JoinPair, JoinWorkspace, SsJoinConfig,
-    SsJoinOutput, SsJoinRun,
+    ssjoin, ssjoin_capped, ssjoin_with, Algorithm, ExecContext, JoinPair, JoinWorkspace,
+    SsJoinConfig, SsJoinOutput, SsJoinRun,
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use index::CorpusIndex;

@@ -609,7 +609,7 @@ fn run_inner(
         }
         let (sub_r, sub_s) = (&*sub_r, if self_join { &*sub_r } else { &*sub_s });
         inner.begin_run();
-        let pstats = run_algorithm(algorithm, sub_r, sub_s, pred, ctx, inner);
+        let pstats = run_algorithm(algorithm, sub_r, sub_s, pred, ctx, None, inner);
         stats.merge(&pstats);
         // Ownership filter + global-id remap.
         for pair in &inner.out {

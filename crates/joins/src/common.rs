@@ -2,8 +2,9 @@
 //! path every packaged join runs through ([`run_join`]).
 
 use ssjoin_core::{
-    ssjoin, ElementOrder, JoinPair, NormKind, OverlapPredicate, Phase, SetCollection, SsJoinConfig,
-    SsJoinError, SsJoinInputBuilder, SsJoinResult, SsJoinStats, TokenGroups, WeightScheme,
+    ssjoin, ssjoin_capped, CapRule, ElementOrder, JoinPair, NormKind, OverlapPredicate, Phase,
+    SetCollection, SsJoinConfig, SsJoinError, SsJoinInputBuilder, SsJoinResult, SsJoinStats,
+    TokenGroups, WeightScheme,
 };
 use std::cmp::Ordering;
 use std::time::{Duration, Instant};
@@ -72,9 +73,9 @@ pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// One relation handed to [`run_join`]: its token groups, and the norm the
-/// predicate reads.
-pub(crate) type Relation<'a> = (TokenGroups<'a>, NormKind);
+/// One relation handed to [`run_join`]: its token groups, the norm the
+/// predicate reads, and optionally the rule that caps its prefixes.
+pub(crate) type Relation<'a> = (TokenGroups<'a>, NormKind, Option<CapRule<'a>>);
 
 /// `f` of the R side, and of the S side unless it is the same slice as R
 /// (`None`: a self-join, which [`run_join`] builds as one relation). The
@@ -219,6 +220,11 @@ pub(crate) struct JoinSpec<'a> {
 /// once. The output equals the two-relation build's bit for bit: doubling
 /// every group count leaves `N / f` (hence IDF weights and norms) and the
 /// frequency order unchanged.
+///
+/// When every relation carries a [`CapRule`], the build applies it and the
+/// join runs through [`ssjoin_capped`] with the R side's R caps and the S
+/// side's S caps; the join's `verify` must then need only the pairs those
+/// caps keep.
 pub(crate) fn run_join<'a>(
     spec: JoinSpec<'_>,
     prep: impl FnOnce() -> SsJoinResult<(Relation<'a>, Option<Relation<'a>>)>,
@@ -231,14 +237,27 @@ pub(crate) fn run_join<'a>(
         let (r, s) = prep()?;
         let mut builder = SsJoinInputBuilder::new(spec.weights, spec.order)
             .with_threads(spec.config.exec.threads);
-        let rh = builder.add_groups(r.0, r.1);
-        let sh = s.map(|(groups, norm)| builder.add_groups(groups, norm));
+        let mut add = |(groups, norm, rule): Relation<'a>| match rule {
+            Some(rule) => builder.add_groups_capped(groups, norm, rule),
+            None => builder.add_groups(groups, norm),
+        };
+        let rh = add(r);
+        let sh = s.map(add);
         builder.build().map(|built| (built, rh, sh))
     });
     let (built, rh, sh) = built?;
     let r_col = built.collection(rh);
     let s_col = sh.map_or(r_col, |sh| built.collection(sh));
-    let out = ssjoin(r_col, s_col, &spec.predicate, &spec.config)?;
+    let (pred, config) = (&spec.predicate, &spec.config);
+    let caps = built
+        .prefix_caps(rh)
+        .zip(built.prefix_caps(sh.unwrap_or(rh)));
+    let out = match caps {
+        Some(((r_caps, _), (_, s_caps))) => {
+            ssjoin_capped(r_col, s_col, pred, config, r_caps, s_caps)?
+        }
+        None => ssjoin(r_col, s_col, pred, config)?,
+    };
     let mut stats = out.stats;
     stats.add_time(Phase::Prep, prep_time);
     let (verified, filter_time) = timed(|| verify(&out.pairs, r_col, s_col));

@@ -99,7 +99,7 @@ fn cosine_join_groups(
             exec: config.exec.clone(),
         },
     };
-    let relation = |groups| (groups, NormKind::SqrtTotalWeight);
+    let relation = |groups| (groups, NormKind::SqrtTotalWeight, None);
     let prep = || Ok((relation(r_groups), s_groups.map(relation)));
     // The predicate is exact: every candidate qualifies, so scoring is all
     // the filter does (no UDF call).

@@ -14,6 +14,13 @@
 //! verified with the bit-parallel edit-distance UDF, on `exec.threads`
 //! workers; a self-join of one relation verifies each unordered pair once.
 //!
+//! **Location prefix.** Each set's prefix is also capped where its q-grams
+//! sit (Ed-Join's location-based prefix, Xiao, Wang and Lin, VLDB 2008):
+//! at the shortest prefix whose q-grams `τ` edits cannot all destroy, `τ`
+//! being the distance budget of the longest partner the set can meet
+//! (`location_caps`, DESIGN §6). The caps drop only candidates that
+//! cannot qualify, so the output is unchanged.
+//!
 //! **Short strings.** When both strings are shorter than `q / (1 − (1−α)q)`
 //! the bound above is below 1 and the q-gram filter can miss qualifying
 //! pairs (they may share no q-gram at all). The paper's evaluation (long
@@ -26,11 +33,12 @@ use crate::common::{
     SimilarityJoinOutput,
 };
 use ssjoin_core::{
-    Algorithm, ElementOrder, ExecContext, JoinPair, NormExpr, NormKind, OverlapPredicate,
+    Algorithm, CapRule, ElementOrder, ExecContext, JoinPair, NormExpr, NormKind, OverlapPredicate,
     SetCollection, SsJoinConfig, SsJoinError, SsJoinResult, TokenGroups, WeightScheme,
 };
-use ssjoin_sim::edit_similarity_within;
+use ssjoin_sim::{edit_distance_budget, edit_similarity_within};
 use ssjoin_text::QGramTokenizer;
+use std::cell::RefCell;
 
 /// Configuration for [`edit_similarity_join`].
 #[derive(Debug, Clone)]
@@ -162,8 +170,13 @@ impl LengthOrder {
     }
 
     /// The side's relation: the q-gram sets of `rows` in length order, with
-    /// the lengths as norms.
-    fn relation<'a>(&'a self, rows: &'a [String], tok: &'a QGramTokenizer) -> Relation<'a> {
+    /// the lengths as norms, capped by `caps`.
+    fn relation<'a>(
+        &'a self,
+        rows: &'a [String],
+        tok: &'a QGramTokenizer,
+        caps: CapRule<'a>,
+    ) -> Relation<'a> {
         let norms = self.order.iter().map(|&i| self.lens[i as usize] as f64);
         (
             TokenGroups::Text {
@@ -172,7 +185,28 @@ impl LengthOrder {
                 order: Some(&self.order),
             },
             NormKind::Custom(norms.collect()),
+            Some(caps),
         )
+    }
+
+    /// Length of set `k` (row `order[k]`).
+    fn len_of(&self, k: usize) -> usize {
+        self.lens[self.order[k] as usize]
+    }
+
+    /// The longest length of this side that `pred`'s length window admits
+    /// as a partner of a string of `len` chars, or `len` if that is longer;
+    /// `None` when the window holds none of this side's rows.
+    fn longest_partner(&self, len: usize, pred: &OverlapPredicate) -> Option<usize> {
+        let n = len as f64;
+        let compatible = |i: u32| pred.norms_compatible(n, self.lens[i as usize] as f64);
+        let start = self
+            .order
+            .partition_point(|&i| self.lens[i as usize] < len && !compatible(i));
+        let end = self
+            .order
+            .partition_point(|&i| self.lens[i as usize] <= len || compatible(i));
+        (start < end).then(|| self.len_of(end - 1).max(len))
     }
 
     /// The rows shorter than `cutoff`, ascending.
@@ -180,6 +214,168 @@ impl LengthOrder {
         (0..self.lens.len() as u32)
             .filter(|&i| self.lens[i as usize] < cutoff)
             .collect()
+    }
+}
+
+/// Fewest points that stab every interval `[first_by_at[at], at + q − 1]`
+/// over the token indices `at` set in the bitmask `ats` (64 per word), each
+/// interval's first char no later than its `at`. This is the greedy stab,
+/// which is optimal: it takes the intervals by right end (by `at`) and puts
+/// a point at the end of each one that no earlier point lies in.
+pub(crate) fn stab_count(ats: &[u64], first_by_at: &[u32], q: usize) -> usize {
+    let mut count = 0;
+    // Every point so far lies below `free`; an interval with `at < free`
+    // contains the last point, as it starts no later than `at`.
+    let mut free = 0usize;
+    for (w, &word) in ats.iter().enumerate() {
+        let base = w * 64;
+        let below = |free: usize| match free.saturating_sub(base) {
+            0 => 0,
+            n if n >= 64 => u64::MAX,
+            n => (1 << n) - 1,
+        };
+        let mut bits = word & !below(free);
+        while bits != 0 {
+            let at = base + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if first_by_at[at] as usize >= free {
+                count += 1;
+                free = at + q;
+                bits &= !below(free);
+            }
+        }
+    }
+    count
+}
+
+thread_local! {
+    /// [`location_caps`]' scratch on each build worker: the prefix's token
+    /// indices as a bitmask, and each one's first-occurrence index.
+    static CAP_SCRATCH: RefCell<(Vec<u64>, Vec<u32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The location-based prefix caps of one q-gram set, for the distance
+/// budgets `taus`: `caps[i]` is the length of the shortest prefix that
+/// `taus[i]` edits cannot wholly destroy, or the set's size if none is.
+///
+/// `spans` holds the set's elements in rank order as the core's
+/// [`CapRule`] passes them, `(first, at)` token indices — token index =
+/// char position for unpadded q-grams. Element `(g, k)` spans the chars
+/// from g's first window to the end of its k-th, `[first, at + q − 1]`: an
+/// edit outside the span leaves g's first k occurrences intact, so they
+/// survive into the partner and so does `(g, k)`. A prefix whose spans need
+/// more than τ stabbing points ([`stab_count`]) therefore keeps an element
+/// through any τ edits. `taus` must be ascending.
+///
+/// Only the first `scan` elements are examined: a cap that would fall past
+/// them is reported as the whole set, which is sound (the core then keeps
+/// its own prefix) and changes nothing when `scan` is at least that prefix.
+pub(crate) fn location_caps(
+    spans: &[(u32, u32)],
+    q: usize,
+    taus: [usize; 2],
+    scan: usize,
+) -> [u32; 2] {
+    debug_assert!(taus[0] <= taus[1], "budgets {taus:?} must ascend");
+    CAP_SCRATCH.with(|scratch| {
+        let (ats, first_by_at) = &mut *scratch.borrow_mut();
+        // One past the last token index (the set's size, from the build).
+        let end = spans
+            .iter()
+            .map(|&(_, at)| at as usize + 1)
+            .max()
+            .unwrap_or(0);
+        ats.clear();
+        ats.resize(end.div_ceil(64), 0);
+        if first_by_at.len() < end {
+            first_by_at.resize(end, 0);
+        }
+        let mut caps = [spans.len() as u32; 2];
+        // The cap being sought, and the prefix length at which its budget
+        // can first be exceeded: each element adds at most one point.
+        let (mut k, mut next) = (0, taus[0] + 1);
+        for (i, &(first, at)) in spans.iter().take(scan).enumerate() {
+            let at = at as usize;
+            ats[at / 64] |= 1 << (at % 64);
+            first_by_at[at] = first;
+            if i + 1 < next {
+                continue;
+            }
+            let stabs = stab_count(ats, first_by_at, q);
+            while k < 2 && stabs > taus[k] {
+                caps[k] = i as u32 + 1;
+                k += 1;
+            }
+            if k == 2 {
+                break;
+            }
+            next = i + 1 + (taus[k] + 1 - stabs);
+        }
+        caps
+    })
+}
+
+/// The distance budgets a set's location caps must survive, as R and as S.
+/// A set as S (the indexed side) may meet the longest partner its length
+/// window admits on the other side, so it takes that partner's budget. As
+/// R, a set of a one-relation self-join probes only partners no longer than
+/// itself (the half path), so its own length's budget bounds every distance
+/// it must survive; a two-relation probe may meet longer partners and takes
+/// the S budget.
+struct Budgets<'p> {
+    predicate: &'p OverlapPredicate,
+    alpha: f64,
+    q: usize,
+    one_relation: bool,
+}
+
+impl Budgets<'_> {
+    /// `[R budget, S budget]` of `side`'s set `k` against `other`; `None`
+    /// when no row of `other` lies in the set's length window.
+    fn of(&self, side: &LengthOrder, other: &LengthOrder, k: usize) -> Option<[usize; 2]> {
+        let budget = |len: usize| edit_distance_budget(len, self.alpha).unwrap_or(0);
+        let len = side.len_of(k);
+        let tau_s = budget(other.longest_partner(len, self.predicate)?);
+        let tau_r = if self.one_relation {
+            budget(len)
+        } else {
+            tau_s
+        };
+        Some([tau_r, tau_s])
+    }
+
+    /// The [`location_caps`] of `side`'s set `k`, whose elements the build
+    /// hands over as `spans`, scanning no further than [`Self::lemma1_bound`].
+    /// A set with no partner in its length window meets no pair: it keeps
+    /// the whole set as its cap, and no span is counted.
+    fn caps(
+        &self,
+        side: &LengthOrder,
+        other: &LengthOrder,
+        k: usize,
+        spans: &[(u32, u32)],
+    ) -> [u32; 2] {
+        let Some(taus) = self.of(side, other, k) else {
+            return [spans.len() as u32; 2];
+        };
+        let scan = self.lemma1_bound(side.len_of(k), spans.len());
+        location_caps(spans, self.q, taus, scan)
+    }
+
+    /// An upper bound on the Lemma-1 prefix the core keeps of a string of
+    /// `len` chars with `n` q-grams, whichever its partner: Property 4
+    /// requires an overlap of at least `len·c − (q − 1)` (c the
+    /// coefficient), and with unit weights the prefix holds `⌊n − that⌋ + 1`
+    /// q-grams; one more absorbs the fixed-point rounding of the bound. The
+    /// core keeps the shorter of its prefix and the cap, so no cap past
+    /// this bound can shorten a prefix.
+    fn lemma1_bound(&self, len: usize, n: usize) -> usize {
+        let c = coefficient(self.alpha, self.q);
+        if c <= 0.0 {
+            return n;
+        }
+        let slack = n as f64 - len as f64 * c + (self.q - 1) as f64;
+        ((slack.max(0.0).floor() as usize) + 2).min(n)
     }
 }
 
@@ -213,30 +409,39 @@ pub fn edit_similarity_join(
     }
     // Checked before the predicate, whose length ratio is read from it.
     check_threshold("threshold", alpha)?;
+    let predicate = property4_predicate(alpha, q);
+    let (r_side, s_own) = sides(r, s, LengthOrder::of);
+    let s_side = s_own.as_ref().unwrap_or(&r_side);
+    let mirror = s_own.is_none();
+    let budgets = Budgets {
+        predicate: &predicate,
+        alpha,
+        q,
+        one_relation: mirror,
+    };
+    let r_caps = |k: usize, spans: &[(u32, u32)]| budgets.caps(&r_side, s_side, k, spans);
+    let s_caps = |k: usize, spans: &[(u32, u32)]| budgets.caps(s_side, &r_side, k, spans);
     let spec = JoinSpec {
         thresholds: &[("threshold", alpha)],
         weights: WeightScheme::Unweighted,
         order: ElementOrder::FrequencyAsc,
-        predicate: property4_predicate(alpha, q),
+        predicate: predicate.clone(),
         config: SsJoinConfig {
             algorithm: config.algorithm,
             exec: config.exec.clone(),
         },
     };
-    let (r_side, s_own) = sides(r, s, LengthOrder::of);
-    let s_side = s_own.as_ref().unwrap_or(&r_side);
     // Prep: q-gram sets in length order, with string-length norms.
     let tok = QGramTokenizer::new(q);
     let prep = || {
-        let s_rel = s_own.as_ref().map(|side| side.relation(s, &tok));
-        Ok((r_side.relation(r, &tok), s_rel))
+        let s_rel = s_own.as_ref().map(|side| side.relation(s, &tok, &s_caps));
+        Ok((r_side.relation(r, &tok, &r_caps), s_rel))
     };
     // Filter: verify candidates with the edit-distance UDF, map them back to
     // rows, then verify the pairs outside the q-gram bound's reach — both
     // strings shorter than the cutoff. A one-relation self-join decides each
     // unordered pair once (`mirror`): edit similarity is symmetric and 1.0
     // on the diagonal.
-    let mirror = s_own.is_none();
     let udf = |i: u32, j: u32| edit_similarity_within(&r[i as usize], &s[j as usize], alpha);
     let verify = |candidates: &[JoinPair], _: &SetCollection, _: &SetCollection| {
         let (r_order, s_order) = (&r_side.order, &s_side.order);
@@ -500,6 +705,281 @@ mod tests {
         let none: Vec<String> = vec![];
         let out = edit_similarity_join(&none, &none, &EditJoinConfig::new(0.8)).unwrap();
         assert!(out.pairs.is_empty());
+    }
+
+    /// [`stab_count`] of the intervals `[lo, hi]`, whose right ends differ,
+    /// as `q = 1` spans: `at = hi`, first index `lo`.
+    fn stabs_of(intervals: &[(u32, u32)]) -> usize {
+        let n = intervals
+            .iter()
+            .map(|&(_, hi)| hi as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut ats = vec![0u64; n.div_ceil(64)];
+        let mut first_by_at = vec![0u32; n];
+        for &(lo, hi) in intervals {
+            ats[hi as usize / 64] |= 1 << (hi % 64);
+            first_by_at[hi as usize] = lo;
+        }
+        stab_count(&ats, &first_by_at, 1)
+    }
+
+    #[test]
+    fn greedy_stab_count_is_a_minimum_hitting_set() {
+        // Every set of intervals over points 0..8 with distinct right ends
+        // (as token indices are) — up to 8 intervals — against the
+        // smallest point set that hits them all, found by brute force.
+        let hits = |points: u32, (lo, hi): (u32, u32)| points & ((2 << hi) - (1 << lo)) != 0;
+        let mut by_size: Vec<u32> = (0..1 << 8).collect();
+        by_size.sort_by_key(|p| p.count_ones());
+        // Right end `hi` takes no interval (choice 0) or the one from
+        // `choice − 1`: a mixed-radix count over every combination.
+        let mut choice = [0u32; 8];
+        let mut checked = 0;
+        loop {
+            let set: Vec<(u32, u32)> = (0..8u32)
+                .filter(|&hi| choice[hi as usize] > 0)
+                .map(|hi| (choice[hi as usize] - 1, hi))
+                .collect();
+            let fewest = by_size
+                .iter()
+                .find(|&&points| set.iter().all(|&iv| hits(points, iv)))
+                .map(|p| p.count_ones() as usize);
+            assert_eq!(Some(stabs_of(&set)), fewest, "{set:?}");
+            checked += 1;
+            let Some(hi) = (0..8).find(|&hi| choice[hi] < hi as u32 + 1) else {
+                break;
+            };
+            choice[hi] += 1;
+            choice[..hi].fill(0);
+        }
+        assert_eq!(checked, 362_880);
+    }
+
+    #[test]
+    fn location_caps_cut_where_the_budget_is_exceeded() {
+        // "abcdefgh", q = 3: windows k..k+2. In rank order 0, 3, 1, 5 the
+        // spans [0,2] and [3,5] need 2 points, [1,3] adds none, [5,7] none.
+        let spans = [(0, 0), (3, 3), (1, 1), (5, 5)];
+        assert_eq!(location_caps(&spans, 3, [0, 1], 4), [1, 2]);
+        assert_eq!(location_caps(&spans, 3, [1, 1], 4), [2, 2]);
+        // No prefix needs 3 points: the cap is the whole set.
+        assert_eq!(location_caps(&spans, 3, [2, 2], 4), [4, 4]);
+        // A cap past the scanned prefix reads as the whole set.
+        assert_eq!(location_caps(&spans, 3, [0, 1], 1), [1, 4]);
+        // A repeated gram's later occurrences span from its first window:
+        // "aaaa…" holds (aaa, k) at index k−1, every span starting at 0, so
+        // one edit at char 0 destroys any prefix.
+        let repeated: Vec<(u32, u32)> = (0..100).map(|at| (0, at)).collect();
+        assert_eq!(location_caps(&repeated, 3, [0, 1], 100), [1, 100]);
+        // Past 64 token indices the bitmask takes a second word: windows
+        // 0, 3, 6, … need a point each.
+        let spread: Vec<(u32, u32)> = (0..40).map(|k| (3 * k, 3 * k)).collect();
+        assert_eq!(location_caps(&spread, 3, [21, 30], 40), [22, 31]);
+        assert_eq!(location_caps(&[], 3, [0, 0], 0), [0, 0]);
+    }
+
+    #[test]
+    fn location_caps_outlast_every_partner_budget() {
+        // Each cap against its definition, from spans found afresh in the
+        // row text through the universe's `(q-gram, ordinal)` per rank: the
+        // shortest prefix needing more stabbing points than the budget of
+        // the longest partner the set can meet in its role, found by
+        // scanning the other side's lengths (as R in one relation, the
+        // set's own length).
+        use ssjoin_core::SsJoinInputBuilder;
+        let streets = [
+            "main st main st",
+            "oak avenue",
+            "東京東京 ave",
+            "abcabcab rd",
+        ];
+        let rows: Vec<String> = (0..64usize)
+            .map(|i| match i % 4 {
+                0 => format!("{} {} unit {}", 100 + i, streets[i / 4 % 4], i % 7)
+                    .repeat(1 + i % 8 / 4),
+                1 => "ab".repeat(1 + i / 2),
+                2 => "a".repeat(i + i / 2),
+                _ => format!("{}x{}", "東京".repeat(i / 8), "ab".repeat(i / 3)),
+            })
+            .collect();
+        let half = rows.len() / 2;
+        // Sets whose length window holds no row of the other side.
+        let mut lonely = 0;
+        for alpha in [0.8, 0.85, 0.9] {
+            let q = qgram_length(alpha);
+            let predicate = property4_predicate(alpha, q);
+            let budget = |len: usize| edit_distance_budget(len, alpha).unwrap();
+            let tok = QGramTokenizer::new(q);
+            for (r, s) in [(&rows[..], &rows[..]), (&rows[..half], &rows[half - 4..])] {
+                let (r_side, s_own) = sides(r, s, LengthOrder::of);
+                let s_side = s_own.as_ref().unwrap_or(&r_side);
+                let one = s_own.is_none();
+                let budgets = Budgets {
+                    predicate: &predicate,
+                    alpha,
+                    q,
+                    one_relation: one,
+                };
+                let r_rule =
+                    |k: usize, spans: &[(u32, u32)]| budgets.caps(&r_side, s_side, k, spans);
+                let s_rule =
+                    |k: usize, spans: &[(u32, u32)]| budgets.caps(s_side, &r_side, k, spans);
+                let mut builder =
+                    SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+                let (groups, norm, rule) = r_side.relation(r, &tok, &r_rule);
+                let rh = builder.add_groups_capped(groups, norm, rule.unwrap());
+                let sh = s_own.as_ref().map(|side| {
+                    let (groups, norm, rule) = side.relation(s, &tok, &s_rule);
+                    builder.add_groups_capped(groups, norm, rule.unwrap())
+                });
+                let built = builder.build().unwrap();
+                let roles = [
+                    (&r_side, s_side, r, rh),
+                    (s_side, &r_side, s, sh.unwrap_or(rh)),
+                ];
+                for (side, other, rows, h) in roles {
+                    let (r_caps, s_caps) = built.prefix_caps(h).unwrap();
+                    let c = built.collection(h);
+                    for k in 0..c.len() {
+                        let row: Vec<char> = rows[side.order[k] as usize].chars().collect();
+                        let windows: Vec<String> = if row.len() < q {
+                            vec![row.iter().collect()]
+                        } else {
+                            row.windows(q).map(|w| w.iter().collect()).collect()
+                        };
+                        let spans: Vec<(u32, u32)> = c
+                            .set(k as u32)
+                            .ranks()
+                            .iter()
+                            .map(|&rank| {
+                                let (gram, ord) = built.element(rank);
+                                let at: Vec<usize> =
+                                    (0..windows.len()).filter(|&p| windows[p] == gram).collect();
+                                (at[0] as u32, (at[ord as usize - 1] + q - 1) as u32)
+                            })
+                            .collect();
+                        // The textbook greedy: by right end, a point at
+                        // the end of each interval no point lies in yet.
+                        let stabs = |n: usize| {
+                            let mut prefix = spans[..n].to_vec();
+                            prefix.sort_by_key(|&(_, hi)| hi);
+                            let mut last = None;
+                            let mut points = 0;
+                            for (lo, hi) in prefix {
+                                if last.is_none_or(|p| p < lo) {
+                                    points += 1;
+                                    last = Some(hi);
+                                }
+                            }
+                            points
+                        };
+                        let len = row.len();
+                        let partners: Vec<usize> = (other.lens.iter().copied())
+                            .filter(|&m| predicate.norms_compatible(len as f64, m as f64))
+                            .collect();
+                        if partners.is_empty() {
+                            // No partner in the window: no cap is counted.
+                            assert_eq!([r_caps[k], s_caps[k]], [spans.len() as u32; 2]);
+                            lonely += 1;
+                            continue;
+                        }
+                        let tau_s = budget(partners.into_iter().fold(len, usize::max));
+                        let tau_r = if one { budget(len) } else { tau_s };
+                        let scan = budgets.lemma1_bound(len, spans.len());
+                        for (cap, tau) in [(r_caps[k], tau_r), (s_caps[k], tau_s)] {
+                            let want = (1..=scan).find(|&n| stabs(n) > tau).unwrap_or(spans.len());
+                            assert_eq!(
+                                cap as usize, want,
+                                "alpha {alpha} one {one} row {row:?} tau {tau}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(lonely > 0);
+    }
+
+    #[test]
+    fn location_caps_engage() {
+        // One one-relation build, joined by `ssjoin()` uncapped and by
+        // `ssjoin_capped` with caps that scan every element: the caps cut
+        // prefixes and join tuples. The edit join, whose caps stop at the
+        // Lemma-1 bound, reads the same counters, so the bound cut no
+        // prefix; its output is the brute-force answer.
+        use ssjoin_core::{ssjoin, ssjoin_capped, SsJoinInputBuilder, SsJoinStats};
+        let data: Vec<String> = (0..240)
+            .map(|i| {
+                let street = ["maple street", "oak avenue", "main st main st"][i % 3];
+                format!("{} {street} unit {}", 100 + i % 37, i % 11).repeat(1 + i % 5 / 4)
+            })
+            .collect();
+        let sims: Vec<(u32, u32, f64)> = (0..data.len())
+            .flat_map(|i| (0..data.len()).map(move |j| (i, j)))
+            .map(|(i, j)| {
+                (
+                    i as u32,
+                    j as u32,
+                    ssjoin_sim::edit_similarity(&data[i], &data[j]),
+                )
+            })
+            .collect();
+        for alpha in [0.8, 0.85, 0.9] {
+            let q = qgram_length(alpha);
+            let predicate = property4_predicate(alpha, q);
+            let order = LengthOrder::of(&data);
+            let budgets = Budgets {
+                predicate: &predicate,
+                alpha,
+                q,
+                one_relation: true,
+            };
+            let full_scan = |k: usize, spans: &[(u32, u32)]| {
+                location_caps(
+                    spans,
+                    q,
+                    budgets.of(&order, &order, k).unwrap(),
+                    spans.len(),
+                )
+            };
+            let tok = QGramTokenizer::new(q);
+            let (groups, norm, rule) = order.relation(&data, &tok, &full_scan);
+            let mut builder =
+                SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
+            let h = builder.add_groups_capped(groups, norm, rule.unwrap());
+            let built = builder.build().unwrap();
+            let (c, (r_caps, s_caps)) = (built.collection(h), built.prefix_caps(h).unwrap());
+            let config = SsJoinConfig::default();
+            let uncapped = ssjoin(c, c, &predicate, &config).unwrap().stats;
+            let capped = ssjoin_capped(c, c, &predicate, &config, r_caps, s_caps)
+                .unwrap()
+                .stats;
+            let joined = edit_similarity_join(&data, &data, &EditJoinConfig::new(alpha)).unwrap();
+            let counters =
+                |st: &SsJoinStats| (st.prefix_tuples_r, st.prefix_tuples_s, st.join_tuples);
+            assert!(capped.join_tuples < uncapped.join_tuples, "alpha {alpha}");
+            assert!(
+                capped.prefix_tuples_r < uncapped.prefix_tuples_r,
+                "alpha {alpha}"
+            );
+            assert!(
+                capped.prefix_tuples_s < uncapped.prefix_tuples_s,
+                "alpha {alpha}"
+            );
+            // As probe a set keeps a prefix no longer than as indexed partner.
+            assert!(
+                capped.prefix_tuples_r <= capped.prefix_tuples_s,
+                "alpha {alpha}"
+            );
+            assert_eq!(counters(&joined.stats), counters(&capped), "alpha {alpha}");
+            let expect: Vec<(u32, u32)> = sims
+                .iter()
+                .filter(|&&(_, _, sim)| sim >= alpha)
+                .map(|&(i, j, _)| (i, j))
+                .collect();
+            assert_eq!(joined.keys(), expect, "alpha {alpha}");
+        }
     }
 
     #[test]

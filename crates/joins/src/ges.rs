@@ -215,7 +215,11 @@ pub fn ges_join(
                     out
                 })
                 .collect();
-            (TokenGroups::Tokenized(expanded), NormKind::TotalWeight)
+            (
+                TokenGroups::Tokenized(expanded),
+                NormKind::TotalWeight,
+                None,
+            )
         };
         Ok((expand(&r_tokens), s_own.as_deref().map(expand)))
     };

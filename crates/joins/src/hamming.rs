@@ -84,7 +84,7 @@ pub fn hamming_join(
         Ok(sides(r, s, |xs| {
             let lens = xs.iter().map(|x| x.chars().count() as f64).collect();
             let groups = xs.iter().map(|x| positional_elements(x)).collect();
-            (TokenGroups::Tokenized(groups), NormKind::Custom(lens))
+            (TokenGroups::Tokenized(groups), NormKind::Custom(lens), None)
         }))
     };
     // Verify with the exact hamming check (the norms are the lengths).

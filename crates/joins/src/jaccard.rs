@@ -127,7 +127,7 @@ pub(crate) fn jaccard_join_groups(
             exec: config.exec.clone(),
         },
     };
-    let relation = |groups| (groups, NormKind::TotalWeight);
+    let relation = |groups| (groups, NormKind::TotalWeight, None);
     // A one-relation resemblance self-join decides each unordered pair once
     // (`mirror`): `wr + ws − ov` is the same in either orientation, and on
     // the diagonal `ov == wr`, so the similarity is exactly 1.0.

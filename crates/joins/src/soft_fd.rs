@@ -100,7 +100,7 @@ pub fn soft_fd_join(
     let prep = || {
         Ok(sides(r, s, |rows| {
             let groups = rows.iter().map(|row| tuple_elements(row)).collect();
-            (TokenGroups::Tokenized(groups), NormKind::TotalWeight)
+            (TokenGroups::Tokenized(groups), NormKind::TotalWeight, None)
         }))
     };
     // The absolute-overlap predicate is exact: agreements are the overlap.

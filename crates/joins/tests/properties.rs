@@ -146,6 +146,80 @@ fn edit_join_exact_on_the_length_window_edge() {
     }
 }
 
+/// Rows where a q-gram's later occurrences sit far from its first, the
+/// shapes the edit join's location caps must survive: runs of one char
+/// (`aaa…`), periodic rows (`abab…`, `aab…`, `東京…`, the repeated token
+/// `main st main st`), and random rows over {a, b} and {a, b, é}. Lengths
+/// run 6–100 chars, so many rows pass 64 and chars ≠ bytes; each base row
+/// is followed by three variants 1–4 random edits away.
+fn repeated_qgram_corpus(rng: &mut StdRng) -> Vec<String> {
+    let periods = ["a", "ab", "aab", "東京", "main st ", "abcab"];
+    let randoms: [&[char]; 2] = [&['a', 'b'], &['a', 'b', 'é']];
+    let edits_pool = ['a', 'b', 'é', '東', ' '];
+    let mut rows = Vec::new();
+    for _ in 0..36 {
+        let len = rng.gen_range_inclusive(6usize..=100);
+        let base: String = match rng.gen_index(periods.len() + randoms.len()) {
+            k if k < periods.len() => periods[k].chars().cycle().take(len).collect(),
+            k => {
+                let pool = randoms[k - periods.len()];
+                (0..len).map(|_| pool[rng.gen_index(pool.len())]).collect()
+            }
+        };
+        for _ in 0..3 {
+            let edits = rng.gen_range_inclusive(1usize..=4);
+            rows.push(perturb(rng, &base, &edits_pool, edits));
+        }
+        rows.push(base);
+    }
+    rows
+}
+
+/// The edit join's location-capped prefixes lose no pair on rows of
+/// repeated q-grams: one-file and two-file, prefix and inline executors, 1
+/// and 3 workers, against brute force.
+#[test]
+fn edit_join_exact_on_repeated_qgrams() {
+    use ssjoin_core::ExecContext;
+    for seed in 0..2u64 {
+        let mut rng = StdRng::seed_from_u64(0x10CA + seed);
+        let rows = repeated_qgram_corpus(&mut rng);
+        let half = rows.len() / 2;
+        // One file, and two overlapping slices of it as two files.
+        let inputs = [
+            (&rows[..], &rows[..]),
+            (&rows[..half + 8], &rows[half - 8..]),
+        ];
+        for (r, s) in inputs {
+            let sims: Vec<(u32, u32, f64)> = (0..r.len())
+                .flat_map(|i| (0..s.len()).map(move |j| (i, j)))
+                .map(|(i, j)| (i as u32, j as u32, edit_similarity(&r[i], &s[j])))
+                .collect();
+            for theta in [0.8, 0.85, 0.9] {
+                let expect: Vec<(u32, u32)> = sims
+                    .iter()
+                    .filter(|&&(_, _, sim)| sim >= theta)
+                    .map(|&(i, j, _)| (i, j))
+                    .collect();
+                assert!(expect.len() > r.len().min(s.len()), "theta {theta}");
+                for alg in [Algorithm::PrefixFiltered, Algorithm::Inline] {
+                    for threads in [1, 3] {
+                        let cfg = EditJoinConfig::new(theta)
+                            .with_algorithm(alg)
+                            .with_exec(ExecContext::new().with_threads(threads));
+                        let out = edit_similarity_join(r, s, &cfg).unwrap();
+                        let at = format!(
+                            "theta {theta} seed {seed} one-file {} alg {alg:?} threads {threads}",
+                            std::ptr::eq(r, s)
+                        );
+                        assert_eq!(out.keys(), expect, "{at}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// `s` after `edits` random single-character substitutions, insertions or
 /// deletions over `pool`.
 fn perturb(rng: &mut StdRng, s: &str, pool: &[char], edits: usize) -> String {

@@ -93,7 +93,8 @@ enum Command {
         kind: JoinKind,
         threshold: f64,
         algorithm: Algorithm,
-        /// Resident budget in bytes; oversized joins spill to disk.
+        /// Resident budget in bytes; a join whose estimate exceeds it runs
+        /// in token-range partitions built from the resident inputs.
         memory_budget: Option<u64>,
         /// `Some(recall)` opts in to approximate candidate generation.
         approx: Option<f64>,
@@ -112,7 +113,8 @@ enum Command {
         reference: String,
         k: usize,
         min_sim: f64,
-        /// Resident budget in bytes; oversized probe batches spill to disk.
+        /// Resident budget in bytes; a probe batch whose estimate exceeds it
+        /// runs in token-range partitions built from the resident inputs.
         memory_budget: Option<u64>,
         /// `Some(recall)` opts in to approximate candidate generation.
         approx: Option<f64>,
