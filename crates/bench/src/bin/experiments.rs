@@ -7,7 +7,7 @@
 //! Experiments: `table1 fig10 fig11 fig12 fig13 table2 naive ablation-order
 //! ablation-cost ablation-auto ablation-shard ablation-workspace
 //! ablation-bitmap ablation-index ablation-spill
-//! ablation-approx`
+//! ablation-approx arena`
 //! (default: all; `--all` forces the full set even when experiments are also
 //! named; any other name is a usage error). `--scale 1.0` is the paper's
 //! 25,000-row corpus; smaller values shrink every dataset proportionally for
@@ -36,7 +36,7 @@ use ssjoin_joins::{
 use ssjoin_sim::edit_similarity;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [table1|fig10|fig11|fig12|fig13|table2|naive|ablation-order|ablation-cost|ablation-auto|ablation-shard|ablation-workspace|ablation-bitmap|ablation-index|ablation-spill|ablation-approx|all]...
+const USAGE: &str = "usage: experiments [--scale F] [--json] [--all] [--pr N] [--out PATH] [table1|fig10|fig11|fig12|fig13|table2|naive|ablation-order|ablation-cost|ablation-auto|ablation-shard|ablation-workspace|ablation-bitmap|ablation-index|ablation-spill|ablation-approx|arena|all]...
 --all (or the bare word `all`) regenerates every panel in one invocation;
 --json additionally writes the run as BENCH_<N>.json (--pr N, default 10),
 or to an explicit --out PATH";
@@ -127,6 +127,7 @@ const PANELS: &[(&str, Panel)] = &[
     ("ablation-index", ablation_index),
     ("ablation-spill", ablation_spill),
     ("ablation-approx", ablation_approx),
+    ("arena", arena),
 ];
 
 fn main() {
@@ -1219,13 +1220,7 @@ fn ablation_index(scale: f64, report: &mut Report) {
     let base_len = index.len() as u32;
     let start = Instant::now();
     for rs in queries.iter() {
-        let elems: Vec<_> = rs
-            .ranks()
-            .iter()
-            .copied()
-            .zip(rs.weights().iter().copied())
-            .collect();
-        index.insert(&elems, rs.norm()).expect("insert");
+        index.insert(rs.ranks(), rs.norm()).expect("insert");
     }
     let insert_t = start.elapsed();
     let start = Instant::now();
@@ -1670,6 +1665,73 @@ fn ablation_approx(scale: f64, report: &mut Report) {
         "ablation_approx.dirty.subset_sound",
         if d_sound { "true" } else { "false" },
     );
+}
+
+/// The set arena's layout: bytes per element of an unweighted collection
+/// (the edit join's q-gram sets) and of an IDF-weighted one (the Jaccard
+/// join's word sets), read from [`ssjoin_core::SetCollection::bytes_per_element`].
+/// Weights live in one per-universe table, so both read 4; CI gates the
+/// `arena.bytes_per_element.*` keys so the arena cannot grow back.
+fn arena(scale: f64, report: &mut Report) {
+    use ssjoin_core::{NormKind, SsJoinInputBuilder, TokenGroups, WeightScheme};
+    use ssjoin_text::{QGramTokenizer, Tokenizer, WordTokenizer};
+
+    let data = evaluation_corpus(scale).records;
+    let mut t = Table::new(
+        "Arena — bytes per element (weights are one per-universe table)",
+        &[
+            "Collection",
+            "Weights",
+            "Elements",
+            "Bytes/element",
+            "Element bytes",
+            "Table entries",
+        ],
+    );
+    let (qgrams, words) = (QGramTokenizer::new(3), WordTokenizer::new().lowercased());
+    let builds: [(&str, &str, &(dyn Tokenizer + Sync), WeightScheme, NormKind); 2] = [
+        (
+            "unweighted",
+            "q-gram sets (edit join)",
+            &qgrams,
+            WeightScheme::Unweighted,
+            NormKind::Cardinality,
+        ),
+        (
+            "weighted",
+            "word sets (Jaccard join)",
+            &words,
+            WeightScheme::Idf,
+            NormKind::TotalWeight,
+        ),
+    ];
+    for (key, label, tokenizer, scheme, norm) in builds {
+        let mut b = SsJoinInputBuilder::new(scheme, ElementOrder::FrequencyAsc);
+        let rows = TokenGroups::Text {
+            rows: &data,
+            tokenizer,
+            order: None,
+        };
+        let h = b.add_groups(rows, norm);
+        let built = b.build().expect("build collection");
+        let c = built.collection(h);
+        let per = c.bytes_per_element() as u64;
+        let table = if c.is_weighted() {
+            built.universe_size() as u64
+        } else {
+            0
+        };
+        t.row(vec![
+            label.into(),
+            format!("{scheme:?}"),
+            count(c.tuple_count() as u64),
+            per.to_string(),
+            count(per * c.tuple_count() as u64),
+            count(table),
+        ]);
+        report.metric_u64(format!("arena.bytes_per_element.{key}"), per);
+    }
+    report.table(t);
 }
 
 #[cfg(test)]

@@ -30,21 +30,23 @@
 //!    exactly the one a sequential scan assigns, and the `(freq, id)` order
 //!    keys, hence the ranks, are the same at every thread count.
 //! 3. **Remap by chunk.** Each worker renames its chunk's element ids to
-//!    `(rank, weight)` and appends its sets to a chunk arena; the arenas are
-//!    concatenated in chunk order. Weights are fixed-point, so norms do not
-//!    depend on summation order. A relation added with a [`CapRule`] has
-//!    each set's prefix caps computed here too, while each element's token
-//!    index is still known.
+//!    ranks and appends its sets to a chunk arena; the arenas are
+//!    concatenated in chunk order. The arenas store ranks only: a weighted
+//!    build's per-rank weights form one table that every collection of the
+//!    build shares, and an unweighted build has none ([`SetCollection`]).
+//!    Weights are fixed-point, so norms do not depend on summation order. A
+//!    relation added with a [`CapRule`] has each set's prefix caps computed
+//!    here too, while each element's token index is still known.
 
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::hash::FxHashMap;
 use crate::order::ElementOrder;
-use crate::set::SetCollection;
+use crate::set::{weight_at, SetCollection, WeightTable};
 use crate::weight::Weight;
 use ssjoin_text::Tokenizer;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 static UNIVERSE_TAG: AtomicU64 = AtomicU64::new(1);
 
@@ -303,24 +305,17 @@ impl<'a> SsJoinInputBuilder<'a> {
             eid_maps,
         } = merged;
 
-        // Weights per element (by eid), from the token-level scheme. A
-        // token's group frequency is its first occurrence's, `(t, 1)`.
-        let token_freq = |tid: u32| element_freq[first_eid[tid as usize] as usize];
-        let weights_by_eid: Vec<Weight> = elements
-            .iter()
-            .map(|&(tid, _)| match self.scheme {
+        // The weight of a token, from the scheme (unit weights need none).
+        // A token's group frequency is its first occurrence's, `(t, 1)`.
+        let token_weight = |tid: u32| {
+            let ft = element_freq[first_eid[tid as usize] as usize].max(1) as f64;
+            let idf = (1.0 + total_groups as f64 / ft).ln();
+            match self.scheme {
                 WeightScheme::Unweighted => Weight::ONE,
-                WeightScheme::Idf => {
-                    let ft = token_freq(tid).max(1) as f64;
-                    Weight::from_f64((1.0 + total_groups as f64 / ft).ln())
-                }
-                WeightScheme::IdfSquared => {
-                    let ft = token_freq(tid).max(1) as f64;
-                    let idf = (1.0 + total_groups as f64 / ft).ln();
-                    Weight::from_f64(idf * idf)
-                }
-            })
-            .collect();
+                WeightScheme::Idf => Weight::from_f64(idf),
+                WeightScheme::IdfSquared => Weight::from_f64(idf * idf),
+            }
+        };
 
         // Global order: rank per eid.
         let mut order_keys: Vec<u32> = (0..elements.len() as u32).collect();
@@ -334,38 +329,39 @@ impl<'a> SsJoinInputBuilder<'a> {
             rank_of_eid[eid as usize] = rank as u32;
         }
 
-        // Element metadata in rank order.
-        let mut element_meta: Vec<(String, u32)> = vec![(String::new(), 0); elements.len()];
-        let mut weights_by_rank: Vec<Weight> = vec![Weight::ZERO; elements.len()];
-        for (eid, &(tid, ord)) in elements.iter().enumerate() {
-            let rank = rank_of_eid[eid] as usize;
-            element_meta[rank] = (tokens[tid as usize].to_owned(), ord);
-            weights_by_rank[rank] = weights_by_eid[eid];
-        }
+        // Element metadata and the weight table, in rank order.
+        let meta = ElementMeta::new(&tokens, &elements, &rank_of_eid)?;
+        let weights: WeightTable = (self.scheme != WeightScheme::Unweighted).then(|| {
+            let mut by_rank = vec![Weight::ZERO; elements.len()];
+            for (&(tid, _), &rank) in elements.iter().zip(&rank_of_eid) {
+                by_rank[rank as usize] = token_weight(tid);
+            }
+            Arc::new(by_rank)
+        });
         drop(tokens);
         drop(dicts);
 
         // Step 3: each worker remaps one chunk into an arena; a relation's
         // arenas are concatenated in chunk order.
         let universe = elements.len();
-        let by_eid: Vec<Element> = (rank_of_eid.into_iter().zip(weights_by_eid))
+        let by_eid: Vec<Element> = rank_of_eid
+            .into_iter()
             .zip(&elements)
-            .map(|((rank, weight), &(token, _))| Element {
-                rank,
-                token,
-                weight,
-            })
+            .map(|(rank, &(token, _))| Element { rank, token })
             .collect();
         let work: Vec<_> = chunks.into_iter().zip(groups).zip(eid_maps).collect();
         let parts = par_map(work, self.threads, |(((ri, rows), groups), eid_map)| {
             let rel = &self.relations[ri];
             let elem = |e: u32| by_eid[eid_map[e as usize] as usize];
             let capping = rel.cap_rule.map(|rule| (rule, first_eid.len()));
-            let arena = groups.into_arena(rows.start, &rel.norm, universe, tag, elem, capping);
-            (ri, arena)
+            let arena = SetCollection::empty(universe, tag, weights.clone());
+            (
+                ri,
+                groups.into_arena(arena, rows.start, &rel.norm, elem, capping),
+            )
         });
         let mut collections: Vec<SetCollection> = (0..self.relations.len())
-            .map(|_| SetCollection::empty(universe, tag))
+            .map(|_| SetCollection::empty(universe, tag, weights.clone()))
             .collect();
         let mut prefix_caps: Vec<Option<[Vec<u32>; 2]>> = self
             .relations
@@ -383,8 +379,8 @@ impl<'a> SsJoinInputBuilder<'a> {
 
         Ok(BuiltInput {
             collections,
-            element_meta,
-            weights_by_rank,
+            meta,
+            weights,
             prefix_caps,
         })
     }
@@ -609,34 +605,32 @@ impl<'d> MergedDict<'d> {
     }
 }
 
-/// A global element id's rank, token id and weight (step 3).
+/// A global element id's rank and token id (step 3).
 #[derive(Clone, Copy)]
 struct Element {
     rank: u32,
     token: u32,
-    weight: Weight,
 }
 
 impl ChunkGroups {
-    /// The chunk's groups as an arena of sets: each element id renamed by
-    /// `elem`, sorted by rank, with the norm of relation group `first + g`
-    /// for chunk group `g` — and, with `capping` (a [`CapRule`] and the
-    /// token count), each group's caps from the rule, in group order.
+    /// The chunk's groups appended to the empty `arena`: each element id
+    /// renamed by `elem`, sorted by rank, with the norm of relation group
+    /// `first + g` for chunk group `g` (weights read from the arena's
+    /// table) — and, with `capping` (a [`CapRule`] and the token count),
+    /// each group's caps from the rule, in group order.
     fn into_arena(
         self,
+        mut arena: SetCollection,
         first: usize,
         norm: &NormKind,
-        universe: usize,
-        tag: u64,
         elem: impl Fn(u32) -> Element,
         capping: Option<(CapRule<'_>, usize)>,
     ) -> SsJoinResult<(SetCollection, Vec<[u32; 2]>)> {
         check_id_space(self.eids.len())?;
-        let mut arena = SetCollection::empty(universe, tag);
         arena.reserve(self.ends.len(), self.eids.len());
-        // Each element as `(rank, token index, weight)`.
-        let mut set: Vec<(u32, u32, Weight)> = Vec::new();
-        let (mut ranks, mut weights) = (Vec::new(), Vec::new());
+        // Each element as `(rank, token index)`.
+        let mut set: Vec<(u32, u32)> = Vec::new();
+        let mut ranks = Vec::new();
         // Capping scratch: per token id, the last group (1-based) it
         // occurred in and its first token index there; per token index, its
         // token's first index; the spans handed to the rule.
@@ -650,12 +644,8 @@ impl ChunkGroups {
             set.clear();
             firsts.clear();
             for (at, &e) in (0u32..).zip(eids) {
-                let Element {
-                    rank,
-                    token,
-                    weight,
-                } = elem(e);
-                set.push((rank, at, weight));
+                let Element { rank, token } = elem(e);
+                set.push((rank, at));
                 if capping.is_some() {
                     let slot = &mut seen[token as usize];
                     if slot.0 != stamp {
@@ -664,20 +654,76 @@ impl ChunkGroups {
                     firsts.push(slot.1);
                 }
             }
-            let norm = norm.of(first + g, set.iter().map(|&(_, _, w)| w));
-            set.sort_unstable_by_key(|&(rank, _, _)| rank);
+            let table = arena.weight_table();
+            let norm = norm.of(first + g, set.iter().map(|&(r, _)| weight_at(table, r)));
+            set.sort_unstable_by_key(|&(rank, _)| rank);
             if let Some((rule, _)) = capping {
                 spans.clear();
-                spans.extend(set.iter().map(|&(_, at, _)| (firsts[at as usize], at)));
+                spans.extend(set.iter().map(|&(_, at)| (firsts[at as usize], at)));
                 caps.push(rule(first + g, &spans));
             }
             ranks.clear();
-            weights.clear();
-            ranks.extend(set.iter().map(|&(r, _, _)| r));
-            weights.extend(set.iter().map(|&(_, _, w)| w));
-            arena.push_set_presorted(&ranks, &weights, norm);
+            ranks.extend(set.iter().map(|&(r, _)| r));
+            arena.push_set_presorted(&ranks, norm);
         }
         Ok((arena, caps))
+    }
+}
+
+/// The universe's `(token, ordinal)` per rank: every distinct token's text
+/// once, in one buffer, so no `String` per element exists.
+#[derive(Debug)]
+struct ElementMeta {
+    /// Every distinct token's text, concatenated.
+    text: String,
+    /// Token `t`'s text ends at `ends[t]` (and starts where token `t − 1`'s
+    /// ends).
+    ends: Vec<u32>,
+    /// Per rank: the element's token index and ordinal.
+    by_rank: Vec<(u32, u32)>,
+}
+
+impl ElementMeta {
+    /// The metadata of `elements` (`(token id, ordinal)` per element id)
+    /// over `tokens`, placed by `rank_of_eid`.
+    ///
+    /// # Errors
+    /// [`SsJoinError::TooManyElements`] when the tokens' text outgrows the
+    /// `u32` offset space.
+    fn new(tokens: &[&str], elements: &[(u32, u32)], rank_of_eid: &[u32]) -> SsJoinResult<Self> {
+        let bytes: usize = tokens.iter().map(|t| t.len()).sum();
+        if bytes > u32::MAX as usize {
+            return Err(SsJoinError::TooManyElements { elements: bytes });
+        }
+        let mut text = String::with_capacity(bytes);
+        let mut ends = Vec::with_capacity(tokens.len());
+        for token in tokens {
+            text.push_str(token);
+            ends.push(text.len() as u32);
+        }
+        let mut by_rank = vec![(0, 0); elements.len()];
+        for (&element, &rank) in elements.iter().zip(rank_of_eid) {
+            by_rank[rank as usize] = element;
+        }
+        Ok(Self {
+            text,
+            ends,
+            by_rank,
+        })
+    }
+
+    /// The `(token, ordinal)` of `rank`.
+    fn get(&self, rank: u32) -> (&str, u32) {
+        let (t, ord) = self.by_rank[rank as usize];
+        let start = t.checked_sub(1).map_or(0, |p| self.ends[p as usize]);
+        (
+            &self.text[start as usize..self.ends[t as usize] as usize],
+            ord,
+        )
+    }
+
+    fn len(&self) -> usize {
+        self.by_rank.len()
     }
 }
 
@@ -687,9 +733,10 @@ impl ChunkGroups {
 pub struct BuiltInput {
     collections: Vec<SetCollection>,
     /// `(token, ordinal)` per rank.
-    element_meta: Vec<(String, u32)>,
-    /// Weight per rank.
-    weights_by_rank: Vec<Weight>,
+    meta: ElementMeta,
+    /// Weight per rank, shared with every collection; `None` when the build
+    /// is unweighted.
+    weights: WeightTable,
     /// Per relation: its sets' caps as the R and as the S side, when it was
     /// added with a [`CapRule`].
     prefix_caps: Vec<Option<[Vec<u32>; 2]>>,
@@ -722,36 +769,37 @@ impl BuiltInput {
 
     /// Number of distinct elements in the universe.
     pub fn universe_size(&self) -> usize {
-        self.element_meta.len()
+        self.meta.len()
     }
 
     /// The `(token, ordinal)` a rank denotes.
     pub fn element(&self, rank: u32) -> (&str, u32) {
-        let (t, o) = &self.element_meta[rank as usize];
-        (t.as_str(), *o)
+        self.meta.get(rank)
     }
 
     /// The weight of the element at `rank`.
     pub fn element_weight(&self, rank: u32) -> Weight {
-        self.weights_by_rank[rank as usize]
+        weight_at(self.weights.as_deref().map(Vec::as_slice), rank)
     }
 
     /// A [`QueryEncoder`] over this build's frozen universe, for encoding
-    /// streamed queries against a prebuilt [`crate::CorpusIndex`].
+    /// streamed queries against a prebuilt [`crate::CorpusIndex`]. It shares
+    /// the build's weight table.
     pub fn query_encoder(&self) -> QueryEncoder {
         let mut ids: FxHashMap<String, Vec<u32>> = FxHashMap::default();
-        for (rank, (token, ord)) in self.element_meta.iter().enumerate() {
-            let slots = ids.entry(token.clone()).or_default();
-            let idx = (*ord as usize).saturating_sub(1);
+        for rank in 0..self.meta.len() as u32 {
+            let (token, ord) = self.meta.get(rank);
+            let slots = ids.entry(token.to_owned()).or_default();
+            let idx = (ord as usize).saturating_sub(1);
             if slots.len() <= idx {
                 slots.resize(idx + 1, u32::MAX);
             }
-            slots[idx] = rank as u32;
+            slots[idx] = rank;
         }
         QueryEncoder {
             ids,
-            weights: self.weights_by_rank.clone(),
-            universe_size: self.element_meta.len(),
+            weights: self.weights.clone(),
+            universe_size: self.meta.len(),
             universe_tag: self
                 .collections
                 .first()
@@ -780,7 +828,8 @@ impl BuiltInput {
 pub struct QueryEncoder {
     /// token -> rank per ordinal (index `ord - 1`).
     ids: FxHashMap<String, Vec<u32>>,
-    weights: Vec<Weight>,
+    /// The build's weight table (shared, not copied).
+    weights: WeightTable,
     universe_size: usize,
     universe_tag: u64,
 }
@@ -796,26 +845,27 @@ impl QueryEncoder {
             .filter(|&r| r != u32::MAX)
     }
 
-    /// Encode one token multiset into `(rank, weight)` elements, dropping
-    /// tokens outside the frozen universe. Elements come back in occurrence
-    /// order; [`QueryEncoder::encode`] (via the collection constructor)
-    /// handles sorting.
-    pub fn encode_group(&self, group: &[String]) -> Vec<(u32, Weight)> {
+    /// Encode one token multiset into element ranks, dropping tokens
+    /// outside the frozen universe. Ranks come back in occurrence order;
+    /// [`QueryEncoder::encode`] (via the collection constructor) handles
+    /// sorting. An element's weight is its rank's in the universe
+    /// ([`BuiltInput::element_weight`]).
+    pub fn encode_group(&self, group: &[String]) -> Vec<u32> {
         let mut occurrence: FxHashMap<&str, u32> = FxHashMap::default();
-        let mut elems = Vec::with_capacity(group.len());
+        let mut ranks = Vec::with_capacity(group.len());
         for token in group {
             let ord = occurrence.entry(token.as_str()).or_insert(0);
             *ord += 1;
             if let Some(rank) = self.rank_of(token, *ord) {
-                elems.push((rank, self.weights[rank as usize]));
+                ranks.push(rank);
             }
         }
-        elems
+        ranks
     }
 
     /// Encode token groups into a [`SetCollection`] sharing the frozen
-    /// universe (same tag, same ranks, same weights), suitable as a probe
-    /// batch for [`crate::CorpusIndex::probe`].
+    /// universe (same tag, same ranks, the same weight table), suitable as
+    /// a probe batch for [`crate::CorpusIndex::probe`].
     ///
     /// # Errors
     /// Returns [`SsJoinError::InvalidInput`] when `NormKind::Custom` norms
@@ -831,23 +881,22 @@ impl QueryEncoder {
                 )));
             }
         }
+        let table = self.weights.as_deref().map(Vec::as_slice);
         let mut sets = Vec::with_capacity(groups.len());
         for (gi, group) in groups.iter().enumerate() {
-            let elems = self.encode_group(group);
+            let ranks = self.encode_group(group);
             let norm_value = match &norm {
-                NormKind::TotalWeight => elems.iter().map(|&(_, w)| w).sum::<Weight>().to_f64(),
-                NormKind::SqrtTotalWeight => elems
-                    .iter()
-                    .map(|&(_, w)| w)
-                    .sum::<Weight>()
-                    .to_f64()
-                    .sqrt(),
                 NormKind::Cardinality => group.len() as f64,
-                NormKind::Custom(norms) => norms[gi],
+                norm => norm.of(gi, ranks.iter().map(|&r| weight_at(table, r))),
             };
-            sets.push((elems, norm_value));
+            sets.push((ranks, norm_value));
         }
-        SetCollection::from_sets(sets, self.universe_size, self.universe_tag)
+        SetCollection::from_sets(
+            sets,
+            self.universe_size,
+            self.universe_tag,
+            self.weights.clone(),
+        )
     }
 
     /// Number of distinct elements in the frozen universe.
@@ -1226,14 +1275,13 @@ mod tests {
         let mut order: Vec<u32> = (0..elements.len() as u32).collect();
         order.sort_unstable_by_key(|&eid| (element_freq[eid as usize], eid));
         let mut rank_of = vec![0u32; elements.len()];
-        let mut meta = vec![(String::new(), 0); elements.len()];
         let mut weights_by_rank = vec![Weight::ZERO; elements.len()];
         for (rank, &eid) in order.iter().enumerate() {
-            let (tid, ord) = elements[eid as usize];
             rank_of[eid as usize] = rank as u32;
-            meta[rank] = (tokens[tid as usize].to_string(), ord);
             weights_by_rank[rank] = weights[eid as usize];
         }
+        let meta = ElementMeta::new(&tokens, &elements, &rank_of).unwrap();
+        let table = (scheme != WeightScheme::Unweighted).then(|| Arc::new(weights_by_rank));
         let collections = rel_groups
             .iter()
             .map(|groups| {
@@ -1241,22 +1289,19 @@ mod tests {
                     .iter()
                     .enumerate()
                     .map(|(g, eids)| {
-                        let elems: Vec<(u32, Weight)> = eids
-                            .iter()
-                            .map(|&e| (rank_of[e as usize], weights[e as usize]))
-                            .collect();
-                        let norm = norm.of(g, elems.iter().map(|&(_, w)| w));
-                        (elems, norm)
+                        let ranks: Vec<u32> = eids.iter().map(|&e| rank_of[e as usize]).collect();
+                        let norm = norm.of(g, eids.iter().map(|&e| weights[e as usize]));
+                        (ranks, norm)
                     })
                     .collect();
-                SetCollection::from_sets(sets, elements.len(), 0).unwrap()
+                SetCollection::from_sets(sets, elements.len(), 0, table.clone()).unwrap()
             })
             .collect();
         BuiltInput {
             collections,
-            element_meta: meta,
+            meta,
+            weights: table,
             prefix_caps: vec![None; relations.len()],
-            weights_by_rank,
         }
     }
 

@@ -63,7 +63,7 @@ pub(super) fn run(
                 let rset = r.set(rid as u32);
                 let rid = rid as u32;
                 let window = prune.window(rid, half);
-                for (&rank, &w) in rset.ranks().iter().zip(rset.weights()) {
+                for (&rank, &w) in rset.ranks().iter().zip(rset.weights().iter()) {
                     for &sid in index.postings_in(rank, window.clone()) {
                         if acc[sid as usize].is_zero() {
                             touched.push(sid);

@@ -262,7 +262,7 @@ fn candidate_phase(
                 for &sid in candidates.iter() {
                     let sset = s.set(sid);
                     r_table.clear();
-                    for (&rank, &w) in rset.ranks().iter().zip(rset.weights()) {
+                    for (&rank, &w) in rset.ranks().iter().zip(rset.weights().iter()) {
                         r_table.insert(rank, w);
                     }
                     let mut overlap = Weight::ZERO;

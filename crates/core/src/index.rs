@@ -337,8 +337,10 @@ impl CorpusIndex {
         ws.out.len() > before
     }
 
-    /// Append a set (element `(rank, weight)` pairs in any order, plus the
-    /// norm used by normalized predicates) and return its id. The set is
+    /// Append a set (its element ranks in any order, plus the norm used by
+    /// normalized predicates) and return its id. Its elements weigh what
+    /// the corpus's universe says ([`crate::BuiltInput::element_weight`]):
+    /// the set shares the corpus's weight table. The set is
     /// probe-visible immediately; it joins the inverted index at the next
     /// epoch merge, which happens automatically once the epoch tail exceeds
     /// `max(64, indexed/8)` sets.
@@ -346,8 +348,8 @@ impl CorpusIndex {
     /// # Errors
     /// [`SsJoinError::InvalidInput`] on duplicate or out-of-range ranks;
     /// arena-overflow errors as in the builder.
-    pub fn insert(&mut self, elements: &[(u32, Weight)], norm: f64) -> SsJoinResult<u32> {
-        let id = self.corpus.push_set(elements, norm)?;
+    pub fn insert(&mut self, ranks: &[u32], norm: f64) -> SsJoinResult<u32> {
+        let id = self.corpus.push_set(ranks, norm)?;
         self.alive.push(true);
         if self.pending() > self.epoch_limit() {
             self.rebuild();
@@ -396,20 +398,12 @@ impl CorpusIndex {
     pub fn compact(&mut self) -> SsJoinResult<Vec<u32>> {
         let mut survivors = Vec::with_capacity(self.live_len());
         let mut fresh = self.corpus.empty_like();
-        let mut elems: Vec<(u32, Weight)> = Vec::new();
         for id in 0..self.corpus.len() as u32 {
             if !self.alive[id as usize] {
                 continue;
             }
             let set = self.corpus.set(id);
-            elems.clear();
-            elems.extend(
-                set.ranks()
-                    .iter()
-                    .copied()
-                    .zip(set.weights().iter().copied()),
-            );
-            fresh.push_set(&elems, set.norm())?;
+            fresh.push_set(set.ranks(), set.norm())?;
             survivors.push(id);
         }
         self.corpus = fresh;

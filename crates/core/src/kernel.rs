@@ -10,12 +10,19 @@
 //!
 //! The early-exit bound: at merge state `(i, j)` over sets `a` and `b`, any
 //! element still matchable lies in `a[i..] ∩ b[j..]`, whose weight is at
-//! most `min(suffix_a[i], suffix_b[j])` — the precomputed suffix cumulative
-//! weights of [`crate::set::SetRef`]. If
+//! most `min(suffix_a[i], suffix_b[j])`, each set's suffix weight. No
+//! suffix column is stored ([`crate::SetCollection`]): a kernel tracks each
+//! suffix as the set's total minus the weight its cursor has passed —
+//! `(len − i)·ONE` for unit weights, where nothing is read. If
 //! `acc + min(suffix_a[i], suffix_b[j]) < required`, no continuation of the
 //! merge reaches the threshold, so the pair is rejected without touching the
 //! remaining elements. The exit fires only on rejection; an accepted pair is
 //! merged to completion so the reported overlap is exact.
+//!
+//! Both sets of a pair share one universe and so one weight table
+//! (`None` for unit weights): an unweighted overlap is its match count
+//! times [`Weight::ONE`], and a weighted merge reads `table[rank]` for the
+//! elements it passes.
 //!
 //! [`verify_overlap`] is the one production kernel: the early-exit merge,
 //! switching to a galloping probe of the longer side when the length ratio
@@ -28,7 +35,7 @@
 //! `gallop_probes` in [`crate::SsJoinStats`] show how much work rejection
 //! cost.
 
-use crate::set::SetRef;
+use crate::set::{unit_total, weight_at, SetRef};
 use crate::stats::SsJoinStats;
 use crate::weight::Weight;
 
@@ -55,6 +62,16 @@ pub fn verify_overlap(
     }
 }
 
+/// The total weight of `ranks` under a universe's table: `len · ONE`, read
+/// from nothing, for unit weights.
+#[inline]
+fn total_of(table: Option<&[Weight]>, ranks: &[u32]) -> Weight {
+    match table {
+        None => unit_total(ranks.len()),
+        Some(t) => ranks.iter().map(|&rank| t[rank as usize]).sum(),
+    }
+}
+
 /// Full two-pointer merge of two rank-sorted sets, counting each advance in
 /// `steps`. Backing for [`SetRef::overlap`], the kernels' oracle.
 ///
@@ -64,9 +81,10 @@ pub fn verify_overlap(
 ///    advances (`i += (x <= y)`, `j += (y <= x)`) with no weight loads, so
 ///    the loop body is three compares and three adds the compiler keeps in
 ///    registers with no unpredictable branch;
-/// 2. a **weight-accumulation pass** that re-walks the ranks summing the
-///    weights of the shared elements, entered only when the counting pass
-///    found any matches and stopping as soon as all of them are consumed.
+/// 2. for a weighted pair, a **weight-accumulation pass** that re-walks the
+///    ranks summing `table[rank]` over the shared elements, entered only
+///    when the counting pass found any matches and stopping as soon as all
+///    of them are consumed. An unweighted pair's overlap is `matches · ONE`.
 ///
 /// The counting pass advances the cursors exactly as the classic three-way
 /// merge does (less → left, greater → right, equal → both) and ticks
@@ -84,30 +102,24 @@ pub(crate) fn merge_full(a: SetRef<'_>, b: SetRef<'_>, steps: &mut u64) -> Weigh
         i += usize::from(x <= y);
         j += usize::from(y <= x);
     }
-    if matches == 0 {
-        return Weight::ZERO;
+    match a.table() {
+        _ if matches == 0 => Weight::ZERO,
+        None => unit_total(matches),
+        Some(table) => accumulate_matches(ar, br, table, matches),
     }
-    accumulate_matches(a, b, matches)
 }
 
-/// Weight-accumulation pass of [`merge_full`]: sum the weights of the
-/// `matches` elements shared by `a` and `b`. Relies on the shared-universe
-/// invariant (equal ranks carry equal weights on both sides) and stops the
-/// moment the last match is consumed, so disjoint tails are never touched.
-fn accumulate_matches(a: SetRef<'_>, b: SetRef<'_>, matches: usize) -> Weight {
-    let (ar, aw) = (a.ranks(), a.weights());
-    let (br, bw) = (b.ranks(), b.weights());
+/// Weight-accumulation pass of [`merge_full`]: sum `table[rank]` over the
+/// `matches` ranks shared by `ar` and `br`, stopping the moment the last
+/// match is consumed, so disjoint tails are never touched.
+fn accumulate_matches(ar: &[u32], br: &[u32], table: &[Weight], matches: usize) -> Weight {
     let (mut i, mut j) = (0usize, 0usize);
     let mut acc = Weight::ZERO;
     let mut left = matches;
     while left > 0 {
         let (x, y) = (ar[i], br[j]);
         if x == y {
-            debug_assert_eq!(
-                aw[i], bw[j],
-                "element weights must agree across a shared universe"
-            );
-            acc += aw[i];
+            acc += table[x as usize];
             left -= 1;
         }
         i += usize::from(x <= y);
@@ -126,12 +138,13 @@ pub fn overlap_at_least(
     required: Weight,
     stats: &mut SsJoinStats,
 ) -> Option<Weight> {
-    let (ar, aw) = (a.ranks(), a.weights());
-    let (br, bw) = (b.ranks(), b.weights());
+    let (ar, br, table) = (a.ranks(), b.ranks(), a.table());
     let (mut i, mut j) = (0usize, 0usize);
     let mut acc = Weight::ZERO;
+    // suffix_a[i] and suffix_b[j]: each total minus the weight passed.
+    let (mut rest_a, mut rest_b) = (a.total_weight(), b.total_weight());
     while i < ar.len() && j < br.len() {
-        if acc + a.suffix_weight(i).min(b.suffix_weight(j)) < required {
+        if acc + rest_a.min(rest_b) < required {
             stats.early_exits += 1;
             return None;
         }
@@ -141,11 +154,13 @@ pub fn overlap_at_least(
         // equality branch instead of an unpredictable three-way jump.
         let (x, y) = (ar[i], br[j]);
         if x == y {
-            debug_assert_eq!(
-                aw[i], bw[j],
-                "element weights must agree across a shared universe"
-            );
-            acc += aw[i];
+            acc += weight_at(table, x);
+        }
+        if x <= y {
+            rest_a = rest_a.saturating_sub(weight_at(table, x));
+        }
+        if y <= x {
+            rest_b = rest_b.saturating_sub(weight_at(table, y));
         }
         i += usize::from(x <= y);
         j += usize::from(y <= x);
@@ -163,28 +178,35 @@ pub fn overlap_gallop(
     required: Weight,
     stats: &mut SsJoinStats,
 ) -> Option<Weight> {
-    let lr = long.ranks();
+    let (lr, table) = (long.ranks(), short.table());
     let mut j = 0usize;
     let mut acc = Weight::ZERO;
-    for (i, (&rank, &w)) in short.ranks().iter().zip(short.weights()).enumerate() {
+    let mut rest_short = short.total_weight();
+    // The long side's suffix weight at `passed`, brought up to `j` only
+    // when the short side's suffix alone does not decide the exit.
+    let (mut rest_long, mut passed) = (long.total_weight(), 0usize);
+    for &rank in short.ranks() {
         if j >= lr.len() {
             break;
         }
-        if acc + short.suffix_weight(i).min(long.suffix_weight(j)) < required {
+        // acc + min(rest_short, rest_long) < required, as two tests.
+        let exits = acc + rest_short < required || {
+            rest_long = rest_long.saturating_sub(total_of(table, &lr[passed..j]));
+            passed = j;
+            acc + rest_long < required
+        };
+        if exits {
             stats.early_exits += 1;
             return None;
         }
         let pos = gallop_seek(lr, j, rank, &mut stats.gallop_probes);
         j = pos;
+        let w = weight_at(table, rank);
         if pos < lr.len() && lr[pos] == rank {
-            debug_assert_eq!(
-                w,
-                long.weights()[pos],
-                "element weights must agree across a shared universe"
-            );
             acc += w;
             j += 1;
         }
+        rest_short = rest_short.saturating_sub(w);
     }
     (acc >= required).then_some(acc)
 }
@@ -227,21 +249,30 @@ fn gallop_seek(ranks: &[u32], from: usize, target: u32, probes: &mut u64) -> usi
 mod tests {
     use super::*;
     use crate::set::SetCollection;
+    use std::sync::Arc;
 
     fn w(x: f64) -> Weight {
         Weight::from_f64(x)
     }
 
+    /// Two sets over a 2^16-rank universe whose table holds the listed
+    /// weights (a rank listed on both sides must weigh the same on both).
     fn pair(a: &[(u32, f64)], b: &[(u32, f64)]) -> SetCollection {
-        SetCollection::from_sets(
-            vec![
-                (a.iter().map(|&(r, x)| (r, w(x))).collect(), 0.0),
-                (b.iter().map(|&(r, x)| (r, w(x))).collect(), 0.0),
-            ],
-            1 << 16,
-            0,
-        )
-        .unwrap()
+        let mut table = vec![Weight::ONE; 1 << 16];
+        for &(r, x) in a.iter().chain(b) {
+            table[r as usize] = w(x);
+        }
+        assert!(a.iter().chain(b).all(|&(r, x)| table[r as usize] == w(x)));
+        let ranks = |s: &[(u32, f64)]| s.iter().map(|&(r, _)| r).collect::<Vec<_>>();
+        let sets = vec![(ranks(a), 0.0), (ranks(b), 0.0)];
+        SetCollection::from_sets(sets, 1 << 16, 0, Some(Arc::new(table))).unwrap()
+    }
+
+    /// The same two sets with unit weights: no table.
+    fn unit_pair(a: &[(u32, f64)], b: &[(u32, f64)]) -> SetCollection {
+        let ranks = |s: &[(u32, f64)]| s.iter().map(|&(r, _)| r).collect::<Vec<_>>();
+        let sets = vec![(ranks(a), 0.0), (ranks(b), 0.0)];
+        SetCollection::from_sets(sets, 1 << 16, 0, None).unwrap()
     }
 
     /// The kernel and both of its paths must agree with the linear oracle
@@ -271,8 +302,13 @@ mod tests {
             &[(1, 1.0), (2, 2.0), (5, 0.5), (9, 1.0)],
             &[(2, 2.0), (3, 9.0), (5, 0.5)],
         );
-        for req in [0.0, 1.0, 2.5, 2.6, 100.0] {
+        let unit = unit_pair(
+            &[(1, 1.0), (2, 2.0), (5, 0.5), (9, 1.0)],
+            &[(2, 2.0), (3, 9.0), (5, 0.5)],
+        );
+        for req in [0.0, 1.0, 2.0, 2.5, 2.6, 3.0, 100.0] {
             check_all(&c, Weight::from_f64_threshold(req));
+            check_all(&unit, Weight::from_f64_threshold(req));
         }
     }
 
@@ -287,9 +323,10 @@ mod tests {
             (&[(0, 1.0), (2, 1.0)], &[(1, 5.0), (3, 5.0)]),
         ];
         for &(a, b) in shapes {
-            let c = pair(a, b);
+            let (c, unit) = (pair(a, b), unit_pair(a, b));
             for req in [0.0, 0.5, 1.0, 2.0, 3.0] {
                 check_all(&c, Weight::from_f64_threshold(req));
+                check_all(&unit, Weight::from_f64_threshold(req));
             }
         }
     }

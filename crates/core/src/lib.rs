@@ -92,7 +92,7 @@ pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use index::CorpusIndex;
 pub use order::ElementOrder;
 pub use predicate::{Interval, NormExpr, OverlapPredicate};
-pub use set::{SetCollection, SetRef, SIG_WORDS};
+pub use set::{SetCollection, SetRef, SetWeights, SIG_WORDS};
 pub use spill::{plan_spill, SpillPlan};
 pub use stats::{Phase, SsJoinStats};
 pub use weight::Weight;

@@ -35,7 +35,7 @@ pub fn collection_to_relation(c: &SetCollection) -> Relation {
     ]);
     let mut rows = Vec::with_capacity(c.tuple_count());
     for (id, set) in c.iter().enumerate() {
-        for (&rank, &w) in set.ranks().iter().zip(set.weights()) {
+        for (&rank, &w) in set.ranks().iter().zip(set.weights().iter()) {
             rows.push(vec![
                 Value::Int(id as i64),
                 Value::Int(rank as i64),
@@ -215,10 +215,11 @@ pub fn prefix_plan(
 /// Encode a group's full element list as the inline string representation of
 /// §4.3.4 ("concatenating all elements together separating them by a special
 /// marker"): `rank:raw_weight,rank:raw_weight,…` in rank order. Takes the
-/// parallel rank/weight columns of the CSR arena directly.
-pub fn encode_inline_set(ranks: &[u32], weights: &[Weight]) -> String {
-    let mut out = String::with_capacity(ranks.len() * 8);
-    for (i, (&rank, &w)) in ranks.iter().zip(weights).enumerate() {
+/// set's `(rank, weight)` elements — its ranks zipped with
+/// [`crate::SetRef::weights`], which reads the universe's table.
+pub fn encode_inline_set(elements: impl IntoIterator<Item = (u32, Weight)>) -> String {
+    let mut out = String::new();
+    for (i, (rank, w)) in elements.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -305,7 +306,12 @@ fn inline_relation(
             continue;
         }
         let plen = set.prefix_len(set.total_weight().saturating_sub(lb));
-        let encoded = Value::str(encode_inline_set(set.ranks(), set.weights()));
+        let elements = set
+            .ranks()
+            .iter()
+            .copied()
+            .zip(set.weights().iter().copied());
+        let encoded = Value::str(encode_inline_set(elements));
         for &rank in &set.ranks()[..plen] {
             rows.push(vec![
                 Value::Int(id as i64),
@@ -479,7 +485,7 @@ mod tests {
     fn inline_encoding_roundtrip() {
         let ranks = [3u32, 9, 100];
         let weights = [Weight::from_f64(1.5), Weight::ONE, Weight::from_f64(0.25)];
-        let enc = encode_inline_set(&ranks, &weights);
+        let enc = encode_inline_set(ranks.into_iter().zip(weights));
         let dec = decode_inline_set(&enc).unwrap();
         assert_eq!(
             dec,
@@ -496,9 +502,9 @@ mod tests {
 
     #[test]
     fn inline_overlap_udf() {
-        let one = [Weight::ONE, Weight::ONE];
-        let a = encode_inline_set(&[1, 5], &one);
-        let b = encode_inline_set(&[5, 9], &one);
+        let unit = |ranks: [u32; 2]| ranks.map(|r| (r, Weight::ONE));
+        let a = encode_inline_set(unit([1, 5]));
+        let b = encode_inline_set(unit([5, 9]));
         assert_eq!(inline_overlap(&a, &b).unwrap(), Weight::ONE.raw());
         assert_eq!(inline_overlap(&a, "").unwrap(), 0);
     }

@@ -7,21 +7,37 @@
 //!
 //! A [`SetCollection`] is one side (R or S) of the join. Instead of boxing
 //! one heap allocation per group, the collection holds a single contiguous
-//! **compressed-sparse-row arena**: one `ranks` array, one parallel
-//! `weights` array, one parallel `suffix` array of cumulative suffix
-//! weights, and an `offsets` array delimiting each set's slice. Per set it
-//! keeps a norm and one 80-byte [`SetRecord`] — the bitmap signature, the
-//! total weight and the minimum element weight, contiguous, because the
-//! bitmap prune reads exactly those. Index builds and verification merges
-//! therefore stream cache-friendly memory with no pointer chasing, and a
-//! prune touches one record per side.
+//! **compressed-sparse-row arena**: one `ranks` array and an `offsets` array
+//! delimiting each set's slice. A rank is the only per-element column, so an
+//! element costs 4 bytes ([`SetCollection::bytes_per_element`]).
+//!
+//! Weights belong to the universe, not to the sets: the paper's overlap is
+//! "the weight of the multiset intersection", and an element's weight (a
+//! token's IDF, say) is the same in every set that holds it. So each build
+//! makes one per-rank weight table, and every collection over that universe
+//! shares it (an `Arc`, never a copy): the builder's collections, the
+//! [`crate::QueryEncoder`]'s probe batches, a [`crate::CorpusIndex`]'s
+//! inserts and compactions, and — through a remapped local table — each
+//! spill partition's sub-collections. An unweighted collection holds no
+//! table at all: every weight is [`Weight::ONE`], a set's overlap with
+//! another is its match count, and its suffix weights are `(len − i)·ONE`.
+//!
+//! Per set the collection keeps a norm and one 80-byte [`SetRecord`] — the
+//! bitmap signature, the total weight and the minimum element weight,
+//! contiguous, because the bitmap prune reads exactly those. Index builds
+//! and verification merges therefore stream cache-friendly memory with no
+//! pointer chasing, and a prune touches one record per side. The overlap
+//! kernels' early exit takes each set's remaining weight from its total
+//! minus the weight already passed ([`crate::kernel`]), so no suffix column
+//! is stored.
 //!
 //! [`SetRef`] is the borrowed per-set view handed to executors and overlap
-//! kernels (see [`crate::kernel`]); it is `Copy` and carries the arena
-//! slices, the norm and the record.
+//! kernels; it is `Copy` and carries the set's rank slice, the universe's
+//! weight table, the norm and the record.
 
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::weight::Weight;
+use std::sync::Arc;
 
 /// Number of 64-bit words in a set's bitmap signature: `64 · SIG_WORDS =
 /// 512` hashed bit positions per set, stored in the set's prune record and
@@ -33,6 +49,26 @@ pub const SIG_WORDS: usize = 8;
 #[inline]
 fn signature_position(rank: u32) -> usize {
     ((rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 55) as usize
+}
+
+/// One universe's element weights, indexed by rank and shared by every
+/// collection over that universe. `None` means unit weights: every element
+/// weighs [`Weight::ONE`] and no table exists.
+pub(crate) type WeightTable = Option<Arc<Vec<Weight>>>;
+
+/// The weight of `rank` under a universe's table (`None`: unit weights).
+#[inline]
+pub(crate) fn weight_at(table: Option<&[Weight]>, rank: u32) -> Weight {
+    match table {
+        None => Weight::ONE,
+        Some(t) => t[rank as usize],
+    }
+}
+
+/// `n · ONE`: the total weight of `n` unit-weight elements.
+#[inline]
+pub(crate) fn unit_total(n: usize) -> Weight {
+    Weight::from_raw(n as u64 * Weight::ONE.raw())
 }
 
 /// What the bitmap prune reads of one set, stored contiguously: the
@@ -82,17 +118,16 @@ impl SetRecord {
 
 /// A borrowed view of one weighted set inside a [`SetCollection`] arena.
 ///
-/// Cheap to copy (a few slices and scalars); all read paths — prefix
+/// Cheap to copy (two slices and two scalars); all read paths — prefix
 /// extraction, index builds, overlap merges, signature pruning — go through
 /// this view.
 #[derive(Debug, Clone, Copy)]
 pub struct SetRef<'a> {
     /// Element ranks, ascending, no duplicates.
     ranks: &'a [u32],
-    /// Element weights, parallel to `ranks`.
-    weights: &'a [Weight],
-    /// Suffix cumulative weights: `suffix[i] = Σ weights[i..]`.
-    suffix: &'a [Weight],
+    /// The universe's weight table, indexed by rank; `None` for unit
+    /// weights.
+    table: Option<&'a [Weight]>,
     norm: f64,
     /// Signature, total and minimum weight.
     record: &'a SetRecord,
@@ -102,7 +137,7 @@ impl PartialEq for SetRef<'_> {
     fn eq(&self, other: &Self) -> bool {
         // Derived state is a function of (ranks, weights), so comparing the
         // primary columns plus the norm is full structural equality.
-        self.ranks == other.ranks && self.weights == other.weights && self.norm == other.norm
+        self.ranks == other.ranks && self.weights() == other.weights() && self.norm == other.norm
     }
 }
 
@@ -112,28 +147,21 @@ impl<'a> SetRef<'a> {
         self.ranks
     }
 
-    /// Element weights, parallel to [`SetRef::ranks`].
-    pub fn weights(self) -> &'a [Weight] {
-        self.weights
-    }
-
-    /// Precomputed suffix cumulative weights: `suffix_weights()[i]` is the
-    /// total weight of elements `i..`. Same length as the set.
-    pub fn suffix_weights(self) -> &'a [Weight] {
-        self.suffix
-    }
-
-    /// Total weight of elements `i..` (`Weight::ZERO` at `i == len`).
-    ///
-    /// # Panics
-    /// Panics if `i > len`.
-    #[inline]
-    pub fn suffix_weight(self, i: usize) -> Weight {
-        if i == self.suffix.len() {
-            Weight::ZERO
-        } else {
-            self.suffix[i]
+    /// Element weights, parallel to [`SetRef::ranks`]: a view that reads
+    /// each one from the universe's table (or yields [`Weight::ONE`] when
+    /// the collection is unweighted).
+    pub fn weights(self) -> SetWeights<'a> {
+        SetWeights {
+            ranks: self.ranks,
+            table: self.table,
         }
+    }
+
+    /// The universe's per-rank weight table; `None` when every weight is
+    /// [`Weight::ONE`].
+    #[inline]
+    pub(crate) fn table(self) -> Option<&'a [Weight]> {
+        self.table
     }
 
     /// Number of elements.
@@ -208,18 +236,21 @@ impl<'a> SetRef<'a> {
     /// whose weights sum to *strictly more than* `beta`. Returns the number
     /// of elements in the prefix (possibly the whole set if the total does
     /// not exceed `beta`; callers that need "can never match" detection
-    /// compare thresholds with [`SetRef::total_weight`] first).
+    /// compare thresholds with [`SetRef::total_weight`] first). With unit
+    /// weights it is arithmetic: `⌊β / ONE⌋ + 1`, capped at the length.
     pub fn prefix_len(self, beta: Weight) -> usize {
-        // suffix[0] = total, so the prefix exceeds β exactly when the weight
-        // *behind* position i drops below total − β: total − suffix[i+1] > β.
+        let Some(table) = self.table else {
+            let n = beta.raw() / Weight::ONE.raw() + 1;
+            return usize::try_from(n).map_or(self.len(), |n| n.min(self.len()));
+        };
         let mut acc = Weight::ZERO;
-        for (i, &w) in self.weights.iter().enumerate() {
-            acc += w;
+        for (i, &rank) in self.ranks.iter().enumerate() {
+            acc += table[rank as usize];
             if acc > beta {
                 return i + 1;
             }
         }
-        self.weights.len()
+        self.len()
     }
 
     /// Weighted overlap `wt(self ∩ other)` by a full merge of the two
@@ -230,6 +261,63 @@ impl<'a> SetRef<'a> {
     }
 }
 
+/// A set's element weights, parallel to its ranks ([`SetRef::weights`]):
+/// indexable, iterable and sized like a slice, but read from the universe's
+/// per-rank table rather than stored per element.
+#[derive(Clone, Copy)]
+pub struct SetWeights<'a> {
+    ranks: &'a [u32],
+    table: Option<&'a [Weight]>,
+}
+
+impl<'a> SetWeights<'a> {
+    /// Number of weights (the set's length).
+    pub fn len(self) -> usize {
+        self.ranks.len()
+    }
+
+    /// True for the empty set.
+    pub fn is_empty(self) -> bool {
+        self.ranks.is_empty()
+    }
+
+    /// The weights in rank order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = &'a Weight> + 'a {
+        let table = self.table;
+        self.ranks.iter().map(move |&rank| match table {
+            None => &Weight::ONE,
+            Some(t) => &t[rank as usize],
+        })
+    }
+}
+
+impl std::ops::Index<usize> for SetWeights<'_> {
+    type Output = Weight;
+
+    fn index(&self, i: usize) -> &Weight {
+        match self.table {
+            None => {
+                // Out of range panics, as a slice index would.
+                let _ = self.ranks[i];
+                &Weight::ONE
+            }
+            Some(t) => &t[self.ranks[i] as usize],
+        }
+    }
+}
+
+impl PartialEq for SetWeights<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for SetWeights<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One side (R or S) of an SSJoin: a CSR arena of weighted sets. The index
 /// of a set in the collection is its group id.
 #[derive(Debug, Clone)]
@@ -237,13 +325,12 @@ pub struct SetCollection {
     /// Set boundaries: set `i` occupies arena positions
     /// `offsets[i]..offsets[i+1]`. Length `len + 1`, starts at 0.
     offsets: Vec<u32>,
-    /// All element ranks, set-major, ascending within each set.
+    /// All element ranks, set-major, ascending within each set — the only
+    /// per-element column.
     ranks: Vec<u32>,
-    /// All element weights, parallel to `ranks`.
-    weights: Vec<Weight>,
-    /// Suffix cumulative weights, parallel to `ranks`: within a set spanning
-    /// `lo..hi`, `suffix[k] = Σ weights[k..hi]`.
-    suffix: Vec<Weight>,
+    /// The universe's per-rank weights, shared with every collection over
+    /// it; `None` for unit weights.
+    weights: WeightTable,
     /// Per-set norms.
     norms: Vec<f64>,
     /// Per-set prune records: signature, total weight, minimum weight.
@@ -260,10 +347,11 @@ pub struct SetCollection {
 }
 
 impl SetCollection {
-    /// Build the arena from per-set `(elements, norm)` pairs; sorts and
-    /// validates each element list and computes all derived state (suffix
-    /// weight tables, the per-set records, the cached norm range) in one
-    /// pass, so every construction path gets it consistently.
+    /// Build the arena from per-set `(ranks, norm)` pairs over a universe
+    /// with per-rank `weights` (`None`: unit weights); sorts and validates
+    /// each rank list and computes all derived state (the per-set records,
+    /// the cached norm range) in one pass, so every construction path gets
+    /// it consistently.
     ///
     /// # Errors
     /// Returns [`SsJoinError::InvalidInput`] on duplicate ranks within a set
@@ -271,9 +359,10 @@ impl SetCollection {
     /// [`SsJoinError::TooManyElements`] if the total element count overflows
     /// the `u32` offset space.
     pub(crate) fn from_sets(
-        sets: Vec<(Vec<(u32, Weight)>, f64)>,
+        sets: Vec<(Vec<u32>, f64)>,
         universe_size: usize,
         universe_tag: u64,
+        weights: WeightTable,
     ) -> SsJoinResult<Self> {
         let tuple_count: usize = sets.iter().map(|(e, _)| e.len()).sum();
         if tuple_count > u32::MAX as usize {
@@ -281,30 +370,31 @@ impl SetCollection {
                 elements: tuple_count,
             });
         }
-        let mut c = Self::empty(universe_size, universe_tag);
+        let mut c = Self::empty(universe_size, universe_tag, weights);
         c.reserve(sets.len(), tuple_count);
-        for (mut elems, norm) in sets {
-            sort_and_check(&mut elems)?;
-            c.push_sorted(elems.iter().copied(), norm);
+        for (mut ranks, norm) in sets {
+            sort_and_check(&mut ranks)?;
+            c.push_sorted(&ranks, norm);
         }
         Ok(c)
     }
 
-    /// Append one set to the arena (same universe), computing the same
-    /// derived state as [`SetCollection::from_sets`]. Elements may arrive in
-    /// any order; they are sorted by rank. Returns the new set's group id.
+    /// Append one set to the arena (same universe, so the same weights),
+    /// computing the same derived state as [`SetCollection::from_sets`].
+    /// Ranks may arrive in any order; they are sorted. Returns the new
+    /// set's group id.
     ///
     /// Unlike `from_sets` — whose callers (the builder) have already
     /// range-checked every rank — this path takes caller-supplied
-    /// elements directly, so it additionally validates `rank <
+    /// ranks directly, so it additionally validates `rank <
     /// universe_size` (an out-of-range rank would overrun the inverted
-    /// index's per-rank offset table).
+    /// index's per-rank offset table and the weight table).
     ///
     /// # Errors
     /// [`SsJoinError::InvalidInput`] on duplicate or out-of-range ranks;
     /// [`SsJoinError::TooManyElements`] / [`SsJoinError::TooManyGroups`] on
     /// `u32` arena or group-id overflow.
-    pub(crate) fn push_set(&mut self, elements: &[(u32, Weight)], norm: f64) -> SsJoinResult<u32> {
+    pub(crate) fn push_set(&mut self, ranks: &[u32], norm: f64) -> SsJoinResult<u32> {
         // Group ids must stay below the stamp sentinel (u32::MAX) the prefix
         // executors use, matching the builder's cap.
         if self.len() >= u32::MAX as usize {
@@ -313,14 +403,14 @@ impl SetCollection {
                 groups: self.len() + 1,
             });
         }
-        if self.ranks.len() + elements.len() > u32::MAX as usize {
+        if self.ranks.len() + ranks.len() > u32::MAX as usize {
             return Err(SsJoinError::TooManyElements {
-                elements: self.ranks.len() + elements.len(),
+                elements: self.ranks.len() + ranks.len(),
             });
         }
-        let mut elems = elements.to_vec();
-        sort_and_check(&mut elems)?;
-        if let Some(&(rank, _)) = elems.last() {
+        let mut sorted = ranks.to_vec();
+        sort_and_check(&mut sorted)?;
+        if let Some(&rank) = sorted.last() {
             if rank as usize >= self.universe_size {
                 return Err(SsJoinError::InvalidInput(format!(
                     "element rank {rank} is outside the universe of {} ranks",
@@ -328,64 +418,63 @@ impl SetCollection {
                 )));
             }
         }
-        Ok(self.push_sorted(elems.iter().copied(), norm))
+        Ok(self.push_sorted(&sorted, norm))
     }
 
-    /// Append one set whose elements arrive already ascending by rank,
-    /// duplicate-free, and inside the universe — exactly what the spill
-    /// driver copies (partition sub-sets keep the parent arena's order under
-    /// a monotone rank remap). Skips [`Self::push_set`]'s sort,
+    /// Append one set whose ranks arrive already ascending, duplicate-free,
+    /// and inside the universe — what the builder's remap and the spill
+    /// driver produce (partition sub-sets keep the parent arena's order
+    /// under a monotone rank remap). Skips [`Self::push_set`]'s sort,
     /// validation, and temporary buffer; the preconditions are
-    /// debug-asserted. Infallible because partition sub-arenas are subsets
-    /// of a collection that already fit the `u32` offset/group space.
-    pub(crate) fn push_set_presorted(
-        &mut self,
-        elem_ranks: &[u32],
-        elem_weights: &[Weight],
-        norm: f64,
-    ) -> u32 {
-        debug_assert_eq!(elem_ranks.len(), elem_weights.len());
-        debug_assert!(elem_ranks.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(elem_ranks
+    /// debug-asserted. Infallible because its callers stay inside the
+    /// `u32` offset/group space.
+    pub(crate) fn push_set_presorted(&mut self, ranks: &[u32], norm: f64) -> u32 {
+        debug_assert!(ranks.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(ranks
             .last()
             .is_none_or(|&r| (r as usize) < self.universe_size));
         debug_assert!(self.len() < u32::MAX as usize);
-        self.push_sorted(
-            elem_ranks.iter().copied().zip(elem_weights.iter().copied()),
-            norm,
-        )
+        self.push_sorted(ranks, norm)
     }
 
-    /// Append one set from rank-ascending, duplicate-free elements: the arena
-    /// slices, the suffix weights, the norm and the set's record. Every
-    /// construction path ends here. Returns the new set's group id.
-    fn push_sorted(&mut self, elems: impl Iterator<Item = (u32, Weight)>, norm: f64) -> u32 {
-        let start = self.ranks.len();
+    /// Append one set from rank-ascending, duplicate-free ranks: the arena
+    /// slice, the norm and the set's record (signature, total and minimum
+    /// weight, read from the universe's table). Every construction path
+    /// ends here. Returns the new set's group id.
+    fn push_sorted(&mut self, ranks: &[u32], norm: f64) -> u32 {
         let mut sig = [0u64; SIG_WORDS];
-        let mut min_weight: Option<Weight> = None;
-        for (rank, w) in elems {
-            self.ranks.push(rank);
-            self.weights.push(w);
+        for &rank in ranks {
             let p = signature_position(rank);
             sig[p >> 6] |= 1u64 << (p & 63);
-            min_weight = Some(min_weight.map_or(w, |m| m.min(w)));
         }
-        // Suffix cumulative weights by a reverse scan; the set total falls
-        // out as suffix[start].
-        self.suffix.resize(self.ranks.len(), Weight::ZERO);
-        let mut acc = Weight::ZERO;
-        for k in (start..self.ranks.len()).rev() {
-            acc += self.weights[k];
-            self.suffix[k] = acc;
-        }
+        self.ranks.extend_from_slice(ranks);
+        let (total, min_weight) = match self.weights.as_deref() {
+            None => (
+                unit_total(ranks.len()),
+                if ranks.is_empty() {
+                    Weight::ZERO
+                } else {
+                    Weight::ONE
+                },
+            ),
+            Some(table) => {
+                let (mut total, mut min) = (Weight::ZERO, None);
+                for &rank in ranks {
+                    let w = table[rank as usize];
+                    total += w;
+                    min = Some(min.map_or(w, |m: Weight| m.min(w)));
+                }
+                (total, min.unwrap_or(Weight::ZERO))
+            }
+        };
         let id = self.len() as u32;
         self.offsets.push(self.ranks.len() as u32);
         self.norms_sorted &= self.norms.last().is_none_or(|&last| last <= norm);
         self.norms.push(norm);
         self.records.push(SetRecord {
             sig,
-            total: acc,
-            min_weight: min_weight.unwrap_or(Weight::ZERO),
+            total,
+            min_weight,
         });
         self.norm_range = Some(match self.norm_range {
             None => (norm, norm),
@@ -399,22 +488,26 @@ impl SetCollection {
     pub(crate) fn reserve(&mut self, sets: usize, tuples: usize) {
         self.offsets.reserve(sets);
         self.ranks.reserve(tuples);
-        self.weights.reserve(tuples);
-        self.suffix.reserve(tuples);
         self.norms.reserve(sets);
         self.records.reserve(sets);
     }
 
     /// Reset this collection to an empty arena over a (possibly different)
-    /// universe, keeping every pool's capacity. The spill path recycles two
-    /// such collections across all partitions of a run so a warm spilled
-    /// run stops allocating once the largest partition has been seen.
-    pub(crate) fn reset_for_universe(&mut self, universe_size: usize, universe_tag: u64) {
+    /// universe with per-rank `weights`, keeping every pool's capacity. The
+    /// spill path recycles two such collections across all partitions of a
+    /// run so a warm spilled run stops allocating once the largest partition
+    /// has been seen.
+    pub(crate) fn reset_for_universe(
+        &mut self,
+        universe_size: usize,
+        universe_tag: u64,
+        weights: WeightTable,
+    ) {
+        debug_assert!(weights.as_ref().is_none_or(|w| w.len() == universe_size));
         self.offsets.clear();
         self.offsets.push(0);
         self.ranks.clear();
-        self.weights.clear();
-        self.suffix.clear();
+        self.weights = weights;
         self.norms.clear();
         self.records.clear();
         self.universe_size = universe_size;
@@ -424,13 +517,14 @@ impl SetCollection {
     }
 
     /// An empty collection over the universe of `universe_size` ranks
-    /// tagged `universe_tag`.
-    pub(crate) fn empty(universe_size: usize, universe_tag: u64) -> Self {
+    /// tagged `universe_tag`, whose elements weigh `weights[rank]` (`None`:
+    /// unit weights).
+    pub(crate) fn empty(universe_size: usize, universe_tag: u64, weights: WeightTable) -> Self {
+        debug_assert!(weights.as_ref().is_none_or(|w| w.len() == universe_size));
         Self {
             offsets: vec![0],
             ranks: Vec::new(),
-            weights: Vec::new(),
-            suffix: Vec::new(),
+            weights,
             norms: Vec::new(),
             records: Vec::new(),
             universe_size,
@@ -440,11 +534,12 @@ impl SetCollection {
         }
     }
 
-    /// An empty collection sharing this one's element universe (size and
-    /// tag), so sets appended with [`Self::push_set`] stay joinable against
-    /// collections from the original builder run. Used by epoch compaction.
+    /// An empty collection sharing this one's element universe (size, tag
+    /// and weight table), so sets appended with [`Self::push_set`] stay
+    /// joinable against collections from the original builder run. Used by
+    /// epoch compaction.
     pub(crate) fn empty_like(&self) -> Self {
-        Self::empty(self.universe_size, self.universe_tag)
+        Self::empty(self.universe_size, self.universe_tag, self.weights.clone())
     }
 
     /// Append every set of `other` (same universe), in order: the builder
@@ -457,7 +552,7 @@ impl SetCollection {
     /// [`SsJoinError::TooManyElements`] / [`SsJoinError::TooManyGroups`] on
     /// `u32` arena or group-id overflow.
     pub(crate) fn append(&mut self, other: SetCollection) -> SsJoinResult<()> {
-        debug_assert!(self.shares_universe(&other));
+        debug_assert!(self.shares_universe(&other) && self.shares_weights(&other));
         if self.is_empty() {
             *self = other;
             return Ok(());
@@ -475,8 +570,6 @@ impl SetCollection {
         let SetCollection {
             offsets,
             ranks,
-            weights,
-            suffix,
             norms,
             records,
             norm_range,
@@ -488,10 +581,6 @@ impl SetCollection {
         drop(offsets);
         self.ranks.extend_from_slice(&ranks);
         drop(ranks);
-        self.weights.extend_from_slice(&weights);
-        drop(weights);
-        self.suffix.extend_from_slice(&suffix);
-        drop(suffix);
         self.norms_sorted &= norms_sorted
             && match (self.norms.last(), norms.first()) {
                 (Some(&last), Some(&first)) => last <= first,
@@ -515,8 +604,7 @@ impl SetCollection {
         let hi = self.offsets[i + 1] as usize;
         SetRef {
             ranks: &self.ranks[lo..hi],
-            weights: &self.weights[lo..hi],
-            suffix: &self.suffix[lo..hi],
+            table: self.weight_table(),
             norm: self.norms[i],
             record: &self.records[i],
         }
@@ -530,6 +618,37 @@ impl SetCollection {
     /// Every set's norm, in group-id order.
     pub(crate) fn norms(&self) -> &[f64] {
         &self.norms
+    }
+
+    /// The universe's per-rank weights; `None` when every weight is
+    /// [`Weight::ONE`].
+    #[inline]
+    pub(crate) fn weight_table(&self) -> Option<&[Weight]> {
+        self.weights.as_deref().map(Vec::as_slice)
+    }
+
+    /// True when both collections read one weight table (the same `Arc`),
+    /// or are both unweighted.
+    pub(crate) fn shares_weights(&self, other: &SetCollection) -> bool {
+        match (&self.weights, &other.weights) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// True when the collection's elements carry weights other than
+    /// [`Weight::ONE`] — it holds its universe's weight table.
+    pub fn is_weighted(&self) -> bool {
+        self.weights.is_some()
+    }
+
+    /// Bytes the arena stores per element: the widths of its per-element
+    /// columns. The rank is the only one — weights live in the universe's
+    /// table and suffix weights are derived — so this is 4, weighted or
+    /// not. The spill planner prices a partition's sub-arena with it.
+    pub fn bytes_per_element(&self) -> usize {
+        std::mem::size_of::<u32>()
     }
 
     /// Iterate over all sets in group-id order.
@@ -586,13 +705,13 @@ impl SetCollection {
     }
 }
 
-/// Sort a set's elements by rank and reject duplicate ranks.
-fn sort_and_check(elems: &mut [(u32, Weight)]) -> SsJoinResult<()> {
-    elems.sort_unstable_by_key(|&(rank, _)| rank);
-    match elems.windows(2).find(|w| w[0].0 == w[1].0) {
+/// Sort a set's ranks and reject duplicates.
+fn sort_and_check(ranks: &mut [u32]) -> SsJoinResult<()> {
+    ranks.sort_unstable();
+    match ranks.windows(2).find(|w| w[0] == w[1]) {
         Some(w) => Err(SsJoinError::InvalidInput(format!(
             "duplicate rank {}; ordinalize multisets first",
-            w[0].0
+            w[0]
         ))),
         None => Ok(()),
     }
@@ -606,15 +725,38 @@ mod tests {
         Weight::from_f64(x)
     }
 
-    fn collection(sets: &[&[(u32, f64)]]) -> SetCollection {
+    /// A collection over `universe` ranks whose table holds the weights the
+    /// `(rank, weight)` pairs give (an unlisted rank weighs 1). A rank
+    /// listed twice must carry one weight: weights belong to the universe.
+    fn weighted(sets: &[&[(u32, f64)]], universe: usize) -> SetCollection {
+        let mut table: Vec<Option<Weight>> = vec![None; universe];
+        for &(rank, x) in sets.iter().flat_map(|s| s.iter()) {
+            let slot = &mut table[rank as usize];
+            assert!(
+                slot.is_none_or(|old| old == w(x)),
+                "rank {rank} weighs twice"
+            );
+            *slot = Some(w(x));
+        }
+        let table = table.into_iter().map(|x| x.unwrap_or(Weight::ONE));
         SetCollection::from_sets(
             sets.iter()
-                .map(|elems| (elems.iter().map(|&(r, x)| (r, w(x))).collect(), 0.0))
+                .map(|elems| (elems.iter().map(|&(r, _)| r).collect(), 0.0))
                 .collect(),
-            64,
+            universe,
             0,
+            Some(Arc::new(table.collect())),
         )
         .unwrap()
+    }
+
+    fn collection(sets: &[&[(u32, f64)]]) -> SetCollection {
+        weighted(sets, 64)
+    }
+
+    fn unweighted(sets: &[&[u32]]) -> SetCollection {
+        let sets = sets.iter().map(|s| (s.to_vec(), 0.0)).collect();
+        SetCollection::from_sets(sets, 64, 0, None).unwrap()
     }
 
     #[test]
@@ -627,20 +769,75 @@ mod tests {
 
     #[test]
     fn duplicate_ranks_rejected() {
-        let r = SetCollection::from_sets(vec![(vec![(1, w(1.0)), (1, w(1.0))], 0.0)], 64, 0);
+        let r = SetCollection::from_sets(vec![(vec![1, 1], 0.0)], 64, 0, None);
         assert!(matches!(r, Err(SsJoinError::InvalidInput(_))), "{r:?}");
     }
 
     #[test]
-    fn suffix_weights_precomputed() {
-        let c = collection(&[&[(1, 1.0), (2, 2.0), (5, 0.5)], &[(0, 4.0)]]);
+    fn weights_come_from_the_universe_table() {
+        let c = collection(&[&[(1, 1.0), (2, 2.0), (5, 0.5)], &[(0, 4.0), (2, 2.0)]]);
         let s = c.set(0);
-        assert_eq!(s.suffix_weights(), &[w(3.5), w(2.5), w(0.5)]);
-        assert_eq!(s.suffix_weight(0), s.total_weight());
-        assert_eq!(s.suffix_weight(3), Weight::ZERO);
-        assert_eq!(c.set(1).suffix_weights(), &[w(4.0)]);
-        let e = collection(&[&[]]);
-        assert_eq!(e.set(0).suffix_weight(0), Weight::ZERO);
+        let weights = s.weights();
+        assert_eq!(weights.len(), 3);
+        assert_eq!(
+            (weights[0], weights[1], weights[2]),
+            (w(1.0), w(2.0), w(0.5))
+        );
+        let listed: Vec<Weight> = weights.iter().copied().collect();
+        assert_eq!(listed, [w(1.0), w(2.0), w(0.5)]);
+        assert_eq!(format!("{weights:?}"), format!("{listed:?}"));
+        assert_eq!(
+            c.set(1).weights()[1],
+            weights[1],
+            "rank 2 weighs one amount"
+        );
+        assert_eq!(s.total_weight(), w(3.5));
+        assert!(c.is_weighted());
+        assert!(c.empty_like().shares_weights(&c));
+        assert!(c.clone().shares_weights(&c));
+    }
+
+    #[test]
+    fn unit_weights_hold_no_table() {
+        // No table: every weight is ONE, the total is len·ONE, and the
+        // prefix length is arithmetic — each equal to a table of ones.
+        let sets: &[&[u32]] = &[&[3, 7, 9, 20, 41], &[], &[7]];
+        let unit = unweighted(sets);
+        let ones: Vec<Vec<(u32, f64)>> = sets
+            .iter()
+            .map(|s| s.iter().map(|&r| (r, 1.0)).collect())
+            .collect();
+        let ones: Vec<&[(u32, f64)]> = ones.iter().map(Vec::as_slice).collect();
+        let table = collection(&ones);
+        assert!(!unit.is_weighted() && table.is_weighted());
+        for (a, b) in unit.iter().zip(table.iter()) {
+            assert_eq!(a, b);
+            assert_eq!(a.weights(), b.weights());
+            assert!(a.weights().iter().all(|&x| x == Weight::ONE));
+            assert_eq!(a.total_weight(), b.total_weight());
+            assert_eq!(a.min_element_weight(), b.min_element_weight());
+            for beta in [0.0, 0.5, 1.0, 2.999, 3.0, 4.0, 5.0, 100.0] {
+                assert_eq!(a.prefix_len(w(beta)), b.prefix_len(w(beta)), "β {beta}");
+            }
+            assert_eq!(a.prefix_len(Weight::from_raw(u64::MAX)), a.len());
+            for (x, y) in unit.iter().zip(table.iter()) {
+                assert_eq!(a.overlap(x), b.overlap(y));
+            }
+        }
+        assert!(unit.empty_like().shares_weights(&unit));
+        assert!(!unit.shares_weights(&table));
+    }
+
+    #[test]
+    fn an_element_costs_a_rank() {
+        let unit = unweighted(&[&[1, 2, 3], &[]]);
+        let idf = collection(&[&[(1, 0.5), (2, 2.0)]]);
+        assert_eq!(unit.bytes_per_element(), 4);
+        assert_eq!(idf.bytes_per_element(), 4);
+        assert_eq!(
+            unit.bytes_per_element(),
+            std::mem::size_of_val(unit.set(0).ranks()) / unit.set(0).len()
+        );
     }
 
     #[test]
@@ -668,7 +865,7 @@ mod tests {
     fn prefix_len_unweighted_matches_property8() {
         // Property 8: |s| = h, overlap >= k ⇒ the (h − k + 1)-prefix hits.
         // β = h − k, and with unit weights prefix_len = β + 1 = h − k + 1.
-        let c = collection(&[&[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)]]);
+        let c = unweighted(&[&[0, 1, 2, 3, 4]]);
         let s = c.set(0);
         let k = 4.0;
         let beta = s
@@ -693,6 +890,7 @@ mod tests {
     fn prefix_len_empty_set() {
         let c = collection(&[&[]]);
         assert_eq!(c.set(0).prefix_len(Weight::ZERO), 0);
+        assert_eq!(unweighted(&[&[]]).set(0).prefix_len(Weight::ZERO), 0);
     }
 
     #[test]
@@ -722,15 +920,13 @@ mod tests {
     #[test]
     fn bitmap_bound_never_below_overlap() {
         // The bound must dominate the exact overlap for arbitrary set pairs.
-        let mk = |seed: u32, n: u32| -> Vec<(u32, Weight)> {
+        let weight = |rank: u32| w(0.5 + f64::from((rank * 7) % 5));
+        let table: Vec<Weight> = (0..97).map(weight).collect();
+        let mk = |seed: u32, n: u32| -> Vec<u32> {
             (0..n)
-                .map(|i| {
-                    let rank = (seed.wrapping_mul(31).wrapping_add(i * 17)) % 97;
-                    (rank, 0.5 + f64::from((rank * 7) % 5))
-                })
-                .collect::<std::collections::HashMap<u32, f64>>()
+                .map(|i| (seed.wrapping_mul(31).wrapping_add(i * 17)) % 97)
+                .collect::<std::collections::HashSet<u32>>()
                 .into_iter()
-                .map(|(r, x)| (r, w(x)))
                 .collect()
         };
         for a_seed in 0..12u32 {
@@ -742,6 +938,7 @@ mod tests {
                     ],
                     97,
                     0,
+                    Some(Arc::new(table.clone())),
                 )
                 .unwrap();
                 let (a, b) = (c.set(0), c.set(1));
@@ -771,16 +968,7 @@ mod tests {
     fn bitmap_bound_single_token_universe() {
         // One rank in the whole universe: every non-empty set is {0}, all
         // signatures coincide, and the bound is exactly the shared weight.
-        let c = SetCollection::from_sets(
-            vec![
-                (vec![(0, w(1.5))], 0.0),
-                (vec![(0, w(1.5))], 0.0),
-                (vec![], 0.0),
-            ],
-            1,
-            0,
-        )
-        .unwrap();
+        let c = weighted(&[&[(0, 1.5)], &[(0, 1.5)], &[]], 1);
         let (a, b, e) = (c.set(0), c.set(1), c.set(2));
         assert_eq!(a.wide_overlap_bound(b), w(1.5));
         assert_eq!(a.wide_overlap_bound(b), a.overlap(b));
@@ -792,7 +980,7 @@ mod tests {
         // Identical sets have identical signatures, so no "only" bits
         // survive and the bound is the full total — the filter never prunes
         // an exact duplicate.
-        let c = collection(&[&[(3, 1.5), (9, 2.0), (77, 0.25)]]);
+        let c = collection(&[&[(3, 1.5), (9, 2.0), (60, 0.25)]]);
         let a = c.set(0);
         assert_eq!(a.wide_overlap_bound(a), a.total_weight());
     }
@@ -801,10 +989,7 @@ mod tests {
     fn bitmap_bound_disjoint_signatures_collapses() {
         // Unit weights and signature-disjoint sets: every element certifies
         // one absence, so the bound drops to zero.
-        let c = collection(&[
-            &[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)],
-            &[(60, 1.0), (61, 1.0), (62, 1.0), (63, 1.0)],
-        ]);
+        let c = unweighted(&[&[0, 1, 2, 3], &[60, 61, 62, 63]]);
         let (a, b) = (c.set(0), c.set(1));
         let disjoint = a
             .signature_words()
@@ -858,17 +1043,9 @@ mod tests {
         // pair, and seeded random pairs with colliding signature bits.
         let shapes = [
             collection(&[&[], &[(1, 2.0), (5, 1.0)]]),
-            SetCollection::from_sets(
-                vec![(vec![(0, w(1.5))], 0.0), (vec![(0, w(1.5))], 0.0)],
-                1,
-                0,
-            )
-            .unwrap(),
-            collection(&[&[(3, 1.5), (9, 2.0), (77, 0.25)]]),
-            collection(&[
-                &[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)],
-                &[(60, 1.0), (61, 1.0), (62, 1.0), (63, 1.0)],
-            ]),
+            weighted(&[&[(0, 1.5)], &[(0, 1.5)]], 1),
+            collection(&[&[(3, 1.5), (9, 2.0), (13, 0.25)]]),
+            unweighted(&[&[0, 1, 2, 3], &[60, 61, 62, 63]]),
             collection(&[&[(2, 0.75), (11, 1.25), (40, 3.0)]]),
         ];
         for c in &shapes {
@@ -888,22 +1065,18 @@ mod tests {
             x ^= x << 17;
             x
         };
+        let table: Vec<Weight> = (0..3000)
+            .map(|_| Weight::from_raw(1 + next() % 4_000_000))
+            .collect();
         let sets: Vec<_> = (0..40)
             .map(|_| {
-                let mut elems: Vec<(u32, Weight)> = (0..64)
-                    .map(|_| {
-                        (
-                            (next() % 3000) as u32,
-                            Weight::from_raw(1 + next() % 4_000_000),
-                        )
-                    })
-                    .collect();
-                elems.sort_unstable_by_key(|e| e.0);
-                elems.dedup_by_key(|e| e.0);
-                (elems, 0.0)
+                let mut ranks: Vec<u32> = (0..64).map(|_| (next() % 3000) as u32).collect();
+                ranks.sort_unstable();
+                ranks.dedup();
+                (ranks, 0.0)
             })
             .collect();
-        let c = SetCollection::from_sets(sets, 3000, 0).unwrap();
+        let c = SetCollection::from_sets(sets, 3000, 0, Some(Arc::new(table))).unwrap();
         for a in 0..c.len() as u32 {
             for b in 0..c.len() as u32 {
                 let andnot = c.set(a).wide_overlap_bound(c.set(b));
@@ -930,32 +1103,32 @@ mod tests {
 
     #[test]
     fn norm_range_cached() {
-        let mk = |n: f64| (vec![(0u32, Weight::ONE)], n);
-        let c = SetCollection::from_sets(vec![mk(3.0), mk(1.0), mk(2.0)], 1, 0).unwrap();
+        let mk = |n: f64| (vec![0u32], n);
+        let c = SetCollection::from_sets(vec![mk(3.0), mk(1.0), mk(2.0)], 1, 0, None).unwrap();
         assert_eq!(c.norm_range(), Some((1.0, 3.0)));
-        let empty = SetCollection::from_sets(vec![], 0, 0).unwrap();
+        let empty = SetCollection::from_sets(vec![], 0, 0, None).unwrap();
         assert_eq!(empty.norm_range(), None);
     }
 
     #[test]
     fn norms_sorted_tracks_every_append() {
         let mk = |norms: &[f64]| {
-            let sets = norms.iter().map(|&n| (vec![(0u32, Weight::ONE)], n));
-            SetCollection::from_sets(sets.collect(), 1, 0).unwrap()
+            let sets = norms.iter().map(|&n| (vec![0u32], n));
+            SetCollection::from_sets(sets.collect(), 1, 0, None).unwrap()
         };
         assert!(mk(&[]).norms_sorted());
         assert!(mk(&[1.0, 1.0, 2.0]).norms_sorted());
         assert!(!mk(&[1.0, 3.0, 2.0]).norms_sorted());
         // push_set: an equal norm keeps the order, a smaller one breaks it.
         let mut c = mk(&[1.0, 2.0]);
-        c.push_set(&[(0, Weight::ONE)], 2.0).unwrap();
+        c.push_set(&[0], 2.0).unwrap();
         assert!(c.norms_sorted());
-        c.push_set(&[(0, Weight::ONE)], 0.5).unwrap();
+        c.push_set(&[0], 0.5).unwrap();
         assert!(!c.norms_sorted());
         // reset starts over.
-        c.reset_for_universe(1, 0);
+        c.reset_for_universe(1, 0, None);
         assert!(c.norms_sorted());
-        c.push_set_presorted(&[0], &[Weight::ONE], 4.0);
+        c.push_set_presorted(&[0], 4.0);
         assert!(c.norms_sorted());
         // append: both halves sorted and joined in order, or not.
         for (a, b, sorted) in [
@@ -976,8 +1149,14 @@ mod tests {
     #[test]
     fn set_ref_equality_is_structural() {
         let c1 = collection(&[&[(1, 1.0), (4, 2.0)]]);
-        let c2 = collection(&[&[(1, 1.0), (4, 2.0)], &[(1, 1.0), (4, 2.5)]]);
+        let c2 = collection(&[&[(1, 1.0), (4, 2.0)], &[(1, 1.0), (5, 2.0)]]);
+        let c3 = collection(&[&[(1, 1.0), (4, 2.5)]]);
         assert_eq!(c1.set(0), c2.set(0));
         assert_ne!(c1.set(0), c2.set(1));
+        assert_ne!(
+            c1.set(0),
+            c3.set(0),
+            "same ranks, another universe's weights"
+        );
     }
 }

@@ -25,7 +25,9 @@
 //! lengths). A set whose prefix is empty can join nothing and goes nowhere.
 //! The routed set's **full** contents ride along, so per-partition norms,
 //! total weights, and suffix bounds are exact and the executors run
-//! unmodified.
+//! unmodified. A sub-arena copies ranks only; a weighted input's weights go
+//! into one pooled local table per partition (local rank → the global
+//! rank's weight), which both sub-collections share.
 //!
 //! A pair is *emitted* only by the partition whose range contains the
 //! pair's first (smallest) shared rank — an exactly-once ownership rule.
@@ -66,8 +68,10 @@ use crate::exec::{
     prefix_lengths_into, run_algorithm, Algorithm, ExecContext, JoinPair, JoinWorkspace, Side,
 };
 use crate::predicate::OverlapPredicate;
-use crate::set::SetCollection;
+use crate::set::{SetCollection, WeightTable};
 use crate::stats::SsJoinStats;
+use crate::weight::Weight;
+use std::sync::Arc;
 
 /// Hard ceiling on the partition count: past this, per-partition fixed
 /// overheads dominate and the run completes best-effort over the budget
@@ -126,6 +130,10 @@ pub(crate) struct SpillScratch {
     /// Recycled sub-collections (reset per partition, capacity retained).
     sub_r: SetCollection,
     sub_s: SetCollection,
+    /// The partition's local weight table (local rank → weight), refilled
+    /// in place per partition of a weighted input and shared by `sub_r` and
+    /// `sub_s`.
+    weights: WeightTable,
     /// Universe-sized rank → local-rank table (`u32::MAX` = absent).
     remap: Vec<u32>,
     /// Distinct global ranks of the partition being built.
@@ -171,11 +179,12 @@ impl PartitionTally {
 }
 
 impl SpillScratch {
-    fn new(template: &SetCollection) -> Self {
+    fn new() -> Self {
         Self {
             inner: JoinWorkspace::new(),
-            sub_r: template.empty_like(),
-            sub_s: template.empty_like(),
+            sub_r: SetCollection::empty(0, 0, None),
+            sub_s: SetCollection::empty(0, 0, None),
+            weights: None,
             remap: Vec::new(),
             touched: Vec::new(),
             ranks_buf: Vec::new(),
@@ -189,6 +198,7 @@ impl SpillScratch {
             |x: &Routing| vec_bytes(&x.lens) + vec_bytes(&x.offsets) + vec_bytes(&x.members);
         let plan = &self.planner;
         self.inner.bytes_reserved()
+            + self.weights.as_deref().map_or(0, vec_bytes)
             + vec_bytes(&self.remap)
             + vec_bytes(&self.touched)
             + vec_bytes(&self.ranks_buf)
@@ -199,15 +209,28 @@ impl SpillScratch {
     }
 }
 
-/// Resident estimate (bytes) of joining one partition: the
+/// Resident estimate (bytes) of joining one partition of `input`: the
 /// [`crate::budget::estimate_memory_bytes`] model over partition-local
 /// quantities, plus the partition's own sub-arena, which that model (built
-/// for inputs that are already resident) does not charge: 12 bytes per
-/// copied element (a rank and a weight) and 16 per set. Suffix weights and
-/// per-set records are left to the model's slack. Dropping the term lets
-/// the planner pick fewer, larger partitions, which raises the real peak.
-fn partition_estimate(local_universe: u64, r_sets: u64, s_sets: u64, tuples: u64) -> u64 {
-    let sub_arena = tuples * 12 + (r_sets + s_sets) * 16;
+/// for inputs that are already resident) does not charge:
+/// [`SetCollection::bytes_per_element`] per copied element, 16 per set,
+/// and, for a weighted input, the local weight table (8 bytes per local
+/// rank). Per-set records are left to the model's slack. Dropping the term
+/// lets the planner pick fewer, larger partitions, which raises the real
+/// peak.
+fn partition_estimate(
+    input: &SetCollection,
+    local_universe: u64,
+    r_sets: u64,
+    s_sets: u64,
+    tuples: u64,
+) -> u64 {
+    let table = if input.is_weighted() {
+        local_universe * std::mem::size_of::<Weight>() as u64
+    } else {
+        0
+    };
+    let sub_arena = tuples * input.bytes_per_element() as u64 + (r_sets + s_sets) * 16 + table;
     crate::budget::resident_estimate(local_universe, r_sets, s_sets, tuples) + sub_arena
 }
 
@@ -370,6 +393,7 @@ fn plan_peak(
         // ranks than it has tuples (nor more than the global universe).
         let local_universe = universe.min(tuples);
         peak = peak.max(partition_estimate(
+            r,
             local_universe,
             tally.r_sets[p],
             tally.s_sets[p],
@@ -475,8 +499,9 @@ fn owns_pair(a: &[u32], b: &[u32], local_lo: u32, local_hi: u32) -> bool {
 
 /// Copy one side's partition members into the recycled sub-collection
 /// `sub`, remapping ranks through `remap`; local set `i` is `members[i]`.
-/// Members carry their full contents, weights and norms, so partition-local
-/// norms and totals stay exact. Returns the elements copied.
+/// Members carry their full contents and norms, and `sub`'s local table
+/// their weights, so partition-local norms and totals stay exact. Returns
+/// the elements copied.
 fn build_side(
     c: &SetCollection,
     members: &[u32],
@@ -489,7 +514,7 @@ fn build_side(
         let set = c.set(id);
         ranks_buf.clear();
         ranks_buf.extend(set.ranks().iter().map(|&t| remap[t as usize]));
-        sub.push_set_presorted(ranks_buf, set.weights(), set.norm());
+        sub.push_set_presorted(ranks_buf, set.norm());
         elements += ranks_buf.len() as u64;
     }
     elements
@@ -513,7 +538,7 @@ pub(crate) fn run(
     let limit = ctx.budget.max_resident_bytes.unwrap_or(u64::MAX);
     let mut scratch = match ws.spill.take() {
         Some(s) => s,
-        None => Box::new(SpillScratch::new(r)),
+        None => Box::new(SpillScratch::new()),
     };
     let result = run_inner(r, s, pred, algorithm, ctx, ws, &mut scratch, limit);
     ws.spill = Some(scratch);
@@ -546,6 +571,7 @@ fn run_inner(
         inner,
         sub_r,
         sub_s,
+        weights,
         remap,
         touched,
         ranks_buf,
@@ -598,10 +624,21 @@ fn run_inner(
         }
         let local_lo = touched.partition_point(|&t| t < lo) as u32;
         let local_hi = touched.partition_point(|&t| t < hi) as u32;
-        sub_r.reset_for_universe(touched.len(), tag);
+        // The sub-collections let go of the last partition's table, so the
+        // pooled one is refilled in place.
+        sub_r.reset_for_universe(0, tag, None);
+        sub_s.reset_for_universe(0, tag, None);
+        let local = r.weight_table().map(|global| {
+            let table = weights.get_or_insert_with(Arc::default);
+            let local = Arc::make_mut(table);
+            local.clear();
+            local.extend(touched.iter().map(|&t| global[t as usize]));
+            Arc::clone(table)
+        });
+        sub_r.reset_for_universe(touched.len(), tag, local.clone());
         elements += build_side(r, members_r, remap, ranks_buf, sub_r);
         if !self_join {
-            sub_s.reset_for_universe(touched.len(), tag);
+            sub_s.reset_for_universe(touched.len(), tag, local);
             elements += build_side(s, members_s, remap, ranks_buf, sub_s);
         }
         for &t in touched.iter() {
@@ -629,10 +666,9 @@ fn run_inner(
     // allocation) restores the resident run's `(r, s)` order.
     ws.out.sort_unstable_by_key(|p| (p.r, p.s));
     // Run-level spill facts survive the per-partition merges (which carry
-    // zeros for them); restate them on the final record. A sub-arena
-    // element is a rank and a weight: 12 bytes.
+    // zeros for them); restate them on the final record.
     stats.spill_partitions = partitions as u64;
-    stats.spill_bytes = elements * 12;
+    stats.spill_bytes = elements * r.bytes_per_element() as u64;
     stats.spill_peak_resident_bytes = peak;
     Some(stats)
 }
@@ -663,6 +699,92 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    /// Every construction path stores ranks only — 4 bytes an element,
+    /// weighted or not (a weighted arena may take at most 12) — and reads
+    /// the build's one weight table (the same `Arc`, or none when
+    /// unweighted): the builder's collections, a query encoder's batch, a
+    /// `CorpusIndex` insert and compaction, and a spilled join's
+    /// sub-collections, whose pooled local table holds each local rank's
+    /// global weight.
+    #[test]
+    fn every_construction_path_stores_ranks_and_shares_one_table() {
+        use crate::builder::NormKind;
+        use crate::index::CorpusIndex;
+        use crate::ExecBudget;
+        let groups: Vec<Vec<String>> = (0..300)
+            .map(|i| {
+                (0..(3 + i % 4))
+                    .map(|j| format!("t{}", (i * 7 + j * 5) % 113))
+                    .collect()
+            })
+            .collect();
+        for scheme in [WeightScheme::Unweighted, WeightScheme::Idf] {
+            let weighted = scheme != WeightScheme::Unweighted;
+            let mut b = SsJoinInputBuilder::new(scheme, ElementOrder::FrequencyAsc).with_threads(3);
+            let hr = b.add_relation(groups.clone());
+            let hs = b.add_relation(groups[..180].to_vec());
+            let built = b.build().unwrap();
+            let (r, s) = (built.collection(hr), built.collection(hs));
+            let check = |what: &str, c: &SetCollection| {
+                assert_eq!(c.bytes_per_element(), 4, "{scheme:?} {what}");
+                assert_eq!(c.is_weighted(), weighted, "{scheme:?} {what}");
+            };
+            let global = |what: &str, c: &SetCollection| {
+                check(what, c);
+                assert!(c.shares_weights(r), "{scheme:?} {what}: a copied table");
+                for set in c.iter() {
+                    for (&rank, &w) in set.ranks().iter().zip(set.weights().iter()) {
+                        assert_eq!(w, built.element_weight(rank), "{scheme:?} {what}");
+                    }
+                }
+            };
+            global("builder R", r);
+            global("builder S", s);
+            let batch = built
+                .query_encoder()
+                .encode(&groups[..40], NormKind::TotalWeight);
+            global("encoder", &batch.unwrap());
+            let mut index = CorpusIndex::build(s.clone(), pred(), &ExecContext::new()).unwrap();
+            index.insert(r.set(250).ranks(), r.set(250).norm()).unwrap();
+            global("insert", index.corpus());
+            index.delete(0).unwrap();
+            index.compact().unwrap();
+            global("compact", index.corpus());
+
+            // A spilled join of two relations: the last partition's
+            // sub-collections share one local table.
+            let est = crate::budget::estimate_memory_bytes(r, s);
+            let ctx = ExecContext::new()
+                .with_threads(1)
+                .with_budget(ExecBudget::new().with_max_resident_bytes(est / 8));
+            let mut ws = JoinWorkspace::new();
+            let stats = run(r, s, &pred(), Algorithm::Inline, &ctx, &mut ws).unwrap();
+            assert!(stats.spill_partitions >= 2, "{scheme:?}");
+            let scratch = ws.spill.as_ref().unwrap();
+            let (sub_r, sub_s) = (&scratch.sub_r, &scratch.sub_s);
+            check("spill R", sub_r);
+            check("spill S", sub_s);
+            assert!(sub_r.shares_weights(sub_s), "{scheme:?}");
+            let p = stats.spill_partitions as usize - 1;
+            let (route_r, route_s) = (&scratch.planner.route_r, &scratch.planner.route_s);
+            for (sub, c, members) in [
+                (sub_r, r, route_r.members(p)),
+                (sub_s, s, route_s.members(p)),
+            ] {
+                assert_eq!(sub.len(), members.len(), "{scheme:?}");
+                for (local, &id) in members.iter().enumerate() {
+                    let (x, y) = (sub.set(local as u32), c.set(id));
+                    assert_eq!(x.weights(), y.weights(), "{scheme:?} set {id}");
+                    assert_eq!(x.total_weight(), y.total_weight(), "{scheme:?} set {id}");
+                }
+            }
+            // Bytes copied: every routed member's elements at 4 bytes.
+            let tally = &scratch.planner.tally;
+            let tuples: u64 = tally.r_tuples.iter().chain(&tally.s_tuples).sum();
+            assert_eq!(stats.spill_bytes, tuples * 4, "{scheme:?}");
+        }
     }
 
     #[test]

@@ -267,13 +267,7 @@ fn index_pins_the_approx_spec_and_survives_churn() {
     // re-check soundness against the post-churn exact probe.
     index.delete(0).unwrap();
     let donor = c.set(1);
-    let elems: Vec<(u32, Weight)> = donor
-        .ranks()
-        .iter()
-        .copied()
-        .zip(donor.weights().iter().copied())
-        .collect();
-    index.insert(&elems, donor.norm()).unwrap();
+    index.insert(donor.ranks(), donor.norm()).unwrap();
     subset_sound(&mut index, &mut ws);
 }
 
@@ -290,13 +284,7 @@ fn approximate_self_probe_after_insert_is_subset_of_exact() {
     let mut index = CorpusIndex::build(c.clone(), pred, &approx).unwrap();
     for id in [0, 1, 1] {
         let set = c.set(id);
-        let elems: Vec<(u32, Weight)> = set
-            .ranks()
-            .iter()
-            .copied()
-            .zip(set.weights().iter().copied())
-            .collect();
-        index.insert(&elems, set.norm()).unwrap();
+        index.insert(set.ranks(), set.norm()).unwrap();
     }
     assert_eq!(
         index.pending(),

@@ -7,7 +7,7 @@
 
 use ssjoin_core::{
     ssjoin, Algorithm, CorpusIndex, ElementOrder, ExecContext, JoinWorkspace, NormExpr, NormKind,
-    OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder, Weight, WeightScheme,
+    OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 
@@ -135,13 +135,7 @@ fn bitmap_filter_prunes_without_changing_probe_output() {
     // sets are tombstoned, and everything is compacted.
     for id in 0..12u32 {
         let set = c.set(id * 7);
-        let elems: Vec<(u32, Weight)> = set
-            .ranks()
-            .iter()
-            .copied()
-            .zip(set.weights().iter().copied())
-            .collect();
-        index.insert(&elems, set.norm()).unwrap();
+        index.insert(set.ranks(), set.norm()).unwrap();
     }
     for id in [3u32, 40, 77, 121, 125] {
         index.delete(id).unwrap();

@@ -6,8 +6,7 @@
 
 use ssjoin_core::{
     ssjoin, Algorithm, CorpusIndex, ElementOrder, ExecContext, JoinPair, JoinWorkspace, NormKind,
-    OverlapPredicate, SetCollection, SsJoinConfig, SsJoinError, SsJoinInputBuilder, Weight,
-    WeightScheme,
+    OverlapPredicate, SetCollection, SsJoinConfig, SsJoinError, SsJoinInputBuilder, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 
@@ -81,16 +80,11 @@ fn keys(pairs: &[JoinPair]) -> Vec<(u32, u32)> {
     pairs.iter().map(|p| (p.r, p.s)).collect()
 }
 
-/// The set at `id`, re-extracted as insertable `(rank, weight)` elements.
-fn elements_of(c: &SetCollection, id: u32) -> (Vec<(u32, Weight)>, f64) {
+/// The set at `id`, re-extracted as insertable ranks (their weights are
+/// the shared universe's).
+fn elements_of(c: &SetCollection, id: u32) -> (Vec<u32>, f64) {
     let set = c.set(id);
-    let elems = set
-        .ranks()
-        .iter()
-        .copied()
-        .zip(set.weights().iter().copied())
-        .collect();
-    (elems, set.norm())
+    (set.ranks().to_vec(), set.norm())
 }
 
 /// Probing a freshly built index is indistinguishable from a fresh

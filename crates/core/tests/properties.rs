@@ -4,12 +4,12 @@
 //! reproducible from the iteration's seed.
 
 use ssjoin_baselines::naive_join;
-use ssjoin_core::kernel::{overlap_at_least, overlap_gallop, verify_overlap};
+use ssjoin_core::kernel::{overlap_at_least, overlap_gallop, verify_overlap, GALLOP_CROSSOVER};
 use ssjoin_core::plan::{basic_plan, collection_to_relation, inline_plan, prefix_plan, run_plan};
 use ssjoin_core::{
     estimate_memory_bytes, ssjoin, Algorithm, ElementOrder, ExecBudget, ExecContext, JoinPair,
-    NormKind, OverlapPredicate, SetCollection, SsJoinConfig, SsJoinInputBuilder, SsJoinStats,
-    Weight, WeightScheme,
+    NormKind, OverlapPredicate, SetCollection, SetRef, SsJoinConfig, SsJoinInputBuilder,
+    SsJoinStats, Weight, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 use std::sync::Arc;
@@ -210,65 +210,183 @@ fn parallel_equals_sequential() {
     }
 }
 
+/// Each set's suffix weights, `suffix[i] = Σ weights[i..]` (one entry past
+/// the end, zero): the column the kernels read before they tracked the
+/// suffix from the total.
+fn suffixes(set: SetRef<'_>) -> Vec<Weight> {
+    let mut out = vec![Weight::ZERO; set.len() + 1];
+    let weights = set.weights();
+    for k in (0..set.len()).rev() {
+        out[k] = out[k + 1] + weights[k];
+    }
+    out
+}
+
+/// The early-exit merge over a stored suffix column, counting merge steps
+/// and early exits: the reference for [`overlap_at_least`]'s counters.
+fn column_at_least(
+    a: SetRef<'_>,
+    b: SetRef<'_>,
+    required: Weight,
+    st: &mut SsJoinStats,
+) -> Option<Weight> {
+    let (sa, sb) = (suffixes(a), suffixes(b));
+    let (ar, br, aw) = (a.ranks(), b.ranks(), a.weights());
+    let (mut i, mut j, mut acc) = (0, 0, Weight::ZERO);
+    while i < ar.len() && j < br.len() {
+        if acc + sa[i].min(sb[j]) < required {
+            st.early_exits += 1;
+            return None;
+        }
+        st.merge_steps += 1;
+        if ar[i] == br[j] {
+            acc += aw[i];
+        }
+        let (x, y) = (ar[i], br[j]);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    (acc >= required).then_some(acc)
+}
+
+/// The galloping kernel over a stored suffix column: the reference for
+/// [`overlap_gallop`]'s early exits and probes.
+fn column_gallop(
+    short: SetRef<'_>,
+    long: SetRef<'_>,
+    required: Weight,
+    st: &mut SsJoinStats,
+) -> Option<Weight> {
+    let (ss, sl) = (suffixes(short), suffixes(long));
+    let (lr, sw) = (long.ranks(), short.weights());
+    let (mut j, mut acc) = (0, Weight::ZERO);
+    for (i, &rank) in short.ranks().iter().enumerate() {
+        if j >= lr.len() {
+            break;
+        }
+        if acc + ss[i].min(sl[j]) < required {
+            st.early_exits += 1;
+            return None;
+        }
+        // Exponential probe from j, then binary search, counting compares.
+        let (mut lo, mut hi, mut bound) = (j, lr.len(), 1);
+        while j + bound < lr.len() {
+            st.gallop_probes += 1;
+            if lr[j + bound] < rank {
+                lo = j + bound + 1;
+                bound <<= 1;
+            } else {
+                hi = j + bound + 1;
+                break;
+            }
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            st.gallop_probes += 1;
+            if lr[mid] < rank {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        j = lo;
+        if j < lr.len() && lr[j] == rank {
+            acc += sw[i];
+            j += 1;
+        }
+    }
+    (acc >= required).then_some(acc)
+}
+
 /// The verification kernel and both of its paths (early-exit merge and
-/// galloping) agree with the full linear merge on random weighted sets —
-/// including empty, singleton, disjoint, identical, and heavily
-/// skewed-length pairs — at thresholds below, at, and above the exact
-/// overlap.
+/// galloping) agree with an oracle that sums the universe's weights over
+/// the shared ranks, on random sets under unit, IDF and squared-IDF
+/// weights — including empty, singleton, disjoint, identical, and skewed
+/// pairs past [`GALLOP_CROSSOVER`] — at thresholds below, at, and above
+/// the exact overlap. Their `merge_steps`, `early_exits` and
+/// `gallop_probes` equal those of the same kernels over a stored suffix
+/// column, so tracking the suffix from the set's total changes no counter;
+/// the run must gallop and exit early under every scheme.
 #[test]
 fn kernels_agree_with_linear_oracle() {
-    for seed in 0..24u64 {
-        let mut rng = StdRng::seed_from_u64(0xCE12 + seed);
-        // Shape mixture: empty, singleton, random small sets, one long set
-        // plus a tiny subset of it (the skewed-length case galloping is for).
-        let mut groups: Vec<Vec<String>> = vec![vec![], vec!["solo".to_string()]];
-        groups.extend(random_groups(&mut rng));
-        groups.push((0..200).map(|i| format!("L{i:03}")).collect());
-        groups.push(
-            (0..3)
-                .map(|k| format!("L{:03}", 50 * (k + 1) + rng.gen_range(0u8..40) as usize))
-                .collect(),
-        );
-        let (c, _) = build_two(
-            groups.clone(),
-            groups,
-            WeightScheme::Idf,
-            ElementOrder::FrequencyAsc,
-        );
-        for i in 0..c.len() as u32 {
-            for j in 0..c.len() as u32 {
-                let (a, b) = (c.set(i), c.set(j));
-                let exact = a.overlap(b);
-                // Thresholds straddling the exact overlap, plus the extremes.
-                let requireds = [
-                    Weight::ZERO,
-                    Weight::from_raw(exact.raw() / 2),
-                    exact,
-                    exact + Weight::EPSILON,
-                    a.total_weight().max(b.total_weight()) + Weight::ONE,
-                ];
-                for required in requireds {
-                    let want = (exact >= required).then_some(exact);
-                    let mut st = SsJoinStats::default();
-                    assert_eq!(
-                        overlap_at_least(a, b, required, &mut st),
-                        want,
-                        "early-exit: seed {seed} pair ({i},{j}) required {required}"
-                    );
+    for scheme in [
+        WeightScheme::Unweighted,
+        WeightScheme::Idf,
+        WeightScheme::IdfSquared,
+    ] {
+        let (mut total, mut skewed) = (SsJoinStats::default(), 0);
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(0xCE12 + seed);
+            // Shape mixture: empty, singleton, random small sets, one long
+            // set plus a tiny subset of it (the skewed-length case galloping
+            // is for).
+            let mut groups: Vec<Vec<String>> = vec![vec![], vec!["solo".to_string()]];
+            groups.extend(random_groups(&mut rng));
+            groups.push((0..200).map(|i| format!("L{i:03}")).collect());
+            groups.push(
+                (0..3)
+                    .map(|k| format!("L{:03}", 50 * (k + 1) + rng.gen_range(0u8..40) as usize))
+                    .collect(),
+            );
+            let mut b = SsJoinInputBuilder::new(scheme, ElementOrder::FrequencyAsc);
+            let h = b.add_relation(groups);
+            let built = b.build().unwrap();
+            let c = built.collection(h);
+            assert_eq!(c.is_weighted(), scheme != WeightScheme::Unweighted);
+            for i in 0..c.len() as u32 {
+                for j in 0..c.len() as u32 {
+                    let (a, b) = (c.set(i), c.set(j));
+                    let exact: Weight = a
+                        .ranks()
+                        .iter()
+                        .filter(|r| b.ranks().binary_search(r).is_ok())
+                        .map(|&r| built.element_weight(r))
+                        .sum();
+                    assert_eq!(a.overlap(b), exact, "{scheme:?} seed {seed} ({i},{j})");
+                    // Thresholds straddling the exact overlap, plus the
+                    // extremes.
+                    let requireds = [
+                        Weight::ZERO,
+                        Weight::from_raw(exact.raw() / 2),
+                        exact,
+                        exact + Weight::EPSILON,
+                        a.total_weight().max(b.total_weight()) + Weight::ONE,
+                    ];
                     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-                    assert_eq!(
-                        overlap_gallop(short, long, required, &mut st),
-                        want,
-                        "gallop: seed {seed} pair ({i},{j}) required {required}"
+                    skewed += usize::from(
+                        !short.is_empty() && long.len() / short.len() >= GALLOP_CROSSOVER,
                     );
-                    assert_eq!(
-                        verify_overlap(a, b, required, &mut st),
-                        want,
-                        "verify_overlap: seed {seed} pair ({i},{j}) required {required}"
-                    );
+                    for required in requireds {
+                        let want = (exact >= required).then_some(exact);
+                        let what = format!("{scheme:?} seed {seed} ({i},{j}) required {required}");
+                        let (mut st, mut col) = (SsJoinStats::default(), SsJoinStats::default());
+                        assert_eq!(overlap_at_least(a, b, required, &mut st), want, "{what}");
+                        assert_eq!(column_at_least(a, b, required, &mut col), want, "{what}");
+                        assert_eq!(
+                            overlap_gallop(short, long, required, &mut st),
+                            want,
+                            "{what}"
+                        );
+                        assert_eq!(
+                            column_gallop(short, long, required, &mut col),
+                            want,
+                            "{what}"
+                        );
+                        assert_eq!(work_counters(&st), work_counters(&col), "{what}");
+                        let mut kernel = SsJoinStats::default();
+                        assert_eq!(verify_overlap(a, b, required, &mut kernel), want, "{what}");
+                        total.merge(&kernel);
+                    }
                 }
             }
         }
+        assert!(skewed > 0, "{scheme:?}: no pair past the gallop crossover");
+        assert!(
+            total.gallop_probes > 0,
+            "{scheme:?}: no skewed pair galloped"
+        );
+        assert!(total.early_exits > 0, "{scheme:?}: no pair exited early");
+        assert!(total.merge_steps > 0, "{scheme:?}: no pair merged");
     }
 }
 

@@ -8,7 +8,7 @@
 use ssjoin_core::{
     estimate_memory_bytes, plan_spill, ssjoin, Algorithm, CorpusIndex, ElementOrder, ExecBudget,
     ExecContext, JoinPair, JoinWorkspace, OverlapPredicate, SetCollection, SsJoinConfig,
-    SsJoinInputBuilder, Weight, WeightScheme,
+    SsJoinInputBuilder, WeightScheme,
 };
 use ssjoin_prng::{Rng, StdRng};
 fn corpus(seed: u64, groups: usize, vocab: u32) -> SetCollection {
@@ -317,14 +317,7 @@ fn index_probe_spills_under_memory_budget() {
     check(&index, "fresh");
     // Tombstones plus an epoch-tail insert (a copy of set 0, which certainly
     // matches itself).
-    let elems: Vec<(u32, Weight)> = {
-        let src = c.set(0);
-        src.ranks()
-            .iter()
-            .copied()
-            .zip(src.weights().iter().copied())
-            .collect()
-    };
+    let elems = c.set(0).ranks().to_vec();
     for idx in [3u32, 17, 42] {
         index.delete(idx).unwrap();
     }
