@@ -72,7 +72,7 @@
 //! The tree is a pure function of (collection, seed): hashing is the seeded
 //! `ssjoin-prng` PCG stream, ties break on token rank, and the recursion
 //! orders buckets by coordinate value. Probing is read-only and the
-//! candidate loop runs under [`run_chunked`]'s chunk-order concatenation,
+//! candidate loop runs under [`run_probes`]' chunk-order concatenation,
 //! so the output is identical across executors (approximate mode bypasses
 //! the executor choice entirely) and across thread counts.
 
@@ -80,8 +80,8 @@ use ssjoin_prng::{Rng, StdRng};
 
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
-    bounds_into, run_chunked, vec_bytes, ExecContext, JoinPair, JoinWorkspace, Prune, SetBound,
-    Side, WorkerScratch,
+    bounds_into, run_probes, vec_bytes, Buffers, ExecContext, JoinWorkspace, Prune, SetBound, Side,
+    Sink, WorkerScratch,
 };
 use crate::hash::FxHashMap;
 use crate::kernel::verify_overlap;
@@ -510,15 +510,17 @@ fn planned_reps(target: f64, mean_level: f64, j: f64) -> usize {
 /// The candidate-generation + verification loop: per probe set, gather the
 /// leaf buckets of every repetition (stamp-deduplicated), then verify each
 /// candidate through the unmodified exact tail — the same bitmap prune,
-/// and [`verify_overlap`] kernel the prefix family runs.
+/// and [`verify_overlap`] kernel the prefix family runs — and hand each
+/// qualifying pair to `sink`.
+#[allow(clippy::too_many_arguments)]
 fn candidate_phase(
     r: &SetCollection,
     s: &SetCollection,
     sketch: &ApproxSketch,
     prune: Prune<'_>,
     ctx: &ExecContext,
-    workers: &mut Vec<WorkerScratch>,
-    out: &mut Vec<JoinPair>,
+    sink: Sink<'_>,
+    buffers: Buffers<'_>,
 ) -> SsJoinStats {
     // Self-joins (probe collection IS the indexed collection) resolve each
     // probe's leaf by table lookup instead of re-hashing its tokens; the
@@ -533,7 +535,7 @@ fn candidate_phase(
         scratch.candidates.clear();
         let stamp = &mut scratch.stamp;
         let candidates = &mut scratch.candidates;
-        let pairs = &mut scratch.pairs;
+        let out = &mut scratch.out;
         for rid in range {
             debug_assert_ne!(
                 rid as u32,
@@ -577,17 +579,14 @@ fn candidate_phase(
                 stats.verified_pairs += 1;
                 let required = prune.required(rid, sid);
                 if let Some(overlap) = verify_overlap(rset, sset, required, &mut stats) {
-                    pairs.push(JoinPair {
-                        r: rid,
-                        s: sid,
-                        overlap,
-                    });
+                    sink.emit(rid, sid, overlap, out, &mut stats);
                 }
             }
         }
         stats
     };
-    run_chunked(r.len(), ctx.threads, false, workers, out, probe)
+    let (n, no_diagonal) = (r.len(), |_| None);
+    run_probes(n, ctx.threads, false, sink, no_diagonal, buffers, probe)
 }
 
 /// Execute an approximate join: build (or rebuild) the sketch and the
@@ -600,6 +599,7 @@ pub(crate) fn run(
     pred: &OverlapPredicate,
     ctx: &ExecContext,
     spec: &ApproxSpec,
+    sink: Sink<'_>,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let mut build = SsJoinStats::default();
@@ -611,7 +611,7 @@ pub(crate) fn run(
         sketch.build(s, pred, spec);
         bounds_into(s, pred, Side::S, &mut s_bounds);
     });
-    let mut stats = probe_built(r, s, &sketch, &s_bounds, pred, ctx, ws);
+    let mut stats = probe_built(r, s, &sketch, &s_bounds, pred, ctx, sink, ws);
     stats.merge(&build);
     ws.approx = Some(sketch);
     ws.s_bounds = s_bounds;
@@ -623,6 +623,7 @@ pub(crate) fn run(
 /// corpus's prune column `s_bounds` were built once at index (re)build
 /// time, so warm probes compute only the probe batch's prune column and run
 /// the candidate loop — allocation-free on a warmed workspace).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_built(
     r: &SetCollection,
     s: &SetCollection,
@@ -630,12 +631,14 @@ pub(crate) fn probe_built(
     s_bounds: &[SetBound],
     pred: &OverlapPredicate,
     ctx: &ExecContext,
+    sink: Sink<'_>,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let mut stats = SsJoinStats::default();
     let JoinWorkspace {
         r_bounds,
         workers,
+        row_starts,
         out,
         ..
     } = ws;
@@ -643,9 +646,7 @@ pub(crate) fn probe_built(
         bounds_into(r, pred, Side::R, r_bounds);
     });
     let prune = Prune::new(r, s, r_bounds, s_bounds, pred, ctx.bitmap_filter);
-    let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
-        candidate_phase(r, s, sketch, prune, ctx, workers, out)
-    });
+    let inner = candidate_phase(r, s, sketch, prune, ctx, sink, (workers, out, row_starts));
     stats.merge(&inner);
     stats.approx_reps = sketch.reps as u64;
     stats

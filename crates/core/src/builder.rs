@@ -160,7 +160,7 @@ impl TokenGroups<'_> {
 /// rank order, each as `(first, at)`: the indices, in the group's token
 /// order, of its token's first occurrence and of this occurrence (element
 /// `(t, k)` is the k-th occurrence of token t). It returns the set's prefix
-/// caps as the R side and as the S side of [`crate::ssjoin_capped`].
+/// caps as the R side and as the S side of [`crate::ssjoin_filtered`].
 pub type CapRule<'a> = &'a (dyn Fn(usize, &[(u32, u32)]) -> [u32; 2] + Sync);
 
 struct RelationData<'a> {

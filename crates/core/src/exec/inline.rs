@@ -9,31 +9,31 @@
 //!
 //! At `threads > 1` each worker takes a contiguous chunk of R groups and
 //! dedups its candidates with its own stamp array, as the other executors do.
-
-use super::prefix::{run_prefix_family, PrefixCaps};
-use super::workspace::JoinWorkspace;
-use super::ExecContext;
-use crate::predicate::OverlapPredicate;
-use crate::set::SetCollection;
-use crate::stats::SsJoinStats;
-
-pub(super) fn run(
-    r: &SetCollection,
-    s: &SetCollection,
-    pred: &OverlapPredicate,
-    ctx: &ExecContext,
-    caps: Option<PrefixCaps<'_>>,
-    ws: &mut JoinWorkspace,
-) -> SsJoinStats {
-    run_prefix_family(r, s, pred, ctx, caps, true, ws)
-}
+//! It runs as `prefix::run_prefix_family` with `inline` set.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::prefix::{run_prefix_family, PrefixCaps};
+    use super::super::workspace::JoinWorkspace;
+    use super::super::{ExecContext, Sink};
     use crate::builder::{SsJoinInputBuilder, WeightScheme};
     use crate::exec::workspace::collect;
     use crate::order::ElementOrder;
+    use crate::predicate::OverlapPredicate;
+    use crate::set::SetCollection;
+    use crate::stats::SsJoinStats;
+
+    fn run(
+        r: &SetCollection,
+        s: &SetCollection,
+        pred: &OverlapPredicate,
+        ctx: &ExecContext,
+        caps: Option<PrefixCaps<'_>>,
+        sink: Sink<'_>,
+        ws: &mut JoinWorkspace,
+    ) -> SsJoinStats {
+        run_prefix_family(r, s, pred, ctx, caps, true, sink, ws)
+    }
 
     fn build(groups: Vec<Vec<String>>, scheme: WeightScheme) -> SetCollection {
         let mut b = SsJoinInputBuilder::new(scheme, ElementOrder::FrequencyAsc);
@@ -60,12 +60,23 @@ mod tests {
             OverlapPredicate::two_sided(0.6),
             OverlapPredicate::s_normalized(0.8),
         ] {
-            let (mut basic, _) =
-                collect(|ws| super::super::basic::run(&c, &c, &pred, &ExecContext::new(), ws));
-            let (mut prefix, _) = collect(|ws| {
-                super::super::prefix::run(&c, &c, &pred, &ExecContext::new(), None, ws)
+            let (mut basic, _) = collect(|ws| {
+                super::super::basic::run(&c, &c, &pred, &ExecContext::new(), Sink::Plain, ws)
             });
-            let (mut inline, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
+            let (mut prefix, _) = collect(|ws| {
+                run_prefix_family(
+                    &c,
+                    &c,
+                    &pred,
+                    &ExecContext::new(),
+                    None,
+                    false,
+                    Sink::Plain,
+                    ws,
+                )
+            });
+            let (mut inline, _) =
+                collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, Sink::Plain, ws));
             basic.sort_unstable_by_key(|p| (p.r, p.s));
             prefix.sort_unstable_by_key(|p| (p.r, p.s));
             inline.sort_unstable_by_key(|p| (p.r, p.s));
@@ -80,7 +91,7 @@ mod tests {
         let pred = OverlapPredicate::two_sided(0.5);
         for filter in [false, true] {
             let ctx = ExecContext::new().with_bitmap_filter(filter);
-            let (_, stats) = collect(|ws| run(&c, &c, &pred, &ctx, None, ws));
+            let (_, stats) = collect(|ws| run(&c, &c, &pred, &ctx, None, Sink::Plain, ws));
             // Every candidate is either pruned by its signature or merged.
             assert_eq!(
                 stats.verified_pairs + stats.bitmap_prunes,
@@ -98,9 +109,19 @@ mod tests {
     fn parallel_matches_sequential() {
         let c = build(random_groups(64, 31), WeightScheme::Idf);
         let pred = OverlapPredicate::two_sided(0.5);
-        let (mut p1, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
-        let (mut p3, _) =
-            collect(|ws| run(&c, &c, &pred, &ExecContext::new().with_threads(3), None, ws));
+        let (mut p1, _) =
+            collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, Sink::Plain, ws));
+        let (mut p3, _) = collect(|ws| {
+            run(
+                &c,
+                &c,
+                &pred,
+                &ExecContext::new().with_threads(3),
+                None,
+                Sink::Plain,
+                ws,
+            )
+        });
         p1.sort_unstable_by_key(|p| (p.r, p.s));
         p3.sort_unstable_by_key(|p| (p.r, p.s));
         assert_eq!(p1, p3);

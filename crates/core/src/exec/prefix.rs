@@ -20,13 +20,14 @@
 //! unordered off-diagonal pair is found, deduplicated, bitmap-probed and
 //! merged once, and the lower triangle is mirrored into the full output.
 //! The diagonal `(rid, rid)` is never a candidate:
-//! [`super::Prune::push_diagonal`] decides it from the set's total. Under a
+//! [`super::Prune::diagonal`] decides it from the set's total. Every
+//! qualifying pair leaves through [`super::Sink::emit`]. Under a
 //! norm-ratio predicate over norm-sorted sets, each probe walks only its
 //! partner window's id range of every list ([`super::Prune::window`]).
 
 use super::prune::{bounds_into, join_bounds_into, Prune, SetBound};
 use super::workspace::{CsrIndex, JoinWorkspace, WorkerScratch};
-use super::{run_probes, symmetric_self_join, ExecContext, JoinPair, MirrorScratch};
+use super::{run_probes, symmetric_self_join, Buffers, ExecContext, Sink};
 use crate::kernel::verify_overlap;
 use crate::predicate::{Interval, OverlapPredicate};
 use crate::set::SetCollection;
@@ -48,7 +49,7 @@ pub(crate) fn prefix_lengths_into(
     side: Side,
     pred: &OverlapPredicate,
     other_norms: Option<(f64, f64)>,
-    out: &mut Vec<usize>,
+    out: &mut Vec<u32>,
 ) {
     out.clear();
     let Some((lo, hi)) = other_norms else {
@@ -69,24 +70,21 @@ pub(crate) fn prefix_lengths_into(
         if total < lb {
             return 0; // overlap ≤ wt(set) < required for every partner
         }
-        set.prefix_len(total.saturating_sub(lb))
+        // A prefix is no longer than its set, whose length fits in u32.
+        set.prefix_len(total.saturating_sub(lb)) as u32
     }));
 }
 
-/// Per-set prefix caps for each side of a join ([`crate::ssjoin_capped`]):
-/// set `i` of R keeps at most `r[i]` prefix elements, set `j` of S at most
-/// `s[j]`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PrefixCaps<'a> {
-    pub(crate) r: &'a [u32],
-    pub(crate) s: &'a [u32],
-}
+/// Per-set prefix caps for each side of a join ([`crate::ssjoin_filtered`]):
+/// set `i` of R keeps at most `r_caps[i]` prefix elements, set `j` of S at
+/// most `s_caps[j]`.
+pub(crate) type PrefixCaps<'a> = (&'a [u32], &'a [u32]);
 
 /// Shorten each prefix length in `lens` to its set's cap; an empty prefix
 /// stays empty.
-fn apply_caps(lens: &mut [usize], caps: &[u32]) {
+fn apply_caps(lens: &mut [u32], caps: &[u32]) {
     for (len, &cap) in lens.iter_mut().zip(caps) {
-        *len = (*len).min(cap as usize);
+        *len = (*len).min(cap);
     }
 }
 
@@ -97,7 +95,7 @@ pub(crate) fn prefix_lengths(
     side: Side,
     pred: &OverlapPredicate,
     other_norms: Option<(f64, f64)>,
-) -> Vec<usize> {
+) -> Vec<u32> {
     let mut out = Vec::new();
     prefix_lengths_into(collection, side, pred, other_norms, &mut out);
     out
@@ -106,6 +104,7 @@ pub(crate) fn prefix_lengths(
 /// Candidate generation + verification shared by the prefix-filtered and
 /// inline algorithms. `inline` selects merge-based verification; otherwise
 /// the join-back emulation runs. `caps` shortens each side's prefixes.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_prefix_family(
     r: &SetCollection,
     s: &SetCollection,
@@ -113,6 +112,7 @@ pub(crate) fn run_prefix_family(
     ctx: &ExecContext,
     caps: Option<PrefixCaps<'_>>,
     inline: bool,
+    sink: Sink<'_>,
     ws: &mut JoinWorkspace,
 ) -> SsJoinStats {
     let mut stats = SsJoinStats::default();
@@ -124,7 +124,7 @@ pub(crate) fn run_prefix_family(
         r_bounds,
         s_bounds,
         workers,
-        mirror,
+        row_starts,
         out,
         ..
     } = ws;
@@ -136,9 +136,9 @@ pub(crate) fn run_prefix_family(
     timed_phase(&mut stats, Phase::PrefixFilter, |stats| {
         prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
         prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
-        if let Some(caps) = caps {
-            apply_caps(r_lens, caps.r);
-            apply_caps(s_lens, caps.s);
+        if let Some((r_caps, s_caps)) = caps {
+            apply_caps(r_lens, r_caps);
+            apply_caps(s_lens, s_caps);
         }
         stats.prefix_tuples_r = r_lens.iter().map(|&l| l as u64).sum();
         stats.prefix_tuples_s = s_lens.iter().map(|&l| l as u64).sum();
@@ -151,11 +151,8 @@ pub(crate) fn run_prefix_family(
 
     // Phase: the SSJoin proper — prefix equi-join producing candidates, then
     // overlap recomputation per candidate.
-    let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
-        candidate_phase(
-            r, s, s_index, r_lens, prune, ctx, inline, half, workers, mirror, out,
-        )
-    });
+    let out = (workers, out, row_starts);
+    let inner = candidate_phase(r, s, s_index, r_lens, prune, ctx, inline, half, sink, out);
     stats.merge(&inner);
     stats
 }
@@ -166,7 +163,8 @@ pub(crate) fn run_prefix_family(
 /// builds `s_index` into the workspace first) and the persistent-index probe
 /// path ([`probe_prefix_family`], which borrows `s_index` from a
 /// [`crate::CorpusIndex`]). `half` selects the symmetric self-join's
-/// lower-triangle walk ([`super::run_probes`]).
+/// lower-triangle walk ([`super::run_probes`]); `out` holds the workers,
+/// the output and the half path's row offsets.
 ///
 /// Each probe gathers its candidates in posting order, prunes them there,
 /// and sorts only the survivors (on the edit join, about 0.5% of them).
@@ -175,14 +173,13 @@ fn candidate_phase(
     r: &SetCollection,
     s: &SetCollection,
     s_index: &CsrIndex,
-    r_lens: &[usize],
+    r_lens: &[u32],
     prune: Prune<'_>,
     ctx: &ExecContext,
     inline: bool,
     half: bool,
-    workers: &mut Vec<WorkerScratch>,
-    mirror: &mut MirrorScratch,
-    out: &mut Vec<JoinPair>,
+    sink: Sink<'_>,
+    buffers: Buffers<'_>,
 ) -> SsJoinStats {
     let probe = |range: std::ops::Range<usize>, scratch: &mut WorkerScratch| {
         let mut stats = SsJoinStats::default();
@@ -198,7 +195,7 @@ fn candidate_phase(
         let candidates = &mut scratch.candidates;
         // Join-back scratch: hash table over the current R group.
         let r_table = &mut scratch.r_table;
-        let pairs = &mut scratch.pairs;
+        let out = &mut scratch.out;
 
         for rid in range {
             // The stamp array uses `u32::MAX` as its "never seen"
@@ -212,7 +209,7 @@ fn candidate_phase(
             );
             // An empty prefix rules out the diagonal pair too: its set's
             // total misses the lowest requirement of any partner.
-            let plen = r_lens[rid];
+            let plen = r_lens[rid] as usize;
             if plen == 0 {
                 continue;
             }
@@ -243,11 +240,7 @@ fn candidate_phase(
                     // exactly when overlap >= required.
                     let required = prune.required(rid, sid);
                     if let Some(overlap) = verify_overlap(rset, sset, required, &mut stats) {
-                        pairs.push(JoinPair {
-                            r: rid,
-                            s: sid,
-                            overlap,
-                        });
+                        sink.emit(rid, sid, overlap, out, &mut stats);
                     }
                 }
             } else {
@@ -273,23 +266,17 @@ fn candidate_phase(
                     }
                     stats.verified_pairs += 1;
                     if overlap >= prune.required(rid, sid) {
-                        pairs.push(JoinPair {
-                            r: rid,
-                            s: sid,
-                            overlap,
-                        });
+                        sink.emit(rid, sid, overlap, out, &mut stats);
                     }
                 }
-            }
-            // The diagonal comes last in its half row: every candidate is
-            // below `rid`.
-            if half {
-                prune.push_diagonal(rid, pairs);
             }
         }
         stats
     };
-    run_probes(r.len(), ctx.threads, half, workers, mirror, out, probe)
+    // As in the probe loop, an empty prefix rules out the diagonal.
+    let diagonal = |rid: u32| prune.diagonal(rid).filter(|_| r_lens[rid as usize] > 0);
+    let n = r.len();
+    run_probes(n, ctx.threads, half, sink, diagonal, buffers, probe)
 }
 
 /// Probe an already-built S-side prefix index: identical to
@@ -317,7 +304,7 @@ pub(crate) fn probe_prefix_family(
         r_lens,
         r_bounds,
         workers,
-        mirror,
+        row_starts,
         out,
         ..
     } = ws;
@@ -330,24 +317,21 @@ pub(crate) fn probe_prefix_family(
     });
     let prune = Prune::new(r, s, r_bounds, s_bounds, pred, ctx.bitmap_filter);
     let r_lens = &*r_lens;
-    let inner = timed_phase(&mut stats, Phase::SsJoin, |_| {
-        candidate_phase(
-            r, s, s_index, r_lens, prune, ctx, inline, false, workers, mirror, out,
-        )
-    });
+    let out = (workers, out, row_starts);
+    let inner = candidate_phase(
+        r,
+        s,
+        s_index,
+        r_lens,
+        prune,
+        ctx,
+        inline,
+        false,
+        Sink::Plain,
+        out,
+    );
     stats.merge(&inner);
     stats
-}
-
-pub(super) fn run(
-    r: &SetCollection,
-    s: &SetCollection,
-    pred: &OverlapPredicate,
-    ctx: &ExecContext,
-    caps: Option<PrefixCaps<'_>>,
-    ws: &mut JoinWorkspace,
-) -> SsJoinStats {
-    run_prefix_family(r, s, pred, ctx, caps, false, ws)
 }
 
 #[cfg(test)]
@@ -356,6 +340,18 @@ mod tests {
     use crate::builder::{NormKind, SsJoinInputBuilder, WeightScheme};
     use crate::exec::workspace::collect;
     use crate::order::ElementOrder;
+
+    fn run(
+        r: &SetCollection,
+        s: &SetCollection,
+        pred: &OverlapPredicate,
+        ctx: &ExecContext,
+        caps: Option<PrefixCaps<'_>>,
+        sink: Sink<'_>,
+        ws: &mut JoinWorkspace,
+    ) -> SsJoinStats {
+        run_prefix_family(r, s, pred, ctx, caps, false, sink, ws)
+    }
 
     fn toks(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -379,7 +375,8 @@ mod tests {
         let pred = OverlapPredicate::absolute(4.0);
         let lens = prefix_lengths(&c, Side::R, &pred, c.norm_range());
         assert_eq!(lens, vec![2, 2]);
-        let (pairs, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
+        let (pairs, _) =
+            collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, Sink::Plain, ws));
         let got: Vec<(u32, u32)> = pairs.iter().map(|p| (p.r, p.s)).collect();
         let mut got = got;
         got.sort_unstable();
@@ -402,9 +399,11 @@ mod tests {
                 OverlapPredicate::r_normalized(0.6),
                 OverlapPredicate::two_sided(0.5),
             ] {
-                let (mut a, _) =
-                    collect(|ws| super::super::basic::run(&c, &c, &pred, &ExecContext::new(), ws));
-                let (mut b, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
+                let (mut a, _) = collect(|ws| {
+                    super::super::basic::run(&c, &c, &pred, &ExecContext::new(), Sink::Plain, ws)
+                });
+                let (mut b, _) =
+                    collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, Sink::Plain, ws));
                 a.sort_unstable_by_key(|p| (p.r, p.s));
                 b.sort_unstable_by_key(|p| (p.r, p.s));
                 assert_eq!(a, b, "scheme {scheme:?} pred {pred:?}");
@@ -441,7 +440,8 @@ mod tests {
                 OverlapPredicate::r_normalized(0.6),
             ] {
                 let ctx = ExecContext::new();
-                let (all, _) = collect(|ws| super::super::basic::run(&c, &c, &pred, &ctx, ws));
+                let (all, _) =
+                    collect(|ws| super::super::basic::run(&c, &c, &pred, &ctx, Sink::Plain, ws));
                 let all: Vec<(u32, u32)> = all.iter().map(|p| (p.r, p.s)).collect();
                 // One collection as both sides (the half path under a
                 // symmetric predicate), and two equal ones (the full path).
@@ -460,12 +460,9 @@ mod tests {
                     for inline in [false, true] {
                         let at = format!("{scheme:?} {pred:?} half {half} inline {inline}");
                         let run = |r_caps: &[u32], s_caps: &[u32]| {
-                            let caps = PrefixCaps {
-                                r: r_caps,
-                                s: s_caps,
-                            };
+                            let caps = Some((r_caps, s_caps));
                             collect(|ws| {
-                                run_prefix_family(&c, s, &pred, &ctx, Some(caps), inline, ws)
+                                run_prefix_family(&c, s, &pred, &ctx, caps, inline, Sink::Plain, ws)
                             })
                         };
                         let (pairs, _) = run(&r_caps, &s_caps);
@@ -476,8 +473,8 @@ mod tests {
                             // On the half path the later set probes.
                             let (a, b) = if half { (i.max(j), i.min(j)) } else { (i, j) };
                             let (a, b) = (a as usize, b as usize);
-                            let pa = &c.set(a as u32).ranks()[..r_lens[a].min(r_caps[a] as usize)];
-                            let pb = &s.set(b as u32).ranks()[..s_lens[b].min(s_caps[b] as usize)];
+                            let pa = &c.set(a as u32).ranks()[..r_lens[a].min(r_caps[a]) as usize];
+                            let pb = &s.set(b as u32).ranks()[..s_lens[b].min(s_caps[b]) as usize];
                             if meets(pa, pb) {
                                 assert!(got.contains(&(i, j)), "{at}: ({i}, {j}) lost");
                                 kept += 1;
@@ -485,8 +482,9 @@ mod tests {
                         }
                         // Caps no shorter than the sets change nothing.
                         let (pairs, capped) = run(&sizes, &sizes);
-                        let (plain, uncapped) =
-                            collect(|ws| run_prefix_family(&c, s, &pred, &ctx, None, inline, ws));
+                        let (plain, uncapped) = collect(|ws| {
+                            run_prefix_family(&c, s, &pred, &ctx, None, inline, Sink::Plain, ws)
+                        });
                         assert_eq!(pairs, plain, "{at}");
                         let counters = |st: &SsJoinStats| {
                             (st.prefix_tuples_r, st.prefix_tuples_s, st.join_tuples)
@@ -508,9 +506,11 @@ mod tests {
             .collect();
         let c = build(groups, WeightScheme::Idf);
         let pred = OverlapPredicate::two_sided(0.9);
-        let (_, basic_stats) =
-            collect(|ws| super::super::basic::run(&c, &c, &pred, &ExecContext::new(), ws));
-        let (_, prefix_stats) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
+        let (_, basic_stats) = collect(|ws| {
+            super::super::basic::run(&c, &c, &pred, &ExecContext::new(), Sink::Plain, ws)
+        });
+        let (_, prefix_stats) =
+            collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, Sink::Plain, ws));
         assert!(
             prefix_stats.join_tuples < basic_stats.join_tuples / 2,
             "prefix {} vs basic {}",
@@ -551,9 +551,19 @@ mod tests {
             .collect();
         let c = build(groups, WeightScheme::Idf);
         let pred = OverlapPredicate::two_sided(0.5);
-        let (mut p1, _) = collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, ws));
-        let (mut p4, _) =
-            collect(|ws| run(&c, &c, &pred, &ExecContext::new().with_threads(4), None, ws));
+        let (mut p1, _) =
+            collect(|ws| run(&c, &c, &pred, &ExecContext::new(), None, Sink::Plain, ws));
+        let (mut p4, _) = collect(|ws| {
+            run(
+                &c,
+                &c,
+                &pred,
+                &ExecContext::new().with_threads(4),
+                None,
+                Sink::Plain,
+                ws,
+            )
+        });
         p1.sort_unstable_by_key(|p| (p.r, p.s));
         p4.sort_unstable_by_key(|p| (p.r, p.s));
         assert_eq!(p1, p4);

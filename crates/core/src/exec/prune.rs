@@ -31,7 +31,6 @@
 //! one by one, so the output never depends on the id order.
 
 use super::prefix::Side;
-use super::JoinPair;
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
 use crate::stats::SsJoinStats;
@@ -150,7 +149,7 @@ impl<'a> Prune<'a> {
     /// ([`OverlapPredicate::partner_window`]) when the predicate declares a
     /// norm ratio and S is norm-sorted, all of S otherwise, and on a
     /// symmetric self-join's lower-triangle walk (`half`) only ids `< rid`:
-    /// that walk leaves the diagonal to [`Self::push_diagonal`].
+    /// that walk leaves the diagonal to [`Self::diagonal`].
     #[inline]
     pub(crate) fn window(&self, rid: u32, half: bool) -> std::ops::Range<u32> {
         let norms = self.s.norms();
@@ -184,26 +183,20 @@ impl<'a> Prune<'a> {
         }
     }
 
-    /// Append the diagonal pair `(rid, rid)` of a symmetric self-join to
-    /// `pairs` when it qualifies, decided from the set's record alone: a
-    /// set's overlap with itself is its total weight, so the pair qualifies,
-    /// with that overlap, exactly when its norm is compatible with itself
-    /// and the total reaches the pair's required overlap. No bitmap probe or
-    /// merge runs for it.
+    /// The overlap of the diagonal pair `(rid, rid)` of a symmetric
+    /// self-join when it qualifies, decided from the set's record alone: a
+    /// set's overlap with itself is its total weight, so the pair
+    /// qualifies, with that overlap, exactly when its norm is compatible
+    /// with itself and the total reaches the pair's required overlap. No
+    /// bitmap probe or merge runs for it.
     #[inline]
-    pub(crate) fn push_diagonal(&self, rid: u32, pairs: &mut Vec<JoinPair>) {
+    pub(crate) fn diagonal(&self, rid: u32) -> Option<Weight> {
         let norm = self.r.norms()[rid as usize];
         let ratio = self.windowed.or(self.ratio_per_pair);
         let overlap = self.r.set(rid).total_weight();
-        if ratio.is_none_or(|pred| pred.norms_compatible(norm, norm))
-            && overlap >= self.required(rid, rid)
-        {
-            pairs.push(JoinPair {
-                r: rid,
-                s: rid,
-                overlap,
-            });
-        }
+        (ratio.is_none_or(|pred| pred.norms_compatible(norm, norm))
+            && overlap >= self.required(rid, rid))
+        .then_some(overlap)
     }
 
     /// True when `(rid, sid)` fails a norm ratio that the probe's window

@@ -19,7 +19,7 @@
 //! revisions rebuilt on every run.
 
 use super::prune::SetBound;
-use super::JoinPair;
+use super::{JoinPair, MatchPair};
 use crate::hash::FxHashMap;
 use crate::set::SetCollection;
 use crate::stats::SsJoinStats;
@@ -41,12 +41,12 @@ pub(crate) struct CsrIndex {
 impl CsrIndex {
     /// (Re)build the index over the first `lens[id]` elements of every set
     /// (all elements when `lens` is `None`), reusing existing capacity.
-    pub(crate) fn build(&mut self, collection: &SetCollection, lens: Option<&[usize]>) {
+    pub(crate) fn build(&mut self, collection: &SetCollection, lens: Option<&[u32]>) {
         let universe = collection.universe_size();
         self.offsets.clear();
         self.offsets.resize(universe + 1, 0);
         for (id, set) in collection.iter().enumerate() {
-            let n = lens.map_or(set.len(), |l| l[id]);
+            let n = lens.map_or(set.len(), |l| l[id] as usize);
             for &rank in &set.ranks()[..n] {
                 self.offsets[rank as usize] += 1;
             }
@@ -63,7 +63,7 @@ impl CsrIndex {
         self.postings.clear();
         self.postings.resize(running as usize, 0);
         for (id, set) in collection.iter().enumerate() {
-            let n = lens.map_or(set.len(), |l| l[id]);
+            let n = lens.map_or(set.len(), |l| l[id] as usize);
             for &rank in &set.ranks()[..n] {
                 let cur = &mut self.cursors[rank as usize];
                 self.postings[*cur as usize] = id as u32;
@@ -124,7 +124,7 @@ pub(crate) struct WorkerScratch {
     /// Join-back hash table over the current R group (prefix-filtered).
     pub(crate) r_table: FxHashMap<u32, Weight>,
     /// Output pairs produced by this worker.
-    pub(crate) pairs: Vec<JoinPair>,
+    pub(crate) out: Pairs,
     /// Counters accumulated by this worker during the current run.
     pub(crate) stats: SsJoinStats,
 }
@@ -135,28 +135,36 @@ impl WorkerScratch {
             + vec_bytes(&self.acc)
             + vec_bytes(&self.touched)
             + vec_bytes(&self.candidates)
-            + vec_bytes(&self.pairs)
+            + self.out.bytes_reserved()
             // Hash-map entries: key + value + control byte, rounded up.
             + self.r_table.capacity() as u64 * 16
     }
 }
 
-/// Pooled buffers of the symmetric self-join half path
-/// ([`super::run_probes`]): the lower-triangle output and the per-row
-/// offsets [`super::mirror_half`] expands it with.
+/// A pair buffer of each kind ([`super::Sink`]): plain pairs, or the pairs
+/// a filter passed. A run fills one of them.
 #[derive(Debug, Default)]
-pub(crate) struct MirrorScratch {
-    /// Lower-triangle pairs (`s ≤ r`), `(r, s)`-sorted.
-    pub(crate) half: Vec<JoinPair>,
-    /// Output row offsets, then fill cursors (`n + 1` entries).
-    pub(crate) row_starts: Vec<usize>,
+pub(crate) struct Pairs {
+    pub(crate) plain: Vec<JoinPair>,
+    pub(crate) scored: Vec<MatchPair>,
+}
+
+impl Pairs {
+    pub(crate) fn clear(&mut self) {
+        self.plain.clear();
+        self.scored.clear();
+    }
+
+    fn bytes_reserved(&self) -> u64 {
+        vec_bytes(&self.plain) + vec_bytes(&self.scored)
+    }
 }
 
 /// Reusable buffer pool for [`crate::ssjoin_with`].
 ///
 /// Holds every transient structure an execution needs — the CSR inverted
 /// index, prefix-length tables, per-set prune columns, per-worker
-/// stamp/candidate/output buffers, and the final output vector. All state is
+/// stamp/candidate/output buffers, and the final output. All state is
 /// reset at the start of each run; capacity is retained, so repeated joins
 /// over same-scale inputs stop allocating entirely.
 ///
@@ -183,15 +191,18 @@ pub(crate) struct MirrorScratch {
 #[derive(Debug, Default)]
 pub struct JoinWorkspace {
     pub(crate) s_index: CsrIndex,
-    pub(crate) r_lens: Vec<usize>,
-    pub(crate) s_lens: Vec<usize>,
+    /// Per-set prefix lengths (a prefix is no longer than its set).
+    pub(crate) r_lens: Vec<u32>,
+    pub(crate) s_lens: Vec<u32>,
     /// Per-set prune columns ([`super::bounds_into`]) of the R and S sides;
     /// a symmetric self-join fills only `s_bounds`.
     pub(crate) r_bounds: Vec<SetBound>,
     pub(crate) s_bounds: Vec<SetBound>,
     pub(crate) workers: Vec<WorkerScratch>,
-    pub(crate) mirror: MirrorScratch,
-    pub(crate) out: Vec<JoinPair>,
+    /// The half path's row offsets ([`super::run_probes`]).
+    pub(crate) row_starts: Vec<usize>,
+    /// The run's output, plain or scored.
+    pub(crate) out: Pairs,
     /// Out-of-core buffers (`crate::spill`): allocated lazily on the first
     /// spilled run, then pooled like everything else. `None` costs resident
     /// runs nothing.
@@ -226,9 +237,8 @@ impl JoinWorkspace {
             + vec_bytes(&self.s_lens)
             + vec_bytes(&self.r_bounds)
             + vec_bytes(&self.s_bounds)
-            + vec_bytes(&self.mirror.half)
-            + vec_bytes(&self.mirror.row_starts)
-            + vec_bytes(&self.out)
+            + vec_bytes(&self.row_starts)
+            + self.out.bytes_reserved()
             + vec_bytes(&self.workers)
             + self
                 .workers
@@ -256,7 +266,7 @@ pub(crate) fn collect<T>(f: impl FnOnce(&mut JoinWorkspace) -> T) -> (Vec<JoinPa
     let mut ws = JoinWorkspace::new();
     ws.begin_run();
     let value = f(&mut ws);
-    (std::mem::take(&mut ws.out), value)
+    (std::mem::take(&mut ws.out.plain), value)
 }
 
 #[cfg(test)]
@@ -323,7 +333,7 @@ mod tests {
         ws.begin_run();
         assert_eq!(ws.runs(), 2);
         assert_eq!(ws.reuses(), 1);
-        ws.out.push(JoinPair {
+        ws.out.plain.push(JoinPair {
             r: 0,
             s: 0,
             overlap: Weight::ONE,

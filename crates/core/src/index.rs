@@ -37,11 +37,11 @@
 //! live sets — the tests prove any insert/delete sequence is equivalent to a
 //! fresh rebuild of the surviving collection.
 
-use crate::approx::ApproxSketch;
+use crate::approx::{probe_built, ApproxSketch};
 use crate::error::{SsJoinError, SsJoinResult};
 use crate::exec::{
     begin, bounds_into, finish, prefix_lengths_into, probe_prefix_family, run_algorithm, vec_bytes,
-    Algorithm, CsrIndex, ExecContext, JoinWorkspace, SetBound, Side, SsJoinConfig, SsJoinRun,
+    Algorithm, CsrIndex, ExecContext, JoinWorkspace, SetBound, Side, Sink, SsJoinConfig, SsJoinRun,
 };
 use crate::predicate::OverlapPredicate;
 use crate::set::SetCollection;
@@ -68,7 +68,7 @@ pub struct CorpusIndex {
     /// Prefix inverted index over sets `0..indexed` (prefix-family probes).
     prefix_index: CsrIndex,
     /// Per-set prefix lengths backing `prefix_index` (0 for dead sets).
-    prefix_lens: Vec<usize>,
+    prefix_lens: Vec<u32>,
     /// Cached `Σ prefix_lens`, reported into probe stats.
     prefix_tuples: u64,
     /// The per-set prune column (S side) of sets `0..indexed`, computed at
@@ -175,7 +175,7 @@ impl CorpusIndex {
     ) -> SsJoinResult<SsJoinRun<'w>> {
         let stats = self.probe_into(batch, config, ws)?;
         Ok(SsJoinRun {
-            pairs: &ws.out,
+            pairs: &ws.out.plain,
             stats,
         })
     }
@@ -209,44 +209,37 @@ impl CorpusIndex {
         // bit-identical pairs.
         let run = begin(batch, &self.corpus, config, ws)?;
         let (r, s, algorithm, ctx) = (batch, &self.corpus, run.algorithm, run.ctx);
+        let (pred, bounds, plain) = (&self.pred, &self.bounds[..], Sink::Plain);
         let spilled = if run.spill {
-            crate::spill::run(r, s, &self.pred, algorithm, ctx, ws)
+            crate::spill::run(r, s, pred, algorithm, ctx, plain, ws)
         } else {
             None
         };
         let (mut stats, whole_arena) = match (spilled, sketch) {
             (Some(stats), _) => (stats, true),
             (None, Some(sketch)) => (
-                crate::approx::probe_built(r, s, sketch, &self.bounds, &self.pred, ctx, ws),
+                probe_built(r, s, sketch, bounds, pred, ctx, plain, ws),
                 false,
             ),
             (None, None) if algorithm == Algorithm::Basic => (
-                run_algorithm(algorithm, r, s, &self.pred, ctx, None, ws),
+                run_algorithm(algorithm, r, s, pred, ctx, None, plain, ws),
                 true,
             ),
             // Only PrefixFiltered and Inline reach the persistent prefix
             // index.
-            (None, None) => (
-                probe_prefix_family(
-                    r,
-                    s,
-                    &self.prefix_index,
-                    self.prefix_tuples,
-                    &self.bounds,
-                    &self.pred,
-                    ctx,
-                    algorithm == Algorithm::Inline,
-                    ws,
-                ),
-                false,
-            ),
+            (None, None) => {
+                let (index, tuples) = (&self.prefix_index, self.prefix_tuples);
+                let inline = algorithm == Algorithm::Inline;
+                let stats = probe_prefix_family(r, s, index, tuples, bounds, pred, ctx, inline, ws);
+                (stats, false)
+            }
         };
         if whole_arena {
             // The join covered the whole arena — epoch tail included — so
             // only the tombstone filter applies, and it must cover
             // epoch-tail tombstones too.
             if self.dead > 0 {
-                ws.out.retain(|p| self.alive[p.s as usize]);
+                ws.out.plain.retain(|p| self.alive[p.s as usize]);
             }
         } else {
             // Tombstones: sets deleted since the last rebuild still have
@@ -264,11 +257,11 @@ impl CorpusIndex {
                 self.dead_in_index
             };
             if dead_emitted > 0 {
-                ws.out.retain(|p| self.alive[p.s as usize]);
+                ws.out.plain.retain(|p| self.alive[p.s as usize]);
             }
             let epoch_added = self.probe_epoch_tail(r, ws, &mut stats);
             if epoch_added {
-                ws.out.sort_unstable_by_key(|p| (p.r, p.s));
+                ws.out.plain.sort_unstable_by_key(|p| (p.r, p.s));
             }
         }
         Ok(finish(run, stats, self.bytes_reserved(), ws))
@@ -312,7 +305,7 @@ impl CorpusIndex {
         if self.indexed == self.corpus.len() {
             return false;
         }
-        let before = ws.out.len();
+        let before = ws.out.plain.len();
         for rid in 0..r.len() as u32 {
             let rset = r.set(rid);
             let mut cand = 0u64;
@@ -324,7 +317,7 @@ impl CorpusIndex {
                 let sset = self.corpus.set(sid);
                 let overlap = rset.overlap(sset);
                 if overlap > Weight::ZERO && self.pred.check(overlap, rset.norm(), sset.norm()) {
-                    ws.out.push(crate::exec::JoinPair {
+                    ws.out.plain.push(crate::exec::JoinPair {
                         r: rid,
                         s: sid,
                         overlap,
@@ -334,7 +327,7 @@ impl CorpusIndex {
             stats.candidate_pairs += cand;
             stats.verified_pairs += cand;
         }
-        ws.out.len() > before
+        ws.out.plain.len() > before
     }
 
     /// Append a set (its element ranks in any order, plus the norm used by

@@ -85,8 +85,8 @@ pub use builder::{
 };
 pub use error::{SsJoinError, SsJoinResult};
 pub use exec::{
-    ssjoin, ssjoin_capped, ssjoin_with, Algorithm, ExecContext, JoinPair, JoinWorkspace,
-    SsJoinConfig, SsJoinOutput, SsJoinRun,
+    ssjoin, ssjoin_filtered, ssjoin_with, Algorithm, ExecContext, JoinPair, JoinWorkspace,
+    MatchPair, PairFilter, SsJoinConfig, SsJoinOutput, SsJoinRun,
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use index::CorpusIndex;

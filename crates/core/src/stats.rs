@@ -77,6 +77,9 @@ pub struct SsJoinStats {
     /// Candidate pairs rejected by the bitmap signature filter (no
     /// verification merge performed).
     pub bitmap_prunes: u64,
+    /// Calls of the filter [`crate::ssjoin_filtered`] runs in the executors
+    /// (0 on an unfiltered run).
+    pub filter_calls: u64,
     /// Element-comparison steps taken by verification merge kernels
     /// (two-pointer advances; galloping lookups count probes instead).
     pub merge_steps: u64,
@@ -138,6 +141,14 @@ impl SsJoinStats {
         self.phase_times.iter().sum()
     }
 
+    /// Close a probe loop of `workers` workers that took `wall`: the summed
+    /// filter time becomes its mean, and SSJoin takes the rest of `wall`.
+    pub(crate) fn close_probes(&mut self, workers: u32, wall: Duration) {
+        let filter = self.time(Phase::Filter) / workers;
+        self.phase_times[Self::idx(Phase::Filter)] = filter;
+        self.add_time(Phase::SsJoin, wall.saturating_sub(filter));
+    }
+
     /// Merge another stats record into this one (summing everything).
     pub fn merge(&mut self, other: &SsJoinStats) {
         for p in Phase::ALL {
@@ -151,6 +162,7 @@ impl SsJoinStats {
         self.output_pairs += other.output_pairs;
         self.bitmap_probes += other.bitmap_probes;
         self.bitmap_prunes += other.bitmap_prunes;
+        self.filter_calls += other.filter_calls;
         self.merge_steps += other.merge_steps;
         self.early_exits += other.early_exits;
         self.gallop_probes += other.gallop_probes;

@@ -17,7 +17,7 @@
 //! element, which matches treating repeated tokens as set members with
 //! occurrence tags rather than term frequencies.
 
-use crate::common::{run_join, sides, JoinSpec, MatchPair, SimilarityJoinOutput};
+use crate::common::{calls_no_udf, run_join, sides, JoinSpec, SimilarityJoinOutput};
 use ssjoin_core::{
     Algorithm, ElementOrder, ExecContext, JoinPair, NormExpr, NormKind, OverlapPredicate,
     SetCollection, SsJoinConfig, SsJoinResult, TokenGroups, WeightScheme,
@@ -94,35 +94,25 @@ fn cosine_join_groups(
                 Box::new(NormExpr::SNorm),
             )),
         )]),
-        config: SsJoinConfig {
-            algorithm: config.algorithm,
-            exec: config.exec.clone(),
-        },
+        config: SsJoinConfig::new(config.algorithm).with_exec(config.exec.clone()),
     };
     let relation = |groups| (groups, NormKind::SqrtTotalWeight, None);
     let prep = || Ok((relation(r_groups), s_groups.map(relation)));
     // The predicate is exact: every candidate qualifies, so scoring is all
-    // the filter does (no UDF call).
-    let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
-        let pairs = candidates
-            .iter()
-            .map(|p| {
-                let denom = r_col.set(p.r).norm() * s_col.set(p.s).norm();
-                let similarity = if denom == 0.0 {
-                    1.0
-                } else {
-                    p.overlap.to_f64() / denom
-                };
-                MatchPair {
-                    r: p.r,
-                    s: p.s,
-                    similarity,
-                }
-            })
-            .collect();
-        (pairs, 0)
+    // the filter does (no UDF call). Two equal sets (overlap equal to both
+    // totals) score exactly 1.0, as SSJoin's half path scores the diagonal
+    // of a one-relation self-join, rather than `t / √t²`.
+    let score = |p: &JoinPair, r_col: &SetCollection, s_col: &SetCollection| {
+        let (a, b) = (r_col.set(p.r), s_col.set(p.s));
+        let denom = a.norm() * b.norm();
+        let equal = p.overlap == a.total_weight() && p.overlap == b.total_weight();
+        Some(if denom == 0.0 || equal {
+            1.0
+        } else {
+            p.overlap.to_f64() / denom
+        })
     };
-    run_join(spec, prep, verify)
+    run_join(spec, prep, score, calls_no_udf)
 }
 
 /// Cosine join over strings, tokenized into lowercased words. Pass the same

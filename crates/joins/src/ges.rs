@@ -15,18 +15,17 @@
 //! The paper notes the full derivation "is intricate" and omits it; this
 //! implementation follows its sketch. Candidate generation uses the 1-sided
 //! predicate `Overlap ≥ (α − (1 − β)) · wt(expanded R-set)` and every
-//! candidate is verified with the exact GES UDF, so reported pairs are
-//! always correct; an [`GesJoinConfig::exhaustive`] mode provides the
+//! candidate is verified with the exact GES UDF inside SSJoin's probe
+//! workers, so reported pairs are always correct; an [`GesJoinConfig::exhaustive`] mode provides the
 //! brute-force reference for recall evaluation.
 
 use crate::common::{
-    check_threshold, finish, run_join, sides, timed, verify_candidates, JoinSpec, MatchPair,
-    Relation, SimilarityJoinOutput,
+    check_threshold, run_join, sides, timed, JoinSpec, MatchPair, Relation, SimilarityJoinOutput,
 };
 use crate::edit::{edit_similarity_join, EditJoinConfig};
 use ssjoin_core::{
-    Algorithm, ElementOrder, ExecContext, NormKind, OverlapPredicate, Phase, SsJoinConfig,
-    SsJoinResult, SsJoinStats, TokenGroups, WeightScheme,
+    Algorithm, ElementOrder, ExecContext, JoinPair, NormKind, OverlapPredicate, Phase,
+    SetCollection, SsJoinConfig, SsJoinResult, SsJoinStats, TokenGroups, WeightScheme,
 };
 use ssjoin_sim::{ges, GesConfig};
 use ssjoin_text::{Tokenizer, WordTokenizer};
@@ -43,8 +42,7 @@ pub struct GesJoinConfig {
     /// SSJoin physical algorithm for the candidate join.
     pub algorithm: Algorithm,
     /// Execution context for the candidate SSJoin (threads,
-    /// bitmap filter, budget). Its thread count also sets the workers of
-    /// the GES verification loop.
+    /// bitmap filter, budget). The GES UDF runs in the same workers.
     pub exec: ExecContext,
     /// Brute-force mode: skip candidate generation and verify every pair
     /// (exact reference, used for recall measurement).
@@ -142,7 +140,7 @@ pub fn ges_join(
         for (name, value) in thresholds {
             check_threshold(name, value)?;
         }
-        let (pairs, filter_time) = timed(|| {
+        let (pairs, filter_time): (Vec<_>, _) = timed(|| {
             (0..r.len() as u32)
                 .flat_map(|i| (0..s.len() as u32).map(move |j| (i, j)))
                 .filter_map(|(i, j)| {
@@ -157,8 +155,12 @@ pub fn ges_join(
         });
         let mut stats = SsJoinStats::default();
         stats.add_time(Phase::Filter, filter_time);
-        let udf_calls = (r.len() * s.len()) as u64;
-        return Ok(finish((pairs, udf_calls), stats));
+        stats.output_pairs = pairs.len() as u64;
+        return Ok(SimilarityJoinOutput {
+            pairs,
+            stats,
+            udf_verifications: (r.len() * s.len()) as u64,
+        });
     }
 
     let spec = JoinSpec {
@@ -168,10 +170,7 @@ pub fn ges_join(
         predicate: OverlapPredicate::r_normalized(
             (config.threshold - (1.0 - config.beta)).max(0.05),
         ),
-        config: SsJoinConfig {
-            algorithm: config.algorithm,
-            exec: config.exec.clone(),
-        },
+        config: SsJoinConfig::new(config.algorithm).with_exec(config.exec.clone()),
     };
     // Prefix-expansion: token dictionary self-join at threshold β.
     //
@@ -223,9 +222,8 @@ pub fn ges_join(
         };
         Ok((expand(&r_tokens), s_own.as_deref().map(expand)))
     };
-    run_join(spec, prep, |candidates, _, _| {
-        verify_candidates(candidates, config.exec.threads, false, &|p| udf(p.r, p.s))
-    })
+    let filter = |p: &JoinPair, _: &SetCollection, _: &SetCollection| udf(p.r, p.s);
+    run_join(spec, prep, filter, |_, _, _| {})
 }
 
 #[cfg(test)]

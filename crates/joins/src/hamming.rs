@@ -7,9 +7,7 @@
 //! a superset filter — pairs of different lengths that slip through are
 //! removed by the exact hamming check.
 
-use crate::common::{
-    run_join, sides, verify_candidates, verify_uncovered, JoinSpec, SimilarityJoinOutput,
-};
+use crate::common::{run_join, sides, verify_uncovered, JoinSpec, SimilarityJoinOutput};
 use ssjoin_core::{
     Algorithm, ElementOrder, JoinPair, NormExpr, NormKind, OverlapPredicate, SetCollection,
     SsJoinConfig, SsJoinResult, TokenGroups, WeightScheme,
@@ -92,8 +90,11 @@ pub fn hamming_join(
         let d = hamming_distance(&r[i as usize], &s[j as usize]).filter(|&d| d <= k)?;
         Some(similarity(d, r[i as usize].chars().count()))
     };
-    let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
-        let mut verified = verify_candidates(candidates, 1, false, &|p| udf(p.r, p.s));
+    // A one-relation self-join verifies each unordered pair once (SSJoin's
+    // half path): equal-length pairs only, so the distance and the
+    // similarity are symmetric, and a string is 1.0 from itself.
+    let filter = |p: &JoinPair, _: &SetCollection, _: &SetCollection| udf(p.r, p.s);
+    let post = |out: &mut SimilarityJoinOutput, r_col: &SetCollection, s_col: &SetCollection| {
         // Exactness for degenerate lengths: when `len ≤ max_distance`, every
         // equal-length pair is within distance (hamming ≤ len ≤ k) even if
         // the strings share no (position, char) element — which the positive
@@ -111,10 +112,9 @@ pub fn hamming_join(
                 .filter(move |&&j| len(r_col, i) == len(s_col, j));
             same_len.map(move |&j| (i, j))
         });
-        verify_uncovered(&mut verified, uncovered, false, udf);
-        verified
+        verify_uncovered(out, uncovered, std::ptr::eq(r, s), udf);
     };
-    run_join(spec, prep, verify)
+    run_join(spec, prep, filter, post)
 }
 
 #[cfg(test)]

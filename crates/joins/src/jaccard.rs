@@ -8,7 +8,7 @@
 //! filters them, on `exec.threads` workers; a self-join of one relation
 //! checks each unordered pair once.
 
-use crate::common::{run_join, sides, verify_candidates, JoinSpec, SimilarityJoinOutput};
+use crate::common::{run_join, sides, JoinSpec, SimilarityJoinOutput};
 use ssjoin_core::{
     Algorithm, ElementOrder, ExecContext, JoinPair, NormKind, OverlapPredicate, SetCollection,
     SsJoinConfig, SsJoinResult, TokenGroups, WeightScheme,
@@ -122,40 +122,33 @@ pub(crate) fn jaccard_join_groups(
             JaccardKind::Containment => OverlapPredicate::r_normalized(alpha),
             JaccardKind::Resemblance => OverlapPredicate::two_sided(alpha),
         },
-        config: SsJoinConfig {
-            algorithm: config.algorithm,
-            exec: config.exec.clone(),
-        },
+        config: SsJoinConfig::new(config.algorithm).with_exec(config.exec.clone()),
     };
     let relation = |groups| (groups, NormKind::TotalWeight, None);
-    // A one-relation resemblance self-join decides each unordered pair once
-    // (`mirror`): `wr + ws − ov` is the same in either orientation, and on
-    // the diagonal `ov == wr`, so the similarity is exactly 1.0.
-    // Containment is asymmetric and keeps every orientation.
-    let mirror = s_groups.is_none() && kind == JaccardKind::Resemblance;
     let prep = || Ok((relation(r_groups), s_groups.map(relation)));
     // Containment is the predicate itself; resemblance is checked exactly
-    // from the overlap and the two set weights (no re-tokenization).
-    let verify = |candidates: &[JoinPair], r_col: &SetCollection, s_col: &SetCollection| {
-        let udf = |p: &JoinPair| {
-            let wr = r_col.set(p.r).total_weight().to_f64();
-            let ws = s_col.set(p.s).total_weight().to_f64();
-            let ov = p.overlap.to_f64();
-            let denom = match kind {
-                JaccardKind::Containment => wr,
-                JaccardKind::Resemblance => wr + ws - ov,
-            };
-            let similarity = if denom == 0.0 { 1.0 } else { ov / denom };
-            (similarity >= alpha - 1e-9).then_some(similarity)
+    // from the overlap and the two set weights (no re-tokenization). A
+    // one-relation resemblance self-join decides each unordered pair once
+    // (SSJoin's half path): `wr + ws − ov` is the same in either
+    // orientation, and on the diagonal `ov == wr`, so the similarity is
+    // exactly 1.0. Containment is asymmetric and keeps every orientation.
+    let udf = |p: &JoinPair, r_col: &SetCollection, s_col: &SetCollection| {
+        let wr = r_col.set(p.r).total_weight().to_f64();
+        let ws = s_col.set(p.s).total_weight().to_f64();
+        let ov = p.overlap.to_f64();
+        let denom = match kind {
+            JaccardKind::Containment => wr,
+            JaccardKind::Resemblance => wr + ws - ov,
         };
-        let (pairs, udf_calls) = verify_candidates(candidates, config.exec.threads, mirror, &udf);
-        let udf_calls = match kind {
-            JaccardKind::Containment => 0,
-            JaccardKind::Resemblance => udf_calls,
-        };
-        (pairs, udf_calls)
+        let similarity = if denom == 0.0 { 1.0 } else { ov / denom };
+        (similarity >= alpha - 1e-9).then_some(similarity)
     };
-    run_join(spec, prep, verify)
+    let post = |out: &mut SimilarityJoinOutput, _: &SetCollection, _: &SetCollection| {
+        if kind == JaccardKind::Containment {
+            out.udf_verifications = 0;
+        }
+    };
+    run_join(spec, prep, udf, post)
 }
 
 /// Jaccard join over strings, tokenized into lowercased words (the standard
