@@ -22,13 +22,22 @@
 //!    relation's rows and interns them into its own dictionary: local token
 //!    ids and local `(token, ordinal)` element ids, each in first-seen
 //!    order, plus each element's group frequency and each group's element
-//!    ids.
+//!    ids. The dictionary is keyed by 16 bytes per token: a token of at
+//!    most 15 bytes is its own bytes and length, so hashing and comparing
+//!    it reads no heap string, and a longer one is an index into the
+//!    chunk's long-token text. The table's value holds what a token's
+//!    first occurrence in a group needs — its `(t, 1)` element id, its
+//!    group count and its latest `(group, ordinal)` — so that occurrence
+//!    costs one probe; only ordinals above 1 take a second.
 //! 2. **Merge in chunk order.** The chunk dictionaries are folded into one,
-//!    chunk after chunk, each in local id order. A token or element new to
-//!    the merged dictionary is first seen in this chunk, and its local id
-//!    orders it among the others first seen there — so every global id is
-//!    exactly the one a sequential scan assigns, and the `(freq, id)` order
-//!    keys, hence the ranks, are the same at every thread count.
+//!    chunk after chunk, each in local id order, by the same key (a long
+//!    token is re-keyed into the merged dictionary's own long-token text).
+//!    A token or element new to the merged dictionary is first seen in this
+//!    chunk, and its local id orders it among the others first seen there —
+//!    so every global id is exactly the one a sequential scan assigns, and
+//!    the `(freq, id)` order keys, hence the ranks, are the same at every
+//!    thread count. Each token's text is then decoded once, into the
+//!    universe's metadata, which the order keys read.
 //! 3. **Remap by chunk.** Each worker renames its chunk's element ids to
 //!    ranks and appends its sets to a chunk arena; the arenas are
 //!    concatenated in chunk order. The arenas store ranks only: a weighted
@@ -39,11 +48,13 @@
 //!    here too, while each element's token index is still known.
 
 use crate::error::{SsJoinError, SsJoinResult};
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHasher};
 use crate::order::ElementOrder;
 use crate::set::{weight_at, SetCollection, WeightTable};
 use crate::weight::Weight;
 use ssjoin_text::Tokenizer;
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -295,15 +306,20 @@ impl<'a> SsJoinInputBuilder<'a> {
             .into_iter()
             .unzip();
 
-        // Step 2: merge the dictionaries in chunk order.
+        // Step 2: merge the dictionaries in chunk order, then decode each
+        // token's text once, for the metadata and the order keys.
         let merged = MergedDict::merge(&dicts)?;
+        drop(dicts);
         let MergedDict {
             tokens,
+            long,
             first_eid,
             elements,
             element_freq,
             eid_maps,
         } = merged;
+        let mut meta = ElementMeta::new(tokens.iter().map(|key| key.text(&long)))?;
+        drop((tokens, long));
 
         // The weight of a token, from the scheme (unit weights need none).
         // A token's group frequency is its first occurrence's, `(t, 1)`.
@@ -320,9 +336,9 @@ impl<'a> SsJoinInputBuilder<'a> {
         // Global order: rank per eid.
         let mut order_keys: Vec<u32> = (0..elements.len() as u32).collect();
         order_keys.sort_unstable_by_key(|&eid| {
-            let (tid, _) = elements[eid as usize];
+            let token = || meta.token(elements[eid as usize].0);
             self.order
-                .sort_key(element_freq[eid as usize], tokens[tid as usize], eid as u64)
+                .sort_key(element_freq[eid as usize], token, eid as u64)
         });
         let mut rank_of_eid = vec![0u32; elements.len()];
         for (rank, &eid) in order_keys.iter().enumerate() {
@@ -330,7 +346,7 @@ impl<'a> SsJoinInputBuilder<'a> {
         }
 
         // Element metadata and the weight table, in rank order.
-        let meta = ElementMeta::new(&tokens, &elements, &rank_of_eid)?;
+        meta.place(&elements, &rank_of_eid);
         let weights: WeightTable = (self.scheme != WeightScheme::Unweighted).then(|| {
             let mut by_rank = vec![Weight::ZERO; elements.len()];
             for (&(tid, _), &rank) in elements.iter().zip(&rank_of_eid) {
@@ -338,8 +354,6 @@ impl<'a> SsJoinInputBuilder<'a> {
             }
             Arc::new(by_rank)
         });
-        drop(tokens);
-        drop(dicts);
 
         // Step 3: each worker remaps one chunk into an arena; a relation's
         // arenas are concatenated in chunk order.
@@ -441,14 +455,169 @@ fn check_id_space(len: usize) -> SsJoinResult<()> {
     Ok(())
 }
 
+/// A token as a 16-byte dictionary key. A token of at most
+/// [`Key::INLINE`] bytes is its own bytes, zero-padded, with its length in
+/// the last byte, so hashing or comparing it reads no other memory. A longer
+/// token is the marker [`Key::LONG`] in the last byte and its index into a
+/// [`LongTokens`] store in the first four.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key([u8; 16]);
+
+impl Key {
+    /// The longest token a key holds inline.
+    const INLINE: usize = 15;
+    /// The last byte of a long token's key (an inline length is at most 15).
+    const LONG: u8 = u8::MAX;
+
+    /// The key of `token`, interning it into `long` when it is long.
+    fn new(token: &str, long: &mut LongTokens) -> SsJoinResult<Self> {
+        let bytes = token.as_bytes();
+        let mut key = [0u8; 16];
+        if bytes.len() <= Self::INLINE {
+            key[..bytes.len()].copy_from_slice(bytes);
+            key[15] = bytes.len() as u8;
+        } else {
+            key[..4].copy_from_slice(&long.intern(token)?.to_le_bytes());
+            key[15] = Self::LONG;
+        }
+        Ok(Key(key))
+    }
+
+    /// The long-token index of a long key.
+    fn long_index(self) -> Option<u32> {
+        let [a, b, c, d, ..] = self.0;
+        (self.0[15] == Self::LONG).then_some(u32::from_le_bytes([a, b, c, d]))
+    }
+
+    /// This key for `to`'s store: a long key's token is interned there
+    /// from `from`, an inline key is its own.
+    fn rehome(self, from: &LongTokens, to: &mut LongTokens) -> SsJoinResult<Self> {
+        match self.long_index() {
+            Some(i) => Key::new(from.get(i), to),
+            None => Ok(self),
+        }
+    }
+
+    /// The token's text; a long token's is read from `long`.
+    fn text<'k>(&'k self, long: &'k LongTokens) -> &'k str {
+        match self.long_index() {
+            Some(i) => long.get(i),
+            None => std::str::from_utf8(&self.0[..usize::from(self.0[15])])
+                .expect("an inline key holds a whole token"),
+        }
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // One wide multiply folds all sixteen bytes into the low bits the
+        // table indexes by; a multiply-xor hash of the two halves would
+        // leave those bits to the token's first bytes.
+        const LO: u64 = 0x243f_6a88_85a3_08d3;
+        const HI: u64 = 0x1319_8a2e_0370_7344;
+        let key = u128::from_le_bytes(self.0);
+        let m = u128::from(key as u64 ^ LO) * u128::from((key >> 64) as u64 ^ HI);
+        state.write_u64(m as u64 ^ (m >> 64) as u64);
+    }
+}
+
+/// Tokens longer than [`Key::INLINE`] bytes, each stored once: their text,
+/// concatenated, and an open-addressing index over it.
+#[derive(Default)]
+struct LongTokens {
+    /// Every token's text, concatenated.
+    text: String,
+    /// Token `i`'s text ends at `ends[i]` (and starts where token `i − 1`'s
+    /// ends).
+    ends: Vec<u32>,
+    /// A power-of-two table, at most half full, of token indices plus one
+    /// (0 is an empty slot).
+    slots: Vec<u32>,
+}
+
+impl LongTokens {
+    /// The text of token `i`.
+    fn get(&self, i: u32) -> &str {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p as usize]);
+        &self.text[start as usize..self.ends[i as usize] as usize]
+    }
+
+    /// The slot `token` hashes to in a table of `len` (a power of two)
+    /// slots: the hash's top bits, which its multiplies mix best.
+    fn home(token: &str, len: usize) -> usize {
+        let mut h = FxHasher::default();
+        h.write(token.as_bytes());
+        (h.finish() >> (64 - len.trailing_zeros())) as usize
+    }
+
+    /// The index of `token`, stored on first sight.
+    ///
+    /// # Errors
+    /// [`SsJoinError::TooManyElements`] when the text outgrows the `u32`
+    /// offset space.
+    fn intern(&mut self, token: &str) -> SsJoinResult<u32> {
+        if 2 * (self.ends.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = Self::home(token, self.slots.len());
+        loop {
+            match self.slots[at] {
+                0 => break,
+                i if self.get(i - 1) == token => return Ok(i - 1),
+                _ => at = (at + 1) & mask,
+            }
+        }
+        let end = self.text.len() + token.len();
+        if end > u32::MAX as usize {
+            return Err(SsJoinError::TooManyElements { elements: end });
+        }
+        self.text.push_str(token);
+        self.ends.push(end as u32);
+        self.slots[at] = self.ends.len() as u32;
+        Ok(self.ends.len() as u32 - 1)
+    }
+
+    /// Double the index (16 slots at first) and re-place every token.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        let mut slots = vec![0u32; len];
+        for i in 0..self.ends.len() as u32 {
+            let mut at = Self::home(self.get(i), len);
+            while slots[at] != 0 {
+                at = (at + 1) & (len - 1);
+            }
+            slots[at] = i + 1;
+        }
+        self.slots = slots;
+    }
+}
+
 /// One chunk's dictionary (step 1): local ids in first-seen order.
 struct ChunkDict {
-    /// Local token id → text.
-    tokens: Vec<Box<str>>,
+    /// Local token id → key.
+    keys: Vec<Key>,
+    /// The text of the chunk's long keys.
+    long: LongTokens,
     /// Local element id → `(local token id, ordinal)`.
     elements: Vec<(u32, u32)>,
-    /// Local element id → groups of the chunk holding it.
-    freq: Vec<usize>,
+    /// Local element id → groups of the chunk holding it (a `(t, 1)`
+    /// element's is counted in its token's [`Slot`] and written at the end
+    /// of the chunk).
+    freq: Vec<u32>,
+}
+
+/// A chunk token's value in its dictionary's table: everything a first
+/// occurrence in a group needs, so it costs one probe.
+struct Slot {
+    /// Local element id of `(t, 1)`.
+    first_eid: u32,
+    /// Groups of the chunk holding the token, so far: `(t, 1)`'s frequency.
+    groups: u32,
+    /// The stamp (1-based group index) of the token's latest occurrence.
+    stamp: u32,
+    /// The ordinal of that occurrence.
+    ord: u32,
 }
 
 /// One chunk's groups as local element ids (step 1).
@@ -463,14 +632,15 @@ fn intern_chunk(
     groups: &TokenGroups<'_>,
     rows: Range<usize>,
 ) -> SsJoinResult<(ChunkDict, ChunkGroups)> {
-    let mut ids: FxHashMap<Box<str>, u32> = FxHashMap::default();
-    let mut elements: Vec<(u32, u32)> = Vec::new();
-    let mut freq: Vec<usize> = Vec::new();
-    // Per local token: the element id of `(t, 1)`, and the stamp (1-based
-    // group index) and ordinal of its latest occurrence. Ordinal 1 needs no
-    // second lookup; later ordinals go through `later`.
-    let mut first_eid: Vec<u32> = Vec::new();
-    let mut last: Vec<(usize, u32)> = Vec::new();
+    let mut table: FxHashMap<Key, Slot> = FxHashMap::default();
+    let mut dict = ChunkDict {
+        keys: Vec::new(),
+        long: LongTokens::default(),
+        elements: Vec::new(),
+        freq: Vec::new(),
+    };
+    // Ordinal 1 is read from the token's slot; later ordinals go through
+    // `later`.
     let mut later: FxHashMap<(u32, u32), u32> = FxHashMap::default();
     let mut out = ChunkGroups {
         ends: Vec::with_capacity(rows.len()),
@@ -483,66 +653,79 @@ fn intern_chunk(
             if overflow.is_err() {
                 return;
             }
-            let tid = match ids.get(token) {
-                Some(&t) => t,
-                None => {
-                    if let Err(e) = check_id_space(elements.len()) {
-                        overflow = Err(e);
-                        return;
-                    }
-                    let t = ids.len() as u32;
-                    ids.insert(token.into(), t);
-                    first_eid.push(elements.len() as u32);
-                    elements.push((t, 1));
-                    freq.push(0);
-                    last.push((0, 0));
-                    t
+            let eid = match intern_token(token, stamp, &mut table, &mut later, &mut dict) {
+                Ok(eid) => eid,
+                Err(e) => {
+                    overflow = Err(e);
+                    return;
                 }
             };
-            let (seen, ord) = &mut last[tid as usize];
-            *ord = if *seen == stamp { *ord + 1 } else { 1 };
-            *seen = stamp;
-            let eid = if *ord == 1 {
-                first_eid[tid as usize]
-            } else {
-                match later.get(&(tid, *ord)) {
-                    Some(&e) => e,
-                    None => {
-                        if let Err(e) = check_id_space(elements.len()) {
-                            overflow = Err(e);
-                            return;
-                        }
-                        let e = elements.len() as u32;
-                        elements.push((tid, *ord));
-                        freq.push(0);
-                        later.insert((tid, *ord), e);
-                        e
-                    }
-                }
-            };
-            freq[eid as usize] += 1;
             out.eids.push(eid);
         });
         std::mem::replace(&mut overflow, Ok(()))?;
         out.ends.push(out.eids.len());
     }
-    let mut tokens = vec![Box::<str>::default(); ids.len()];
-    for (token, t) in ids {
-        tokens[t as usize] = token;
+    for slot in table.values() {
+        dict.freq[slot.first_eid as usize] = slot.groups;
     }
-    let dict = ChunkDict {
-        tokens,
-        elements,
-        freq,
-    };
     Ok((dict, out))
+}
+
+/// The local element id of `token`'s occurrence in group `stamp`, interning
+/// the token and the element on first sight.
+fn intern_token(
+    token: &str,
+    stamp: u32,
+    table: &mut FxHashMap<Key, Slot>,
+    later: &mut FxHashMap<(u32, u32), u32>,
+    dict: &mut ChunkDict,
+) -> SsJoinResult<u32> {
+    let key = Key::new(token, &mut dict.long)?;
+    let slot = match table.entry(key) {
+        Entry::Occupied(slot) => slot.into_mut(),
+        Entry::Vacant(slot) => {
+            check_id_space(dict.elements.len())?;
+            let first_eid = dict.elements.len() as u32;
+            dict.elements.push((dict.keys.len() as u32, 1));
+            dict.keys.push(key);
+            dict.freq.push(0);
+            slot.insert(Slot {
+                first_eid,
+                groups: 0,
+                stamp: 0,
+                ord: 0,
+            })
+        }
+    };
+    if slot.stamp != stamp {
+        slot.stamp = stamp;
+        slot.ord = 1;
+        slot.groups += 1;
+        return Ok(slot.first_eid);
+    }
+    slot.ord += 1;
+    let eid = match later.entry((slot.first_eid, slot.ord)) {
+        Entry::Occupied(e) => *e.get(),
+        Entry::Vacant(e) => {
+            check_id_space(dict.elements.len())?;
+            let eid = dict.elements.len() as u32;
+            let (tid, _) = dict.elements[slot.first_eid as usize];
+            dict.elements.push((tid, slot.ord));
+            dict.freq.push(0);
+            *e.insert(eid)
+        }
+    };
+    dict.freq[eid as usize] += 1;
+    Ok(eid)
 }
 
 /// The chunk dictionaries merged in chunk order (step 2): global ids equal
 /// the first-seen ids of a sequential scan.
-struct MergedDict<'d> {
-    /// Global token id → text (borrowed from the chunk dictionaries).
-    tokens: Vec<&'d str>,
+struct MergedDict {
+    /// Global token id → key.
+    tokens: Vec<Key>,
+    /// The text of the long keys (chunk long keys re-keyed here).
+    long: LongTokens,
     /// Global token id → global element id of `(t, 1)`.
     first_eid: Vec<u32>,
     /// Global element id → `(global token id, ordinal)`.
@@ -553,31 +736,31 @@ struct MergedDict<'d> {
     eid_maps: Vec<Vec<u32>>,
 }
 
-impl<'d> MergedDict<'d> {
-    fn merge(dicts: &'d [ChunkDict]) -> SsJoinResult<Self> {
+impl MergedDict {
+    fn merge(dicts: &[ChunkDict]) -> SsJoinResult<Self> {
         const NONE: u32 = u32::MAX;
-        let mut token_ids: FxHashMap<&'d str, u32> = FxHashMap::default();
+        let mut token_ids: FxHashMap<Key, u32> = FxHashMap::default();
         let mut later: FxHashMap<(u32, u32), u32> = FxHashMap::default();
         let mut m = MergedDict {
             tokens: Vec::new(),
+            long: LongTokens::default(),
             first_eid: Vec::new(),
             elements: Vec::new(),
             element_freq: Vec::new(),
             eid_maps: Vec::with_capacity(dicts.len()),
         };
         for dict in dicts {
-            let mut tid_map = Vec::with_capacity(dict.tokens.len());
-            for token in &dict.tokens {
-                let token: &'d str = token;
-                let tid = match token_ids.get(token) {
-                    Some(&t) => t,
-                    None => {
+            let mut tid_map = Vec::with_capacity(dict.keys.len());
+            for &key in &dict.keys {
+                let key = key.rehome(&dict.long, &mut m.long)?;
+                let tid = match token_ids.entry(key) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
                         check_id_space(m.tokens.len())?;
                         let t = m.tokens.len() as u32;
-                        m.tokens.push(token);
+                        m.tokens.push(key);
                         m.first_eid.push(NONE);
-                        token_ids.insert(token, t);
-                        t
+                        *e.insert(t)
                     }
                 };
                 tid_map.push(tid);
@@ -596,7 +779,7 @@ impl<'d> MergedDict<'d> {
                     m.elements.push((tid, ord));
                     m.element_freq.push(0);
                 }
-                m.element_freq[*slot as usize] += freq;
+                m.element_freq[*slot as usize] += freq as usize;
                 eid_map.push(*slot);
             }
             m.eid_maps.push(eid_map);
@@ -684,42 +867,49 @@ struct ElementMeta {
 }
 
 impl ElementMeta {
-    /// The metadata of `elements` (`(token id, ordinal)` per element id)
-    /// over `tokens`, placed by `rank_of_eid`.
+    /// The metadata of a universe whose token `t` is the `t`-th of
+    /// `tokens`, with no element placed yet ([`Self::place`]).
     ///
     /// # Errors
     /// [`SsJoinError::TooManyElements`] when the tokens' text outgrows the
     /// `u32` offset space.
-    fn new(tokens: &[&str], elements: &[(u32, u32)], rank_of_eid: &[u32]) -> SsJoinResult<Self> {
-        let bytes: usize = tokens.iter().map(|t| t.len()).sum();
+    fn new<'t>(tokens: impl Iterator<Item = &'t str> + Clone) -> SsJoinResult<Self> {
+        let bytes: usize = tokens.clone().map(str::len).sum();
         if bytes > u32::MAX as usize {
             return Err(SsJoinError::TooManyElements { elements: bytes });
         }
         let mut text = String::with_capacity(bytes);
-        let mut ends = Vec::with_capacity(tokens.len());
+        let mut ends = Vec::with_capacity(tokens.size_hint().0);
         for token in tokens {
             text.push_str(token);
             ends.push(text.len() as u32);
         }
-        let mut by_rank = vec![(0, 0); elements.len()];
-        for (&element, &rank) in elements.iter().zip(rank_of_eid) {
-            by_rank[rank as usize] = element;
-        }
         Ok(Self {
             text,
             ends,
-            by_rank,
+            by_rank: Vec::new(),
         })
+    }
+
+    /// The text of token `t`.
+    fn token(&self, t: u32) -> &str {
+        let start = t.checked_sub(1).map_or(0, |p| self.ends[p as usize]);
+        &self.text[start as usize..self.ends[t as usize] as usize]
+    }
+
+    /// Place `elements` (`(token id, ordinal)` per element id) by
+    /// `rank_of_eid`.
+    fn place(&mut self, elements: &[(u32, u32)], rank_of_eid: &[u32]) {
+        self.by_rank = vec![(0, 0); elements.len()];
+        for (&element, &rank) in elements.iter().zip(rank_of_eid) {
+            self.by_rank[rank as usize] = element;
+        }
     }
 
     /// The `(token, ordinal)` of `rank`.
     fn get(&self, rank: u32) -> (&str, u32) {
         let (t, ord) = self.by_rank[rank as usize];
-        let start = t.checked_sub(1).map_or(0, |p| self.ends[p as usize]);
-        (
-            &self.text[start as usize..self.ends[t as usize] as usize],
-            ord,
-        )
+        (self.token(t), ord)
     }
 
     fn len(&self) -> usize {
@@ -1224,6 +1414,7 @@ mod tests {
     fn sequential_build(
         relations: &[Vec<Vec<String>>],
         scheme: WeightScheme,
+        order_by: ElementOrder,
         norm: &NormKind,
     ) -> BuiltInput {
         use std::collections::HashMap;
@@ -1273,14 +1464,18 @@ mod tests {
             })
             .collect();
         let mut order: Vec<u32> = (0..elements.len() as u32).collect();
-        order.sort_unstable_by_key(|&eid| (element_freq[eid as usize], eid));
+        order.sort_unstable_by_key(|&eid| {
+            let token = || tokens[elements[eid as usize].0 as usize];
+            order_by.sort_key(element_freq[eid as usize], token, eid as u64)
+        });
         let mut rank_of = vec![0u32; elements.len()];
         let mut weights_by_rank = vec![Weight::ZERO; elements.len()];
         for (rank, &eid) in order.iter().enumerate() {
             rank_of[eid as usize] = rank as u32;
             weights_by_rank[rank] = weights[eid as usize];
         }
-        let meta = ElementMeta::new(&tokens, &elements, &rank_of).unwrap();
+        let mut meta = ElementMeta::new(tokens.iter().copied()).unwrap();
+        meta.place(&elements, &rank_of);
         let table = (scheme != WeightScheme::Unweighted).then(|| Arc::new(weights_by_rank));
         let collections = rel_groups
             .iter()
@@ -1308,12 +1503,15 @@ mod tests {
     /// Rows tokenized and interned on 1, 2, 3 and 8 workers — and the same
     /// rows pre-tokenized into `Vec<Vec<String>>` — build exactly what the
     /// pre-chunking sequential build does: same ranks, `element()`,
-    /// `Weight::raw` and norm bits, under every weight scheme, as one
-    /// relation (a self-join) and as two. The shapes cover no rows, more
-    /// workers than rows, empty and all-delimiter rows, repeated tokens
-    /// (ordinal > 1), non-ASCII rows and a single-token universe; a seeded
-    /// corpus makes every chunk merge meet tokens first seen in earlier
-    /// chunks.
+    /// `Weight::raw` and norm bits, under every weight scheme and element
+    /// order, as one relation (a self-join) and as two. The shapes cover no
+    /// rows, more workers than rows, empty and all-delimiter rows, repeated
+    /// tokens (ordinal > 1), non-ASCII rows and a single-token universe; a
+    /// seeded corpus makes every chunk merge meet tokens first seen in
+    /// earlier chunks. The key boundaries are covered too: tokens of 15, 16
+    /// and 17 bytes, a two-byte character ending at byte 15 and one
+    /// straddling it, a long token repeated in a group and first seen in a
+    /// later chunk, and pre-tokenized groups holding both `"a"` and `"a\0"`.
     #[test]
     fn chunked_build_is_the_same_at_every_thread_count() {
         use ssjoin_prng::{Rng, StdRng};
@@ -1339,6 +1537,28 @@ mod tests {
                 words.join(if rng.gen_bool(0.2) { " , " } else { " " })
             })
             .collect();
+        // 15, 16 and 17 bytes; 13 ASCII bytes + `é` (15 bytes, inline);
+        // 14 ASCII bytes + `é` (16 bytes, `é` straddling byte 15); and an
+        // 18-byte token first seen in the last rows, three times in a group.
+        let (t15, t16, t17) = ("fifteenbytes015", "sixteenbytes0016", "seventeenbytes017");
+        let (e15, e16, late) = ("thirteenbytesé", "fourteenbytes1é", "latecomerlongtoken");
+        assert_eq!(
+            [t15, t16, t17, e15, e16, late].map(str::len),
+            [15, 16, 17, 15, 16, 18]
+        );
+        let boundaries: Vec<String> = [
+            format!("{t15} main"),
+            format!("{t16} st"),
+            format!("{t17} {t15}"),
+            format!("{e16} {e15}"),
+            "main st".into(),
+            "oak".into(),
+            format!("{late} main {late} {late}"),
+            format!("{t16} {t16} {t17}"),
+            late.into(),
+            format!("{e16} {e16} {e15}"),
+        ]
+        .into();
         let shapes: Vec<(&str, Vec<String>)> = vec![
             ("no rows", Vec::new()),
             ("two rows", rows(&["main st", "main  st 100"])),
@@ -1355,6 +1575,7 @@ mod tests {
                 rows(&["Café Straße", "İstanbul CAFÉ", "STRASSE", "café"]),
             ),
             ("single token", rows(&["x", "x", "X x", "x"])),
+            ("key boundaries", boundaries),
             ("seeded", seeded),
         ];
         let words = WordTokenizer::new().lowercased();
@@ -1364,42 +1585,79 @@ mod tests {
             (&words, NormKind::SqrtTotalWeight),
             (&qgrams, NormKind::Cardinality),
         ];
+        // Groups that only a pre-tokenized relation can hold: a token and
+        // its NUL-extended twin, inline (`a`, `a\0`) and across the 15-byte
+        // boundary.
+        let nul: Vec<Vec<String>> = vec![
+            toks(&["a", "a\0", "a"]),
+            toks(&["a\0"]),
+            toks(&[t15, "a", &format!("{t15}\0")]),
+            toks(&["a"]),
+            toks(&["a\0", "a\0", &format!("{t15}\0"), t15]),
+        ];
+        // Each case: its name, its relations' groups, its norm, and — when
+        // built from rows too — the rows per relation and their tokenizer.
+        type Relations = Vec<Vec<Vec<String>>>;
+        type Rows<'r> = Option<(Vec<&'r [String]>, &'r (dyn Tokenizer + Sync))>;
+        let mut cases: Vec<(&str, Relations, &NormKind, Rows<'_>)> = Vec::new();
+        for (shape, data) in &shapes {
+            let half = &data[..data.len() / 2];
+            for (tok, norm) in &tokenizers {
+                for sides in [vec![&data[..]], vec![&data[..], half]] {
+                    let grouped = sides
+                        .iter()
+                        .map(|side| side.iter().map(|x| tok.tokenize(x)).collect())
+                        .collect();
+                    cases.push((shape, grouped, norm, Some((sides, *tok))));
+                }
+            }
+        }
+        let total = NormKind::TotalWeight;
+        cases.push(("nul twins", vec![nul.clone()], &total, None));
+        cases.push((
+            "nul twins",
+            vec![nul.clone(), nul[1..].to_vec()],
+            &total,
+            None,
+        ));
         let schemes = [
             WeightScheme::Idf,
             WeightScheme::IdfSquared,
             WeightScheme::Unweighted,
         ];
-        for (shape, data) in &shapes {
-            let half = &data[..data.len() / 2];
-            for (tok, norm) in &tokenizers {
-                for sides in [vec![&data[..]], vec![&data[..], half]] {
-                    let grouped: Vec<Vec<Vec<String>>> = sides
-                        .iter()
-                        .map(|side| side.iter().map(|x| tok.tokenize(x)).collect())
-                        .collect();
-                    for scheme in schemes {
-                        let oracle = sequential_build(&grouped, scheme, norm);
-                        for threads in [1, 2, 3, 8] {
-                            let builder = || {
-                                SsJoinInputBuilder::new(scheme, ElementOrder::FrequencyAsc)
-                                    .with_threads(threads)
-                            };
-                            let (mut text, mut groups) = (builder(), builder());
-                            for (side, g) in sides.iter().zip(&grouped) {
+        let orders = [
+            ElementOrder::FrequencyAsc,
+            ElementOrder::FrequencyDesc,
+            ElementOrder::Lexicographic,
+            ElementOrder::Hashed,
+        ];
+        for (shape, grouped, norm, rows) in &cases {
+            for scheme in schemes {
+                for order in orders {
+                    let oracle = sequential_build(grouped, scheme, order, norm);
+                    for threads in [1, 2, 3, 8] {
+                        let what = format!(
+                            "{shape}, {} sides, {scheme:?}, {order:?}, {norm:?}, {threads} threads",
+                            grouped.len()
+                        );
+                        let builder =
+                            || SsJoinInputBuilder::new(scheme, order).with_threads(threads);
+                        let mut groups = builder();
+                        for g in grouped {
+                            groups.add_relation_with_norm(g.clone(), (*norm).clone());
+                        }
+                        assert_same_build(&groups.build().unwrap(), &oracle, &what);
+                        if let Some((sides, tokenizer)) = rows {
+                            let mut text = builder();
+                            for side in sides {
                                 let rows = TokenGroups::Text {
                                     rows: side,
-                                    tokenizer: *tok,
+                                    tokenizer: *tokenizer,
                                     order: None,
                                 };
-                                text.add_groups(rows, norm.clone());
-                                groups.add_relation_with_norm(g.clone(), norm.clone());
+                                text.add_groups(rows, (*norm).clone());
                             }
-                            let what = format!(
-                                "{shape}, {} sides, {scheme:?}, {norm:?}, {threads} threads",
-                                sides.len()
-                            );
                             assert_same_build(&text.build().unwrap(), &oracle, &what);
-                            assert_same_build(&groups.build().unwrap(), &oracle, &what);
                         }
                     }
                 }

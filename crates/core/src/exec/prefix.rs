@@ -135,7 +135,14 @@ pub(crate) fn run_prefix_family(
     // consumed by the index build.
     timed_phase(&mut stats, Phase::PrefixFilter, |stats| {
         prefix_lengths_into(r, Side::R, pred, s.norm_range(), r_lens);
-        prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
+        if half {
+            // One collection under a symmetric predicate: each side's lower
+            // bound is the other's mirror image, so the lengths are equal
+            // (only the caps may differ).
+            s_lens.clone_from(r_lens);
+        } else {
+            prefix_lengths_into(s, Side::S, pred, r.norm_range(), s_lens);
+        }
         if let Some((r_caps, s_caps)) = caps {
             apply_caps(r_lens, r_caps);
             apply_caps(s_lens, s_caps);
@@ -495,6 +502,71 @@ mod tests {
             }
         }
         assert!(kept > 0 && dropped > 0, "kept {kept} dropped {dropped}");
+    }
+
+    /// A symmetric self-join computes its prefix lengths once, for R, and
+    /// reuses them for S; they equal S's own under every symmetric shape.
+    #[test]
+    fn symmetric_predicates_give_both_sides_equal_lengths() {
+        use crate::predicate::NormExpr;
+        let groups: Vec<Vec<String>> = (0..80)
+            .map(|i| {
+                (0..(1 + i % 9))
+                    .map(|j| format!("w{}", (i * 7 + j * 13) % 31))
+                    .collect()
+            })
+            .collect();
+        let boxed = Box::new;
+        // Property 4's `max(R.norm, S.norm)·c − k` and cosine's
+        // `t · R.norm · S.norm`.
+        let property_4 = OverlapPredicate::new(vec![NormExpr::Sub(
+            boxed(NormExpr::Mul(
+                boxed(NormExpr::Max(
+                    boxed(NormExpr::RNorm),
+                    boxed(NormExpr::SNorm),
+                )),
+                boxed(NormExpr::Const(0.6)),
+            )),
+            boxed(NormExpr::Const(1.0)),
+        )]);
+        let cosine = OverlapPredicate::new(vec![NormExpr::Mul(
+            boxed(NormExpr::Const(0.7)),
+            boxed(NormExpr::Mul(
+                boxed(NormExpr::RNorm),
+                boxed(NormExpr::SNorm),
+            )),
+        )]);
+        // Sets with a non-empty prefix, per predicate.
+        let mut reached = [0usize; 4];
+        for (scheme, norm) in [
+            (WeightScheme::Unweighted, NormKind::Cardinality),
+            (WeightScheme::Idf, NormKind::TotalWeight),
+            (WeightScheme::IdfSquared, NormKind::SqrtTotalWeight),
+        ] {
+            let mut b = SsJoinInputBuilder::new(scheme, ElementOrder::FrequencyAsc);
+            let h = b.add_relation_with_norm(groups.clone(), norm.clone());
+            let c = b.build().unwrap().collection(h).clone();
+            let preds = [
+                OverlapPredicate::two_sided(0.6),
+                OverlapPredicate::absolute(2.0),
+                property_4.clone(),
+                cosine.clone(),
+            ];
+            for (pred, reached) in preds.iter().zip(&mut reached) {
+                let at = format!("{scheme:?} {norm:?} {pred:?}");
+                assert!(pred.is_symmetric(), "{at}");
+                let r_lens = prefix_lengths(&c, Side::R, pred, c.norm_range());
+                let s_lens = prefix_lengths(&c, Side::S, pred, c.norm_range());
+                assert_eq!(r_lens, s_lens, "{at}");
+                *reached += r_lens.iter().filter(|&&l| l > 0).count();
+                // The half path reports S's own prefix size.
+                let (_, stats) =
+                    collect(|ws| run(&c, &c, pred, &ExecContext::new(), None, Sink::Plain, ws));
+                let total: u64 = s_lens.iter().map(|&l| u64::from(l)).sum();
+                assert_eq!(stats.prefix_tuples_s, total, "{at}");
+            }
+        }
+        assert!(reached.iter().all(|&n| n > 0), "{reached:?}");
     }
 
     #[test]

@@ -27,16 +27,22 @@ pub enum ElementOrder {
 impl ElementOrder {
     /// Sort key for one element. Lower keys come earlier in `O`.
     ///
-    /// `freq` is the element's set frequency, `token` its text, and `uid`
-    /// a unique tie-breaking id.
-    pub(crate) fn sort_key(&self, freq: usize, token: &str, uid: u64) -> (u64, u64) {
+    /// `freq` is the element's set frequency, `token` yields its text (read
+    /// only by [`ElementOrder::Lexicographic`]), and `uid` a unique
+    /// tie-breaking id.
+    pub(crate) fn sort_key<'t>(
+        &self,
+        freq: usize,
+        token: impl FnOnce() -> &'t str,
+        uid: u64,
+    ) -> (u64, u64) {
         match self {
             ElementOrder::FrequencyAsc => (freq as u64, uid),
             ElementOrder::FrequencyDesc => (u64::MAX - freq as u64, uid),
             ElementOrder::Lexicographic => {
                 // First 8 bytes of the token as a big-endian key, then uid.
                 let mut b = [0u8; 8];
-                let bytes = token.as_bytes();
+                let bytes = token().as_bytes();
                 let n = bytes.len().min(8);
                 b[..n].copy_from_slice(&bytes[..n]);
                 (u64::from_be_bytes(b), uid)
@@ -58,38 +64,38 @@ mod tests {
 
     #[test]
     fn frequency_asc_orders_rare_first() {
-        let rare = ElementOrder::FrequencyAsc.sort_key(1, "z", 0);
-        let common = ElementOrder::FrequencyAsc.sort_key(1000, "a", 1);
+        let rare = ElementOrder::FrequencyAsc.sort_key(1, || "z", 0);
+        let common = ElementOrder::FrequencyAsc.sort_key(1000, || "a", 1);
         assert!(rare < common);
     }
 
     #[test]
     fn frequency_desc_is_inverse() {
-        let rare = ElementOrder::FrequencyDesc.sort_key(1, "z", 0);
-        let common = ElementOrder::FrequencyDesc.sort_key(1000, "a", 1);
+        let rare = ElementOrder::FrequencyDesc.sort_key(1, || "z", 0);
+        let common = ElementOrder::FrequencyDesc.sort_key(1000, || "a", 1);
         assert!(common < rare);
     }
 
     #[test]
     fn lexicographic_uses_token() {
-        let a = ElementOrder::Lexicographic.sort_key(5, "aaa", 7);
-        let b = ElementOrder::Lexicographic.sort_key(1, "bbb", 3);
+        let a = ElementOrder::Lexicographic.sort_key(5, || "aaa", 7);
+        let b = ElementOrder::Lexicographic.sort_key(1, || "bbb", 3);
         assert!(a < b);
     }
 
     #[test]
     fn hashed_is_deterministic_and_total() {
-        let k1 = ElementOrder::Hashed.sort_key(1, "x", 42);
-        let k2 = ElementOrder::Hashed.sort_key(999, "y", 42);
+        let k1 = ElementOrder::Hashed.sort_key(1, || "x", 42);
+        let k2 = ElementOrder::Hashed.sort_key(999, || "y", 42);
         assert_eq!(k1, k2); // depends only on uid
-        let k3 = ElementOrder::Hashed.sort_key(1, "x", 43);
+        let k3 = ElementOrder::Hashed.sort_key(1, || "x", 43);
         assert_ne!(k1, k3);
     }
 
     #[test]
     fn ties_broken_by_uid() {
-        let a = ElementOrder::FrequencyAsc.sort_key(5, "t", 1);
-        let b = ElementOrder::FrequencyAsc.sort_key(5, "t", 2);
+        let a = ElementOrder::FrequencyAsc.sort_key(5, || "t", 1);
+        let b = ElementOrder::FrequencyAsc.sort_key(5, || "t", 2);
         assert_ne!(a, b);
     }
 }
