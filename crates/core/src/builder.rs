@@ -29,12 +29,14 @@
 //!    first occurrence in a group needs — its `(t, 1)` element id, its
 //!    group count and its latest `(group, ordinal)` — so that occurrence
 //!    costs one probe; only ordinals above 1 take a second.
-//! 2. **Merge in chunk order.** The chunk dictionaries are folded into one,
-//!    chunk after chunk, each in local id order, by the same key (a long
-//!    token is re-keyed into the merged dictionary's own long-token text).
-//!    A token or element new to the merged dictionary is first seen in this
-//!    chunk, and its local id orders it among the others first seen there —
-//!    so every global id is exactly the one a sequential scan assigns, and
+//! 2. **Merge in chunk order.** The first chunk's local ids are already
+//!    global, so its dictionary and hash tables become the merged ones as
+//!    they are (a one-chunk build does no merge work). Each later chunk is
+//!    folded in, in local id order, by the same key (a long token is
+//!    re-keyed into the merged dictionary's long-token text). A token or
+//!    element new to the merged dictionary is first seen in this chunk, and
+//!    its local id orders it among the others first seen there — so every
+//!    global id is exactly the one a sequential scan assigns, and
 //!    the `(freq, id)` order keys, hence the ranks, are the same at every
 //!    thread count. Each token's text is then decoded once, into the
 //!    universe's metadata, which the order keys read.
@@ -52,7 +54,7 @@ use crate::hash::{FxHashMap, FxHasher};
 use crate::order::ElementOrder;
 use crate::set::{weight_at, SetCollection, WeightTable};
 use crate::weight::Weight;
-use ssjoin_text::Tokenizer;
+use ssjoin_text::{AsRows, Rows, Tokenizer};
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -125,12 +127,14 @@ pub enum TokenGroups<'a> {
     /// One token multiset per group.
     Tokenized(Vec<Vec<String>>),
     /// One string per group, tokenized during the build — on the build's
-    /// workers, each token lent as a `&str`, so no `String` per token exists.
-    /// Builds like `Tokenized` of `rows` mapped through
+    /// workers, each row and each token lent as a `&str`, so no `String` per
+    /// row or token exists. Builds like `Tokenized` of `rows` mapped through
     /// [`Tokenizer::tokenize`].
     Text {
-        /// One string per group.
-        rows: &'a [String],
+        /// One string per group: a [`ssjoin_text::Rows`] buffer, a slice of
+        /// `String`s, or anything else that lends rows as a
+        /// [`ssjoin_text::RowsRef`].
+        rows: &'a (dyn AsRows + Sync),
         /// Cuts each row into its token multiset.
         tokenizer: &'a (dyn Tokenizer + Sync),
         /// The row each group reads, when the groups take the rows in
@@ -145,7 +149,9 @@ impl TokenGroups<'_> {
     fn len(&self) -> usize {
         match self {
             TokenGroups::Tokenized(groups) => groups.len(),
-            TokenGroups::Text { rows, order, .. } => order.map_or(rows.len(), <[u32]>::len),
+            TokenGroups::Text { rows, order, .. } => {
+                order.map_or(rows.as_rows().len(), <[u32]>::len)
+            }
         }
     }
 
@@ -159,7 +165,7 @@ impl TokenGroups<'_> {
                 order,
             } => {
                 let row = order.map_or(group, |order| order[group] as usize);
-                tokenizer.for_each_token(&rows[row], scratch, f)
+                tokenizer.for_each_token(rows.as_rows().get(row), scratch, f)
             }
         }
     }
@@ -297,9 +303,11 @@ impl<'a> SsJoinInputBuilder<'a> {
 
         // Step 1: each worker interns one contiguous chunk of a relation.
         let chunks = self.chunks();
-        let interned = par_map(chunks.clone(), self.threads, |(ri, rows)| {
-            intern_chunk(&self.relations[ri].groups, rows)
-        });
+        let interned = par_map(
+            chunks.iter().cloned().enumerate().collect(),
+            self.threads,
+            |(ci, (ri, rows))| intern_chunk(&self.relations[ri].groups, rows, ci == 0),
+        );
         let (dicts, groups): (Vec<ChunkDict>, Vec<ChunkGroups>) = interned
             .into_iter()
             .collect::<SsJoinResult<Vec<_>>>()?
@@ -308,8 +316,6 @@ impl<'a> SsJoinInputBuilder<'a> {
 
         // Step 2: merge the dictionaries in chunk order, then decode each
         // token's text once, for the metadata and the order keys.
-        let merged = MergedDict::merge(&dicts)?;
-        drop(dicts);
         let MergedDict {
             tokens,
             long,
@@ -317,7 +323,9 @@ impl<'a> SsJoinInputBuilder<'a> {
             elements,
             element_freq,
             eid_maps,
-        } = merged;
+            tables,
+        } = MergedDict::merge(dicts)?;
+        drop(tables);
         let mut meta = ElementMeta::new(tokens.iter().map(|key| key.text(&long)))?;
         drop((tokens, long));
 
@@ -366,7 +374,10 @@ impl<'a> SsJoinInputBuilder<'a> {
         let work: Vec<_> = chunks.into_iter().zip(groups).zip(eid_maps).collect();
         let parts = par_map(work, self.threads, |(((ri, rows), groups), eid_map)| {
             let rel = &self.relations[ri];
-            let elem = |e: u32| by_eid[eid_map[e as usize] as usize];
+            let elem = |e: u32| match &eid_map {
+                Some(map) => by_eid[map[e as usize] as usize],
+                None => by_eid[e as usize],
+            };
             let capping = rel.cap_rule.map(|rule| (rule, first_eid.len()));
             let arena = SetCollection::empty(universe, tag, weights.clone());
             (
@@ -522,14 +533,11 @@ impl Hash for Key {
 }
 
 /// Tokens longer than [`Key::INLINE`] bytes, each stored once: their text,
-/// concatenated, and an open-addressing index over it.
+/// as rows, and an open-addressing index over it.
 #[derive(Default)]
 struct LongTokens {
-    /// Every token's text, concatenated.
-    text: String,
-    /// Token `i`'s text ends at `ends[i]` (and starts where token `i − 1`'s
-    /// ends).
-    ends: Vec<u32>,
+    /// Token `i`'s text is row `i`.
+    tokens: Rows,
     /// A power-of-two table, at most half full, of token indices plus one
     /// (0 is an empty slot).
     slots: Vec<u32>,
@@ -538,8 +546,7 @@ struct LongTokens {
 impl LongTokens {
     /// The text of token `i`.
     fn get(&self, i: u32) -> &str {
-        let start = i.checked_sub(1).map_or(0, |p| self.ends[p as usize]);
-        &self.text[start as usize..self.ends[i as usize] as usize]
+        self.tokens.get(i as usize)
     }
 
     /// The slot `token` hashes to in a table of `len` (a power of two)
@@ -556,7 +563,7 @@ impl LongTokens {
     /// [`SsJoinError::TooManyElements`] when the text outgrows the `u32`
     /// offset space.
     fn intern(&mut self, token: &str) -> SsJoinResult<u32> {
-        if 2 * (self.ends.len() + 1) > self.slots.len() {
+        if 2 * (self.tokens.len() + 1) > self.slots.len() {
             self.grow();
         }
         let mask = self.slots.len() - 1;
@@ -568,29 +575,38 @@ impl LongTokens {
                 _ => at = (at + 1) & mask,
             }
         }
-        let end = self.text.len() + token.len();
-        if end > u32::MAX as usize {
-            return Err(SsJoinError::TooManyElements { elements: end });
-        }
-        self.text.push_str(token);
-        self.ends.push(end as u32);
-        self.slots[at] = self.ends.len() as u32;
-        Ok(self.ends.len() as u32 - 1)
+        self.tokens.push(token).map_err(too_long)?;
+        self.slots[at] = self.tokens.len() as u32;
+        Ok(self.tokens.len() as u32 - 1)
     }
 
     /// Double the index (16 slots at first) and re-place every token.
     fn grow(&mut self) {
         let len = (2 * self.slots.len()).max(16);
         let mut slots = vec![0u32; len];
-        for i in 0..self.ends.len() as u32 {
-            let mut at = Self::home(self.get(i), len);
+        for (i, token) in (1..).zip(self.tokens.iter()) {
+            let mut at = Self::home(token, len);
             while slots[at] != 0 {
                 at = (at + 1) & (len - 1);
             }
-            slots[at] = i + 1;
+            slots[at] = i;
         }
         self.slots = slots;
     }
+}
+
+/// A token text that outgrew the `u32` offsets of its [`Rows`].
+fn too_long(e: ssjoin_text::RowsOverflow) -> SsJoinError {
+    SsJoinError::TooManyElements { elements: e.bytes }
+}
+
+/// A dictionary's hash tables: each token's [`Slot`] by key (read for its
+/// `first_eid`, the element id of `(t, 1)`), and the element id of each
+/// later occurrence `(t, k)`, `k > 1`, by `(first_eid, k)`.
+#[derive(Default)]
+struct Tables {
+    table: FxHashMap<Key, Slot>,
+    later: FxHashMap<(u32, u32), u32>,
 }
 
 /// One chunk's dictionary (step 1): local ids in first-seen order.
@@ -605,6 +621,10 @@ struct ChunkDict {
     /// element's is counted in its token's [`Slot`] and written at the end
     /// of the chunk).
     freq: Vec<u32>,
+    /// The tables the chunk was interned through, kept for the first chunk
+    /// only: its local ids are the global ones, so the merge starts from
+    /// them.
+    tables: Option<Tables>,
 }
 
 /// A chunk token's value in its dictionary's table: everything a first
@@ -628,9 +648,12 @@ struct ChunkGroups {
 }
 
 /// Tokenize and intern groups `rows` of `groups` into a chunk dictionary.
+/// With `keep_tables` the dictionary keeps its hash tables, so the merge
+/// can start from them.
 fn intern_chunk(
     groups: &TokenGroups<'_>,
     rows: Range<usize>,
+    keep_tables: bool,
 ) -> SsJoinResult<(ChunkDict, ChunkGroups)> {
     let mut table: FxHashMap<Key, Slot> = FxHashMap::default();
     let mut dict = ChunkDict {
@@ -638,6 +661,7 @@ fn intern_chunk(
         long: LongTokens::default(),
         elements: Vec::new(),
         freq: Vec::new(),
+        tables: None,
     };
     // Ordinal 1 is read from the token's slot; later ordinals go through
     // `later`.
@@ -668,6 +692,7 @@ fn intern_chunk(
     for slot in table.values() {
         dict.freq[slot.first_eid as usize] = slot.groups;
     }
+    dict.tables = keep_tables.then_some(Tables { table, later });
     Ok((dict, out))
 }
 
@@ -721,10 +746,11 @@ fn intern_token(
 
 /// The chunk dictionaries merged in chunk order (step 2): global ids equal
 /// the first-seen ids of a sequential scan.
+#[derive(Default)]
 struct MergedDict {
     /// Global token id → key.
     tokens: Vec<Key>,
-    /// The text of the long keys (chunk long keys re-keyed here).
+    /// The text of the long keys.
     long: LongTokens,
     /// Global token id → global element id of `(t, 1)`.
     first_eid: Vec<u32>,
@@ -732,59 +758,99 @@ struct MergedDict {
     elements: Vec<(u32, u32)>,
     /// Global element id → groups holding it, over every relation.
     element_freq: Vec<usize>,
-    /// Per chunk: local element id → global element id.
-    eid_maps: Vec<Vec<u32>>,
+    /// Per chunk: local element id → global element id; `None` when they
+    /// are equal (the first chunk).
+    eid_maps: Vec<Option<Vec<u32>>>,
+    /// The global ids by key, as in a chunk.
+    tables: Tables,
 }
 
 impl MergedDict {
-    fn merge(dicts: &[ChunkDict]) -> SsJoinResult<Self> {
-        const NONE: u32 = u32::MAX;
-        let mut token_ids: FxHashMap<Key, u32> = FxHashMap::default();
-        let mut later: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-        let mut m = MergedDict {
-            tokens: Vec::new(),
-            long: LongTokens::default(),
-            first_eid: Vec::new(),
-            elements: Vec::new(),
-            element_freq: Vec::new(),
-            eid_maps: Vec::with_capacity(dicts.len()),
-        };
+    /// Merge `dicts` in order. The first chunk's local ids already are the
+    /// global ones, so its dictionary and tables become the merged ones
+    /// as they are; only the later chunks are folded in, so a one-chunk
+    /// build does no merge work.
+    fn merge(dicts: Vec<ChunkDict>) -> SsJoinResult<Self> {
+        let mut dicts = dicts.into_iter();
+        let mut m = MergedDict::default();
+        if let Some(mut first) = dicts.next() {
+            match first.tables.take() {
+                Some(tables) => m.seed(first, tables),
+                None => m.fold(&first)?,
+            }
+        }
         for dict in dicts {
-            let mut tid_map = Vec::with_capacity(dict.keys.len());
-            for &key in &dict.keys {
-                let key = key.rehome(&dict.long, &mut m.long)?;
-                let tid = match token_ids.entry(key) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        check_id_space(m.tokens.len())?;
-                        let t = m.tokens.len() as u32;
-                        m.tokens.push(key);
-                        m.first_eid.push(NONE);
-                        *e.insert(t)
-                    }
-                };
-                tid_map.push(tid);
-            }
-            let mut eid_map = Vec::with_capacity(dict.elements.len());
-            for (&(local_tid, ord), &freq) in dict.elements.iter().zip(&dict.freq) {
-                let tid = tid_map[local_tid as usize];
-                let slot = if ord == 1 {
-                    &mut m.first_eid[tid as usize]
-                } else {
-                    later.entry((tid, ord)).or_insert(NONE)
-                };
-                if *slot == NONE {
-                    check_id_space(m.elements.len())?;
-                    *slot = m.elements.len() as u32;
-                    m.elements.push((tid, ord));
-                    m.element_freq.push(0);
-                }
-                m.element_freq[*slot as usize] += freq as usize;
-                eid_map.push(*slot);
-            }
-            m.eid_maps.push(eid_map);
+            m.fold(&dict)?;
         }
         Ok(m)
+    }
+
+    /// Start from the first chunk, interned through `tables`: its ids are
+    /// the global ones.
+    fn seed(&mut self, first: ChunkDict, tables: Tables) {
+        self.first_eid = vec![0; first.keys.len()];
+        for (eid, &(tid, ord)) in (0..).zip(&first.elements) {
+            if ord == 1 {
+                self.first_eid[tid as usize] = eid;
+            }
+        }
+        self.element_freq = first.freq.iter().map(|&f| f as usize).collect();
+        (self.tokens, self.long, self.elements) = (first.keys, first.long, first.elements);
+        self.tables = tables;
+        self.eid_maps.push(None);
+    }
+
+    /// Fold in the next chunk, element by element in local id order. A
+    /// token's `(t, 1)` comes before its later ordinals, and the chunk's
+    /// tokens were first seen in the order of their `(t, 1)`s, so a token
+    /// or element new to the merged dictionary gets the id a sequential
+    /// scan gives it.
+    fn fold(&mut self, dict: &ChunkDict) -> SsJoinResult<()> {
+        let mut tid_map = Vec::with_capacity(dict.keys.len());
+        let mut eid_map = Vec::with_capacity(dict.elements.len());
+        for (&(local_tid, ord), &freq) in dict.elements.iter().zip(&dict.freq) {
+            let eid = if ord == 1 {
+                let key = dict.keys[local_tid as usize].rehome(&dict.long, &mut self.long)?;
+                let eid = match self.tables.table.entry(key) {
+                    Entry::Occupied(slot) => slot.get().first_eid,
+                    Entry::Vacant(slot) => {
+                        check_id_space(self.tokens.len())?;
+                        check_id_space(self.elements.len())?;
+                        let (tid, eid) = (self.tokens.len() as u32, self.elements.len() as u32);
+                        self.tokens.push(key);
+                        self.first_eid.push(eid);
+                        self.elements.push((tid, 1));
+                        self.element_freq.push(0);
+                        slot.insert(Slot {
+                            first_eid: eid,
+                            groups: 0,
+                            stamp: 0,
+                            ord: 0,
+                        });
+                        eid
+                    }
+                };
+                tid_map.push(self.elements[eid as usize].0);
+                eid
+            } else {
+                let tid = tid_map[local_tid as usize];
+                let first = self.first_eid[tid as usize];
+                match self.tables.later.entry((first, ord)) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        check_id_space(self.elements.len())?;
+                        let eid = self.elements.len() as u32;
+                        self.elements.push((tid, ord));
+                        self.element_freq.push(0);
+                        *e.insert(eid)
+                    }
+                }
+            };
+            self.element_freq[eid as usize] += freq as usize;
+            eid_map.push(eid);
+        }
+        self.eid_maps.push(Some(eid_map));
+        Ok(())
     }
 }
 
@@ -857,11 +923,8 @@ impl ChunkGroups {
 /// once, in one buffer, so no `String` per element exists.
 #[derive(Debug)]
 struct ElementMeta {
-    /// Every distinct token's text, concatenated.
-    text: String,
-    /// Token `t`'s text ends at `ends[t]` (and starts where token `t − 1`'s
-    /// ends).
-    ends: Vec<u32>,
+    /// Token `t`'s text is row `t`.
+    tokens: Rows,
     /// Per rank: the element's token index and ordinal.
     by_rank: Vec<(u32, u32)>,
 }
@@ -875,26 +938,19 @@ impl ElementMeta {
     /// `u32` offset space.
     fn new<'t>(tokens: impl Iterator<Item = &'t str> + Clone) -> SsJoinResult<Self> {
         let bytes: usize = tokens.clone().map(str::len).sum();
-        if bytes > u32::MAX as usize {
-            return Err(SsJoinError::TooManyElements { elements: bytes });
-        }
-        let mut text = String::with_capacity(bytes);
-        let mut ends = Vec::with_capacity(tokens.size_hint().0);
+        let mut rows = Rows::with_capacity(bytes, tokens.size_hint().0);
         for token in tokens {
-            text.push_str(token);
-            ends.push(text.len() as u32);
+            rows.push(token).map_err(too_long)?;
         }
         Ok(Self {
-            text,
-            ends,
+            tokens: rows,
             by_rank: Vec::new(),
         })
     }
 
     /// The text of token `t`.
     fn token(&self, t: u32) -> &str {
-        let start = t.checked_sub(1).map_or(0, |p| self.ends[p as usize]);
-        &self.text[start as usize..self.ends[t as usize] as usize]
+        self.tokens.get(t as usize)
     }
 
     /// Place `elements` (`(token id, ordinal)` per element id) by

@@ -8,6 +8,8 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
+use ssjoin_text::Rows;
+
 /// Write `field` to `w` with `\\`, `\t`, `\n` and `\r` escaped, without
 /// allocating: runs of plain bytes go out as slices of `field`. Every escaped
 /// character is ASCII, so a run never splits a multi-byte UTF-8 sequence.
@@ -30,30 +32,36 @@ pub fn write_field<W: Write>(w: &mut W, field: &str) -> io::Result<()> {
     w.write_all(&bytes[start..])
 }
 
+/// Reverse [`write_field`]'s escapes in `field`, handing the result to
+/// `out` in pieces: runs of plain text as slices of `field`, and each
+/// escaped character as its own piece. An unknown escape, and a trailing
+/// lone backslash, are kept as they are. Every escape is ASCII, so a run
+/// never splits a multi-byte character.
+fn unescape_into(field: &str, mut out: impl FnMut(&str)) {
+    let mut rest = field;
+    while let Some(at) = rest.find('\\') {
+        let escaped = match rest.as_bytes().get(at + 1) {
+            Some(b't') => "\t",
+            Some(b'n') => "\n",
+            Some(b'r') => "\r",
+            Some(b'\\') => "\\",
+            _ => {
+                out(&rest[..=at]);
+                rest = &rest[at + 1..];
+                continue;
+            }
+        };
+        out(&rest[..at]);
+        out(escaped);
+        rest = &rest[at + 2..];
+    }
+    out(rest);
+}
+
 /// Reverse [`write_field`]'s escapes; an unknown escape is kept as is.
 fn unescape(field: &str) -> String {
-    if !field.contains('\\') {
-        return field.to_owned();
-    }
     let mut out = String::with_capacity(field.len());
-    let mut chars = field.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('\\') => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
+    unescape_into(field, |part| out.push_str(part));
     out
 }
 
@@ -84,15 +92,25 @@ pub fn read_tsv<P: AsRef<Path>>(path: P) -> io::Result<Vec<Vec<String>>> {
     Ok(rows)
 }
 
-/// The first column of every row of a TSV file, streamed: lines pass through
-/// one reused buffer and only column 0 is unescaped. Equals `read_tsv(path)`
-/// with each row cut to its first field — a line ends at `\n` or `\r\n`, an
-/// empty line is the field `""`, and invalid UTF-8 anywhere in a line is an
-/// [`io::ErrorKind::InvalidData`] error.
-pub fn read_first_column<P: AsRef<Path>>(path: P) -> io::Result<Vec<String>> {
-    let mut r = BufReader::new(File::open(path)?);
+/// The first column of every row of a TSV file, as one [`Rows`] buffer:
+/// lines pass through one reused buffer, and column 0 is unescaped straight
+/// into the rows' text, so no `String` per row exists. Equals
+/// `read_tsv(path)` with each row cut to its first field — a line ends at
+/// `\n` or `\r\n`, an empty line is the field `""`, and invalid UTF-8
+/// anywhere in a line is an [`io::ErrorKind::InvalidData`] error, as is
+/// column text beyond the rows' `u32` offsets ([`ssjoin_text::RowsOverflow`]).
+pub fn read_first_column<P: AsRef<Path>>(path: P) -> io::Result<Rows> {
+    let file = File::open(path)?;
+    // Column 0 is at most the file's bytes, and a `Rows` at most
+    // `u32::MAX` of them; pages reserved past the text's end are never
+    // touched.
+    let bytes = file
+        .metadata()
+        .map_or(0, |m| m.len().min(u64::from(u32::MAX)));
+    let bytes = usize::try_from(bytes).unwrap_or(0);
+    let mut r = BufReader::new(file);
     let mut line = Vec::new();
-    let mut column = Vec::new();
+    let mut column = Rows::with_capacity(bytes, 0);
     while r.read_until(b'\n', &mut line)? > 0 {
         if line.last() == Some(&b'\n') {
             line.pop();
@@ -102,7 +120,9 @@ pub fn read_first_column<P: AsRef<Path>>(path: P) -> io::Result<Vec<String>> {
         }
         let text = std::str::from_utf8(&line)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        column.push(unescape(text.split('\t').next().unwrap_or_default()));
+        let field = text.split('\t').next().unwrap_or_default();
+        unescape_into(field, |part| column.push_str(part));
+        column.end_row()?;
         line.clear();
     }
     Ok(column)
@@ -211,7 +231,8 @@ mod tests {
                 .into_iter()
                 .map(|row| row[0].clone())
                 .collect();
-            assert_eq!(read_first_column(&path).unwrap(), expect, "{case:?}");
+            let column = read_first_column(&path).unwrap();
+            assert!(column.iter().eq(&expect), "{case:?}");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -7,6 +7,7 @@ use ssjoin_core::{
     SetCollection, SsJoinConfig, SsJoinError, SsJoinInputBuilder, SsJoinResult, SsJoinStats,
     TokenGroups, WeightScheme,
 };
+use ssjoin_text::RowsRef;
 use std::time::{Duration, Instant};
 
 /// Output of a similarity join: verified pairs plus the SSJoin execution
@@ -23,7 +24,7 @@ pub struct SimilarityJoinOutput {
     /// quantity Table 1 of the paper counts. Distinct from
     /// `stats.verified_pairs`, which counts overlap recomputations inside
     /// the SSJoin executor. A one-file edit or Jaccard-resemblance self-join
-    /// (the same slice as both sides) calls the UDF once per unordered
+    /// (the same rows as both sides) calls the UDF once per unordered
     /// off-diagonal pair and never on the diagonal, so it counts unordered
     /// pairs, as does the hamming join's; handed two relations, it counts
     /// each orientation and the diagonal. A containment, cosine or soft-FD
@@ -67,11 +68,35 @@ pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// predicate reads, and optionally the rule that caps its prefixes.
 pub(crate) type Relation<'a> = (TokenGroups<'a>, NormKind, Option<CapRule<'a>>);
 
-/// `f` of the R side, and of the S side unless it is the same slice as R
+/// A join input whose two sides can be the same table.
+pub(crate) trait Table {
+    /// True when `self` and `other` are the same table, not merely equal:
+    /// the same slice, or the same rows ([`RowsRef::same`]).
+    fn same(&self, other: &Self) -> bool;
+}
+
+impl<T> Table for [T] {
+    fn same(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+impl Table for RowsRef<'_> {
+    fn same(&self, other: &Self) -> bool {
+        RowsRef::same(*self, *other)
+    }
+}
+
+/// `f` of the R side, and of the S side unless it is the same table as R
 /// (`None`: a self-join, which [`run_join`] builds as one relation). The
-/// identity test is the one `core::spill` and `core::approx` use.
-pub(crate) fn sides<'a, T, U>(r: &'a [T], s: &'a [T], f: impl Fn(&'a [T]) -> U) -> (U, Option<U>) {
-    (f(r), (!std::ptr::eq(r, s)).then(|| f(s)))
+/// identity test is the one `core::spill` and `core::approx` use: equal
+/// rows held twice are two relations.
+pub(crate) fn sides<'a, T: Table + ?Sized, U>(
+    r: &'a T,
+    s: &'a T,
+    f: impl Fn(&'a T) -> U,
+) -> (U, Option<U>) {
+    (f(r), (!r.same(s)).then(|| f(s)))
 }
 
 /// Verify `pairs` the join's SSJoin did not cover — pairs a positive overlap

@@ -22,7 +22,7 @@ use ssjoin_core::{
     Algorithm, ElementOrder, ExecContext, JoinPair, NormExpr, NormKind, OverlapPredicate,
     SetCollection, SsJoinConfig, SsJoinResult, TokenGroups, WeightScheme,
 };
-use ssjoin_text::WordTokenizer;
+use ssjoin_text::{AsRows, WordTokenizer};
 
 /// Configuration for [`cosine_join`].
 #[derive(Debug, Clone)]
@@ -116,7 +116,7 @@ fn cosine_join_groups(
 }
 
 /// Cosine join over strings, tokenized into lowercased words. Pass the same
-/// slice twice for a self-join: it is tokenized and built once. Tokenizing
+/// rows twice for a self-join: it is tokenized and built once. Tokenizing
 /// runs inside the build, on `config.exec.threads` workers and on the
 /// [`ssjoin_core::Phase::Prep`] clock.
 ///
@@ -130,14 +130,15 @@ fn cosine_join_groups(
 /// let out = cosine_join(&docs, &docs, &CosineConfig::new(0.55)).unwrap();
 /// assert!(out.keys().contains(&(0, 1)));
 /// ```
-pub fn cosine_join(
-    r: &[String],
-    s: &[String],
+pub fn cosine_join<R: AsRows + ?Sized, S: AsRows + ?Sized>(
+    r: &R,
+    s: &S,
     config: &CosineConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
     let tok = WordTokenizer::new().lowercased();
-    let (r_rows, s_rows) = sides(r, s, |xs| TokenGroups::Text {
-        rows: xs,
+    let (r, s) = (r.as_rows(), s.as_rows());
+    let (r_rows, s_rows) = sides(&r, &s, |rows| TokenGroups::Text {
+        rows,
         tokenizer: &tok,
         order: None,
     });

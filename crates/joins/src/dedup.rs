@@ -10,6 +10,7 @@ use crate::common::MatchPair;
 use crate::edit::{edit_similarity_join, EditJoinConfig};
 use crate::jaccard::{jaccard_join, JaccardConfig};
 use ssjoin_core::{Algorithm, SsJoinResult};
+use ssjoin_text::{AsRows, RowsRef};
 
 /// Which similarity function drives the dedup join.
 #[derive(Debug, Clone)]
@@ -78,22 +79,23 @@ impl DedupResult {
 
 /// Deduplicate `records`: self-join at the configured similarity, cluster,
 /// and elect canonicals.
-pub fn dedup(
-    records: &[String],
+pub fn dedup<R: AsRows + ?Sized>(
+    records: &R,
     similarity: &DedupSimilarity,
     canonicalization: Canonicalization,
 ) -> SsJoinResult<DedupResult> {
+    let records = records.as_rows();
     let pairs = match similarity {
         DedupSimilarity::Edit { threshold } => {
             edit_similarity_join(
-                records,
-                records,
+                &records,
+                &records,
                 &EditJoinConfig::new(*threshold).with_algorithm(Algorithm::Inline),
             )?
             .pairs
         }
         DedupSimilarity::Jaccard { threshold } => {
-            jaccard_join(records, records, &JaccardConfig::resemblance(*threshold))?.pairs
+            jaccard_join(&records, &records, &JaccardConfig::resemblance(*threshold))?.pairs
         }
     };
     let groups = cluster_pairs(records.len(), &pairs)
@@ -106,12 +108,17 @@ pub fn dedup(
     Ok(DedupResult { groups, pairs })
 }
 
-fn elect(records: &[String], members: &[u32], pairs: &[MatchPair], how: Canonicalization) -> u32 {
+fn elect(records: RowsRef<'_>, members: &[u32], pairs: &[MatchPair], how: Canonicalization) -> u32 {
     match how {
         Canonicalization::First => members[0],
         Canonicalization::Longest => *members
             .iter()
-            .max_by_key(|&&m| (records[m as usize].chars().count(), std::cmp::Reverse(m)))
+            .max_by_key(|&&m| {
+                (
+                    records.get(m as usize).chars().count(),
+                    std::cmp::Reverse(m),
+                )
+            })
             .expect("groups are nonempty"),
         Canonicalization::Medoid => {
             let member_set: std::collections::HashSet<u32> = members.iter().copied().collect();

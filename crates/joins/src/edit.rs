@@ -36,7 +36,7 @@ use ssjoin_core::{
     SetCollection, SsJoinConfig, SsJoinError, SsJoinResult, TokenGroups, WeightScheme,
 };
 use ssjoin_sim::{edit_distance_budget, edit_similarity_within};
-use ssjoin_text::QGramTokenizer;
+use ssjoin_text::{AsRows, QGramTokenizer, RowsRef};
 use std::cell::RefCell;
 
 /// Configuration for [`edit_similarity_join`].
@@ -160,7 +160,8 @@ struct LengthOrder {
 }
 
 impl LengthOrder {
-    fn of(rows: &[String]) -> Self {
+    fn of(rows: &(impl AsRows + ?Sized)) -> Self {
+        let rows = rows.as_rows();
         let lens: Vec<usize> = rows.iter().map(|x| x.chars().count()).collect();
         let mut order: Vec<u32> = (0..rows.len()).map(|i| i as u32).collect();
         order.sort_by_key(|&i| lens[i as usize]);
@@ -171,7 +172,7 @@ impl LengthOrder {
     /// the lengths as norms, capped by `caps`.
     fn relation<'a>(
         &'a self,
-        rows: &'a [String],
+        rows: &'a (dyn AsRows + Sync),
         tok: &'a QGramTokenizer,
         caps: CapRule<'a>,
     ) -> Relation<'a> {
@@ -378,7 +379,7 @@ impl Budgets<'_> {
 }
 
 /// Edit-similarity join: all pairs `(i, j)` with
-/// `edit_similarity(r[i], s[j]) ≥ threshold`. Pass the same slice twice for
+/// `edit_similarity(r[i], s[j]) ≥ threshold`. Pass the same rows twice for
 /// a self-join: it is tokenized and built once.
 ///
 /// Each side is built over its rows in (length, index) order, so the
@@ -396,9 +397,17 @@ impl Budgets<'_> {
 /// let out = edit_similarity_join(&data, &data, &EditJoinConfig::new(0.9)).unwrap();
 /// assert!(out.keys().contains(&(0, 1))); // one deletion over 14 chars ≈ 0.93
 /// ```
-pub fn edit_similarity_join(
-    r: &[String],
-    s: &[String],
+pub fn edit_similarity_join<R: AsRows + ?Sized, S: AsRows + ?Sized>(
+    r: &R,
+    s: &S,
+    config: &EditJoinConfig,
+) -> SsJoinResult<SimilarityJoinOutput> {
+    edit_join_rows(r.as_rows(), s.as_rows(), config)
+}
+
+fn edit_join_rows(
+    r: RowsRef<'_>,
+    s: RowsRef<'_>,
     config: &EditJoinConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
     let (alpha, q) = (config.threshold, config.q);
@@ -408,7 +417,7 @@ pub fn edit_similarity_join(
     // Checked before the predicate, whose length ratio is read from it.
     check_threshold("threshold", alpha)?;
     let predicate = property4_predicate(alpha, q);
-    let (r_side, s_own) = sides(r, s, LengthOrder::of);
+    let (r_side, s_own) = sides(&r, &s, LengthOrder::of);
     let s_side = s_own.as_ref().unwrap_or(&r_side);
     let mirror = s_own.is_none();
     let budgets = Budgets {
@@ -429,8 +438,8 @@ pub fn edit_similarity_join(
     // Prep: q-gram sets in length order, with string-length norms.
     let tok = QGramTokenizer::new(q);
     let prep = || {
-        let s_rel = s_own.as_ref().map(|side| side.relation(s, &tok, &s_caps));
-        Ok((r_side.relation(r, &tok, &r_caps), s_rel))
+        let s_rel = s_own.as_ref().map(|side| side.relation(&s, &tok, &s_caps));
+        Ok((r_side.relation(&r, &tok, &r_caps), s_rel))
     };
     // Filter: SSJoin's workers verify each candidate with the edit-distance
     // UDF on its rows. The passing pairs are mapped back to rows, then the
@@ -438,7 +447,7 @@ pub fn edit_similarity_join(
     // cutoff — are verified. A one-relation self-join decides each
     // unordered pair once (`mirror`, SSJoin's half path): edit similarity
     // is symmetric and 1.0 on the diagonal.
-    let udf = |i: u32, j: u32| edit_similarity_within(&r[i as usize], &s[j as usize], alpha);
+    let udf = |i: u32, j: u32| edit_similarity_within(r.get(i as usize), s.get(j as usize), alpha);
     let (r_order, s_order) = (&r_side.order, &s_side.order);
     let filter = |p: &JoinPair, _: &SetCollection, _: &SetCollection| {
         udf(r_order[p.r as usize], s_order[p.s as usize])
@@ -820,10 +829,10 @@ mod tests {
                     |k: usize, spans: &[(u32, u32)]| budgets.caps(s_side, &r_side, k, spans);
                 let mut builder =
                     SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
-                let (groups, norm, rule) = r_side.relation(r, &tok, &r_rule);
+                let (groups, norm, rule) = r_side.relation(&r, &tok, &r_rule);
                 let rh = builder.add_groups_capped(groups, norm, rule.unwrap());
                 let sh = s_own.as_ref().map(|side| {
-                    let (groups, norm, rule) = side.relation(s, &tok, &s_rule);
+                    let (groups, norm, rule) = side.relation(&s, &tok, &s_rule);
                     builder.add_groups_capped(groups, norm, rule.unwrap())
                 });
                 let built = builder.build().unwrap();

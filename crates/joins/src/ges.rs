@@ -28,7 +28,7 @@ use ssjoin_core::{
     SetCollection, SsJoinConfig, SsJoinResult, SsJoinStats, TokenGroups, WeightScheme,
 };
 use ssjoin_sim::{ges, GesConfig};
-use ssjoin_text::{Tokenizer, WordTokenizer};
+use ssjoin_text::{AsRows, RowsRef, Tokenizer, WordTokenizer};
 use std::collections::HashMap;
 
 /// Configuration for [`ges_join`].
@@ -90,20 +90,28 @@ impl GesJoinConfig {
 
 /// GES join: pairs with `GES(r[i] → s[j]) ≥ threshold` (note GES's
 /// asymmetric normalization by the R side, per Definition 6). Pass the same
-/// slice twice for a self-join: it is tokenized and built once.
+/// rows twice for a self-join: it is tokenized and built once.
 ///
 /// # Errors
 /// Returns [`ssjoin_core::SsJoinError::Config`] when the threshold or β is
 /// outside `(0, 1]`, and any error of the underlying SSJoin.
-pub fn ges_join(
-    r: &[String],
-    s: &[String],
+pub fn ges_join<R: AsRows + ?Sized, S: AsRows + ?Sized>(
+    r: &R,
+    s: &S,
+    config: &GesJoinConfig,
+) -> SsJoinResult<SimilarityJoinOutput> {
+    ges_join_rows(r.as_rows(), s.as_rows(), config)
+}
+
+fn ges_join_rows(
+    r: RowsRef<'_>,
+    s: RowsRef<'_>,
     config: &GesJoinConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
     let thresholds = [("threshold", config.threshold), ("beta", config.beta)];
     let tok = WordTokenizer::new().lowercased();
-    // A self-join (the same slice twice) is tokenized once: `s_own` is `None`.
-    let (r_tokens, s_own) = sides(r, s, |xs| {
+    // A self-join (the same rows twice) is tokenized once: `s_own` is `None`.
+    let (r_tokens, s_own) = sides(&r, &s, |xs| {
         xs.iter().map(|x| tok.tokenize(x)).collect::<Vec<_>>()
     });
     let s_tokens = s_own.as_deref().unwrap_or(&r_tokens);

@@ -13,6 +13,7 @@ use ssjoin_core::{
     SsJoinConfig, SsJoinResult, TokenGroups, WeightScheme,
 };
 use ssjoin_sim::hamming_distance;
+use ssjoin_text::AsRows;
 
 /// Configuration for [`hamming_join`].
 #[derive(Debug, Clone)]
@@ -57,12 +58,13 @@ fn similarity(d: usize, len: usize) -> f64 {
 
 /// Hamming join: pairs of equal-length strings differing in at most
 /// `max_distance` positions, with `similarity = 1 − d/len`. Pass the same
-/// slice twice for a self-join: it is built once.
-pub fn hamming_join(
-    r: &[String],
-    s: &[String],
+/// rows twice for a self-join: it is built once.
+pub fn hamming_join<R: AsRows + ?Sized, S: AsRows + ?Sized>(
+    r: &R,
+    s: &S,
     config: &HammingJoinConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
+    let (r, s) = (r.as_rows(), s.as_rows());
     let k = config.max_distance;
     let spec = JoinSpec {
         thresholds: &[],
@@ -79,16 +81,17 @@ pub fn hamming_join(
         config: SsJoinConfig::new(config.algorithm),
     };
     let prep = || {
-        Ok(sides(r, s, |xs| {
+        Ok(sides(&r, &s, |xs| {
             let lens = xs.iter().map(|x| x.chars().count() as f64).collect();
-            let groups = xs.iter().map(|x| positional_elements(x)).collect();
+            let groups = xs.iter().map(positional_elements).collect();
             (TokenGroups::Tokenized(groups), NormKind::Custom(lens), None)
         }))
     };
     // Verify with the exact hamming check (the norms are the lengths).
     let udf = |i: u32, j: u32| {
-        let d = hamming_distance(&r[i as usize], &s[j as usize]).filter(|&d| d <= k)?;
-        Some(similarity(d, r[i as usize].chars().count()))
+        let (a, b) = (r.get(i as usize), s.get(j as usize));
+        let d = hamming_distance(a, b).filter(|&d| d <= k)?;
+        Some(similarity(d, a.chars().count()))
     };
     // A one-relation self-join verifies each unordered pair once (SSJoin's
     // half path): equal-length pairs only, so the distance and the
@@ -112,7 +115,7 @@ pub fn hamming_join(
                 .filter(move |&&j| len(r_col, i) == len(s_col, j));
             same_len.map(move |&j| (i, j))
         });
-        verify_uncovered(out, uncovered, std::ptr::eq(r, s), udf);
+        verify_uncovered(out, uncovered, r.same(s), udf);
     };
     run_join(spec, prep, filter, post)
 }

@@ -13,7 +13,7 @@ use ssjoin_core::{
     Algorithm, ElementOrder, ExecContext, JoinPair, NormKind, OverlapPredicate, SetCollection,
     SsJoinConfig, SsJoinResult, TokenGroups, WeightScheme,
 };
-use ssjoin_text::WordTokenizer;
+use ssjoin_text::{AsRows, WordTokenizer};
 
 /// Which Jaccard variant to join on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +152,7 @@ pub(crate) fn jaccard_join_groups(
 }
 
 /// Jaccard join over strings, tokenized into lowercased words (the standard
-/// data-cleaning setup for addresses and names). Pass the same slice twice
+/// data-cleaning setup for addresses and names). Pass the same rows twice
 /// for a self-join: it is tokenized and built once. Tokenizing runs inside
 /// the build, on `config.exec.threads` workers and on the
 /// [`ssjoin_core::Phase::Prep`] clock.
@@ -169,14 +169,15 @@ pub(crate) fn jaccard_join_groups(
 /// let out = jaccard_join(&data, &data, &cfg).unwrap();
 /// assert!(out.keys().contains(&(0, 1))); // 4 of 5 tokens shared
 /// ```
-pub fn jaccard_join(
-    r: &[String],
-    s: &[String],
+pub fn jaccard_join<R: AsRows + ?Sized, S: AsRows + ?Sized>(
+    r: &R,
+    s: &S,
     config: &JaccardConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
     let tok = WordTokenizer::new().lowercased();
-    let (r_rows, s_rows) = sides(r, s, |xs| TokenGroups::Text {
-        rows: xs,
+    let (r, s) = (r.as_rows(), s.as_rows());
+    let (r_rows, s_rows) = sides(&r, &s, |rows| TokenGroups::Text {
+        rows,
         tokenizer: &tok,
         order: None,
     });

@@ -9,7 +9,7 @@
 use crate::common::{sides, SimilarityJoinOutput};
 use crate::jaccard::{jaccard_join_groups, JaccardConfig, JaccardKind};
 use ssjoin_core::{Algorithm, SsJoinResult, TokenGroups, WeightScheme};
-use ssjoin_text::soundex_tokens;
+use ssjoin_text::{soundex_tokens, AsRows};
 
 /// Configuration for [`soundex_join`].
 #[derive(Debug, Clone)]
@@ -32,13 +32,14 @@ impl SoundexConfig {
 }
 
 /// Soundex join over name strings.
-pub fn soundex_join(
-    r: &[String],
-    s: &[String],
+pub fn soundex_join<R: AsRows + ?Sized, S: AsRows + ?Sized>(
+    r: &R,
+    s: &S,
     config: &SoundexConfig,
 ) -> SsJoinResult<SimilarityJoinOutput> {
-    let (r_groups, s_groups) = sides(r, s, |xs| {
-        TokenGroups::Tokenized(xs.iter().map(|x| soundex_tokens(x)).collect())
+    let (r, s) = (r.as_rows(), s.as_rows());
+    let (r_groups, s_groups) = sides(&r, &s, |xs| {
+        TokenGroups::Tokenized(xs.iter().map(soundex_tokens).collect())
     });
     let jconfig = JaccardConfig {
         threshold: config.threshold,

@@ -29,7 +29,7 @@ use ssjoin_core::{
     TokenGroups, WeightScheme,
 };
 use ssjoin_sim::edit_similarity_within;
-use ssjoin_text::{QGramTokenizer, Tokenizer};
+use ssjoin_text::{AsRows, QGramTokenizer, Rows, RowsOverflow, Tokenizer};
 use std::collections::HashSet;
 
 /// Configuration for [`top_k_matches`] and [`TopKIndex`].
@@ -95,6 +95,11 @@ pub struct TopKMatch {
     pub similarity: f64,
 }
 
+/// Reference text beyond the [`Rows`] offsets, as an input error.
+fn too_long(e: RowsOverflow) -> SsJoinError {
+    SsJoinError::InvalidInput(e.to_string())
+}
+
 fn rank_matches(out: &mut [TopKMatch]) {
     out.sort_by(|a, b| {
         b.similarity
@@ -132,7 +137,8 @@ pub struct TopKIndex {
     config: TopKConfig,
     /// q-gram length, chosen from `config.min_similarity`.
     q: usize,
-    reference: Vec<String>,
+    /// Every reference ever inserted, tombstones included, in id order.
+    reference: Rows,
     encoder: QueryEncoder,
     index: CorpusIndex,
     ss_config: SsJoinConfig,
@@ -149,13 +155,27 @@ pub struct TopKIndex {
 }
 
 impl TopKIndex {
-    /// Build the index over `reference` once.
+    /// Build the index over a copy of `reference`, held as one [`Rows`]
+    /// buffer. A caller that owns its rows as [`Rows`] hands them over
+    /// with [`TopKIndex::from_rows`] instead, so they are held once.
     ///
     /// # Errors
     /// Returns [`SsJoinError::Config`] when `config.min_similarity` is
-    /// outside `(0, 1]`, or any error of the underlying input build / index
-    /// construction.
-    pub fn build(reference: &[String], config: TopKConfig) -> SsJoinResult<Self> {
+    /// outside `(0, 1]`, [`SsJoinError::InvalidInput`] when the rows' text
+    /// exceeds `u32::MAX` bytes, or any error of the underlying input build
+    /// / index construction.
+    pub fn build<R: AsRows + ?Sized>(reference: &R, config: TopKConfig) -> SsJoinResult<Self> {
+        let reference = reference.as_rows().to_rows().map_err(too_long)?;
+        Self::from_rows(reference, config)
+    }
+
+    /// Build the index over `reference` once; the index owns the rows,
+    /// reads its match and dedup replies from them, and appends each
+    /// [`TopKIndex::insert`]ed row to them.
+    ///
+    /// # Errors
+    /// As [`TopKIndex::build`].
+    pub fn from_rows(reference: Rows, config: TopKConfig) -> SsJoinResult<Self> {
         check_threshold("min_similarity", config.min_similarity)?;
         let q = qgram_length(config.min_similarity);
         let tok = QGramTokenizer::new(q);
@@ -164,7 +184,7 @@ impl TopKIndex {
         let mut builder =
             SsJoinInputBuilder::new(WeightScheme::Unweighted, ElementOrder::FrequencyAsc);
         let rows = TokenGroups::Text {
-            rows: reference,
+            rows: &reference,
             tokenizer: &tok,
             order: None,
         };
@@ -191,7 +211,7 @@ impl TopKIndex {
             ss_config,
             config,
             q,
-            reference: reference.to_vec(),
+            reference,
             encoder,
             index,
             ws: JoinWorkspace::new(),
@@ -300,14 +320,26 @@ impl TopKIndex {
     /// Append a reference string, returning its id. The new row is matchable
     /// immediately; the underlying [`CorpusIndex`] merges its epoch tail
     /// into the inverted lists automatically as inserts accumulate.
+    ///
+    /// # Errors
+    /// Returns [`SsJoinError::InvalidInput`] when the references' text
+    /// would exceed `u32::MAX` bytes, and any error of
+    /// [`CorpusIndex::insert`]; the index is then unchanged.
     pub fn insert(&mut self, text: &str) -> SsJoinResult<u32> {
         let tok = QGramTokenizer::new(self.q);
         let group = tok.tokenize(text);
         let elems = self.encoder.encode_group(&group);
         let dropped = elems.len() < group.len();
         let len = text.chars().count();
-        let id = self.index.insert(&elems, len as f64)?;
-        self.reference.push(text.to_string());
+        let rows = self.reference.len();
+        self.reference.push(text).map_err(too_long)?;
+        let id = match self.index.insert(&elems, len as f64) {
+            Ok(id) => id,
+            Err(e) => {
+                self.reference.truncate(rows);
+                return Err(e);
+            }
+        };
         if len < self.short_cutoff {
             self.short_ids.push(id);
         }
@@ -337,7 +369,7 @@ impl TopKIndex {
     pub fn reference_text(&self, id: u32) -> Option<&str> {
         self.index
             .is_alive(id)
-            .then(|| self.reference[id as usize].as_str())
+            .then(|| &self.reference[id as usize])
     }
 
     /// Total rows ever inserted (tombstones included).
@@ -379,9 +411,9 @@ impl TopKIndex {
 /// # Errors
 /// Returns [`SsJoinError::Config`] when `config.min_similarity` is outside
 /// `(0, 1]`, and any error of the underlying join.
-pub fn top_k_matches(
+pub fn top_k_matches<R: AsRows + ?Sized>(
     query: &str,
-    reference: &[String],
+    reference: &R,
     config: &TopKConfig,
 ) -> SsJoinResult<Vec<TopKMatch>> {
     check_threshold("min_similarity", config.min_similarity)?;

@@ -13,7 +13,10 @@
 //! * [`Normalizer`] — case folding / punctuation stripping applied before
 //!   tokenization,
 //! * [`soundex`] — the Soundex phonetic code, one of the similarity notions
-//!   the paper lists for person-name matching.
+//!   the paper lists for person-name matching,
+//! * [`Rows`] — a table of strings held once, as one text buffer plus `u32`
+//!   row ends; [`AsRows`] lends it, a `[String]` or a `Vec<String>` as one
+//!   [`RowsRef`] view, the form in which the joins take their rows.
 //!
 //! All tokenizers operate on `char` boundaries, so multi-byte UTF-8 input is
 //! handled correctly.
@@ -24,12 +27,14 @@
 mod multiset;
 mod normalize;
 mod qgram;
+mod rows;
 mod soundex;
 mod words;
 
 pub use multiset::{ordinalize, ordinalize_ref, OrdinalToken};
 pub use normalize::{NormalizeConfig, Normalizer};
 pub use qgram::{qgram_count, QGramTokenizer};
+pub use rows::{AsRows, Rows, RowsOverflow, RowsRef};
 pub use soundex::{soundex, soundex_tokens};
 pub use words::WordTokenizer;
 

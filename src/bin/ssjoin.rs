@@ -9,11 +9,13 @@
 //! ```
 //!
 //! Input files are TSV; the first column of each row is the string joined
-//! on, and the only one kept (lines stream through one buffer and only
-//! column 0 is unescaped). Join output rows are `r_index  s_index
-//! similarity  r_string  s_string`, streamed to `--out` or stdout with the
-//! strings TSV-escaped either way. A `join` given one file is a self-join: the table is read,
-//! tokenized and built once and joined with itself.
+//! on, and the only one kept: lines stream through one buffer, and column 0
+//! is unescaped into one text buffer with a `u32` end per row, which every
+//! later step (the build, the UDF, the output rows, `serve`'s index) reads.
+//! Join output rows are `r_index  s_index  similarity  r_string  s_string`,
+//! streamed to `--out` or stdout with the strings TSV-escaped either way. A
+//! `join` given one file is a self-join: the table is read, tokenized and
+//! built once and joined with itself.
 //!
 //! `match` answers one lookup with [`top_k_matches`]: the edit-similarity
 //! join of the query against the reference table at `--min-sim` (its q-gram
@@ -74,6 +76,7 @@ use ssjoin::joins::{
     CosineConfig, EditJoinConfig, GesJoinConfig, JaccardConfig, MatchPair, SimilarityJoinOutput,
     TopKConfig, TopKIndex,
 };
+use ssjoin::text::{AsRows, Rows};
 use std::io::{BufRead, BufWriter, Write};
 use std::process::ExitCode;
 
@@ -336,9 +339,10 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     }
 }
 
-/// The strings a table joins on: its first column, streamed by
-/// [`read_first_column`].
-fn first_column<P: AsRef<std::path::Path>>(path: P) -> Result<Vec<String>, String> {
+/// The strings a table joins on: its first column, read by
+/// [`read_first_column`] into one [`Rows`] buffer that every later step
+/// reads.
+fn first_column<P: AsRef<std::path::Path>>(path: P) -> Result<Rows, String> {
     read_first_column(&path).map_err(|e| format!("cannot read {}: {e}", path.as_ref().display()))
 }
 
@@ -395,8 +399,8 @@ fn run_join(
     threshold: f64,
     algorithm: Algorithm,
     exec: ExecContext,
-    r: &[String],
-    s: &[String],
+    r: &(impl AsRows + ?Sized),
+    s: &(impl AsRows + ?Sized),
 ) -> Result<SimilarityJoinOutput, String> {
     let out = match kind {
         JoinKind::Edit => edit_similarity_join(
@@ -446,18 +450,19 @@ const WRITE_BLOCK: usize = 4096;
 fn write_pairs<W: Write>(
     mut w: W,
     pairs: &[MatchPair],
-    r: &[String],
-    s: &[String],
+    r: &(impl AsRows + ?Sized),
+    s: &(impl AsRows + ?Sized),
     dedupe: bool,
     threads: usize,
 ) -> std::io::Result<usize> {
+    let (r, s) = (r.as_rows(), s.as_rows());
     let format = |block: &[MatchPair], buf: &mut Vec<u8>| -> std::io::Result<usize> {
         let mut rows = 0;
         for p in block.iter().filter(|p| !dedupe || p.r < p.s) {
             write!(buf, "{}\t{}\t{:.6}\t", p.r, p.s, p.similarity)?;
-            write_field(buf, &r[p.r as usize])?;
+            write_field(buf, r.get(p.r as usize))?;
             buf.push(b'\t');
-            write_field(buf, &s[p.s as usize])?;
+            write_field(buf, s.get(p.s as usize))?;
             buf.push(b'\n');
             rows += 1;
         }
@@ -500,7 +505,7 @@ fn write_pairs<W: Write>(
 
 /// Stream dedup output rows `group  member  text` to `w`, the text escaped
 /// by [`write_field`] as in [`write_pairs`].
-fn write_groups<W: Write>(mut w: W, groups: &[Vec<u32>], data: &[String]) -> std::io::Result<()> {
+fn write_groups<W: Write>(mut w: W, groups: &[Vec<u32>], data: &Rows) -> std::io::Result<()> {
     for (gi, group) in groups.iter().enumerate() {
         for &member in group {
             write!(w, "{gi}\t{member}\t")?;
@@ -512,17 +517,17 @@ fn write_groups<W: Write>(mut w: W, groups: &[Vec<u32>], data: &[String]) -> std
 }
 
 /// Serve-mode request loop: build the [`TopKIndex`] once over `reference`,
-/// then answer one tab-separated request per input line until EOF. Request
+/// which it takes over (so each reference text is held once), then answer one tab-separated request per input line until EOF. Request
 /// failures are reported as `err` response lines; only I/O failures and a
 /// bad initial configuration abort the loop.
 fn run_serve<R: BufRead, W: Write>(
-    reference: Vec<String>,
+    reference: Rows,
     config: TopKConfig,
     input: R,
     mut out: W,
 ) -> Result<(), String> {
     let approx = config.approx;
-    let mut index = TopKIndex::build(&reference, config).map_err(|e| e.to_string())?;
+    let mut index = TopKIndex::from_rows(reference, config).map_err(|e| e.to_string())?;
     let io_err = |e: std::io::Error| e.to_string();
 
     for line in input.lines() {
@@ -609,9 +614,9 @@ fn execute(cmd: Command) -> Result<(), String> {
         } => {
             let r = first_column(&r_path)?;
             let s_table = s_path.as_ref().map(first_column).transpose()?;
-            // One file is a self-join: the same slice on both sides, so the
+            // One file is a self-join: the same rows on both sides, so the
             // join tokenizes, builds and spills it once.
-            let s = s_table.as_deref().unwrap_or(&r);
+            let s = s_table.as_ref().unwrap_or(&r);
             let exec = join_exec(memory_budget, approx);
             let threads = exec.threads;
             let output = run_join(kind, threshold, algorithm, exec.clone(), &r, s)?;
@@ -651,7 +656,9 @@ fn execute(cmd: Command) -> Result<(), String> {
             for m in matches {
                 println!(
                     "{:.6}\t{}\t{}",
-                    m.similarity, m.index, refs[m.index as usize]
+                    m.similarity,
+                    m.index,
+                    refs.get(m.index as usize)
                 );
             }
             Ok(())
@@ -1253,7 +1260,13 @@ mod tests {
                      frobnicate\tx\n";
         let mut out = Vec::new();
         let config = topk_config(3, 0.6).unwrap();
-        run_serve(refs, config, std::io::Cursor::new(input), &mut out).unwrap();
+        run_serve(
+            refs.iter().collect(),
+            config,
+            std::io::Cursor::new(input),
+            &mut out,
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
 
@@ -1396,7 +1409,13 @@ mod tests {
         let input = "match\tmicrosoft corporation\nstats\n";
         let mut out = Vec::new();
         let config = topk_config(3, 0.6).unwrap().with_approximate(0.9);
-        run_serve(refs, config, std::io::Cursor::new(input), &mut out).unwrap();
+        run_serve(
+            refs.iter().collect(),
+            config,
+            std::io::Cursor::new(input),
+            &mut out,
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         // The exact self-match survives approximate candidate generation
         // (its similarity untouched), and the stats response records the

@@ -467,7 +467,7 @@ fn gen_rows(dir: &std::path::Path, rows: usize, seed: u64) -> (PathBuf, Vec<Stri
         .unwrap();
     assert!(out.status.success());
     let refs = ssjoin::datagen::read_first_column(&data).unwrap();
-    (data, refs)
+    (data, refs.iter().map(str::to_owned).collect())
 }
 
 /// `serve` answers `match` requests from its persistent index exactly as
